@@ -9,7 +9,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pxl_apps::Scale;
-use pxl_bench::{bench, run_cpu, run_flex, run_lite};
+use pxl_dse::{DesignPoint, PointArch};
+use pxl_flow::{execute, RunSpec};
 
 /// Times `iters` full runs of `f` and prints ms/run.
 fn timeit(name: &str, iters: u32, mut f: impl FnMut()) {
@@ -27,17 +28,16 @@ fn timeit(name: &str, iters: u32, mut f: impl FnMut()) {
 
 fn main() {
     for name in ["queens", "uts", "spmvcrs"] {
-        timeit(&format!("{name}/flex8"), 10, || {
-            let bm = bench(name, Scale::Tiny);
-            black_box(run_flex(bm.as_ref(), 8, None).kernel);
-        });
-        timeit(&format!("{name}/cpu4"), 10, || {
-            let bm = bench(name, Scale::Tiny);
-            black_box(run_cpu(bm.as_ref(), 4).kernel);
-        });
-        timeit(&format!("{name}/lite8"), 10, || {
-            let bm = bench(name, Scale::Tiny);
-            black_box(run_lite(bm.as_ref(), 8, None).expect("lite variant").kernel);
-        });
+        for (label, point) in [
+            ("flex8", DesignPoint::accel(PointArch::Flex, 2, 4)),
+            ("cpu4", DesignPoint::cpu(4)),
+            ("lite8", DesignPoint::accel(PointArch::Lite, 2, 4)),
+        ] {
+            let spec = RunSpec::new(name, Scale::Tiny, point);
+            timeit(&format!("{name}/{label}"), 10, || {
+                let out = execute(&spec).unwrap_or_else(|e| panic!("{e}"));
+                black_box(out.expect("every engine has a mapping").kernel);
+            });
+        }
     }
 }

@@ -17,17 +17,19 @@ use pxl_apps::{Benchmark, Scale};
 use pxl_arch::{
     AccelConfig, FabricEngine, LocalOrder, SchedPolicy, SchedulingPolicy, StealEnd, VictimSelect,
 };
-use pxl_bench::{bench, geometry, render_table};
+use pxl_bench::{bench, render_table};
+use pxl_dse::pe_geometry;
 
 fn config(pes: usize, policy: SchedPolicy) -> AccelConfig {
-    let (tiles, per_tile) = geometry(pes);
+    let (tiles, per_tile) = pe_geometry(pes);
     let mut cfg = AccelConfig::flex(tiles, per_tile);
     cfg.policy = policy;
     cfg
 }
 
-/// Like `run_flex_with_config` but reports simulation failures as data —
-/// an ablated policy blowing the space bound is a finding, not a bug.
+/// Runs `b` on a policy-instantiated fabric, reporting simulation failures
+/// as data — an ablated policy blowing the space bound is a finding, not a
+/// bug.
 fn try_run<P: SchedulingPolicy>(
     b: &dyn Benchmark,
     cfg: AccelConfig,
@@ -114,7 +116,7 @@ fn main() {
         }
         // The strawman every distributed design is measured against: one
         // shared ready queue serializing all 16 PEs' accesses.
-        let (tiles, per_tile) = geometry(16);
+        let (tiles, per_tile) = pe_geometry(16);
         push_row(
             "centralized queue",
             try_run::<pxl_arch::CentralPolicy>(b.as_ref(), AccelConfig::central(tiles, per_tile)),

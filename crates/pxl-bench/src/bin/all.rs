@@ -10,8 +10,8 @@
 //! <https://ui.perfetto.dev>.
 use pxl_apps::Scale;
 use pxl_bench::experiments as ex;
-use pxl_bench::{geometry, RunOutcome};
-use pxl_dse::{DesignPoint, PointArch};
+use pxl_bench::RunOutcome;
+use pxl_dse::{pe_geometry, DesignPoint, PointArch};
 use pxl_flow::RunSpec;
 use pxl_profile::{to_perfetto_json, Layout};
 
@@ -21,7 +21,7 @@ fn rerun_traced(won: &RunOutcome, scale: Scale) -> RunOutcome {
     let point = match won.engine.as_str() {
         "cpu" => DesignPoint::cpu(won.units),
         label => {
-            let (tiles, per_tile) = geometry(won.units);
+            let (tiles, per_tile) = pe_geometry(won.units);
             let arch = match label {
                 "flex" => PointArch::Flex,
                 "central" => PointArch::Central,
@@ -87,7 +87,7 @@ fn main() {
         let layout = if won.engine == "cpu" {
             Layout::new(won.units, won.units)
         } else {
-            let (_, per_tile) = geometry(won.units);
+            let (_, per_tile) = pe_geometry(won.units);
             Layout::new(won.units, per_tile)
         };
         let label = format!("{}/{}", won.bench, won.engine);

@@ -17,9 +17,9 @@ use std::time::Instant;
 
 use pxl_apps::Scale;
 use pxl_arch::AccelConfig;
-use pxl_bench::{
-    bench, render_table, run_central, run_cluster, run_cpu, run_flex, run_lite, RunOutcome,
-};
+use pxl_bench::render_table;
+use pxl_dse::{pe_geometry, ClusterPoint, DesignPoint, PointArch};
+use pxl_flow::{execute, RunSpec};
 use pxl_sim::config::CpuCoreParams;
 
 const PES: usize = 16;
@@ -90,11 +90,14 @@ fn cycle_ps(engine: &str) -> u64 {
 /// sample and the most reproducible statistic on a shared machine.
 const REPS: usize = 5;
 
-fn measure(
-    name: &'static str,
-    engine: &'static str,
-    mut run: impl FnMut() -> RunOutcome,
-) -> PerfRow {
+/// Times `spec` end to end (benchmark lookup, engine construction, run and
+/// golden check), as `engine`'s row for `name`.
+fn measure(name: &'static str, engine: &'static str, spec: &RunSpec) -> PerfRow {
+    let run = || {
+        execute(spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("perf benchmarks run on every engine")
+    };
     let mut out = run();
     let mut wall_s = f64::INFINITY;
     for _ in 0..REPS {
@@ -130,33 +133,31 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let scale = if smoke { Scale::Tiny } else { Scale::Small };
     let mut rows = Vec::new();
+    let (tiles, per_tile) = pe_geometry(PES);
     for name in BENCHES {
-        let b = bench(name, scale);
         eprintln!("[perf] {name}: flex/lite/central/cpu at {PES} units...");
-        rows.push(measure(name, "flex", || run_flex(b.as_ref(), PES, None)));
-        rows.push(measure(name, "lite", || {
-            run_lite(b.as_ref(), PES, None).expect("perf benchmarks have Lite mappings")
-        }));
-        rows.push(measure(name, "central", || {
-            run_central(b.as_ref(), PES, None)
-        }));
-        rows.push(measure(name, "cpu", || run_cpu(b.as_ref(), PES)));
+        for arch in [PointArch::Flex, PointArch::Lite, PointArch::Central] {
+            let point = DesignPoint::accel(arch, tiles, per_tile);
+            rows.push(measure(
+                name,
+                arch.label(),
+                &RunSpec::new(name, scale, point),
+            ));
+        }
+        let point = DesignPoint::cpu(PES);
+        rows.push(measure(name, "cpu", &RunSpec::new(name, scale, point)));
     }
 
     // Multi-chip fabrics: the same 16 PEs split across 2 and 4 chips,
     // stealing hierarchically vs. flat across the inter-chip link.
     for name in CLUSTER_BENCHES {
-        let b = bench(name, scale);
         eprintln!("[perf] {name}: 2-chip and 4-chip clusters at {PES} PEs...");
-        for (chips, hier_label, flat_label) in [(2, "hier2", "flat2"), (4, "hier4", "flat4")]
-            as [(usize, &'static str, &'static str); 2]
-        {
-            rows.push(measure(name, hier_label, || {
-                run_cluster(b.as_ref(), PES, chips, true, hier_label)
-            }));
-            rows.push(measure(name, flat_label, || {
-                run_cluster(b.as_ref(), PES, chips, false, flat_label)
-            }));
+        for (chips, hier_label, flat_label) in [(2, "hier2", "flat2"), (4, "hier4", "flat4")] {
+            let hier = ClusterPoint::new(chips);
+            for (cluster, label) in [(hier, hier_label), (hier.flat(), flat_label)] {
+                let point = DesignPoint::accel(PointArch::Flex, tiles, per_tile).clustered(cluster);
+                rows.push(measure(name, label, &RunSpec::new(name, scale, point)));
+            }
         }
     }
 

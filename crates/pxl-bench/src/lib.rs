@@ -3,26 +3,23 @@
 //!
 //! Each experiment has a binary (`tables`, `fig6`, `table4`, `fig7`,
 //! `table5`, `fig8`, `fig9`) plus `all`, which runs everything and emits
-//! `EXPERIMENTS.md`-ready output. The shared machinery here runs one
-//! benchmark on one engine configuration, validates the output against the
-//! golden reference, and reports *whole-program* time (host initialization
-//! plus kernel), matching the paper's methodology: "performance numbers are
-//! obtained by comparing whole program execution time, which include
-//! initialization and data transfers".
+//! `EXPERIMENTS.md`-ready output. Every run is named by a
+//! [`pxl_flow::RunSpec`] and performed by [`pxl_flow::execute`], which
+//! validates the output against the golden reference and reports
+//! *whole-program* time (host initialization plus kernel), matching the
+//! paper's methodology: "performance numbers are obtained by comparing
+//! whole program execution time, which include initialization and data
+//! transfers". The shared machinery here is reporting: benchmark lookup,
+//! host stamps, geometric means and markdown tables.
 
 pub mod dse;
 pub mod experiments;
 
 use pxl_apps::{by_name, Benchmark, Scale};
-use pxl_arch::{AccelConfig, MemBackendKind};
-use pxl_flow::SimulationBuilder;
-use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
-use pxl_sim::Clock;
 
-/// The run machinery (outcomes, checked execution, JSONL reporting) now
-/// lives in [`pxl_flow::run`] behind the canonical `RunSpec` API;
-/// re-exported so existing harness code keeps working.
-pub use pxl_flow::{run_on, try_run_on, write_jsonl, RunOutcome};
+/// The run outcome and its JSONL writer, re-exported for the harness's
+/// reporting code.
+pub use pxl_flow::{write_jsonl, RunOutcome};
 
 /// A host/build identifier for stamping benchmark result rows, so
 /// longitudinal `bench_results.jsonl` files collected from different
@@ -69,170 +66,6 @@ pub fn write_jsonl_stamped(
         writeln!(f, "{}", stamp_host(&out.to_jsonl(), host))?;
     }
     f.into_inner()?.flush()
-}
-
-/// Splits a PE count into the paper's geometry: up to 4 PEs in one tile,
-/// then 4-PE tiles.
-pub fn geometry(pes: usize) -> (usize, usize) {
-    if pes <= 4 {
-        (1, pes)
-    } else {
-        assert!(
-            pes.is_multiple_of(4),
-            "PE counts above 4 must be multiples of 4"
-        );
-        (pes / 4, 4)
-    }
-}
-
-/// Runs `bench` on a FlexArch accelerator with `pes` PEs.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate —
-/// experiment results must never silently ship wrong data.
-pub fn run_flex(bench: &dyn Benchmark, pes: usize, cache_bytes: Option<usize>) -> RunOutcome {
-    let (tiles, per_tile) = geometry(pes);
-    let mut cfg = AccelConfig::flex(tiles, per_tile);
-    if let Some(bytes) = cache_bytes {
-        cfg.memory.accel_l1 = cfg.memory.accel_l1.clone().with_size(bytes);
-    }
-    run_flex_with_config(bench, cfg, "flex")
-}
-
-/// Runs `bench` on a FlexArch accelerator with an explicit configuration.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid, the simulation fails, or the
-/// output does not validate.
-pub fn run_flex_with_config(bench: &dyn Benchmark, cfg: AccelConfig, label: &str) -> RunOutcome {
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .unwrap_or_else(|e| panic!("{} on {label}: {e}", bench.meta().name));
-    run_on(engine.as_mut(), bench, label).expect("FlexArch runs every benchmark")
-}
-
-/// Runs `bench`'s LiteArch variant with `pes` PEs; `None` if the benchmark
-/// has no Lite mapping.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate.
-pub fn run_lite(
-    bench: &dyn Benchmark,
-    pes: usize,
-    cache_bytes: Option<usize>,
-) -> Option<RunOutcome> {
-    let (tiles, per_tile) = geometry(pes);
-    let mut cfg = AccelConfig::lite(tiles, per_tile);
-    if let Some(bytes) = cache_bytes {
-        cfg.memory.accel_l1 = cfg.memory.accel_l1.clone().with_size(bytes);
-    }
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .unwrap_or_else(|e| panic!("{} on lite/{pes}PE: {e}", bench.meta().name));
-    run_on(engine.as_mut(), bench, "lite")
-}
-
-/// Runs `bench` on a multi-chip FlexArch cluster: `pes` PEs split evenly
-/// across `chips` chips, stealing hierarchically (intra-chip first) when
-/// `hierarchical`, or treating the whole fabric as flat otherwise. The
-/// inter-chip link runs the default [`pxl_arch::ClusterConfig`] timing.
-///
-/// # Panics
-///
-/// Panics if the geometry does not split across `chips`, the simulation
-/// fails, or the output does not validate.
-pub fn run_cluster(
-    bench: &dyn Benchmark,
-    pes: usize,
-    chips: usize,
-    hierarchical: bool,
-    label: &str,
-) -> RunOutcome {
-    let (tiles, per_tile) = geometry(pes);
-    let mut cfg = AccelConfig::flex(tiles, per_tile);
-    cfg.cluster = Some(if hierarchical {
-        pxl_arch::ClusterConfig::new(chips)
-    } else {
-        pxl_arch::ClusterConfig::new(chips).flat()
-    });
-    run_flex_with_config(bench, cfg, label)
-}
-
-/// Runs `bench` on the centralized shared-queue ablation with `pes` PEs —
-/// FlexArch's task model over one global ready queue, quantifying what
-/// distributed hardware work stealing buys.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate.
-pub fn run_central(bench: &dyn Benchmark, pes: usize, cache_bytes: Option<usize>) -> RunOutcome {
-    let (tiles, per_tile) = geometry(pes);
-    let mut cfg = AccelConfig::central(tiles, per_tile);
-    if let Some(bytes) = cache_bytes {
-        cfg.memory.accel_l1 = cfg.memory.accel_l1.clone().with_size(bytes);
-    }
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .unwrap_or_else(|e| panic!("{} on central/{pes}PE: {e}", bench.meta().name));
-    run_on(engine.as_mut(), bench, "central").expect("the central queue runs every benchmark")
-}
-
-/// Runs `bench` on the Cilk-style CPU baseline with `cores` cores.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate.
-pub fn run_cpu(bench: &dyn Benchmark, cores: usize) -> RunOutcome {
-    let mut engine = SimulationBuilder::cpu(cores, bench.profile())
-        .build()
-        .unwrap_or_else(|e| panic!("{} on cpu/{cores}C: {e}", bench.meta().name));
-    run_on(engine.as_mut(), bench, "cpu").expect("the CPU runs every benchmark")
-}
-
-/// Runs `bench` on the Zedboard's two-core Cortex-A9 CPU model.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate.
-pub fn run_cpu_zedboard(bench: &dyn Benchmark) -> RunOutcome {
-    // The Cortex-A9's narrow NEON and shallow OOO window retire kernel code
-    // at roughly 60% of the big core's per-clock rate, and its 32-bit Cilk
-    // runtime code is less dense than the 4-issue core's.
-    let big = bench.profile();
-    let a9_profile =
-        pxl_model::ExecProfile::new(big.accel_ops_per_cycle, big.cpu_ops_per_cycle * 0.6);
-    let costs = pxl_cpu::SoftwareCosts {
-        runtime_ipc: 1.2,
-        steal_attempt_instrs: 400,
-        ..pxl_cpu::SoftwareCosts::default()
-    };
-    let mut engine = SimulationBuilder::cpu_with(
-        2,
-        a9_profile,
-        zedboard_cpu_core(),
-        zedboard_cpu_memory(),
-        costs,
-    )
-    .build()
-    .unwrap_or_else(|e| panic!("{} on zedcpu: {e}", bench.meta().name));
-    run_on(engine.as_mut(), bench, "zedcpu").expect("the CPU runs every benchmark")
-}
-
-/// Runs `bench` on the Zedboard prototype accelerator (stream buffers over
-/// a single ACP port, 100 MHz fabric).
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate.
-pub fn run_flex_zedboard(bench: &dyn Benchmark, pes: usize) -> RunOutcome {
-    let (tiles, per_tile) = geometry(pes);
-    let mut cfg = AccelConfig::flex(tiles, per_tile);
-    cfg.mem_backend = MemBackendKind::Zedboard;
-    cfg.clock = Clock::new("zed_accel", 8_000);
-    run_flex_with_config(bench, cfg, "zedflex")
 }
 
 /// Looks up a benchmark by name at the harness's evaluation scale.
@@ -327,21 +160,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxl_sim::Time;
-
-    #[test]
-    fn geometry_splits_like_the_paper() {
-        assert_eq!(geometry(1), (1, 1));
-        assert_eq!(geometry(4), (1, 4));
-        assert_eq!(geometry(8), (2, 4));
-        assert_eq!(geometry(32), (8, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "multiples of 4")]
-    fn odd_geometry_panics() {
-        let _ = geometry(6);
-    }
 
     #[test]
     fn host_build_id_is_json_safe_and_versioned() {
@@ -368,34 +186,6 @@ mod tests {
         // The shared pool must stay reachable under the harness's old path.
         let jobs: Vec<_> = (0..4usize).map(|i| move || i * i).collect();
         assert_eq!(parallel_map(jobs), vec![0, 1, 4, 9]);
-    }
-
-    #[test]
-    fn small_flex_run_validates() {
-        let b = bench("queens", Scale::Tiny);
-        let out = run_flex(b.as_ref(), 4, None);
-        assert!(out.whole > out.kernel, "init time must be charged");
-        assert_eq!(out.engine, "flex");
-    }
-
-    #[test]
-    fn small_cross_engine_consistency() {
-        let b = bench("uts", Scale::Tiny);
-        let f = run_flex(b.as_ref(), 2, None);
-        let c = run_cpu(b.as_ref(), 2);
-        let l = run_lite(b.as_ref(), 2, None).unwrap();
-        // All validated against the same golden internally; engines differ
-        // only in timing.
-        assert!(f.kernel > Time::ZERO && c.kernel > Time::ZERO && l.kernel > Time::ZERO);
-    }
-
-    #[test]
-    fn zedboard_paths_run() {
-        let b = bench("stencil2d", Scale::Tiny);
-        let accel = run_flex_zedboard(b.as_ref(), 4);
-        let cpu = run_cpu_zedboard(b.as_ref());
-        assert!(accel.kernel > Time::ZERO);
-        assert!(cpu.kernel > Time::ZERO);
     }
 
     #[test]

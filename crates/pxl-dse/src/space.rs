@@ -284,6 +284,21 @@ impl DesignPoint {
         Some(cfg)
     }
 
+    /// The per-PE and per-tile FPGA resource estimate of this point for
+    /// `bench` (`None` for CPU points and for workers the `pxl-cost` model
+    /// does not know). The central ablation keeps FlexArch's tile hardware
+    /// (P-Store, full task model) and only swaps the queue organization, so
+    /// it costs flex-tile resources.
+    pub fn resources(&self, bench: &str) -> Option<TileResources> {
+        let kind = self.arch.arch_kind()?;
+        tile_resources(
+            bench,
+            kind != ArchKind::Lite,
+            self.pes_per_tile as u32,
+            self.cache_kb * 1024,
+        )
+    }
+
     /// The canonical spec string — the point's identity in cache keys,
     /// Pareto reports and JSONL output.
     ///
@@ -345,12 +360,21 @@ impl DesignPoint {
 }
 
 /// The paper's tile geometry for a total PE count: up to 4 PEs in a single
-/// tile, then 4-PE tiles (the scalability study's shape, also used by
-/// `pxl_flow::sweep_pe_counts` and the benchmark harness).
+/// tile, then 4-PE tiles (the scalability study's shape, also used by the
+/// benchmark harness).
+///
+/// # Panics
+///
+/// Panics on PE counts above 4 that are not multiples of 4: they have no
+/// such geometry, and rounding them down would build a different machine.
 pub fn pe_geometry(pes: usize) -> (usize, usize) {
     if pes <= 4 {
         (1, pes)
     } else {
+        assert!(
+            pes.is_multiple_of(4),
+            "PE counts above 4 must be multiples of 4, got {pes}"
+        );
         (pes / 4, 4)
     }
 }
@@ -415,9 +439,11 @@ pub struct Partition {
 /// A declarative design space: benchmarks × architectures × one [`Axis`]
 /// per knob, with optional device fitting.
 ///
-/// Defaults mirror `pxl_flow::AcceleratorBuilder`: FlexArch, 4 tiles,
-/// 4 PEs per tile, 32 KiB cache, 1024-entry queues, 4096-entry P-Store,
-/// no device constraint, no benchmarks (set at least one).
+/// Defaults: FlexArch, 4 tiles, 4 PEs per tile, 32 KiB cache, 1024-entry
+/// queues, 4096-entry P-Store, one chip, no device constraint, no
+/// benchmarks (set at least one). The P-Store default is half of
+/// [`DesignPoint::accel`]'s 8192 entries; both appear in spec strings and
+/// cache keys, so changing either would orphan cached results.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     benchmarks: Vec<String>,
@@ -668,22 +694,10 @@ impl SearchSpace {
         let mut out = Vec::with_capacity(self.benchmarks.len() * points.len());
         for bench in &self.benchmarks {
             for point in &points {
-                let resources = match point.arch.arch_kind() {
-                    // The central ablation keeps FlexArch's tile hardware
-                    // (P-Store, full task model) and only swaps the queue
-                    // organization, so it costs flex-tile resources.
-                    Some(kind) => tile_resources(
-                        bench,
-                        kind != ArchKind::Lite,
-                        point.pes_per_tile as u32,
-                        point.cache_kb * 1024,
-                    ),
-                    None => None,
-                };
                 out.push(Candidate {
                     bench: bench.clone(),
                     point: point.clone(),
-                    resources,
+                    resources: point.resources(bench),
                 });
             }
         }
@@ -838,6 +852,7 @@ mod tests {
     fn pe_counts_use_the_paper_geometry() {
         assert_eq!(pe_geometry(1), (1, 1));
         assert_eq!(pe_geometry(4), (1, 4));
+        assert_eq!(pe_geometry(8), (2, 4));
         assert_eq!(pe_geometry(32), (8, 4));
         let space = SearchSpace::new()
             .benchmarks(["queens"])
@@ -845,6 +860,48 @@ mod tests {
         let points = space.points();
         let geo: Vec<(usize, usize)> = points.iter().map(|p| (p.tiles, p.pes_per_tile)).collect();
         assert_eq!(geo, vec![(1, 1), (1, 4), (4, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiples of 4")]
+    fn pe_counts_without_a_paper_geometry_are_rejected() {
+        let _ = SearchSpace::new().pe_counts([6]);
+    }
+
+    #[test]
+    fn resources_grow_with_cache_size() {
+        // The Fig. 9 sweep: smaller caches use fewer BRAMs.
+        let brams: Vec<u32> = [4, 8, 16, 32]
+            .iter()
+            .map(|&kb| {
+                let mut point = DesignPoint::accel(PointArch::Flex, 4, 4);
+                point.cache_kb = kb;
+                // The simulated machine gets the same cache the estimate
+                // prices.
+                let l1 = point.accel_config().unwrap().memory.accel_l1;
+                assert_eq!(l1.size_bytes, kb * 1024);
+                point.resources("nw").unwrap().tile.bram18
+            })
+            .collect();
+        assert!(brams.windows(2).all(|w| w[0] < w[1]), "{brams:?}");
+    }
+
+    #[test]
+    fn resources_follow_the_tile_architecture() {
+        let of = |arch| DesignPoint::accel(arch, 4, 4).resources("stencil2d");
+        let flex = of(PointArch::Flex).unwrap();
+        assert!(of(PointArch::Lite).unwrap().tile.lut < flex.tile.lut);
+        assert_eq!(
+            of(PointArch::Central),
+            Some(flex),
+            "central keeps flex tiles"
+        );
+        assert_eq!(DesignPoint::cpu(4).resources("stencil2d"), None);
+        assert_eq!(
+            DesignPoint::accel(PointArch::Flex, 4, 4).resources("my-custom-kernel"),
+            None,
+            "unknown worker"
+        );
     }
 
     #[test]

@@ -3,50 +3,49 @@
 //! The paper's flow takes a C++ worker description and an architectural
 //! template, elaborates the template with the designer's parameters
 //! (architecture, tiles, PEs, queue and P-Store entries, cache size), and
-//! emits accelerator RTL. In this reproduction the "RTL" is a validated
-//! simulator configuration plus a resource estimate:
+//! emits accelerator RTL. In this reproduction the parameters are a
+//! `pxl-dse` [`DesignPoint`](pxl_dse::DesignPoint), and the "RTL" is the
+//! simulator engine it elaborates to:
 //!
 //! ```text
-//! Worker (Rust impl of pxl_model::Worker)   Architecture template (pxl-arch)
-//!                \                               /
-//!                 AcceleratorBuilder::build()
-//!                          |
-//!                 AcceleratorDesign { AccelConfig, resources, device fits }
+//! RunSpec { benchmark, scale, DesignPoint, ... }
+//!        |
+//! SimulationBuilder::from_run_spec(..).build()  ->  Box<dyn Engine>
+//!        |
+//! execute / measure / SimSession  ->  golden-checked RunOutcome
 //! ```
 //!
-//! [`AcceleratorBuilder`] is the single entry point a designer uses; "design
-//! space exploration can be done easily by changing the parameters given to
-//! the framework, without rewriting any code" (Section IV-C) — that is
-//! [`sweep_cache_sizes`] and [`sweep_pe_counts`].
-//!
-//! Simulation *runs* are described by the serializable [`RunSpec`] and
-//! executed through [`execute`]/[`measure`] (see the [`run`] and [`spec`]
-//! modules): one canonical request format shared by every experiment
-//! driver and the `pxl-serve` job server.
+//! A serializable [`RunSpec`] is the one way to name a run, and
+//! [`execute`]/[`measure`] (or the pausable [`SimSession`]) the one way to
+//! perform it: every experiment driver and the `pxl-serve` job server
+//! share it. "Design space exploration can be done easily by changing the
+//! parameters given to the framework, without rewriting any code"
+//! (Section IV-C) — that is a `pxl-dse` search space over design points.
+//! Custom workers and platforms a spec cannot name (the Zedboard
+//! prototype) use [`SimulationBuilder::from_config`] /
+//! [`SimulationBuilder::cpu_with`] and [`run_checked`] directly.
 //!
 //! # Examples
 //!
 //! ```
-//! use pxl_flow::AcceleratorBuilder;
+//! use pxl_apps::Scale;
+//! use pxl_dse::{DesignPoint, PointArch};
+//! use pxl_flow::{execute, RunSpec};
 //!
-//! let design = AcceleratorBuilder::new("queens")
-//!     .tiles(4)
-//!     .pes_per_tile(4)
-//!     .cache_kb(16)
-//!     .build()
-//!     .unwrap();
-//! assert_eq!(design.config.num_pes(), 16);
-//! assert!(design.resources.is_some());
+//! let mut point = DesignPoint::accel(PointArch::Flex, 4, 4);
+//! point.cache_kb = 16;
+//! let out = execute(&RunSpec::new("queens", Scale::Tiny, point))
+//!     .unwrap()
+//!     .expect("FlexArch runs every benchmark");
+//! assert_eq!(out.units, 16);
+//! assert!(out.whole > out.kernel);
 //! ```
 
 pub mod run;
 pub mod session;
 pub mod spec;
 
-pub use run::{
-    execute, measure, measurement_of, run_checked, run_on, try_run_on, write_jsonl, RunError,
-    RunOutcome,
-};
+pub use run::{execute, measure, measurement_of, run_checked, write_jsonl, RunError, RunOutcome};
 pub use session::{SessionStatus, SimSession};
 pub use spec::{CheckpointPolicy, RunSpec, SpecError, TelemetryPolicy};
 
@@ -54,54 +53,19 @@ use pxl_arch::{
     AccelConfig, ArchKind, CentralEngine, ConfigError, Engine, FlexEngine, HierEngine, LiteEngine,
     StealMode,
 };
-use pxl_cost::resources::{tile_resources, FpgaDevice, TileResources};
 use pxl_cpu::{CpuEngine, SoftwareCosts};
-use pxl_dse::{Axis, DesignPoint, PointArch, SearchSpace};
 use pxl_model::ExecProfile;
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
 use pxl_sim::FaultPlan;
 
-/// Errors produced while parsing a specification or elaborating a design.
-///
-/// The spec-parsing variants carry the offending `key=value` fragment so a
-/// caller can point at exactly what was wrong with its input.
+/// Errors produced while elaborating a design into an engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowError {
-    /// A spec token was not of the form `key=value`.
-    MalformedPair {
-        /// The offending token.
-        token: String,
-    },
-    /// A spec pair used a key the template does not expose.
-    UnknownKey {
-        /// The unrecognized key.
-        key: String,
-        /// The value it carried.
-        value: String,
-    },
-    /// A spec value could not be parsed as the key's type.
-    InvalidValue {
-        /// The key whose value is malformed.
-        key: String,
-        /// The unparsable value.
-        value: String,
-        /// What the key expects (e.g. `"a positive integer"`).
-        expected: &'static str,
-    },
-    /// A spec value parsed but violates the key's range constraint.
-    OutOfRange {
-        /// The key whose value is out of range.
-        key: String,
-        /// The rejected value.
-        value: String,
-        /// The violated constraint (e.g. `"must be at least 2"`).
-        constraint: &'static str,
-    },
     /// The architectural parameters are not realizable, with the violated
     /// constraint typed so callers (e.g. the `pxl-dse` pruner) can report
     /// *why* a design point is infeasible.
     Config(ConfigError),
-    /// Some other aspect of the request is invalid (missing worker name,
+    /// Some other aspect of the request is invalid (unknown benchmark,
     /// zero CPU cores, fault plans on the software baseline, ...).
     InvalidConfig(String),
     /// The selected benchmark has no LiteArch variant.
@@ -117,22 +81,6 @@ impl From<ConfigError> for FlowError {
 impl std::fmt::Display for FlowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FlowError::MalformedPair { token } => {
-                write!(f, "expected key=value, got '{token}'")
-            }
-            FlowError::UnknownKey { key, value } => {
-                write!(f, "unknown key in '{key}={value}'")
-            }
-            FlowError::InvalidValue {
-                key,
-                value,
-                expected,
-            } => write!(f, "'{key}={value}': expected {expected}"),
-            FlowError::OutOfRange {
-                key,
-                value,
-                constraint,
-            } => write!(f, "'{key}={value}': {constraint}"),
             FlowError::Config(e) => write!(f, "invalid configuration: {e}"),
             FlowError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             FlowError::NoLiteVariant(name) => {
@@ -143,318 +91,6 @@ impl std::fmt::Display for FlowError {
 }
 
 impl std::error::Error for FlowError {}
-
-/// An elaborated accelerator design: simulator configuration, resource
-/// estimate, and device-fitting results.
-#[derive(Debug, Clone)]
-pub struct AcceleratorDesign {
-    /// The validated simulator configuration ("the RTL").
-    pub config: AccelConfig,
-    /// PE/tile resource estimate, when the worker is a known benchmark.
-    pub resources: Option<TileResources>,
-    /// `(device name, max tiles that fit)` for the paper's two devices.
-    pub device_fits: Vec<(&'static str, u32)>,
-}
-
-/// Builder over the architectural template's parameters.
-#[derive(Debug, Clone)]
-pub struct AcceleratorBuilder {
-    benchmark: String,
-    arch: ArchKind,
-    tiles: usize,
-    pes_per_tile: usize,
-    task_queue_entries: usize,
-    pstore_entries: usize,
-    cache_bytes: usize,
-}
-
-impl AcceleratorBuilder {
-    /// Starts a design for the named worker (one of the ten benchmarks, or
-    /// any other name for a custom worker without a resource estimate).
-    pub fn new(benchmark: impl Into<String>) -> Self {
-        AcceleratorBuilder {
-            benchmark: benchmark.into(),
-            arch: ArchKind::Flex,
-            tiles: 4,
-            pes_per_tile: 4,
-            task_queue_entries: 1024,
-            pstore_entries: 4096,
-            cache_bytes: 32 * 1024,
-        }
-    }
-
-    /// Selects FlexArch or LiteArch.
-    pub fn arch(&mut self, arch: ArchKind) -> &mut Self {
-        self.arch = arch;
-        self
-    }
-
-    /// Number of tiles.
-    pub fn tiles(&mut self, tiles: usize) -> &mut Self {
-        self.tiles = tiles;
-        self
-    }
-
-    /// PEs per tile.
-    pub fn pes_per_tile(&mut self, pes: usize) -> &mut Self {
-        self.pes_per_tile = pes;
-        self
-    }
-
-    /// Per-PE task queue entries.
-    pub fn task_queue_entries(&mut self, entries: usize) -> &mut Self {
-        self.task_queue_entries = entries;
-        self
-    }
-
-    /// Per-tile P-Store entries.
-    pub fn pstore_entries(&mut self, entries: usize) -> &mut Self {
-        self.pstore_entries = entries;
-        self
-    }
-
-    /// Tile cache capacity in KiB.
-    pub fn cache_kb(&mut self, kb: usize) -> &mut Self {
-        self.cache_bytes = kb * 1024;
-        self
-    }
-
-    /// Elaborates the design: validates the configuration, estimates
-    /// resources, and checks device fitting.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::InvalidConfig`] if the template parameters are not
-    /// realizable.
-    pub fn build(&self) -> Result<AcceleratorDesign, FlowError> {
-        let mut config = match self.arch {
-            ArchKind::Flex => AccelConfig::flex(self.tiles, self.pes_per_tile),
-            ArchKind::Lite => AccelConfig::lite(self.tiles, self.pes_per_tile),
-            ArchKind::Central => AccelConfig::central(self.tiles, self.pes_per_tile),
-        };
-        config.task_queue_entries = self.task_queue_entries;
-        config.pstore_entries = self.pstore_entries;
-        config.memory.accel_l1 = config.memory.accel_l1.clone().with_size(self.cache_bytes);
-        // Covers geometry, queue/P-Store capacities and cache realizability
-        // (power-of-two number of sets) in one typed check.
-        config.validate().map_err(FlowError::Config)?;
-        // The central ablation keeps FlexArch's tile hardware and only
-        // swaps the queue organization, so it costs flex-tile resources.
-        let resources = tile_resources(
-            &self.benchmark,
-            self.arch != ArchKind::Lite,
-            self.pes_per_tile as u32,
-            self.cache_bytes,
-        );
-        let device_fits = match &resources {
-            Some(r) => vec![
-                (
-                    FpgaDevice::artix_7a75t().name,
-                    FpgaDevice::artix_7a75t().max_tiles(&r.tile),
-                ),
-                (
-                    FpgaDevice::kintex_7k160t().name,
-                    FpgaDevice::kintex_7k160t().max_tiles(&r.tile),
-                ),
-            ],
-            None => Vec::new(),
-        };
-        Ok(AcceleratorDesign {
-            config,
-            resources,
-            device_fits,
-        })
-    }
-}
-
-impl AcceleratorBuilder {
-    /// Parses a textual design specification — the closest analogue of the
-    /// parameter files the paper's framework feeds its template elaborator.
-    ///
-    /// Format: whitespace-separated `key=value` pairs. Keys: `worker`
-    /// (benchmark/worker name, required first or via `worker=`), `arch`
-    /// (`flex`|`lite`), `tiles`, `pes`, `queue`, `pstore`, `cache_kb`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pxl_flow::AcceleratorBuilder;
-    ///
-    /// let design = AcceleratorBuilder::from_spec(
-    ///     "worker=uts arch=flex tiles=8 pes=4 cache_kb=16 queue=512 pstore=2048",
-    /// )
-    /// .unwrap()
-    /// .build()
-    /// .unwrap();
-    /// assert_eq!(design.config.num_pes(), 32);
-    /// assert_eq!(design.config.task_queue_entries, 512);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::MalformedPair`] for tokens that are not `key=value`,
-    /// [`FlowError::UnknownKey`] for keys the template does not expose,
-    /// [`FlowError::InvalidValue`] for unparsable values,
-    /// [`FlowError::OutOfRange`] for values outside a key's constraint, and
-    /// [`FlowError::InvalidConfig`] for a missing worker name.
-    pub fn from_spec(spec: &str) -> Result<AcceleratorBuilder, FlowError> {
-        let mut worker: Option<String> = None;
-        let mut pending: Vec<(String, String)> = Vec::new();
-        for token in spec.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| FlowError::MalformedPair {
-                    token: token.to_owned(),
-                })?;
-            if key == "worker" {
-                worker = Some(value.to_owned());
-            } else {
-                pending.push((key.to_owned(), value.to_owned()));
-            }
-        }
-        let worker =
-            worker.ok_or_else(|| FlowError::InvalidConfig("missing worker=<name>".into()))?;
-        let mut b = AcceleratorBuilder::new(worker);
-        let parse = |key: &str, value: &str, min: usize| -> Result<usize, FlowError> {
-            let n: usize = value.parse().map_err(|_| FlowError::InvalidValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
-                expected: "an unsigned integer",
-            })?;
-            if n < min {
-                return Err(FlowError::OutOfRange {
-                    key: key.to_owned(),
-                    value: value.to_owned(),
-                    constraint: match min {
-                        1 => "must be at least 1",
-                        _ => "must be at least 2",
-                    },
-                });
-            }
-            Ok(n)
-        };
-        for (key, value) in pending {
-            match key.as_str() {
-                "arch" => match value.as_str() {
-                    "flex" => {
-                        b.arch(ArchKind::Flex);
-                    }
-                    "lite" => {
-                        b.arch(ArchKind::Lite);
-                    }
-                    "central" => {
-                        b.arch(ArchKind::Central);
-                    }
-                    _ => {
-                        return Err(FlowError::InvalidValue {
-                            key,
-                            value,
-                            expected: "'flex', 'lite' or 'central'",
-                        })
-                    }
-                },
-                "tiles" => {
-                    b.tiles(parse(&key, &value, 1)?);
-                }
-                "pes" => {
-                    b.pes_per_tile(parse(&key, &value, 1)?);
-                }
-                "queue" => {
-                    b.task_queue_entries(parse(&key, &value, 2)?);
-                }
-                "pstore" => {
-                    b.pstore_entries(parse(&key, &value, 1)?);
-                }
-                "cache_kb" => {
-                    b.cache_kb(parse(&key, &value, 1)?);
-                }
-                _ => return Err(FlowError::UnknownKey { key, value }),
-            }
-        }
-        Ok(b)
-    }
-}
-
-/// Elaborates the design a `pxl-dse` [`DesignPoint`] describes: the bridge
-/// from the explorer's declarative space back into the design flow.
-///
-/// # Errors
-///
-/// [`FlowError::InvalidConfig`] for CPU-baseline points (they have no
-/// accelerator design), or any [`AcceleratorBuilder::build`] failure.
-pub fn design_for_point(
-    benchmark: &str,
-    point: &DesignPoint,
-) -> Result<AcceleratorDesign, FlowError> {
-    let arch = point.arch.arch_kind().ok_or_else(|| {
-        FlowError::InvalidConfig("the CPU baseline has no accelerator design".into())
-    })?;
-    AcceleratorBuilder::new(benchmark)
-        .arch(arch)
-        .tiles(point.tiles)
-        .pes_per_tile(point.pes_per_tile)
-        .task_queue_entries(point.task_queue_entries)
-        .pstore_entries(point.pstore_entries)
-        .cache_kb(point.cache_kb)
-        .build()
-}
-
-/// Elaborates one design per cache size (the paper's Fig. 9 sweep:
-/// 4 KB to 32 KB) — a thin wrapper over a one-axis `pxl-dse`
-/// [`SearchSpace`].
-///
-/// # Errors
-///
-/// Propagates the first elaboration failure.
-pub fn sweep_cache_sizes(
-    benchmark: &str,
-    cache_kbs: &[usize],
-) -> Result<Vec<AcceleratorDesign>, FlowError> {
-    let points = SearchSpace::new()
-        .benchmarks([benchmark])
-        .cache_kb(Axis::list(cache_kbs.iter().copied()))
-        .points();
-    cache_kbs
-        .iter()
-        .map(|&kb| {
-            let point = points
-                .iter()
-                .find(|p| p.cache_kb == kb)
-                .expect("the axis covers every requested size");
-            design_for_point(benchmark, point)
-        })
-        .collect()
-}
-
-/// Elaborates one design per PE count, keeping 4 PEs per tile as in the
-/// paper's scalability study (1-, 2-PE configs use a single partial tile)
-/// — a thin wrapper over a `pxl-dse` [`SearchSpace`] using the shared
-/// [`pxl_dse::pe_geometry`] rule.
-///
-/// # Errors
-///
-/// Propagates the first elaboration failure.
-pub fn sweep_pe_counts(
-    benchmark: &str,
-    arch: ArchKind,
-    pe_counts: &[usize],
-) -> Result<Vec<AcceleratorDesign>, FlowError> {
-    let points = SearchSpace::new()
-        .benchmarks([benchmark])
-        .archs([PointArch::from(arch)])
-        .pe_counts(pe_counts.iter().copied())
-        .points();
-    pe_counts
-        .iter()
-        .map(|&pes| {
-            let point = points
-                .iter()
-                .find(|p| p.units() == pes)
-                .expect("the geometry axis covers every requested PE count");
-            design_for_point(benchmark, point)
-        })
-        .collect()
-}
 
 /// What a [`SimulationBuilder`] instantiates.
 #[derive(Debug, Clone)]
@@ -471,21 +107,23 @@ enum Target {
 }
 
 /// One entry point for constructing any execution engine behind the
-/// [`Engine`] trait: FlexArch, LiteArch, or the CPU baseline.
+/// [`Engine`] trait: FlexArch, LiteArch, the centralized-queue ablation,
+/// or the CPU baseline.
 ///
-/// This is the bridge from the design flow to the simulator: elaborate a
-/// design with [`AcceleratorBuilder`], then hand it (or a raw
-/// [`AccelConfig`], or CPU parameters) to `SimulationBuilder` to get a
-/// boxed engine ready to run workloads.
+/// This is the bridge from the design flow to the simulator. Benchmark
+/// runs come in through [`SimulationBuilder::from_run_spec`]; custom
+/// workers hand a raw [`AccelConfig`] (or CPU parameters) to
+/// [`SimulationBuilder::from_config`] (or [`SimulationBuilder::cpu`]) to
+/// get a boxed engine ready to run workloads.
 ///
 /// # Examples
 ///
 /// ```
-/// use pxl_flow::{AcceleratorBuilder, SimulationBuilder};
+/// use pxl_arch::AccelConfig;
+/// use pxl_flow::SimulationBuilder;
 /// use pxl_model::ExecProfile;
 ///
-/// let design = AcceleratorBuilder::new("queens").tiles(1).build().unwrap();
-/// let engine = SimulationBuilder::from_design(&design, ExecProfile::scalar())
+/// let engine = SimulationBuilder::from_config(AccelConfig::flex(1, 4), ExecProfile::scalar())
 ///     .trace(4096)
 ///     .build()
 ///     .unwrap();
@@ -502,11 +140,6 @@ pub struct SimulationBuilder {
 }
 
 impl SimulationBuilder {
-    /// Targets the accelerator described by an elaborated design.
-    pub fn from_design(design: &AcceleratorDesign, profile: ExecProfile) -> Self {
-        SimulationBuilder::from_config(design.config.clone(), profile)
-    }
-
     /// Targets an accelerator from a raw configuration (FlexArch or
     /// LiteArch according to `config.arch`).
     pub fn from_config(config: AccelConfig, profile: ExecProfile) -> Self {
@@ -516,31 +149,6 @@ impl SimulationBuilder {
             trace_capacity: 0,
             telemetry_every: 0,
             faults: None,
-        }
-    }
-
-    /// Targets whatever a `pxl-dse` [`DesignPoint`] describes: FlexArch or
-    /// LiteArch from the point's elaborated configuration, or the Table III
-    /// software baseline for CPU points — the one constructor the
-    /// design-space explorer needs to simulate any point it enumerates.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pxl_dse::DesignPoint;
-    /// use pxl_flow::SimulationBuilder;
-    /// use pxl_model::ExecProfile;
-    ///
-    /// let engine = SimulationBuilder::from_point(&DesignPoint::cpu(2), ExecProfile::scalar())
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(engine.kind().label(), "cpu");
-    /// assert_eq!(engine.units(), 2);
-    /// ```
-    pub fn from_point(point: &DesignPoint, profile: ExecProfile) -> Self {
-        match point.accel_config() {
-            Some(config) => SimulationBuilder::from_config(config, profile),
-            None => SimulationBuilder::cpu(point.units(), profile),
         }
     }
 
@@ -578,12 +186,6 @@ impl SimulationBuilder {
         }
     }
 
-    /// Replaces the execution profile.
-    pub fn profile(&mut self, profile: ExecProfile) -> &mut Self {
-        self.profile = profile;
-        self
-    }
-
     /// Enables structured event tracing with a bounded buffer of `capacity`
     /// records per source (zero, the default, disables tracing).
     pub fn trace(&mut self, capacity: usize) -> &mut Self {
@@ -606,15 +208,6 @@ impl SimulationBuilder {
     /// vocabulary) at [`SimulationBuilder::build`].
     pub fn with_faults(&mut self, plan: FaultPlan) -> &mut Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Applies a closure to the accelerator configuration (no-op for the
-    /// CPU target), for knobs the builder does not surface directly.
-    pub fn configure(&mut self, f: impl FnOnce(&mut AccelConfig)) -> &mut Self {
-        if let Target::Accel(config) = &mut self.target {
-            f(config);
-        }
         self
     }
 
@@ -706,87 +299,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_design_elaborates() {
-        let d = AcceleratorBuilder::new("uts").build().unwrap();
-        assert_eq!(d.config.arch, ArchKind::Flex);
-        assert_eq!(d.config.num_pes(), 16);
-        assert!(d.resources.is_some());
-        assert_eq!(d.device_fits.len(), 2);
-    }
-
-    #[test]
-    fn custom_worker_has_no_resource_estimate() {
-        let d = AcceleratorBuilder::new("my-custom-kernel").build().unwrap();
-        assert!(d.resources.is_none());
-        assert!(d.device_fits.is_empty());
-    }
-
-    #[test]
-    fn invalid_geometry_is_rejected() {
-        let err = AcceleratorBuilder::new("uts").tiles(0).build().unwrap_err();
-        assert_eq!(err, FlowError::Config(ConfigError::NoTiles));
-        let err = AcceleratorBuilder::new("uts")
-            .cache_kb(3)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FlowError::Config(ConfigError::BadCacheGeometry { bytes: 3 * 1024 }),
-            "{err}"
-        );
-        assert_eq!(
-            err.to_string(),
-            "invalid configuration: cache size 3072 does not form a power-of-two number of sets"
-        );
-    }
-
-    #[test]
-    fn cache_sweep_produces_fig9_points() {
-        let designs = sweep_cache_sizes("nw", &[4, 8, 16, 32]).unwrap();
-        assert_eq!(designs.len(), 4);
-        // Smaller caches use fewer BRAMs.
-        let brams: Vec<u32> = designs
-            .iter()
-            .map(|d| d.resources.as_ref().unwrap().tile.bram18)
-            .collect();
-        assert!(brams.windows(2).all(|w| w[0] < w[1]));
-        // And the simulator config actually gets the smaller cache.
-        assert_eq!(designs[0].config.memory.accel_l1.size_bytes, 4 * 1024);
-    }
-
-    #[test]
-    fn pe_sweep_matches_paper_geometry() {
-        let designs = sweep_pe_counts("queens", ArchKind::Flex, &[1, 2, 4, 8, 16, 32]).unwrap();
-        let pes: Vec<usize> = designs.iter().map(|d| d.config.num_pes()).collect();
-        assert_eq!(pes, vec![1, 2, 4, 8, 16, 32]);
-        assert_eq!(designs[5].config.tiles, 8, "32 PEs = 8 tiles x 4 PEs");
-    }
-
-    #[test]
-    fn design_for_point_matches_the_builder() {
-        let point = DesignPoint {
-            arch: PointArch::Lite,
-            tiles: 2,
-            pes_per_tile: 4,
-            cache_kb: 8,
-            task_queue_entries: 256,
-            pstore_entries: 1024,
-            cluster: None,
-        };
-        let d = design_for_point("nw", &point).unwrap();
-        assert_eq!(d.config.arch, ArchKind::Lite);
-        assert_eq!(d.config.num_pes(), 8);
-        assert_eq!(d.config.task_queue_entries, 256);
-        assert_eq!(d.config.memory.accel_l1.size_bytes, 8 * 1024);
-        assert!(d.resources.is_some());
-
-        let err = design_for_point("nw", &DesignPoint::cpu(4)).unwrap_err();
-        assert!(matches!(err, FlowError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
     fn simulation_builder_targets_any_design_point() {
+        use pxl_apps::Scale;
         use pxl_arch::EngineKind;
+        use pxl_dse::{DesignPoint, PointArch};
+
         let point = DesignPoint {
             arch: PointArch::Flex,
             tiles: 1,
@@ -796,103 +313,42 @@ mod tests {
             pstore_entries: 512,
             cluster: None,
         };
-        let engine = SimulationBuilder::from_point(&point, ExecProfile::scalar())
-            .build()
-            .unwrap();
+        let build = |point: &DesignPoint| {
+            SimulationBuilder::from_run_spec(&RunSpec::new("uts", Scale::Tiny, point.clone()))
+                .unwrap()
+                .build()
+        };
+        let engine = build(&point).unwrap();
         assert_eq!(engine.kind(), EngineKind::Flex);
         assert_eq!(engine.units(), 2);
 
-        let cpu = SimulationBuilder::from_point(&DesignPoint::cpu(3), ExecProfile::scalar())
-            .build()
-            .unwrap();
+        let cpu = build(&DesignPoint::cpu(3)).unwrap();
         assert_eq!(cpu.kind(), EngineKind::Cpu);
         assert_eq!(cpu.units(), 3);
 
         // Infeasible points still fail with the typed constraint.
         let mut bad = point.clone();
         bad.cache_kb = 3;
-        let err = SimulationBuilder::from_point(&bad, ExecProfile::scalar())
-            .build()
-            .unwrap_err();
+        let err = build(&bad).unwrap_err();
         assert_eq!(
             err,
             FlowError::Config(ConfigError::BadCacheGeometry { bytes: 3 * 1024 })
         );
-    }
-
-    #[test]
-    fn spec_parsing_round_trips() {
-        let d = AcceleratorBuilder::from_spec("worker=queens arch=lite tiles=2 pes=2 cache_kb=8")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(d.config.arch, ArchKind::Lite);
-        assert_eq!(d.config.num_pes(), 4);
-        assert_eq!(d.config.memory.accel_l1.size_bytes, 8 * 1024);
-    }
-
-    #[test]
-    fn spec_rejects_malformed_input_with_structured_errors() {
-        let err = AcceleratorBuilder::from_spec("tiles=4").unwrap_err();
-        assert!(matches!(err, FlowError::InvalidConfig(_)), "{err}");
-
-        let err = AcceleratorBuilder::from_spec("worker=uts tiles").unwrap_err();
         assert_eq!(
-            err,
-            FlowError::MalformedPair {
-                token: "tiles".into()
-            }
+            err.to_string(),
+            "invalid configuration: cache size 3072 does not form a power-of-two number of sets"
         );
-
-        let err = AcceleratorBuilder::from_spec("worker=uts tiles=abc").unwrap_err();
-        assert_eq!(
-            err,
-            FlowError::InvalidValue {
-                key: "tiles".into(),
-                value: "abc".into(),
-                expected: "an unsigned integer",
-            }
-        );
-        assert_eq!(err.to_string(), "'tiles=abc': expected an unsigned integer");
-
-        let err = AcceleratorBuilder::from_spec("worker=uts arch=warp").unwrap_err();
-        assert!(
-            matches!(&err, FlowError::InvalidValue { key, value, .. }
-                if key == "arch" && value == "warp"),
-            "{err}"
-        );
-
-        let err = AcceleratorBuilder::from_spec("worker=uts speed=9").unwrap_err();
-        assert_eq!(
-            err,
-            FlowError::UnknownKey {
-                key: "speed".into(),
-                value: "9".into()
-            }
-        );
-        assert_eq!(err.to_string(), "unknown key in 'speed=9'");
-
-        let err = AcceleratorBuilder::from_spec("worker=uts queue=1").unwrap_err();
-        assert_eq!(
-            err,
-            FlowError::OutOfRange {
-                key: "queue".into(),
-                value: "1".into(),
-                constraint: "must be at least 2",
-            }
-        );
-
-        let err = AcceleratorBuilder::from_spec("worker=uts tiles=0").unwrap_err();
-        assert!(matches!(&err, FlowError::OutOfRange { key, .. } if key == "tiles"));
     }
 
     #[test]
     fn simulation_builder_constructs_all_three_engines() {
         use pxl_arch::EngineKind;
-        let design = AcceleratorBuilder::new("uts").tiles(1).build().unwrap();
-        let flex = SimulationBuilder::from_design(&design, ExecProfile::scalar())
-            .build()
-            .unwrap();
+        let flex = SimulationBuilder::from_config(
+            pxl_arch::AccelConfig::flex(1, 4),
+            ExecProfile::scalar(),
+        )
+        .build()
+        .unwrap();
         assert_eq!(flex.kind(), EngineKind::Flex);
         assert_eq!(flex.units(), 4);
 
@@ -952,16 +408,5 @@ mod tests {
         let out = engine.run(Workload::dynamic(&mut worker, root)).unwrap();
         assert_eq!(out.result, 42);
         assert!(!out.trace.is_empty(), "tracing must be on");
-    }
-
-    #[test]
-    fn lite_arch_flows_through() {
-        let d = AcceleratorBuilder::new("stencil2d")
-            .arch(ArchKind::Lite)
-            .build()
-            .unwrap();
-        assert_eq!(d.config.arch, ArchKind::Lite);
-        let flex = AcceleratorBuilder::new("stencil2d").build().unwrap();
-        assert!(d.resources.as_ref().unwrap().tile.lut < flex.resources.as_ref().unwrap().tile.lut);
     }
 }

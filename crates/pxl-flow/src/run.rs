@@ -9,8 +9,8 @@
 //! comparing whole program execution time, which include initialization
 //! and data transfers".
 //!
-//! The lower-level [`try_run_on`]/[`run_on`] helpers run an
-//! already-instantiated benchmark on an already-built engine; every
+//! The lower-level [`run_checked`] runs an already-instantiated benchmark
+//! on an already-built engine, for platforms a spec cannot name; every
 //! driver and the `pxl-serve` job server go through this module, so a
 //! spec means the same run everywhere.
 
@@ -131,7 +131,7 @@ pub enum RunError {
     /// finished outcome rides along so fault-injection harnesses can still
     /// report the corrupted run's timing, metrics and trace.
     WrongResult {
-        /// The validation failure, in [`try_run_on`]'s message format.
+        /// The validation failure, in [`run_checked`]'s message format.
         message: String,
         /// The (invalid) completed run.
         outcome: Box<RunOutcome>,
@@ -225,42 +225,13 @@ pub fn run_checked(
     Ok(Some(outcome))
 }
 
-/// [`run_checked`] with failures flattened to strings — the fallible path
-/// the design-space explorer uses, where one diverging configuration must
-/// not sink a sweep.
-///
-/// Returns `Ok(None)` when the engine is LiteArch and the benchmark has no
-/// LiteArch mapping.
-///
-/// # Errors
-///
-/// Returns the simulation or golden-validation failure as a message.
-pub fn try_run_on(
-    engine: &mut dyn Engine,
-    bench: &dyn Benchmark,
-    label: &str,
-) -> Result<Option<RunOutcome>, String> {
-    run_checked(engine, bench, label).map_err(|e| e.to_string())
-}
-
-/// The panicking wrapper over [`try_run_on`] the experiment binaries use.
-///
-/// Returns `None` when the engine is LiteArch and the benchmark has no
-/// LiteArch mapping.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the output does not validate —
-/// experiment results must never silently ship wrong data.
-pub fn run_on(engine: &mut dyn Engine, bench: &dyn Benchmark, label: &str) -> Option<RunOutcome> {
-    try_run_on(engine, bench, label).unwrap_or_else(|e| panic!("{e}"))
-}
-
 impl SimulationBuilder {
     /// The single construction path from a serializable [`RunSpec`]:
     /// resolves the benchmark's execution profile (unless the spec
-    /// overrides it), targets the spec's design point, and threads trace
-    /// capacity and the fault plan through.
+    /// overrides it), targets the spec's design point — FlexArch, LiteArch
+    /// or the central ablation from the point's elaborated configuration,
+    /// the Table III software baseline for CPU points — and threads trace
+    /// capacity, telemetry and the fault plan through.
     ///
     /// # Errors
     ///
@@ -276,7 +247,10 @@ impl SimulationBuilder {
                 })?
                 .profile(),
         };
-        let mut b = SimulationBuilder::from_point(&spec.point, profile);
+        let mut b = match spec.point.accel_config() {
+            Some(config) => SimulationBuilder::from_config(config, profile),
+            None => SimulationBuilder::cpu(spec.point.units(), profile),
+        };
         if spec.trace_capacity > 0 {
             b.trace(spec.trace_capacity);
         }

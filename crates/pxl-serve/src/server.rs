@@ -779,9 +779,7 @@ fn execute_leg(
                 // jobs (and CPU-baseline points, which have no accelerator
                 // design) measure zero.
                 let resources = if kind == JobKind::Dse {
-                    pxl_flow::design_for_point(&spec.benchmark, &spec.point)
-                        .ok()
-                        .and_then(|d| d.resources)
+                    spec.point.resources(&spec.benchmark)
                 } else {
                     None
                 };

@@ -106,6 +106,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -238,9 +239,17 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth lets one hostile line (say, 100,000 `[`)
+/// overflow the stack of whichever thread reads it. Real documents are
+/// shallow: engine snapshots nest 9 levels, run specs 3.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -282,8 +291,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -533,6 +553,28 @@ mod tests {
             );
             assert!(err.offset <= text.len());
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_without_exhausting_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "points at the first bracket too deep"
+        );
+
+        // A hostile line far past the limit fails fast, on a small stack.
+        let hostile = "[{\"a\":".repeat(50_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || JsonValue::parse(&hostile).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(err.offset, MAX_DEPTH / 2 * 6);
     }
 
     #[test]

@@ -1,26 +1,28 @@
 //! Design-space exploration with the ParallelXL design methodology
-//! (Section IV): elaborate accelerator designs from template parameters,
+//! (Section IV): describe accelerator designs as template parameters,
 //! estimate their FPGA resources, check device fitting, and simulate a
 //! cache-size sweep — "without rewriting any code".
 //!
 //! Run with: `cargo run --release --example design_space_exploration`
 
-use parallelxl::apps::{by_name, Scale};
-use parallelxl::arch::ArchKind;
+use parallelxl::apps::Scale;
 use parallelxl::cost::FpgaDevice;
-use parallelxl::flow::{sweep_cache_sizes, sweep_pe_counts, AcceleratorBuilder};
-use parallelxl::{Axis, Explorer, PointArch, SearchSpace};
-use pxl_bench::{run_flex, run_flex_with_config, BenchEvaluator};
+use parallelxl::{
+    execute, Axis, DesignPoint, Explorer, PointArch, RunOutcome, RunSpec, SearchSpace,
+};
+use pxl_bench::BenchEvaluator;
 
 fn main() {
-    // 1. Elaborate one design and inspect the resource estimate.
-    let design = AcceleratorBuilder::new("stencil2d")
-        .tiles(4)
-        .pes_per_tile(4)
-        .cache_kb(16)
-        .build()
-        .expect("valid design");
-    let res = design.resources.as_ref().expect("known benchmark");
+    let run = |point: DesignPoint| -> RunOutcome {
+        execute(&RunSpec::new("stencil2d", Scale::Small, point))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("FlexArch runs every benchmark")
+    };
+
+    // 1. Pick one design point and inspect its resource estimate.
+    let mut point = DesignPoint::accel(PointArch::Flex, 4, 4);
+    point.cache_kb = 16;
+    let res = point.resources("stencil2d").expect("known benchmark");
     println!(
         "stencil2d FlexArch, 16 PEs, 16 KB caches:\n  per PE  : {:>6} LUT {:>6} FF {:>3} DSP {:>3} BRAM",
         res.pe.lut, res.pe.ff, res.pe.dsp, res.pe.bram18
@@ -29,29 +31,39 @@ fn main() {
         "  per tile: {:>6} LUT {:>6} FF {:>3} DSP {:>3} BRAM",
         res.tile.lut, res.tile.ff, res.tile.dsp, res.tile.bram18
     );
-    for (device, tiles) in &design.device_fits {
-        println!("  {device}: fits {tiles} tiles");
+    for device in [FpgaDevice::artix_7a75t(), FpgaDevice::kintex_7k160t()] {
+        println!(
+            "  {}: fits {} tiles",
+            device.name,
+            device.max_tiles(&res.tile)
+        );
     }
 
     // 2. Sweep PE counts and simulate each design point.
     println!("\nPE sweep (simulated whole-program time):");
-    let bench = by_name("stencil2d", Scale::Small).expect("registered");
-    for d in sweep_pe_counts("stencil2d", ArchKind::Flex, &[1, 4, 16]).expect("sweep") {
-        let pes = d.config.num_pes();
-        let out = run_flex_with_config(bench.as_ref(), d.config, "flex");
-        println!("  {:>2} PEs -> {}", pes, out.whole);
+    let pe_sweep = SearchSpace::new()
+        .benchmarks(["stencil2d"])
+        .pe_counts([1, 4, 16]);
+    for point in pe_sweep.points() {
+        let pes = point.units();
+        println!("  {:>2} PEs -> {}", pes, run(point).whole);
     }
 
     // 3. Sweep the tile cache (the paper's Fig. 9 experiment, one point per
     //    capacity) and watch BRAM cost trade against performance.
     println!("\nCache sweep at 16 PEs:");
-    for (kb, d) in [4usize, 8, 16, 32]
-        .into_iter()
-        .zip(sweep_cache_sizes("stencil2d", &[4, 8, 16, 32]).expect("sweep"))
-    {
-        let bram = d.resources.as_ref().expect("known benchmark").tile.bram18;
-        let out = run_flex(bench.as_ref(), 16, Some(kb * 1024));
-        println!("  {kb:>2} KB caches ({bram:>3} BRAM/tile) -> {}", out.whole);
+    for kb in [4usize, 8, 16, 32] {
+        let mut point = DesignPoint::accel(PointArch::Flex, 4, 4);
+        point.cache_kb = kb;
+        let bram = point
+            .resources("stencil2d")
+            .expect("known benchmark")
+            .tile
+            .bram18;
+        println!(
+            "  {kb:>2} KB caches ({bram:>3} BRAM/tile) -> {}",
+            run(point).whole
+        );
     }
 
     // 4. Cross all the axes at once with the DSE engine (pxl-dse): prune

@@ -7,7 +7,8 @@
 //! Run with: `cargo run --release --example sequence_alignment`
 
 use parallelxl::apps::{by_name, Scale};
-use pxl_bench::{run_cpu, run_flex, run_lite};
+use parallelxl::dse::pe_geometry;
+use parallelxl::{execute, DesignPoint, PointArch, RunOutcome, RunSpec};
 
 fn main() {
     let bench = by_name("nw", Scale::Small).expect("nw registered");
@@ -16,9 +17,14 @@ fn main() {
         "{} ({}, {} pattern, {} memory intensity)\n",
         meta.name, meta.source, meta.approach, meta.mem_intensity
     );
+    let run = |point: DesignPoint| -> RunOutcome {
+        execute(&RunSpec::new("nw", Scale::Small, point))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("nw runs on every engine")
+    };
 
-    let cpu1 = run_cpu(bench.as_ref(), 1);
-    let cpu8 = run_cpu(bench.as_ref(), 8);
+    let cpu1 = run(DesignPoint::cpu(1));
+    let cpu8 = run(DesignPoint::cpu(8));
     println!("CPU 1 core : {:>12}", cpu1.whole.to_string());
     println!(
         "CPU 8 cores: {:>12}  ({:.2}x)",
@@ -27,7 +33,8 @@ fn main() {
     );
 
     for pes in [1usize, 4, 16, 32] {
-        let out = run_flex(bench.as_ref(), pes, None);
+        let (tiles, per_tile) = pe_geometry(pes);
+        let out = run(DesignPoint::accel(PointArch::Flex, tiles, per_tile));
         println!(
             "FlexArch {pes:2} PEs: {:>12}  ({:.2}x vs 1 core; {} block tasks, {} steals)",
             out.whole.to_string(),
@@ -39,7 +46,7 @@ fn main() {
 
     // The LiteArch mapping replaces the P-Store dependence tracking with
     // one anti-diagonal of blocks per host-synchronized round.
-    let lite = run_lite(bench.as_ref(), 16, None).expect("nw has a Lite variant");
+    let lite = run(DesignPoint::accel(PointArch::Lite, 4, 4));
     println!(
         "LiteArch 16 PEs: {:>12}  ({:.2}x vs 1 core; {} rounds)",
         lite.whole.to_string(),

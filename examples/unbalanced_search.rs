@@ -8,16 +8,20 @@
 //!
 //! Run with: `cargo run --release --example unbalanced_search`
 
-use parallelxl::apps::{by_name, Scale};
-use pxl_bench::{run_cpu, run_flex, run_lite};
+use parallelxl::apps::Scale;
+use parallelxl::{execute, DesignPoint, PointArch, RunOutcome, RunSpec};
 
 fn main() {
-    let bench = by_name("uts", Scale::Small).expect("uts registered");
     println!("Unbalanced Tree Search (counting a hash-shaped binomial tree)\n");
+    let run = |point: DesignPoint| -> RunOutcome {
+        execute(&RunSpec::new("uts", Scale::Small, point))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("uts runs on every engine")
+    };
 
-    let cpu8 = run_cpu(bench.as_ref(), 8);
-    let flex = run_flex(bench.as_ref(), 8, None);
-    let lite = run_lite(bench.as_ref(), 8, None).expect("uts has a Lite variant");
+    let cpu8 = run(DesignPoint::cpu(8));
+    let flex = run(DesignPoint::accel(PointArch::Flex, 2, 4));
+    let lite = run(DesignPoint::accel(PointArch::Lite, 2, 4));
 
     println!(
         "CPU 8 cores (software stealing): {:>12}",

@@ -16,6 +16,11 @@ cargo build --release --workspace --offline
 echo "==> cargo test --offline"
 cargo test -q --workspace --offline
 
+echo "==> benchmark harness tests (benchmark/)"
+# The benchmark is its own crate over this workspace's public API; building
+# and testing it here catches an API change that would break it.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> fault smoke sweep (pxl-bench --bin faults -- --smoke)"
 # Exits nonzero on any unrecovered fault, recovery-accounting imbalance,
 # golden mismatch, or nondeterministic fault replay.

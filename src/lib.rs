@@ -24,7 +24,7 @@
 //! | [`cpu`] | `pxl-cpu` | Cilk-style software-runtime CPU baseline |
 //! | [`apps`] | `pxl-apps` | the ten Table II benchmarks (see [`benchmarks`]) |
 //! | [`cost`] | `pxl-cost` | FPGA resource + energy models |
-//! | [`flow`] | `pxl-flow` | design methodology: builders + design-space sweeps |
+//! | [`flow`] | `pxl-flow` | design methodology: [`RunSpec`] → engine → golden-checked run |
 //! | [`dse`] | `pxl-dse` | parallel design-space exploration: result cache, strategies, Pareto fronts |
 //! | [`profile`] | `pxl-profile` | trace-driven profiling: task DAG + critical path, latency, bottlenecks, Perfetto export |
 //! | [`serve`] | `pxl-serve` | simulation-as-a-service: TCP job server over the [`RunSpec`] API with fair-share tenancy and result dedup |
@@ -92,7 +92,7 @@ pub use pxl_cpu as cpu;
 /// Parallel design-space exploration: search spaces, result cache, Pareto
 /// fronts.
 pub use pxl_dse as dse;
-/// Design methodology: accelerator builder and design-space sweeps
+/// Design methodology: a [`RunSpec`] elaborated into an engine and run
 /// (Section IV).
 pub use pxl_flow as flow;
 /// The coherent memory hierarchy and Zedboard memory path.
@@ -130,14 +130,14 @@ pub use pxl_dse::{
     Axis, ClusterPoint, DesignPoint, Explorer, ParetoFront, PointArch, ResultCache, SearchSpace,
     Strategy,
 };
-/// Design-flow entry points and structured errors, and the canonical
-/// serializable run API: a [`RunSpec`] names a run exactly (JSON
-/// round-trip, canonical string), [`execute`]/[`measure`] perform it.
+/// The canonical serializable run API and its structured errors: a
+/// [`RunSpec`] names a run exactly (JSON round-trip, canonical string),
+/// [`execute`]/[`measure`] perform it.
 /// A [`SimSession`] is the pausable form: advance to a checkpoint
 /// boundary, [`Snapshot`] the engine, resume in another process.
 pub use pxl_flow::{
-    execute, measure, AcceleratorBuilder, AcceleratorDesign, CheckpointPolicy, FlowError, RunError,
-    RunOutcome, RunSpec, SessionStatus, SimSession, SimulationBuilder, SpecError,
+    execute, measure, CheckpointPolicy, FlowError, RunError, RunOutcome, RunSpec, SessionStatus,
+    SimSession, SimulationBuilder, SpecError,
 };
 /// Functional memory, shared by every engine.
 pub use pxl_mem::Memory;

@@ -2,16 +2,29 @@
 
 use parallelxl::apps::{by_name, suite, Scale};
 use parallelxl::arch::{AccelConfig, FlexEngine};
+use parallelxl::dse::pe_geometry;
 use parallelxl::model::SerialExecutor;
-use pxl_bench::{geometry, run_cpu, run_flex};
+use parallelxl::{execute, DesignPoint, PointArch, RunOutcome, RunSpec};
+
+/// Runs `bench` on `point` through the canonical spec path (golden-checked).
+fn run(bench: &str, scale: Scale, point: DesignPoint) -> RunOutcome {
+    execute(&RunSpec::new(bench, scale, point))
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect("the benchmark has a mapping for this engine")
+}
+
+/// An accelerator point with `pes` PEs in the paper's geometry.
+fn accel(arch: PointArch, pes: usize) -> DesignPoint {
+    let (tiles, per_tile) = pe_geometry(pes);
+    DesignPoint::accel(arch, tiles, per_tile)
+}
 
 /// Same configuration and seed ⇒ bit-identical simulated time and stats.
 #[test]
 fn simulations_are_deterministic() {
     for name in ["uts", "quicksort", "bfsqueue"] {
-        let bench = by_name(name, Scale::Tiny).unwrap();
-        let a = run_flex(bench.as_ref(), 8, None);
-        let b = run_flex(bench.as_ref(), 8, None);
+        let a = run(name, Scale::Tiny, accel(PointArch::Flex, 8));
+        let b = run(name, Scale::Tiny, accel(PointArch::Flex, 8));
         assert_eq!(
             a.kernel, b.kernel,
             "{name}: flex elapsed must be reproducible"
@@ -21,8 +34,8 @@ fn simulations_are_deterministic() {
             b.metrics.get("accel.steal_attempts"),
             "{name}: steal traffic must be reproducible"
         );
-        let c = run_cpu(bench.as_ref(), 4);
-        let d = run_cpu(bench.as_ref(), 4);
+        let c = run(name, Scale::Tiny, DesignPoint::cpu(4));
+        let d = run(name, Scale::Tiny, DesignPoint::cpu(4));
         assert_eq!(
             c.kernel, d.kernel,
             "{name}: cpu elapsed must be reproducible"
@@ -46,7 +59,7 @@ fn space_bound_holds_across_benchmarks() {
         let s1 = serial.stats().s1() as u64;
 
         for pes in [4usize, 16] {
-            let out = run_flex(bench.as_ref(), pes, None);
+            let out = run(name, Scale::Tiny, accel(PointArch::Flex, pes));
             let s_p =
                 out.metrics.get("accel.queue_peak_sum") + out.metrics.get("accel.pstore_peak_sum");
             // nw's root builds the whole block graph up front, so its S1
@@ -65,9 +78,8 @@ fn space_bound_holds_across_benchmarks() {
 #[test]
 fn adding_pes_is_not_catastrophic() {
     for name in ["queens", "cilksort", "bbgemm"] {
-        let bench = by_name(name, Scale::Small).unwrap();
-        let t1 = run_flex(bench.as_ref(), 1, None).seconds();
-        let t16 = run_flex(bench.as_ref(), 16, None).seconds();
+        let t1 = run(name, Scale::Small, accel(PointArch::Flex, 1)).seconds();
+        let t16 = run(name, Scale::Small, accel(PointArch::Flex, 16)).seconds();
         assert!(
             t16 < t1 * 1.10,
             "{name}: 16 PEs ({t16:.6}s) regressed vs 1 PE ({t1:.6}s)"
@@ -79,7 +91,7 @@ fn adding_pes_is_not_catastrophic() {
 #[test]
 fn sweep_geometries_validate() {
     for pes in [1usize, 2, 4, 8, 16, 32] {
-        let (tiles, per_tile) = geometry(pes);
+        let (tiles, per_tile) = pe_geometry(pes);
         let cfg = AccelConfig::flex(tiles, per_tile);
         cfg.validate().unwrap();
         assert_eq!(cfg.num_pes(), pes);
@@ -114,9 +126,8 @@ fn undersized_queues_fail_loudly() {
 /// even though both variants scale well (Table IV vs Fig. 7).
 #[test]
 fn knapsack_lite_is_absolutely_slower_than_flex_at_scale() {
-    let bench = by_name("knapsack", Scale::Paper).unwrap();
-    let flex = run_flex(bench.as_ref(), 32, None);
-    let lite = pxl_bench::run_lite(bench.as_ref(), 32, None).unwrap();
+    let flex = run("knapsack", Scale::Paper, accel(PointArch::Flex, 32));
+    let lite = run("knapsack", Scale::Paper, accel(PointArch::Lite, 32));
     assert!(
         lite.seconds() > flex.seconds(),
         "lite ({}) must be slower than flex ({}) at 32 PEs",

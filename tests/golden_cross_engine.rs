@@ -4,10 +4,23 @@
 //! the computed result value.
 
 use parallelxl::apps::{suite, Scale};
+use parallelxl::dse::pe_geometry;
 use parallelxl::model::SerialExecutor;
 use parallelxl::sim::qcheck::{check, Gen};
-use parallelxl::{FaultPlan, Time};
-use pxl_bench::{run_cpu, run_flex, run_lite};
+use parallelxl::{execute, DesignPoint, FaultPlan, PointArch, RunOutcome, RunSpec, Time};
+
+/// Runs `bench` on `point` through the canonical spec path, which checks
+/// the output against the golden reference and panics on any failure;
+/// `None` when a LiteArch point meets a benchmark without a Lite mapping.
+fn run(bench: &str, scale: Scale, point: DesignPoint) -> Option<RunOutcome> {
+    execute(&RunSpec::new(bench, scale, point)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A FlexArch point with `pes` PEs in the paper's geometry.
+fn flex_point(pes: usize) -> DesignPoint {
+    let (tiles, per_tile) = pe_geometry(pes);
+    DesignPoint::accel(PointArch::Flex, tiles, per_tile)
+}
 
 #[test]
 fn every_benchmark_is_golden_on_every_engine() {
@@ -25,15 +38,15 @@ fn every_benchmark_is_golden_on_every_engine() {
             .check(serial.memory(), serial_result)
             .unwrap_or_else(|e| panic!("{name} serial: {e}"));
 
-        // FlexArch at 1, 4 and 16 PEs (run_flex checks internally and
-        // panics on validation failure).
+        // FlexArch at 1, 4 and 16 PEs (`run` checks against the golden
+        // reference and panics on validation failure).
         for pes in [1usize, 4, 16] {
-            let _ = run_flex(bench.as_ref(), pes, None);
+            run(name, Scale::Tiny, flex_point(pes)).expect("FlexArch runs every benchmark");
         }
         // LiteArch (where the benchmark has a mapping).
-        let _ = run_lite(bench.as_ref(), 4, None);
+        let _ = run(name, Scale::Tiny, DesignPoint::accel(PointArch::Lite, 1, 4));
         // CPU baseline.
-        let _ = run_cpu(bench.as_ref(), 2);
+        run(name, Scale::Tiny, DesignPoint::cpu(2)).expect("the CPU runs every benchmark");
     }
 }
 
@@ -47,10 +60,10 @@ fn engines_agree_on_result_values() {
         let inst = bench.flex(serial.mem_mut());
         let mut worker = inst.worker;
         let want = serial.run(worker.as_mut(), inst.root).unwrap();
-        let flex = run_flex(bench.as_ref(), 8, None);
-        let cpu = run_cpu(bench.as_ref(), 4);
-        // run_flex/run_cpu validate against golden; compare the raw result
-        // words across engines too.
+        let flex = run(name, Scale::Tiny, flex_point(8)).expect("FlexArch runs every benchmark");
+        let cpu = run(name, Scale::Tiny, DesignPoint::cpu(4));
+        // Both runs validate against golden; compare the raw result words
+        // across engines too.
         assert!(
             flex.metrics.get("accel.tasks") > 0,
             "{name}: flex ran tasks"
@@ -395,8 +408,7 @@ fn small_scale_flex_spot_check() {
     // One larger configuration exercising multi-tile work stealing and the
     // coherent hierarchy harder than Tiny.
     for name in ["uts", "nw", "spmvcrs"] {
-        let bench = parallelxl::apps::by_name(name, Scale::Small).unwrap();
-        let out = run_flex(bench.as_ref(), 16, None);
+        let out = run(name, Scale::Small, flex_point(16)).expect("FlexArch runs every benchmark");
         assert!(
             out.metrics.get("accel.steal_hits") > 0,
             "{name}: 16-PE run must migrate work"

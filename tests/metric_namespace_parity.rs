@@ -9,7 +9,15 @@
 //! or not — so fabric-level counters cannot silently diverge per engine
 //! again.
 
-use pxl_bench::{bench, run_central, run_cpu, run_flex, run_lite};
+use parallelxl::apps::Scale;
+use parallelxl::{execute, DesignPoint, PointArch, RunOutcome, RunSpec};
+
+/// Runs `bench` at Tiny scale on `point`, golden-checked.
+fn run(bench: &str, point: DesignPoint) -> RunOutcome {
+    execute(&RunSpec::new(bench, Scale::Tiny, point))
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect("the benchmark has a mapping for this engine")
+}
 use pxl_sim::Metrics;
 
 /// The fault/watchdog families `pxl_arch::register_fault_metrics` pins at
@@ -38,13 +46,12 @@ fn assert_registered(engine: &str, metrics: &Metrics, names: &[&str]) {
 
 #[test]
 fn every_engine_registers_the_canonical_families() {
-    let b = bench("queens", pxl_apps::Scale::Tiny);
     let pes = 4;
 
-    let flex = run_flex(b.as_ref(), pes, None);
-    let lite = run_lite(b.as_ref(), pes, None).expect("queens has a Lite mapping");
-    let central = run_central(b.as_ref(), pes, None);
-    let cpu = run_cpu(b.as_ref(), pes);
+    let flex = run("queens", DesignPoint::accel(PointArch::Flex, 1, pes));
+    let lite = run("queens", DesignPoint::accel(PointArch::Lite, 1, pes));
+    let central = run("queens", DesignPoint::accel(PointArch::Central, 1, pes));
+    let cpu = run("queens", DesignPoint::cpu(pes));
 
     // Accelerator engines: one fabric, so one accounting vocabulary.
     for (engine, out) in [("flex", &flex), ("lite", &lite), ("central", &central)] {
@@ -89,9 +96,8 @@ fn every_engine_registers_the_canonical_families() {
 /// policies differ in *how* tasks move, not in what gets counted.
 #[test]
 fn dynamic_engines_share_the_steal_vocabulary() {
-    let b = bench("uts", pxl_apps::Scale::Tiny);
-    let flex = run_flex(b.as_ref(), 4, None);
-    let central = run_central(b.as_ref(), 4, None);
+    let flex = run("uts", DesignPoint::accel(PointArch::Flex, 1, 4));
+    let central = run("uts", DesignPoint::accel(PointArch::Central, 1, 4));
     for (engine, out) in [("flex", &flex), ("central", &central)] {
         assert_registered(
             engine,

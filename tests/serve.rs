@@ -257,6 +257,34 @@ fn malformed_requests_are_rejected_with_typed_codes() {
     server.join();
 }
 
+/// One wire line nested far past the JSON depth limit is refused as
+/// `bad_json` instead of overflowing the connection thread's stack and
+/// aborting the server; a fresh connection is still served afterwards.
+#[test]
+fn deeply_nested_lines_are_refused_without_killing_the_server() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "{}", "[".repeat(100_000)).unwrap();
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match JobEvent::from_json(reply.trim_end()).unwrap() {
+        JobEvent::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadJson, "{message}");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.queued, stats.running, stats.completed), (0, 0, 0));
+    client.drain().unwrap();
+    server.join();
+}
+
 /// The determinism contract end to end: submitting the same spec twice
 /// yields byte-identical `done` payloads, and the second is a pure
 /// content-addressed cache hit.
