@@ -16,6 +16,7 @@ use std::collections::VecDeque;
 
 use pxl_model::{Task, TASK_WORDS};
 use pxl_sim::json::JsonValue;
+use pxl_sim::snapshot;
 use pxl_sim::{EventSlab, Time};
 
 /// A bounded double-ended task queue with timestamped availability.
@@ -199,10 +200,7 @@ impl TaskDeque {
         let mut items = VecDeque::with_capacity(entries.len());
         let mut arena = EventSlab::new();
         for entry in entries {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or("deque state: item is not an array")?;
+            let words = snapshot::u64s(entry, "items")?;
             if words.len() != TASK_WORDS + 1 {
                 return Err(format!(
                     "deque state: item holds {} words, expected {}",
@@ -306,6 +304,18 @@ mod tests {
         // Restoring into a smaller deque is rejected.
         let mut tiny = TaskDeque::new(2);
         assert!(tiny.restore_state(&state).unwrap_err().contains("capacity"));
+        // A stray non-numeric word is refused, not skipped into a shorter
+        // (or, with one word too many, a valid-looking) item.
+        let tampered = state
+            .to_json()
+            .replacen("\"items\":[[", "\"items\":[[\"x\",", 1);
+        let err = TaskDeque::new(8)
+            .restore_state(&JsonValue::parse(&tampered).unwrap())
+            .unwrap_err();
+        assert!(
+            err.contains("\"items\"") && err.contains("non-u64"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1485,10 +1485,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         self.events.clear();
         self.task_slab.clear();
         for entry in snapshot::get_arr(p, "events")? {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| malformed("event entry is not an array"))?;
+            let words = snapshot::u64s(entry, "events")?;
             let (when, body) = words
                 .split_first()
                 .ok_or_else(|| malformed("empty event entry"))?;
@@ -1587,10 +1584,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 faults.corrupt_pending = corrupt
                     .iter()
                     .map(|tile| {
-                        let flat: Vec<u64> = tile
-                            .as_array()
-                            .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                            .ok_or_else(|| malformed("corrupt_pending tile is not an array"))?;
+                        let flat = snapshot::u64s(tile, "corrupt_pending")?;
                         if !flat.len().is_multiple_of(2) {
                             return Err(malformed("corrupt_pending holds an odd word count"));
                         }
@@ -2937,6 +2931,34 @@ mod tests {
             matches!(err, SnapshotError::EngineMismatch { .. }),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn restore_refuses_stray_words_instead_of_skipping_them() {
+        let mut engine = FlexEngine::new(AccelConfig::flex(2, 2), ExecProfile::scalar());
+        engine.launch(Task::new(FIB, Continuation::host(0), &[12]));
+        let _ = engine
+            .run_until(&mut FibWorker, Some(Time::from_ns(400)))
+            .unwrap();
+        let text = engine.snapshot().payload.to_json();
+        // One list of words each from the event queue, a PE deque, a
+        // P-Store entry and the policy's per-PE LFSRs.
+        for needle in [
+            "\"events\":[[",
+            "\"items\":[[",
+            "\"entries\":[[",
+            "\"lfsrs\":[",
+        ] {
+            assert!(text.contains(needle), "{needle} missing from the snapshot");
+            let tampered = text.replacen(needle, &format!("{needle}\"x\","), 1);
+            let snap = Snapshot::new("flex", JsonValue::parse(&tampered).unwrap());
+            let mut fresh = FlexEngine::new(AccelConfig::flex(2, 2), ExecProfile::scalar());
+            let err = fresh.restore(&snap).expect_err(needle);
+            assert!(
+                matches!(&err, SnapshotError::Malformed(m) if m.contains("non-u64")),
+                "{needle}: {err}"
+            );
+        }
     }
 
     fn cluster_cfg(tiles: usize, pes: usize, chips: usize) -> AccelConfig {

@@ -60,4 +60,4 @@ pub use lite::{LiteDriver, LiteEngine, RoundTasks};
 pub use policy::{
     CentralPolicy, FlexPolicy, HierPolicy, RoundSlot, SchedulingPolicy, StaticRoundPolicy,
 };
-pub use pstore::{FillOutcome, PStore, PStoreError};
+pub use pstore::{FillOutcome, PStore, PStoreError, PStoreStateError};

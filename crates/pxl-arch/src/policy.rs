@@ -25,6 +25,7 @@ use std::collections::VecDeque;
 
 use pxl_model::{Task, TASK_WORDS};
 use pxl_sim::json::JsonValue;
+use pxl_sim::snapshot;
 use pxl_sim::{Lfsr16, Time};
 
 use crate::api::EngineKind;
@@ -140,10 +141,7 @@ fn tasks_from_json(value: &JsonValue, key: &str) -> Result<Vec<Task>, String> {
         .ok_or_else(|| format!("policy state: missing array {key:?}"))?
         .iter()
         .map(|entry| {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| format!("policy state: {key:?} entry is not an array"))?;
+            let words = snapshot::u64s(entry, key)?;
             if words.len() != TASK_WORDS {
                 return Err(format!(
                     "policy state: {key:?} entry holds {} words",
@@ -340,15 +338,8 @@ impl SchedulingPolicy for FlexPolicy {
                 self.num_pes
             ));
         }
-        let u64s = |key: &str| -> Result<Vec<u64>, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| format!("policy state: missing array {key:?}"))
-        };
-        let lfsrs = u64s("lfsrs")?;
-        let rr_victim = u64s("rr_victim")?;
+        let lfsrs = snapshot::get_u64s(value, "lfsrs")?;
+        let rr_victim = snapshot::get_u64s(value, "rr_victim")?;
         if lfsrs.len() != self.num_pes || rr_victim.len() != self.num_pes {
             return Err("policy state: per-PE array length mismatch".to_owned());
         }
@@ -657,11 +648,7 @@ impl SchedulingPolicy for HierPolicy {
                 .get("flex")
                 .ok_or("policy state: missing flex object")?,
         )?;
-        let fails: Vec<u64> = value
-            .get("fails")
-            .and_then(JsonValue::as_array)
-            .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-            .ok_or("policy state: missing fails array")?;
+        let fails = snapshot::get_u64s(value, "fails")?;
         if fails.len() != self.inner.num_pes {
             return Err("policy state: fails length mismatch".to_owned());
         }

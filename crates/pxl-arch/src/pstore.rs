@@ -18,6 +18,7 @@
 
 use pxl_model::{PendingTask, Task, MAX_ARGS, PENDING_WORDS};
 use pxl_sim::json::JsonValue;
+use pxl_sim::snapshot::{self, SnapshotError};
 
 /// A protocol violation detected by the P-Store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +101,9 @@ pub struct FillOutcome {
 /// zeroed arrays at construction. The eager equivalent's free list is
 /// always `[capacity-1, ..., high_water]` (virgin slots, descending)
 /// followed by the recycled LIFO stack, so `recycled` plus the high-water
-/// mark represent it exactly — allocation order and snapshot bytes are
-/// identical to the eager layout.
+/// mark represent it exactly and allocation order is identical to the
+/// eager layout. Snapshots follow the same rule and cover only the slots
+/// below the high-water mark.
 #[derive(Debug, Clone)]
 pub struct PStore {
     entries: Vec<Option<PendingTask>>,
@@ -269,138 +271,129 @@ impl PStore {
             .map(|c| c.id)
     }
 
-    /// Serializes entries (word-encoded, empty array = free slot), taint
-    /// masks, the free list (order matters: allocation pops its tail) and
-    /// counters for engine snapshots. The wire format is the *eager*
-    /// layout — `capacity`-length entry/taint arrays and a free list of
-    /// virgin slots (descending) followed by the recycled stack — so
-    /// snapshots are byte-identical to the pre-lazy encoding.
+    /// Serializes the store for engine snapshots, covering only the slots
+    /// below the high-water mark:
+    /// `{"capacity":C,"entries":[...],"taint":[entry,mask,...],
+    /// "recycled":[...],"peak":..,"total_allocs":..,"full_events":..,
+    /// "repairs":..}`. `entries` holds one word-encoded pending task per
+    /// slot ever allocated (empty array = free slot), `taint` flat
+    /// `[entry, mask]` pairs for the entries carrying a non-zero mask, and
+    /// `recycled` the free stack in order (allocation pops its tail).
     pub fn state_to_json_value(&self) -> JsonValue {
-        let entries = (0..self.capacity)
-            .map(|i| match self.entries.get(i).and_then(Option::as_ref) {
-                Some(p) => JsonValue::Array(
-                    p.to_words()
-                        .iter()
-                        .map(|w| JsonValue::num_u64(*w))
-                        .collect(),
-                ),
+        let entries = self
+            .entries
+            .iter()
+            .map(|cell| match cell {
+                Some(p) => snapshot::arr_u64(p.to_words()),
                 None => JsonValue::Array(Vec::new()),
             })
             .collect();
-        let free = (self.entries.len()..self.capacity)
-            .rev()
-            .map(|e| e as u32)
-            .chain(self.recycled.iter().copied())
-            .map(|e| JsonValue::num_u64(e as u64))
-            .collect();
-        JsonValue::Object(vec![
-            ("entries".to_owned(), JsonValue::Array(entries)),
+        let taint = self
+            .taint
+            .iter()
+            .enumerate()
+            .filter(|(_, mask)| **mask != 0)
+            .flat_map(|(entry, mask)| [entry as u64, *mask]);
+        snapshot::obj(vec![
+            ("capacity", snapshot::num(self.capacity as u64)),
+            ("entries", JsonValue::Array(entries)),
+            ("taint", snapshot::arr_u64(taint)),
             (
-                "taint".to_owned(),
-                JsonValue::Array(
-                    (0..self.capacity)
-                        .map(|i| JsonValue::num_u64(self.taint.get(i).copied().unwrap_or(0)))
-                        .collect(),
-                ),
+                "recycled",
+                snapshot::arr_u64(self.recycled.iter().map(|e| u64::from(*e))),
             ),
-            ("free".to_owned(), JsonValue::Array(free)),
-            ("peak".to_owned(), JsonValue::num_u64(self.peak as u64)),
-            (
-                "total_allocs".to_owned(),
-                JsonValue::num_u64(self.total_allocs),
-            ),
-            (
-                "full_events".to_owned(),
-                JsonValue::num_u64(self.full_events),
-            ),
-            ("repairs".to_owned(), JsonValue::num_u64(self.repairs)),
+            ("peak", snapshot::num(self.peak as u64)),
+            ("total_allocs", snapshot::num(self.total_allocs)),
+            ("full_events", snapshot::num(self.full_events)),
+            ("repairs", snapshot::num(self.repairs)),
         ])
     }
 
     /// Replaces the store's contents with a state captured by
     /// [`PStore::state_to_json_value`]. The store keeps its configured
-    /// capacity, which must match the snapshot's entry count.
+    /// capacity, which must match the snapshot's. On error the store is
+    /// left unchanged.
     ///
     /// # Errors
     ///
-    /// Returns a message when the state is malformed or was taken from a
-    /// store of a different capacity.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let u64s = |key: &str| -> Result<Vec<u64>, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| format!("pstore state: missing array {key:?}"))
-        };
-        let counter = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("pstore state: missing counter {key:?}"))
-        };
-        let cells = value
-            .get("entries")
-            .and_then(JsonValue::as_array)
-            .ok_or("pstore state: missing entries array")?;
-        if cells.len() != self.capacity {
-            return Err(format!(
-                "pstore state holds {} entries, this store has {}",
-                cells.len(),
-                self.capacity
-            ));
-        }
-        let mut entries = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let words: Vec<u64> = cell
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or("pstore state: entry is not an array")?;
-            entries.push(match words.len() {
-                0 => None,
-                PENDING_WORDS => Some(PendingTask::from_words(&words)?),
-                n => return Err(format!("pstore state: entry holds {n} words")),
+    /// [`PStoreStateError`] when the snapshot was taken from a store of a
+    /// different capacity, or describes a state no store can reach: more
+    /// entries than capacity, taint past the high-water mark, a recycled
+    /// slot that is not free, or a free-slot count that disagrees with the
+    /// recycled stack.
+    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), PStoreStateError> {
+        let capacity = snapshot::get_u64(value, "capacity")?;
+        if capacity != self.capacity as u64 {
+            return Err(PStoreStateError::CapacityMismatch {
+                found: capacity,
+                expected: self.capacity,
             });
         }
-        let mut taint = u64s("taint")?;
-        if taint.len() != entries.len() {
-            return Err("pstore state: taint length mismatch".to_owned());
+        let cells = snapshot::get_arr(value, "entries")?;
+        if cells.len() > self.capacity {
+            return Err(PStoreStateError::TooManyEntries {
+                found: cells.len(),
+                capacity: self.capacity,
+            });
         }
-        let free: Vec<u32> = u64s("free")?
-            .into_iter()
-            .map(|e| {
-                u32::try_from(e)
-                    .ok()
-                    .filter(|e| (*e as usize) < entries.len())
-                    .ok_or_else(|| format!("pstore state: free entry {e} out of range"))
-            })
-            .collect::<Result<_, _>>()?;
-        // Split the wire-format free list back into its two halves: the
-        // descending virgin prefix `[capacity-1, ..., high_water]` and the
-        // recycled stack after it. A well-formed snapshot always has this
-        // shape (see `state_to_json_value`); anything else cannot have come
-        // from a real store.
-        let virgin = free
+        let entries = cells
             .iter()
-            .enumerate()
-            .take_while(|&(i, &e)| e as usize == self.capacity - 1 - i)
-            .count();
-        let high_water = self.capacity - virgin;
-        let recycled = free[virgin..].to_vec();
-        if recycled.iter().any(|&e| e as usize >= high_water)
-            || entries[high_water..].iter().any(Option::is_some)
-            || taint[high_water..].iter().any(|&t| t != 0)
-        {
-            return Err(
-                "pstore state: free list is not a virgin prefix + recycled stack".to_owned(),
-            );
+            .map(|cell| {
+                let words = snapshot::u64s(cell, "entries")?;
+                match words.len() {
+                    0 => Ok(None),
+                    PENDING_WORDS => PendingTask::from_words(&words)
+                        .map(Some)
+                        .map_err(PStoreStateError::Malformed),
+                    n => Err(PStoreStateError::Malformed(format!(
+                        "entry holds {n} words"
+                    ))),
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let high_water = entries.len();
+        let pairs = snapshot::get_u64s(value, "taint")?;
+        if !pairs.len().is_multiple_of(2) {
+            return Err(PStoreStateError::Malformed(
+                "\"taint\" is not a list of [entry, mask] pairs".to_owned(),
+            ));
         }
-        entries.truncate(high_water);
-        taint.truncate(high_water);
-        let peak = counter("peak")? as usize;
-        let total_allocs = counter("total_allocs")?;
-        let full_events = counter("full_events")?;
-        let repairs = counter("repairs")?;
+        let mut taint = vec![0; high_water];
+        for pair in pairs.chunks_exact(2) {
+            let (entry, mask) = (pair[0], pair[1]);
+            if entry >= high_water as u64 {
+                return Err(PStoreStateError::TaintPastHighWater { entry, high_water });
+            }
+            taint[entry as usize] = mask;
+        }
+        // Each recycled slot must be free and listed once: a slot popped
+        // twice would hand one entry to two pending tasks.
+        let mut claimed = vec![false; high_water];
+        let recycled = snapshot::get_u64s(value, "recycled")?
+            .into_iter()
+            .map(|entry| {
+                let slot = usize::try_from(entry).ok().filter(|&e| {
+                    e < high_water
+                        && entries[e].is_none()
+                        && !std::mem::replace(&mut claimed[e], true)
+                });
+                match slot {
+                    Some(e) => Ok(e as u32),
+                    None => Err(PStoreStateError::RecycledNotFree { entry }),
+                }
+            })
+            .collect::<Result<Vec<u32>, _>>()?;
+        let free = entries.iter().filter(|cell| cell.is_none()).count();
+        if free != recycled.len() {
+            return Err(PStoreStateError::FreeCountMismatch {
+                free,
+                recycled: recycled.len(),
+            });
+        }
+        let peak = snapshot::get_u64(value, "peak")? as usize;
+        let total_allocs = snapshot::get_u64(value, "total_allocs")?;
+        let full_events = snapshot::get_u64(value, "full_events")?;
+        let repairs = snapshot::get_u64(value, "repairs")?;
         self.entries = entries;
         self.taint = taint;
         self.recycled = recycled;
@@ -409,6 +402,82 @@ impl PStore {
         self.full_events = full_events;
         self.repairs = repairs;
         Ok(())
+    }
+}
+
+/// Why a P-Store snapshot was refused by [`PStore::restore_state`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PStoreStateError {
+    /// The snapshot was taken from a store of a different capacity.
+    CapacityMismatch {
+        /// The snapshot's capacity.
+        found: u64,
+        /// This store's capacity.
+        expected: usize,
+    },
+    /// The snapshot lists more entries than the store holds.
+    TooManyEntries {
+        /// Entries listed.
+        found: usize,
+        /// The store's capacity.
+        capacity: usize,
+    },
+    /// A taint mask names a slot at or past the high-water mark.
+    TaintPastHighWater {
+        /// The tainted entry.
+        entry: u64,
+        /// Slots the snapshot lists.
+        high_water: usize,
+    },
+    /// A recycled slot is live, past the high-water mark, or listed twice.
+    RecycledNotFree {
+        /// The offending slot.
+        entry: u64,
+    },
+    /// The number of free slots below the high-water mark differs from
+    /// the recycled stack's length.
+    FreeCountMismatch {
+        /// Free slots among the listed entries.
+        free: usize,
+        /// Length of the recycled stack.
+        recycled: usize,
+    },
+    /// A field is missing or has the wrong type or shape.
+    Malformed(String),
+}
+
+impl std::fmt::Display for PStoreStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PStoreStateError::CapacityMismatch { found, expected } => write!(
+                f,
+                "pstore state: capacity {found}, this store has {expected} entries"
+            ),
+            PStoreStateError::TooManyEntries { found, capacity } => write!(
+                f,
+                "pstore state: {found} entries for a {capacity}-entry store"
+            ),
+            PStoreStateError::TaintPastHighWater { entry, high_water } => write!(
+                f,
+                "pstore state: taint on entry {entry}, past the high-water mark {high_water}"
+            ),
+            PStoreStateError::RecycledNotFree { entry } => {
+                write!(f, "pstore state: recycled entry {entry} is not a free slot")
+            }
+            PStoreStateError::FreeCountMismatch { free, recycled } => write!(
+                f,
+                "pstore state: {free} free slots but {recycled} recycled entries"
+            ),
+            PStoreStateError::Malformed(msg) => write!(f, "pstore state: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for PStoreStateError {}
+
+impl From<SnapshotError> for PStoreStateError {
+    fn from(err: SnapshotError) -> Self {
+        PStoreStateError::Malformed(err.into())
     }
 }
 
@@ -549,7 +618,111 @@ mod tests {
         assert_eq!(b.repairs(), a.repairs());
         // Capacity mismatch is rejected.
         let mut wrong = PStore::new(8);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("entries"));
+        assert_eq!(
+            wrong.restore_state(&state).unwrap_err(),
+            PStoreStateError::CapacityMismatch {
+                found: 4,
+                expected: 8
+            }
+        );
+    }
+
+    #[test]
+    fn snapshots_cover_only_slots_below_the_high_water_mark() {
+        let mut ps = PStore::new(8192);
+        for _ in 0..3 {
+            must_alloc(&mut ps, 2);
+        }
+        let state = ps.state_to_json_value();
+        assert_eq!(snapshot::get_arr(&state, "entries").unwrap().len(), 3);
+        assert_eq!(snapshot::get_u64s(&state, "taint").unwrap(), [] as [u64; 0]);
+        assert_eq!(snapshot::get_u64(&state, "capacity").unwrap(), 8192);
+        assert_eq!(
+            PStore::new(8192).state_to_json_value().to_json(),
+            "{\"capacity\":8192,\"entries\":[],\"taint\":[],\"recycled\":[],\
+             \"peak\":0,\"total_allocs\":0,\"full_events\":0,\"repairs\":0}"
+        );
+        // Freed slots and taint ride along; the virgin tail does not.
+        let _ = ps.fill(1, 0, 0).unwrap();
+        let _ = ps.fill(1, 1, 0).unwrap();
+        ps.corrupt(0x30);
+        let state = ps.state_to_json_value();
+        assert_eq!(snapshot::get_u64s(&state, "recycled").unwrap(), [1]);
+        assert_eq!(snapshot::get_u64s(&state, "taint").unwrap(), [0, 0x30]);
+        let mut back = PStore::new(8192);
+        back.restore_state(&state).unwrap();
+        assert_eq!(back.state_to_json_value().to_json(), state.to_json());
+        assert_eq!(must_alloc(&mut back, 1), must_alloc(&mut ps, 1));
+        assert_eq!(must_alloc(&mut back, 1), 3, "then the first virgin slot");
+    }
+
+    #[test]
+    fn impossible_states_are_refused_with_typed_errors() {
+        // Two slots allocated, slot 1 freed: entries [live, free].
+        let mut ps = PStore::new(4);
+        must_alloc(&mut ps, 2);
+        let e1 = must_alloc(&mut ps, 1);
+        let _ = ps.fill(e1, 0, 0).unwrap();
+        let good = ps.state_to_json_value().to_json();
+        let refuse = |from: &str, to: &str| {
+            let text = good.replace(from, to);
+            assert_ne!(text, good, "{from} not found");
+            let mut store = PStore::new(4);
+            let err = store
+                .restore_state(&JsonValue::parse(&text).unwrap())
+                .unwrap_err();
+            assert_eq!(store.occupancy(), 0, "refusal leaves the store as it was");
+            err
+        };
+        let live = r#"[7,0,2,0,0,0,0,0,0,0]"#;
+        assert!(good.contains(live), "{good}");
+        assert_eq!(
+            refuse(
+                "\"entries\":[",
+                &format!("\"entries\":[{live},{live},{live},{live},")
+            ),
+            PStoreStateError::TooManyEntries {
+                found: 6,
+                capacity: 4
+            }
+        );
+        assert_eq!(
+            refuse("\"taint\":[]", "\"taint\":[2,1]"),
+            PStoreStateError::TaintPastHighWater {
+                entry: 2,
+                high_water: 2
+            }
+        );
+        assert_eq!(
+            refuse("\"recycled\":[1]", "\"recycled\":[0]"),
+            PStoreStateError::RecycledNotFree { entry: 0 }
+        );
+        assert_eq!(
+            refuse("\"recycled\":[1]", "\"recycled\":[2]"),
+            PStoreStateError::RecycledNotFree { entry: 2 }
+        );
+        assert_eq!(
+            refuse("\"recycled\":[1]", "\"recycled\":[1,1]"),
+            PStoreStateError::RecycledNotFree { entry: 1 }
+        );
+        assert_eq!(
+            refuse("\"recycled\":[1]", "\"recycled\":[]"),
+            PStoreStateError::FreeCountMismatch {
+                free: 1,
+                recycled: 0
+            }
+        );
+        assert!(matches!(
+            refuse("\"taint\":[]", "\"taint\":[0]"),
+            PStoreStateError::Malformed(_)
+        ));
+        // A stray non-numeric word is refused, not skipped: dropping the
+        // string would leave a well-formed entry.
+        let err = refuse(live, r#"[7,0,2,"x",0,0,0,0,0,0,0]"#);
+        assert!(
+            matches!(&err, PStoreStateError::Malformed(m) if m.contains("non-u64")),
+            "{err}"
+        );
     }
 
     #[test]

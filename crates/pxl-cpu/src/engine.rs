@@ -619,10 +619,7 @@ impl CpuEngine {
         self.pending = snapshot::get_arr(p, "pending")?
             .iter()
             .map(|cell| {
-                let words: Vec<u64> = cell
-                    .as_array()
-                    .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                    .ok_or_else(|| malformed("pending entry is not an array"))?;
+                let words = snapshot::u64s(cell, "pending")?;
                 match words.len() {
                     0 => Ok(None),
                     PENDING_WORDS => PendingTask::from_words(&words).map(Some).map_err(malformed),
@@ -655,10 +652,7 @@ impl CpuEngine {
 
         self.events.clear();
         for entry in snapshot::get_arr(p, "events")? {
-            let words: Vec<u64> = entry
-                .as_array()
-                .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                .ok_or_else(|| malformed("event entry is not an array"))?;
+            let words = snapshot::u64s(entry, "events")?;
             let (when, body) = words
                 .split_first()
                 .ok_or_else(|| malformed("empty event entry"))?;
@@ -1228,6 +1222,27 @@ mod tests {
         let mut narrow = CpuEngine::new(2, ExecProfile::scalar());
         let err = narrow.restore(&snap).expect_err("core mismatch");
         assert!(matches!(err, SnapshotError::Malformed(_)), "got {err}");
+    }
+
+    #[test]
+    fn restore_refuses_stray_words_instead_of_skipping_them() {
+        let mut cpu = CpuEngine::new(2, ExecProfile::scalar());
+        cpu.launch(Task::new(FIB, Continuation::host(0), &[12]));
+        let _ = cpu
+            .run_until(&mut FibWorker, Some(Time::from_ns(2_000)))
+            .unwrap();
+        let text = cpu.snapshot().payload.to_json();
+        for needle in ["\"events\":[[", "\"pending\":[["] {
+            assert!(text.contains(needle), "{needle} missing from the snapshot");
+            let tampered = text.replacen(needle, &format!("{needle}\"x\","), 1);
+            let snap = Snapshot::new("cpu", JsonValue::parse(&tampered).unwrap());
+            let mut fresh = CpuEngine::new(2, ExecProfile::scalar());
+            let err = fresh.restore(&snap).expect_err(needle);
+            assert!(
+                matches!(&err, SnapshotError::Malformed(m) if m.contains("non-u64")),
+                "{needle}: {err}"
+            );
+        }
     }
 
     #[test]

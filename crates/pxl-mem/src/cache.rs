@@ -7,6 +7,7 @@
 
 use pxl_sim::config::CacheParams;
 use pxl_sim::json::JsonValue;
+use pxl_sim::snapshot::{self, SnapshotError};
 
 /// MOESI coherence state of one cache line.
 ///
@@ -229,82 +230,152 @@ impl CacheArray {
         self.lines.fill(0);
     }
 
-    /// Serializes tag/state/LRU for snapshot/restore:
-    /// `{"use_counter":N,"sets":[[[line+1,state,last_use],...],...]}`.
-    /// `line+1` is zero for an invalid way (line addresses fit u64-1
-    /// comfortably since they are byte addresses shifted right).
+    /// Serializes tag/state/LRU for snapshot/restore, listing only the
+    /// ways a fresh array would not reproduce:
+    /// `{"use_counter":N,"slots":S,"live":[w,line+1,state,last_use,...]}`.
+    /// `slots` is the array's way count (sets × associativity); `live` is
+    /// a flat list of quads in ascending way order, one per way whose
+    /// in-memory `(line+1, state, last_use)` is not all zero. `line+1` is
+    /// zero for an invalid way; `state` uses the wire encoding Modified=0
+    /// … Shared=3.
     pub fn state_to_json_value(&self) -> JsonValue {
-        let sets = (0..self.lines.len() / self.assoc)
-            .map(|si| {
-                JsonValue::Array(
-                    (si * self.assoc..(si + 1) * self.assoc)
-                        .map(|w| {
-                            JsonValue::Array(vec![
-                                JsonValue::num_u64(self.lines[w]),
-                                JsonValue::num_u64(3 - self.states[w] as u64),
-                                JsonValue::num_u64(self.last_use[w]),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        JsonValue::Object(vec![
-            (
-                "use_counter".to_owned(),
-                JsonValue::num_u64(self.use_counter),
-            ),
-            ("sets".to_owned(), JsonValue::Array(sets)),
+        let live = (0..self.lines.len())
+            .filter(|&w| self.lines[w] != 0 || self.states[w] != 0 || self.last_use[w] != 0)
+            .flat_map(|w| {
+                [
+                    w as u64,
+                    self.lines[w],
+                    3 - self.states[w] as u64,
+                    self.last_use[w],
+                ]
+            });
+        snapshot::obj(vec![
+            ("use_counter", snapshot::num(self.use_counter)),
+            ("slots", snapshot::num(self.lines.len() as u64)),
+            ("live", snapshot::arr_u64(live)),
         ])
     }
 
     /// Restores a state captured by [`CacheArray::state_to_json_value`]
-    /// into an array of identical geometry.
+    /// into an array of identical geometry: every way is reset to the
+    /// fresh (all-zero) state, then the listed live ways are set. On error
+    /// the array is left unchanged.
     ///
     /// # Errors
     ///
-    /// Returns a message on geometry mismatch or malformed entries.
-    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        self.use_counter = value
-            .get("use_counter")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cache state: missing use_counter")?;
-        let sets = value
-            .get("sets")
-            .and_then(JsonValue::as_array)
-            .ok_or("cache state: missing sets")?;
-        let num_sets = self.lines.len() / self.assoc;
-        if sets.len() != num_sets {
-            return Err(format!(
-                "cache state: {} sets for a {num_sets}-set array",
-                sets.len(),
+    /// [`CacheStateError`] on a geometry mismatch, a way index out of
+    /// range or out of order, an unknown line state, or a malformed field.
+    pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), CacheStateError> {
+        let use_counter = snapshot::get_u64(value, "use_counter")?;
+        let slots = snapshot::get_u64(value, "slots")?;
+        if slots != self.lines.len() as u64 {
+            return Err(CacheStateError::SlotsMismatch {
+                found: slots,
+                expected: self.lines.len(),
+            });
+        }
+        let live = snapshot::get_u64s(value, "live")?;
+        if !live.len().is_multiple_of(4) {
+            return Err(CacheStateError::Malformed(
+                "\"live\" is not a list of [way, line+1, state, last_use] quads".to_owned(),
             ));
         }
-        for (si, set) in sets.iter().enumerate() {
-            let ways = set
-                .as_array()
-                .filter(|w| w.len() == self.assoc)
-                .ok_or_else(|| format!("cache state: set {si} has the wrong way count"))?;
-            for (wi, way) in ways.iter().enumerate() {
-                let triple = way
-                    .as_array()
-                    .filter(|t| t.len() == 3)
-                    .ok_or_else(|| format!("cache state: set {si} way is not a triple"))?;
-                let field = |i: usize| {
-                    triple[i]
-                        .as_u64()
-                        .ok_or_else(|| format!("cache state: set {si} holds a non-u64"))
-                };
-                let w = si * self.assoc + wi;
-                self.lines[w] = field(0)?;
-                self.states[w] = match field(1)? {
-                    wire @ 0..=3 => 3 - wire as u8,
-                    other => return Err(format!("cache state: unknown line state {other}")),
-                };
-                self.last_use[w] = field(2)?;
+        let mut previous = None;
+        for quad in live.chunks_exact(4) {
+            let (way, state) = (quad[0], quad[2]);
+            if way >= slots {
+                return Err(CacheStateError::WayOutOfRange { way, slots });
             }
+            if let Some(previous) = previous.filter(|&p| p >= way) {
+                return Err(CacheStateError::WaysNotAscending { way, previous });
+            }
+            if state > 3 {
+                return Err(CacheStateError::UnknownState { way, state });
+            }
+            previous = Some(way);
         }
+        // Fresh zeroed vectors rather than an in-place fill: the allocator
+        // hands back untouched zero pages, so restoring a sparse state
+        // never writes the whole array.
+        let n = self.lines.len();
+        self.lines = vec![0; n];
+        self.states = vec![0; n];
+        self.last_use = vec![0; n];
+        for quad in live.chunks_exact(4) {
+            let w = quad[0] as usize;
+            self.lines[w] = quad[1];
+            self.states[w] = 3 - quad[2] as u8;
+            self.last_use[w] = quad[3];
+        }
+        self.use_counter = use_counter;
         Ok(())
+    }
+}
+
+/// Why a cache-array snapshot was refused by [`CacheArray::restore_state`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CacheStateError {
+    /// The snapshot was taken from an array with a different way count.
+    SlotsMismatch {
+        /// The snapshot's way count.
+        found: u64,
+        /// This array's way count.
+        expected: usize,
+    },
+    /// A live way index lies past the end of the array.
+    WayOutOfRange {
+        /// The offending way index.
+        way: u64,
+        /// The array's way count.
+        slots: u64,
+    },
+    /// Live ways are not listed in strictly ascending order.
+    WaysNotAscending {
+        /// The offending way index.
+        way: u64,
+        /// The way listed before it.
+        previous: u64,
+    },
+    /// A line state outside the wire encoding `0..=3`.
+    UnknownState {
+        /// The way carrying it.
+        way: u64,
+        /// The unknown state value.
+        state: u64,
+    },
+    /// A field is missing or has the wrong type or shape.
+    Malformed(String),
+}
+
+impl std::fmt::Display for CacheStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CacheStateError::SlotsMismatch { found, expected } => {
+                write!(f, "cache state: {found} slots for a {expected}-slot array")
+            }
+            CacheStateError::WayOutOfRange { way, slots } => {
+                write!(
+                    f,
+                    "cache state: way {way} is outside the {slots}-slot array"
+                )
+            }
+            CacheStateError::WaysNotAscending { way, previous } => write!(
+                f,
+                "cache state: way {way} listed after way {previous}; live ways must ascend"
+            ),
+            CacheStateError::UnknownState { way, state } => {
+                write!(f, "cache state: way {way} has unknown line state {state}")
+            }
+            CacheStateError::Malformed(msg) => write!(f, "cache state: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for CacheStateError {}
+
+impl From<SnapshotError> for CacheStateError {
+    fn from(err: SnapshotError) -> Self {
+        CacheStateError::Malformed(err.into())
     }
 }
 
@@ -410,7 +481,95 @@ mod tests {
             clock: pxl_sim::Clock::ghz1("t"),
         };
         let mut wrong = CacheArray::new(&params);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("sets"));
+        let err = wrong.restore_state(&state).unwrap_err();
+        assert_eq!(
+            err,
+            CacheStateError::SlotsMismatch {
+                found: 4,
+                expected: 8
+            }
+        );
+        assert!(err.to_string().contains("slots"), "{err}");
+    }
+
+    #[test]
+    fn fresh_array_encodes_no_live_ways() {
+        let state = tiny().state_to_json_value();
+        assert_eq!(state.to_json(), r#"{"use_counter":0,"slots":4,"live":[]}"#);
+        let big = CacheArray::new(&CacheParams::accel_l1_32k());
+        assert_eq!(
+            big.state_to_json_value().get("live"),
+            Some(&JsonValue::Array(vec![]))
+        );
+    }
+
+    #[test]
+    fn live_ways_cover_invalidated_lines_and_restore_resets_the_rest() {
+        let mut a = tiny();
+        a.install(0, LineState::Modified); // way 0 (set 0)
+        a.install(64, LineState::Shared); // way 2 (set 1)
+        a.invalidate(64); // tag cleared; state and LRU stamp linger
+        let state = a.state_to_json_value();
+        assert_eq!(
+            state.get("live").unwrap().to_json(),
+            "[0,1,0,1,2,0,3,2]",
+            "Modified line 0 at way 0, invalidated way 2 keeps its stamp"
+        );
+        // Restoring into a used array forgets everything not listed.
+        let mut b = tiny();
+        b.install(3 * 64, LineState::Owned);
+        b.install(5 * 64, LineState::Exclusive);
+        b.restore_state(&state).unwrap();
+        assert_eq!(b.occupancy(), 1);
+        assert_eq!(b.peek(3 * 64), None);
+        assert_eq!(b.state_to_json_value().to_json(), state.to_json());
+    }
+
+    #[test]
+    fn bad_live_lists_are_refused_with_typed_errors() {
+        let restore = |live: &str| {
+            let state =
+                JsonValue::parse(&format!(r#"{{"use_counter":9,"slots":4,"live":{live}}}"#))
+                    .unwrap();
+            let mut c = tiny();
+            c.install(0, LineState::Owned);
+            let before = c.state_to_json_value().to_json();
+            let err = c.restore_state(&state).unwrap_err();
+            assert_eq!(
+                c.state_to_json_value().to_json(),
+                before,
+                "refusal changes nothing"
+            );
+            err
+        };
+        assert_eq!(
+            restore("[4,1,0,1]"),
+            CacheStateError::WayOutOfRange { way: 4, slots: 4 }
+        );
+        assert_eq!(
+            restore("[1,1,0,1,1,2,0,2]"),
+            CacheStateError::WaysNotAscending {
+                way: 1,
+                previous: 1
+            }
+        );
+        assert_eq!(
+            restore("[2,1,0,1,1,2,0,2]"),
+            CacheStateError::WaysNotAscending {
+                way: 1,
+                previous: 2
+            }
+        );
+        assert_eq!(
+            restore("[0,1,4,1]"),
+            CacheStateError::UnknownState { way: 0, state: 4 }
+        );
+        assert!(matches!(restore("[0,1,0]"), CacheStateError::Malformed(_)));
+        let err = restore(r#"[0,1,"x",0,1]"#);
+        assert!(
+            matches!(&err, CacheStateError::Malformed(m) if m.contains("non-u64")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod system;
 pub mod zedboard;
 
 pub use bandwidth::BandwidthMeter;
-pub use cache::{CacheArray, LineState};
+pub use cache::{CacheArray, CacheStateError, LineState};
 pub use func::{Allocator, Memory};
 pub use system::{AccessKind, MemorySystem, PortId};
 pub use zedboard::ZedboardMemory;

@@ -262,9 +262,11 @@ impl MemorySystem {
             ));
         }
         for (cache, state) in self.l1s.iter_mut().zip(l1s) {
-            cache.restore_state(state)?;
+            cache.restore_state(state).map_err(|e| e.to_string())?;
         }
-        self.l2.restore_state(field("l2")?)?;
+        self.l2
+            .restore_state(field("l2")?)
+            .map_err(|e| e.to_string())?;
         self.bus_meter.restore_state(field("bus_meter")?)?;
         self.l2_meter.restore_state(field("l2_meter")?)?;
         self.dram_meter.restore_state(field("dram_meter")?)?;

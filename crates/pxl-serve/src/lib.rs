@@ -234,14 +234,11 @@ mod tests {
         counts
     }
 
-    #[test]
-    fn restart_recovers_unfinished_jobs_exactly_once() {
-        let dir = temp_dir("recover");
-        let log = dir.join("journal.jsonl");
-
-        // A previous lifetime admitted jobs 1 and 2, finished only job 1,
-        // and crashed before job 2 ran. Job 2 also has a durable
-        // checkpoint to resume from.
+    /// A previous lifetime admitted jobs 1 and 2, finished only job 1, and
+    /// crashed before job 2 ran. Job 2 also has a durable checkpoint at
+    /// about half its run. Returns job 2's spec, its checkpoint epoch and
+    /// its uninterrupted outcome.
+    fn crashed_lifetime(dir: &std::path::Path) -> (RunSpec, u64, pxl_flow::RunOutcome) {
         let base = tiny_spec("uts", 2);
         let reference = pxl_flow::execute(&base).unwrap().unwrap();
         let mut session = pxl_flow::SimSession::start(&base).unwrap().unwrap();
@@ -259,33 +256,63 @@ mod tests {
             format!("{}\n", session.snapshot().to_json()),
         )
         .unwrap();
-        {
-            let mut j = journal::Journal::open(&log, true).unwrap();
-            j.record(&journal::submit_line(1, "alice", JobKind::Sim, &base));
-            j.record(
-                &JobEvent::Done {
-                    job: JobId(1),
-                    cached: false,
-                    result: pxl_flow::measurement_of(&base, None, &reference),
-                    trace_events: None,
-                    resumed_from_cycle: None,
-                }
-                .to_json(),
-            );
-            j.record(&journal::submit_line(2, "alice", JobKind::Sim, &spec));
-            j.record(&journal::checkpoint_line(2, epoch, "job-2.ckpt.json"));
-        }
+        let mut j = journal::Journal::open(&dir.join("journal.jsonl"), true).unwrap();
+        j.record(&journal::submit_line(1, "alice", JobKind::Sim, &base));
+        j.record(
+            &JobEvent::Done {
+                job: JobId(1),
+                cached: false,
+                result: pxl_flow::measurement_of(&base, None, &reference),
+                trace_events: None,
+                resumed_from_cycle: None,
+            }
+            .to_json(),
+        );
+        j.record(&journal::submit_line(2, "alice", JobKind::Sim, &spec));
+        j.record(&journal::checkpoint_line(2, epoch, "job-2.ckpt.json"));
+        (spec, epoch, reference)
+    }
 
+    /// Restarts a server on `dir`'s journal and checkpoints, drains it,
+    /// and returns its summary.
+    fn restart(dir: &std::path::Path) -> ServeSummary {
         let server = Server::start(ServerConfig {
             workers: 1,
-            job_log: Some(log.clone()),
-            checkpoint_dir: Some(dir.clone()),
+            job_log: Some(dir.join("journal.jsonl")),
+            checkpoint_dir: Some(dir.to_path_buf()),
             ..ServerConfig::default()
         })
         .unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
         client.drain().unwrap();
-        let summary = server.join();
+        server.join()
+    }
+
+    /// Job 2's one done event in the journal: its result and resume cycle.
+    fn job_two_done(log: &std::path::Path) -> (pxl_dse::Measurement, Option<u64>) {
+        std::fs::read_to_string(log)
+            .unwrap()
+            .lines()
+            .filter_map(|l| JobEvent::from_json(l).ok())
+            .find_map(|e| match e {
+                JobEvent::Done {
+                    job: JobId(2),
+                    result,
+                    resumed_from_cycle,
+                    ..
+                } => Some((result, resumed_from_cycle)),
+                _ => None,
+            })
+            .expect("job 2 completed")
+    }
+
+    #[test]
+    fn restart_recovers_unfinished_jobs_exactly_once() {
+        let dir = temp_dir("recover");
+        let log = dir.join("journal.jsonl");
+        let (_, epoch, _) = crashed_lifetime(&dir);
+
+        let summary = restart(&dir);
         assert_eq!(summary.recovered, 1, "only job 2 was unfinished");
         assert_eq!(summary.completed, 1);
         assert_eq!(summary.resumed, 1, "job 2 resumed from its checkpoint");
@@ -296,19 +323,38 @@ mod tests {
         let counts = done_counts(&log);
         assert_eq!(counts.get(&1), Some(&1), "finished jobs must not re-run");
         assert_eq!(counts.get(&2), Some(&1));
-        let resumed_from = std::fs::read_to_string(&log)
-            .unwrap()
-            .lines()
-            .filter_map(|l| JobEvent::from_json(l).ok())
-            .find_map(|e| match e {
-                JobEvent::Done {
-                    job: JobId(2),
-                    resumed_from_cycle,
-                    ..
-                } => resumed_from_cycle,
-                _ => None,
-            });
-        assert_eq!(resumed_from, Some(epoch));
+        assert_eq!(job_two_done(&log).1, Some(epoch));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn upgraded_server_reruns_version_one_checkpoints_from_cycle_zero() {
+        let dir = temp_dir("upgrade");
+        let log = dir.join("journal.jsonl");
+        let (spec, _, reference) = crashed_lifetime(&dir);
+        // The checkpoint on disk was written by a server of the previous
+        // snapshot format version.
+        let ckpt = dir.join("job-2.ckpt.json");
+        let current = format!("\"snapshot_version\":{}", pxl_sim::SNAPSHOT_VERSION);
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        assert!(text.contains(&current));
+        std::fs::write(&ckpt, text.replace(&current, "\"snapshot_version\":1")).unwrap();
+
+        let summary = restart(&dir);
+        assert_eq!(summary.recovered, 1);
+        assert_eq!(summary.completed, 1);
+        assert_eq!(summary.resumed, 0, "a version-1 checkpoint is not resumed");
+        assert_eq!(summary.failed, 0);
+
+        // Job 2 ran once, from cycle 0, to the uninterrupted run's result.
+        let counts = done_counts(&log);
+        assert_eq!((counts.get(&1), counts.get(&2)), (Some(&1), Some(&1)));
+        let (result, resumed_from) = job_two_done(&log);
+        assert_eq!(resumed_from, None);
+        assert_eq!(
+            measurement_to_json_value(&result).to_json(),
+            measurement_to_json_value(&pxl_flow::measurement_of(&spec, None, &reference)).to_json()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

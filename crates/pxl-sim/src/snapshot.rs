@@ -6,8 +6,13 @@
 //! checksum of the canonical payload text:
 //!
 //! ```json
-//! {"snapshot_version":1,"engine":"flex","checksum":"9cf9109812c7fc2a","payload":{...}}
+//! {"snapshot_version":2,"engine":"flex","checksum":"9cf9109812c7fc2a","payload":{...}}
 //! ```
+//!
+//! Payloads record only state that differs from a freshly built engine
+//! (cache arrays list their live ways, P-Stores their entries below the
+//! high-water mark), so encoding, decoding and restore scale with what a
+//! run touched rather than with configured capacity.
 //!
 //! The envelope is what makes restore *safe* rather than merely possible:
 //! [`Snapshot::from_json`] rejects a blob written by a different snapshot
@@ -19,18 +24,22 @@
 //! uninterrupted run — is the engines' job; this module guarantees they
 //! only ever restore bytes that round-tripped intact.
 //!
-//! The free functions ([`obj`], [`num`], [`get_u64`], ...) are the small
-//! shared vocabulary engines use to build and pick apart payloads without
-//! repeating `JsonValue` plumbing.
+//! The free functions ([`obj`], [`num`], [`get_u64`], [`u64s`], ...) are
+//! the small shared vocabulary engines use to build and pick apart payloads
+//! without repeating `JsonValue` plumbing. Every array reader checks every
+//! item, so a payload with a stray non-numeric word is refused rather than
+//! read as a shorter record.
 
 use std::fmt;
 
 use crate::hash;
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 
 /// Version stamp written into every envelope. Bump when the payload
-/// schema of any engine changes incompatibly.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// schema of any engine changes incompatibly. Version 2 made cache arrays
+/// and P-Stores sparse; version-1 blobs are refused like any other
+/// foreign version.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +90,18 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// The bare reason, for the restore paths that report `String` errors:
+/// engines wrap those in [`SnapshotError::Malformed`] again, so a bad field
+/// is named once rather than prefixed twice.
+impl From<SnapshotError> for String {
+    fn from(err: SnapshotError) -> String {
+        match err {
+            SnapshotError::Malformed(msg) => msg,
+            other => other.to_string(),
+        }
+    }
+}
+
 /// Builds a [`SnapshotError::Malformed`] from anything displayable.
 pub fn malformed(msg: impl fmt::Display) -> SnapshotError {
     SnapshotError::Malformed(msg.to_string())
@@ -108,24 +129,29 @@ impl Snapshot {
     /// The FNV-1a 64 checksum of the canonical payload text, as 16
     /// lower-case hex digits.
     pub fn checksum(&self) -> String {
-        hash::content_address(hash::fnv64(self.payload.to_json().as_bytes()))
+        checksum_of(&self.payload.to_json())
     }
 
-    /// Renders the sealed envelope as one deterministic JSON object.
+    /// Renders the sealed envelope as one deterministic JSON object. The
+    /// payload is rendered once: the checksum is taken over that text and
+    /// the same text is spliced into the envelope.
     pub fn to_json(&self) -> String {
-        JsonValue::Object(vec![
-            (
-                "snapshot_version".to_owned(),
-                JsonValue::num_u64(SNAPSHOT_VERSION as u64),
-            ),
-            ("engine".to_owned(), JsonValue::Str(self.engine.clone())),
-            ("checksum".to_owned(), JsonValue::Str(self.checksum())),
-            ("payload".to_owned(), self.payload.clone()),
-        ])
-        .to_json()
+        let payload = self.payload.to_json();
+        let mut out = String::with_capacity(payload.len() + 128);
+        out.push_str("{\"snapshot_version\":");
+        out.push_str(&SNAPSHOT_VERSION.to_string());
+        out.push_str(",\"engine\":");
+        json::write_string(&mut out, &self.engine);
+        out.push_str(",\"checksum\":\"");
+        out.push_str(&checksum_of(&payload));
+        out.push_str("\",\"payload\":");
+        out.push_str(&payload);
+        out.push('}');
+        out
     }
 
     /// Parses and verifies an envelope produced by [`Snapshot::to_json`].
+    /// The payload tree is moved out of the parsed envelope, not copied.
     ///
     /// # Errors
     ///
@@ -141,16 +167,18 @@ impl Snapshot {
         }
         let engine = get_str(&value, "engine")?.to_owned();
         let claimed = get_str(&value, "checksum")?.to_owned();
-        let payload = value
-            .get("payload")
-            .cloned()
-            .ok_or_else(|| malformed("missing payload"))?;
-        let snap = Snapshot { engine, payload };
-        let actual = snap.checksum();
+        let payload = match value {
+            JsonValue::Object(members) => members
+                .into_iter()
+                .find_map(|(k, v)| (k == "payload").then_some(v)),
+            _ => None,
+        }
+        .ok_or_else(|| malformed("missing payload"))?;
+        let actual = checksum_of(&payload.to_json());
         if actual != claimed {
             return Err(SnapshotError::ChecksumMismatch { claimed, actual });
         }
-        Ok(snap)
+        Ok(Snapshot { engine, payload })
     }
 
     /// Checks that the payload was taken from engine kind `kind`.
@@ -168,6 +196,12 @@ impl Snapshot {
             })
         }
     }
+}
+
+/// The FNV-1a 64 checksum of a rendered payload, as 16 lower-case hex
+/// digits.
+fn checksum_of(payload: &str) -> String {
+    hash::content_address(hash::fnv64(payload.as_bytes()))
 }
 
 /// An object from `(key, value)` pairs, in the given order.
@@ -234,19 +268,32 @@ pub fn get_arr<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], S
         .ok_or_else(|| malformed(format!("field {key:?} is not an array")))
 }
 
+/// `value` as an array of exact `u64`s, every item checked.
+///
+/// # Errors
+///
+/// [`SnapshotError::Malformed`] naming `field` when `value` is not an
+/// array or any item is not a `u64`.
+pub fn u64s(value: &JsonValue, field: &str) -> Result<Vec<u64>, SnapshotError> {
+    value
+        .as_array()
+        .ok_or_else(|| malformed(format!("field {field:?} is not an array")))?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            v.as_u64()
+                .ok_or_else(|| malformed(format!("array {field:?} holds a non-u64 at index {i}")))
+        })
+        .collect()
+}
+
 /// Member `key` of `value` as a vector of exact `u64`s.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Malformed`] naming the missing or mistyped key.
 pub fn get_u64s(value: &JsonValue, key: &str) -> Result<Vec<u64>, SnapshotError> {
-    get_arr(value, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| malformed(format!("array {key:?} holds a non-u64")))
-        })
-        .collect()
+    u64s(get(value, key)?, key)
 }
 
 #[cfg(test)]
@@ -280,14 +327,45 @@ mod tests {
         assert_eq!(get_u64s(&back.payload, "deque").unwrap()[1], u64::MAX);
     }
 
+    fn with_version(text: &str, version: u64) -> String {
+        text.replace(
+            &format!("\"snapshot_version\":{SNAPSHOT_VERSION}"),
+            &format!("\"snapshot_version\":{version}"),
+        )
+    }
+
     #[test]
     fn version_mismatch_is_typed() {
-        let text = Snapshot::new("flex", payload())
-            .to_json()
-            .replace("\"snapshot_version\":1", "\"snapshot_version\":999");
+        let text = with_version(&Snapshot::new("flex", payload()).to_json(), 999);
         let err = Snapshot::from_json(&text).unwrap_err();
         assert_eq!(err, SnapshotError::VersionMismatch { found: 999 });
         assert!(err.to_string().contains("999"));
+    }
+
+    #[test]
+    fn version_one_envelopes_are_refused() {
+        let text = with_version(&Snapshot::new("flex", payload()).to_json(), 1);
+        assert_eq!(
+            Snapshot::from_json(&text).unwrap_err(),
+            SnapshotError::VersionMismatch { found: 1 }
+        );
+    }
+
+    #[test]
+    fn envelope_is_rendered_canonically() {
+        let snap = Snapshot::new("fl\"ex", payload());
+        let text = snap.to_json();
+        let tree = JsonValue::Object(vec![
+            (
+                "snapshot_version".to_owned(),
+                num(u64::from(SNAPSHOT_VERSION)),
+            ),
+            ("engine".to_owned(), JsonValue::Str(snap.engine.clone())),
+            ("checksum".to_owned(), JsonValue::Str(snap.checksum())),
+            ("payload".to_owned(), snap.payload.clone()),
+        ]);
+        assert_eq!(text, tree.to_json());
+        assert_eq!(Snapshot::from_json(&text).unwrap(), snap);
     }
 
     #[test]
@@ -313,8 +391,10 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("snapshot_version"));
-        let no_payload = "{\"snapshot_version\":1,\"engine\":\"flex\",\"checksum\":\"00\"}";
-        assert!(Snapshot::from_json(no_payload)
+        let no_payload = format!(
+            "{{\"snapshot_version\":{SNAPSHOT_VERSION},\"engine\":\"flex\",\"checksum\":\"00\"}}"
+        );
+        assert!(Snapshot::from_json(&no_payload)
             .unwrap_err()
             .to_string()
             .contains("payload"));
@@ -329,5 +409,27 @@ mod tests {
         assert!(get_arr(&v, "now_ps").is_err());
         let bad = obj(vec![("xs", JsonValue::Array(vec![JsonValue::Bool(true)]))]);
         assert!(get_u64s(&bad, "xs").is_err());
+    }
+
+    #[test]
+    fn u64_arrays_with_a_stray_item_are_refused_not_shortened() {
+        let words = JsonValue::parse(r#"[5,"x",7]"#).unwrap();
+        let err = u64s(&words, "events").unwrap_err();
+        assert_eq!(
+            err,
+            malformed("array \"events\" holds a non-u64 at index 1")
+        );
+        assert_eq!(
+            String::from(err),
+            "array \"events\" holds a non-u64 at index 1"
+        );
+        assert!(u64s(&num(5), "events")
+            .unwrap_err()
+            .to_string()
+            .contains("\"events\" is not an array"));
+        assert_eq!(
+            u64s(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
+            [5, u64::MAX, 7]
+        );
     }
 }

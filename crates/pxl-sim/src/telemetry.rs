@@ -38,6 +38,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
 use crate::metrics::{MetricKind, Metrics};
+use crate::snapshot;
 use crate::time::Time;
 
 /// One counter's movement over a sample window.
@@ -139,10 +140,7 @@ impl TelemetrySample {
             .ok_or("telemetry sample: missing counters object")?
             .iter()
             .map(|(k, v)| {
-                let pair: Vec<u64> = v
-                    .as_array()
-                    .map(|a| a.iter().filter_map(JsonValue::as_u64).collect())
-                    .unwrap_or_default();
+                let pair = snapshot::u64s(v, &format!("telemetry counter {k}"))?;
                 match pair[..] {
                     [delta, rate] => Ok(CounterDelta {
                         name: k.clone(),
@@ -521,6 +519,24 @@ mod tests {
         b.tick(Time::from_ps(2_000), &m, &[("ready", 0)]);
         assert_eq!(a, b);
         assert_eq!(a.take_timeline().to_jsonl(), b.take_timeline().to_jsonl());
+    }
+
+    #[test]
+    fn counter_pairs_with_a_stray_item_are_refused() {
+        let sample = |counter: &str| {
+            JsonValue::parse(&format!(
+                "{{\"epoch\":0,\"t_ps\":10,\"window_ps\":10,\"gauges\":{{}},\
+                 \"counters\":{{\"accel.tasks\":{counter}}}}}"
+            ))
+            .unwrap()
+        };
+        assert!(TelemetrySample::from_json_value(&sample("[5,7]")).is_ok());
+        // Skipping the string would read a valid-looking [5,7] pair.
+        let err = TelemetrySample::from_json_value(&sample("[5,\"x\",7]")).unwrap_err();
+        assert!(
+            err.contains("accel.tasks") && err.contains("non-u64"),
+            "{err}"
+        );
     }
 
     #[test]

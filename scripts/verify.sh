@@ -67,4 +67,11 @@ echo "==> serve smoke (pxl-bench --bin serve)"
 # checkpoint (recovered journal kept under serve_crash/).
 cargo run --release --offline -p pxl-bench --bin serve > /dev/null
 
+echo "==> checkpoint round trips (--example checkpoint_overhead)"
+# Pauses Small uts and queens runs on flex, lite and cpu at every 1/16 of
+# the run, round-trips each snapshot through its serialized envelope into
+# a fresh session, and asserts every restored run matches its
+# uninterrupted run byte for byte.
+cargo run --release --offline --example checkpoint_overhead > /dev/null
+
 echo "==> OK"

@@ -62,14 +62,25 @@ fn any_checkpoint_epoch_restores_byte_identically() {
             Scale::Tiny
         };
         let point = random_point(g);
-        let mut spec = RunSpec::new(bench, scale, point.clone()).with_trace(1 << 10);
-        if let Some(plan) = random_faults(g, &point) {
-            spec = spec.with_faults(plan);
-        }
+        let faults = random_faults(g, &point);
         // Half the runs also sample telemetry: the sampler state rides in
         // the snapshot, so a restored run's timeline must match too.
-        if g.bool() {
-            spec = spec.with_telemetry(g.range(100, 5_000));
+        let telemetry = g.bool().then(|| g.range(100, 5_000));
+        // Half the runs swap in a memory-heavy benchmark at Tiny
+        // scale: spmvcrs and stencil2d pause with dirty, owned and evicted
+        // lines live in the L1s and the L2, which the sparse cache layout
+        // must carry exactly.
+        let (bench, scale) = if g.ratio(1, 2) {
+            (*g.pick(&["spmvcrs", "stencil2d"]), Scale::Tiny)
+        } else {
+            (bench, scale)
+        };
+        let mut spec = RunSpec::new(bench, scale, point).with_trace(1 << 10);
+        if let Some(plan) = faults {
+            spec = spec.with_faults(plan);
+        }
+        if let Some(every) = telemetry {
+            spec = spec.with_telemetry(every);
         }
 
         // The uninterrupted run is the reference; a bench without a
@@ -169,7 +180,21 @@ fn corrupted_snapshot_payloads_are_rejected() {
     }
     // Structurally broken envelopes are malformed, not a crash.
     assert!(matches!(
-        Snapshot::from_json("{\"snapshot_version\":1}"),
+        Snapshot::from_json(&format!("{{\"snapshot_version\":{SNAPSHOT_VERSION}}}")),
         Err(SnapshotError::Malformed(_))
     ));
+}
+
+#[test]
+fn version_one_checkpoints_are_refused() {
+    // Version 1 wrote every cache way and P-Store slot; its files are
+    // refused like any foreign version rather than misread as sparse.
+    let v1 = sample_snapshot().replace(
+        &format!("\"snapshot_version\":{SNAPSHOT_VERSION}"),
+        "\"snapshot_version\":1",
+    );
+    assert_eq!(
+        Snapshot::from_json(&v1),
+        Err(SnapshotError::VersionMismatch { found: 1 })
+    );
 }
