@@ -17,7 +17,14 @@
 //!    (per-tenant depths, lifecycle counters, journal state).
 //! 6. **Graceful drain** — `shutdown` finishes every admitted job,
 //!    refuses new ones with the `draining` code, and reports the total.
-//! 7. **Crash recovery** — a child server process is SIGKILLed mid-run
+//! 7. **Hostile clients** — against the server's fixed limits (with a
+//!    short write timeout): more connections than the cap (refused
+//!    `overloaded`, also for a client that submits before reading), an
+//!    oversized line (`line_too_long`), malformed lines, and a client
+//!    that never reads its replies (detached once a write to it times
+//!    out). The server keeps serving and drains with exact totals, the
+//!    stalled client's job included.
+//! 8. **Crash recovery** — a child server process is SIGKILLed mid-run
 //!    with checkpointed jobs in flight, restarted on the same journal,
 //!    and must finish every admitted job exactly once, resuming from
 //!    durable checkpoints (`done` events with nonzero
@@ -25,9 +32,12 @@
 //!
 //! Every event the server emits is appended to `serve_jobs.jsonl`, and the
 //! crash phase leaves its recovered journal in `serve_crash/` (both CI
-//! artifacts); the driver re-parses the logs to check they are valid
-//! line-delimited JSON with the expected event counts.
+//! artifacts); the hostile phase logs to `serve_hostile.jsonl`. This binary
+//! re-parses the logs to check they are valid line-delimited JSON with the
+//! expected event counts.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::Duration;
 
@@ -36,10 +46,11 @@ use pxl_dse::{DesignPoint, PointArch};
 use pxl_flow::RunSpec;
 use pxl_serve::{
     measurement_to_json_value, Client, ClientConfig, ClientError, ErrorCode, JobEvent, JobId,
-    JobKind, Server, ServerConfig,
+    JobKind, Request, Server, ServerConfig,
 };
 
 const JOB_LOG: &str = "serve_jobs.jsonl";
+const HOSTILE_LOG: &str = "serve_hostile.jsonl";
 const CRASH_DIR: &str = "serve_crash";
 
 fn flex_spec(bench: &str) -> RunSpec {
@@ -336,7 +347,10 @@ fn main() {
         log.lines().count()
     );
 
-    // Phase 7: kill-and-restart crash recovery (child server processes).
+    // Phase 7: hostile clients against the server's limits.
+    let hostile = hostile_phase(&mut failures);
+
+    // Phase 8: kill-and-restart crash recovery (child server processes).
     let (crash_jobs, crash_resumed) = crash_recovery_phase(&mut failures);
 
     println!("# pxl-serve smoke\n");
@@ -357,6 +371,7 @@ fn main() {
         beats.len(),
         stats.tenants.len()
     );
+    println!("| hostile clients | {hostile} |");
     println!(
         "| crash recovery | {crash_jobs} job(s) exactly once, {crash_resumed} resumed from checkpoint |"
     );
@@ -369,6 +384,214 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("[serve] all service guarantees held");
+}
+
+/// The server's fixed connection cap and line limit.
+const SERVER_CONNECTIONS: usize = 64;
+const SERVER_LINE_BYTES: usize = 1 << 20;
+/// Connections the hostile phase opens past the cap.
+const HOSTILE_REFUSED: usize = 3;
+
+/// The next event line on a raw connection, or why there is none.
+fn raw_event(reader: &mut impl BufRead) -> Result<JobEvent, String> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(0) => Err("connection closed".to_owned()),
+        Ok(_) => JobEvent::from_json(line.trim_end()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// A raw connection the server has admitted (it answered a `status`),
+/// retrying while a freed slot is still counted as taken.
+fn admitted_raw(addr: SocketAddr) -> Option<TcpStream> {
+    for _ in 0..200 {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .ok()?;
+        writeln!(stream, "{}", Request::Status.to_json()).ok()?;
+        let mut reader = BufReader::new(stream.try_clone().ok()?);
+        if let Ok(JobEvent::Status { .. }) = raw_event(&mut reader) {
+            return Some(stream);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    None
+}
+
+/// Phase 7: a server with its 64-connection cap, its 1 MiB line limit
+/// and a 250 ms write timeout (instead of 10 s, so the phase takes
+/// seconds) meets clients that break every rule. Returns the report row.
+fn hostile_phase(failures: &mut Vec<String>) -> String {
+    let _ = std::fs::remove_file(HOSTILE_LOG);
+    let server = Server::start_with_timeouts(
+        ServerConfig {
+            workers: 1,
+            job_log: Some(HOSTILE_LOG.into()),
+            flush_every_record: false,
+            ..ServerConfig::default()
+        },
+        Duration::from_millis(250),
+        Duration::from_secs(30),
+    )
+    .unwrap_or_else(|e| panic!("hostile server start: {e}"));
+    let addr = server.addr();
+    let bounded = ClientConfig {
+        read_timeout: Some(Duration::from_secs(30)),
+        connect_attempts: 1,
+        ..ClientConfig::default()
+    };
+    let connect = || Client::connect_with(addr, &bounded).unwrap_or_else(|e| panic!("{e}"));
+    let mut ctl = connect();
+    ctl.pause().unwrap_or_else(|e| panic!("hostile pause: {e}"));
+
+    // Garbage on one connection: each line gets its typed refusal, and
+    // the connection still answers afterwards.
+    let mut garbage = TcpStream::connect(addr).unwrap_or_else(|e| panic!("{e}"));
+    let _ = garbage.set_read_timeout(Some(Duration::from_secs(30)));
+    let mut garbage_reader = BufReader::new(garbage.try_clone().unwrap_or_else(|e| panic!("{e}")));
+    let lines = [
+        (
+            format!("[{}]", "0,".repeat(SERVER_LINE_BYTES / 2) + "0"),
+            ErrorCode::LineTooLong,
+        ),
+        ("{\"op\":".to_owned(), ErrorCode::BadJson),
+        ("[]".to_owned(), ErrorCode::BadRequest),
+        ("{\"op\":\"launch\"}".to_owned(), ErrorCode::UnknownOp),
+    ];
+    for (line, want) in &lines {
+        let _ = writeln!(garbage, "{line}");
+        match raw_event(&mut garbage_reader) {
+            Ok(JobEvent::Error { code, .. }) if code == *want => {}
+            other => failures.push(format!("hostile: expected {}, got {other:?}", want.label())),
+        }
+    }
+    let _ = writeln!(garbage, "{}", Request::Status.to_json());
+    if !matches!(raw_event(&mut garbage_reader), Ok(JobEvent::Status { .. })) {
+        failures.push("hostile: the garbage connection stopped answering".to_owned());
+    }
+
+    // Fill the cap, then knock: every extra connection is refused.
+    // Fill the cap, then knock: every extra connection is refused, the
+    // last one after it already sent a request.
+    let mut holders: Vec<Client> = (0..SERVER_CONNECTIONS - 2).map(|_| connect()).collect();
+    for h in &mut holders {
+        h.stats().unwrap_or_else(|e| panic!("hostile holder: {e}"));
+    }
+    let mut refused = 0;
+    for knock in 0..HOSTILE_REFUSED {
+        let mut extra = connect();
+        // `None`: the extra connection was served instead of refused.
+        let refusal = if knock + 1 == HOSTILE_REFUSED {
+            extra
+                .submit("knocker", JobKind::Sim, &flex_spec("queens"))
+                .err()
+        } else {
+            extra.next_event().err()
+        };
+        match refusal {
+            Some(ClientError::Rejected {
+                code: ErrorCode::Overloaded,
+                ..
+            }) => refused += 1,
+            other => failures.push(format!("hostile: expected overloaded, got {other:?}")),
+        }
+    }
+    drop(holders);
+
+    // A client that submits a job and then never reads: its replies back
+    // up until a write to it times out and the server detaches it.
+    let Some(mut stalled) = admitted_raw(addr) else {
+        failures.push("hostile: freed slots never admitted a new connection".to_owned());
+        return "not run".to_owned();
+    };
+    let submit = Request::Submit {
+        tenant: "stalled".to_owned(),
+        kind: JobKind::Sim,
+        spec: Box::new(flex_spec("uts")),
+    };
+    let _ = writeln!(stalled, "{}", submit.to_json());
+    let _ = stalled.set_write_timeout(Some(Duration::from_secs(1)));
+    let batch = format!("{}\n", Request::Stats.to_json()).repeat(1024);
+    let mut flooded = 0usize;
+    while flooded < 256 << 20 && stalled.write_all(batch.as_bytes()).is_ok() {
+        flooded += batch.len();
+    }
+    match ctl.stats() {
+        Ok(stats) if stats.queued == 1 => {}
+        other => failures.push(format!(
+            "hostile: stats beside a stalled reader: expected 1 queued, got {other:?}"
+        )),
+    }
+    let _ = stalled.set_read_timeout(Some(Duration::from_secs(30)));
+    let mut sink = vec![0u8; 1 << 16];
+    let detached = loop {
+        match stalled.read(&mut sink) {
+            Ok(0) => break true,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break true,
+            Err(_) => break false,
+        }
+    };
+    if !detached {
+        failures.push("hostile: the stalled reader was never detached".to_owned());
+    }
+
+    // The server is still up: a fresh job runs, and the drain counts the
+    // stalled client's job too.
+    ctl.resume()
+        .unwrap_or_else(|e| panic!("hostile resume: {e}"));
+    let own = ctl
+        .submit("ctl", JobKind::Sim, &flex_spec("queens"))
+        .unwrap_or_else(|e| panic!("hostile submit: {e}"));
+    if !matches!(ctl.wait(own), Ok(JobEvent::Done { .. })) {
+        failures.push(format!("hostile: {own} did not finish"));
+    }
+    let drained = ctl.drain().unwrap_or_else(|e| panic!("hostile drain: {e}"));
+    let summary = server.join();
+    if drained != 2 || summary.completed != 2 || summary.failed != 0 {
+        failures.push(format!(
+            "hostile: expected 2 completed / 0 failed, got drain={drained}, {summary:?}"
+        ));
+    }
+    let log =
+        std::fs::read_to_string(HOSTILE_LOG).unwrap_or_else(|e| panic!("read {HOSTILE_LOG}: {e}"));
+    let (mut done, mut overloaded, mut too_long) = (0, 0, 0);
+    for (i, line) in log.lines().enumerate() {
+        if line.starts_with("{\"journal\":") {
+            continue;
+        }
+        match JobEvent::from_json(line) {
+            Ok(JobEvent::Done { .. }) => done += 1,
+            Ok(JobEvent::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }) => overloaded += 1,
+            Ok(JobEvent::Error {
+                code: ErrorCode::LineTooLong,
+                ..
+            }) => too_long += 1,
+            Ok(_) => {}
+            Err(e) => failures.push(format!("{HOSTILE_LOG}:{}: {e}", i + 1)),
+        }
+    }
+    if (done, overloaded, too_long) != (2, refused, 1) {
+        failures.push(format!(
+            "{HOSTILE_LOG}: expected 2 done, {refused} overloaded, 1 line_too_long; \
+             got {done}, {overloaded}, {too_long}"
+        ));
+    }
+    eprintln!(
+        "[serve] hostile: {refused} connection(s) refused overloaded, oversized and malformed \
+         lines refused, stalled reader detached after {} KiB of requests, 2 job(s) drained",
+        flooded >> 10
+    );
+    format!(
+        "{refused} refused overloaded, line_too_long + 3 malformed typed, stalled reader detached, \
+         {} / {} completed / failed",
+        summary.completed, summary.failed
+    )
 }
 
 /// One server lifetime for the crash phase: journal, checkpoints and

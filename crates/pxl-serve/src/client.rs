@@ -239,6 +239,12 @@ impl Client {
     }
 
     fn from_stream(writer: TcpStream) -> Result<Client, ClientError> {
+        // Each request is one small write followed by a wait for the
+        // reply; with Nagle's algorithm on, that write can sit behind the
+        // server's delayed ACK for tens of milliseconds.
+        writer
+            .set_nodelay(true)
+            .map_err(|e| ClientError::Io(format!("set TCP_NODELAY: {e}")))?;
         let reading = writer
             .try_clone()
             .map_err(|e| ClientError::Io(e.to_string()))?;
@@ -250,8 +256,10 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        writeln!(self.writer, "{}", request.to_json())
-            .and_then(|()| self.writer.flush())
+        let mut line = request.to_json();
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
             .map_err(|e| io_error("send", &e))
     }
 
@@ -271,6 +279,15 @@ impl Client {
                 continue;
             }
             let event = JobEvent::from_json(trimmed).map_err(ClientError::Protocol)?;
+            // The server refuses a connection past its cap with one
+            // `overloaded` line and closes it: no request can succeed.
+            if let JobEvent::Error {
+                code: code @ ErrorCode::Overloaded,
+                message,
+            } = event
+            {
+                return Err(ClientError::Rejected { code, message });
+            }
             return Ok((event, trimmed.to_owned()));
         }
     }
@@ -281,7 +298,9 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Io`] on disconnect, [`ClientError::Protocol`] on an
-    /// unparseable line.
+    /// unparseable line, [`ClientError::Rejected`] with
+    /// [`ErrorCode::Overloaded`] when the server refused the connection at
+    /// its cap (the server closes the connection right after).
     pub fn next_event_raw(&mut self) -> Result<(JobEvent, String), ClientError> {
         if let Some(buffered) = self.pending.pop_front() {
             return Ok(buffered);

@@ -16,7 +16,7 @@
 //! [`Recovery::torn_lines`] rather than refusing to start.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use pxl_flow::RunSpec;
@@ -36,25 +36,41 @@ impl Journal {
     /// [`Journal::record`] returns — the write-ahead guarantee survives
     /// power loss, at a syscall per record.
     ///
+    /// A file whose last line was torn by a crash gets a `'\n'` first, so
+    /// the torn tail stays one unparseable line instead of swallowing
+    /// this lifetime's first record.
+    ///
     /// # Errors
     ///
     /// The open failure, as a message.
     pub fn open(path: &Path, flush_every_record: bool) -> Result<Journal, String> {
-        let file = OpenOptions::new()
+        let fail = |e: std::io::Error| format!("open journal {}: {e}", path.display());
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)
-            .map_err(|e| format!("open journal {}: {e}", path.display()))?;
+            .map_err(fail)?;
+        if file.metadata().map_err(fail)?.len() > 0 {
+            let mut last = [0u8; 1];
+            file.seek(SeekFrom::End(-1))
+                .and_then(|_| file.read_exact(&mut last))
+                .map_err(fail)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n").map_err(fail)?;
+            }
+        }
         Ok(Journal {
             file,
             flush_every_record,
         })
     }
 
-    /// Appends one line. Write failures are swallowed (a full disk must
+    /// Appends one line with a single write, so a record is never split
+    /// from its newline. Write failures are swallowed (a full disk must
     /// not take running simulations down; durability degrades instead).
     pub fn record(&mut self, line: &str) {
-        let _ = writeln!(self.file, "{line}");
+        let _ = self.file.write_all(format!("{line}\n").as_bytes());
         if self.flush_every_record {
             let _ = self.file.sync_data();
         }
@@ -118,22 +134,26 @@ pub struct Recovery {
 }
 
 /// Replays the journal at `path`. A missing file is an empty journal,
-/// not an error; unparseable lines are counted, not fatal.
+/// not an error; unparseable lines — invalid UTF-8 included, such as a
+/// multi-byte character torn by a crash — are counted, not fatal.
 pub fn replay(path: &Path) -> Recovery {
     let mut recovery = Recovery {
         jobs: Vec::new(),
         next_job: 1,
         torn_lines: 0,
     };
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return recovery;
     };
     let mut pending: Vec<RecoveredJob> = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
+    for raw in bytes.split(|&b| b == b'\n') {
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        let parsed = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_line(line),
+            Err(_) => None,
+        };
+        match parsed {
             Some(Line::Submit(job)) => {
                 recovery.next_job = recovery.next_job.max(job.job + 1);
                 pending.push(*job);
@@ -304,6 +324,74 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2, "both lifetimes' lines survive");
         assert!(replay(&path).jobs.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Appenders racing on one file: a record written as two writes (line,
+    /// then newline) interleaves with the others' records within a few
+    /// thousand appends; one write per record never does.
+    #[test]
+    fn concurrent_appenders_never_split_a_record() {
+        let path = temp_path("concurrent");
+        let _ = std::fs::remove_file(&path);
+        let writers: Vec<_> = (0..4u64)
+            .map(|w| {
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    let mut j = Journal::open(&path, false).unwrap();
+                    for n in 0..2000 {
+                        j.record(&submit_line(w * 10_000 + n + 1, "a", JobKind::Sim, &spec()));
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let rec = replay(&path);
+        assert_eq!(rec.torn_lines, 0, "every record stays on its own line");
+        assert_eq!(rec.jobs.len(), 8000);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reopening_after_a_torn_tail_keeps_the_next_record() {
+        let path = temp_path("torn-reopen");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::open(&path, false).unwrap();
+        j.record(&submit_line(1, "a", JobKind::Sim, &spec()));
+        drop(j);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"journal\":\"submit\",\"job\":2,\"ten");
+        std::fs::write(&path, text).unwrap();
+
+        let mut j = Journal::open(&path, false).unwrap();
+        j.record(&submit_line(3, "b", JobKind::Sim, &spec()));
+        drop(j);
+        let rec = replay(&path);
+        assert_eq!(rec.torn_lines, 1, "the torn tail is its own line");
+        let ids: Vec<u64> = rec.jobs.iter().map(|r| r.job).collect();
+        assert_eq!(ids, vec![1, 3], "the next lifetime's submit survives");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_multibyte_tail_is_one_torn_line() {
+        let path = temp_path("torn-utf8");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::open(&path, false).unwrap();
+        j.record(&submit_line(1, "a", JobKind::Sim, &spec()));
+        drop(j);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let torn = submit_line(2, "caf\u{e9}", JobKind::Sim, &spec());
+        let cut = torn.find('\u{e9}').unwrap() + 1; // inside the 2-byte 'é'
+        bytes.extend_from_slice(&torn.as_bytes()[..cut]);
+        std::fs::write(&path, bytes).unwrap();
+
+        let rec = replay(&path);
+        assert_eq!(rec.torn_lines, 1);
+        assert_eq!(rec.jobs.len(), 1, "the intact record still recovers");
+        assert_eq!(rec.jobs[0].job, 1);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -97,6 +97,12 @@ pub enum ErrorCode {
     QuotaExceeded,
     /// The server is draining and accepts no new submissions.
     Draining,
+    /// The line exceeds the server's line-length limit; the rest of it is
+    /// discarded and the connection stays open.
+    LineTooLong,
+    /// The server is at its connection cap; the connection is closed
+    /// right after this refusal.
+    Overloaded,
 }
 
 impl ErrorCode {
@@ -109,6 +115,8 @@ impl ErrorCode {
             ErrorCode::BadSpec => "bad_spec",
             ErrorCode::QuotaExceeded => "quota_exceeded",
             ErrorCode::Draining => "draining",
+            ErrorCode::LineTooLong => "line_too_long",
+            ErrorCode::Overloaded => "overloaded",
         }
     }
 
@@ -121,6 +129,8 @@ impl ErrorCode {
             "bad_spec" => Some(ErrorCode::BadSpec),
             "quota_exceeded" => Some(ErrorCode::QuotaExceeded),
             "draining" => Some(ErrorCode::Draining),
+            "line_too_long" => Some(ErrorCode::LineTooLong),
+            "overloaded" => Some(ErrorCode::Overloaded),
             _ => None,
         }
     }
@@ -837,6 +847,25 @@ mod tests {
             assert_eq!(err.code, code, "{line} → {err}");
             assert!(!err.message.is_empty());
         }
+    }
+
+    #[test]
+    fn error_labels_round_trip() {
+        let codes = [
+            (ErrorCode::BadJson, "bad_json"),
+            (ErrorCode::BadRequest, "bad_request"),
+            (ErrorCode::UnknownOp, "unknown_op"),
+            (ErrorCode::BadSpec, "bad_spec"),
+            (ErrorCode::QuotaExceeded, "quota_exceeded"),
+            (ErrorCode::Draining, "draining"),
+            (ErrorCode::LineTooLong, "line_too_long"),
+            (ErrorCode::Overloaded, "overloaded"),
+        ];
+        for (code, label) in codes {
+            assert_eq!(code.label(), label);
+            assert_eq!(ErrorCode::from_label(label), Some(code));
+        }
+        assert_eq!(ErrorCode::from_label("too_long"), None);
     }
 
     #[test]

@@ -31,14 +31,33 @@
 //! `workers` simulation threads (a [`pxl_sim::pool::WorkerPool`]). All
 //! shared state lives in one mutex; the dispatcher wakes on a condvar
 //! whenever the queue, pause flag, or in-flight count changes. Simulations
-//! run without the lock held.
+//! and socket writes run without the lock held. The dispatcher is the one
+//! thread that reads and writes the result cache.
+//!
+//! # Transport and limits
+//!
+//! Every line goes out as one write with `TCP_NODELAY` set, so a reply
+//! never waits on a delayed ACK. Fixed bounds limit what a client can
+//! hold: line length (`line_too_long`), connections (`overloaded`), the
+//! time a started line may take, and the time one line may take to go out
+//! before the client is detached. Until the drain ends, only a client's
+//! reader thread and the pool threads running its jobs write to it, so a
+//! stalled client never holds up dispatch. A panicking simulation leg
+//! becomes a `failed` event, and a lock poisoned by a panic is recovered
+//! rather than taking every other thread down with it.
 
+#![deny(clippy::expect_used, clippy::unwrap_used)]
+
+use std::any::Any;
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead as _, BufReader, ErrorKind, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use pxl_dse::{Measurement, ResultCache};
 use pxl_flow::{FlowError, RunError, RunSpec, SessionStatus, SimSession};
@@ -52,6 +71,25 @@ use crate::sched::FairQueue;
 /// Trace capacity forced onto profile jobs whose spec does not request
 /// tracing (a profile job's artifact *is* the trace).
 const PROFILE_TRACE_CAPACITY: usize = 1 << 16;
+
+/// Longest request line in bytes, newline excluded. A longer line is
+/// refused with `line_too_long` and discarded up to its newline; the
+/// connection stays open.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Open client connections. One more is sent a single `overloaded` line
+/// and closed.
+const MAX_CONNECTIONS: usize = 64;
+
+/// How long one line may take to reach a client. A client that stalls
+/// past it, or whose socket fails, is detached: its jobs keep running and
+/// every event still reaches the job log.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a started request line may take to complete; past it the
+/// connection is closed. A connection with no partial line is never cut,
+/// however long it idles.
+const LINE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -111,7 +149,16 @@ pub struct ServeSummary {
     pub journal_torn: u64,
 }
 
-type Writer = Arc<Mutex<TcpStream>>;
+/// The write side of one client connection.
+struct Peer {
+    stream: TcpStream,
+    /// Serializes whole lines from the threads that write to this client.
+    write: Mutex<()>,
+    /// Set once a write failed or timed out; nothing is sent after it.
+    detached: AtomicBool,
+}
+
+type Writer = Arc<Peer>;
 
 struct Job {
     kind: JobKind,
@@ -141,6 +188,8 @@ struct Core {
     preempted: u64,
     journal_torn: u64,
     drain_waiters: Vec<Writer>,
+    /// Fresh results waiting for the dispatcher to cache them.
+    finished: Vec<(String, Measurement)>,
     journal: Option<Journal>,
     checkpoint_dir: Option<PathBuf>,
 }
@@ -161,6 +210,29 @@ impl Core {
             paused: self.paused,
             draining: self.draining,
         }
+    }
+
+    /// Takes what the next leg of a queued job needs. Profile jobs always
+    /// execute: their artifact is the trace, which the measurement cache
+    /// does not store.
+    fn claim(&mut self, job: JobId) -> Option<Leg> {
+        let entry = self.jobs.get_mut(&job.0)?;
+        let (spec, kind, key) = (entry.spec.clone(), entry.kind, entry.key.clone());
+        let (client, resume) = (entry.client.clone(), entry.resume.take());
+        let hit = if kind == JobKind::Profile {
+            None
+        } else {
+            self.cache.get(&key)
+        };
+        Some(Leg {
+            job,
+            spec,
+            kind,
+            key,
+            client,
+            resume,
+            hit,
+        })
     }
 
     /// The full health picture for [`Request::Stats`]: tenants come out of
@@ -186,20 +258,89 @@ impl Core {
 struct Shared {
     core: Mutex<Core>,
     work: Condvar,
+    /// [`WRITE_TIMEOUT`] and [`LINE_DEADLINE`] unless a test shortened them.
+    write_timeout: Duration,
+    line_deadline: Duration,
+    /// Connections with a live reader thread.
+    connections: AtomicUsize,
 }
 
-fn send_line(writer: &Writer, line: &str) {
-    // A vanished client must not take the server down; its events are
-    // still in the job log.
-    let mut stream = writer.lock().expect("writer mutex");
-    let _ = writeln!(stream, "{line}");
-    let _ = stream.flush();
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it. Every critical section here leaves `Core` consistent between its
+/// statements (simulations run outside the lock), so one panic must not
+/// cascade into every thread that touches the server afterwards.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`send_line`] for jobs that may have no client (journal-recovered).
-fn maybe_send(writer: &Option<Writer>, line: &str) {
+/// Sends one line to a client. A write that fails or outlasts the write
+/// timeout detaches the client instead of taking the server down; its
+/// events are still in the job log. Never called with the core lock held.
+fn send_line(shared: &Shared, writer: &Writer, line: &str) {
+    let failed = {
+        let _turn = lock(&writer.write);
+        if writer.detached.load(Ordering::Acquire) {
+            return;
+        }
+        // One write per line: a line split across writes waits on the
+        // client's delayed ACK.
+        let failed = write_within(
+            &writer.stream,
+            format!("{line}\n").as_bytes(),
+            shared.write_timeout,
+        )
+        .is_err();
+        // Marked before the turn passes on, so a thread queued behind
+        // this one does not wait out the timeout a second time.
+        failed && !writer.detached.swap(true, Ordering::AcqRel)
+    };
+    if failed {
+        detach(shared, writer);
+    }
+}
+
+/// Writes all of `bytes` within `timeout` in total. The socket's timeout
+/// bounds a single write call, so it is re-armed with the time left
+/// before each one: a client that reads a trickle cannot stretch a line
+/// past the timeout.
+fn write_within(mut stream: &TcpStream, mut bytes: &[u8], timeout: Duration) -> io::Result<()> {
+    let deadline = Instant::now() + timeout;
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Cuts a client that vanished or stalled, once [`send_line`] has marked
+/// it detached: its jobs drop their reference so they finish as if
+/// journal-recovered, and the socket is shut down so its reader thread
+/// ends and frees the slot.
+fn detach(shared: &Shared, writer: &Writer) {
+    let _ = writer.stream.shutdown(Shutdown::Both);
+    let mut core = lock(&shared.core);
+    for job in core.jobs.values_mut() {
+        if job.client.as_ref().is_some_and(|c| Arc::ptr_eq(c, writer)) {
+            job.client = None;
+        }
+    }
+    core.drain_waiters.retain(|w| !Arc::ptr_eq(w, writer));
+}
+
+/// [`send_line`] for jobs that may have no client (journal-recovered or
+/// detached).
+fn maybe_send(shared: &Shared, writer: &Option<Writer>, line: &str) {
     if let Some(w) = writer {
-        send_line(w, line);
+        send_line(shared, w, line);
     }
 }
 
@@ -207,13 +348,122 @@ fn maybe_send(writer: &Option<Writer>, line: &str) {
 fn emit(shared: &Shared, writer: &Writer, events: &[JobEvent]) {
     let lines: Vec<String> = events.iter().map(JobEvent::to_json).collect();
     {
-        let mut core = shared.core.lock().expect("core mutex");
+        let mut core = lock(&shared.core);
         for line in &lines {
             core.log_line(line);
         }
     }
     for line in &lines {
-        send_line(writer, line);
+        send_line(shared, writer, line);
+    }
+}
+
+/// Reads request lines off one connection, bounding each line's length
+/// and the time a started line may take to arrive.
+struct LineReader {
+    inner: BufReader<TcpStream>,
+    deadline: Duration,
+    /// The line being assembled (without its newline).
+    line: Vec<u8>,
+    /// Discarding the rest of an oversized line up to its newline.
+    skipping: bool,
+    /// When the first byte of the unfinished line arrived.
+    started: Option<Instant>,
+}
+
+/// What [`LineReader::next_line`] found.
+enum Next {
+    /// A complete line, in [`LineReader::line`].
+    Line,
+    /// A line crossed the length limit; its rest will be skipped.
+    TooLong,
+    /// End of stream, a transport error or an expired line deadline.
+    Closed,
+}
+
+impl LineReader {
+    fn new(stream: TcpStream, deadline: Duration) -> LineReader {
+        LineReader {
+            inner: BufReader::new(stream),
+            deadline,
+            line: Vec::new(),
+            skipping: false,
+            started: None,
+        }
+    }
+
+    fn next_line(&mut self) -> Next {
+        self.line.clear();
+        loop {
+            if self.inner.buffer().is_empty() && !self.arm() {
+                return Next::Closed;
+            }
+            let chunk = match self.inner.fill_buf() {
+                Ok(chunk) => chunk,
+                // A read timeout: `arm` re-checks the line deadline.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue
+                }
+                Err(_) => return Next::Closed,
+            };
+            if chunk.is_empty() {
+                // End of stream: an unterminated last line still counts.
+                self.started = None;
+                if self.skipping || self.line.is_empty() {
+                    return Next::Closed;
+                }
+                return Next::Line;
+            }
+            self.started.get_or_insert_with(Instant::now);
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(chunk.len());
+            let mut crossed = false;
+            if !self.skipping {
+                if self.line.len() + take > MAX_LINE_BYTES {
+                    self.skipping = true;
+                    self.line.clear();
+                    crossed = true;
+                } else {
+                    self.line.extend_from_slice(&chunk[..take]);
+                }
+            }
+            self.inner.consume(take + usize::from(newline.is_some()));
+            if newline.is_some() {
+                self.started = None;
+                if std::mem::take(&mut self.skipping) {
+                    if crossed {
+                        return Next::TooLong;
+                    }
+                    continue;
+                }
+                if self.line.last() == Some(&b'\r') {
+                    self.line.pop();
+                }
+                return Next::Line;
+            }
+            if crossed {
+                return Next::TooLong;
+            }
+        }
+    }
+
+    /// Sets the read timeout before a blocking read: the time left on the
+    /// line deadline while a line is unfinished, none while idle. Returns
+    /// `false` once the deadline has passed (or the socket refuses it).
+    fn arm(&self) -> bool {
+        let timeout = match self.started {
+            None => None,
+            Some(at) => match self.deadline.checked_sub(at.elapsed()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => return false,
+            },
+        };
+        self.inner.get_ref().set_read_timeout(timeout).is_ok()
     }
 }
 
@@ -258,6 +508,22 @@ impl Server {
     /// The bind failure or a cache/journal/checkpoint-dir file failure,
     /// as a message.
     pub fn start(config: ServerConfig) -> Result<Server, String> {
+        Server::start_with_timeouts(config, WRITE_TIMEOUT, LINE_DEADLINE)
+    }
+
+    /// A test hook: [`Server::start`] with the write timeout (10 s) and
+    /// the line deadline (30 s) replaced, so a test can watch a client be
+    /// detached or cut without waiting them out.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Server::start`].
+    #[doc(hidden)]
+    pub fn start_with_timeouts(
+        config: ServerConfig,
+        write_timeout: Duration,
+        line_deadline: Duration,
+    ) -> Result<Server, String> {
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind 127.0.0.1:0: {e}"))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -322,10 +588,14 @@ impl Server {
                 preempted: 0,
                 journal_torn: recovery.torn_lines,
                 drain_waiters: Vec::new(),
+                finished: Vec::new(),
                 journal,
                 checkpoint_dir: config.checkpoint_dir.clone(),
             }),
             work: Condvar::new(),
+            write_timeout,
+            line_deadline,
+            connections: AtomicUsize::new(0),
         });
 
         let dispatcher = {
@@ -359,7 +629,7 @@ impl Server {
     /// rendered): `server.journal_torn`, `server.preemptions`,
     /// `server.recovered_jobs`, `server.resumed_legs`.
     pub fn metrics(&self) -> Metrics {
-        let core = self.shared.core.lock().expect("core mutex");
+        let core = lock(&self.shared.core);
         let mut m = Metrics::new();
         m.add("server.journal_torn", core.journal_torn);
         m.add("server.preemptions", core.preempted);
@@ -373,11 +643,14 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if a server thread panicked.
+    /// Re-raises the panic of a server thread that panicked.
     pub fn join(self) -> ServeSummary {
-        self.dispatcher.join().expect("dispatcher thread panicked");
-        self.accept.join().expect("accept thread panicked");
-        let core = self.shared.core.lock().expect("core mutex");
+        for thread in [self.dispatcher, self.accept] {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        let core = lock(&self.shared.core);
         ServeSummary {
             completed: core.completed,
             failed: core.failed,
@@ -391,45 +664,103 @@ impl Server {
     }
 }
 
+/// Frees a connection slot when its reader thread ends (or never starts).
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for conn in listener.incoming() {
-        if shared.core.lock().expect("core mutex").stopped {
+        if lock(&shared.core).stopped {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("pxl-serve-conn".to_owned())
-            .spawn(move || serve_connection(stream, &shared));
-        if spawned.is_err() {
+        // Without TCP_NODELAY a reply line can wait behind the client's
+        // delayed ACK.
+        let _ = stream.set_nodelay(true);
+        if shared.connections.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+            refuse_overloaded(&stream, shared);
             continue;
+        }
+        shared.connections.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(Arc::clone(shared));
+        let _ = std::thread::Builder::new()
+            .name("pxl-serve-conn".to_owned())
+            .spawn(move || serve_connection(stream, &slot.0));
+    }
+}
+
+/// Answers a connection past the cap with one `overloaded` line, on the
+/// accept thread, and closes it. The line is short and the socket fresh,
+/// so the write cannot block.
+fn refuse_overloaded(mut stream: &TcpStream, shared: &Shared) {
+    let line = JobEvent::Error {
+        code: ErrorCode::Overloaded,
+        message: format!("the server is at its cap of {MAX_CONNECTIONS} connections"),
+    }
+    .to_json();
+    lock(&shared.core).log_line(&line);
+    let _ = write_within(stream, format!("{line}\n").as_bytes(), shared.write_timeout);
+    // Closing a socket with unread input resets the connection, and a
+    // reset can destroy the refusal before the client reads it. So end
+    // the write side normally, then discard whatever request the client
+    // already sent (bounded, without blocking) before the close.
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        let mut left = MAX_LINE_BYTES;
+        while left > 0 {
+            match stream.read(&mut sink) {
+                Ok(n) if n > 0 => left = left.saturating_sub(n),
+                _ => break,
+            }
         }
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    use std::io::BufRead;
     let Ok(reading) = stream.try_clone() else {
         return;
     };
-    let writer: Writer = Arc::new(Mutex::new(stream));
-    let reader = std::io::BufReader::new(reading);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match Request::from_json(&line) {
-            Err(e) => emit(
-                shared,
-                &writer,
-                &[JobEvent::Error {
-                    code: e.code,
-                    message: e.message,
-                }],
-            ),
-            Ok(request) => handle_request(shared, &writer, request),
-        }
+    let writer: Writer = Arc::new(Peer {
+        stream,
+        write: Mutex::new(()),
+        detached: AtomicBool::new(false),
+    });
+    let mut reader = LineReader::new(reading, shared.line_deadline);
+    while !writer.detached.load(Ordering::Acquire) {
+        let refusal = match reader.next_line() {
+            Next::Closed => break,
+            Next::TooLong => JobEvent::Error {
+                code: ErrorCode::LineTooLong,
+                message: format!(
+                    "a request line is limited to {MAX_LINE_BYTES} bytes; \
+                     the rest of this line is discarded"
+                ),
+            },
+            Next::Line => match std::str::from_utf8(&reader.line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match Request::from_json(line) {
+                    Ok(request) => {
+                        handle_request(shared, &writer, request);
+                        continue;
+                    }
+                    Err(e) => JobEvent::Error {
+                        code: e.code,
+                        message: e.message,
+                    },
+                },
+                Err(e) => JobEvent::Error {
+                    code: ErrorCode::BadJson,
+                    message: format!("the line is not UTF-8: {e}"),
+                },
+            },
+        };
+        emit(shared, &writer, &[refusal]);
     }
 }
 
@@ -437,7 +768,7 @@ fn handle_request(shared: &Arc<Shared>, writer: &Writer, request: Request) {
     match request {
         Request::Submit { tenant, kind, spec } => {
             let key = cache_key(kind, &spec);
-            let mut core = shared.core.lock().expect("core mutex");
+            let mut core = lock(&shared.core);
             if core.draining {
                 drop(core);
                 emit(
@@ -497,42 +828,42 @@ fn handle_request(shared: &Arc<Shared>, writer: &Writer, request: Request) {
                     drop(core);
                     shared.work.notify_all();
                     for e in &events {
-                        send_line(writer, &e.to_json());
+                        send_line(shared, writer, &e.to_json());
                     }
                 }
             }
         }
         Request::Status => {
             let event = {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 let event = core.status_event();
                 core.log_line(&event.to_json());
                 event
             };
-            send_line(writer, &event.to_json());
+            send_line(shared, writer, &event.to_json());
         }
         Request::Stats => {
             let event = {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 let event = core.stats_event();
                 core.log_line(&event.to_json());
                 event
             };
-            send_line(writer, &event.to_json());
+            send_line(shared, writer, &event.to_json());
         }
         Request::Pause | Request::Resume => {
             let event = {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 core.paused = matches!(request, Request::Pause);
                 let event = core.status_event();
                 core.log_line(&event.to_json());
                 event
             };
             shared.work.notify_all();
-            send_line(writer, &event.to_json());
+            send_line(shared, writer, &event.to_json());
         }
         Request::Shutdown => {
-            let mut core = shared.core.lock().expect("core mutex");
+            let mut core = lock(&shared.core);
             core.draining = true;
             core.drain_waiters.push(Arc::clone(writer));
             drop(core);
@@ -543,8 +874,20 @@ fn handle_request(shared: &Arc<Shared>, writer: &Writer, request: Request) {
 
 fn dispatch_loop(shared: &Arc<Shared>, workers: usize, addr: SocketAddr) {
     let pool = WorkerPool::new(workers);
-    let mut core = shared.core.lock().expect("core mutex");
+    let mut core = lock(&shared.core);
     loop {
+        // The cache is written here, on the thread that looks it up at
+        // claim time, before the next claim, so a repeat is still a hit.
+        // Keeping its long-lived entries off the simulation threads keeps
+        // them from pinning those threads' heaps between runs.
+        let Core {
+            finished, cache, ..
+        } = &mut *core;
+        for (key, result) in finished.drain(..) {
+            // Ignore a cache-persistence failure: the job itself
+            // succeeded and its client already has the result.
+            let _ = cache.insert(&key, result);
+        }
         if core.draining && core.queue.is_empty() && core.inflight == 0 {
             let event = JobEvent::Drained {
                 completed: core.completed,
@@ -554,7 +897,7 @@ fn dispatch_loop(shared: &Arc<Shared>, workers: usize, addr: SocketAddr) {
             let waiters = std::mem::take(&mut core.drain_waiters);
             drop(core);
             for w in &waiters {
-                send_line(w, &event.to_json());
+                send_line(shared, w, &event.to_json());
             }
             // The accept loop is blocked in accept(); poke it so it sees
             // the stopped flag and exits.
@@ -562,29 +905,39 @@ fn dispatch_loop(shared: &Arc<Shared>, workers: usize, addr: SocketAddr) {
             break;
         }
         if !core.paused && core.inflight < workers {
-            if let Some(job_id) = core.queue.pop() {
+            if let Some(leg) = core.queue.pop().and_then(|job| core.claim(job)) {
                 core.inflight += 1;
-                let client = core
-                    .jobs
-                    .get(&job_id.0)
-                    .expect("queued job is registered")
-                    .client
-                    .clone();
-                let running = JobEvent::Running { job: job_id };
-                core.log_line(&running.to_json());
+                // Journaled here, in dispatch order; sent by the leg's
+                // own thread, so a stalled client never blocks dispatch.
+                core.log_line(&JobEvent::Running { job: leg.job }.to_json());
                 drop(core);
-                maybe_send(&client, &running.to_json());
                 let task_shared = Arc::clone(shared);
-                pool.submit(move || run_job(&task_shared, job_id));
-                core = shared.core.lock().expect("core mutex");
+                pool.submit(move || run_job(&task_shared, leg));
+                core = lock(&shared.core);
                 continue;
             }
         }
-        core = shared.work.wait(core).expect("core mutex");
+        core = shared
+            .work
+            .wait(core)
+            .unwrap_or_else(PoisonError::into_inner);
     }
     // Drain condition guarantees no jobs are in flight here, so this
     // returns promptly.
     pool.shutdown();
+}
+
+/// Everything one scheduling leg needs, taken under the core lock when
+/// the dispatcher starts it.
+struct Leg {
+    job: JobId,
+    spec: RunSpec,
+    kind: JobKind,
+    key: String,
+    client: Option<Writer>,
+    resume: Option<(u64, Snapshot)>,
+    /// The cached answer, if any: a hit runs no simulation.
+    hit: Option<Measurement>,
 }
 
 /// How one scheduling leg of a job ended.
@@ -605,30 +958,32 @@ enum Verdict {
     Failed(String),
 }
 
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Runs one scheduling leg of a job and applies its outcome: terminal
 /// events for `Done`/`Failed`, re-queue + `preempted` event for a yield.
-fn run_job(shared: &Arc<Shared>, job_id: JobId) {
-    let (spec, kind, key, client, resume, hit) = {
-        let mut core = shared.core.lock().expect("core mutex");
-        let job = core
-            .jobs
-            .get_mut(&job_id.0)
-            .expect("running job is registered");
-        let spec = job.spec.clone();
-        let kind = job.kind;
-        let key = job.key.clone();
-        let client = job.client.clone();
-        let resume = job.resume.take();
-        // Profile jobs always execute: their artifact is the trace, which
-        // the measurement cache does not store.
-        let hit = if kind == JobKind::Profile {
-            None
-        } else {
-            core.cache.get(&key)
-        };
-        (spec, kind, key, client, resume, hit)
-    };
-
+fn run_job(shared: &Arc<Shared>, leg: Leg) {
+    let Leg {
+        job: job_id,
+        spec,
+        kind,
+        key,
+        client,
+        resume,
+        hit,
+    } = leg;
+    maybe_send(
+        shared,
+        &client,
+        &JobEvent::Running { job: job_id }.to_json(),
+    );
     let cached = hit.is_some();
     let resumed_leg = resume.is_some();
     let verdict = match hit {
@@ -638,29 +993,42 @@ fn run_job(shared: &Arc<Shared>, job_id: JobId) {
             metrics: None,
             resumed_from_cycle: None,
         },
-        None => execute_leg(shared, job_id, &spec, kind, resume, &client),
+        // A panicking simulation (say, a checksummed but inconsistent
+        // checkpoint) fails its job instead of killing the pool worker,
+        // which would leave the job in flight forever and hang the drain.
+        // The leg touches shared state only through `lock`, so unwinding
+        // out of it leaves nothing half-updated.
+        None => catch_unwind(AssertUnwindSafe(|| {
+            execute_leg(shared, job_id, &spec, kind, resume, &client)
+        }))
+        .unwrap_or_else(|panic| {
+            Verdict::Failed(format!(
+                "the simulation panicked: {}",
+                panic_message(panic.as_ref())
+            ))
+        }),
     };
 
     match verdict {
         Verdict::Preempted { cycle, snapshot } => {
             let event = JobEvent::Preempted { job: job_id, cycle };
             {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 if resumed_leg {
                     core.resumed += 1;
                 }
-                let job = core
-                    .jobs
-                    .get_mut(&job_id.0)
-                    .expect("preempted job is registered");
-                job.resume = Some((cycle, snapshot));
-                let tenant = job.tenant.clone();
-                core.queue.requeue_front(&tenant, job_id);
+                let tenant = core.jobs.get_mut(&job_id.0).map(|job| {
+                    job.resume = Some((cycle, snapshot));
+                    job.tenant.clone()
+                });
+                if let Some(tenant) = tenant {
+                    core.queue.requeue_front(&tenant, job_id);
+                }
                 core.inflight -= 1;
                 core.preempted += 1;
                 core.log_line(&event.to_json());
             }
-            maybe_send(&client, &event.to_json());
+            maybe_send(shared, &client, &event.to_json());
             shared.work.notify_all();
         }
         Verdict::Done {
@@ -671,13 +1039,11 @@ fn run_job(shared: &Arc<Shared>, job_id: JobId) {
         } => {
             let mut events: Vec<JobEvent> = Vec::new();
             let ckpt_dir = {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 core.jobs.remove(&job_id.0);
                 core.inflight -= 1;
                 if !cached && kind != JobKind::Profile {
-                    // Ignore a cache-persistence failure: the job itself
-                    // succeeded and the client still gets its result.
-                    let _ = core.cache.insert(&key, result);
+                    core.finished.push((key, result));
                 }
                 core.completed += 1;
                 if resumed_leg {
@@ -704,14 +1070,14 @@ fn run_job(shared: &Arc<Shared>, job_id: JobId) {
                 let _ = std::fs::remove_file(dir.join(checkpoint_file_name(job_id)));
             }
             for e in &events {
-                maybe_send(&client, &e.to_json());
+                maybe_send(shared, &client, &e.to_json());
             }
             shared.work.notify_all();
         }
         Verdict::Failed(error) => {
             let event = JobEvent::Failed { job: job_id, error };
             let ckpt_dir = {
-                let mut core = shared.core.lock().expect("core mutex");
+                let mut core = lock(&shared.core);
                 core.jobs.remove(&job_id.0);
                 core.inflight -= 1;
                 core.failed += 1;
@@ -724,7 +1090,7 @@ fn run_job(shared: &Arc<Shared>, job_id: JobId) {
             if let Some(dir) = ckpt_dir {
                 let _ = std::fs::remove_file(dir.join(checkpoint_file_name(job_id)));
             }
-            maybe_send(&client, &event.to_json());
+            maybe_send(shared, &client, &event.to_json());
             shared.work.notify_all();
         }
     }
@@ -801,7 +1167,11 @@ fn execute_leg(
                 };
             }
             Ok(SessionStatus::Paused { .. }) => {
-                let cycle = boundary.expect("paused only at a requested boundary");
+                let Some(cycle) = boundary else {
+                    return Verdict::Failed(
+                        "the run paused without a requested boundary".to_owned(),
+                    );
+                };
                 let snap = session.snapshot();
                 persist_checkpoint(shared, job_id, cycle, &snap);
                 // Progress is derived from simulation state only (cycles
@@ -819,11 +1189,11 @@ fn execute_leg(
                     ),
                 };
                 let contended = {
-                    let mut core = shared.core.lock().expect("core mutex");
+                    let mut core = lock(&shared.core);
                     core.log_line(&progress.to_json());
                     !core.queue.is_empty()
                 };
-                maybe_send(client, &progress.to_json());
+                maybe_send(shared, client, &progress.to_json());
                 if contended {
                     return Verdict::Preempted {
                         cycle,
@@ -840,7 +1210,7 @@ fn execute_leg(
 /// Failures degrade durability but never fail the running job.
 fn persist_checkpoint(shared: &Arc<Shared>, job_id: JobId, cycle: u64, snap: &Snapshot) {
     let dir = {
-        let core = shared.core.lock().expect("core mutex");
+        let core = lock(&shared.core);
         core.checkpoint_dir.clone()
     };
     let Some(dir) = dir else { return };
@@ -850,7 +1220,7 @@ fn persist_checkpoint(shared: &Arc<Shared>, job_id: JobId, cycle: u64, snap: &Sn
         .and_then(|()| std::fs::rename(&tmp, dir.join(&file)));
     if durable.is_ok() {
         let line = journal::checkpoint_line(job_id.0, cycle, &file);
-        let mut core = shared.core.lock().expect("core mutex");
+        let mut core = lock(&shared.core);
         core.log_line(&line);
     }
 }

@@ -60,7 +60,10 @@ echo "==> serve smoke (pxl-bench --bin serve)"
 # hit, quota refusal without collateral damage, profile-job trace
 # reporting, live introspection (progress beats at checkpoint
 # boundaries and a byte-stable stats reply), graceful drain with exact
-# totals, and a well-formed serve_jobs.jsonl event log. Ends with the crash-recovery phase: a
+# totals, and a well-formed serve_jobs.jsonl event log. A hostile phase
+# then opens more connections than the cap, sends an oversized line and
+# malformed lines, and stalls a reader; the server must stay up and drain
+# with exact totals. Ends with the crash-recovery phase: a
 # child server with six checkpointed jobs in flight is SIGKILLed after
 # its first durable checkpoint, restarted on the same write-ahead
 # journal, and must complete every job exactly once from its latest

@@ -3,17 +3,23 @@
 //! the vendored `pxl_sim::qcheck` harness), typed rejection of malformed
 //! requests over a real socket, and the end-to-end determinism guarantee —
 //! the same spec submitted twice returns byte-identical payloads, the
-//! second from the content-addressed cache.
+//! second from the content-addressed cache. The last group pins the
+//! transport and the server's limits: round trips free of delayed-ACK
+//! waits, the line and connection caps, the line deadline, stalled
+//! readers (detached, and never holding up dispatch) and panicking jobs.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use parallelxl::benchmarks::Scale;
 use parallelxl::serve::{
-    measurement_to_json_value, Client, ErrorCode, JobEvent, JobId, JobKind, Request, Server,
-    ServerConfig,
+    journal, measurement_to_json_value, Client, ClientError, ErrorCode, JobEvent, JobId, JobKind,
+    Request, Server, ServerConfig,
 };
+use parallelxl::sim::json::JsonValue;
 use parallelxl::sim::qcheck::{check, Gen};
+use parallelxl::sim::Snapshot;
 use parallelxl::sim::{FaultPlan, NetClass, Time};
 use parallelxl::{DesignPoint, ExecProfile, PointArch, RunSpec};
 
@@ -147,6 +153,8 @@ fn arb_event(g: &mut Gen) -> JobEvent {
                 ErrorCode::BadSpec,
                 ErrorCode::QuotaExceeded,
                 ErrorCode::Draining,
+                ErrorCode::LineTooLong,
+                ErrorCode::Overloaded,
             ]),
             message: format!("case {}", g.u64()),
         },
@@ -433,4 +441,348 @@ fn checkpointed_jobs_report_progress_beats() {
     }
     client.drain().unwrap();
     server.join();
+}
+
+fn read_event(reader: &mut impl BufRead) -> JobEvent {
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    JobEvent::from_json(reply.trim_end()).unwrap_or_else(|e| panic!("{e}: {reply:?}"))
+}
+
+fn tiny_queens() -> RunSpec {
+    RunSpec::new(
+        "queens",
+        Scale::Tiny,
+        DesignPoint::accel(PointArch::Flex, 1, 4),
+    )
+}
+
+/// A scratch directory unique to one test in this process.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pxl-serve-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A request is one write on a socket with Nagle's algorithm off: a small
+/// round trip must not wait out a delayed ACK (~40 ms per line when it
+/// does, so 100 round trips would take seconds).
+#[test]
+fn sequential_round_trips_are_not_held_by_the_transport() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.stats().unwrap();
+    let start = Instant::now();
+    for _ in 0..100 {
+        client.stats().unwrap();
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "100 stats round trips took {took:?}"
+    );
+    client.drain().unwrap();
+    server.join();
+}
+
+/// A line at the 1 MiB limit is served; one byte more is refused with
+/// `line_too_long`, its rest discarded, and the connection keeps working.
+#[test]
+fn oversized_lines_are_refused_and_the_connection_survives() {
+    let limit = 1 << 20;
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let padded = |len: usize| {
+        let head = "{\"op\":\"status\",\"pad\":\"";
+        let tail = "\"}";
+        format!(
+            "{head}{}{tail}\n",
+            "x".repeat(len - head.len() - tail.len())
+        )
+    };
+
+    writer.write_all(padded(limit).as_bytes()).unwrap();
+    assert!(
+        matches!(read_event(&mut reader), JobEvent::Status { .. }),
+        "a line of exactly the limit is served"
+    );
+    writer.write_all(padded(limit + 1).as_bytes()).unwrap();
+    match read_event(&mut reader) {
+        JobEvent::Error { code, message } => {
+            assert_eq!(code, ErrorCode::LineTooLong, "{message}");
+            assert!(message.contains(&limit.to_string()), "{message}");
+        }
+        other => panic!("expected line_too_long, got {other:?}"),
+    }
+    writeln!(writer, "{}", Request::Stats.to_json()).unwrap();
+    assert!(
+        matches!(read_event(&mut reader), JobEvent::Stats { .. }),
+        "the rest of the long line was discarded, not parsed"
+    );
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.drain().unwrap();
+    server.join();
+}
+
+/// Past the 64-connection cap a client gets one typed `overloaded` line
+/// and is closed, also when it sent a request before reading; the clients
+/// inside the cap are untouched, and a freed slot admits a new connection.
+#[test]
+fn connections_past_the_cap_are_refused_overloaded() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut inside: Vec<Client> = (0..64)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    for client in &mut inside {
+        client.stats().unwrap();
+    }
+
+    let mut idle = Client::connect(server.addr()).unwrap();
+    match idle.next_event() {
+        Err(ClientError::Rejected {
+            code: ErrorCode::Overloaded,
+            message,
+        }) => assert!(message.contains("64"), "{message}"),
+        other => panic!("expected an overloaded refusal, got {other:?}"),
+    }
+    assert!(
+        matches!(idle.next_event(), Err(ClientError::Io(_))),
+        "the refused connection is closed"
+    );
+    // A refused client that submits at once still reads the typed
+    // refusal, not a reset.
+    for _ in 0..8 {
+        let mut eager = Client::connect(server.addr()).unwrap();
+        match eager.submit("eager", JobKind::Sim, &tiny_queens()) {
+            Err(ClientError::Rejected {
+                code: ErrorCode::Overloaded,
+                ..
+            }) => {}
+            other => panic!("expected an overloaded refusal, got {other:?}"),
+        }
+    }
+    inside[0].stats().unwrap();
+
+    // The slot frees once the server sees the close.
+    drop(inside.pop());
+    let mut admitted = None;
+    for _ in 0..200 {
+        let mut c = Client::connect(server.addr()).unwrap();
+        if c.stats().is_ok() {
+            admitted = Some(c);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut fourth = admitted.expect("a freed slot admits a new connection");
+    fourth.drain().unwrap();
+    let summary = server.join();
+    assert_eq!((summary.completed, summary.failed), (0, 0));
+}
+
+/// A line left unfinished past the line deadline closes its connection,
+/// while a connection that idles with a job outstanding is never cut.
+#[test]
+fn unfinished_lines_time_out_but_idle_clients_stay() {
+    let deadline = Duration::from_millis(300);
+    let server =
+        Server::start_with_timeouts(ServerConfig::default(), Duration::from_secs(10), deadline)
+            .unwrap();
+    let mut idle = Client::connect(server.addr()).unwrap();
+    idle.pause().unwrap();
+    let job = idle.submit("idle", JobKind::Sim, &tiny_queens()).unwrap();
+
+    let mut slow = TcpStream::connect(server.addr()).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let start = Instant::now();
+    slow.write_all(b"{\"op\":").unwrap();
+    let mut rest = Vec::new();
+    slow.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "no reply to an unfinished line: {rest:?}");
+    assert!(start.elapsed() >= deadline, "cut before the deadline");
+
+    std::thread::sleep(deadline * 2);
+    idle.resume().unwrap();
+    assert!(matches!(idle.wait(job).unwrap(), JobEvent::Done { .. }));
+    idle.drain().unwrap();
+    assert_eq!(server.join().completed, 1);
+}
+
+/// Opens a raw connection that submits `tiny_queens` under `tenant`, then
+/// asks for replies and never reads them, until the server's replies back
+/// up and it stops reading: its reader thread for this connection is then
+/// blocked in a write.
+fn stalled_client(addr: std::net::SocketAddr, tenant: &str) -> TcpStream {
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let submit = Request::Submit {
+        tenant: tenant.to_owned(),
+        kind: JobKind::Sim,
+        spec: Box::new(tiny_queens()),
+    };
+    writeln!(stalled, "{}", submit.to_json()).unwrap();
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let batch = format!("{}\n", Request::Stats.to_json()).repeat(1024);
+    let mut sent = 0usize;
+    while sent < 256 << 20 && stalled.write_all(batch.as_bytes()).is_ok() {
+        sent += batch.len();
+    }
+    stalled
+}
+
+/// Reads a stalled connection until the server closes it (EOF or a reset).
+fn wait_detached(mut stalled: TcpStream) {
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut sink = [0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the stalled client was not detached: {e}"),
+        }
+    }
+}
+
+/// A client that stops reading is detached once a write to it outlasts
+/// the write timeout. The server keeps serving others meanwhile, the
+/// stalled client's socket is closed, and its job still runs to `done`
+/// in the job log and the drain totals.
+#[test]
+fn a_stalled_reader_is_detached_and_its_job_still_finishes() {
+    let dir = scratch_dir("stalled");
+    let log = dir.join("jobs.jsonl");
+    let server = Server::start_with_timeouts(
+        ServerConfig {
+            job_log: Some(log.clone()),
+            flush_every_record: false,
+            ..ServerConfig::default()
+        },
+        Duration::from_millis(300),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    let mut ctl = Client::connect(server.addr()).unwrap();
+    ctl.pause().unwrap();
+
+    let stalled = stalled_client(server.addr(), "stalled");
+    // The stalled connection holds no lock the others need.
+    assert_eq!(ctl.stats().unwrap().queued, 1);
+    wait_detached(stalled);
+
+    ctl.resume().unwrap();
+    assert_eq!(ctl.drain().unwrap(), 1);
+    let summary = server.join();
+    assert_eq!((summary.completed, summary.failed), (1, 0));
+    let text = std::fs::read_to_string(&log).unwrap();
+    let done = text
+        .lines()
+        .filter(|l| matches!(JobEvent::from_json(l), Ok(JobEvent::Done { .. })))
+        .count();
+    assert_eq!(done, 1, "the detached client's job is journaled as done");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stalled client holds up only the threads that write to it, never
+/// dispatch. Its job is dispatched first and its `running` line cannot go
+/// out, yet another tenant's job still runs to `done` well inside the
+/// default 10 s write timeout. The stalled job finishes after the detach.
+#[test]
+fn a_stalled_client_does_not_hold_up_dispatch() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut ctl = Client::connect(server.addr()).unwrap();
+    ctl.pause().unwrap();
+    let stalled = stalled_client(server.addr(), "stalled");
+    let other = ctl.submit("other", JobKind::Sim, &tiny_queens()).unwrap();
+    assert_eq!(ctl.stats().unwrap().queued, 2);
+
+    let start = Instant::now();
+    ctl.resume().unwrap();
+    assert!(matches!(ctl.wait(other).unwrap(), JobEvent::Done { .. }));
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "a job beside a stalled client took {took:?}"
+    );
+
+    // Reading would unstall it: the stalled job completes, for the
+    // drain, only once the write timeout detaches its client.
+    assert_eq!(ctl.drain().unwrap(), 2);
+    let summary = server.join();
+    assert_eq!((summary.completed, summary.failed), (2, 0));
+    drop(stalled);
+}
+
+/// A simulation that panics — here, resuming from a checkpoint whose
+/// checksum holds but whose CPU free list points past its pending table —
+/// fails its job with a typed `failed` event instead of killing the pool
+/// worker, and the drain still completes.
+#[test]
+fn a_panicking_job_fails_and_the_server_still_drains() {
+    let dir = scratch_dir("panic");
+    let spec = RunSpec::new("uts", Scale::Tiny, DesignPoint::cpu(2));
+    let mut session = parallelxl::flow::SimSession::start(&spec).unwrap().unwrap();
+    let cycle = 2000;
+    let paused = session
+        .advance(Some(session.clock().cycles_to_time(cycle)))
+        .unwrap();
+    assert!(matches!(
+        paused,
+        parallelxl::flow::SessionStatus::Paused { .. }
+    ));
+    let envelope = JsonValue::parse(&session.snapshot().to_json()).unwrap();
+    let mut payload = envelope.get("payload").unwrap().clone();
+    let JsonValue::Object(members) = &mut payload else {
+        panic!("a snapshot payload is an object");
+    };
+    let (_, free) = members
+        .iter_mut()
+        .find(|(k, _)| k == "pending_free")
+        .expect("the CPU engine snapshots its pending free list");
+    *free = JsonValue::Array(vec![JsonValue::num_u64(u64::from(u32::MAX))]);
+    let engine = envelope.get("engine").unwrap().as_str().unwrap();
+    let crafted = Snapshot::new(engine, payload);
+    std::fs::write(dir.join("job-1.ckpt.json"), crafted.to_json()).unwrap();
+    let log = dir.join("journal.jsonl");
+    std::fs::write(
+        &log,
+        format!(
+            "{}\n{}\n",
+            journal::submit_line(1, "ci", JobKind::Sim, &spec),
+            journal::checkpoint_line(1, cycle, "job-1.ckpt.json")
+        ),
+    )
+    .unwrap();
+
+    let server = Server::start(ServerConfig {
+        job_log: Some(log.clone()),
+        checkpoint_dir: Some(dir.clone()),
+        flush_every_record: false,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.drain().unwrap(), 0);
+    let summary = server.join();
+    assert_eq!((summary.recovered, summary.failed), (1, 1));
+    let text = std::fs::read_to_string(&log).unwrap();
+    let error = text
+        .lines()
+        .find_map(|l| match JobEvent::from_json(l) {
+            Ok(JobEvent::Failed {
+                job: JobId(1),
+                error,
+            }) => Some(error),
+            _ => None,
+        })
+        .expect("the job ends with a failed event");
+    assert!(error.contains("panicked"), "{error}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
