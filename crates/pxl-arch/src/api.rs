@@ -20,6 +20,7 @@ use pxl_model::{Task, Worker};
 use pxl_sim::snapshot::{Snapshot, SnapshotError};
 use pxl_sim::{Clock, Metrics, Time};
 
+use crate::core::EmbedsCore;
 use crate::fabric::{AccelError, AccelResult, FabricEngine, RunStatus};
 use crate::lite::{LiteDriver, LiteEngine};
 use crate::policy::SchedulingPolicy;
@@ -102,6 +103,10 @@ impl<'a> Workload<'a> {
 
 /// The common surface of every execution engine.
 ///
+/// Every engine embeds an [`EngineCore`](crate::EngineCore) (the
+/// [`EmbedsCore`] supertrait); the memory, metrics and host-slot accessors
+/// read it.
+///
 /// # Examples
 ///
 /// Driving FlexArch through the trait object the way `pxl-bench` does:
@@ -127,7 +132,7 @@ impl<'a> Workload<'a> {
 /// assert_eq!(out.result, 42);
 /// assert!(out.metrics.get("accel.tasks") > 0);
 /// ```
-pub trait Engine: std::fmt::Debug {
+pub trait Engine: EmbedsCore + std::fmt::Debug {
     /// Which engine family this is.
     fn kind(&self) -> EngineKind;
 
@@ -140,18 +145,26 @@ pub trait Engine: std::fmt::Debug {
     fn clock(&self) -> Clock;
 
     /// Shared access to functional memory for output checking.
-    fn memory(&self) -> &Memory;
+    fn memory(&self) -> &Memory {
+        &self.core().mem
+    }
 
     /// Mutable access to functional memory for input setup.
-    fn mem_mut(&mut self) -> &mut Memory;
+    fn mem_mut(&mut self) -> &mut Memory {
+        &mut self.core_mut().mem
+    }
 
     /// The engine's metrics registry. Fully aggregated metrics are moved
     /// into [`AccelResult::metrics`] when `run` returns; this accessor
     /// exposes whatever the engine currently holds.
-    fn metrics(&self) -> &Metrics;
+    fn metrics(&self) -> &Metrics {
+        &self.core().metrics
+    }
 
     /// Value delivered to a host result register, if any.
-    fn host_result(&self, slot: u8) -> Option<u64>;
+    fn host_result(&self, slot: u8) -> Option<u64> {
+        self.core().host_result(slot)
+    }
 
     /// Runs `workload` to completion. Call once per engine.
     ///
@@ -160,7 +173,12 @@ pub trait Engine: std::fmt::Debug {
     /// [`AccelError::Unsupported`] when the workload shape does not match
     /// the engine (e.g. rounds on FlexArch), plus every error the concrete
     /// engine's own run path can produce.
-    fn run(&mut self, workload: Workload<'_>) -> Result<AccelResult, AccelError>;
+    fn run(&mut self, workload: Workload<'_>) -> Result<AccelResult, AccelError> {
+        match self.run_until(workload, None)? {
+            RunStatus::Finished(result) => Ok(result),
+            RunStatus::Paused { .. } => unreachable!("run_until without a pause never pauses"),
+        }
+    }
 
     /// Runs one leg of `workload`: launches on the first call (a no-op on
     /// an engine restored from a snapshot) and advances until the
@@ -210,33 +228,6 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         self.config().clock.clone()
     }
 
-    fn memory(&self) -> &Memory {
-        FabricEngine::memory(self)
-    }
-
-    fn mem_mut(&mut self) -> &mut Memory {
-        FabricEngine::mem_mut(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        FabricEngine::metrics(self)
-    }
-
-    fn host_result(&self, slot: u8) -> Option<u64> {
-        FabricEngine::host_result(self, slot)
-    }
-
-    fn run(&mut self, workload: Workload<'_>) -> Result<AccelResult, AccelError> {
-        match workload {
-            Workload::Dynamic { worker, root } => FabricEngine::run(self, worker, root),
-            other => Err(AccelError::Unsupported(format!(
-                "{} runs dynamic task graphs, not {}",
-                self.policy.arch().name(),
-                other.shape()
-            ))),
-        }
-    }
-
     fn run_until(
         &mut self,
         workload: Workload<'_>,
@@ -275,32 +266,6 @@ impl Engine for LiteEngine {
 
     fn clock(&self) -> Clock {
         self.config().clock.clone()
-    }
-
-    fn memory(&self) -> &Memory {
-        LiteEngine::memory(self)
-    }
-
-    fn mem_mut(&mut self) -> &mut Memory {
-        LiteEngine::mem_mut(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        LiteEngine::metrics(self)
-    }
-
-    fn host_result(&self, slot: u8) -> Option<u64> {
-        LiteEngine::host_result(self, slot)
-    }
-
-    fn run(&mut self, workload: Workload<'_>) -> Result<AccelResult, AccelError> {
-        match workload {
-            Workload::Rounds { worker, driver } => LiteEngine::run(self, worker, driver),
-            other => Err(AccelError::Unsupported(format!(
-                "LiteArch runs host-driven rounds, not {}",
-                other.shape()
-            ))),
-        }
     }
 
     fn run_until(

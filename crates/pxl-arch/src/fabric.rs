@@ -3,9 +3,10 @@
 //!
 //! [`FabricEngine`] is a cycle-level, event-driven simulator of the paper's
 //! Fig. 3(b) tile microarchitecture — the memory backend, P-Store joins and
-//! greedy routing, the fault state machine and its recovery invariants, the
-//! quiescence watchdog, metric-handle registration, trace emission, and the
-//! PE-side [`TaskContext`] — parameterized by a
+//! greedy routing, the fault state machine and its recovery invariants,
+//! metric-handle registration, trace emission, and the PE-side
+//! [`TaskContext`], on top of the [`EngineCore`] services — parameterized
+//! by a
 //! [`SchedulingPolicy`](crate::policy::SchedulingPolicy) that owns only
 //! task placement and acquisition:
 //!
@@ -40,10 +41,11 @@ use pxl_sim::json::JsonValue;
 use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
 use pxl_sim::{
     CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId, Metrics,
-    NetClass, SendVerdict, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
+    NetClass, SendVerdict, Time, Timeline, TraceEvent, Tracer,
 };
 
 use crate::config::{AccelConfig, LinkTopology, MemBackendKind};
+use crate::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
 use crate::pstore::{PStore, PStoreError};
 
@@ -503,140 +505,6 @@ impl FaultState {
     }
 }
 
-/// The quiescence watchdog: declares a run stalled when no unit makes
-/// forward progress (task completion or argument delivery) for longer than
-/// the configured window while work is still outstanding.
-///
-/// Shared by every engine — the event-driven fabric, LiteArch's round
-/// executor, and the software baseline in `pxl-cpu` — so the stall
-/// diagnosis and its `watchdog.stalls` counter / `watchdog.stall` trace
-/// event cannot drift between them.
-#[derive(Debug)]
-pub struct Watchdog {
-    window: Time,
-    last_progress: Time,
-    last_unit: Option<usize>,
-}
-
-impl Watchdog {
-    /// A watchdog that fires after `window` of quiescence.
-    pub fn new(window: Time) -> Self {
-        Watchdog {
-            window,
-            last_progress: Time::ZERO,
-            last_unit: None,
-        }
-    }
-
-    /// Records forward progress by `unit` at `at`.
-    pub fn progress(&mut self, at: Time, unit: usize) {
-        if at >= self.last_progress {
-            self.last_progress = at;
-            self.last_unit = Some(unit);
-        }
-    }
-
-    /// Whether the window has elapsed without progress as of `now`.
-    pub fn expired(&self, now: Time) -> bool {
-        now.saturating_sub(self.last_progress) > self.window
-    }
-
-    /// When any unit last made forward progress.
-    pub fn last_progress(&self) -> Time {
-        self.last_progress
-    }
-
-    /// The unit that last made forward progress, if any ever did.
-    pub fn last_unit(&self) -> Option<usize> {
-        self.last_unit
-    }
-
-    /// Overwrites the progress state from a snapshot. The window stays as
-    /// configured.
-    pub fn load(&mut self, last_progress: Time, last_unit: Option<usize>) {
-        self.last_progress = last_progress;
-        self.last_unit = last_unit;
-    }
-
-    /// Builds the [`AccelError::Stalled`] diagnosis, emitting the
-    /// `watchdog.stall` trace event and counter. `blocked_unit` is a unit
-    /// still holding undispatchable work, if the caller found one
-    /// (`num_pes` denotes the host interface block).
-    pub fn stall(
-        &self,
-        metrics: &mut Metrics,
-        trace: &mut Tracer,
-        now: Time,
-        blocked_unit: Option<usize>,
-    ) -> AccelError {
-        let idle_ps = now.saturating_sub(self.last_progress).as_ps();
-        metrics.incr("watchdog.stalls");
-        trace.emit(
-            now,
-            TraceEvent::WatchdogStall {
-                unit: self.last_unit.map_or(u32::MAX, |u| u as u32),
-                idle_ps,
-            },
-        );
-        AccelError::Stalled {
-            last_unit: self.last_unit,
-            idle_us: idle_ps / 1_000_000,
-            blocked_unit,
-        }
-    }
-}
-
-/// Records an injected fault: the `fault.injected` counter plus a
-/// [`TraceEvent::FaultInjected`] at `at`. One home for the bookkeeping all
-/// engines share, so counters and traces stay comparable across them.
-pub fn record_injected(
-    metrics: &mut Metrics,
-    trace: &mut Tracer,
-    at: Time,
-    spec: usize,
-    unit: usize,
-) {
-    metrics.incr("fault.injected");
-    trace.emit(
-        at,
-        TraceEvent::FaultInjected {
-            spec: spec as u32,
-            unit: unit as u32,
-        },
-    );
-}
-
-/// Records a recovered fault: the `fault.recovered` counter plus a
-/// [`TraceEvent::FaultRecovered`] at `at`.
-pub fn record_recovered(
-    metrics: &mut Metrics,
-    trace: &mut Tracer,
-    at: Time,
-    spec: usize,
-    unit: usize,
-) {
-    metrics.incr("fault.recovered");
-    trace.emit(
-        at,
-        TraceEvent::FaultRecovered {
-            spec: spec as u32,
-            unit: unit as u32,
-        },
-    );
-}
-
-/// Registers the canonical fault/watchdog counter families at zero so every
-/// engine — fault plan armed or not — reports the same metric namespace
-/// (`fault.injected`, `fault.recovered`, `fault.skipped`,
-/// `fault.unrecovered`, `watchdog.stalls`).
-pub fn register_fault_metrics(metrics: &mut Metrics) {
-    metrics.register_counter("fault.injected");
-    metrics.register_counter("fault.recovered");
-    metrics.register_counter("fault.skipped");
-    metrics.register_counter("fault.unrecovered");
-    metrics.register_counter("watchdog.stalls");
-}
-
 /// Stamps the timed memory-path methods of a [`TaskContext`] impl —
 /// `compute`, `load`, `store`, `amo`, `dma_read` and `dma_write` — so every
 /// engine context shares one implementation of the op-cost and cache-timing
@@ -818,7 +686,9 @@ impl LinkState {
 pub struct FabricEngine<P: SchedulingPolicy> {
     cfg: AccelConfig,
     profile: ExecProfile,
-    mem: Memory,
+    /// Memory, metrics, trace, watchdog, telemetry, task ids and host slots.
+    core: EngineCore,
+    root: RootRun,
     backend: MemBackend,
     /// Task placement and acquisition — the only part that differs between
     /// engine families. `pub(crate)` so the `Engine` facade can label runs
@@ -828,7 +698,6 @@ pub struct FabricEngine<P: SchedulingPolicy> {
     /// Hot per-unit scheduling state (struct-of-arrays).
     units: UnitState,
     hetero_rr: usize,
-    host: [Option<u64>; HOST_SLOTS],
     events: EventQueue<Event>,
     /// Payload store for task-carrying events; see [`Event`].
     task_slab: EventSlab<Task>,
@@ -836,31 +705,13 @@ pub struct FabricEngine<P: SchedulingPolicy> {
     /// task executions so the dispatch loop stops allocating per task.
     scratch_args: Vec<(Time, Continuation, u64)>,
     scratch_spawns: Vec<(Time, Task)>,
-    outstanding: u64,
     inflight_args: u64,
-    last_useful: Time,
     faults: Option<FaultState>,
     /// The inter-chip link tier; `None` on single-chip configurations
     /// (including 1-chip clusters), keeping those byte-identical to stock.
     link: Option<LinkState>,
-    watchdog: Watchdog,
-    metrics: Metrics,
     ids: FabricIds,
-    trace: Tracer,
-    /// In-run telemetry sampler; `None` when `telemetry_every_cycles` is
-    /// zero, keeping the hot loop's cost to one `Option` check per event.
-    telemetry: Option<TelemetrySampler>,
-    /// Run-unique task instance ids, stamped at spawn/successor creation so
-    /// trace consumers can reconstruct the task DAG. Id 0 is reserved for
-    /// "no task" (e.g. host-originated messages); the root task gets id 1.
-    next_task_id: u64,
     error: Option<AccelError>,
-    /// Host slot the root continuation targets, latched at launch so a
-    /// paused/restored engine can still finish the run.
-    result_slot: Option<u8>,
-    /// Whether the root task has been seeded. A restored engine is already
-    /// launched; [`FabricEngine::run`] skips re-seeding.
-    launched: bool,
 }
 
 /// Outcome of one [`FabricEngine::run_until`] leg.
@@ -879,29 +730,6 @@ pub enum RunStatus {
     },
 }
 
-/// Hot per-unit scheduling state as parallel dense arrays — the
-/// struct-of-arrays split of what used to be scattered per-PE fields. The
-/// dispatch loop reads `busy_until` on every wake and `steal_fails` on
-/// every steal outcome; cold per-unit state (death flags, pending rescues)
-/// stays in [`FaultState`] so these arrays hold only what every event
-/// touches.
-#[derive(Debug)]
-struct UnitState {
-    /// Completion horizon per PE: wakes before this instant are ignored.
-    busy_until: Vec<Time>,
-    /// Consecutive failed steals per PE, bounding the backoff shift.
-    steal_fails: Vec<u32>,
-}
-
-impl UnitState {
-    fn new(num_pes: usize) -> Self {
-        UnitState {
-            busy_until: vec![Time::ZERO; num_pes],
-            steal_fails: vec![0; num_pes],
-        }
-    }
-}
-
 /// Typed handles into the metrics registry for the engine's hot counters;
 /// registered once at construction so per-event updates skip string lookups.
 #[derive(Debug)]
@@ -914,7 +742,6 @@ struct FabricIds {
     ops: CounterId,
     tasks: CounterId,
     task_ps: HistogramId,
-    trace_dropped: CounterId,
     queue_peak_sum: CounterId,
     pstore_peak_sum: CounterId,
     pe_tasks: Vec<CounterId>,
@@ -932,7 +759,6 @@ impl FabricIds {
             ops: metrics.register_counter("accel.ops"),
             tasks: metrics.register_counter("accel.tasks"),
             task_ps: metrics.register_histogram("accel.task_ps"),
-            trace_dropped: metrics.register_counter("trace.dropped"),
             queue_peak_sum: metrics.register_counter("accel.queue_peak_sum"),
             pstore_peak_sum: metrics.register_counter("accel.pstore_peak_sum"),
             pe_tasks: (0..num_pes)
@@ -974,10 +800,15 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
         let backend = MemBackend::for_config(&cfg);
         let num_pes = cfg.num_pes();
-        let mut metrics = Metrics::new();
-        let ids = FabricIds::register(&mut metrics, num_pes);
-        register_fault_metrics(&mut metrics);
-        let link = LinkState::for_config(&cfg, &mut metrics);
+        let mut core = EngineCore::new(
+            &cfg.clock,
+            cfg.max_sim_time_us,
+            cfg.watchdog_quiescence_cycles,
+            cfg.trace_capacity,
+            cfg.telemetry_every_cycles,
+        );
+        let ids = FabricIds::register(&mut core.metrics, num_pes);
+        let link = LinkState::for_config(&cfg, &mut core.metrics);
         let faults = cfg
             .fault_plan
             .as_ref()
@@ -990,27 +821,16 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 .collect(),
             units: UnitState::new(num_pes),
             hetero_rr: 0,
-            host: [None; HOST_SLOTS],
             events: EventQueue::new(),
             task_slab: EventSlab::new(),
             scratch_args: Vec::new(),
             scratch_spawns: Vec::new(),
-            outstanding: 0,
             inflight_args: 0,
-            last_useful: Time::ZERO,
             faults,
-            watchdog: Watchdog::new(cfg.clock.cycles_to_time(cfg.watchdog_quiescence_cycles)),
-            trace: Tracer::bounded(cfg.trace_capacity),
-            telemetry: (cfg.telemetry_every_cycles > 0).then(|| {
-                TelemetrySampler::new(cfg.clock.cycles_to_time(cfg.telemetry_every_cycles))
-            }),
-            next_task_id: 1,
-            metrics,
+            core,
+            root: RootRun::default(),
             ids,
             error: None,
-            result_slot: None,
-            launched: false,
-            mem: Memory::new(),
             backend,
             cfg,
             profile,
@@ -1019,12 +839,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
 
     /// Mutable access to functional memory for input setup.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.core.mem
     }
 
     /// Shared access to functional memory for output checking.
     pub fn memory(&self) -> &Memory {
-        &self.mem
+        &self.core.mem
     }
 
     /// The configuration this engine was built with.
@@ -1035,7 +855,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     /// The engine's metrics registry (fully aggregated only after
     /// [`FabricEngine::run`] returns, which moves it into the result).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn cycles(&self, n: u64) -> Time {
@@ -1074,14 +894,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         link.next_free[pair] = depart + link.occupancy;
         let wait_ps = (depart - at).as_ps();
         let (ids, latency) = (link.ids, link.latency);
-        self.metrics.inc(ids.msgs);
-        self.metrics.inc(match class {
+        self.core.metrics.inc(ids.msgs);
+        self.core.metrics.inc(match class {
             LINK_STEAL_REQ | LINK_STEAL_REPLY => ids.steal_msgs,
             LINK_ARG => ids.arg_msgs,
             _ => ids.task_msgs,
         });
-        self.metrics.add_to(ids.stall_ps, wait_ps);
-        self.trace.emit(
+        self.core.metrics.add_to(ids.stall_ps, wait_ps);
+        self.core.trace.emit(
             at,
             TraceEvent::LinkXfer {
                 src_chip: src as u32,
@@ -1093,13 +913,6 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         depart + Time::from_ps(latency.as_ps() * hops)
     }
 
-    /// Hands out the next run-unique task instance id.
-    fn alloc_task_id(&mut self) -> u64 {
-        let id = self.next_task_id;
-        self.next_task_id += 1;
-        id
-    }
-
     fn is_dead(&self, pe: usize) -> bool {
         self.faults.as_ref().is_some_and(|f| f.dead[pe])
     }
@@ -1108,22 +921,6 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     /// and has not been killed by a fault.
     fn can_run(&self, pe: usize, ty: TaskTypeId) -> bool {
         !self.is_dead(pe) && self.cfg.pe_supports(pe, ty)
-    }
-
-    /// Records forward progress by `unit` at `at` for the quiescence
-    /// watchdog.
-    fn progress(&mut self, at: Time, unit: usize) {
-        self.watchdog.progress(at, unit);
-    }
-
-    /// Builds the [`AccelError::Stalled`] diagnosis, emitting the
-    /// `watchdog.stall` trace event and counter.
-    fn watchdog_stall(&mut self, now: Time) -> AccelError {
-        let blocked_unit = (0..self.cfg.num_pes())
-            .find(|&pe| !self.policy.unit_queue_empty(pe))
-            .or((!self.policy.host_queue_empty()).then_some(self.cfg.num_pes()));
-        self.watchdog
-            .stall(&mut self.metrics, &mut self.trace, now, blocked_unit)
     }
 
     /// Runs `root` to completion.
@@ -1153,17 +950,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     /// events (PE wakes, timed faults). A no-op when the engine is already
     /// launched — notably after [`FabricEngine::restore`].
     pub fn launch(&mut self, root: Task) {
-        if self.launched {
+        let Some(root) = self.root.launch(&mut self.core, root) else {
             return;
-        }
-        self.launched = true;
-        self.result_slot = match root.k {
-            Continuation::Host { slot } => Some(slot),
-            _ => None,
         };
-        let root = root.with_id(self.alloc_task_id());
         self.policy.seed(root);
-        self.outstanding = 1;
         for pe in 0..self.cfg.num_pes() {
             self.events.push(Time::ZERO, Event::PeWake { pe });
         }
@@ -1191,13 +981,11 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         worker: &mut W,
         pause_at: Option<Time>,
     ) -> Result<RunStatus, AccelError> {
-        let limit = Time::from_us(self.cfg.max_sim_time_us);
-
         loop {
             if let Some(pause) = pause_at {
                 // Pause only between events and only while work remains; a
                 // drained computation always runs to its finished result.
-                if self.outstanding > 0 || self.inflight_args > 0 {
+                if self.root.outstanding > 0 || self.inflight_args > 0 {
                     match self.events.peek_time() {
                         Some(next) if next > pause => return Ok(RunStatus::Paused { at: pause }),
                         _ => {}
@@ -1207,93 +995,53 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             let Some((now, event)) = self.events.pop() else {
                 break;
             };
-            if self.outstanding == 0 && self.inflight_args == 0 {
+            if self.root.outstanding == 0 && self.inflight_args == 0 {
                 break;
             }
-            if now > limit {
-                return Err(AccelError::TimedOut);
-            }
-            if self.watchdog.expired(now) {
-                return Err(self.watchdog_stall(now));
-            }
-            if self.telemetry.as_ref().is_some_and(|t| t.due(now)) {
-                // Sample at the epoch boundary *before* handling the event
-                // that crossed it: the gauges describe the state every event
-                // up to the boundary produced, so a checkpointed run resumes
-                // with an identical timeline (the pause check above fires on
-                // the same peeked event).
-                let gauges = self.telemetry_gauges(now);
-                let metrics = &self.metrics;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.tick(now, metrics, &gauges);
-                }
-            }
+            self.check_step(now)?;
             self.handle(now, event, worker);
             if let Some(err) = self.error.take() {
                 return Err(err);
             }
         }
 
-        if self.outstanding > 0 || self.inflight_args > 0 {
+        if self.root.outstanding > 0 || self.inflight_args > 0 {
             // The event queue drained with work still outstanding: nothing
             // can ever make progress again (e.g. an unrecoverable message
             // loss or every supporting PE dead with stranded work).
-            let at = self.last_useful.max(self.watchdog.last_progress());
-            return Err(self.watchdog_stall(at));
+            let at = self
+                .root
+                .last_useful
+                .max(self.core.watchdog.last_progress());
+            let blocked = self.blocked_unit();
+            return Err(self.core.stall(at, blocked));
         }
 
         let leaked: usize = self.pstores.iter().map(|p| p.occupancy()).sum();
         if leaked > 0 {
             return Err(AccelError::LeakedPending { count: leaked });
         }
-        let result = match self.result_slot {
-            Some(slot) => self.host[slot as usize].ok_or(AccelError::NoResult { slot })?,
-            None => 0,
-        };
-        // Close the final (partial) telemetry window before the end-of-run
-        // rollups land, so the last sample's deltas cover only counters that
-        // moved during simulation, not the collect_stats aggregates.
-        let gauges = self.telemetry_gauges(self.last_useful);
-        let timeline = match self.telemetry.as_mut() {
-            Some(t) => {
-                t.flush(self.last_useful, &self.metrics, &gauges);
-                t.take_timeline()
-            }
-            None => Timeline::default(),
-        };
-        self.collect_stats();
-        let mut trace = std::mem::take(&mut self.trace);
-        trace.absorb(self.backend.take_trace());
-        trace.finish();
-        self.metrics.add_to(self.ids.trace_dropped, trace.dropped());
-        Ok(RunStatus::Finished(AccelResult {
+        let result = self.root.result(&self.core)?;
+        let elapsed = self.root.last_useful;
+        Ok(RunStatus::Finished(self.finish_run(
             result,
-            elapsed: self.last_useful,
-            metrics: std::mem::take(&mut self.metrics),
-            trace,
-            timeline,
-        }))
-    }
-
-    /// Instantaneous engine gauges for one telemetry sample: pending event
-    /// count, ready tasks across the policy's stores, inter-chip links
-    /// still serializing a message, and total P-Store occupancy.
-    fn telemetry_gauges(&self, now: Time) -> [(&'static str, u64); 4] {
-        let inflight_links = self.link.as_ref().map_or(0, |l| {
-            l.next_free.iter().filter(|free| **free > now).count() as u64
-        });
-        let pstore = self.pstores.iter().map(PStore::occupancy).sum::<usize>();
-        [
-            ("events", self.events.len() as u64),
-            ("ready_tasks", self.policy.ready_tasks()),
-            ("inflight_links", inflight_links),
-            ("pstore_occupancy", pstore as u64),
-        ]
+            elapsed,
+            |engine| {
+                let (queue_peak, queue_peak_sum) = engine.policy.queue_peaks();
+                let pstore_peak_sum: usize = engine.pstores.iter().map(PStore::peak).sum();
+                let metrics = &mut engine.core.metrics;
+                metrics.max("accel.queue_peak", queue_peak);
+                metrics.add_to(engine.ids.queue_peak_sum, queue_peak_sum);
+                metrics.add_to(engine.ids.pstore_peak_sum, pstore_peak_sum as u64);
+                metrics.merge(&engine.backend.take_stats());
+                engine.backend.take_trace()
+            },
+        )))
     }
 
     /// Value delivered to a host result register, if any.
     pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.host.get(slot as usize).copied().flatten()
+        self.core.host_result(slot)
     }
 
     /// Serializes the complete mutable simulation state into a versioned,
@@ -1301,44 +1049,18 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     /// a fresh engine built from the same configuration restores the
     /// snapshot and continues byte-identically to an uninterrupted run.
     pub fn snapshot(&self) -> Snapshot {
-        let events = JsonValue::Array(
-            self.events
-                .ordered()
-                .into_iter()
-                .map(|(when, event)| {
-                    let mut words = vec![when.as_ps()];
-                    words.extend(event.to_words(&self.task_slab));
-                    snapshot::arr_u64(words)
-                })
-                .collect(),
-        );
-        let host = JsonValue::Array(
-            self.host
-                .iter()
-                .map(|slot| snapshot::arr_u64(slot.iter().copied()))
-                .collect(),
-        );
-        let mut payload = vec![
-            ("launched", snapshot::num(u64::from(self.launched))),
+        let mut head = self.root.fields(&self.core);
+        // Version 2 keeps `inflight_args` between `outstanding` and
+        // `last_useful_ps`.
+        head.insert(4, ("inflight_args", snapshot::num(self.inflight_args)));
+        head.push(("hetero_rr", snapshot::num(self.hetero_rr as u64)));
+        head.extend(self.units.fields());
+        head.extend([
+            ("host", self.core.host_cells()),
             (
-                "result_slot",
-                snapshot::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
+                "events",
+                events_to_json(&self.events, |e| e.to_words(&self.task_slab)),
             ),
-            ("next_task_id", snapshot::num(self.next_task_id)),
-            ("outstanding", snapshot::num(self.outstanding)),
-            ("inflight_args", snapshot::num(self.inflight_args)),
-            ("last_useful_ps", snapshot::num(self.last_useful.as_ps())),
-            ("hetero_rr", snapshot::num(self.hetero_rr as u64)),
-            (
-                "steal_fails",
-                snapshot::arr_u64(self.units.steal_fails.iter().map(|f| u64::from(*f))),
-            ),
-            (
-                "busy_until_ps",
-                snapshot::arr_u64(self.units.busy_until.iter().map(|t| t.as_ps())),
-            ),
-            ("host", host),
-            ("events", events),
             ("policy", self.policy.state_to_json_value()),
             (
                 "pstores",
@@ -1349,36 +1071,17 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                         .collect(),
                 ),
             ),
-            (
-                "watchdog",
-                snapshot::obj(vec![
-                    (
-                        "last_progress_ps",
-                        snapshot::num(self.watchdog.last_progress().as_ps()),
-                    ),
-                    (
-                        "last_unit",
-                        snapshot::num(self.watchdog.last_unit().map_or(0, |u| u as u64 + 1)),
-                    ),
-                ]),
-            ),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
-            ("mem", self.mem.state_to_json_value()),
-            ("backend", self.backend.state_to_json_value()),
-            ("trace", self.trace.state_to_json_value()),
-        ];
+        ]);
+        let mut tail = Vec::new();
         if let Some(link) = &self.link {
-            payload.push((
+            tail.push((
                 "link",
                 snapshot::arr_u64(link.next_free.iter().map(|t| t.as_ps())),
             ));
         }
         if let Some(faults) = &self.faults {
             let (rng, remaining) = faults.sched.save_state();
-            payload.push((
+            tail.push((
                 "faults",
                 snapshot::obj(vec![
                     ("rng", snapshot::num(rng)),
@@ -1416,10 +1119,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 ]),
             ));
         }
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.state_to_json_value()));
-        }
-        Snapshot::new(self.policy.kind().label(), snapshot::obj(payload))
+        self.core.snapshot(
+            self.policy.kind().label(),
+            head,
+            ("backend", self.backend.state_to_json_value()),
+            tail,
+        )
     }
 
     /// Overwrites this engine's mutable state with a [`Snapshot`] captured
@@ -1439,59 +1144,16 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         let p = &snap.payload;
         let num_pes = self.cfg.num_pes();
 
-        self.launched = snapshot::get_u64(p, "launched")? != 0;
-        self.result_slot = match snapshot::get_u64(p, "result_slot")? {
-            0 => None,
-            s => Some(u8::try_from(s - 1).map_err(|_| malformed("result_slot out of range"))?),
-        };
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
-        self.outstanding = snapshot::get_u64(p, "outstanding")?;
+        self.root = RootRun::read(p)?;
         self.inflight_args = snapshot::get_u64(p, "inflight_args")?;
-        self.last_useful = Time::from_ps(snapshot::get_u64(p, "last_useful_ps")?);
         self.hetero_rr = snapshot::get_u64(p, "hetero_rr")? as usize;
 
-        let steal_fails = snapshot::get_u64s(p, "steal_fails")?;
-        let busy_until = snapshot::get_u64s(p, "busy_until_ps")?;
-        if steal_fails.len() != num_pes || busy_until.len() != num_pes {
-            return Err(malformed(format!(
-                "snapshot describes {} PEs, this engine has {num_pes}",
-                steal_fails.len()
-            )));
-        }
-        self.units.steal_fails = steal_fails
-            .iter()
-            .map(|f| u32::try_from(*f).map_err(|_| malformed("steal_fails overflows u32")))
-            .collect::<Result<_, _>>()?;
-        self.units.busy_until = busy_until.iter().map(|ps| Time::from_ps(*ps)).collect();
-
-        let host = snapshot::get_arr(p, "host")?;
-        if host.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
-        for (slot, value) in self.host.iter_mut().zip(host) {
-            let cell = value
-                .as_array()
-                .ok_or_else(|| malformed("host slot is not an array"))?;
-            *slot = match cell {
-                [] => None,
-                [v] => Some(v.as_u64().ok_or_else(|| malformed("bad host value"))?),
-                _ => return Err(malformed("host slot holds more than one value")),
-            };
-        }
-
-        self.events.clear();
+        self.units.read(p)?;
+        self.core.read_host_cells(p)?;
         self.task_slab.clear();
-        for entry in snapshot::get_arr(p, "events")? {
-            let words = snapshot::u64s(entry, "events")?;
-            let (when, body) = words
-                .split_first()
-                .ok_or_else(|| malformed("empty event entry"))?;
-            let event = Event::from_words(body, &mut self.task_slab).map_err(malformed)?;
-            self.events.push(Time::from_ps(*when), event);
-        }
+        read_events(p, &mut self.events, |body| {
+            Event::from_words(body, &mut self.task_slab)
+        })?;
 
         self.policy
             .restore_state(snapshot::get(p, "policy")?)
@@ -1509,34 +1171,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             pstore.restore_state(state).map_err(malformed)?;
         }
 
-        let watchdog = snapshot::get(p, "watchdog")?;
-        let last_progress = Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        let last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
-        self.watchdog.load(last_progress, last_unit);
-
-        // Metrics restore: rebuild a fresh registry (identical registration
-        // order keeps the typed CounterId/HistogramId handles valid), then
-        // merge the saved values into its zeroed slots.
-        let saved = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
-            .map_err(|e| malformed(format!("metrics: {e}")))?;
-        let mut metrics = Metrics::new();
-        self.ids = FabricIds::register(&mut metrics, num_pes);
-        register_fault_metrics(&mut metrics);
-        self.link = LinkState::for_config(&self.cfg, &mut metrics);
-        metrics.merge(&saved);
-        self.metrics = metrics;
-
-        self.mem
-            .restore_state(snapshot::get(p, "mem")?)
-            .map_err(malformed)?;
+        // Identical registration order keeps the typed handles valid.
+        self.core.restore(p, |metrics| {
+            self.ids = FabricIds::register(metrics, num_pes);
+            self.link = LinkState::for_config(&self.cfg, metrics);
+        })?;
         self.backend
             .restore_state(snapshot::get(p, "backend")?)
             .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
 
         match (&mut self.link, p.get("link")) {
             (Some(link), Some(_)) => {
@@ -1611,40 +1253,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             }
         }
 
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
-        }
-
         self.error = None;
         Ok(())
-    }
-
-    fn collect_stats(&mut self) {
-        let (queue_peak, queue_peak_sum) = self.policy.queue_peaks();
-        let pstore_peak_sum: usize = self.pstores.iter().map(PStore::peak).sum();
-        self.metrics.max("accel.queue_peak", queue_peak);
-        self.metrics.add_to(self.ids.queue_peak_sum, queue_peak_sum);
-        self.metrics
-            .add_to(self.ids.pstore_peak_sum, pstore_peak_sum as u64);
-        let mem_stats = self.backend.take_stats();
-        self.metrics.merge(&mem_stats);
     }
 
     fn handle<W: Worker + ?Sized>(&mut self, now: Time, event: Event, worker: &mut W) {
@@ -1687,12 +1297,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    fn is_busy(&self, pe: usize, now: Time) -> bool {
-        now < self.units.busy_until[pe]
-    }
-
     fn pe_wake<W: Worker + ?Sized>(&mut self, now: Time, pe: usize, worker: &mut W) {
-        if self.is_dead(pe) || self.is_busy(pe, now) {
+        if self.is_dead(pe) || self.units.is_busy(pe, now) {
             return;
         }
         if let Some(task) = self.policy.pop_local(pe, now) {
@@ -1710,8 +1316,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
 
     fn begin_steal(&mut self, now: Time, pe: usize) {
         let victim = self.policy.acquire_target(pe);
-        self.metrics.inc(self.ids.steal_attempts);
-        self.trace.emit(
+        self.core.metrics.inc(self.ids.steal_attempts);
+        self.core.trace.emit(
             now,
             TraceEvent::StealRequest {
                 thief: pe as u32,
@@ -1743,8 +1349,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             policy.serve_acquire(victim, now, service, &pred)
         };
         if task.is_some() {
-            self.metrics.inc(self.ids.steal_hits);
-            self.trace.emit(
+            self.core.metrics.inc(self.ids.steal_hits);
+            self.core.trace.emit(
                 done,
                 TraceEvent::StealGrant {
                     thief: thief as u32,
@@ -1753,17 +1359,17 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             );
             if let Some(link) = self.link.as_ref() {
                 if self.chip_of_unit(thief) != self.chip_of_unit(victim) {
-                    self.metrics.inc(link.ids.steal_hits);
+                    self.core.metrics.inc(link.ids.steal_hits);
                 }
             }
             if victim < self.cfg.num_pes() && self.is_dead(victim) {
                 // Work stealing doubles as the rescue path for a dead PE's
                 // stranded deque.
-                self.metrics.incr("fault.rescued_tasks");
+                self.core.metrics.incr("fault.rescued_tasks");
                 self.check_rescued(done, victim);
             }
         } else {
-            self.trace.emit(
+            self.core.trace.emit(
                 done,
                 TraceEvent::StealFail {
                     thief: thief as u32,
@@ -1800,13 +1406,13 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                         )));
                         return;
                     };
-                    self.metrics.incr("fault.rescued_tasks");
+                    self.core.metrics.incr("fault.rescued_tasks");
                     self.push_local(dest, t, now);
                     self.events.push(now, Event::PeWake { pe: dest });
                     return;
                 }
                 self.units.steal_fails[thief] = 0;
-                if self.is_busy(thief, now) {
+                if self.units.is_busy(thief, now) {
                     // The thief picked up greedy-routed work meanwhile; bank
                     // the stolen task in its queue.
                     self.push_local(thief, t, now);
@@ -1822,8 +1428,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 // Exponential backoff caps event churn while the accelerator
                 // is starved for parallelism (e.g. quicksort's serial
                 // partition phases).
-                let fails = self.units.steal_fails[thief].min(6);
-                self.units.steal_fails[thief] = self.units.steal_fails[thief].saturating_add(1);
+                let fails = self.units.failed_steal(thief);
                 let backoff = self.cfg.costs.steal_backoff_cycles << fails;
                 self.events
                     .push(now + self.cycles(backoff), Event::PeWake { pe: thief });
@@ -1837,14 +1442,6 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    fn trace_injected(&mut self, at: Time, spec: usize, unit: usize) {
-        record_injected(&mut self.metrics, &mut self.trace, at, spec, unit);
-    }
-
-    fn trace_recovered(&mut self, at: Time, spec: usize, unit: usize) {
-        record_recovered(&mut self.metrics, &mut self.trace, at, spec, unit);
-    }
-
     /// A planned one-shot fault fires: kill a PE, stall a PE, or corrupt a
     /// P-Store entry. Network faults are reactive (consulted per send) and
     /// never reach here.
@@ -1855,39 +1452,39 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         match kind {
             FaultKind::PeDeath { pe } => {
                 if self.is_dead(pe) {
-                    self.metrics.incr("fault.skipped");
+                    self.core.metrics.incr("fault.skipped");
                     return;
                 }
                 self.faults.as_mut().unwrap().dead[pe] = true;
-                self.trace_injected(now, spec, pe);
-                self.metrics.incr("fault.pe_deaths");
+                self.core.record_injected(now, spec, pe);
+                self.core.metrics.incr("fault.pe_deaths");
                 if self.policy.unit_queue_empty(pe) {
                     // Nothing to rescue: the fabric already routes around the
                     // corpse, so the fault is absorbed immediately.
-                    self.trace_recovered(now, spec, pe);
+                    self.core.record_recovered(now, spec, pe);
                 } else {
                     self.faults.as_mut().unwrap().rescue_pending[pe] = Some(spec);
                 }
             }
             FaultKind::PeStall { pe, cycles } => {
                 if self.is_dead(pe) {
-                    self.metrics.incr("fault.skipped");
+                    self.core.metrics.incr("fault.skipped");
                     return;
                 }
                 let resume = self.units.busy_until[pe].max(now) + self.cycles(cycles);
                 self.units.busy_until[pe] = resume;
-                self.trace_injected(now, spec, pe);
-                self.metrics.incr("fault.pe_stalls");
+                self.core.record_injected(now, spec, pe);
+                self.core.metrics.incr("fault.pe_stalls");
                 // A transient stall always clears itself; recovery is the
                 // wake at `resume` (the tracer's stable sort orders it).
-                self.trace_recovered(resume, spec, pe);
+                self.core.record_recovered(resume, spec, pe);
                 self.events.push(resume, Event::PeWake { pe });
             }
             FaultKind::PStoreCorrupt { tile, mask } => {
                 match self.pstores[tile].corrupt(mask) {
                     Some(entry) => {
-                        self.trace_injected(now, spec, tile);
-                        self.metrics.incr("fault.pstore_hits");
+                        self.core.record_injected(now, spec, tile);
+                        self.core.metrics.incr("fault.pstore_hits");
                         if self.pstores[tile].tainted(entry) {
                             self.faults.as_mut().unwrap().corrupt_pending[tile].push((entry, spec));
                         } else {
@@ -1907,14 +1504,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                                 hits
                             };
                             for s in cancelled {
-                                self.trace_recovered(now, s, tile);
+                                self.core.record_recovered(now, s, tile);
                             }
-                            self.trace_recovered(now, spec, tile);
+                            self.core.record_recovered(now, spec, tile);
                         }
                     }
                     // No live entry to corrupt: the fault lands on unused
                     // storage and is a no-op.
-                    None => self.metrics.incr("fault.skipped"),
+                    None => self.core.metrics.incr("fault.skipped"),
                 }
             }
             FaultKind::NetDrop { .. } | FaultKind::NetDup { .. } => {}
@@ -1945,7 +1542,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 // Every prior drop of this message is now masked: one
                 // recovery per injected drop keeps traces and counters equal.
                 for _ in 0..attempt {
-                    self.trace_recovered(at, spec, from_pe);
+                    self.core.record_recovered(at, spec, from_pe);
                 }
                 self.events.push(
                     at,
@@ -1959,11 +1556,11 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 );
             }
             SendVerdict::Drop { spec: drop_spec } => {
-                self.trace_injected(at, drop_spec, from_pe);
-                self.metrics.incr("fault.dropped_args");
+                self.core.record_injected(at, drop_spec, from_pe);
+                self.core.metrics.incr("fault.dropped_args");
                 if attempt >= MAX_SEND_RETRIES {
-                    self.metrics.incr("fault.unrecovered");
-                    self.trace.emit(
+                    self.core.metrics.incr("fault.unrecovered");
+                    self.core.trace.emit(
                         at,
                         TraceEvent::FaultUnrecovered {
                             spec: drop_spec as u32,
@@ -1973,7 +1570,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                     // The argument is lost for good; `inflight_args` stays
                     // elevated so the watchdog diagnoses the stall.
                 } else {
-                    self.metrics.incr("fault.retries");
+                    self.core.metrics.incr("fault.retries");
                     let backoff = self.cfg.costs.steal_backoff_cycles << attempt.min(6);
                     self.events.push(
                         at + self.cycles(backoff),
@@ -1989,10 +1586,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 }
             }
             SendVerdict::Duplicate { spec: dup_spec } => {
-                self.trace_injected(at, dup_spec, from_pe);
-                self.metrics.incr("fault.dup_args");
+                self.core.record_injected(at, dup_spec, from_pe);
+                self.core.metrics.incr("fault.dup_args");
                 for _ in 0..attempt {
-                    self.trace_recovered(at, spec, from_pe);
+                    self.core.record_recovered(at, spec, from_pe);
                 }
                 // Both copies are delivered; the receiver discards the
                 // flagged duplicate one hop later (sequence-number dedup).
@@ -2032,7 +1629,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         match verdict {
             SendVerdict::Deliver => {
                 for _ in 0..attempt {
-                    self.trace_recovered(at, spec, dest);
+                    self.core.record_recovered(at, spec, dest);
                 }
                 self.events.push(
                     at + hop,
@@ -2044,11 +1641,11 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 );
             }
             SendVerdict::Drop { spec: drop_spec } => {
-                self.trace_injected(at, drop_spec, dest);
-                self.metrics.incr("fault.dropped_tasks");
+                self.core.record_injected(at, drop_spec, dest);
+                self.core.metrics.incr("fault.dropped_tasks");
                 if attempt >= MAX_SEND_RETRIES {
-                    self.metrics.incr("fault.unrecovered");
-                    self.trace.emit(
+                    self.core.metrics.incr("fault.unrecovered");
+                    self.core.trace.emit(
                         at,
                         TraceEvent::FaultUnrecovered {
                             spec: drop_spec as u32,
@@ -2056,7 +1653,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                         },
                     );
                 } else {
-                    self.metrics.incr("fault.retries");
+                    self.core.metrics.incr("fault.retries");
                     let backoff = self.cfg.costs.steal_backoff_cycles << attempt.min(6);
                     self.events.push(
                         at + self.cycles(backoff),
@@ -2070,12 +1667,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 }
             }
             SendVerdict::Duplicate { spec: dup_spec } => {
-                self.trace_injected(at, dup_spec, dest);
-                self.metrics.incr("fault.dup_tasks");
+                self.core.record_injected(at, dup_spec, dest);
+                self.core.metrics.incr("fault.dup_tasks");
                 for _ in 0..attempt {
-                    self.trace_recovered(at, spec, dest);
+                    self.core.record_recovered(at, spec, dest);
                 }
-                self.outstanding += 1;
+                self.root.outstanding += 1;
                 self.events.push(
                     at + hop,
                     Event::TaskRun {
@@ -2105,8 +1702,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             return;
         }
         self.faults.as_mut().unwrap().rescue_pending[victim] = None;
-        self.metrics.incr("fault.rescues");
-        self.trace_recovered(at, spec, victim);
+        self.core.metrics.incr("fault.rescues");
+        self.core.record_recovered(at, spec, victim);
     }
 
     /// Picks a live PE that can process `ty`, preferring `preferred` and
@@ -2141,19 +1738,19 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         if let Some(spec) = dup_of {
             // Sequence-number dedup at the receiver: the duplicate copy is
             // recognised and discarded.
-            self.metrics.incr("fault.dup_discarded");
-            self.trace_recovered(now, spec, from_pe);
+            self.core.metrics.incr("fault.dup_discarded");
+            self.core.record_recovered(now, spec, from_pe);
             return;
         }
-        self.last_useful = self.last_useful.max(now);
-        self.progress(now, from_pe);
+        self.root.last_useful = self.root.last_useful.max(now);
+        self.core.watchdog.progress(now, from_pe);
         match k {
             Continuation::Host { slot } => {
-                self.host[slot as usize] = Some(value);
+                self.core.host[slot as usize] = Some(value);
             }
             Continuation::PStore { tile, entry, slot } => {
                 let join_target = self.pstores[tile as usize].pending_id(entry).unwrap_or(0);
-                self.trace.emit(
+                self.core.trace.emit(
                     now,
                     TraceEvent::PStoreJoin {
                         tile: tile as u32,
@@ -2174,7 +1771,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 };
                 if outcome.repaired {
                     // The entry's ECC scrubbed injected taint on this fill.
-                    self.metrics.incr("fault.pstore_repairs");
+                    self.core.metrics.incr("fault.pstore_repairs");
                     let specs: Vec<usize> = match self.faults.as_mut() {
                         Some(fs) => {
                             let queue = &mut fs.corrupt_pending[tile as usize];
@@ -2189,18 +1786,18 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                         None => Vec::new(),
                     };
                     for spec in specs {
-                        self.trace_recovered(now, spec, tile as usize);
+                        self.core.record_recovered(now, spec, tile as usize);
                     }
                 }
                 if let Some(ready) = outcome.ready {
-                    self.trace.emit(
+                    self.core.trace.emit(
                         now,
                         TraceEvent::PStoreDealloc {
                             tile: tile as u32,
                             occupancy: self.pstores[tile as usize].occupancy() as u32,
                         },
                     );
-                    self.outstanding += 1;
+                    self.root.outstanding += 1;
                     // Greedy scheduling (default): the ready task returns to
                     // the PE that produced the last argument. The ablation
                     // instead leaves it with a PE of the P-Store's tile.
@@ -2250,9 +1847,9 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         worker: &mut W,
     ) {
         if let Some(spec) = dup_of {
-            self.outstanding -= 1;
-            self.metrics.incr("fault.dup_discarded");
-            self.trace_recovered(now, spec, pe);
+            self.root.outstanding -= 1;
+            self.core.metrics.incr("fault.dup_discarded");
+            self.core.record_recovered(now, spec, pe);
             return;
         }
         if self.is_dead(pe) {
@@ -2266,7 +1863,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 )));
                 return;
             };
-            self.metrics.incr("fault.rescued_tasks");
+            self.core.metrics.incr("fault.rescued_tasks");
             let at = self.link_transit(
                 now + self.cycles(self.cfg.costs.net_hop_cycles),
                 self.chip_of_unit(pe),
@@ -2283,7 +1880,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             );
             return;
         }
-        if self.is_busy(pe, now) {
+        if self.units.is_busy(pe, now) {
             self.push_local(pe, task, now);
         } else {
             self.execute_task(now, pe, task, worker);
@@ -2299,7 +1896,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     ) {
         let tile = self.cfg.tile_of_pe(pe);
         let port = self.backend.port_of(&self.cfg, pe);
-        self.trace.emit(
+        self.core.trace.emit(
             start,
             TraceEvent::TaskDispatch {
                 unit: pe as u32,
@@ -2317,12 +1914,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         let FabricEngine {
             cfg,
             profile,
-            mem,
+            core,
             backend,
             pstores,
             policy,
-            trace,
-            next_task_id,
             ..
         } = self;
         let mut ctx = FabricCtx {
@@ -2332,13 +1927,11 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             port,
             cfg,
             profile: *profile,
-            mem,
+            core,
             backend,
             pstores,
             policy,
-            trace,
             cur_task: task.id,
-            next_task_id,
             out_args,
             out_spawns,
             spawned: 0,
@@ -2375,17 +1968,17 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             self.push_local(dest, task, at);
             self.events.push(at, Event::PeWake { pe: dest });
         }
-        self.outstanding += spawned;
+        self.root.outstanding += spawned;
         let busy_ps = (end - start).as_ps();
-        self.metrics.add_to(self.ids.spawns, spawned);
-        self.metrics.add_to(self.ids.successors, successors);
-        self.metrics.add_to(self.ids.args, args_sent);
-        self.metrics.add_to(self.ids.ops, ops);
-        self.metrics.inc(self.ids.tasks);
-        self.metrics.observe(self.ids.task_ps, busy_ps);
-        self.metrics.inc(self.ids.pe_tasks[pe]);
-        self.metrics.add_to(self.ids.pe_busy_ps[pe], busy_ps);
-        self.trace.emit(
+        self.core.metrics.add_to(self.ids.spawns, spawned);
+        self.core.metrics.add_to(self.ids.successors, successors);
+        self.core.metrics.add_to(self.ids.args, args_sent);
+        self.core.metrics.add_to(self.ids.ops, ops);
+        self.core.metrics.inc(self.ids.tasks);
+        self.core.metrics.observe(self.ids.task_ps, busy_ps);
+        self.core.metrics.inc(self.ids.pe_tasks[pe]);
+        self.core.metrics.add_to(self.ids.pe_busy_ps[pe], busy_ps);
+        self.core.trace.emit(
             end,
             TraceEvent::TaskComplete {
                 unit: pe as u32,
@@ -2405,9 +1998,9 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             self.inflight_args += 1;
             self.send_arg_msg(at, k, value, pe, task.id, 0, 0);
         }
-        self.last_useful = self.last_useful.max(end);
-        self.progress(end, pe);
-        self.outstanding -= 1;
+        self.root.last_useful = self.root.last_useful.max(end);
+        self.core.watchdog.progress(end, pe);
+        self.root.outstanding -= 1;
         self.scratch_args = out_args;
         self.scratch_args.clear();
         self.scratch_spawns = out_spawns;
@@ -2416,6 +2009,41 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         // its completion wake fires at `end`.
         self.units.busy_until[pe] = end;
         self.events.push(end, Event::PeWake { pe });
+    }
+}
+
+impl<P: SchedulingPolicy> EmbedsCore for FabricEngine<P> {
+    fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    /// Pending event count, ready tasks across the policy's stores,
+    /// inter-chip links still serializing a message, and total P-Store
+    /// occupancy.
+    fn gauges(&self, now: Time) -> Vec<(&'static str, u64)> {
+        let inflight_links = self.link.as_ref().map_or(0, |l| {
+            l.next_free.iter().filter(|free| **free > now).count() as u64
+        });
+        let pstore = self.pstores.iter().map(PStore::occupancy).sum::<usize>();
+        vec![
+            ("events", self.events.len() as u64),
+            ("ready_tasks", self.policy.ready_tasks()),
+            ("inflight_links", inflight_links),
+            ("pstore_occupancy", pstore as u64),
+        ]
+    }
+
+    /// The first PE whose queue still holds work, else the host interface
+    /// block (`num_pes`) if its queue does.
+    fn blocked_unit(&self) -> Option<usize> {
+        let num_pes = self.cfg.num_pes();
+        (0..num_pes)
+            .find(|&pe| !self.policy.unit_queue_empty(pe))
+            .or((!self.policy.host_queue_empty()).then_some(num_pes))
     }
 }
 
@@ -2429,16 +2057,15 @@ struct FabricCtx<'e, P: SchedulingPolicy> {
     port: usize,
     cfg: &'e AccelConfig,
     profile: ExecProfile,
-    mem: &'e mut Memory,
+    /// The engine's memory, trace and task-id allocator, borrowed for the
+    /// task's duration.
+    core: &'e mut EngineCore,
     backend: &'e mut MemBackend,
     pstores: &'e mut Vec<PStore>,
     policy: &'e mut P,
-    trace: &'e mut Tracer,
     /// Instance id of the task this context executes (the `parent` of every
     /// spawn it makes).
     cur_task: u64,
-    /// The engine's task-id allocator, borrowed for the task's duration.
-    next_task_id: &'e mut u64,
     out_args: Vec<(Time, Continuation, u64)>,
     /// Spawns whose task type this PE's worker cannot process — routed to a
     /// supporting PE over the intra-tile bus after execution.
@@ -2454,12 +2081,6 @@ impl<P: SchedulingPolicy> FabricCtx<'_, P> {
     fn cycles(&self, n: u64) -> Time {
         self.cfg.clock.cycles_to_time(n)
     }
-
-    fn alloc_task_id(&mut self) -> u64 {
-        let id = *self.next_task_id;
-        *self.next_task_id += 1;
-        id
-    }
 }
 
 impl<P: SchedulingPolicy> TaskContext for FabricCtx<'_, P> {
@@ -2469,8 +2090,8 @@ impl<P: SchedulingPolicy> TaskContext for FabricCtx<'_, P> {
         }
         self.now += self.cycles(self.cfg.costs.spawn_cycles);
         self.spawned += 1;
-        let task = task.with_id(self.alloc_task_id());
-        self.trace.emit(
+        let task = task.with_id(self.core.alloc_task_id());
+        self.core.trace.emit(
             self.now,
             TraceEvent::Spawn {
                 unit: self.pe as u32,
@@ -2521,7 +2142,7 @@ impl<P: SchedulingPolicy> TaskContext for FabricCtx<'_, P> {
         }
         self.now += self.cycles(self.cfg.costs.successor_cycles);
         self.successors += 1;
-        let mut pending = PendingTask::new(ty, k, join).with_id(self.alloc_task_id());
+        let mut pending = PendingTask::new(ty, k, join).with_id(self.core.alloc_task_id());
         for &(slot, value) in preset {
             pending = pending.preset(slot, value);
         }
@@ -2542,7 +2163,7 @@ impl<P: SchedulingPolicy> TaskContext for FabricCtx<'_, P> {
                     if probe > 0 {
                         self.now += self.cycles(self.cfg.costs.net_hop_cycles);
                     }
-                    self.trace.emit(
+                    self.core.trace.emit(
                         self.now,
                         TraceEvent::PStoreAlloc {
                             tile: t as u32,
@@ -2565,7 +2186,7 @@ impl<P: SchedulingPolicy> TaskContext for FabricCtx<'_, P> {
     timed_memory_path!();
 
     fn mem(&mut self) -> &mut Memory {
-        self.mem
+        &mut self.core.mem
     }
 }
 

@@ -15,9 +15,11 @@
 //! | Task scheduling       | work stealing      | static distribution|
 //!
 //! The crate simulates them at cycle granularity on top of the
-//! [`pxl_sim`] event kernel and the [`pxl_mem`] hierarchy. Everything that
-//! does not depend on task distribution — memory backend, P-Store joins,
-//! fault injection/recovery, the quiescence watchdog, metrics and tracing,
+//! [`pxl_sim`] event kernel and the [`pxl_mem`] hierarchy. The runtime
+//! services every engine needs — functional memory, metrics, tracing, the
+//! quiescence watchdog, telemetry, task ids and host slots — live once in
+//! [`EngineCore`]. Everything else that does not depend on task
+//! distribution — memory backend, P-Store joins, fault injection/recovery,
 //! the PE-side `TaskContext` — lives once in the [`fabric`] module; a
 //! [`SchedulingPolicy`] supplies the distribution:
 //!
@@ -40,12 +42,14 @@
 
 pub mod api;
 pub mod config;
+pub mod core;
 pub mod deque;
 pub mod fabric;
 pub mod lite;
 pub mod policy;
 pub mod pstore;
 
+pub use crate::core::{register_fault_metrics, EmbedsCore, EngineCore, Watchdog};
 pub use api::{Engine, EngineKind, Workload};
 pub use config::{
     AccelConfig, ArchCosts, ArchKind, ClusterConfig, ConfigError, LinkTopology, LocalOrder,
@@ -53,8 +57,7 @@ pub use config::{
 };
 pub use deque::TaskDeque;
 pub use fabric::{
-    record_injected, record_recovered, register_fault_metrics, AccelError, AccelResult,
-    CentralEngine, FabricEngine, FlexEngine, HierEngine, RunStatus, Watchdog,
+    AccelError, AccelResult, CentralEngine, FabricEngine, FlexEngine, HierEngine, RunStatus,
 };
 pub use lite::{LiteDriver, LiteEngine, RoundTasks};
 pub use policy::{

@@ -16,15 +16,12 @@
 use pxl_mem::Memory;
 use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
-use pxl_sim::json::JsonValue;
 use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
-use pxl_sim::{FaultKind, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer};
+use pxl_sim::{FaultKind, Metrics, Time, TraceEvent};
 
 use crate::config::{AccelConfig, ArchKind};
-use crate::fabric::{
-    record_injected, record_recovered, register_fault_metrics, timed_memory_path, AccelError,
-    AccelResult, MemBackend, RunStatus, Watchdog,
-};
+use crate::core::{EmbedsCore, EngineCore};
+use crate::fabric::{timed_memory_path, AccelError, AccelResult, MemBackend, RunStatus};
 use crate::policy::StaticRoundPolicy;
 
 /// One round of statically distributed tasks.
@@ -92,24 +89,17 @@ where
 pub struct LiteEngine {
     cfg: AccelConfig,
     profile: ExecProfile,
-    mem: Memory,
+    /// Memory, metrics, trace, watchdog, telemetry (ticked at round
+    /// barriers), task ids (sequential in dispatch order) and the host
+    /// slots, which accumulate.
+    core: EngineCore,
     backend: MemBackend,
-    host: [u64; HOST_SLOTS],
-    host_written: [bool; HOST_SLOTS],
-    metrics: Metrics,
-    trace: Tracer,
     /// Simulated time at the last round barrier. A field (not a `run`
     /// local) so a paused or restored engine resumes exactly where it
     /// stopped.
     now: Time,
     /// The next round to request from the driver.
     round: usize,
-    /// Next task instance id (sequential in dispatch order; 0 reserved).
-    next_task_id: u64,
-    watchdog: Watchdog,
-    /// In-run telemetry sampler, ticked at round barriers; `None` when
-    /// `telemetry_every_cycles` is zero.
-    telemetry: Option<TelemetrySampler>,
 }
 
 impl LiteEngine {
@@ -135,37 +125,30 @@ impl LiteEngine {
                 "LiteEngine requires ArchKind::Lite".to_string(),
             ));
         }
-        let backend = MemBackend::for_config(&cfg);
-        let mut metrics = Metrics::new();
-        register_fault_metrics(&mut metrics);
-        metrics.register_counter("trace.dropped");
         Ok(LiteEngine {
             profile,
-            mem: Memory::new(),
-            backend,
-            host: [0; HOST_SLOTS],
-            host_written: [false; HOST_SLOTS],
-            metrics,
-            trace: Tracer::bounded(cfg.trace_capacity),
+            core: EngineCore::new(
+                &cfg.clock,
+                cfg.max_sim_time_us,
+                cfg.watchdog_quiescence_cycles,
+                cfg.trace_capacity,
+                cfg.telemetry_every_cycles,
+            ),
+            backend: MemBackend::for_config(&cfg),
             now: Time::ZERO,
             round: 0,
-            next_task_id: 1,
-            watchdog: Watchdog::new(cfg.clock.cycles_to_time(cfg.watchdog_quiescence_cycles)),
-            telemetry: (cfg.telemetry_every_cycles > 0).then(|| {
-                TelemetrySampler::new(cfg.clock.cycles_to_time(cfg.telemetry_every_cycles))
-            }),
             cfg,
         })
     }
 
     /// Mutable access to functional memory for input setup.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.core.mem
     }
 
     /// Shared access to functional memory for output checking.
     pub fn memory(&self) -> &Memory {
-        &self.mem
+        &self.core.mem
     }
 
     /// The configuration this engine was built with.
@@ -176,7 +159,7 @@ impl LiteEngine {
     /// The engine's metrics registry (fully aggregated only after
     /// [`LiteEngine::run`] returns, which moves it into the result).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// Runs rounds from `driver` until it returns `None`.
@@ -260,7 +243,6 @@ impl LiteEngine {
         D: LiteDriver + ?Sized,
     {
         let num_pes = self.cfg.num_pes();
-        let limit = Time::from_us(self.cfg.max_sim_time_us);
         let (deaths, stalls, all_deaths) = self.fault_windows();
         let policy = StaticRoundPolicy::new(num_pes);
         loop {
@@ -270,11 +252,11 @@ impl LiteEngine {
                 }
             }
             let round = self.round;
-            let Some(tasks) = driver.next_round(&mut self.mem, round) else {
+            let Some(tasks) = driver.next_round(&mut self.core.mem, round) else {
                 break;
             };
-            self.metrics.incr("lite.rounds");
-            self.metrics.add("lite.tasks", tasks.len() as u64);
+            self.core.metrics.incr("lite.rounds");
+            self.core.metrics.add("lite.tasks", tasks.len() as u64);
             let mut now = self.now
                 + self
                     .cfg
@@ -293,20 +275,16 @@ impl LiteEngine {
                 let Some(slot) = policy.place(i, dispatched, &pe_time, &deaths, &stalls) else {
                     // Every PE is dead: the IF can never dispatch this task
                     // (the IF, unit `num_pes`, holds the undispatchable work).
-                    let (metrics, trace) = (&mut self.metrics, &mut self.trace);
-                    return Err(self
-                        .watchdog
-                        .stall(metrics, trace, dispatched, Some(num_pes)));
+                    return Err(self.core.stall(dispatched, Some(num_pes)));
                 };
                 if slot.reassigned {
-                    self.metrics.incr("fault.rescued_tasks");
+                    self.core.metrics.incr("fault.rescued_tasks");
                 }
-                let task = task.with_id(self.next_task_id);
-                self.next_task_id += 1;
+                let task = task.with_id(self.core.alloc_task_id());
                 let end = self.execute_task(slot.start, slot.pe, task, worker)?;
                 pe_time[slot.pe] = end;
-                self.watchdog.progress(end, slot.pe);
-                if end > limit {
+                self.core.watchdog.progress(end, slot.pe);
+                if end > self.core.limit {
                     return Err(AccelError::TimedOut);
                 }
             }
@@ -317,76 +295,43 @@ impl LiteEngine {
             // Sample at the round barrier: rounds are atomic and pauses only
             // land between them, so a resumed leg replays the same barrier
             // sequence and produces the identical timeline.
-            if self.telemetry.as_ref().is_some_and(|t| t.due(now)) {
-                let gauges = self.telemetry_gauges();
-                let metrics = &self.metrics;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.tick(now, metrics, &gauges);
-                }
-            }
+            self.sample_if_due(now);
         }
         let now = self.now;
-        // Close the final partial telemetry window before end-of-run fault
-        // accounting and memory-stat rollups land in the registry, so the
-        // last sample's deltas cover only in-run activity like every other.
-        let gauges = self.telemetry_gauges();
-        let timeline = match self.telemetry.as_mut() {
-            Some(t) => {
-                t.flush(now, &self.metrics, &gauges);
-                t.take_timeline()
-            }
-            None => Timeline::default(),
-        };
-        // Account the plan's faults against the finished run: everything
-        // that fired inside the simulated interval was absorbed by static
-        // reassignment (deaths) or waiting out the window (stalls).
-        for &(pe, at, idx) in &all_deaths {
-            let effective = deaths[pe] == Some((at, idx)) && at <= now;
-            if effective {
-                self.metrics.incr("fault.pe_deaths");
-                record_injected(&mut self.metrics, &mut self.trace, at, idx, pe);
-                record_recovered(&mut self.metrics, &mut self.trace, now.max(at), idx, pe);
-            } else {
-                self.metrics.incr("fault.skipped");
-            }
-        }
-        for (pe, windows) in stalls.iter().enumerate() {
-            for &(s, e, idx) in windows {
-                if s <= now {
-                    self.metrics.incr("fault.pe_stalls");
-                    record_injected(&mut self.metrics, &mut self.trace, s, idx, pe);
-                    record_recovered(&mut self.metrics, &mut self.trace, e, idx, pe);
-                } else {
-                    self.metrics.incr("fault.skipped");
+        let result = self.core.host[0].unwrap_or(0);
+        Ok(RunStatus::Finished(self.finish_run(
+            result,
+            now,
+            |engine| {
+                // Account the plan's faults against the finished run: everything
+                // that fired inside the simulated interval was absorbed by static
+                // reassignment (deaths) or waiting out the window (stalls).
+                let core = &mut engine.core;
+                for &(pe, at, idx) in &all_deaths {
+                    let effective = deaths[pe] == Some((at, idx)) && at <= now;
+                    if effective {
+                        core.metrics.incr("fault.pe_deaths");
+                        core.record_injected(at, idx, pe);
+                        core.record_recovered(now.max(at), idx, pe);
+                    } else {
+                        core.metrics.incr("fault.skipped");
+                    }
                 }
-            }
-        }
-        let mem_stats = self.backend.take_stats();
-        self.metrics.merge(&mem_stats);
-        let mut trace = std::mem::take(&mut self.trace);
-        trace.absorb(self.backend.take_trace());
-        trace.finish();
-        self.metrics.add("trace.dropped", trace.dropped());
-        Ok(RunStatus::Finished(AccelResult {
-            result: self.host[0],
-            elapsed: now,
-            metrics: std::mem::take(&mut self.metrics),
-            trace,
-            timeline,
-        }))
-    }
-
-    /// Instantaneous LiteArch gauges recorded with every telemetry sample:
-    /// completed round count and host result slots written so far — the
-    /// static machine's equivalents of the fabric's queue-depth gauges.
-    fn telemetry_gauges(&self) -> [(&'static str, u64); 2] {
-        [
-            (
-                "host_written",
-                self.host_written.iter().filter(|w| **w).count() as u64,
-            ),
-            ("rounds", self.round as u64),
-        ]
+                for (pe, windows) in stalls.iter().enumerate() {
+                    for &(s, e, idx) in windows {
+                        if s <= now {
+                            core.metrics.incr("fault.pe_stalls");
+                            core.record_injected(s, idx, pe);
+                            core.record_recovered(e, idx, pe);
+                        } else {
+                            core.metrics.incr("fault.skipped");
+                        }
+                    }
+                }
+                core.metrics.merge(&engine.backend.take_stats());
+                engine.backend.take_trace()
+            },
+        )))
     }
 
     /// Serializes the complete mutable state into a versioned, checksummed
@@ -395,40 +340,22 @@ impl LiteEngine {
     /// with an equivalent driver — continues byte-identically to an
     /// uninterrupted run.
     pub fn snapshot(&self) -> Snapshot {
-        let mut payload = vec![
+        let host = &self.core.host;
+        let head = vec![
             ("now_ps", snapshot::num(self.now.as_ps())),
             ("round", snapshot::num(self.round as u64)),
-            ("next_task_id", snapshot::num(self.next_task_id)),
-            ("host", snapshot::arr_u64(self.host.iter().copied())),
+            ("next_task_id", snapshot::num(self.core.next_task_id)),
+            (
+                "host",
+                snapshot::arr_u64(host.iter().map(|h| h.unwrap_or(0))),
+            ),
             (
                 "host_written",
-                snapshot::arr_u64(self.host_written.iter().map(|w| u64::from(*w))),
+                snapshot::arr_u64(host.iter().map(|h| u64::from(h.is_some()))),
             ),
-            (
-                "watchdog",
-                snapshot::obj(vec![
-                    (
-                        "last_progress_ps",
-                        snapshot::num(self.watchdog.last_progress().as_ps()),
-                    ),
-                    (
-                        "last_unit",
-                        snapshot::num(self.watchdog.last_unit().map_or(0, |u| u as u64 + 1)),
-                    ),
-                ]),
-            ),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
-            ("mem", self.mem.state_to_json_value()),
-            ("backend", self.backend.state_to_json_value()),
-            ("trace", self.trace.state_to_json_value()),
         ];
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.state_to_json_value()));
-        }
-        Snapshot::new("lite", snapshot::obj(payload))
+        let backend = ("backend", self.backend.state_to_json_value());
+        self.core.snapshot("lite", head, backend, Vec::new())
     }
 
     /// Overwrites this engine's mutable state with a [`Snapshot`] captured
@@ -445,7 +372,6 @@ impl LiteEngine {
         let p = &snap.payload;
         self.now = Time::from_ps(snapshot::get_u64(p, "now_ps")?);
         self.round = snapshot::get_u64(p, "round")? as usize;
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
         let host = snapshot::get_u64s(p, "host")?;
         let written = snapshot::get_u64s(p, "host_written")?;
         if host.len() != HOST_SLOTS || written.len() != HOST_SLOTS {
@@ -454,53 +380,22 @@ impl LiteEngine {
                 host.len()
             )));
         }
-        self.host.copy_from_slice(&host);
-        for (slot, w) in self.host_written.iter_mut().zip(&written) {
-            *slot = *w != 0;
+        for (slot, (&value, &w)) in self.core.host.iter_mut().zip(host.iter().zip(&written)) {
+            *slot = match (w, value) {
+                (0, 0) => None,
+                (0, _) => return Err(malformed("an unwritten host slot holds a value")),
+                _ => Some(value),
+            };
         }
-        let watchdog = snapshot::get(p, "watchdog")?;
-        let last_progress = Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        let last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
-        self.watchdog.load(last_progress, last_unit);
-        self.metrics = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
-            .map_err(|e| malformed(format!("metrics: {e}")))?;
-        self.mem
-            .restore_state(snapshot::get(p, "mem")?)
-            .map_err(malformed)?;
+        self.core.restore(p, |_| {})?;
         self.backend
             .restore_state(snapshot::get(p, "backend")?)
-            .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
-        }
-        Ok(())
+            .map_err(malformed)
     }
 
-    /// Accumulated value of a host result slot (zero if never written).
+    /// Accumulated value of a host result slot (`None` if never written).
     pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.host_written[slot as usize].then(|| self.host[slot as usize])
+        self.core.host_result(slot)
     }
 
     fn execute_task<W: Worker + ?Sized>(
@@ -521,10 +416,8 @@ impl LiteEngine {
             port,
             cfg: &self.cfg,
             profile: self.profile,
-            mem: &mut self.mem,
+            core: &mut self.core,
             backend: &mut self.backend,
-            host: &mut self.host,
-            host_written: &mut self.host_written,
             ops: 0,
             error: None,
         };
@@ -536,11 +429,11 @@ impl LiteEngine {
             return Err(e);
         }
         let busy_ps = (end - start).as_ps();
-        self.metrics.incr("accel.tasks");
-        self.metrics.incr(&format!("pe{pe}.tasks"));
-        self.metrics.add("accel.ops", ops);
-        self.metrics.add(&format!("pe{pe}.busy_ps"), busy_ps);
-        self.trace.emit(
+        self.core.metrics.incr("accel.tasks");
+        self.core.metrics.incr(&format!("pe{pe}.tasks"));
+        self.core.metrics.add("accel.ops", ops);
+        self.core.metrics.add(&format!("pe{pe}.busy_ps"), busy_ps);
+        self.core.trace.emit(
             start,
             TraceEvent::TaskDispatch {
                 unit: pe as u32,
@@ -548,7 +441,7 @@ impl LiteEngine {
                 task: task.id,
             },
         );
-        self.trace.emit(
+        self.core.trace.emit(
             end,
             TraceEvent::TaskComplete {
                 unit: pe as u32,
@@ -567,10 +460,10 @@ struct LiteCtx<'e> {
     port: usize,
     cfg: &'e AccelConfig,
     profile: ExecProfile,
-    mem: &'e mut Memory,
+    /// The engine's memory and host slots, borrowed for the task's
+    /// duration.
+    core: &'e mut EngineCore,
     backend: &'e mut MemBackend,
-    host: &'e mut [u64; HOST_SLOTS],
-    host_written: &'e mut [bool; HOST_SLOTS],
     ops: u64,
     error: Option<AccelError>,
 }
@@ -589,8 +482,8 @@ impl TaskContext for LiteCtx<'_> {
             .cycles_to_time(self.cfg.costs.send_arg_cycles);
         match k {
             Continuation::Host { slot } => {
-                self.host[slot as usize] = self.host[slot as usize].wrapping_add(value);
-                self.host_written[slot as usize] = true;
+                let cell = &mut self.core.host[slot as usize];
+                *cell = Some(cell.unwrap_or(0).wrapping_add(value));
             }
             Continuation::PStore { .. } => {
                 self.error = Some(AccelError::Unsupported(
@@ -616,7 +509,27 @@ impl TaskContext for LiteCtx<'_> {
     timed_memory_path!();
 
     fn mem(&mut self) -> &mut Memory {
-        self.mem
+        &mut self.core.mem
+    }
+}
+
+impl EmbedsCore for LiteEngine {
+    fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    /// Host result slots written so far and completed rounds: the static
+    /// machine's equivalents of the fabric's queue-depth gauges.
+    fn gauges(&self, _now: Time) -> Vec<(&'static str, u64)> {
+        let written = self.core.host.iter().filter(|h| h.is_some()).count();
+        vec![
+            ("host_written", written as u64),
+            ("rounds", self.round as u64),
+        ]
     }
 }
 
@@ -807,6 +720,21 @@ mod tests {
         assert!(
             matches!(err, SnapshotError::EngineMismatch { .. }),
             "got {err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_value_in_an_unwritten_host_slot() {
+        let engine = LiteEngine::new(AccelConfig::lite(1, 2), ExecProfile::scalar());
+        let text = engine.snapshot().payload.to_json();
+        assert!(text.contains("\"host\":[0,"), "{text}");
+        let tampered = text.replacen("\"host\":[0,", "\"host\":[5,", 1);
+        let snap = Snapshot::new("lite", pxl_sim::json::JsonValue::parse(&tampered).unwrap());
+        let mut fresh = LiteEngine::new(AccelConfig::lite(1, 2), ExecProfile::scalar());
+        let err = fresh.restore(&snap).expect_err("slot 0 was never written");
+        assert!(
+            matches!(&err, SnapshotError::Malformed(m) if m.contains("unwritten host slot")),
+            "{err}"
         );
     }
 

@@ -1,7 +1,6 @@
 //! Event-driven multicore CPU engine with a software work-stealing runtime.
 
 use pxl_mem::{AccessKind, Memory, MemorySystem, PortId};
-use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{
     Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, PENDING_WORDS,
     TASK_WORDS,
@@ -9,18 +8,21 @@ use pxl_model::{
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
 use pxl_sim::json::JsonValue;
 use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
-use pxl_sim::{
-    EventQueue, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer, XorShift64,
-};
+use pxl_sim::{EventQueue, Metrics, Time, TraceEvent, Tracer, XorShift64};
 
+use pxl_arch::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use pxl_arch::deque::TaskDeque;
-use pxl_arch::fabric::{register_fault_metrics, AccelError, AccelResult, Watchdog};
+use pxl_arch::fabric::{AccelError, AccelResult};
 use pxl_arch::{Engine, EngineKind, RunStatus, Workload};
 
 /// Core cycles without a task completion before the quiescence watchdog
 /// declares the run stalled while work is still outstanding — the same
 /// window [`pxl_arch::AccelConfig`] defaults to for the accelerators.
 const WATCHDOG_QUIESCENCE_CYCLES: u64 = 1_000_000;
+
+/// Simulated microseconds after which a run fails as
+/// [`AccelError::TimedOut`], the hard backstop behind the watchdog.
+const MAX_SIM_TIME_US: u64 = 2_000_000;
 
 /// Base simulated address of the runtime's join-counter frames. Each pending
 /// task's counter lives on its own cache line, so coherence traffic on joins
@@ -170,35 +172,17 @@ pub struct CpuEngine {
     core_params: CpuCoreParams,
     costs: SoftwareCosts,
     profile: ExecProfile,
-    mem: Memory,
+    /// Memory, metrics, trace, watchdog, telemetry (ticked at event-pop
+    /// epoch boundaries), task ids and host slots.
+    core: EngineCore,
+    root: RootRun,
     memsys: MemorySystem,
     deques: Vec<TaskDeque>,
     rngs: Vec<XorShift64>,
-    steal_fails: Vec<u32>,
-    busy_until: Vec<Time>,
+    units: UnitState,
     pending: Vec<Option<PendingTask>>,
     pending_free: Vec<u32>,
-    host: [Option<u64>; HOST_SLOTS],
     events: EventQueue<Event>,
-    outstanding: u64,
-    last_useful: Time,
-    watchdog: Watchdog,
-    metrics: Metrics,
-    trace: Tracer,
-    /// Run-unique task instance ids for the trace (0 = "no task"; the root
-    /// gets id 1), matching the accelerator engines' numbering scheme.
-    next_task_id: u64,
-    error: Option<AccelError>,
-    max_sim_time_us: u64,
-    /// Host slot the root continuation targets, latched at launch so a
-    /// paused/restored engine can still finish the run.
-    result_slot: Option<u8>,
-    /// Whether the root task has been seeded. A restored engine is already
-    /// launched; [`CpuEngine::run`] skips re-seeding.
-    launched: bool,
-    /// In-run telemetry sampler, ticked at event-pop epoch boundaries;
-    /// `None` (the default) keeps the hot loop to a single Option check.
-    telemetry: Option<TelemetrySampler>,
 }
 
 impl CpuEngine {
@@ -229,49 +213,39 @@ impl CpuEngine {
     ) -> Self {
         assert!(cores > 0, "need at least one core");
         let memsys = MemorySystem::new(vec![memory.cpu_l1.clone(); cores], &memory);
-        let mut metrics = Metrics::new();
-        register_fault_metrics(&mut metrics);
-        metrics.register_counter("trace.dropped");
-        let watchdog = Watchdog::new(core_params.clock.cycles_to_time(WATCHDOG_QUIESCENCE_CYCLES));
         CpuEngine {
             cores,
+            core: EngineCore::new(
+                &core_params.clock,
+                MAX_SIM_TIME_US,
+                WATCHDOG_QUIESCENCE_CYCLES,
+                0,
+                0,
+            ),
+            root: RootRun::default(),
             core_params,
             costs,
             profile,
-            mem: Memory::new(),
             memsys,
             deques: (0..cores).map(|_| TaskDeque::new(1 << 20)).collect(),
             rngs: (0..cores)
                 .map(|i| XorShift64::new(0xC0FE + 77 * i as u64))
                 .collect(),
-            steal_fails: vec![0; cores],
-            busy_until: vec![Time::ZERO; cores],
+            units: UnitState::new(cores),
             pending: Vec::new(),
             pending_free: Vec::new(),
-            host: [None; HOST_SLOTS],
             events: EventQueue::new(),
-            outstanding: 0,
-            last_useful: Time::ZERO,
-            watchdog,
-            metrics,
-            trace: Tracer::disabled(),
-            next_task_id: 1,
-            error: None,
-            max_sim_time_us: 2_000_000,
-            result_slot: None,
-            launched: false,
-            telemetry: None,
         }
     }
 
     /// Mutable access to functional memory for input setup.
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.core.mem
     }
 
     /// Shared access to functional memory for output checking.
     pub fn memory(&self) -> &Memory {
-        &self.mem
+        &self.core.mem
     }
 
     /// Number of cores.
@@ -281,38 +255,31 @@ impl CpuEngine {
 
     /// The engine's metrics registry.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// Value delivered to a host result register, if any.
     pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.host.get(slot as usize).copied().flatten()
+        self.core.host_result(slot)
     }
 
     /// Enables structured event tracing (runtime + memory hierarchy) with a
     /// bounded buffer of `capacity` records per source; zero disables.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace = Tracer::bounded(capacity);
+        self.core.trace = Tracer::bounded(capacity);
         self.memsys.enable_trace(capacity);
     }
 
     /// Enables in-run telemetry sampling every `every_cycles` core cycles;
     /// zero disables it. Configure before launching (or restoring) a run.
     pub fn set_telemetry_every(&mut self, every_cycles: u64) {
-        self.telemetry = (every_cycles > 0)
-            .then(|| TelemetrySampler::new(self.core_params.clock.cycles_to_time(every_cycles)));
+        self.core
+            .set_telemetry_every(&self.core_params.clock, every_cycles);
     }
 
     fn runtime_cycles(&self, instrs: u64) -> Time {
         let cycles = (instrs as f64 / self.costs.runtime_ipc).ceil() as u64;
         self.core_params.clock.cycles_to_time(cycles)
-    }
-
-    /// Hands out the next run-unique task instance id.
-    fn alloc_task_id(&mut self) -> u64 {
-        let id = self.next_task_id;
-        self.next_task_id += 1;
-        id
     }
 
     /// Runs `root` to completion on core 0 (the thread that called the
@@ -337,16 +304,9 @@ impl CpuEngine {
     /// Seeds `root` on core 0 and wakes the other cores. A no-op when the
     /// engine is already launched — notably after [`CpuEngine::restore`].
     pub fn launch(&mut self, root: Task) {
-        if self.launched {
+        let Some(root) = self.root.launch(&mut self.core, root) else {
             return;
-        }
-        self.launched = true;
-        self.result_slot = match root.k {
-            Continuation::Host { slot } => Some(slot),
-            _ => None,
         };
-        self.outstanding = 1;
-        let root = root.with_id(self.alloc_task_id());
         self.events.push(
             Time::ZERO,
             Event::TaskRun {
@@ -373,13 +333,11 @@ impl CpuEngine {
         worker: &mut W,
         pause_at: Option<Time>,
     ) -> Result<RunStatus, AccelError> {
-        let limit = Time::from_us(self.max_sim_time_us);
-
         loop {
             if let Some(pause) = pause_at {
                 // Pause only between events and only while work remains; a
                 // drained computation always runs to its finished result.
-                if self.outstanding > 0 {
+                if self.root.outstanding > 0 {
                     match self.events.peek_time() {
                         Some(next) if next > pause => return Ok(RunStatus::Paused { at: pause }),
                         _ => {}
@@ -389,83 +347,30 @@ impl CpuEngine {
             let Some((now, event)) = self.events.pop() else {
                 break;
             };
-            if self.outstanding == 0 {
+            if self.root.outstanding == 0 {
                 break;
             }
-            if now > limit {
-                return Err(AccelError::TimedOut);
-            }
-            if self.watchdog.expired(now) {
-                let blocked_unit = (0..self.cores).find(|&c| !self.deques[c].is_empty());
-                return Err(self.watchdog.stall(
-                    &mut self.metrics,
-                    &mut self.trace,
-                    now,
-                    blocked_unit,
-                ));
-            }
-            if self.telemetry.as_ref().is_some_and(|t| t.due(now)) {
-                // Sample at the epoch boundary *before* handling the event
-                // that crossed it: the pause check above fires on the peeked
-                // event, so a resumed leg replays this sample identically.
-                let gauges = self.telemetry_gauges();
-                let metrics = &self.metrics;
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.tick(now, metrics, &gauges);
-                }
-            }
+            self.check_step(now)?;
             self.handle(now, event, worker);
-            if let Some(err) = self.error.take() {
-                return Err(err);
-            }
         }
 
         let leaked = self.pending.iter().filter(|p| p.is_some()).count();
         if leaked > 0 {
             return Err(AccelError::LeakedPending { count: leaked });
         }
-        let result = match self.result_slot {
-            Some(slot) => self.host[slot as usize].ok_or(AccelError::NoResult { slot })?,
-            None => 0,
-        };
-        // Close the final partial telemetry window before end-of-run rollups
-        // (queue peaks, memory-system stats) land in the registry, so the
-        // last sample's deltas cover only in-run activity like every other.
-        let gauges = self.telemetry_gauges();
-        let timeline = match self.telemetry.as_mut() {
-            Some(t) => {
-                t.flush(self.last_useful, &self.metrics, &gauges);
-                t.take_timeline()
-            }
-            None => Timeline::default(),
-        };
-        let queue_peak: usize = self.deques.iter().map(TaskDeque::peak).sum();
-        self.metrics.add("cpu.queue_peak_sum", queue_peak as u64);
-        let mem_stats = self.memsys.take_stats();
-        self.metrics.merge(&mem_stats);
-        let mut trace = std::mem::take(&mut self.trace);
-        trace.absorb(self.memsys.take_trace());
-        trace.finish();
-        self.metrics.add("trace.dropped", trace.dropped());
-        Ok(RunStatus::Finished(CpuResult {
+        let result = self.root.result(&self.core)?;
+        let elapsed = self.root.last_useful;
+        Ok(RunStatus::Finished(self.finish_run(
             result,
-            elapsed: self.last_useful,
-            metrics: std::mem::take(&mut self.metrics),
-            trace,
-            timeline,
-        }))
-    }
-
-    /// Instantaneous software-runtime gauges recorded with every telemetry
-    /// sample — the CPU's equivalents of the fabric's queue-depth gauges.
-    fn telemetry_gauges(&self) -> [(&'static str, u64); 3] {
-        let ready: usize = self.deques.iter().map(TaskDeque::len).sum();
-        let pending = self.pending.iter().filter(|p| p.is_some()).count();
-        [
-            ("events", self.events.len() as u64),
-            ("ready_tasks", ready as u64),
-            ("pending_joins", pending as u64),
-        ]
+            elapsed,
+            |engine| {
+                let queue_peak: usize = engine.deques.iter().map(TaskDeque::peak).sum();
+                let metrics = &mut engine.core.metrics;
+                metrics.add("cpu.queue_peak_sum", queue_peak as u64);
+                metrics.merge(&engine.memsys.take_stats());
+                engine.memsys.take_trace()
+            },
+        )))
     }
 
     /// Serializes the complete mutable runtime state — deques, pending
@@ -474,26 +379,8 @@ impl CpuEngine {
     /// boundary; a fresh engine built with the same parameters restores it
     /// and continues byte-identically to an uninterrupted run.
     pub fn snapshot(&self) -> Snapshot {
-        let events = JsonValue::Array(
-            self.events
-                .ordered()
-                .into_iter()
-                .map(|(when, event)| {
-                    let mut words = vec![when.as_ps()];
-                    words.extend(event.to_words());
-                    snapshot::arr_u64(words)
-                })
-                .collect(),
-        );
-        let mut payload = vec![
-            ("launched", snapshot::num(u64::from(self.launched))),
-            (
-                "result_slot",
-                snapshot::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
-            ),
-            ("next_task_id", snapshot::num(self.next_task_id)),
-            ("outstanding", snapshot::num(self.outstanding)),
-            ("last_useful_ps", snapshot::num(self.last_useful.as_ps())),
+        let mut head = self.root.fields(&self.core);
+        head.extend([
             (
                 "deques",
                 JsonValue::Array(
@@ -507,14 +394,9 @@ impl CpuEngine {
                 "rngs",
                 snapshot::arr_u64(self.rngs.iter().map(XorShift64::state)),
             ),
-            (
-                "steal_fails",
-                snapshot::arr_u64(self.steal_fails.iter().map(|f| u64::from(*f))),
-            ),
-            (
-                "busy_until_ps",
-                snapshot::arr_u64(self.busy_until.iter().map(|t| t.as_ps())),
-            ),
+        ]);
+        head.extend(self.units.fields());
+        head.extend([
             (
                 "pending",
                 JsonValue::Array(
@@ -531,41 +413,11 @@ impl CpuEngine {
                 "pending_free",
                 snapshot::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
             ),
-            (
-                "host",
-                JsonValue::Array(
-                    self.host
-                        .iter()
-                        .map(|slot| snapshot::arr_u64(slot.iter().copied()))
-                        .collect(),
-                ),
-            ),
-            ("events", events),
-            (
-                "watchdog",
-                snapshot::obj(vec![
-                    (
-                        "last_progress_ps",
-                        snapshot::num(self.watchdog.last_progress().as_ps()),
-                    ),
-                    (
-                        "last_unit",
-                        snapshot::num(self.watchdog.last_unit().map_or(0, |u| u as u64 + 1)),
-                    ),
-                ]),
-            ),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
-            ("mem", self.mem.state_to_json_value()),
-            ("memsys", self.memsys.state_to_json_value()),
-            ("trace", self.trace.state_to_json_value()),
-        ];
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.state_to_json_value()));
-        }
-        Snapshot::new("cpu", snapshot::obj(payload))
+            ("host", self.core.host_cells()),
+            ("events", events_to_json(&self.events, Event::to_words)),
+        ]);
+        let memsys = ("memsys", self.memsys.state_to_json_value());
+        self.core.snapshot("cpu", head, memsys, Vec::new())
     }
 
     /// Overwrites this engine's mutable state with a [`Snapshot`] captured
@@ -580,25 +432,11 @@ impl CpuEngine {
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.expect_engine("cpu")?;
         let p = &snap.payload;
-
-        self.launched = snapshot::get_u64(p, "launched")? != 0;
-        self.result_slot = match snapshot::get_u64(p, "result_slot")? {
-            0 => None,
-            s => Some(u8::try_from(s - 1).map_err(|_| malformed("result_slot out of range"))?),
-        };
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
-        self.outstanding = snapshot::get_u64(p, "outstanding")?;
-        self.last_useful = Time::from_ps(snapshot::get_u64(p, "last_useful_ps")?);
+        self.root = RootRun::read(p)?;
 
         let deques = snapshot::get_arr(p, "deques")?;
         let rngs = snapshot::get_u64s(p, "rngs")?;
-        let steal_fails = snapshot::get_u64s(p, "steal_fails")?;
-        let busy_until = snapshot::get_u64s(p, "busy_until_ps")?;
-        if deques.len() != self.cores
-            || rngs.len() != self.cores
-            || steal_fails.len() != self.cores
-            || busy_until.len() != self.cores
-        {
+        if deques.len() != self.cores || rngs.len() != self.cores {
             return Err(malformed(format!(
                 "snapshot describes {} cores, this engine has {}",
                 deques.len(),
@@ -610,11 +448,7 @@ impl CpuEngine {
         }
         // XorShift64 state is never zero, so new(state) restores it exactly.
         self.rngs = rngs.iter().map(|s| XorShift64::new(*s)).collect();
-        self.steal_fails = steal_fails
-            .iter()
-            .map(|f| u32::try_from(*f).map_err(|_| malformed("steal_fails overflows u32")))
-            .collect::<Result<_, _>>()?;
-        self.busy_until = busy_until.iter().map(|ps| Time::from_ps(*ps)).collect();
+        self.units.read(p)?;
 
         self.pending = snapshot::get_arr(p, "pending")?
             .iter()
@@ -632,78 +466,12 @@ impl CpuEngine {
             .map(|e| u32::try_from(*e).map_err(|_| malformed("pending_free overflows u32")))
             .collect::<Result<_, _>>()?;
 
-        let host = snapshot::get_arr(p, "host")?;
-        if host.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
-        for (slot, value) in self.host.iter_mut().zip(host) {
-            let cell = value
-                .as_array()
-                .ok_or_else(|| malformed("host slot is not an array"))?;
-            *slot = match cell {
-                [] => None,
-                [v] => Some(v.as_u64().ok_or_else(|| malformed("bad host value"))?),
-                _ => return Err(malformed("host slot holds more than one value")),
-            };
-        }
-
-        self.events.clear();
-        for entry in snapshot::get_arr(p, "events")? {
-            let words = snapshot::u64s(entry, "events")?;
-            let (when, body) = words
-                .split_first()
-                .ok_or_else(|| malformed("empty event entry"))?;
-            let event = Event::from_words(body).map_err(malformed)?;
-            self.events.push(Time::from_ps(*when), event);
-        }
-
-        let watchdog = snapshot::get(p, "watchdog")?;
-        let last_progress = Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        let last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
-        self.watchdog.load(last_progress, last_unit);
-
-        self.metrics = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
-            .map_err(|e| malformed(format!("metrics: {e}")))?;
-        self.mem
-            .restore_state(snapshot::get(p, "mem")?)
-            .map_err(malformed)?;
+        self.core.read_host_cells(p)?;
+        read_events(p, &mut self.events, Event::from_words)?;
+        self.core.restore(p, |_| {})?;
         self.memsys
             .restore_state(snapshot::get(p, "memsys")?)
-            .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
-        }
-        self.error = None;
-        Ok(())
-    }
-
-    fn is_busy(&self, core: usize, now: Time) -> bool {
-        now < self.busy_until[core]
+            .map_err(malformed)
     }
 
     fn handle<W: Worker + ?Sized>(&mut self, now: Time, event: Event, worker: &mut W) {
@@ -711,7 +479,7 @@ impl CpuEngine {
             Event::CoreWake { core } => self.core_wake(now, core, worker),
             Event::StealTry { core } => self.steal_try(now, core, worker),
             Event::TaskRun { core, task } => {
-                if self.is_busy(core, now) {
+                if self.units.is_busy(core, now) {
                     self.deques[core]
                         .push_tail(task, now)
                         .expect("software deque is unbounded");
@@ -723,26 +491,26 @@ impl CpuEngine {
     }
 
     fn core_wake<W: Worker + ?Sized>(&mut self, now: Time, core: usize, worker: &mut W) {
-        if self.is_busy(core, now) {
+        if self.units.is_busy(core, now) {
             return;
         }
         let t = now + self.runtime_cycles(self.costs.dispatch_instrs);
         if let Some(task) = self.deques[core].pop_tail(t) {
-            self.steal_fails[core] = 0;
+            self.units.steal_fails[core] = 0;
             self.execute_task(t, core, task, worker);
         } else if self.cores > 1 {
             self.events.push(
                 now + self.runtime_cycles(self.costs.steal_attempt_instrs),
                 Event::StealTry { core },
             );
-            self.metrics.incr("cpu.steal_attempts");
+            self.core.metrics.incr("cpu.steal_attempts");
         }
         // A single core with an empty deque parks; outstanding bookkeeping
         // wakes it via TaskRun events.
     }
 
     fn steal_try<W: Worker + ?Sized>(&mut self, now: Time, core: usize, worker: &mut W) {
-        if self.is_busy(core, now) {
+        if self.units.is_busy(core, now) {
             return;
         }
         // Random victim among the other cores; the THE protocol's locking
@@ -751,7 +519,7 @@ impl CpuEngine {
         if victim >= core {
             victim += 1;
         }
-        self.trace.emit(
+        self.core.trace.emit(
             now,
             TraceEvent::StealRequest {
                 thief: core as u32,
@@ -766,27 +534,26 @@ impl CpuEngine {
         );
         match self.deques[victim].steal_head(t) {
             Some(task) => {
-                self.metrics.incr("cpu.steal_hits");
-                self.trace.emit(
+                self.core.metrics.incr("cpu.steal_hits");
+                self.core.trace.emit(
                     t,
                     TraceEvent::StealGrant {
                         thief: core as u32,
                         victim: victim as u32,
                     },
                 );
-                self.steal_fails[core] = 0;
+                self.units.steal_fails[core] = 0;
                 self.execute_task(t, core, task, worker);
             }
             None => {
-                self.trace.emit(
+                self.core.trace.emit(
                     t,
                     TraceEvent::StealFail {
                         thief: core as u32,
                         victim: victim as u32,
                     },
                 );
-                let fails = self.steal_fails[core].min(6);
-                self.steal_fails[core] = self.steal_fails[core].saturating_add(1);
+                let fails = self.units.failed_steal(core);
                 let backoff = self.costs.steal_backoff_instrs << fails;
                 self.events
                     .push(t + self.runtime_cycles(backoff), Event::CoreWake { core });
@@ -801,7 +568,7 @@ impl CpuEngine {
         task: Task,
         worker: &mut W,
     ) {
-        self.trace.emit(
+        self.core.trace.emit(
             start,
             TraceEvent::TaskDispatch {
                 unit: core as u32,
@@ -824,12 +591,13 @@ impl CpuEngine {
         let ready = std::mem::take(&mut ctx.ready);
         let spawned = ctx.spawned;
         self.deques[core] = deque;
-        self.outstanding += spawned + ready.len() as u64;
-        self.metrics.incr("cpu.tasks");
-        self.metrics.incr(&format!("core{core}.tasks"));
-        self.metrics
+        self.root.outstanding += spawned + ready.len() as u64;
+        self.core.metrics.incr("cpu.tasks");
+        self.core.metrics.incr(&format!("core{core}.tasks"));
+        self.core
+            .metrics
             .add(&format!("core{core}.busy_ps"), (end - start).as_ps());
-        self.trace.emit(
+        self.core.trace.emit(
             end,
             TraceEvent::TaskComplete {
                 unit: core as u32,
@@ -846,10 +614,10 @@ impl CpuEngine {
                 .push_tail(task, end)
                 .expect("software deque is unbounded");
         }
-        self.last_useful = self.last_useful.max(end);
-        self.watchdog.progress(end, core);
-        self.outstanding -= 1;
-        self.busy_until[core] = end;
+        self.root.last_useful = self.root.last_useful.max(end);
+        self.core.watchdog.progress(end, core);
+        self.root.outstanding -= 1;
+        self.units.busy_until[core] = end;
         self.events.push(end, Event::CoreWake { core });
     }
 }
@@ -889,13 +657,31 @@ impl CpuCtx<'_> {
         };
         self.now += exposed;
     }
+
+    /// A DMA burst: the CPU has no DMA engine, so it is a software loop
+    /// touching every line of `addr..addr + bytes`.
+    fn stream(&mut self, addr: u64, bytes: u64, kind: AccessKind) {
+        if bytes == 0 {
+            return;
+        }
+        let line = self.engine.memsys.line_bytes() as u64;
+        let last = (addr + bytes - 1) & !(line - 1);
+        let mut a = addr & !(line - 1);
+        loop {
+            self.mem_access(a, kind);
+            if a == last {
+                break;
+            }
+            a += line;
+        }
+    }
 }
 
 impl TaskContext for CpuCtx<'_> {
     fn spawn(&mut self, task: Task) {
         self.now += self.engine.runtime_cycles(self.engine.costs.spawn_instrs);
-        let task = task.with_id(self.engine.alloc_task_id());
-        self.engine.trace.emit(
+        let task = task.with_id(self.engine.core.alloc_task_id());
+        self.engine.core.trace.emit(
             self.now,
             TraceEvent::Spawn {
                 unit: self.core as u32,
@@ -916,7 +702,7 @@ impl TaskContext for CpuCtx<'_> {
             .runtime_cycles(self.engine.costs.send_arg_instrs);
         match k {
             Continuation::Host { slot } => {
-                self.engine.host[slot as usize] = Some(value);
+                self.engine.core.host[slot as usize] = Some(value);
             }
             Continuation::PStore { entry, slot, .. } => {
                 // Atomic decrement of the join counter in shared memory.
@@ -925,7 +711,7 @@ impl TaskContext for CpuCtx<'_> {
                     .as_ref()
                     .map(|c| c.id)
                     .unwrap_or(0);
-                self.engine.trace.emit(
+                self.engine.core.trace.emit(
                     self.now,
                     TraceEvent::PStoreJoin {
                         tile: 0,
@@ -956,7 +742,7 @@ impl TaskContext for CpuCtx<'_> {
         self.now += self
             .engine
             .runtime_cycles(self.engine.costs.successor_instrs);
-        let id = self.engine.alloc_task_id();
+        let id = self.engine.core.alloc_task_id();
         let mut pending = PendingTask::new(ty, k, join).with_id(id);
         for &(slot, value) in preset {
             pending = pending.preset(slot, value);
@@ -994,42 +780,42 @@ impl TaskContext for CpuCtx<'_> {
     }
 
     fn dma_read(&mut self, addr: u64, bytes: u64) {
-        // The CPU has no DMA engine: a burst is a software streaming loop.
-        let line = self.engine.memsys.line_bytes() as u64;
-        if bytes == 0 {
-            return;
-        }
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut a = first;
-        loop {
-            self.mem_access(a, AccessKind::Read);
-            if a == last {
-                break;
-            }
-            a += line;
-        }
+        self.stream(addr, bytes, AccessKind::Read);
     }
 
     fn dma_write(&mut self, addr: u64, bytes: u64) {
-        let line = self.engine.memsys.line_bytes() as u64;
-        if bytes == 0 {
-            return;
-        }
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut a = first;
-        loop {
-            self.mem_access(a, AccessKind::Write);
-            if a == last {
-                break;
-            }
-            a += line;
-        }
+        self.stream(addr, bytes, AccessKind::Write);
     }
 
     fn mem(&mut self) -> &mut Memory {
-        &mut self.engine.mem
+        &mut self.engine.core.mem
+    }
+}
+
+impl EmbedsCore for CpuEngine {
+    fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    /// Pending events, ready tasks across the deques and pending joins: the
+    /// software runtime's equivalents of the fabric's queue-depth gauges.
+    fn gauges(&self, _now: Time) -> Vec<(&'static str, u64)> {
+        let ready: usize = self.deques.iter().map(TaskDeque::len).sum();
+        let pending = self.pending.iter().filter(|p| p.is_some()).count();
+        vec![
+            ("events", self.events.len() as u64),
+            ("ready_tasks", ready as u64),
+            ("pending_joins", pending as u64),
+        ]
+    }
+
+    /// The first core whose deque still holds work.
+    fn blocked_unit(&self) -> Option<usize> {
+        (0..self.cores).find(|&c| !self.deques[c].is_empty())
     }
 }
 
@@ -1044,32 +830,6 @@ impl Engine for CpuEngine {
 
     fn clock(&self) -> pxl_sim::Clock {
         self.core_params.clock.clone()
-    }
-
-    fn memory(&self) -> &Memory {
-        CpuEngine::memory(self)
-    }
-
-    fn mem_mut(&mut self) -> &mut Memory {
-        CpuEngine::mem_mut(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        CpuEngine::metrics(self)
-    }
-
-    fn host_result(&self, slot: u8) -> Option<u64> {
-        CpuEngine::host_result(self, slot)
-    }
-
-    fn run(&mut self, workload: Workload<'_>) -> Result<AccelResult, AccelError> {
-        match workload {
-            Workload::Dynamic { worker, root } => CpuEngine::run(self, worker, root),
-            other => Err(AccelError::Unsupported(format!(
-                "the CPU baseline runs dynamic task graphs, not {}",
-                other.shape()
-            ))),
-        }
     }
 
     fn run_until(

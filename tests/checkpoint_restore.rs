@@ -9,8 +9,8 @@
 use parallelxl::apps::Scale;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, SessionStatus, SimSession,
-    Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
+    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunError, RunOutcome, RunSpec,
+    SessionStatus, SimSession, Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
 };
 
 /// A random design point: any of the engines at small shapes, including
@@ -83,54 +83,75 @@ fn any_checkpoint_epoch_restores_byte_identically() {
             spec = spec.with_telemetry(every);
         }
 
-        // The uninterrupted run is the reference; a bench without a
-        // variant for this engine is a skip, not a failure.
-        let Some(reference) = execute(&spec).unwrap() else {
-            return;
-        };
-        let expected = reference.to_jsonl();
-        let expected_timeline = reference.timeline.to_jsonl();
-
-        let mut session = SimSession::start(&spec).unwrap().expect("variant exists");
-        let clock = session.clock();
-        let total = clock.time_to_cycles(reference.kernel).max(2);
-        // Any epoch, including ones past the end (degenerate: the run
-        // finishes before its first checkpoint boundary).
-        let epoch = g.range(1, total + total / 4 + 2);
-
-        match session.advance(Some(clock.cycles_to_time(epoch))).unwrap() {
-            SessionStatus::Finished(out) => {
-                assert_eq!(
-                    out.to_jsonl(),
-                    expected,
-                    "{spec:?}: epoch {epoch} past the end must not change the run"
-                );
-                assert_eq!(
-                    out.timeline.to_jsonl(),
-                    expected_timeline,
-                    "{spec:?}: epoch {epoch} past the end must not change the timeline"
-                );
-            }
-            SessionStatus::Paused { .. } => {
-                // Round-trip the envelope exactly as a checkpoint file
-                // would, then finish in a brand-new session.
-                let text = session.snapshot().to_json();
-                let snap = Snapshot::from_json(&text).unwrap();
-                let mut restored = SimSession::resume(&spec, &snap).unwrap().unwrap();
-                let out = restored.finish().unwrap();
-                assert_eq!(
-                    out.to_jsonl(),
-                    expected,
-                    "{spec:?}: restore at cycle {epoch} of ~{total} must be invisible"
-                );
-                assert_eq!(
-                    out.timeline.to_jsonl(),
-                    expected_timeline,
-                    "{spec:?}: restore at cycle {epoch} must preserve the telemetry timeline"
-                );
-            }
-        }
+        assert_checkpoint_invisible(&spec, |total| g.range(1, total + total / 4 + 2));
     });
+}
+
+/// A failed reference run has no kernel time to draw its checkpoint epoch
+/// from; epochs are drawn over this many cycles instead, which puts some
+/// pauses before the failure and some after it.
+const FAILED_RUN_CYCLES: u64 = 50_000;
+
+/// A finished run as the gate compares it: the outcome's JSONL and timeline,
+/// or the error's text.
+fn rendered(run: Result<RunOutcome, RunError>) -> Result<(String, String), String> {
+    run.map(|out| (out.to_jsonl(), out.timeline.to_jsonl()))
+        .map_err(|e| e.to_string())
+}
+
+/// Pauses `spec` at the epoch `epoch_of(total cycles)` picks, round-trips
+/// the snapshot envelope into a fresh session and finishes there. The
+/// outcome must be byte-identical to an uninterrupted [`execute`] of the
+/// spec; a reference that fails must fail with the same error text.
+fn assert_checkpoint_invisible(spec: &RunSpec, epoch_of: impl FnOnce(u64) -> u64) {
+    // The uninterrupted run is the reference; a bench without a variant
+    // for this engine is a skip, not a failure.
+    let reference = match execute(spec) {
+        Ok(None) => return,
+        Ok(Some(out)) => Ok(out),
+        Err(e) => Err(e),
+    };
+    let mut session = SimSession::start(spec).unwrap().expect("variant exists");
+    let clock = session.clock();
+    let total = match &reference {
+        Ok(out) => clock.time_to_cycles(out.kernel).max(2),
+        Err(_) => FAILED_RUN_CYCLES,
+    };
+    // Any epoch, including ones past the end (degenerate: the run
+    // finishes before its first checkpoint boundary).
+    let epoch = epoch_of(total);
+    let resumed = match session.advance(Some(clock.cycles_to_time(epoch))) {
+        Ok(SessionStatus::Paused { .. }) => {
+            // Round-trip the envelope exactly as a checkpoint file would,
+            // then finish in a brand-new session.
+            let text = session.snapshot().to_json();
+            let snap = Snapshot::from_json(&text).unwrap();
+            SimSession::resume(spec, &snap).unwrap().unwrap().finish()
+        }
+        Ok(SessionStatus::Finished(out)) => Ok(*out),
+        Err(e) => Err(e),
+    };
+    assert_eq!(
+        rendered(resumed),
+        rendered(reference),
+        "{spec:?}: a checkpoint at cycle {epoch} of ~{total} must be invisible"
+    );
+}
+
+#[test]
+fn a_failing_run_fails_the_same_way_after_a_restore() {
+    // Queens at Small overflows a 2-PE central queue near cycle 49,000:
+    // pauses before the overflow restore and then fail, the last pause
+    // lands after it.
+    let spec = RunSpec::new(
+        "queens",
+        Scale::Small,
+        DesignPoint::accel(PointArch::Central, 1, 2),
+    );
+    assert!(execute(&spec).is_err(), "the reference must fail");
+    for epoch in [1_000, 30_000, 60_000] {
+        assert_checkpoint_invisible(&spec, |_| epoch);
+    }
 }
 
 /// A snapshot from the current engine, as serialized text.

@@ -1,0 +1,91 @@
+//! Restore refusals: a snapshot whose checksum holds but whose state this
+//! engine cannot resume is refused with a typed [`SnapshotError`] at
+//! restore time, never accepted and then panicking at the end of the run.
+
+use parallelxl::apps::Scale;
+use parallelxl::sim::snapshot;
+use parallelxl::{
+    DesignPoint, JsonValue, PointArch, RunError, RunSpec, SessionStatus, SimSession, Snapshot,
+    SnapshotError,
+};
+
+/// The snapshot text of `spec` paused at cycle 1,000.
+fn paused_at_cycle_1000(spec: &RunSpec) -> Snapshot {
+    let mut session = SimSession::start(spec).unwrap().expect("variant exists");
+    let clock = session.clock();
+    match session.advance(Some(clock.cycles_to_time(1_000))).unwrap() {
+        SessionStatus::Paused { .. } => {}
+        SessionStatus::Finished(_) => panic!("{spec:?} finished before cycle 1000"),
+    }
+    Snapshot::from_json(&session.snapshot().to_json()).unwrap()
+}
+
+/// The malformed-payload message `SimSession::resume` refused with.
+fn refusal(spec: &RunSpec, snap: &Snapshot) -> String {
+    match SimSession::resume(spec, snap) {
+        Err(RunError::Snapshot(SnapshotError::Malformed(message))) => message,
+        other => panic!("{spec:?}: expected a malformed-snapshot refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_result_slot_past_the_host_slots_is_refused() {
+    for point in [
+        DesignPoint::accel(PointArch::Flex, 1, 4),
+        DesignPoint::cpu(4),
+    ] {
+        let spec = RunSpec::new("uts", Scale::Tiny, point);
+        let snap = paused_at_cycle_1000(&spec);
+        for slot in [9, 20, 256] {
+            // Re-seal the edited payload so its checksum holds.
+            let mut payload = snap.payload.clone();
+            let JsonValue::Object(members) = &mut payload else {
+                panic!("payload is an object");
+            };
+            for (key, value) in members.iter_mut() {
+                if key == "result_slot" {
+                    *value = snapshot::num(slot);
+                }
+            }
+            let text = Snapshot::new(snap.engine.clone(), payload).to_json();
+            let sealed = Snapshot::from_json(&text).expect("checksum holds");
+            let message = refusal(&spec, &sealed);
+            assert!(message.contains("result_slot"), "{spec:?}: {message}");
+        }
+        // The untouched snapshot still resumes and finishes.
+        SimSession::resume(&spec, &snap)
+            .unwrap()
+            .unwrap()
+            .finish()
+            .unwrap();
+    }
+}
+
+#[test]
+fn telemetry_disagreements_are_refused_on_every_engine() {
+    for point in [
+        DesignPoint::accel(PointArch::Flex, 1, 4),
+        DesignPoint::accel(PointArch::Lite, 1, 4),
+        DesignPoint::cpu(4),
+    ] {
+        let plain = RunSpec::new("uts", Scale::Tiny, point);
+        let sampled = plain.clone().with_telemetry(500);
+        let wider = plain.clone().with_telemetry(1_000);
+        for (taken, resumed, expected) in [
+            (
+                &plain,
+                &sampled,
+                "this engine samples telemetry, the snapshot does not",
+            ),
+            (
+                &sampled,
+                &plain,
+                "the snapshot carries telemetry state, this engine has telemetry off",
+            ),
+            (&sampled, &wider, "telemetry epoch width mismatch"),
+        ] {
+            let snap = paused_at_cycle_1000(taken);
+            assert_eq!(refusal(resumed, &snap), expected, "{resumed:?}");
+        }
+    }
+}
