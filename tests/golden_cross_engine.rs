@@ -136,8 +136,9 @@ mod fixtures {
     use parallelxl::arch::{
         AccelConfig, AccelResult, CentralEngine, ClusterConfig, FlexEngine, HierEngine, LiteEngine,
     };
+    use parallelxl::sim::hash::fnv64;
     use parallelxl::sim::metrics::{MetricKind, Metrics};
-    use parallelxl::{FaultPlan, NetClass, Time};
+    use parallelxl::{FaultPlan, Memory, NetClass, Time};
     use std::fmt::Write as _;
     use std::path::PathBuf;
 
@@ -247,12 +248,36 @@ mod fixtures {
         }
     }
 
+    /// Pins the final functional memory image of a run: which pages are
+    /// resident and an FNV-1a digest of their snapshot text, so a data-plane
+    /// change that writes one byte more or less (or touches one more page)
+    /// shows even when the golden check still passes.
+    fn check_memory(name: &str, mem: &Memory) {
+        let image = mem.state_to_json_value().to_json();
+        let lines = format!(
+            "resident_pages={}\nimage_fnv64={:016x}\n",
+            mem.resident_pages(),
+            fnv64(image.as_bytes())
+        );
+        let path = dir().join(format!("{name}.memory.txt"));
+        if std::env::var_os("PXL_UPDATE_FIXTURES").is_some() {
+            std::fs::write(&path, &lines).expect("write memory fixture");
+            return;
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{name}: missing fixture {} ({e})", path.display()));
+        assert_eq!(
+            lines, want,
+            "{name}: final memory image diverged from fixture"
+        );
+    }
+
     fn run_flex_case(
         bench_name: &str,
         tiles: usize,
         pes: usize,
         plan: Option<FaultPlan>,
-    ) -> AccelResult {
+    ) -> (AccelResult, Memory) {
         let bench = by_name(bench_name, Scale::Tiny).unwrap();
         let mut cfg = AccelConfig::flex(tiles, pes);
         cfg.trace_capacity = TRACE_CAPACITY;
@@ -266,7 +291,7 @@ mod fixtures {
         bench
             .check(engine.memory(), out.result)
             .expect("run stays golden");
-        out
+        (out, std::mem::take(engine.mem_mut()))
     }
 
     fn run_lite_case(
@@ -274,7 +299,7 @@ mod fixtures {
         tiles: usize,
         pes: usize,
         plan: Option<FaultPlan>,
-    ) -> AccelResult {
+    ) -> (AccelResult, Memory) {
         let bench = by_name(bench_name, Scale::Tiny).unwrap();
         let mut cfg = AccelConfig::lite(tiles, pes);
         cfg.trace_capacity = TRACE_CAPACITY;
@@ -289,7 +314,7 @@ mod fixtures {
         bench
             .check(engine.memory(), out.result)
             .expect("run stays golden");
-        out
+        (out, std::mem::take(engine.mem_mut()))
     }
 
     fn run_central_case(
@@ -340,8 +365,8 @@ mod fixtures {
 
     #[test]
     fn flex_fixtures_are_reproduced_byte_for_byte() {
-        check_case("queens_flex_1x4", &run_flex_case("queens", 1, 4, None));
-        check_case("uts_flex_2x4", &run_flex_case("uts", 2, 4, None));
+        check_case("queens_flex_1x4", &run_flex_case("queens", 1, 4, None).0);
+        check_case("uts_flex_2x4", &run_flex_case("uts", 2, 4, None).0);
         let mixed = FaultPlan::new(0xFA_17)
             .kill_pe(5, Time::from_us(2))
             .stall_pe(1, Time::from_us(1), 400)
@@ -352,20 +377,37 @@ mod fixtures {
             .corrupt_pstore(0, Time::from_us(3), 0xFFFF);
         check_case(
             "queens_flex_2x4_mixed_faults",
-            &run_flex_case("queens", 2, 4, Some(mixed)),
+            &run_flex_case("queens", 2, 4, Some(mixed)).0,
         );
     }
 
     #[test]
     fn lite_fixtures_are_reproduced_byte_for_byte() {
-        check_case("uts_lite_1x4", &run_lite_case("uts", 1, 4, None));
+        check_case("uts_lite_1x4", &run_lite_case("uts", 1, 4, None).0);
         let plan = FaultPlan::new(3)
             .kill_pe(1, Time::ZERO)
             .stall_pe(2, Time::from_us(1), 2_000);
         check_case(
             "uts_lite_1x4_faults",
-            &run_lite_case("uts", 1, 4, Some(plan)),
+            &run_lite_case("uts", 1, 4, Some(plan)).0,
         );
+    }
+
+    /// The memory-heavy parallel-for benchmarks: the trace pins every timed
+    /// access and the memory fixture every byte the workers and the input
+    /// setup leave behind.
+    #[test]
+    fn memory_heavy_fixtures_are_reproduced_byte_for_byte() {
+        for (name, (out, mem)) in [
+            ("spmvcrs_flex_1x4", run_flex_case("spmvcrs", 1, 4, None)),
+            ("spmvcrs_lite_1x4", run_lite_case("spmvcrs", 1, 4, None)),
+            ("stencil2d_flex_1x4", run_flex_case("stencil2d", 1, 4, None)),
+            ("stencil2d_lite_1x4", run_lite_case("stencil2d", 1, 4, None)),
+            ("bfsqueue_flex_1x4", run_flex_case("bfsqueue", 1, 4, None)),
+        ] {
+            check_case(name, &out);
+            check_memory(name, &mem);
+        }
     }
 
     /// The centralized-queue ablation runs on the same fabric, so its trace
