@@ -45,6 +45,59 @@ struct Layout {
     level_word: u64,
 }
 
+/// One generation of the input graph in CSR form.
+struct Graph {
+    row_ptr: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl Graph {
+    fn nodes(&self) -> u64 {
+        self.row_ptr.len() as u64 - 1
+    }
+
+    fn layout(&self) -> Layout {
+        let n = self.nodes();
+        let mut alloc = Allocator::new(0x10000);
+        Layout {
+            row_ptr: alloc.alloc_array(n + 1, 4),
+            edges: alloc.alloc_array(self.edges.len() as u64, 4),
+            dist: alloc.alloc_array(n, 4),
+            queue: [alloc.alloc_array(n, 4), alloc.alloc_array(n, 4)],
+            count: [alloc.alloc(64, 64), alloc.alloc(64, 64)],
+            level_word: alloc.alloc(64, 64),
+        }
+    }
+
+    /// Bytes of input and output: the CSR arrays, `dist` and both queues.
+    fn footprint(&self) -> u64 {
+        4 * (self.row_ptr.len() + self.edges.len() + 3 * self.nodes() as usize) as u64
+    }
+
+    /// Host-side golden distances.
+    fn golden(&self) -> Vec<u32> {
+        let mut dist = vec![INF; self.nodes() as usize];
+        dist[0] = 0;
+        let mut frontier = vec![0usize];
+        let mut level = 0u32;
+        while !frontier.is_empty() {
+            level += 1;
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for e in self.row_ptr[v]..self.row_ptr[v + 1] {
+                    let u = self.edges[e as usize] as usize;
+                    if dist[u] == INF {
+                        dist[u] = level;
+                        next.push(u);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        dist
+    }
+}
+
 /// The BFS benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct BfsQueue {
@@ -69,8 +122,10 @@ impl BfsQueue {
     }
 
     /// Deterministic graph: a ring (guaranteeing connectivity) plus random
-    /// extra out-edges per node, in CSR form.
-    fn gen_graph(&self) -> (Vec<u32>, Vec<u32>) {
+    /// extra out-edges per node, in CSR form. Generated once per
+    /// `flex`/`lite`/`check` call; the layout, footprint and golden
+    /// distances all derive from it.
+    fn gen_graph(&self) -> Graph {
         let mut rng = InputRng::new(self.seed);
         let mut row_ptr = vec![0u32];
         let mut edges = Vec::new();
@@ -81,27 +136,16 @@ impl BfsQueue {
             }
             row_ptr.push(edges.len() as u32);
         }
-        (row_ptr, edges)
+        Graph { row_ptr, edges }
     }
 
-    fn layout(&self) -> Layout {
-        let (_, edges) = self.gen_graph();
-        let mut alloc = Allocator::new(0x10000);
-        Layout {
-            row_ptr: alloc.alloc_array(self.n + 1, 4),
-            edges: alloc.alloc_array(edges.len() as u64, 4),
-            dist: alloc.alloc_array(self.n, 4),
-            queue: [alloc.alloc_array(self.n, 4), alloc.alloc_array(self.n, 4)],
-            count: [alloc.alloc(64, 64), alloc.alloc(64, 64)],
-            level_word: alloc.alloc(64, 64),
-        }
-    }
-
-    fn setup_memory(&self, mem: &mut Memory) -> Layout {
-        let l = self.layout();
-        let (row_ptr, edges) = self.gen_graph();
-        mem.write_u32_slice(l.row_ptr, &row_ptr);
-        mem.write_u32_slice(l.edges, &edges);
+    /// Generates the graph and writes it with the BFS state seeded at
+    /// vertex 0; returns the layout and the footprint in bytes.
+    fn setup_memory(&self, mem: &mut Memory) -> (Layout, u64) {
+        let g = self.gen_graph();
+        let l = g.layout();
+        mem.write_u32_slice(l.row_ptr, &g.row_ptr);
+        mem.write_u32_slice(l.edges, &g.edges);
         mem.write_u32_slice(l.dist, &vec![INF; self.n as usize]);
         // Seed: vertex 0 at distance 0 in queue 0.
         mem.write_u32(l.dist, 0);
@@ -109,36 +153,7 @@ impl BfsQueue {
         mem.write_u64(l.count[0], 1);
         mem.write_u64(l.count[1], 0);
         mem.write_u64(l.level_word, 0);
-        l
-    }
-
-    fn footprint(&self) -> u64 {
-        let (row_ptr, edges) = self.gen_graph();
-        4 * (row_ptr.len() + edges.len() + 3 * self.n as usize) as u64
-    }
-
-    /// Host-side golden distances.
-    fn golden(&self) -> Vec<u32> {
-        let (row_ptr, edges) = self.gen_graph();
-        let mut dist = vec![INF; self.n as usize];
-        dist[0] = 0;
-        let mut frontier = vec![0usize];
-        let mut level = 0u32;
-        while !frontier.is_empty() {
-            level += 1;
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for e in row_ptr[v]..row_ptr[v + 1] {
-                    let u = edges[e as usize] as usize;
-                    if dist[u] == INF {
-                        dist[u] = level;
-                        next.push(u);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        dist
+        (l, g.footprint())
     }
 
     fn pf(&self) -> ParallelFor {
@@ -165,7 +180,7 @@ impl Benchmark for BfsQueue {
     }
 
     fn flex(&self, mem: &mut Memory) -> Instance {
-        let layout = self.setup_memory(mem);
+        let (layout, footprint_bytes) = self.setup_memory(mem);
         Instance {
             worker: Box::new(BfsWorker {
                 layout,
@@ -173,26 +188,26 @@ impl Benchmark for BfsQueue {
             }),
             // args: level, visited count so far (excluding the source).
             root: Task::new(BF_LEVEL, Continuation::host(0), &[0, 0]),
-            footprint_bytes: self.footprint(),
+            footprint_bytes,
         }
     }
 
     fn lite(&self, mem: &mut Memory) -> Option<LiteInstance> {
-        let layout = self.setup_memory(mem);
+        let (layout, footprint_bytes) = self.setup_memory(mem);
         Some(LiteInstance {
             worker: Box::new(BfsWorker {
                 layout,
                 pf: self.pf(),
             }),
             driver: Box::new(BfsLiteDriver { layout }),
-            footprint_bytes: self.footprint(),
+            footprint_bytes,
         })
     }
 
     fn check(&self, mem: &Memory, result: u64) -> Result<(), String> {
-        let l = self.layout();
-        let golden = self.golden();
-        let got = mem.read_u32_slice(l.dist, golden.len());
+        let g = self.gen_graph();
+        let golden = g.golden();
+        let got = mem.read_u32_slice(g.layout().dist, golden.len());
         if got != golden {
             let bad = got.iter().zip(&golden).position(|(a, b)| a != b).unwrap();
             return Err(format!(
@@ -378,7 +393,7 @@ mod tests {
     #[test]
     fn ring_makes_graph_connected() {
         let bench = BfsQueue::new(Scale::Tiny);
-        let golden = bench.golden();
+        let golden = bench.gen_graph().golden();
         assert!(golden.iter().all(|&d| d != INF), "every vertex reachable");
     }
 }

@@ -96,15 +96,18 @@ impl Knapsack {
         items
     }
 
-    fn setup_memory(&self, mem: &mut Memory) -> Layout {
+    /// Generates the items once and writes them; returns the layout and
+    /// the items for the worker.
+    fn setup_memory(&self, mem: &mut Memory) -> (Layout, Vec<(u64, u64)>) {
         let l = self.layout();
-        for (i, (w, v)) in self.gen_items().into_iter().enumerate() {
+        let items = self.gen_items();
+        for (i, &(w, v)) in items.iter().enumerate() {
             mem.write_u32(l.items + 8 * i as u64, w as u32);
             mem.write_u32(l.items + 8 * i as u64 + 4, v as u32);
         }
         mem.write_u64(l.best, 0);
         mem.write_u64(l.next_list, 0);
-        l
+        (l, items)
     }
 
     /// Exact DP solution for checking.
@@ -180,10 +183,10 @@ impl Benchmark for Knapsack {
     }
 
     fn flex(&self, mem: &mut Memory) -> Instance {
-        let layout = self.setup_memory(mem);
+        let (layout, items) = self.setup_memory(mem);
         Instance {
             worker: Box::new(KnapsackWorker {
-                items: self.gen_items(),
+                items,
                 cutoff: self.cutoff,
                 layout,
             }),
@@ -193,10 +196,10 @@ impl Benchmark for Knapsack {
     }
 
     fn lite(&self, mem: &mut Memory) -> Option<LiteInstance> {
-        let layout = self.setup_memory(mem);
+        let (layout, items) = self.setup_memory(mem);
         Some(LiteInstance {
             worker: Box::new(KnapsackWorker {
-                items: self.gen_items(),
+                items,
                 cutoff: self.cutoff,
                 layout,
             }),

@@ -31,6 +31,48 @@ struct Layout {
     y: u64,
 }
 
+/// One generation of the CRS matrix and the dense input vector.
+struct Matrix {
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
+    vals: Vec<u32>,
+    x: Vec<u32>,
+}
+
+impl Matrix {
+    fn layout(&self) -> Layout {
+        let rows = self.x.len() as u64;
+        let nnz = self.col_idx.len() as u64;
+        let mut alloc = Allocator::new(0x10000);
+        Layout {
+            row_ptr: alloc.alloc_array(rows + 1, 4),
+            col_idx: alloc.alloc_array(nnz, 4),
+            vals: alloc.alloc_array(nnz, 4),
+            x: alloc.alloc_array(rows, 4),
+            y: alloc.alloc_array(rows, 4),
+        }
+    }
+
+    /// Bytes of input and output: the CRS arrays plus `x` and `y`.
+    fn footprint(&self) -> u64 {
+        4 * (self.row_ptr.len() + self.col_idx.len() + self.vals.len() + 2 * self.x.len()) as u64
+    }
+
+    fn golden(&self) -> Vec<u32> {
+        self.row_ptr
+            .windows(2)
+            .map(|w| {
+                (w[0]..w[1])
+                    .map(|e| {
+                        self.vals[e as usize]
+                            .wrapping_mul(self.x[self.col_idx[e as usize] as usize])
+                    })
+                    .fold(0u32, u32::wrapping_add)
+            })
+            .collect()
+    }
+}
+
 /// The SpMV benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct SpmvCrs {
@@ -54,8 +96,9 @@ impl SpmvCrs {
         }
     }
 
-    /// Deterministic CRS structure: (row_ptr, col_idx, vals, x).
-    fn gen_matrix(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+    /// Deterministic CRS inputs. Generated once per `flex`/`lite`/`check`
+    /// call; the layout, footprint and golden output all derive from it.
+    fn gen_matrix(&self) -> Matrix {
         let mut rng = InputRng::new(self.seed);
         let mut row_ptr = Vec::with_capacity(self.rows as usize + 1);
         let mut col_idx = Vec::new();
@@ -73,46 +116,24 @@ impl SpmvCrs {
             row_ptr.push(col_idx.len() as u32);
         }
         let x: Vec<u32> = (0..self.rows).map(|_| rng.next_in(100) as u32).collect();
-        (row_ptr, col_idx, vals, x)
-    }
-
-    fn layout(&self) -> Layout {
-        let (_, col_idx, _, _) = self.gen_matrix();
-        let nnz = col_idx.len() as u64;
-        let mut alloc = Allocator::new(0x10000);
-        Layout {
-            row_ptr: alloc.alloc_array(self.rows + 1, 4),
-            col_idx: alloc.alloc_array(nnz, 4),
-            vals: alloc.alloc_array(nnz, 4),
-            x: alloc.alloc_array(self.rows, 4),
-            y: alloc.alloc_array(self.rows, 4),
+        Matrix {
+            row_ptr,
+            col_idx,
+            vals,
+            x,
         }
     }
 
-    fn setup_memory(&self, mem: &mut Memory) -> Layout {
-        let l = self.layout();
-        let (row_ptr, col_idx, vals, x) = self.gen_matrix();
-        mem.write_u32_slice(l.row_ptr, &row_ptr);
-        mem.write_u32_slice(l.col_idx, &col_idx);
-        mem.write_u32_slice(l.vals, &vals);
-        mem.write_u32_slice(l.x, &x);
-        l
-    }
-
-    fn footprint(&self) -> u64 {
-        let (row_ptr, col_idx, vals, x) = self.gen_matrix();
-        4 * (row_ptr.len() + col_idx.len() + vals.len() + 2 * x.len()) as u64
-    }
-
-    fn golden(&self) -> Vec<u32> {
-        let (row_ptr, col_idx, vals, x) = self.gen_matrix();
-        (0..self.rows as usize)
-            .map(|r| {
-                (row_ptr[r]..row_ptr[r + 1])
-                    .map(|e| vals[e as usize].wrapping_mul(x[col_idx[e as usize] as usize]))
-                    .fold(0u32, u32::wrapping_add)
-            })
-            .collect()
+    /// Generates the inputs and writes them; returns the layout and the
+    /// footprint in bytes.
+    fn setup_memory(&self, mem: &mut Memory) -> (Layout, u64) {
+        let m = self.gen_matrix();
+        let l = m.layout();
+        mem.write_u32_slice(l.row_ptr, &m.row_ptr);
+        mem.write_u32_slice(l.col_idx, &m.col_idx);
+        mem.write_u32_slice(l.vals, &m.vals);
+        mem.write_u32_slice(l.x, &m.x);
+        (l, m.footprint())
     }
 
     fn pf(&self) -> ParallelFor {
@@ -138,17 +159,17 @@ impl Benchmark for SpmvCrs {
     }
 
     fn flex(&self, mem: &mut Memory) -> Instance {
-        let layout = self.setup_memory(mem);
+        let (layout, footprint_bytes) = self.setup_memory(mem);
         let pf = self.pf();
         Instance {
             worker: Box::new(SpmvWorker { layout, pf }),
             root: pf.root_task(0, self.rows, Continuation::host(0)),
-            footprint_bytes: self.footprint(),
+            footprint_bytes,
         }
     }
 
     fn lite(&self, mem: &mut Memory) -> Option<LiteInstance> {
-        let layout = self.setup_memory(mem);
+        let (layout, footprint_bytes) = self.setup_memory(mem);
         let pf = self.pf();
         let rows = self.rows;
         Some(LiteInstance {
@@ -170,14 +191,14 @@ impl Benchmark for SpmvCrs {
                     })
                 },
             ),
-            footprint_bytes: self.footprint(),
+            footprint_bytes,
         })
     }
 
     fn check(&self, mem: &Memory, result: u64) -> Result<(), String> {
-        let l = self.layout();
-        let golden = self.golden();
-        let got = mem.read_u32_slice(l.y, golden.len());
+        let m = self.gen_matrix();
+        let golden = m.golden();
+        let got = mem.read_u32_slice(m.layout().y, golden.len());
         if got != golden {
             let bad = got.iter().zip(&golden).position(|(a, b)| a != b).unwrap();
             return Err(format!(
@@ -283,11 +304,14 @@ mod tests {
     #[test]
     fn matrix_structure_is_valid() {
         let bench = SpmvCrs::new(Scale::Tiny);
-        let (row_ptr, col_idx, vals, x) = bench.gen_matrix();
-        assert_eq!(row_ptr.len() as u64, bench.rows + 1);
-        assert_eq!(col_idx.len(), vals.len());
-        assert_eq!(x.len() as u64, bench.rows);
-        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]), "monotone row_ptr");
-        assert!(col_idx.iter().all(|&c| (c as u64) < bench.rows));
+        let m = bench.gen_matrix();
+        assert_eq!(m.row_ptr.len() as u64, bench.rows + 1);
+        assert_eq!(m.col_idx.len(), m.vals.len());
+        assert_eq!(m.x.len() as u64, bench.rows);
+        assert!(
+            m.row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "monotone row_ptr"
+        );
+        assert!(m.col_idx.iter().all(|&c| (c as u64) < bench.rows));
     }
 }

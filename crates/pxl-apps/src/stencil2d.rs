@@ -200,23 +200,31 @@ impl StencilWorker {
             ctx.dma_read(l.src_at(r, c0.saturating_sub(1)), (BLOCK + 2).min(n) * 4);
         }
         ctx.compute(BLOCK * BLOCK * 18); // 9 multiplies + 9 adds per pixel
+                                         // The scratchpad: the block plus its halo, one slice read per row.
+                                         // Its first column is `col_lo` and its first row `halo_lo`.
+        let col_lo = c0.saturating_sub(1);
+        let width = ((c0 + BLOCK + 1).min(n) - col_lo) as usize;
         let mem = ctx.mem();
-        for r in r0..(r0 + BLOCK).min(n) {
-            if r == 0 || r == n - 1 {
-                continue;
-            }
-            for c in c0..(c0 + BLOCK).min(n) {
-                if c == 0 || c == n - 1 {
-                    continue;
-                }
-                let mut acc = 0i32;
-                for (kr, row) in KERNEL.iter().enumerate() {
-                    for (kc, &w) in row.iter().enumerate() {
-                        acc += w * mem.read_i32(l.src_at(r + kr as u64 - 1, c + kc as u64 - 1));
+        let pad: Vec<Vec<i32>> = (halo_lo..halo_hi)
+            .map(|r| mem.read_i32_slice(l.src_at(r, col_lo), width))
+            .collect();
+        // Border pixels are never written: only each interior row's interior
+        // span, with one slice write.
+        let (c_lo, c_hi) = (c0.max(1), (c0 + BLOCK).min(n - 1));
+        for r in r0.max(1)..(r0 + BLOCK).min(n - 1) {
+            let out: Vec<i32> = (c_lo..c_hi)
+                .map(|c| {
+                    let mut acc = 0i32;
+                    for (kr, row) in KERNEL.iter().enumerate() {
+                        let src = &pad[(r + kr as u64 - 1 - halo_lo) as usize];
+                        for (kc, &w) in row.iter().enumerate() {
+                            acc += w * src[(c + kc as u64 - 1 - col_lo) as usize];
+                        }
                     }
-                }
-                mem.write_i32(l.dst_at(r, c), acc);
-            }
+                    acc
+                })
+                .collect();
+            mem.write_i32_slice(l.dst_at(r, c_lo), &out);
         }
         for r in r0..(r0 + BLOCK).min(n) {
             ctx.dma_write(l.dst_at(r, c0), BLOCK * 4);

@@ -2,9 +2,11 @@
 //!
 //! Measures wall-clock simulated-cycles/sec and tasks/sec for every engine
 //! — FlexArch, LiteArch, the centralized-queue ablation and the CPU
-//! baseline — on two benchmarks with mappings for all of them, so the
+//! baseline — on four benchmarks with mappings for all of them, so the
 //! fabric's hot dispatch loop has a recorded perf trajectory and
-//! refactors can be shown not to slow it down.
+//! refactors can be shown not to slow it down. uts and queens load the
+//! scheduler; spmvcrs and stencil2d load the memory model and the
+//! functional data plane.
 //!
 //! Appends one JSONL record per (benchmark, engine) to
 //! `bench_results.jsonl` (tagged `"perf":true` to keep them separable from
@@ -23,7 +25,7 @@ use pxl_flow::{execute, RunSpec};
 use pxl_sim::config::CpuCoreParams;
 
 const PES: usize = 16;
-const BENCHES: [&str; 2] = ["uts", "queens"];
+const BENCHES: [&str; 4] = ["uts", "queens", "spmvcrs", "stencil2d"];
 /// The benchmarks the multi-chip rows run: one irregular-tree and one
 /// queue-driven workload, matching the cluster study in EXPERIMENTS.md.
 const CLUSTER_BENCHES: [&str; 2] = ["uts", "bfsqueue"];

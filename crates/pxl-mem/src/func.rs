@@ -6,6 +6,13 @@
 //! standard timing-directed simulation structure and is what lets the test
 //! suite verify that, e.g., a 32-PE work-stealing run of quicksort actually
 //! sorts.
+//!
+//! Reads never allocate: a read of an untouched page returns zeros and
+//! leaves [`Memory::resident_pages`] (and so the snapshot bytes) unchanged.
+//! A write allocates exactly the pages its bytes land in. Word accesses
+//! that stay inside one 4 KiB page cost one page lookup and a fixed-size
+//! copy, and the typed slice accessors work page by page, so the data plane
+//! stays cheap next to the timing model it runs beside.
 
 use std::collections::HashMap;
 
@@ -80,52 +87,131 @@ impl Memory {
         }
     }
 
+    /// Reads `N` bytes at `addr`. An access inside one page is one page
+    /// lookup and a fixed-size copy; only a page-straddling access takes
+    /// the [`Memory::read_bytes`] loop.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut b = [0u8; N];
+        let off = (addr & PAGE_MASK) as usize;
+        if off + N <= PAGE_SIZE {
+            if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+                b.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut b);
+        }
+        b
+    }
+
+    /// Writes `N` bytes at `addr`; the write-side twin of
+    /// [`Memory::read_array`].
+    #[inline]
+    fn write_array<const N: usize>(&mut self, addr: u64, b: [u8; N]) {
+        let off = (addr & PAGE_MASK) as usize;
+        if off + N <= PAGE_SIZE {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&b);
+        } else {
+            self.write_bytes(addr, &b);
+        }
+    }
+
+    /// Reads `n` consecutive `N`-byte elements, decoding each with `decode`:
+    /// one page lookup per page, straight out of the page.
+    fn read_elems<T, const N: usize>(
+        &self,
+        mut addr: u64,
+        n: usize,
+        decode: fn([u8; N]) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let off = (addr & PAGE_MASK) as usize;
+            let k = ((PAGE_SIZE - off) / N).min(n - out.len());
+            if k == 0 {
+                // The next element straddles a page boundary.
+                out.push(decode(self.read_array(addr)));
+                addr += N as u64;
+                continue;
+            }
+            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => out.extend(
+                    p[off..off + k * N]
+                        .chunks_exact(N)
+                        .map(|c| decode(c.try_into().expect("chunk of N bytes"))),
+                ),
+                None => out.extend((0..k).map(|_| decode([0; N]))),
+            }
+            addr += (k * N) as u64;
+        }
+        out
+    }
+
+    /// Writes consecutive `N`-byte elements, encoding each with `encode`:
+    /// one page lookup per page, straight into the page.
+    fn write_elems<T: Copy, const N: usize>(
+        &mut self,
+        mut addr: u64,
+        mut vals: &[T],
+        encode: fn(T) -> [u8; N],
+    ) {
+        while let Some(&first) = vals.first() {
+            let off = (addr & PAGE_MASK) as usize;
+            let k = ((PAGE_SIZE - off) / N).min(vals.len());
+            if k == 0 {
+                // The next element straddles a page boundary.
+                self.write_array(addr, encode(first));
+                addr += N as u64;
+                vals = &vals[1..];
+                continue;
+            }
+            let page = self.page_mut(addr);
+            for (c, &v) in page[off..off + k * N].chunks_exact_mut(N).zip(&vals[..k]) {
+                c.copy_from_slice(&encode(v));
+            }
+            addr += (k * N) as u64;
+            vals = &vals[k..];
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
-        let mut b = [0u8; 1];
-        self.read_bytes(addr, &mut b);
-        b[0]
+        self.read_array::<1>(addr)[0]
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.write_bytes(addr, &[v]);
+        self.write_array(addr, [v]);
     }
 
     /// Reads a little-endian `u16`.
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: u64, v: u16) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write_array(addr, v.to_le_bytes());
     }
 
     /// Reads a little-endian `i32`.
@@ -158,28 +244,24 @@ impl Memory {
         self.write_u64(addr, v.to_bits());
     }
 
-    /// Convenience: reads `n` consecutive `u32` values starting at `addr`.
+    /// Reads `n` consecutive little-endian `u32` values starting at `addr`.
     pub fn read_u32_slice(&self, addr: u64, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u64)).collect()
+        self.read_elems(addr, n, u32::from_le_bytes)
     }
 
-    /// Convenience: writes consecutive `u32` values starting at `addr`.
+    /// Writes consecutive little-endian `u32` values starting at `addr`.
     pub fn write_u32_slice(&mut self, addr: u64, vals: &[u32]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u64, v);
-        }
+        self.write_elems(addr, vals, u32::to_le_bytes);
     }
 
-    /// Convenience: reads `n` consecutive `i32` values starting at `addr`.
+    /// Reads `n` consecutive little-endian `i32` values starting at `addr`.
     pub fn read_i32_slice(&self, addr: u64, n: usize) -> Vec<i32> {
-        (0..n).map(|i| self.read_i32(addr + 4 * i as u64)).collect()
+        self.read_elems(addr, n, i32::from_le_bytes)
     }
 
-    /// Convenience: writes consecutive `i32` values starting at `addr`.
+    /// Writes consecutive little-endian `i32` values starting at `addr`.
     pub fn write_i32_slice(&mut self, addr: u64, vals: &[i32]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.write_i32(addr + 4 * i as u64, v);
-        }
+        self.write_elems(addr, vals, i32::to_le_bytes);
     }
 
     /// Serializes every resident page for snapshot/restore: an object
@@ -305,6 +387,7 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_sim::qcheck::{check, Gen};
 
     #[test]
     fn zero_initialized() {
@@ -359,6 +442,163 @@ mod tests {
         assert_eq!(mem.read_i32_slice(0x100, 3), vec![-1, 2, -3]);
         mem.write_u32_slice(0x200, &[7, 8]);
         assert_eq!(mem.read_u32_slice(0x200, 2), vec![7, 8]);
+    }
+
+    /// A plain byte map: what `Memory` must behave like.
+    #[derive(Default)]
+    struct Model {
+        bytes: HashMap<u64, u8>,
+    }
+
+    impl Model {
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            for (i, &b) in data.iter().enumerate() {
+                self.bytes.insert(addr + i as u64, b);
+            }
+        }
+
+        fn read(&self, addr: u64, n: usize) -> Vec<u8> {
+            (0..n as u64)
+                .map(|i| self.bytes.get(&(addr + i)).copied().unwrap_or(0))
+                .collect()
+        }
+
+        /// Pages holding at least one written byte.
+        fn pages(&self) -> usize {
+            let mut pages: Vec<u64> = self.bytes.keys().map(|a| a >> PAGE_SHIFT).collect();
+            pages.sort_unstable();
+            pages.dedup();
+            pages.len()
+        }
+    }
+
+    /// An address in one of four pages, often within 7 bytes of the page
+    /// end so word and slice accesses straddle into the next page.
+    fn arb_addr(g: &mut Gen) -> u64 {
+        let page = g.range(0, 4);
+        let off = if g.bool() {
+            g.range(PAGE_SIZE as u64 - 7, PAGE_SIZE as u64)
+        } else {
+            g.range(0, PAGE_SIZE as u64)
+        };
+        (page << PAGE_SHIFT) + off
+    }
+
+    fn le_words(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Reads `len` bytes through one of the word or slice accessors.
+    fn read_via(mem: &Memory, g: &mut Gen, addr: u64) -> (usize, Vec<u8>) {
+        match g.range(0, 7) {
+            0 => (1, vec![mem.read_u8(addr)]),
+            1 => (2, mem.read_u16(addr).to_le_bytes().to_vec()),
+            2 => (4, mem.read_u32(addr).to_le_bytes().to_vec()),
+            3 => (8, mem.read_u64(addr).to_le_bytes().to_vec()),
+            4 => {
+                let n = g.usize_in(0, 1100);
+                (4 * n, le_words(&mem.read_u32_slice(addr, n)))
+            }
+            5 => {
+                let n = g.usize_in(0, 1100);
+                let words: Vec<u32> = mem
+                    .read_i32_slice(addr, n)
+                    .into_iter()
+                    .map(|v| v as u32)
+                    .collect();
+                (4 * n, le_words(&words))
+            }
+            _ => {
+                let mut buf = vec![0u8; g.usize_in(0, 5000)];
+                mem.read_bytes(addr, &mut buf);
+                (buf.len(), buf)
+            }
+        }
+    }
+
+    /// Writes through one of the word or slice accessors; returns the bytes
+    /// written.
+    fn write_via(mem: &mut Memory, g: &mut Gen, addr: u64) -> Vec<u8> {
+        let v = g.u64();
+        match g.range(0, 7) {
+            0 => {
+                mem.write_u8(addr, v as u8);
+                vec![v as u8]
+            }
+            1 => {
+                mem.write_u16(addr, v as u16);
+                (v as u16).to_le_bytes().to_vec()
+            }
+            2 => {
+                mem.write_u32(addr, v as u32);
+                (v as u32).to_le_bytes().to_vec()
+            }
+            3 => {
+                mem.write_u64(addr, v);
+                v.to_le_bytes().to_vec()
+            }
+            4 => {
+                let words: Vec<u32> = (0..g.usize_in(0, 1100)).map(|_| g.u64() as u32).collect();
+                mem.write_u32_slice(addr, &words);
+                le_words(&words)
+            }
+            5 => {
+                let vals: Vec<i32> = (0..g.usize_in(0, 1100)).map(|_| g.u64() as i32).collect();
+                mem.write_i32_slice(addr, &vals);
+                vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+            }
+            _ => {
+                let data: Vec<u8> = (0..g.usize_in(0, 5000)).map(|_| g.u64() as u8).collect();
+                mem.write_bytes(addr, &data);
+                data
+            }
+        }
+    }
+
+    #[test]
+    fn accessors_agree_with_a_byte_map() {
+        check(200, "memory matches a byte map", |g: &mut Gen| {
+            let mut mem = Memory::new();
+            let mut model = Model::default();
+            for _ in 0..40 {
+                let addr = arb_addr(g);
+                if g.bool() {
+                    let data = write_via(&mut mem, g, addr);
+                    model.write(addr, &data);
+                    assert_eq!(mem.resident_pages(), model.pages(), "write at {addr:#x}");
+                } else {
+                    let pages = mem.resident_pages();
+                    let (n, got) = read_via(&mem, g, addr);
+                    assert_eq!(got, model.read(addr, n), "read of {n} bytes at {addr:#x}");
+                    assert_eq!(mem.resident_pages(), pages, "a read allocated a page");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn slice_writes_match_word_writes() {
+        check(100, "slice fill == word fill", |g: &mut Gen| {
+            let addr = arb_addr(g);
+            let words: Vec<u32> = (0..g.usize_in(0, 2100)).map(|_| g.u64() as u32).collect();
+            let (mut by_word, mut by_slice) = (Memory::new(), Memory::new());
+            if g.bool() {
+                for (i, &w) in words.iter().enumerate() {
+                    by_word.write_u32(addr + 4 * i as u64, w);
+                }
+                by_slice.write_u32_slice(addr, &words);
+            } else {
+                for (i, &w) in words.iter().enumerate() {
+                    by_word.write_i32(addr + 4 * i as u64, w as i32);
+                }
+                let vals: Vec<i32> = words.iter().map(|&w| w as i32).collect();
+                by_slice.write_i32_slice(addr, &vals);
+            }
+            assert_eq!(
+                by_slice.state_to_json_value().to_json(),
+                by_word.state_to_json_value().to_json()
+            );
+        });
     }
 
     #[test]
