@@ -205,9 +205,12 @@ impl Benchmark for BfsQueue {
     }
 
     fn check(&self, mem: &Memory, result: u64) -> Result<(), String> {
-        let g = self.gen_graph();
-        let golden = g.golden();
-        let got = mem.read_u32_slice(g.layout().dist, golden.len());
+        // The graph is dropped before `dist` is read back.
+        let (dist, golden) = {
+            let g = self.gen_graph();
+            (g.layout().dist, g.golden())
+        };
+        let got = mem.read_u32_slice(dist, golden.len());
         if got != golden {
             let bad = got.iter().zip(&golden).position(|(a, b)| a != b).unwrap();
             return Err(format!(

@@ -196,9 +196,13 @@ impl Benchmark for SpmvCrs {
     }
 
     fn check(&self, mem: &Memory, result: u64) -> Result<(), String> {
-        let m = self.gen_matrix();
-        let golden = m.golden();
-        let got = mem.read_u32_slice(m.layout().y, golden.len());
+        // The matrix is dropped before `y` is read back, so the check never
+        // holds the inputs, the golden vector and the read-back at once.
+        let (y, golden) = {
+            let m = self.gen_matrix();
+            (m.layout().y, m.golden())
+        };
+        let got = mem.read_u32_slice(y, golden.len());
         if got != golden {
             let bad = got.iter().zip(&golden).position(|(a, b)| a != b).unwrap();
             return Err(format!(
