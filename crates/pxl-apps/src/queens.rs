@@ -387,8 +387,8 @@ mod tests {
         bench.check(engine.memory(), out.result).unwrap();
     }
 
-    /// The column-loop search `serial_count` replaced, kept as its
-    /// reference.
+    /// Reference for `serial_count`: the same search, testing every column
+    /// of each row with `free`.
     fn column_loop_count(n: u32, cols: u64, d1: u64, d2: u64, row: u32) -> (u64, u64) {
         if row == n {
             return (1, 1);

@@ -117,7 +117,9 @@ impl Memory {
     }
 
     /// Reads `n` consecutive `N`-byte elements, decoding each with `decode`:
-    /// one page lookup per page, straight out of the page.
+    /// one page lookup per page, straight out of the page. (`addr` steps
+    /// with `wrapping_add` because the address past a slice that ends at
+    /// the top of the address space is computed but never used.)
     fn read_elems<T, const N: usize>(
         &self,
         mut addr: u64,
@@ -131,7 +133,7 @@ impl Memory {
             if k == 0 {
                 // The next element straddles a page boundary.
                 out.push(decode(self.read_array(addr)));
-                addr += N as u64;
+                addr = addr.wrapping_add(N as u64);
                 continue;
             }
             match self.pages.get(&(addr >> PAGE_SHIFT)) {
@@ -142,7 +144,7 @@ impl Memory {
                 ),
                 None => out.extend((0..k).map(|_| decode([0; N]))),
             }
-            addr += (k * N) as u64;
+            addr = addr.wrapping_add((k * N) as u64);
         }
         out
     }
@@ -161,7 +163,7 @@ impl Memory {
             if k == 0 {
                 // The next element straddles a page boundary.
                 self.write_array(addr, encode(first));
-                addr += N as u64;
+                addr = addr.wrapping_add(N as u64);
                 vals = &vals[1..];
                 continue;
             }
@@ -169,7 +171,7 @@ impl Memory {
             for (c, &v) in page[off..off + k * N].chunks_exact_mut(N).zip(&vals[..k]) {
                 c.copy_from_slice(&encode(v));
             }
-            addr += (k * N) as u64;
+            addr = addr.wrapping_add((k * N) as u64);
             vals = &vals[k..];
         }
     }
@@ -442,6 +444,9 @@ mod tests {
         assert_eq!(mem.read_i32_slice(0x100, 3), vec![-1, 2, -3]);
         mem.write_u32_slice(0x200, &[7, 8]);
         assert_eq!(mem.read_u32_slice(0x200, 2), vec![7, 8]);
+        // A slice that ends at the top of the address space.
+        mem.write_u32_slice(u64::MAX - 7, &[9, 10]);
+        assert_eq!(mem.read_u32_slice(u64::MAX - 7, 2), vec![9, 10]);
     }
 
     /// A plain byte map: what `Memory` must behave like.
