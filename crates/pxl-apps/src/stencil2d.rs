@@ -196,13 +196,14 @@ impl StencilWorker {
         // along in the same cache lines).
         let halo_lo = r0.saturating_sub(1);
         let halo_hi = (r0 + BLOCK + 1).min(n);
+        let col_lo = c0.saturating_sub(1);
         for r in halo_lo..halo_hi {
-            ctx.dma_read(l.src_at(r, c0.saturating_sub(1)), (BLOCK + 2).min(n) * 4);
+            ctx.dma_read(l.src_at(r, col_lo), (BLOCK + 2).min(n) * 4);
         }
         ctx.compute(BLOCK * BLOCK * 18); // 9 multiplies + 9 adds per pixel
-                                         // The scratchpad: the block plus its halo, one slice read per row.
-                                         // Its first column is `col_lo` and its first row `halo_lo`.
-        let col_lo = c0.saturating_sub(1);
+
+        // The scratchpad: the block plus its halo, one slice read per row.
+        // Its first column is `col_lo` and its first row `halo_lo`.
         let width = ((c0 + BLOCK + 1).min(n) - col_lo) as usize;
         let mem = ctx.mem();
         let pad: Vec<Vec<i32>> = (halo_lo..halo_hi)
