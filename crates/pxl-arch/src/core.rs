@@ -15,8 +15,8 @@
 use pxl_mem::Memory;
 use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, Task};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
+use pxl_sim::json::{self, JsonValue};
+use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{Clock, EventQueue, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer};
 
 use crate::fabric::{AccelError, AccelResult};
@@ -216,22 +216,19 @@ impl EngineCore {
         memory: Field,
         tail: Vec<Field>,
     ) -> Snapshot {
-        let watchdog = snapshot::obj(vec![
+        let watchdog = json::obj(vec![
             (
                 "last_progress_ps",
-                snapshot::num(self.watchdog.last_progress.as_ps()),
+                json::num(self.watchdog.last_progress.as_ps()),
             ),
             (
                 "last_unit",
-                snapshot::num(self.watchdog.last_unit.map_or(0, |u| u as u64 + 1)),
+                json::num(self.watchdog.last_unit.map_or(0, |u| u as u64 + 1)),
             ),
         ]);
         head.extend([
             ("watchdog", watchdog),
-            (
-                "metrics",
-                JsonValue::parse(&self.metrics.to_json()).expect("metrics emit valid JSON"),
-            ),
+            ("metrics", self.metrics.to_json_value()),
             ("mem", self.mem.state_to_json_value()),
             memory,
             ("trace", self.trace.state_to_json_value()),
@@ -240,7 +237,7 @@ impl EngineCore {
         if let Some(telemetry) = &self.telemetry {
             head.push(("telemetry", telemetry.state_to_json_value()));
         }
-        Snapshot::new(engine, snapshot::obj(head))
+        Snapshot::new(engine, json::obj(head))
     }
 
     /// Restores the core's fields of a payload [`EngineCore::snapshot`]
@@ -259,25 +256,23 @@ impl EngineCore {
         p: &JsonValue,
         register: impl FnOnce(&mut Metrics),
     ) -> Result<(), SnapshotError> {
-        self.next_task_id = snapshot::get_u64(p, "next_task_id")?;
-        let watchdog = snapshot::get(p, "watchdog")?;
-        self.watchdog.last_progress =
-            Time::from_ps(snapshot::get_u64(watchdog, "last_progress_ps")?);
-        self.watchdog.last_unit = match snapshot::get_u64(watchdog, "last_unit")? {
+        self.next_task_id = json::get_u64(p, "next_task_id")?;
+        let watchdog = json::get(p, "watchdog")?;
+        self.watchdog.last_progress = Time::from_ps(json::get_u64(watchdog, "last_progress_ps")?);
+        self.watchdog.last_unit = match json::get_u64(watchdog, "last_unit")? {
             0 => None,
             u => Some(u as usize - 1),
         };
-        let saved = Metrics::from_json(&snapshot::get(p, "metrics")?.to_json())
+        let saved = Metrics::from_json_value(json::get(p, "metrics")?)
             .map_err(|e| malformed(format!("metrics: {e}")))?;
         let mut metrics = EngineCore::fresh_metrics();
         register(&mut metrics);
         metrics.merge(&saved);
         self.metrics = metrics;
         self.mem
-            .restore_state(snapshot::get(p, "mem")?)
+            .restore_state(json::get(p, "mem")?)
             .map_err(malformed)?;
-        self.trace =
-            Tracer::state_from_json_value(snapshot::get(p, "trace")?).map_err(malformed)?;
+        self.trace = Tracer::state_from_json_value(json::get(p, "trace")?).map_err(malformed)?;
         match (&mut self.telemetry, p.get("telemetry")) {
             (Some(telemetry), Some(saved)) => {
                 let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
@@ -307,7 +302,7 @@ impl EngineCore {
         JsonValue::Array(
             self.host
                 .iter()
-                .map(|slot| snapshot::arr_u64(slot.iter().copied()))
+                .map(|slot| json::arr_u64(slot.iter().copied()))
                 .collect(),
         )
     }
@@ -319,7 +314,7 @@ impl EngineCore {
     /// [`SnapshotError::Malformed`] unless `host` holds exactly
     /// [`HOST_SLOTS`] cells of zero or one `u64`.
     pub fn read_host_cells(&mut self, p: &JsonValue) -> Result<(), SnapshotError> {
-        let host = snapshot::get_arr(p, "host")?;
+        let host = json::get_arr(p, "host")?;
         if host.len() != HOST_SLOTS {
             return Err(malformed(format!(
                 "snapshot holds {} host slots, expected {HOST_SLOTS}",
@@ -327,12 +322,9 @@ impl EngineCore {
             )));
         }
         for (slot, value) in self.host.iter_mut().zip(host) {
-            let cell = value
-                .as_array()
-                .ok_or_else(|| malformed("host slot is not an array"))?;
-            *slot = match cell {
+            *slot = match json::u64s(value, "host")?[..] {
                 [] => None,
-                [v] => Some(v.as_u64().ok_or_else(|| malformed("bad host value"))?),
+                [v] => Some(v),
                 _ => return Err(malformed("host slot holds more than one value")),
             };
         }
@@ -353,7 +345,7 @@ pub fn events_to_json<E>(
             .map(|(when, event)| {
                 let mut all = vec![when.as_ps()];
                 all.extend(words(event));
-                snapshot::arr_u64(all)
+                json::arr_u64(all)
             })
             .collect(),
     )
@@ -373,8 +365,8 @@ pub fn read_events<E>(
     mut decode: impl FnMut(&[u64]) -> Result<E, String>,
 ) -> Result<(), SnapshotError> {
     events.clear();
-    for entry in snapshot::get_arr(p, "events")? {
-        let words = snapshot::u64s(entry, "events")?;
+    for entry in json::get_arr(p, "events")? {
+        let words = json::u64s(entry, "events")?;
         let (when, body) = words
             .split_first()
             .ok_or_else(|| malformed("empty event entry"))?;
@@ -432,14 +424,14 @@ impl RootRun {
     /// `next_task_id`, `outstanding` and `last_useful_ps`.
     pub fn fields(&self, core: &EngineCore) -> Vec<Field> {
         vec![
-            ("launched", snapshot::num(u64::from(self.launched))),
+            ("launched", json::num(u64::from(self.launched))),
             (
                 "result_slot",
-                snapshot::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
+                json::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
             ),
-            ("next_task_id", snapshot::num(core.next_task_id)),
-            ("outstanding", snapshot::num(self.outstanding)),
-            ("last_useful_ps", snapshot::num(self.last_useful.as_ps())),
+            ("next_task_id", json::num(core.next_task_id)),
+            ("outstanding", json::num(self.outstanding)),
+            ("last_useful_ps", json::num(self.last_useful.as_ps())),
         ]
     }
 
@@ -451,7 +443,7 @@ impl RootRun {
     /// [`SnapshotError::Malformed`] for a missing field or a `result_slot`
     /// naming no host slot.
     pub fn read(p: &JsonValue) -> Result<RootRun, SnapshotError> {
-        let result_slot = match snapshot::get_u64(p, "result_slot")? {
+        let result_slot = match json::get_u64(p, "result_slot")? {
             0 => None,
             s if s <= HOST_SLOTS as u64 => Some(s as u8 - 1),
             s => {
@@ -461,10 +453,10 @@ impl RootRun {
             }
         };
         Ok(RootRun {
-            launched: snapshot::get_u64(p, "launched")? != 0,
+            launched: json::get_u64(p, "launched")? != 0,
             result_slot,
-            outstanding: snapshot::get_u64(p, "outstanding")?,
-            last_useful: Time::from_ps(snapshot::get_u64(p, "last_useful_ps")?),
+            outstanding: json::get_u64(p, "outstanding")?,
+            last_useful: Time::from_ps(json::get_u64(p, "last_useful_ps")?),
         })
     }
 }
@@ -507,11 +499,11 @@ impl UnitState {
         [
             (
                 "steal_fails",
-                snapshot::arr_u64(self.steal_fails.iter().map(|f| u64::from(*f))),
+                json::arr_u64(self.steal_fails.iter().map(|f| u64::from(*f))),
             ),
             (
                 "busy_until_ps",
-                snapshot::arr_u64(self.busy_until.iter().map(|t| t.as_ps())),
+                json::arr_u64(self.busy_until.iter().map(|t| t.as_ps())),
             ),
         ]
     }
@@ -523,8 +515,8 @@ impl UnitState {
     /// [`SnapshotError::Malformed`] when the snapshot describes a different
     /// unit count or a fail count past `u32`.
     pub fn read(&mut self, p: &JsonValue) -> Result<(), SnapshotError> {
-        let steal_fails = snapshot::get_u64s(p, "steal_fails")?;
-        let busy_until = snapshot::get_u64s(p, "busy_until_ps")?;
+        let steal_fails = json::get_u64s(p, "steal_fails")?;
+        let busy_until = json::get_u64s(p, "busy_until_ps")?;
         let units = self.busy_until.len();
         if steal_fails.len() != units || busy_until.len() != units {
             return Err(malformed(format!(

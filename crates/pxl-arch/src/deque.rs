@@ -15,8 +15,7 @@
 use std::collections::VecDeque;
 
 use pxl_model::{Task, TASK_WORDS};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot;
+use pxl_sim::json::{self, JsonValue};
 use pxl_sim::{EventSlab, Time};
 
 /// A bounded double-ended task queue with timestamped availability.
@@ -162,18 +161,14 @@ impl TaskDeque {
             .items
             .iter()
             .map(|e| {
-                let mut words: Vec<u64> = self.arena.get(e.slot).to_words().to_vec();
-                words.push(e.avail.as_ps());
-                JsonValue::Array(words.into_iter().map(JsonValue::num_u64).collect())
+                let words = self.arena.get(e.slot).to_words();
+                json::arr_u64(words.into_iter().chain([e.avail.as_ps()]))
             })
             .collect();
-        JsonValue::Object(vec![
-            ("items".to_owned(), JsonValue::Array(items)),
-            ("peak".to_owned(), JsonValue::num_u64(self.peak as u64)),
-            (
-                "total_pushed".to_owned(),
-                JsonValue::num_u64(self.total_pushed),
-            ),
+        json::obj(vec![
+            ("items", JsonValue::Array(items)),
+            ("peak", json::num(self.peak as u64)),
+            ("total_pushed", json::num(self.total_pushed)),
         ])
     }
 
@@ -186,10 +181,7 @@ impl TaskDeque {
     /// Returns a message when the state is malformed or holds more tasks
     /// than this deque's capacity.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let entries = value
-            .get("items")
-            .and_then(JsonValue::as_array)
-            .ok_or("deque state: missing items array")?;
+        let entries = json::get_arr(value, "items")?;
         if entries.len() > self.capacity {
             return Err(format!(
                 "deque state holds {} tasks, capacity is {}",
@@ -200,7 +192,7 @@ impl TaskDeque {
         let mut items = VecDeque::with_capacity(entries.len());
         let mut arena = EventSlab::new();
         for entry in entries {
-            let words = snapshot::u64s(entry, "items")?;
+            let words = json::u64s(entry, "items")?;
             if words.len() != TASK_WORDS + 1 {
                 return Err(format!(
                     "deque state: item holds {} words, expected {}",
@@ -214,17 +206,11 @@ impl TaskDeque {
                 avail: Time::from_ps(words[TASK_WORDS]),
             });
         }
-        let peak = value
-            .get("peak")
-            .and_then(JsonValue::as_u64)
-            .ok_or("deque state: missing peak")?;
-        let total_pushed = value
-            .get("total_pushed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("deque state: missing total_pushed")?;
+        let peak = json::get_uint(value, "peak")?;
+        let total_pushed = json::get_u64(value, "total_pushed")?;
         self.items = items;
         self.arena = arena;
-        self.peak = peak as usize;
+        self.peak = peak;
         self.total_pushed = total_pushed;
         Ok(())
     }

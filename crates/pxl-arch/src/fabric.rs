@@ -37,8 +37,8 @@ use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{
     Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, TASK_WORDS,
 };
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
+use pxl_sim::json::{self, JsonValue};
+use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{
     CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId, Metrics,
     NetClass, SendVerdict, Time, Timeline, TraceEvent, Tracer,
@@ -253,21 +253,16 @@ impl MemBackend {
             MemBackend::Coherent(m) => ("coherent", m.state_to_json_value()),
             MemBackend::Zedboard(m) => ("zedboard", m.state_to_json_value()),
         };
-        JsonValue::Object(vec![
-            ("kind".to_owned(), JsonValue::Str(kind.to_owned())),
-            ("state".to_owned(), state),
+        json::obj(vec![
+            ("kind", JsonValue::Str(kind.to_owned())),
+            ("state", state),
         ])
     }
 
     /// Restores state captured by [`MemBackend::state_to_json_value`].
     pub(crate) fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let kind = value
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("memory backend state: missing kind")?;
-        let state = value
-            .get("state")
-            .ok_or("memory backend state: missing state")?;
+        let kind = json::get_str(value, "kind")?;
+        let state = json::get(value, "state")?;
         match (self, kind) {
             (MemBackend::Coherent(m), "coherent") => m.restore_state(state),
             (MemBackend::Zedboard(m), "zedboard") => m.restore_state(state),
@@ -1052,8 +1047,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         let mut head = self.root.fields(&self.core);
         // Version 2 keeps `inflight_args` between `outstanding` and
         // `last_useful_ps`.
-        head.insert(4, ("inflight_args", snapshot::num(self.inflight_args)));
-        head.push(("hetero_rr", snapshot::num(self.hetero_rr as u64)));
+        head.insert(4, ("inflight_args", json::num(self.inflight_args)));
+        head.push(("hetero_rr", json::num(self.hetero_rr as u64)));
         head.extend(self.units.fields());
         head.extend([
             ("host", self.core.host_cells()),
@@ -1076,26 +1071,26 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         if let Some(link) = &self.link {
             tail.push((
                 "link",
-                snapshot::arr_u64(link.next_free.iter().map(|t| t.as_ps())),
+                json::arr_u64(link.next_free.iter().map(|t| t.as_ps())),
             ));
         }
         if let Some(faults) = &self.faults {
             let (rng, remaining) = faults.sched.save_state();
             tail.push((
                 "faults",
-                snapshot::obj(vec![
-                    ("rng", snapshot::num(rng)),
+                json::obj(vec![
+                    ("rng", json::num(rng)),
                     (
                         "remaining",
-                        snapshot::arr_u64(remaining.iter().map(|r| u64::from(*r))),
+                        json::arr_u64(remaining.iter().map(|r| u64::from(*r))),
                     ),
                     (
                         "dead",
-                        snapshot::arr_u64(faults.dead.iter().map(|d| u64::from(*d))),
+                        json::arr_u64(faults.dead.iter().map(|d| u64::from(*d))),
                     ),
                     (
                         "rescue_pending",
-                        snapshot::arr_u64(
+                        json::arr_u64(
                             faults
                                 .rescue_pending
                                 .iter()
@@ -1109,7 +1104,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                                 .corrupt_pending
                                 .iter()
                                 .map(|tile| {
-                                    snapshot::arr_u64(tile.iter().flat_map(|(entry, spec)| {
+                                    json::arr_u64(tile.iter().flat_map(|(entry, spec)| {
                                         [u64::from(*entry), *spec as u64]
                                     }))
                                 })
@@ -1145,8 +1140,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         let num_pes = self.cfg.num_pes();
 
         self.root = RootRun::read(p)?;
-        self.inflight_args = snapshot::get_u64(p, "inflight_args")?;
-        self.hetero_rr = snapshot::get_u64(p, "hetero_rr")? as usize;
+        self.inflight_args = json::get_u64(p, "inflight_args")?;
+        self.hetero_rr = json::get_uint(p, "hetero_rr")?;
 
         self.units.read(p)?;
         self.core.read_host_cells(p)?;
@@ -1156,10 +1151,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         })?;
 
         self.policy
-            .restore_state(snapshot::get(p, "policy")?)
+            .restore_state(json::get(p, "policy")?)
             .map_err(malformed)?;
 
-        let pstores = snapshot::get_arr(p, "pstores")?;
+        let pstores = json::get_arr(p, "pstores")?;
         if pstores.len() != self.pstores.len() {
             return Err(malformed(format!(
                 "snapshot holds {} P-Store tiles, this engine has {}",
@@ -1177,12 +1172,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             self.link = LinkState::for_config(&self.cfg, metrics);
         })?;
         self.backend
-            .restore_state(snapshot::get(p, "backend")?)
+            .restore_state(json::get(p, "backend")?)
             .map_err(malformed)?;
 
         match (&mut self.link, p.get("link")) {
             (Some(link), Some(_)) => {
-                let next_free = snapshot::get_u64s(p, "link")?;
+                let next_free = json::get_u64s(p, "link")?;
                 if next_free.len() != link.chips * link.chips {
                     return Err(malformed("link state chip count mismatch"));
                 }
@@ -1203,14 +1198,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
 
         match (&mut self.faults, p.get("faults")) {
             (Some(faults), Some(saved)) => {
-                let rng = snapshot::get_u64(saved, "rng")?;
-                let remaining = snapshot::get_u64s(saved, "remaining")?
+                let rng = json::get_u64(saved, "rng")?;
+                let remaining = json::get_u64s(saved, "remaining")?
                     .iter()
                     .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
                     .collect::<Result<Vec<u32>, _>>()?;
                 faults.sched.load_state(rng, remaining).map_err(malformed)?;
-                let dead = snapshot::get_u64s(saved, "dead")?;
-                let rescue = snapshot::get_u64s(saved, "rescue_pending")?;
+                let dead = json::get_u64s(saved, "dead")?;
+                let rescue = json::get_u64s(saved, "rescue_pending")?;
                 if dead.len() != num_pes || rescue.len() != num_pes {
                     return Err(malformed("fault state PE count mismatch"));
                 }
@@ -1219,14 +1214,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                     .iter()
                     .map(|r| if *r == 0 { None } else { Some(*r as usize - 1) })
                     .collect();
-                let corrupt = snapshot::get_arr(saved, "corrupt_pending")?;
+                let corrupt = json::get_arr(saved, "corrupt_pending")?;
                 if corrupt.len() != faults.corrupt_pending.len() {
                     return Err(malformed("fault state tile count mismatch"));
                 }
                 faults.corrupt_pending = corrupt
                     .iter()
                     .map(|tile| {
-                        let flat = snapshot::u64s(tile, "corrupt_pending")?;
+                        let flat = json::u64s(tile, "corrupt_pending")?;
                         if !flat.len().is_multiple_of(2) {
                             return Err(malformed("corrupt_pending holds an odd word count"));
                         }

@@ -16,7 +16,8 @@
 use pxl_mem::Memory;
 use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
+use pxl_sim::json;
+use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{FaultKind, Metrics, Time, TraceEvent};
 
 use crate::config::{AccelConfig, ArchKind};
@@ -342,16 +343,13 @@ impl LiteEngine {
     pub fn snapshot(&self) -> Snapshot {
         let host = &self.core.host;
         let head = vec![
-            ("now_ps", snapshot::num(self.now.as_ps())),
-            ("round", snapshot::num(self.round as u64)),
-            ("next_task_id", snapshot::num(self.core.next_task_id)),
-            (
-                "host",
-                snapshot::arr_u64(host.iter().map(|h| h.unwrap_or(0))),
-            ),
+            ("now_ps", json::num(self.now.as_ps())),
+            ("round", json::num(self.round as u64)),
+            ("next_task_id", json::num(self.core.next_task_id)),
+            ("host", json::arr_u64(host.iter().map(|h| h.unwrap_or(0)))),
             (
                 "host_written",
-                snapshot::arr_u64(host.iter().map(|h| u64::from(h.is_some()))),
+                json::arr_u64(host.iter().map(|h| u64::from(h.is_some()))),
             ),
         ];
         let backend = ("backend", self.backend.state_to_json_value());
@@ -370,10 +368,10 @@ impl LiteEngine {
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.expect_engine("lite")?;
         let p = &snap.payload;
-        self.now = Time::from_ps(snapshot::get_u64(p, "now_ps")?);
-        self.round = snapshot::get_u64(p, "round")? as usize;
-        let host = snapshot::get_u64s(p, "host")?;
-        let written = snapshot::get_u64s(p, "host_written")?;
+        self.now = Time::from_ps(json::get_u64(p, "now_ps")?);
+        self.round = json::get_uint(p, "round")?;
+        let host = json::get_u64s(p, "host")?;
+        let written = json::get_u64s(p, "host_written")?;
         if host.len() != HOST_SLOTS || written.len() != HOST_SLOTS {
             return Err(malformed(format!(
                 "snapshot holds {} host slots, expected {HOST_SLOTS}",
@@ -389,7 +387,7 @@ impl LiteEngine {
         }
         self.core.restore(p, |_| {})?;
         self.backend
-            .restore_state(snapshot::get(p, "backend")?)
+            .restore_state(json::get(p, "backend")?)
             .map_err(malformed)
     }
 

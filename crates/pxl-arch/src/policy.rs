@@ -24,8 +24,7 @@
 use std::collections::VecDeque;
 
 use pxl_model::{Task, TASK_WORDS};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot;
+use pxl_sim::json::{self, JsonValue};
 use pxl_sim::{Lfsr16, Time};
 
 use crate::api::EngineKind;
@@ -121,27 +120,17 @@ fn tasks_to_json(tasks: impl IntoIterator<Item = Task>) -> JsonValue {
     JsonValue::Array(
         tasks
             .into_iter()
-            .map(|t| {
-                JsonValue::Array(
-                    t.to_words()
-                        .iter()
-                        .map(|w| JsonValue::num_u64(*w))
-                        .collect(),
-                )
-            })
+            .map(|t| json::arr_u64(t.to_words()))
             .collect(),
     )
 }
 
 /// Inverse of [`tasks_to_json`].
-fn tasks_from_json(value: &JsonValue, key: &str) -> Result<Vec<Task>, String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("policy state: missing array {key:?}"))?
+fn tasks_from_json(value: &JsonValue, key: &'static str) -> Result<Vec<Task>, String> {
+    json::get_arr(value, key)?
         .iter()
         .map(|entry| {
-            let words = snapshot::u64s(entry, key)?;
+            let words = json::u64s(entry, key)?;
             if words.len() != TASK_WORDS {
                 return Err(format!(
                     "policy state: {key:?} entry holds {} words",
@@ -291,46 +280,23 @@ impl SchedulingPolicy for FlexPolicy {
     }
 
     fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
+        let deques = self.deques.iter().map(TaskDeque::state_to_json_value);
+        json::obj(vec![
+            ("deques", JsonValue::Array(deques.collect())),
             (
-                "deques".to_owned(),
-                JsonValue::Array(
-                    self.deques
-                        .iter()
-                        .map(TaskDeque::state_to_json_value)
-                        .collect(),
-                ),
+                "lfsrs",
+                json::arr_u64(self.lfsrs.iter().map(|l| u64::from(l.state()))),
             ),
             (
-                "lfsrs".to_owned(),
-                JsonValue::Array(
-                    self.lfsrs
-                        .iter()
-                        .map(|l| JsonValue::num_u64(l.state() as u64))
-                        .collect(),
-                ),
+                "rr_victim",
+                json::arr_u64(self.rr_victim.iter().map(|v| *v as u64)),
             ),
-            (
-                "rr_victim".to_owned(),
-                JsonValue::Array(
-                    self.rr_victim
-                        .iter()
-                        .map(|v| JsonValue::num_u64(*v as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "host_queue".to_owned(),
-                tasks_to_json(self.host_queue.iter().copied()),
-            ),
+            ("host_queue", tasks_to_json(self.host_queue.iter().copied())),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let deque_states = value
-            .get("deques")
-            .and_then(JsonValue::as_array)
-            .ok_or("policy state: missing deques array")?;
+        let deque_states = json::get_arr(value, "deques")?;
         if deque_states.len() != self.num_pes {
             return Err(format!(
                 "policy state has {} deques, this fabric has {} PEs",
@@ -338,8 +304,8 @@ impl SchedulingPolicy for FlexPolicy {
                 self.num_pes
             ));
         }
-        let lfsrs = snapshot::get_u64s(value, "lfsrs")?;
-        let rr_victim = snapshot::get_u64s(value, "rr_victim")?;
+        let lfsrs = json::get_u64s(value, "lfsrs")?;
+        let rr_victim = json::get_u64s(value, "rr_victim")?;
         if lfsrs.len() != self.num_pes || rr_victim.len() != self.num_pes {
             return Err("policy state: per-PE array length mismatch".to_owned());
         }
@@ -450,24 +416,15 @@ impl SchedulingPolicy for CentralPolicy {
     }
 
     fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("queue".to_owned(), self.queue.state_to_json_value()),
-            (
-                "next_free_ps".to_owned(),
-                JsonValue::num_u64(self.next_free.as_ps()),
-            ),
+        json::obj(vec![
+            ("queue", self.queue.state_to_json_value()),
+            ("next_free_ps", json::num(self.next_free.as_ps())),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let queue_state = value
-            .get("queue")
-            .ok_or("policy state: missing queue object")?;
-        let next_free = value
-            .get("next_free_ps")
-            .and_then(JsonValue::as_u64)
-            .ok_or("policy state: missing next_free_ps")?;
-        self.queue.restore_state(queue_state)?;
+        let next_free = json::get_u64(value, "next_free_ps")?;
+        self.queue.restore_state(json::get(value, "queue")?)?;
         self.next_free = Time::from_ps(next_free);
         Ok(())
     }
@@ -628,27 +585,18 @@ impl SchedulingPolicy for HierPolicy {
     }
 
     fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("flex".to_owned(), self.inner.state_to_json_value()),
+        json::obj(vec![
+            ("flex", self.inner.state_to_json_value()),
             (
-                "fails".to_owned(),
-                JsonValue::Array(
-                    self.fails
-                        .iter()
-                        .map(|f| JsonValue::num_u64(u64::from(*f)))
-                        .collect(),
-                ),
+                "fails",
+                json::arr_u64(self.fails.iter().map(|f| u64::from(*f))),
             ),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        self.inner.restore_state(
-            value
-                .get("flex")
-                .ok_or("policy state: missing flex object")?,
-        )?;
-        let fails = snapshot::get_u64s(value, "fails")?;
+        self.inner.restore_state(json::get(value, "flex")?)?;
+        let fails = json::get_u64s(value, "fails")?;
         if fails.len() != self.inner.num_pes {
             return Err("policy state: fails length mismatch".to_owned());
         }

@@ -17,8 +17,7 @@
 //! detects and repairs the damage before applying the new argument.
 
 use pxl_model::{PendingTask, Task, MAX_ARGS, PENDING_WORDS};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, SnapshotError};
+use pxl_sim::json::{self, FieldError, JsonValue};
 
 /// A protocol violation detected by the P-Store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +283,7 @@ impl PStore {
             .entries
             .iter()
             .map(|cell| match cell {
-                Some(p) => snapshot::arr_u64(p.to_words()),
+                Some(p) => json::arr_u64(p.to_words()),
                 None => JsonValue::Array(Vec::new()),
             })
             .collect();
@@ -294,18 +293,18 @@ impl PStore {
             .enumerate()
             .filter(|(_, mask)| **mask != 0)
             .flat_map(|(entry, mask)| [entry as u64, *mask]);
-        snapshot::obj(vec![
-            ("capacity", snapshot::num(self.capacity as u64)),
+        json::obj(vec![
+            ("capacity", json::num(self.capacity as u64)),
             ("entries", JsonValue::Array(entries)),
-            ("taint", snapshot::arr_u64(taint)),
+            ("taint", json::arr_u64(taint)),
             (
                 "recycled",
-                snapshot::arr_u64(self.recycled.iter().map(|e| u64::from(*e))),
+                json::arr_u64(self.recycled.iter().map(|e| u64::from(*e))),
             ),
-            ("peak", snapshot::num(self.peak as u64)),
-            ("total_allocs", snapshot::num(self.total_allocs)),
-            ("full_events", snapshot::num(self.full_events)),
-            ("repairs", snapshot::num(self.repairs)),
+            ("peak", json::num(self.peak as u64)),
+            ("total_allocs", json::num(self.total_allocs)),
+            ("full_events", json::num(self.full_events)),
+            ("repairs", json::num(self.repairs)),
         ])
     }
 
@@ -322,14 +321,14 @@ impl PStore {
     /// slot that is not free, or a free-slot count that disagrees with the
     /// recycled stack.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), PStoreStateError> {
-        let capacity = snapshot::get_u64(value, "capacity")?;
+        let capacity = json::get_u64(value, "capacity")?;
         if capacity != self.capacity as u64 {
             return Err(PStoreStateError::CapacityMismatch {
                 found: capacity,
                 expected: self.capacity,
             });
         }
-        let cells = snapshot::get_arr(value, "entries")?;
+        let cells = json::get_arr(value, "entries")?;
         if cells.len() > self.capacity {
             return Err(PStoreStateError::TooManyEntries {
                 found: cells.len(),
@@ -339,7 +338,7 @@ impl PStore {
         let entries = cells
             .iter()
             .map(|cell| {
-                let words = snapshot::u64s(cell, "entries")?;
+                let words = json::u64s(cell, "entries")?;
                 match words.len() {
                     0 => Ok(None),
                     PENDING_WORDS => PendingTask::from_words(&words)
@@ -352,7 +351,7 @@ impl PStore {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let high_water = entries.len();
-        let pairs = snapshot::get_u64s(value, "taint")?;
+        let pairs = json::get_u64s(value, "taint")?;
         if !pairs.len().is_multiple_of(2) {
             return Err(PStoreStateError::Malformed(
                 "\"taint\" is not a list of [entry, mask] pairs".to_owned(),
@@ -369,7 +368,7 @@ impl PStore {
         // Each recycled slot must be free and listed once: a slot popped
         // twice would hand one entry to two pending tasks.
         let mut claimed = vec![false; high_water];
-        let recycled = snapshot::get_u64s(value, "recycled")?
+        let recycled = json::get_u64s(value, "recycled")?
             .into_iter()
             .map(|entry| {
                 let slot = usize::try_from(entry).ok().filter(|&e| {
@@ -390,10 +389,10 @@ impl PStore {
                 recycled: recycled.len(),
             });
         }
-        let peak = snapshot::get_u64(value, "peak")? as usize;
-        let total_allocs = snapshot::get_u64(value, "total_allocs")?;
-        let full_events = snapshot::get_u64(value, "full_events")?;
-        let repairs = snapshot::get_u64(value, "repairs")?;
+        let peak = json::get_uint(value, "peak")?;
+        let total_allocs = json::get_u64(value, "total_allocs")?;
+        let full_events = json::get_u64(value, "full_events")?;
+        let repairs = json::get_u64(value, "repairs")?;
         self.entries = entries;
         self.taint = taint;
         self.recycled = recycled;
@@ -475,9 +474,9 @@ impl std::fmt::Display for PStoreStateError {
 
 impl std::error::Error for PStoreStateError {}
 
-impl From<SnapshotError> for PStoreStateError {
-    fn from(err: SnapshotError) -> Self {
-        PStoreStateError::Malformed(err.into())
+impl From<FieldError> for PStoreStateError {
+    fn from(err: FieldError) -> Self {
+        PStoreStateError::Malformed(err.to_string())
     }
 }
 
@@ -634,9 +633,9 @@ mod tests {
             must_alloc(&mut ps, 2);
         }
         let state = ps.state_to_json_value();
-        assert_eq!(snapshot::get_arr(&state, "entries").unwrap().len(), 3);
-        assert_eq!(snapshot::get_u64s(&state, "taint").unwrap(), [] as [u64; 0]);
-        assert_eq!(snapshot::get_u64(&state, "capacity").unwrap(), 8192);
+        assert_eq!(json::get_arr(&state, "entries").unwrap().len(), 3);
+        assert_eq!(json::get_u64s(&state, "taint").unwrap(), [] as [u64; 0]);
+        assert_eq!(json::get_u64(&state, "capacity").unwrap(), 8192);
         assert_eq!(
             PStore::new(8192).state_to_json_value().to_json(),
             "{\"capacity\":8192,\"entries\":[],\"taint\":[],\"recycled\":[],\
@@ -647,8 +646,8 @@ mod tests {
         let _ = ps.fill(1, 1, 0).unwrap();
         ps.corrupt(0x30);
         let state = ps.state_to_json_value();
-        assert_eq!(snapshot::get_u64s(&state, "recycled").unwrap(), [1]);
-        assert_eq!(snapshot::get_u64s(&state, "taint").unwrap(), [0, 0x30]);
+        assert_eq!(json::get_u64s(&state, "recycled").unwrap(), [1]);
+        assert_eq!(json::get_u64s(&state, "taint").unwrap(), [0, 0x30]);
         let mut back = PStore::new(8192);
         back.restore_state(&state).unwrap();
         assert_eq!(back.state_to_json_value().to_json(), state.to_json());

@@ -2,8 +2,9 @@
 //! (benchmark, engine).
 //!
 //! Runs every Table II benchmark on FlexArch, the centralized-queue
-//! ablation, LiteArch (where a mapping exists) and the CPU baseline with
-//! event tracing enabled, reconstructs each run's task graph, and emits:
+//! ablation, LiteArch (where a mapping exists), the CPU baseline and a
+//! 2-chip hierarchical cluster with event tracing enabled, reconstructs
+//! each run's task graph, and emits:
 //!
 //! - `profile_report.md` — markdown report per run: work/span/parallelism,
 //!   the critical path, latency percentiles, per-unit utilization
@@ -17,9 +18,10 @@
 //!
 //! The driver doubles as a regression gate: it exits nonzero when any
 //! profile violates the structural invariants (span ≤ makespan, trace work
-//! equal to the engine's `accel.task_ps` sum, utilization within \[0, 1\])
-//! or when a second same-seed run does not reproduce the report and the
-//! Perfetto export byte-identically.
+//! equal to the engine's `accel.task_ps` sum, utilization within
+//! \[0, 1\]), when a trace's JSONL dump does not parse back to exactly the
+//! records the run emitted, or when a second same-seed run does not
+//! reproduce the report and the Perfetto export byte-identically.
 //!
 //! Pass `--smoke` to run at `Scale::Tiny` (the CI configuration).
 
@@ -85,6 +87,13 @@ fn main() {
             let Some(out) = run_traced(name, scale, label) else {
                 continue; // no LiteArch mapping
             };
+            // Offline profiling reads saved JSONL: every dump must parse
+            // back to exactly the records the run emitted.
+            match pxl_profile::parse_jsonl(&out.trace.to_jsonl()) {
+                Ok(parsed) if parsed == out.trace.records() => {}
+                Ok(_) => failures.push(format!("{name}/{label}: trace JSONL re-reads differently")),
+                Err(e) => failures.push(format!("{name}/{label}: trace JSONL does not parse: {e}")),
+            }
             let layout = layout_for(label);
             let profile = Profile::analyze(out.trace.records(), &out.metrics, &layout, out.kernel);
             for v in profile.check_invariants() {

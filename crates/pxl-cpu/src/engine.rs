@@ -6,8 +6,8 @@ use pxl_model::{
     TASK_WORDS,
 };
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, malformed, Snapshot, SnapshotError};
+use pxl_sim::json::{self, JsonValue};
+use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{EventQueue, Metrics, Time, TraceEvent, Tracer, XorShift64};
 
 use pxl_arch::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
@@ -392,7 +392,7 @@ impl CpuEngine {
             ),
             (
                 "rngs",
-                snapshot::arr_u64(self.rngs.iter().map(XorShift64::state)),
+                json::arr_u64(self.rngs.iter().map(XorShift64::state)),
             ),
         ]);
         head.extend(self.units.fields());
@@ -403,15 +403,15 @@ impl CpuEngine {
                     self.pending
                         .iter()
                         .map(|cell| match cell {
-                            Some(p) => snapshot::arr_u64(p.to_words()),
-                            None => snapshot::arr_u64([]),
+                            Some(p) => json::arr_u64(p.to_words()),
+                            None => json::arr_u64([]),
                         })
                         .collect(),
                 ),
             ),
             (
                 "pending_free",
-                snapshot::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
+                json::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
             ),
             ("host", self.core.host_cells()),
             ("events", events_to_json(&self.events, Event::to_words)),
@@ -434,8 +434,8 @@ impl CpuEngine {
         let p = &snap.payload;
         self.root = RootRun::read(p)?;
 
-        let deques = snapshot::get_arr(p, "deques")?;
-        let rngs = snapshot::get_u64s(p, "rngs")?;
+        let deques = json::get_arr(p, "deques")?;
+        let rngs = json::get_u64s(p, "rngs")?;
         if deques.len() != self.cores || rngs.len() != self.cores {
             return Err(malformed(format!(
                 "snapshot describes {} cores, this engine has {}",
@@ -450,10 +450,10 @@ impl CpuEngine {
         self.rngs = rngs.iter().map(|s| XorShift64::new(*s)).collect();
         self.units.read(p)?;
 
-        self.pending = snapshot::get_arr(p, "pending")?
+        self.pending = json::get_arr(p, "pending")?
             .iter()
             .map(|cell| {
-                let words = snapshot::u64s(cell, "pending")?;
+                let words = json::u64s(cell, "pending")?;
                 match words.len() {
                     0 => Ok(None),
                     PENDING_WORDS => PendingTask::from_words(&words).map(Some).map_err(malformed),
@@ -461,7 +461,7 @@ impl CpuEngine {
                 }
             })
             .collect::<Result<_, SnapshotError>>()?;
-        self.pending_free = snapshot::get_u64s(p, "pending_free")?
+        self.pending_free = json::get_u64s(p, "pending_free")?
             .iter()
             .map(|e| u32::try_from(*e).map_err(|_| malformed("pending_free overflows u32")))
             .collect::<Result<_, _>>()?;
@@ -470,7 +470,7 @@ impl CpuEngine {
         read_events(p, &mut self.events, Event::from_words)?;
         self.core.restore(p, |_| {})?;
         self.memsys
-            .restore_state(snapshot::get(p, "memsys")?)
+            .restore_state(json::get(p, "memsys")?)
             .map_err(malformed)
     }
 

@@ -11,16 +11,17 @@
 //! collision can never return the wrong measurement; the 16-hex-digit
 //! content address is the compact identity used in file names and reports.
 //!
-//! Floating-point objectives are written with Rust's shortest-round-trip
-//! `Display` and re-parsed with `str::parse::<f64>`, which is exact — a
-//! reloaded cache reproduces byte-identical reports.
+//! Lines are written and read through [`pxl_sim::json`]. Floating-point
+//! objectives are written with Rust's shortest-round-trip `Display` and
+//! re-parsed exactly, so a reloaded cache reproduces byte-identical
+//! reports.
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use pxl_sim::hash::{content_address, fnv64};
-use pxl_sim::json::write_string;
+use pxl_sim::json::{self, FieldError, JsonValue};
 
 /// What one evaluation measured: the two runtimes, energy, and the
 /// per-tile FPGA footprint objectives.
@@ -38,14 +39,38 @@ pub struct Measurement {
     pub bram18: u64,
 }
 
-impl Measurement {
-    /// The JSONL field fragment (everything after `"spec":...,`).
-    fn write_fields(&self, out: &mut String) {
-        out.push_str(&format!(
-            "\"kernel_ps\":{},\"whole_ps\":{},\"energy_j\":{},\"lut\":{},\"bram18\":{}",
-            self.kernel_ps, self.whole_ps, self.energy_j, self.lut, self.bram18
-        ));
-    }
+/// The measurement's members in canonical order; `energy_j` in
+/// shortest-round-trip form, so re-rendering a parsed payload is
+/// byte-identical.
+fn measurement_members(m: &Measurement) -> Vec<(String, JsonValue)> {
+    vec![
+        ("kernel_ps".to_owned(), json::num(m.kernel_ps)),
+        ("whole_ps".to_owned(), json::num(m.whole_ps)),
+        ("energy_j".to_owned(), JsonValue::num_f64(m.energy_j)),
+        ("lut".to_owned(), json::num(m.lut)),
+        ("bram18".to_owned(), json::num(m.bram18)),
+    ]
+}
+
+/// Renders a [`Measurement`] as a canonical JSON object: the job server's
+/// result payload, and the body of every cache line.
+pub fn measurement_to_json_value(m: &Measurement) -> JsonValue {
+    JsonValue::Object(measurement_members(m))
+}
+
+/// Reads the measurement members of `value` (other members are ignored).
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or malformed member.
+pub fn measurement_from_json_value(value: &JsonValue) -> Result<Measurement, FieldError> {
+    Ok(Measurement {
+        kernel_ps: json::get_u64(value, "kernel_ps")?,
+        whole_ps: json::get_u64(value, "whole_ps")?,
+        energy_j: json::get_f64(value, "energy_j")?,
+        lut: json::get_u64(value, "lut")?,
+        bram18: json::get_u64(value, "bram18")?,
+    })
 }
 
 /// A persistent, content-addressed map from evaluation specs to
@@ -189,79 +214,26 @@ impl ResultCache {
 
 /// Renders one cache line: `{"key":"<16hex>","spec":"...","kernel_ps":...}`.
 fn render_line(spec: &str, m: &Measurement) -> String {
-    let mut out = String::new();
-    out.push_str("{\"key\":");
-    write_string(&mut out, &ResultCache::address(spec));
-    out.push_str(",\"spec\":");
-    write_string(&mut out, spec);
-    out.push(',');
-    m.write_fields(&mut out);
-    out.push('}');
-    out
+    let mut members = vec![
+        ("key".to_owned(), JsonValue::Str(ResultCache::address(spec))),
+        ("spec".to_owned(), JsonValue::Str(spec.to_owned())),
+    ];
+    members.extend(measurement_members(m));
+    JsonValue::Object(members).to_json()
 }
 
 /// Parses one cache line back into `(spec, measurement)`; `None` for
 /// malformed or truncated lines.
 fn parse_line(line: &str) -> Option<(String, Measurement)> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    let spec = field_string(line, "spec")?;
-    let key = field_string(line, "key")?;
+    let value = JsonValue::parse(line).ok()?;
+    let spec = json::get_str(&value, "spec").ok()?;
     // An edited spec with a stale key means the line no longer describes
     // what it claims — drop it.
-    if key != ResultCache::address(&spec) {
+    if json::get_str(&value, "key").ok()? != ResultCache::address(spec) {
         return None;
     }
-    Some((
-        spec,
-        Measurement {
-            kernel_ps: field_number(line, "kernel_ps")?.parse().ok()?,
-            whole_ps: field_number(line, "whole_ps")?.parse().ok()?,
-            energy_j: field_number(line, "energy_j")?.parse().ok()?,
-            lut: field_number(line, "lut")?.parse().ok()?,
-            bram18: field_number(line, "bram18")?.parse().ok()?,
-        },
-    ))
-}
-
-/// Extracts the string value of `"name":"..."`, undoing the escapes
-/// [`write_string`] produces.
-fn field_string(line: &str, name: &str) -> Option<String> {
-    let marker = format!("\"{name}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (0..4).filter_map(|_| chars.next()).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&code, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Extracts the raw text of a numeric field `"name":<number>`.
-fn field_number<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let marker = format!("\"{name}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    let text = rest[..end].trim();
-    (!text.is_empty()).then_some(text)
+    let m = measurement_from_json_value(&value).ok()?;
+    Some((spec.to_owned(), m))
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub mod explore;
 pub mod pareto;
 pub mod space;
 
-pub use cache::{Measurement, ResultCache};
+pub use cache::{measurement_from_json_value, measurement_to_json_value, Measurement, ResultCache};
 pub use explore::{Evaluate, Evaluated, Exploration, Explorer, FailedPoint, Fidelity, Strategy};
 pub use pareto::{dominates, FrontPoint, ParetoFront};
 pub use space::{

@@ -30,7 +30,7 @@ use pxl_apps::Scale;
 use pxl_arch::StealMode;
 use pxl_dse::{ClusterPoint, DesignPoint, PointArch};
 use pxl_model::ExecProfile;
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, FieldError, FieldProblem, JsonValue};
 use pxl_sim::{fnv64, FaultPlan};
 
 /// Why a [`RunSpec`] could not be parsed.
@@ -236,127 +236,76 @@ impl RunSpec {
     /// The spec as a JSON value (fixed member order; optional members
     /// omitted when unset, so rendering is canonical).
     pub fn to_json_value(&self) -> JsonValue {
-        let point = match self.point.arch {
-            PointArch::Cpu => JsonValue::Object(vec![
-                ("arch".to_owned(), JsonValue::Str("cpu".to_owned())),
-                (
-                    "cores".to_owned(),
-                    JsonValue::num_u64(self.point.units() as u64),
-                ),
+        let text = |s: &str| JsonValue::Str(s.to_owned());
+        let every = |cycles| json::obj(vec![("every_cycles", json::num(cycles))]);
+        let p = &self.point;
+        let point = match p.arch {
+            PointArch::Cpu => json::obj(vec![
+                ("arch", text("cpu")),
+                ("cores", json::num(p.units() as u64)),
             ]),
             arch => {
                 let mut members = vec![
-                    ("arch".to_owned(), JsonValue::Str(arch.label().to_owned())),
-                    (
-                        "tiles".to_owned(),
-                        JsonValue::num_u64(self.point.tiles as u64),
-                    ),
-                    (
-                        "pes_per_tile".to_owned(),
-                        JsonValue::num_u64(self.point.pes_per_tile as u64),
-                    ),
-                    (
-                        "cache_kb".to_owned(),
-                        JsonValue::num_u64(self.point.cache_kb as u64),
-                    ),
-                    (
-                        "task_queue_entries".to_owned(),
-                        JsonValue::num_u64(self.point.task_queue_entries as u64),
-                    ),
-                    (
-                        "pstore_entries".to_owned(),
-                        JsonValue::num_u64(self.point.pstore_entries as u64),
-                    ),
+                    ("arch", text(arch.label())),
+                    ("tiles", json::num(p.tiles as u64)),
+                    ("pes_per_tile", json::num(p.pes_per_tile as u64)),
+                    ("cache_kb", json::num(p.cache_kb as u64)),
+                    ("task_queue_entries", json::num(p.task_queue_entries as u64)),
+                    ("pstore_entries", json::num(p.pstore_entries as u64)),
                 ];
                 // Optional member, omitted for single-chip points, so every
                 // pre-cluster spec's JSON rendering is byte-unchanged.
-                if let Some(c) = &self.point.cluster {
+                if let Some(c) = &p.cluster {
+                    let (stealing, spill_threshold) = match c.stealing {
+                        StealMode::Hierarchical { spill_threshold } => {
+                            ("hierarchical", spill_threshold)
+                        }
+                        StealMode::Flat => ("flat", 0),
+                    };
                     members.push((
-                        "cluster".to_owned(),
-                        JsonValue::Object(vec![
-                            ("chips".to_owned(), JsonValue::num_u64(c.chips as u64)),
-                            (
-                                "link_latency_cycles".to_owned(),
-                                JsonValue::num_u64(c.link_latency_cycles),
-                            ),
-                            (
-                                "link_occupancy_cycles".to_owned(),
-                                JsonValue::num_u64(c.link_occupancy_cycles),
-                            ),
-                            (
-                                "stealing".to_owned(),
-                                JsonValue::Str(match c.stealing {
-                                    StealMode::Hierarchical { .. } => "hierarchical".to_owned(),
-                                    StealMode::Flat => "flat".to_owned(),
-                                }),
-                            ),
-                            (
-                                "spill_threshold".to_owned(),
-                                JsonValue::num_u64(u64::from(match c.stealing {
-                                    StealMode::Hierarchical { spill_threshold } => spill_threshold,
-                                    StealMode::Flat => 0,
-                                })),
-                            ),
+                        "cluster",
+                        json::obj(vec![
+                            ("chips", json::num(c.chips as u64)),
+                            ("link_latency_cycles", json::num(c.link_latency_cycles)),
+                            ("link_occupancy_cycles", json::num(c.link_occupancy_cycles)),
+                            ("stealing", text(stealing)),
+                            ("spill_threshold", json::num(spill_threshold.into())),
                         ]),
                     ));
                 }
-                JsonValue::Object(members)
+                json::obj(members)
             }
         };
         let mut members = vec![
-            (
-                "benchmark".to_owned(),
-                JsonValue::Str(self.benchmark.clone()),
-            ),
-            (
-                "scale".to_owned(),
-                JsonValue::Str(self.scale.label().to_owned()),
-            ),
-            ("point".to_owned(), point),
+            ("benchmark", text(&self.benchmark)),
+            ("scale", text(self.scale.label())),
+            ("point", point),
         ];
         if let Some(p) = &self.profile {
             members.push((
-                "profile".to_owned(),
-                JsonValue::Object(vec![
+                "profile",
+                json::obj(vec![
                     (
-                        "accel_ops_per_cycle".to_owned(),
+                        "accel_ops_per_cycle",
                         JsonValue::num_f64(p.accel_ops_per_cycle),
                     ),
-                    (
-                        "cpu_ops_per_cycle".to_owned(),
-                        JsonValue::num_f64(p.cpu_ops_per_cycle),
-                    ),
+                    ("cpu_ops_per_cycle", JsonValue::num_f64(p.cpu_ops_per_cycle)),
                 ]),
             ));
         }
         if self.trace_capacity > 0 {
-            members.push((
-                "trace_capacity".to_owned(),
-                JsonValue::num_u64(self.trace_capacity as u64),
-            ));
+            members.push(("trace_capacity", json::num(self.trace_capacity as u64)));
         }
         if let Some(plan) = &self.faults {
-            members.push(("faults".to_owned(), plan.to_json_value()));
+            members.push(("faults", plan.to_json_value()));
         }
         if let Some(cp) = &self.checkpoint {
-            members.push((
-                "checkpoint".to_owned(),
-                JsonValue::Object(vec![(
-                    "every_cycles".to_owned(),
-                    JsonValue::num_u64(cp.every_cycles),
-                )]),
-            ));
+            members.push(("checkpoint", every(cp.every_cycles)));
         }
         if let Some(tp) = &self.telemetry {
-            members.push((
-                "telemetry".to_owned(),
-                JsonValue::Object(vec![(
-                    "every_cycles".to_owned(),
-                    JsonValue::num_u64(tp.every_cycles),
-                )]),
-            ));
+            members.push(("telemetry", every(tp.every_cycles)));
         }
-        JsonValue::Object(members)
+        json::obj(members)
     }
 
     /// The spec as one canonical JSON object.
@@ -370,31 +319,18 @@ impl RunSpec {
     ///
     /// A typed [`SpecError`] naming the missing or malformed field.
     pub fn from_json_value(value: &JsonValue) -> Result<RunSpec, SpecError> {
-        let benchmark = value
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .ok_or(SpecError::Missing("benchmark"))?
-            .to_owned();
-        let scale_label = value
-            .get("scale")
-            .and_then(JsonValue::as_str)
-            .ok_or(SpecError::Missing("scale"))?;
+        let benchmark = json::get_str(value, "benchmark")?.to_owned();
+        let scale_label = json::get_str(value, "scale")?;
         let scale = Scale::from_label(scale_label).ok_or_else(|| SpecError::Invalid {
             field: "scale",
             message: format!("unknown scale {scale_label:?} (tiny|small|paper)"),
         })?;
-        let point_value = value.get("point").ok_or(SpecError::Missing("point"))?;
-        let point = parse_point(point_value)?;
-        let profile = match value.get("profile") {
+        let point = parse_point(json::get(value, "point")?)?;
+        let profile = match json::get_opt(value, "profile") {
             None => None,
             Some(p) => {
-                let get = |key: &'static str| {
-                    p.get(key)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or(SpecError::Missing(key))
-                };
-                let accel = get("accel_ops_per_cycle")?;
-                let cpu = get("cpu_ops_per_cycle")?;
+                let accel = json::get_f64(p, "accel_ops_per_cycle")?;
+                let cpu = json::get_f64(p, "cpu_ops_per_cycle")?;
                 if accel <= 0.0 || cpu <= 0.0 {
                     return Err(SpecError::Invalid {
                         field: "profile",
@@ -404,67 +340,31 @@ impl RunSpec {
                 Some(ExecProfile::new(accel, cpu))
             }
         };
-        let trace_capacity = match value.get("trace_capacity") {
+        let trace_capacity = match json::get_opt(value, "trace_capacity") {
             None => 0,
-            Some(t) => t.as_u64().ok_or(SpecError::Invalid {
-                field: "trace_capacity",
-                message: "expected an unsigned integer".to_owned(),
-            })? as usize,
+            Some(t) => json::uint_of(t, "trace_capacity")?,
         };
-        let faults = match value.get("faults") {
-            None => None,
-            Some(f) if f.is_null() => None,
-            Some(f) => {
-                Some(
-                    FaultPlan::from_json_value(f).map_err(|message| SpecError::Invalid {
-                        field: "faults",
-                        message,
-                    })?,
-                )
-            }
-        };
-        let checkpoint = match value.get("checkpoint") {
-            None => None,
-            Some(c) if c.is_null() => None,
-            Some(c) => {
-                let every_cycles = c.get("every_cycles").and_then(JsonValue::as_u64).ok_or(
-                    SpecError::Invalid {
-                        field: "checkpoint",
-                        message: "expected {\"every_cycles\": <unsigned integer>}".to_owned(),
-                    },
-                )?;
-                if every_cycles == 0 {
-                    return Err(SpecError::Invalid {
-                        field: "checkpoint",
-                        message: "checkpoint interval must be nonzero \
-                                  (omit the member to disable checkpointing)"
-                            .to_owned(),
-                    });
-                }
-                Some(CheckpointPolicy { every_cycles })
-            }
-        };
-        let telemetry = match value.get("telemetry") {
-            None => None,
-            Some(t) if t.is_null() => None,
-            Some(t) => {
-                let every_cycles = t.get("every_cycles").and_then(JsonValue::as_u64).ok_or(
-                    SpecError::Invalid {
-                        field: "telemetry",
-                        message: "expected {\"every_cycles\": <unsigned integer>}".to_owned(),
-                    },
-                )?;
-                if every_cycles == 0 {
-                    return Err(SpecError::Invalid {
-                        field: "telemetry",
-                        message: "telemetry epoch must be nonzero \
-                                  (omit the member to disable sampling)"
-                            .to_owned(),
-                    });
-                }
-                Some(TelemetryPolicy { every_cycles })
-            }
-        };
+        let faults = json::get_opt(value, "faults")
+            .map(FaultPlan::from_json_value)
+            .transpose()
+            .map_err(|message| SpecError::Invalid {
+                field: "faults",
+                message,
+            })?;
+        let checkpoint = every_cycles(
+            value,
+            "checkpoint",
+            "checkpoint interval must be nonzero \
+             (omit the member to disable checkpointing)",
+        )?
+        .map(|every_cycles| CheckpointPolicy { every_cycles });
+        let telemetry = every_cycles(
+            value,
+            "telemetry",
+            "telemetry epoch must be nonzero \
+             (omit the member to disable sampling)",
+        )?
+        .map(|every_cycles| TelemetryPolicy { every_cycles });
         Ok(RunSpec {
             benchmark,
             scale,
@@ -488,84 +388,91 @@ impl RunSpec {
     }
 }
 
-fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
-    let arch_label = value
-        .get("arch")
-        .and_then(JsonValue::as_str)
-        .ok_or(SpecError::Missing("point.arch"))?;
-    let field = |key: &'static str| {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .map(|n| n as usize)
-            .ok_or(SpecError::Missing(key))
-    };
-    match arch_label {
-        "cpu" => Ok(DesignPoint::cpu(field("cores")?)),
-        "flex" | "lite" | "central" => {
-            let arch = match arch_label {
-                "flex" => PointArch::Flex,
-                "lite" => PointArch::Lite,
-                _ => PointArch::Central,
-            };
-            let cluster = match value.get("cluster") {
-                None => None,
-                Some(c) if c.is_null() => None,
-                Some(c) => Some(parse_cluster(c)?),
-            };
-            Ok(DesignPoint {
-                arch,
-                tiles: field("tiles")?,
-                pes_per_tile: field("pes_per_tile")?,
-                cache_kb: field("cache_kb")?,
-                task_queue_entries: field("task_queue_entries")?,
-                pstore_entries: field("pstore_entries")?,
-                cluster,
-            })
+/// Maps a field reader's error onto the spec's: an absent member is
+/// [`SpecError::Missing`], anything else [`SpecError::Invalid`].
+impl From<FieldError> for SpecError {
+    fn from(err: FieldError) -> SpecError {
+        match err.problem {
+            FieldProblem::Missing => SpecError::Missing(err.key),
+            _ => SpecError::Invalid {
+                field: err.key,
+                message: err.to_string(),
+            },
         }
-        other => Err(SpecError::Invalid {
-            field: "point.arch",
-            message: format!("unknown arch {other:?} (flex|lite|central|cpu)"),
-        }),
     }
 }
 
-fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
-    let num = |key: &'static str| {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or(SpecError::Missing(key))
+/// The optional `{"every_cycles": n}` policy member `key`; a zero interval
+/// is refused with `zero`.
+fn every_cycles(
+    value: &JsonValue,
+    key: &'static str,
+    zero: &str,
+) -> Result<Option<u64>, SpecError> {
+    let Some(policy) = json::get_opt(value, key) else {
+        return Ok(None);
     };
-    let chips = num("chips")? as usize;
+    let invalid = |message: &str| SpecError::Invalid {
+        field: key,
+        message: message.to_owned(),
+    };
+    match json::get_u64(policy, "every_cycles") {
+        Ok(0) => Err(invalid(zero)),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(invalid("expected {\"every_cycles\": <unsigned integer>}")),
+    }
+}
+
+fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
+    let arch = match json::get_str(value, "arch")? {
+        "cpu" => return Ok(DesignPoint::cpu(json::get_uint(value, "cores")?)),
+        "flex" => PointArch::Flex,
+        "lite" => PointArch::Lite,
+        "central" => PointArch::Central,
+        other => {
+            return Err(SpecError::Invalid {
+                field: "point.arch",
+                message: format!("unknown arch {other:?} (flex|lite|central|cpu)"),
+            })
+        }
+    };
+    Ok(DesignPoint {
+        arch,
+        tiles: json::get_uint(value, "tiles")?,
+        pes_per_tile: json::get_uint(value, "pes_per_tile")?,
+        cache_kb: json::get_uint(value, "cache_kb")?,
+        task_queue_entries: json::get_uint(value, "task_queue_entries")?,
+        pstore_entries: json::get_uint(value, "pstore_entries")?,
+        cluster: json::get_opt(value, "cluster")
+            .map(parse_cluster)
+            .transpose()?,
+    })
+}
+
+fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
+    let chips = json::get_uint(value, "chips")?;
     if chips < 2 {
         return Err(SpecError::Invalid {
             field: "cluster",
             message: "a cluster needs at least 2 chips (omit the member for one chip)".to_owned(),
         });
     }
-    let stealing = match value.get("stealing").and_then(JsonValue::as_str) {
-        Some("flat") => StealMode::Flat,
-        Some("hierarchical") => StealMode::Hierarchical {
-            spill_threshold: u32::try_from(num("spill_threshold")?).map_err(|_| {
-                SpecError::Invalid {
-                    field: "spill_threshold",
-                    message: "spill threshold overflows u32".to_owned(),
-                }
-            })?,
+    let stealing = match json::get_str(value, "stealing")? {
+        "flat" => StealMode::Flat,
+        "hierarchical" => StealMode::Hierarchical {
+            spill_threshold: json::get_uint(value, "spill_threshold")?,
         },
-        Some(other) => {
+        other => {
             return Err(SpecError::Invalid {
                 field: "stealing",
                 message: format!("unknown stealing mode {other:?} (hierarchical|flat)"),
             });
         }
-        None => return Err(SpecError::Missing("stealing")),
     };
     Ok(ClusterPoint {
         chips,
-        link_latency_cycles: num("link_latency_cycles")?,
-        link_occupancy_cycles: num("link_occupancy_cycles")?,
+        link_latency_cycles: json::get_u64(value, "link_latency_cycles")?,
+        link_occupancy_cycles: json::get_u64(value, "link_occupancy_cycles")?,
         stealing,
     })
 }

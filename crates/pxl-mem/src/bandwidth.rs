@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use pxl_sim::hash::Mix64Build;
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, JsonValue};
 use pxl_sim::Time;
 
 /// A serially-occupied shared resource with epoch-granular accounting.
@@ -117,12 +117,7 @@ impl BandwidthMeter {
         JsonValue::Array(
             epochs
                 .into_iter()
-                .map(|e| {
-                    JsonValue::Array(vec![
-                        JsonValue::num_u64(e),
-                        JsonValue::num_u64(self.used[&e]),
-                    ])
-                })
+                .map(|e| json::arr_u64([e, self.used[&e]]))
                 .collect(),
         )
     }
@@ -141,16 +136,9 @@ impl BandwidthMeter {
         let mut used: HashMap<_, _, Mix64Build> =
             HashMap::with_capacity_and_hasher(pairs.len(), Mix64Build::default());
         for pair in pairs {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("bandwidth state: entry is not an [epoch, used] pair")?;
-            let epoch = pair[0]
-                .as_u64()
-                .ok_or("bandwidth state: epoch is not a u64")?;
-            let committed = pair[1]
-                .as_u64()
-                .ok_or("bandwidth state: used is not a u64")?;
+            let [epoch, committed] = json::u64s(pair, "epochs")?[..] else {
+                return Err("bandwidth state: entry is not an [epoch, used] pair".to_owned());
+            };
             used.insert(epoch, committed);
         }
         self.used = used;

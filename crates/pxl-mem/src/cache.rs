@@ -6,8 +6,7 @@
 //! controller in [`crate::system`] drives the per-line [`LineState`] machine.
 
 use pxl_sim::config::CacheParams;
-use pxl_sim::json::JsonValue;
-use pxl_sim::snapshot::{self, SnapshotError};
+use pxl_sim::json::{self, FieldError, JsonValue};
 
 /// MOESI coherence state of one cache line.
 ///
@@ -249,10 +248,10 @@ impl CacheArray {
                     self.last_use[w],
                 ]
             });
-        snapshot::obj(vec![
-            ("use_counter", snapshot::num(self.use_counter)),
-            ("slots", snapshot::num(self.lines.len() as u64)),
-            ("live", snapshot::arr_u64(live)),
+        json::obj(vec![
+            ("use_counter", json::num(self.use_counter)),
+            ("slots", json::num(self.lines.len() as u64)),
+            ("live", json::arr_u64(live)),
         ])
     }
 
@@ -266,15 +265,15 @@ impl CacheArray {
     /// [`CacheStateError`] on a geometry mismatch, a way index out of
     /// range or out of order, an unknown line state, or a malformed field.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), CacheStateError> {
-        let use_counter = snapshot::get_u64(value, "use_counter")?;
-        let slots = snapshot::get_u64(value, "slots")?;
+        let use_counter = json::get_u64(value, "use_counter")?;
+        let slots = json::get_u64(value, "slots")?;
         if slots != self.lines.len() as u64 {
             return Err(CacheStateError::SlotsMismatch {
                 found: slots,
                 expected: self.lines.len(),
             });
         }
-        let live = snapshot::get_u64s(value, "live")?;
+        let live = json::get_u64s(value, "live")?;
         if !live.len().is_multiple_of(4) {
             return Err(CacheStateError::Malformed(
                 "\"live\" is not a list of [way, line+1, state, last_use] quads".to_owned(),
@@ -373,9 +372,9 @@ impl std::fmt::Display for CacheStateError {
 
 impl std::error::Error for CacheStateError {}
 
-impl From<SnapshotError> for CacheStateError {
-    fn from(err: SnapshotError) -> Self {
-        CacheStateError::Malformed(err.into())
+impl From<FieldError> for CacheStateError {
+    fn from(err: FieldError) -> Self {
+        CacheStateError::Malformed(err.to_string())
     }
 }
 

@@ -18,7 +18,7 @@
 //! paper's memory-bound results (spmvcrs, bfsqueue, stencil2d).
 
 use pxl_sim::config::{CacheParams, DramParams, MemoryConfig};
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, JsonValue};
 use pxl_sim::{CounterId, Metrics, Time, TraceEvent, Tracer};
 
 use crate::bandwidth::BandwidthMeter;
@@ -213,28 +213,15 @@ impl MemorySystem {
     /// snapshot/restore. Timing parameters are *not* serialized; they come
     /// from the configuration the restoring system was built with.
     pub fn state_to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "l1s".to_owned(),
-                JsonValue::Array(
-                    self.l1s
-                        .iter()
-                        .map(CacheArray::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            ("l2".to_owned(), self.l2.state_to_json_value()),
-            ("bus_meter".to_owned(), self.bus_meter.state_to_json_value()),
-            ("l2_meter".to_owned(), self.l2_meter.state_to_json_value()),
-            (
-                "dram_meter".to_owned(),
-                self.dram_meter.state_to_json_value(),
-            ),
-            (
-                "stats".to_owned(),
-                JsonValue::parse(&self.stats.to_json()).expect("metrics JSON parses"),
-            ),
-            ("trace".to_owned(), self.trace.state_to_json_value()),
+        let l1s = self.l1s.iter().map(CacheArray::state_to_json_value);
+        json::obj(vec![
+            ("l1s", JsonValue::Array(l1s.collect())),
+            ("l2", self.l2.state_to_json_value()),
+            ("bus_meter", self.bus_meter.state_to_json_value()),
+            ("l2_meter", self.l2_meter.state_to_json_value()),
+            ("dram_meter", self.dram_meter.state_to_json_value()),
+            ("stats", self.stats.to_json_value()),
+            ("trace", self.trace.state_to_json_value()),
         ])
     }
 
@@ -246,14 +233,7 @@ impl MemorySystem {
     /// Returns a message naming the first malformed field or geometry
     /// mismatch (e.g. a different L1 port count).
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("memory state: missing {key}"))
-        };
-        let l1s = field("l1s")?
-            .as_array()
-            .ok_or("memory state: l1s is not an array")?;
+        let l1s = json::get_arr(value, "l1s")?;
         if l1s.len() != self.l1s.len() {
             return Err(format!(
                 "memory state: {} L1 ports, this system has {}",
@@ -265,14 +245,16 @@ impl MemorySystem {
             cache.restore_state(state).map_err(|e| e.to_string())?;
         }
         self.l2
-            .restore_state(field("l2")?)
+            .restore_state(json::get(value, "l2")?)
             .map_err(|e| e.to_string())?;
-        self.bus_meter.restore_state(field("bus_meter")?)?;
-        self.l2_meter.restore_state(field("l2_meter")?)?;
-        self.dram_meter.restore_state(field("dram_meter")?)?;
-        self.stats = Metrics::from_json(&field("stats")?.to_json())?;
+        self.bus_meter
+            .restore_state(json::get(value, "bus_meter")?)?;
+        self.l2_meter.restore_state(json::get(value, "l2_meter")?)?;
+        self.dram_meter
+            .restore_state(json::get(value, "dram_meter")?)?;
+        self.stats = Metrics::from_json_value(json::get(value, "stats")?)?;
         self.ids = MemIds::register(&mut self.stats);
-        self.trace = Tracer::state_from_json_value(field("trace")?)?;
+        self.trace = Tracer::state_from_json_value(json::get(value, "trace")?)?;
         Ok(())
     }
 

@@ -10,7 +10,7 @@
 //! scaling from 4 to 8 PEs).
 
 use pxl_sim::config::{CacheParams, CpuCoreParams, DramParams, MemoryConfig};
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, JsonValue};
 use pxl_sim::{Clock, CounterId, Metrics, Time, TraceEvent, Tracer};
 
 use crate::bandwidth::BandwidthMeter;
@@ -147,31 +147,18 @@ impl ZedboardMemory {
     /// order, which the LRU replacement depends on), ACP meter, LRU tick,
     /// statistics and trace — for snapshot/restore.
     pub fn state_to_json_value(&self) -> JsonValue {
-        let streams = self
-            .streams
-            .iter()
-            .map(|port| {
-                JsonValue::Array(
-                    port.iter()
-                        .map(|s| {
-                            JsonValue::Array(vec![
-                                JsonValue::num_u64(s.last_line),
-                                JsonValue::num_u64(s.last_use),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("streams".to_owned(), JsonValue::Array(streams)),
-            ("acp_meter".to_owned(), self.acp_meter.state_to_json_value()),
-            ("tick".to_owned(), JsonValue::num_u64(self.tick)),
-            (
-                "stats".to_owned(),
-                JsonValue::parse(&self.stats.to_json()).expect("metrics JSON parses"),
-            ),
-            ("trace".to_owned(), self.trace.state_to_json_value()),
+        let streams = self.streams.iter().map(|port| {
+            let pairs = port
+                .iter()
+                .map(|s| json::arr_u64([s.last_line, s.last_use]));
+            JsonValue::Array(pairs.collect())
+        });
+        json::obj(vec![
+            ("streams", JsonValue::Array(streams.collect())),
+            ("acp_meter", self.acp_meter.state_to_json_value()),
+            ("tick", json::num(self.tick)),
+            ("stats", self.stats.to_json_value()),
+            ("trace", self.trace.state_to_json_value()),
         ])
     }
 
@@ -184,14 +171,7 @@ impl ZedboardMemory {
     /// Returns a message naming the first malformed field or geometry
     /// mismatch (wrong port count, too many streams for a port).
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("zedboard state: missing {key}"))
-        };
-        let ports = field("streams")?
-            .as_array()
-            .ok_or("zedboard state: streams is not an array")?;
+        let ports = json::get_arr(value, "streams")?;
         if ports.len() != self.streams.len() {
             return Err(format!(
                 "zedboard state: {} ports, this path has {}",
@@ -213,16 +193,9 @@ impl ZedboardMemory {
             }
             let mut list = Vec::with_capacity(self.params.streams_per_port);
             for entry in entries {
-                let pair = entry
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or("zedboard state: stream is not a [last_line, last_use] pair")?;
-                let last_line = pair[0]
-                    .as_u64()
-                    .ok_or("zedboard state: last_line is not a u64")?;
-                let last_use = pair[1]
-                    .as_u64()
-                    .ok_or("zedboard state: last_use is not a u64")?;
+                let [last_line, last_use] = json::u64s(entry, "streams")?[..] else {
+                    return Err("zedboard state: stream is not a [last_line, last_use] pair".into());
+                };
                 list.push(Stream {
                     last_line,
                     last_use,
@@ -230,13 +203,12 @@ impl ZedboardMemory {
             }
             streams.push(list);
         }
-        self.acp_meter.restore_state(field("acp_meter")?)?;
-        let tick = field("tick")?
-            .as_u64()
-            .ok_or("zedboard state: tick is not a u64")?;
-        self.stats = Metrics::from_json(&field("stats")?.to_json())?;
+        self.acp_meter
+            .restore_state(json::get(value, "acp_meter")?)?;
+        let tick = json::get_u64(value, "tick")?;
+        self.stats = Metrics::from_json_value(json::get(value, "stats")?)?;
         self.ids = ZedIds::register(&mut self.stats);
-        self.trace = Tracer::state_from_json_value(field("trace")?)?;
+        self.trace = Tracer::state_from_json_value(json::get(value, "trace")?)?;
         self.streams = streams;
         self.tick = tick;
         Ok(())

@@ -1,22 +1,12 @@
 //! Parses [`pxl_sim::Tracer::to_jsonl`] output back into trace records.
 //!
-//! Lexing is delegated to the general [`pxl_sim::json::JsonValue`] reader;
-//! this module only maps the flat trace dialect — one object per line, a
-//! `"kind"` string plus unsigned-integer fields — onto [`TraceEvent`].
-//! Round-tripping is tested against the emitter: `parse_line(record.to_json())`
-//! must reproduce the record for every event kind.
+//! Lexing is delegated to the general [`pxl_sim::json::JsonValue`] reader
+//! and decoding to [`TraceRecord::from_json_value`], the same table-driven
+//! decoder snapshot restore uses, so every event kind the simulator emits
+//! (`link_xfer` included) reads back here.
 
 use pxl_sim::json::JsonValue;
-use pxl_sim::{Time, TraceEvent, TraceRecord};
-
-fn field(value: &JsonValue, key: &str) -> Result<u64, String> {
-    let field = value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key}"))?;
-    field
-        .as_u64()
-        .ok_or_else(|| format!("field {key}={}: not an unsigned integer", field.to_json()))
-}
+use pxl_sim::TraceRecord;
 
 /// Parses one JSONL trace line into a [`TraceRecord`].
 ///
@@ -28,94 +18,7 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
     if value.as_object().is_none() {
         return Err(format!("not a JSON object: {line}"));
     }
-    let kind = value
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing kind: {line}"))?;
-    let f = |key: &str| field(&value, key);
-    let event = match kind {
-        "task_dispatch" => TraceEvent::TaskDispatch {
-            unit: f("unit")? as u32,
-            ty: f("ty")? as u8,
-            task: f("task")?,
-        },
-        "task_complete" => TraceEvent::TaskComplete {
-            unit: f("unit")? as u32,
-            ty: f("ty")? as u8,
-            busy_ps: f("busy_ps")?,
-            task: f("task")?,
-        },
-        "spawn" => TraceEvent::Spawn {
-            unit: f("unit")? as u32,
-            ty: f("ty")? as u8,
-            parent: f("parent")?,
-            child: f("child")?,
-        },
-        "steal_request" => TraceEvent::StealRequest {
-            thief: f("thief")? as u32,
-            victim: f("victim")? as u32,
-        },
-        "steal_grant" => TraceEvent::StealGrant {
-            thief: f("thief")? as u32,
-            victim: f("victim")? as u32,
-        },
-        "steal_fail" => TraceEvent::StealFail {
-            thief: f("thief")? as u32,
-            victim: f("victim")? as u32,
-        },
-        "pstore_alloc" => TraceEvent::PStoreAlloc {
-            tile: f("tile")? as u32,
-            occupancy: f("occupancy")? as u32,
-        },
-        "pstore_join" => TraceEvent::PStoreJoin {
-            tile: f("tile")? as u32,
-            slot: f("slot")? as u8,
-            task: f("task")?,
-            from: f("from")?,
-        },
-        "pstore_dealloc" => TraceEvent::PStoreDealloc {
-            tile: f("tile")? as u32,
-            occupancy: f("occupancy")? as u32,
-        },
-        "cache_hit" => TraceEvent::CacheHit {
-            port: f("port")? as u32,
-            level: f("level")? as u8,
-        },
-        "cache_miss" => TraceEvent::CacheMiss {
-            port: f("port")? as u32,
-            level: f("level")? as u8,
-        },
-        "cache_evict" => TraceEvent::CacheEvict {
-            port: f("port")? as u32,
-            level: f("level")? as u8,
-        },
-        "dram_saturated" => TraceEvent::DramSaturated {
-            epoch: f("epoch")?,
-            committed_ps: f("committed_ps")?,
-        },
-        "fault.injected" => TraceEvent::FaultInjected {
-            spec: f("spec")? as u32,
-            unit: f("unit")? as u32,
-        },
-        "fault.recovered" => TraceEvent::FaultRecovered {
-            spec: f("spec")? as u32,
-            unit: f("unit")? as u32,
-        },
-        "fault.unrecovered" => TraceEvent::FaultUnrecovered {
-            spec: f("spec")? as u32,
-            unit: f("unit")? as u32,
-        },
-        "watchdog.stall" => TraceEvent::WatchdogStall {
-            unit: f("unit")? as u32,
-            idle_ps: f("idle_ps")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(TraceRecord {
-        at: Time::from_ps(f("t_ps")?),
-        seq: f("seq")?,
-        event,
-    })
+    TraceRecord::from_json_value(&value)
 }
 
 /// Parses a whole JSONL trace dump (blank lines ignored).
@@ -134,6 +37,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_sim::{Time, TraceEvent};
 
     #[test]
     fn every_kind_round_trips() {
@@ -194,6 +98,12 @@ mod tests {
             TraceEvent::WatchdogStall {
                 unit: 2,
                 idle_ps: 500,
+            },
+            TraceEvent::LinkXfer {
+                src_chip: 1,
+                dst_chip: 0,
+                class: 2,
+                wait_ps: 640,
             },
         ];
         for (i, event) in events.into_iter().enumerate() {

@@ -20,7 +20,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 use pxl_flow::RunSpec;
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, JsonValue};
 
 use crate::protocol::{JobEvent, JobKind};
 
@@ -79,12 +79,12 @@ impl Journal {
 
 /// The write-ahead record for an admitted submission.
 pub fn submit_line(job: u64, tenant: &str, kind: JobKind, spec: &RunSpec) -> String {
-    JsonValue::Object(vec![
-        ("journal".to_owned(), JsonValue::Str("submit".to_owned())),
-        ("job".to_owned(), JsonValue::num_u64(job)),
-        ("tenant".to_owned(), JsonValue::Str(tenant.to_owned())),
-        ("kind".to_owned(), JsonValue::Str(kind.label().to_owned())),
-        ("spec".to_owned(), spec.to_json_value()),
+    json::obj(vec![
+        ("journal", JsonValue::Str("submit".to_owned())),
+        ("job", json::num(job)),
+        ("tenant", JsonValue::Str(tenant.to_owned())),
+        ("kind", JsonValue::Str(kind.label().to_owned())),
+        ("spec", spec.to_json_value()),
     ])
     .to_json()
 }
@@ -92,14 +92,11 @@ pub fn submit_line(job: u64, tenant: &str, kind: JobKind, spec: &RunSpec) -> Str
 /// The record for a durable checkpoint: `file` is the snapshot's file
 /// name inside the server's checkpoint directory.
 pub fn checkpoint_line(job: u64, cycle: u64, file: &str) -> String {
-    JsonValue::Object(vec![
-        (
-            "journal".to_owned(),
-            JsonValue::Str("checkpoint".to_owned()),
-        ),
-        ("job".to_owned(), JsonValue::num_u64(job)),
-        ("cycle".to_owned(), JsonValue::num_u64(cycle)),
-        ("file".to_owned(), JsonValue::Str(file.to_owned())),
+    json::obj(vec![
+        ("journal", JsonValue::Str("checkpoint".to_owned())),
+        ("job", json::num(job)),
+        ("cycle", json::num(cycle)),
+        ("file", JsonValue::Str(file.to_owned())),
     ])
     .to_json()
 }
@@ -190,25 +187,20 @@ enum Line {
 
 fn parse_line(line: &str) -> Option<Line> {
     let value = JsonValue::parse(line).ok()?;
-    if let Some(record) = value.get("journal").and_then(JsonValue::as_str) {
-        let job = value.get("job").and_then(JsonValue::as_u64)?;
-        return match record {
-            "submit" => {
-                let tenant = value.get("tenant").and_then(JsonValue::as_str)?.to_owned();
-                let kind = JobKind::from_label(value.get("kind").and_then(JsonValue::as_str)?)?;
-                let spec = RunSpec::from_json_value(value.get("spec")?).ok()?;
-                Some(Line::Submit(Box::new(RecoveredJob {
-                    job,
-                    tenant,
-                    kind,
-                    spec,
-                    checkpoint: None,
-                })))
-            }
+    if let Some(record) = json::get_opt(&value, "journal") {
+        let job = json::get_u64(&value, "job").ok()?;
+        return match record.as_str()? {
+            "submit" => Some(Line::Submit(Box::new(RecoveredJob {
+                job,
+                tenant: json::get_str(&value, "tenant").ok()?.to_owned(),
+                kind: JobKind::from_label(json::get_str(&value, "kind").ok()?)?,
+                spec: RunSpec::from_json_value(json::get(&value, "spec").ok()?).ok()?,
+                checkpoint: None,
+            }))),
             "checkpoint" => Some(Line::Checkpoint {
                 job,
-                cycle: value.get("cycle").and_then(JsonValue::as_u64)?,
-                file: value.get("file").and_then(JsonValue::as_str)?.to_owned(),
+                cycle: json::get_u64(&value, "cycle").ok()?,
+                file: json::get_str(&value, "file").ok()?.to_owned(),
             }),
             _ => None,
         };

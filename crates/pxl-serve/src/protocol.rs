@@ -8,8 +8,9 @@
 //! byte-identical on the wire — the property the dedup smoke asserts.
 
 use pxl_dse::Measurement;
+pub use pxl_dse::{measurement_from_json_value, measurement_to_json_value};
 use pxl_flow::{RunSpec, SpecError};
-use pxl_sim::json::JsonValue;
+use pxl_sim::json::{self, get_bool, get_str, get_u64, FieldError, FieldProblem, JsonValue};
 
 /// A server-assigned job identity, unique within one server lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -182,11 +183,11 @@ impl Request {
     /// The request as one canonical JSON object.
     pub fn to_json_value(&self) -> JsonValue {
         match self {
-            Request::Submit { tenant, kind, spec } => JsonValue::Object(vec![
-                ("op".to_owned(), JsonValue::Str("submit".to_owned())),
-                ("tenant".to_owned(), JsonValue::Str(tenant.clone())),
-                ("kind".to_owned(), JsonValue::Str(kind.label().to_owned())),
-                ("spec".to_owned(), spec.to_json_value()),
+            Request::Submit { tenant, kind, spec } => json::obj(vec![
+                ("op", text("submit")),
+                ("tenant", text(tenant)),
+                ("kind", text(kind.label())),
+                ("spec", spec.to_json_value()),
             ]),
             Request::Status => op_only("status"),
             Request::Stats => op_only("stats"),
@@ -217,52 +218,31 @@ impl Request {
                 message: "a request must be a JSON object".to_owned(),
             });
         }
-        let op = value
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| RequestError {
-                code: ErrorCode::BadRequest,
-                message: "missing string field 'op'".to_owned(),
-            })?;
+        let bad = |message: String| RequestError {
+            code: ErrorCode::BadRequest,
+            message,
+        };
+        let op = get_str(&value, "op").map_err(|_| bad("missing string field 'op'".to_owned()))?;
         match op {
             "submit" => {
-                let tenant = value
-                    .get("tenant")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| RequestError {
-                        code: ErrorCode::BadRequest,
-                        message: "submit needs a string field 'tenant'".to_owned(),
-                    })?
-                    .to_owned();
+                let tenant = get_str(&value, "tenant")
+                    .map_err(|_| bad("submit needs a string field 'tenant'".to_owned()))?;
                 if tenant.is_empty() {
-                    return Err(RequestError {
-                        code: ErrorCode::BadRequest,
-                        message: "'tenant' must be non-empty".to_owned(),
-                    });
+                    return Err(bad("'tenant' must be non-empty".to_owned()));
                 }
-                let kind_label =
-                    value
-                        .get("kind")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| RequestError {
-                            code: ErrorCode::BadRequest,
-                            message: "submit needs a string field 'kind'".to_owned(),
-                        })?;
-                let kind = JobKind::from_label(kind_label).ok_or_else(|| RequestError {
-                    code: ErrorCode::BadRequest,
-                    message: format!("unknown kind {kind_label:?} (sim|dse|profile)"),
-                })?;
-                let spec_value = value.get("spec").ok_or_else(|| RequestError {
-                    code: ErrorCode::BadRequest,
-                    message: "submit needs a 'spec' object".to_owned(),
-                })?;
+                let kind_label = get_str(&value, "kind")
+                    .map_err(|_| bad("submit needs a string field 'kind'".to_owned()))?;
+                let kind = JobKind::from_label(kind_label)
+                    .ok_or_else(|| bad(format!("unknown kind {kind_label:?} (sim|dse|profile)")))?;
+                let spec_value = json::get(&value, "spec")
+                    .map_err(|_| bad("submit needs a 'spec' object".to_owned()))?;
                 let spec =
                     RunSpec::from_json_value(spec_value).map_err(|e: SpecError| RequestError {
                         code: ErrorCode::BadSpec,
                         message: e.to_string(),
                     })?;
                 Ok(Request::Submit {
-                    tenant,
+                    tenant: tenant.to_owned(),
                     kind,
                     spec: Box::new(spec),
                 })
@@ -281,7 +261,11 @@ impl Request {
 }
 
 fn op_only(op: &str) -> JsonValue {
-    JsonValue::Object(vec![("op".to_owned(), JsonValue::Str(op.to_owned()))])
+    json::obj(vec![("op", text(op))])
+}
+
+fn text(s: &str) -> JsonValue {
+    JsonValue::Str(s.to_owned())
 }
 
 /// One server→client message.
@@ -429,131 +413,66 @@ pub enum JobEvent {
     },
 }
 
-/// Renders a [`Measurement`] as a canonical JSON object (fixed member
-/// order; `energy_j` in shortest-round-trip form, so re-rendering a parsed
-/// payload is byte-identical).
-pub fn measurement_to_json_value(m: &Measurement) -> JsonValue {
-    JsonValue::Object(vec![
-        ("kernel_ps".to_owned(), JsonValue::num_u64(m.kernel_ps)),
-        ("whole_ps".to_owned(), JsonValue::num_u64(m.whole_ps)),
-        ("energy_j".to_owned(), JsonValue::num_f64(m.energy_j)),
-        ("lut".to_owned(), JsonValue::num_u64(m.lut)),
-        ("bram18".to_owned(), JsonValue::num_u64(m.bram18)),
-    ])
-}
-
-/// Parses [`measurement_to_json_value`] output.
-///
-/// # Errors
-///
-/// Names the missing or malformed field.
-pub fn measurement_from_json_value(value: &JsonValue) -> Result<Measurement, String> {
-    let u = |key: &str| {
-        value
-            .get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("result: missing field {key}"))
-    };
-    let energy_j = value
-        .get("energy_j")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| "result: missing field energy_j".to_owned())?;
-    Ok(Measurement {
-        kernel_ps: u("kernel_ps")?,
-        whole_ps: u("whole_ps")?,
-        energy_j,
-        lut: u("lut")?,
-        bram18: u("bram18")?,
-    })
-}
-
 impl JobEvent {
     /// The event as one canonical JSON object.
     pub fn to_json_value(&self) -> JsonValue {
-        let ev = |name: &str, mut rest: Vec<(String, JsonValue)>| {
-            let mut members = vec![("event".to_owned(), JsonValue::Str(name.to_owned()))];
-            members.append(&mut rest);
-            JsonValue::Object(members)
-        };
-        match self {
-            JobEvent::Accepted { job, tenant, key } => ev(
+        let job = |job: &JobId| ("job", json::num(job.0));
+        let (name, mut rest) = match self {
+            JobEvent::Accepted {
+                job: j,
+                tenant,
+                key,
+            } => (
                 "accepted",
-                vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("tenant".to_owned(), JsonValue::Str(tenant.clone())),
-                    ("key".to_owned(), JsonValue::Str(key.clone())),
-                ],
+                vec![job(j), ("tenant", text(tenant)), ("key", text(key))],
             ),
-            JobEvent::Queued { job, position } => ev(
-                "queued",
-                vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("position".to_owned(), JsonValue::num_u64(*position)),
-                ],
-            ),
-            JobEvent::Running { job } => ev(
-                "running",
-                vec![("job".to_owned(), JsonValue::num_u64(job.0))],
-            ),
+            JobEvent::Queued { job: j, position } => {
+                ("queued", vec![job(j), ("position", json::num(*position))])
+            }
+            JobEvent::Running { job: j } => ("running", vec![job(j)]),
             JobEvent::Metrics {
-                job,
+                job: j,
                 kernel_ps,
                 steal_attempts,
                 dram_bytes,
                 trace_events,
-            } => ev(
+            } => (
                 "metrics",
                 vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("kernel_ps".to_owned(), JsonValue::num_u64(*kernel_ps)),
-                    (
-                        "steal_attempts".to_owned(),
-                        JsonValue::num_u64(*steal_attempts),
-                    ),
-                    ("dram_bytes".to_owned(), JsonValue::num_u64(*dram_bytes)),
-                    ("trace_events".to_owned(), JsonValue::num_u64(*trace_events)),
+                    job(j),
+                    ("kernel_ps", json::num(*kernel_ps)),
+                    ("steal_attempts", json::num(*steal_attempts)),
+                    ("dram_bytes", json::num(*dram_bytes)),
+                    ("trace_events", json::num(*trace_events)),
                 ],
             ),
             JobEvent::Done {
-                job,
+                job: j,
                 cached,
                 result,
                 trace_events,
                 resumed_from_cycle,
             } => {
                 let mut rest = vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("cached".to_owned(), JsonValue::Bool(*cached)),
-                    ("result".to_owned(), measurement_to_json_value(result)),
+                    job(j),
+                    ("cached", JsonValue::Bool(*cached)),
+                    ("result", measurement_to_json_value(result)),
                 ];
                 if let Some(n) = trace_events {
-                    rest.push(("trace_events".to_owned(), JsonValue::num_u64(*n)));
+                    rest.push(("trace_events", json::num(*n)));
                 }
                 if let Some(c) = resumed_from_cycle {
-                    rest.push(("resumed_from_cycle".to_owned(), JsonValue::num_u64(*c)));
+                    rest.push(("resumed_from_cycle", json::num(*c)));
                 }
-                ev("done", rest)
+                ("done", rest)
             }
-            JobEvent::Preempted { job, cycle } => ev(
-                "preempted",
-                vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("cycle".to_owned(), JsonValue::num_u64(*cycle)),
-                ],
-            ),
-            JobEvent::Failed { job, error } => ev(
-                "failed",
-                vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("error".to_owned(), JsonValue::Str(error.clone())),
-                ],
-            ),
-            JobEvent::Error { code, message } => ev(
+            JobEvent::Preempted { job: j, cycle } => {
+                ("preempted", vec![job(j), ("cycle", json::num(*cycle))])
+            }
+            JobEvent::Failed { job: j, error } => ("failed", vec![job(j), ("error", text(error))]),
+            JobEvent::Error { code, message } => (
                 "error",
-                vec![
-                    ("code".to_owned(), JsonValue::Str(code.label().to_owned())),
-                    ("message".to_owned(), JsonValue::Str(message.clone())),
-                ],
+                vec![("code", text(code.label())), ("message", text(message))],
             ),
             JobEvent::Status {
                 queued,
@@ -562,15 +481,15 @@ impl JobEvent {
                 failed,
                 paused,
                 draining,
-            } => ev(
+            } => (
                 "status",
                 vec![
-                    ("queued".to_owned(), JsonValue::num_u64(*queued)),
-                    ("running".to_owned(), JsonValue::num_u64(*running)),
-                    ("completed".to_owned(), JsonValue::num_u64(*completed)),
-                    ("failed".to_owned(), JsonValue::num_u64(*failed)),
-                    ("paused".to_owned(), JsonValue::Bool(*paused)),
-                    ("draining".to_owned(), JsonValue::Bool(*draining)),
+                    ("queued", json::num(*queued)),
+                    ("running", json::num(*running)),
+                    ("completed", json::num(*completed)),
+                    ("failed", json::num(*failed)),
+                    ("paused", JsonValue::Bool(*paused)),
+                    ("draining", JsonValue::Bool(*draining)),
                 ],
             ),
             JobEvent::Stats {
@@ -586,53 +505,49 @@ impl JobEvent {
                 journal,
                 paused,
                 draining,
-            } => ev(
-                "stats",
-                vec![
-                    (
-                        "tenants".to_owned(),
-                        JsonValue::Object(
-                            tenants
-                                .iter()
-                                .map(|(name, depth)| (name.clone(), JsonValue::num_u64(*depth)))
-                                .collect(),
-                        ),
-                    ),
-                    ("queued".to_owned(), JsonValue::num_u64(*queued)),
-                    ("running".to_owned(), JsonValue::num_u64(*running)),
-                    ("completed".to_owned(), JsonValue::num_u64(*completed)),
-                    ("failed".to_owned(), JsonValue::num_u64(*failed)),
-                    ("recovered".to_owned(), JsonValue::num_u64(*recovered)),
-                    ("resumed".to_owned(), JsonValue::num_u64(*resumed)),
-                    ("preempted".to_owned(), JsonValue::num_u64(*preempted)),
-                    ("journal_torn".to_owned(), JsonValue::num_u64(*journal_torn)),
-                    ("journal".to_owned(), JsonValue::Bool(*journal)),
-                    ("paused".to_owned(), JsonValue::Bool(*paused)),
-                    ("draining".to_owned(), JsonValue::Bool(*draining)),
-                ],
-            ),
+            } => {
+                let depths = tenants
+                    .iter()
+                    .map(|(name, d)| (name.clone(), json::num(*d)));
+                (
+                    "stats",
+                    vec![
+                        ("tenants", JsonValue::Object(depths.collect())),
+                        ("queued", json::num(*queued)),
+                        ("running", json::num(*running)),
+                        ("completed", json::num(*completed)),
+                        ("failed", json::num(*failed)),
+                        ("recovered", json::num(*recovered)),
+                        ("resumed", json::num(*resumed)),
+                        ("preempted", json::num(*preempted)),
+                        ("journal_torn", json::num(*journal_torn)),
+                        ("journal", JsonValue::Bool(*journal)),
+                        ("paused", JsonValue::Bool(*paused)),
+                        ("draining", JsonValue::Bool(*draining)),
+                    ],
+                )
+            }
             JobEvent::Progress {
-                job,
+                job: j,
                 cycle,
                 tasks,
                 tasks_per_sec,
-            } => ev(
+            } => (
                 "progress",
                 vec![
-                    ("job".to_owned(), JsonValue::num_u64(job.0)),
-                    ("cycle".to_owned(), JsonValue::num_u64(*cycle)),
-                    ("tasks".to_owned(), JsonValue::num_u64(*tasks)),
-                    (
-                        "tasks_per_sec".to_owned(),
-                        JsonValue::num_u64(*tasks_per_sec),
-                    ),
+                    job(j),
+                    ("cycle", json::num(*cycle)),
+                    ("tasks", json::num(*tasks)),
+                    ("tasks_per_sec", json::num(*tasks_per_sec)),
                 ],
             ),
-            JobEvent::Drained { completed } => ev(
-                "drained",
-                vec![("completed".to_owned(), JsonValue::num_u64(*completed))],
-            ),
-        }
+            JobEvent::Drained { completed } => {
+                ("drained", vec![("completed", json::num(*completed))])
+            }
+        };
+        let mut members = vec![("event", text(name))];
+        members.append(&mut rest);
+        json::obj(members)
     }
 
     /// One wire line (no trailing newline).
@@ -646,128 +561,11 @@ impl JobEvent {
     ///
     /// A message naming the missing or malformed field.
     pub fn from_json_value(value: &JsonValue) -> Result<JobEvent, String> {
-        let name = value
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "missing string field 'event'".to_owned())?;
-        let job = || {
-            value
-                .get("job")
-                .and_then(JsonValue::as_u64)
-                .map(JobId)
-                .ok_or_else(|| format!("{name}: missing field job"))
-        };
-        let text = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{name}: missing field {key}"))
-        };
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("{name}: missing field {key}"))
-        };
-        let flag = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| format!("{name}: missing field {key}"))
-        };
-        match name {
-            "accepted" => Ok(JobEvent::Accepted {
-                job: job()?,
-                tenant: text("tenant")?,
-                key: text("key")?,
-            }),
-            "queued" => Ok(JobEvent::Queued {
-                job: job()?,
-                position: num("position")?,
-            }),
-            "running" => Ok(JobEvent::Running { job: job()? }),
-            "metrics" => Ok(JobEvent::Metrics {
-                job: job()?,
-                kernel_ps: num("kernel_ps")?,
-                steal_attempts: num("steal_attempts")?,
-                dram_bytes: num("dram_bytes")?,
-                trace_events: num("trace_events")?,
-            }),
-            "done" => Ok(JobEvent::Done {
-                job: job()?,
-                cached: flag("cached")?,
-                result: value
-                    .get("result")
-                    .ok_or_else(|| "done: missing field result".to_owned())
-                    .and_then(measurement_from_json_value)?,
-                trace_events: value.get("trace_events").and_then(JsonValue::as_u64),
-                resumed_from_cycle: value.get("resumed_from_cycle").and_then(JsonValue::as_u64),
-            }),
-            "preempted" => Ok(JobEvent::Preempted {
-                job: job()?,
-                cycle: num("cycle")?,
-            }),
-            "failed" => Ok(JobEvent::Failed {
-                job: job()?,
-                error: text("error")?,
-            }),
-            "error" => {
-                let label = text("code")?;
-                let code = ErrorCode::from_label(&label)
-                    .ok_or_else(|| format!("error: unknown code {label:?}"))?;
-                Ok(JobEvent::Error {
-                    code,
-                    message: text("message")?,
-                })
-            }
-            "status" => Ok(JobEvent::Status {
-                queued: num("queued")?,
-                running: num("running")?,
-                completed: num("completed")?,
-                failed: num("failed")?,
-                paused: flag("paused")?,
-                draining: flag("draining")?,
-            }),
-            "stats" => {
-                let tenants = value
-                    .get("tenants")
-                    .and_then(JsonValue::as_object)
-                    .ok_or_else(|| "stats: missing field tenants".to_owned())?
-                    .iter()
-                    .map(|(tenant, depth)| {
-                        depth
-                            .as_u64()
-                            .map(|d| (tenant.clone(), d))
-                            .ok_or_else(|| format!("stats: tenant {tenant:?} depth malformed"))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(JobEvent::Stats {
-                    tenants,
-                    queued: num("queued")?,
-                    running: num("running")?,
-                    completed: num("completed")?,
-                    failed: num("failed")?,
-                    recovered: num("recovered")?,
-                    resumed: num("resumed")?,
-                    preempted: num("preempted")?,
-                    journal_torn: num("journal_torn")?,
-                    journal: flag("journal")?,
-                    paused: flag("paused")?,
-                    draining: flag("draining")?,
-                })
-            }
-            "progress" => Ok(JobEvent::Progress {
-                job: job()?,
-                cycle: num("cycle")?,
-                tasks: num("tasks")?,
-                tasks_per_sec: num("tasks_per_sec")?,
-            }),
-            "drained" => Ok(JobEvent::Drained {
-                completed: num("completed")?,
-            }),
-            other => Err(format!("unknown event {other:?}")),
-        }
+        let name =
+            get_str(value, "event").map_err(|_| "missing string field 'event'".to_owned())?;
+        event_from_fields(name, value)
+            .map_err(|e| format!("{name}: {e}"))?
+            .ok_or_else(|| format!("unknown event {name:?}"))
     }
 
     /// Parses one wire line.
@@ -779,6 +577,92 @@ impl JobEvent {
         let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
         JobEvent::from_json_value(&value)
     }
+}
+
+/// The members of a `name` event; `None` for an unknown event name.
+fn event_from_fields(name: &str, v: &JsonValue) -> Result<Option<JobEvent>, FieldError> {
+    Ok(Some(match name {
+        "accepted" => JobEvent::Accepted {
+            job: JobId(get_u64(v, "job")?),
+            tenant: get_str(v, "tenant")?.to_owned(),
+            key: get_str(v, "key")?.to_owned(),
+        },
+        "queued" => JobEvent::Queued {
+            job: JobId(get_u64(v, "job")?),
+            position: get_u64(v, "position")?,
+        },
+        "running" => JobEvent::Running {
+            job: JobId(get_u64(v, "job")?),
+        },
+        "metrics" => JobEvent::Metrics {
+            job: JobId(get_u64(v, "job")?),
+            kernel_ps: get_u64(v, "kernel_ps")?,
+            steal_attempts: get_u64(v, "steal_attempts")?,
+            dram_bytes: get_u64(v, "dram_bytes")?,
+            trace_events: get_u64(v, "trace_events")?,
+        },
+        "done" => JobEvent::Done {
+            job: JobId(get_u64(v, "job")?),
+            cached: get_bool(v, "cached")?,
+            result: measurement_from_json_value(json::get(v, "result")?)?,
+            trace_events: json::get_opt(v, "trace_events")
+                .map(|n| json::u64_of(n, "trace_events"))
+                .transpose()?,
+            resumed_from_cycle: json::get_opt(v, "resumed_from_cycle")
+                .map(|n| json::u64_of(n, "resumed_from_cycle"))
+                .transpose()?,
+        },
+        "preempted" => JobEvent::Preempted {
+            job: JobId(get_u64(v, "job")?),
+            cycle: get_u64(v, "cycle")?,
+        },
+        "failed" => JobEvent::Failed {
+            job: JobId(get_u64(v, "job")?),
+            error: get_str(v, "error")?.to_owned(),
+        },
+        "error" => JobEvent::Error {
+            code: ErrorCode::from_label(get_str(v, "code")?).ok_or(FieldError {
+                key: "code",
+                problem: FieldProblem::NotA("a known error code"),
+            })?,
+            message: get_str(v, "message")?.to_owned(),
+        },
+        "status" => JobEvent::Status {
+            queued: get_u64(v, "queued")?,
+            running: get_u64(v, "running")?,
+            completed: get_u64(v, "completed")?,
+            failed: get_u64(v, "failed")?,
+            paused: get_bool(v, "paused")?,
+            draining: get_bool(v, "draining")?,
+        },
+        "stats" => JobEvent::Stats {
+            tenants: json::get_u64_map(v, "tenants")?
+                .into_iter()
+                .map(|(tenant, depth)| (tenant.to_owned(), depth))
+                .collect(),
+            queued: get_u64(v, "queued")?,
+            running: get_u64(v, "running")?,
+            completed: get_u64(v, "completed")?,
+            failed: get_u64(v, "failed")?,
+            recovered: get_u64(v, "recovered")?,
+            resumed: get_u64(v, "resumed")?,
+            preempted: get_u64(v, "preempted")?,
+            journal_torn: get_u64(v, "journal_torn")?,
+            journal: get_bool(v, "journal")?,
+            paused: get_bool(v, "paused")?,
+            draining: get_bool(v, "draining")?,
+        },
+        "progress" => JobEvent::Progress {
+            job: JobId(get_u64(v, "job")?),
+            cycle: get_u64(v, "cycle")?,
+            tasks: get_u64(v, "tasks")?,
+            tasks_per_sec: get_u64(v, "tasks_per_sec")?,
+        },
+        "drained" => JobEvent::Drained {
+            completed: get_u64(v, "completed")?,
+        },
+        _ => return Ok(None),
+    }))
 }
 
 #[cfg(test)]
@@ -847,6 +731,28 @@ mod tests {
             assert_eq!(err.code, code, "{line} → {err}");
             assert!(!err.message.is_empty());
         }
+    }
+
+    #[test]
+    fn out_of_range_fault_plans_are_bad_specs() {
+        let submit = |per_mille: u64| {
+            let plan = format!(
+                "{{\"seed\":1,\"specs\":[{{\"kind\":\"net_drop\",\"net\":\"arg_net\",\
+                 \"per_mille\":{per_mille},\"max\":0,\"from_ps\":0,\"until_ps\":1}}]}}"
+            );
+            let mut spec = spec().to_json_value();
+            if let JsonValue::Object(members) = &mut spec {
+                members.push(("faults".to_owned(), JsonValue::parse(&plan).unwrap()));
+            }
+            Request::from_json(&format!(
+                "{{\"op\":\"submit\",\"tenant\":\"a\",\"kind\":\"sim\",\"spec\":{}}}",
+                spec.to_json()
+            ))
+        };
+        assert!(submit(400).is_ok());
+        let err = submit(65_936).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadSpec, "{err}");
+        assert!(err.message.contains("per_mille"), "{err}");
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! );
 //! ```
 
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use crate::rng::XorShift64;
 use crate::time::Time;
 
@@ -134,6 +134,46 @@ pub struct FaultSpec {
     pub from: Time,
     /// End of the arming window (inclusive; ignored by one-shot faults).
     pub until: Time,
+}
+
+impl FaultSpec {
+    /// Reads one spec of [`FaultPlan::to_json_value`]'s `specs` array.
+    fn from_json_value(value: &JsonValue) -> Result<FaultSpec, String> {
+        let net = || match json::get_str(value, "net") {
+            Ok("task_net") => Ok(NetClass::Task),
+            Ok("arg_net") => Ok(NetClass::Arg),
+            other => Err(format!("bad net {:?}", other.ok())),
+        };
+        let kind = match json::get_str(value, "kind").ok() {
+            Some("pe_stall") => FaultKind::PeStall {
+                pe: json::get_uint(value, "pe")?,
+                cycles: json::get_u64(value, "cycles")?,
+            },
+            Some("pe_death") => FaultKind::PeDeath {
+                pe: json::get_uint(value, "pe")?,
+            },
+            Some("net_drop") => FaultKind::NetDrop {
+                net: net()?,
+                per_mille: json::get_uint(value, "per_mille")?,
+                max: json::get_uint(value, "max")?,
+            },
+            Some("net_dup") => FaultKind::NetDup {
+                net: net()?,
+                per_mille: json::get_uint(value, "per_mille")?,
+                max: json::get_uint(value, "max")?,
+            },
+            Some("pstore_corrupt") => FaultKind::PStoreCorrupt {
+                tile: json::get_uint(value, "tile")?,
+                mask: json::get_u64(value, "mask")?,
+            },
+            other => return Err(format!("unknown kind {other:?}")),
+        };
+        Ok(FaultSpec {
+            kind,
+            from: Time::from_ps(json::get_u64(value, "from_ps")?),
+            until: Time::from_ps(json::get_u64(value, "until_ps")?),
+        })
+    }
 }
 
 /// A seeded, replayable schedule of faults.
@@ -249,54 +289,50 @@ impl FaultPlan {
             .specs
             .iter()
             .map(|s| {
-                let mut members = Vec::new();
                 let kind = |k: &str| JsonValue::Str(k.to_owned());
-                match s.kind {
-                    FaultKind::PeStall { pe, cycles } => {
-                        members.push(("kind".to_owned(), kind("pe_stall")));
-                        members.push(("pe".to_owned(), JsonValue::num_u64(pe as u64)));
-                        members.push(("cycles".to_owned(), JsonValue::num_u64(cycles)));
-                    }
+                let mut members = match s.kind {
+                    FaultKind::PeStall { pe, cycles } => vec![
+                        ("kind", kind("pe_stall")),
+                        ("pe", json::num(pe as u64)),
+                        ("cycles", json::num(cycles)),
+                    ],
                     FaultKind::PeDeath { pe } => {
-                        members.push(("kind".to_owned(), kind("pe_death")));
-                        members.push(("pe".to_owned(), JsonValue::num_u64(pe as u64)));
+                        vec![("kind", kind("pe_death")), ("pe", json::num(pe as u64))]
                     }
                     FaultKind::NetDrop {
                         net,
                         per_mille,
                         max,
-                    } => {
-                        members.push(("kind".to_owned(), kind("net_drop")));
-                        members.push(("net".to_owned(), kind(net.label())));
-                        members
-                            .push(("per_mille".to_owned(), JsonValue::num_u64(per_mille as u64)));
-                        members.push(("max".to_owned(), JsonValue::num_u64(max as u64)));
-                    }
+                    } => vec![
+                        ("kind", kind("net_drop")),
+                        ("net", kind(net.label())),
+                        ("per_mille", json::num(per_mille.into())),
+                        ("max", json::num(max.into())),
+                    ],
                     FaultKind::NetDup {
                         net,
                         per_mille,
                         max,
-                    } => {
-                        members.push(("kind".to_owned(), kind("net_dup")));
-                        members.push(("net".to_owned(), kind(net.label())));
-                        members
-                            .push(("per_mille".to_owned(), JsonValue::num_u64(per_mille as u64)));
-                        members.push(("max".to_owned(), JsonValue::num_u64(max as u64)));
-                    }
-                    FaultKind::PStoreCorrupt { tile, mask } => {
-                        members.push(("kind".to_owned(), kind("pstore_corrupt")));
-                        members.push(("tile".to_owned(), JsonValue::num_u64(tile as u64)));
-                        members.push(("mask".to_owned(), JsonValue::num_u64(mask)));
-                    }
-                }
-                members.push(("from_ps".to_owned(), JsonValue::num_u64(s.from.as_ps())));
-                members.push(("until_ps".to_owned(), JsonValue::num_u64(s.until.as_ps())));
-                JsonValue::Object(members)
+                    } => vec![
+                        ("kind", kind("net_dup")),
+                        ("net", kind(net.label())),
+                        ("per_mille", json::num(per_mille.into())),
+                        ("max", json::num(max.into())),
+                    ],
+                    FaultKind::PStoreCorrupt { tile, mask } => vec![
+                        ("kind", kind("pstore_corrupt")),
+                        ("tile", json::num(tile as u64)),
+                        ("mask", json::num(mask)),
+                    ],
+                };
+                members.push(("from_ps", json::num(s.from.as_ps())));
+                members.push(("until_ps", json::num(s.until.as_ps())));
+                json::obj(members)
             })
             .collect();
-        JsonValue::Object(vec![
-            ("seed".to_owned(), JsonValue::num_u64(self.seed)),
-            ("specs".to_owned(), JsonValue::Array(specs)),
+        json::obj(vec![
+            ("seed", json::num(self.seed)),
+            ("specs", JsonValue::Array(specs)),
         ])
     }
 
@@ -309,59 +345,14 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing, malformed or out-of-range
+    /// field.
     pub fn from_json_value(value: &JsonValue) -> Result<FaultPlan, String> {
-        let seed = value
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("fault plan: missing seed")?;
-        let specs = value
-            .get("specs")
-            .and_then(JsonValue::as_array)
-            .ok_or("fault plan: missing specs array")?;
-        let mut plan = FaultPlan::new(seed);
-        for (i, spec) in specs.iter().enumerate() {
-            let field = |key: &str| {
-                spec.get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("fault spec {i}: missing field {key}"))
-            };
-            let net = || -> Result<NetClass, String> {
-                match spec.get("net").and_then(JsonValue::as_str) {
-                    Some("task_net") => Ok(NetClass::Task),
-                    Some("arg_net") => Ok(NetClass::Arg),
-                    other => Err(format!("fault spec {i}: bad net {other:?}")),
-                }
-            };
-            let kind = match spec.get("kind").and_then(JsonValue::as_str) {
-                Some("pe_stall") => FaultKind::PeStall {
-                    pe: field("pe")? as usize,
-                    cycles: field("cycles")?,
-                },
-                Some("pe_death") => FaultKind::PeDeath {
-                    pe: field("pe")? as usize,
-                },
-                Some("net_drop") => FaultKind::NetDrop {
-                    net: net()?,
-                    per_mille: field("per_mille")? as u16,
-                    max: field("max")? as u32,
-                },
-                Some("net_dup") => FaultKind::NetDup {
-                    net: net()?,
-                    per_mille: field("per_mille")? as u16,
-                    max: field("max")? as u32,
-                },
-                Some("pstore_corrupt") => FaultKind::PStoreCorrupt {
-                    tile: field("tile")? as usize,
-                    mask: field("mask")?,
-                },
-                other => return Err(format!("fault spec {i}: unknown kind {other:?}")),
-            };
-            plan = plan.with_spec(FaultSpec {
-                kind,
-                from: Time::from_ps(field("from_ps")?),
-                until: Time::from_ps(field("until_ps")?),
-            });
+        let mut plan = FaultPlan::new(json::get_u64(value, "seed")?);
+        for (i, spec) in json::get_arr(value, "specs")?.iter().enumerate() {
+            let spec =
+                FaultSpec::from_json_value(spec).map_err(|e| format!("fault spec {i}: {e}"))?;
+            plan = plan.with_spec(spec);
         }
         Ok(plan)
     }
@@ -707,6 +698,26 @@ mod tests {
         )
         .unwrap_err()
         .contains("bad net"));
+    }
+
+    #[test]
+    fn out_of_range_fields_are_refused_not_truncated() {
+        let plan = |per_mille: &str, max: &str| {
+            FaultPlan::from_json(&format!(
+                "{{\"seed\":1,\"specs\":[{{\"kind\":\"net_drop\",\"net\":\"arg_net\",\
+                 \"per_mille\":{per_mille},\"max\":{max},\"from_ps\":0,\"until_ps\":1}}]}}"
+            ))
+        };
+        assert!(plan("400", "2").is_ok());
+        // 65936 would truncate to 400 as a u16 and then pass validate's
+        // ≤ 1000 check; 4294967298 would truncate to 2 as a u32.
+        let err = plan("65936", "2").unwrap_err();
+        assert!(
+            err.contains("per_mille") && err.contains("out of range"),
+            "{err}"
+        );
+        let err = plan("400", "4294967298").unwrap_err();
+        assert!(err.contains("\"max\"") && err.contains("u32"), "{err}");
     }
 
     #[test]

@@ -1,30 +1,51 @@
 //! Minimal JSON support for metric/trace export and the wire protocols.
 //!
 //! The simulator runs in fully offline environments with no registry access,
-//! so it cannot depend on `serde`. Two halves live here:
+//! so it cannot depend on `serde`. Three parts live here:
 //!
-//! * **Writing** — [`write_string`] / [`write_u64_fields`] append escaped
-//!   fragments to a `String`, guaranteeing deterministic output (no maps
-//!   with randomized iteration order, no float formatting ambiguity).
+//! * **Writing** — [`JsonValue::write`] / [`JsonValue::to_json`] render a
+//!   tree canonically (no whitespace, members in stored order, numbers as
+//!   their raw tokens), so output is deterministic: no maps with randomized
+//!   iteration order, no float formatting ambiguity. [`write_string`]
+//!   appends one escaped string literal.
 //! * **Reading** — [`JsonValue`] is a small recursive-descent parser over
 //!   the full JSON grammar. Numbers keep their *raw source text* (see
 //!   [`JsonValue::Num`]), so `parse(render(v)) == v` is exact for `u64`s
 //!   beyond 2^53 and for shortest-round-trip `f64`s alike — the property
 //!   the result cache, the `RunSpec` API and the job-server protocol all
 //!   rely on for byte-identical round trips.
+//! * **The field vocabulary** — every record codec in the workspace builds
+//!   its tree with [`obj`], [`num`] and [`arr_u64`] and picks it apart with
+//!   the checked readers ([`get_u64`], [`get_uint`], [`get_str`],
+//!   [`get_bool`], [`get_f64`], [`get_arr`], [`get_obj`], [`get_u64s`],
+//!   [`get_u64_map`], [`get_opt`] and the value-level [`u64_of`],
+//!   [`uint_of`], [`u64s`]). A reader fails with one [`FieldError`] naming
+//!   the key; each caller maps it into its own typed error. Every array
+//!   reader checks every item, so a record with a stray non-numeric word is
+//!   refused rather than read as a shorter one, and [`get_uint`] refuses a
+//!   value its target type cannot hold instead of truncating it.
 //!
 //! # Examples
 //!
 //! ```
-//! use pxl_sim::json::JsonValue;
+//! use pxl_sim::json::{self, FieldError, FieldProblem, JsonValue};
 //!
-//! let v = JsonValue::parse(r#"{"name":"uts","pes":[4,8],"ok":true}"#).unwrap();
-//! assert_eq!(v.get("name").and_then(JsonValue::as_str), Some("uts"));
-//! assert_eq!(v.get("pes").unwrap().as_array().unwrap().len(), 2);
-//! assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
+//! let v = JsonValue::parse(r#"{"name":"uts","pes":[4,8],"ok":true,"big":70000}"#).unwrap();
+//! assert_eq!(json::get_str(&v, "name"), Ok("uts"));
+//! assert_eq!(json::get_u64s(&v, "pes"), Ok(vec![4, 8]));
+//! assert_eq!(json::get_bool(&v, "ok"), Ok(true));
+//! assert_eq!(json::get_uint::<u32>(&v, "big"), Ok(70_000));
+//! assert_eq!(
+//!     json::get_uint::<u16>(&v, "big"),
+//!     Err(FieldError { key: "big", problem: FieldProblem::OutOfRange("u16") })
+//! );
+//! assert_eq!(json::get_u64(&v, "gone").unwrap_err().to_string(), "missing field gone");
 //! // Rendering is deterministic and round-trips byte-identically.
-//! assert_eq!(JsonValue::parse(&v.to_json()).unwrap(), v);
+//! let text = v.to_json();
+//! assert_eq!(JsonValue::parse(&text).unwrap(), v);
 //! ```
+
+use std::fmt;
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn write_string(out: &mut String, s: &str) {
@@ -45,18 +66,6 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends comma-separated `"name":value` pairs to `out` (no braces).
-pub fn write_u64_fields(out: &mut String, fields: &[(&str, u64)]) {
-    for (i, (name, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(out, name);
-        out.push(':');
-        out.push_str(&value.to_string());
-    }
-}
-
 /// A parse failure: what went wrong and the byte offset it went wrong at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -66,8 +75,8 @@ pub struct JsonError {
     pub message: String,
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at byte {}", self.message, self.offset)
     }
 }
@@ -237,6 +246,242 @@ impl JsonValue {
         self.write(&mut out);
         out
     }
+}
+
+/// A record field that could not be read: the key and what was wrong.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The member (or array) the problem is in.
+    pub key: &'static str,
+    /// What was wrong with it.
+    pub problem: FieldProblem,
+}
+
+/// What was wrong with a [`FieldError`]'s field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldProblem {
+    /// The member is absent.
+    Missing,
+    /// The member has the wrong JSON type; the payload names the expected
+    /// one ("an unsigned integer", "a string", ...).
+    NotA(&'static str),
+    /// An unsigned integer too large for the named target type.
+    OutOfRange(&'static str),
+    /// The array holds a non-`u64` item at this index.
+    BadItem(usize),
+    /// The object holds a non-`u64` value under this member name.
+    BadMember(String),
+}
+
+impl FieldError {
+    fn new(key: &'static str, problem: FieldProblem) -> FieldError {
+        FieldError { key, problem }
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = self.key;
+        match &self.problem {
+            FieldProblem::Missing => write!(f, "missing field {key}"),
+            FieldProblem::NotA(what) => write!(f, "field {key:?} is not {what}"),
+            FieldProblem::OutOfRange(ty) => write!(f, "field {key:?} is out of range for {ty}"),
+            FieldProblem::BadItem(i) => write!(f, "array {key:?} holds a non-u64 at index {i}"),
+            FieldProblem::BadMember(name) => {
+                write!(f, "member {name:?} of {key:?} is not a u64")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// The bare message, for decoders that report `String` errors.
+impl From<FieldError> for String {
+    fn from(err: FieldError) -> String {
+        err.to_string()
+    }
+}
+
+/// An object from `(key, value)` pairs, in the given order.
+pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
+}
+
+/// A `u64` rendered exactly (raw decimal token, no f64 round trip).
+pub fn num(value: u64) -> JsonValue {
+    JsonValue::num_u64(value)
+}
+
+/// An array of exact `u64`s.
+pub fn arr_u64(values: impl IntoIterator<Item = u64>) -> JsonValue {
+    JsonValue::Array(values.into_iter().map(JsonValue::num_u64).collect())
+}
+
+/// Member `key` of `value`.
+///
+/// # Errors
+///
+/// [`FieldProblem::Missing`] when `value` has no such member.
+pub fn get<'a>(value: &'a JsonValue, key: &'static str) -> Result<&'a JsonValue, FieldError> {
+    value
+        .get(key)
+        .ok_or(FieldError::new(key, FieldProblem::Missing))
+}
+
+/// Member `key` of `value`, or `None` when it is absent or `null`.
+pub fn get_opt<'a>(value: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    value.get(key).filter(|v| !v.is_null())
+}
+
+fn read_as<'a, T>(
+    value: &'a JsonValue,
+    key: &'static str,
+    what: &'static str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, FieldError> {
+    read(value).ok_or(FieldError::new(key, FieldProblem::NotA(what)))
+}
+
+/// `value` (the field `key`) as an exact `u64`.
+///
+/// # Errors
+///
+/// [`FieldProblem::NotA`] unless `value` is an unsigned integer.
+pub fn u64_of(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
+    read_as(value, key, "an unsigned integer", JsonValue::as_u64)
+}
+
+/// `value` (the field `key`) as an unsigned integer narrowed to `T`.
+///
+/// # Errors
+///
+/// [`FieldProblem::NotA`] unless `value` is an unsigned integer,
+/// [`FieldProblem::OutOfRange`] when `T` cannot hold it.
+pub fn uint_of<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
+    T::try_from(u64_of(value, key)?)
+        .map_err(|_| FieldError::new(key, FieldProblem::OutOfRange(std::any::type_name::<T>())))
+}
+
+/// `value` (the array field `key`) as exact `u64`s, every item checked.
+///
+/// # Errors
+///
+/// [`FieldProblem::NotA`] when `value` is not an array,
+/// [`FieldProblem::BadItem`] naming the first item that is not a `u64`.
+pub fn u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError> {
+    read_as(value, key, "an array", JsonValue::as_array)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            v.as_u64()
+                .ok_or(FieldError::new(key, FieldProblem::BadItem(i)))
+        })
+        .collect()
+}
+
+/// Member `key` of `value` as an exact `u64`.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_u64(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
+    u64_of(get(value, key)?, key)
+}
+
+/// Member `key` of `value` as an unsigned integer narrowed to `T`; a
+/// value `T` cannot hold is refused, never truncated.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing, mistyped or out-of-range key.
+pub fn get_uint<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
+    uint_of(get(value, key)?, key)
+}
+
+/// Member `key` of `value` as a string slice.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_str<'a>(value: &'a JsonValue, key: &'static str) -> Result<&'a str, FieldError> {
+    read_as(get(value, key)?, key, "a string", JsonValue::as_str)
+}
+
+/// Member `key` of `value` as a boolean.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_bool(value: &JsonValue, key: &'static str) -> Result<bool, FieldError> {
+    read_as(get(value, key)?, key, "a boolean", JsonValue::as_bool)
+}
+
+/// Member `key` of `value` as an `f64` (exact for shortest-round-trip
+/// renderings).
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_f64(value: &JsonValue, key: &'static str) -> Result<f64, FieldError> {
+    read_as(get(value, key)?, key, "a number", JsonValue::as_f64)
+}
+
+/// Member `key` of `value` as an array slice.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_arr<'a>(value: &'a JsonValue, key: &'static str) -> Result<&'a [JsonValue], FieldError> {
+    read_as(get(value, key)?, key, "an array", JsonValue::as_array)
+}
+
+/// Member `key` of `value` as its members in source order.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key.
+pub fn get_obj<'a>(
+    value: &'a JsonValue,
+    key: &'static str,
+) -> Result<&'a [(String, JsonValue)], FieldError> {
+    read_as(get(value, key)?, key, "an object", JsonValue::as_object)
+}
+
+/// Member `key` of `value` as a vector of exact `u64`s.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key or the first
+/// non-`u64` item.
+pub fn get_u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError> {
+    u64s(get(value, key)?, key)
+}
+
+/// Member `key` of `value`, an object of `name: u64` members, as pairs in
+/// source order.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing or mistyped key or the first member
+/// whose value is not a `u64`.
+pub fn get_u64_map<'a>(
+    value: &'a JsonValue,
+    key: &'static str,
+) -> Result<Vec<(&'a str, u64)>, FieldError> {
+    get_obj(value, key)?
+        .iter()
+        .map(|(name, v)| {
+            v.as_u64()
+                .map(|n| (name.as_str(), n))
+                .ok_or_else(|| FieldError::new(key, FieldProblem::BadMember(name.clone())))
+        })
+        .collect()
 }
 
 /// How deeply arrays and objects may nest. The parser recurses once per
@@ -477,13 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn fields_join_with_commas() {
-        let mut s = String::new();
-        write_u64_fields(&mut s, &[("a", 1), ("b", 2)]);
-        assert_eq!(s, "\"a\":1,\"b\":2");
-    }
-
-    #[test]
     fn values_parse_and_round_trip() {
         let text = r#"{"s":"x\n\"y\"","n":-12.5e3,"big":18446744073709551615,"a":[1,null,true,false],"o":{"inner":{}}}"#;
         let v = JsonValue::parse(text).unwrap();
@@ -585,5 +823,111 @@ mod tests {
         write_string(&mut out, nasty);
         let v = JsonValue::parse(&out).unwrap();
         assert_eq!(v.as_str(), Some(nasty));
+    }
+
+    fn record() -> JsonValue {
+        obj(vec![
+            ("now_ps", num(12_345)),
+            ("deque", arr_u64([1, u64::MAX, 3])),
+            ("name", JsonValue::Str("pe0".to_owned())),
+            ("on", JsonValue::Bool(true)),
+            ("rate", JsonValue::num_f64(0.1)),
+            ("depths", obj(vec![("a", num(1)), ("b", num(2))])),
+            ("none", JsonValue::Null),
+        ])
+    }
+
+    #[test]
+    fn readers_return_typed_values() {
+        let v = record();
+        assert_eq!(get_u64(&v, "now_ps"), Ok(12_345));
+        assert_eq!(get_uint::<u16>(&v, "now_ps"), Ok(12_345u16));
+        assert_eq!(get_u64s(&v, "deque"), Ok(vec![1, u64::MAX, 3]));
+        assert_eq!(get_str(&v, "name"), Ok("pe0"));
+        assert_eq!(get_bool(&v, "on"), Ok(true));
+        assert_eq!(get_f64(&v, "rate"), Ok(0.1));
+        assert_eq!(get_arr(&v, "deque").unwrap().len(), 3);
+        assert_eq!(get_obj(&v, "depths").unwrap().len(), 2);
+        assert_eq!(get_u64_map(&v, "depths"), Ok(vec![("a", 1), ("b", 2)]));
+        assert!(get_opt(&v, "none").is_none());
+        assert!(get_opt(&v, "absent").is_none());
+        assert!(get_opt(&v, "name").is_some());
+    }
+
+    #[test]
+    fn reader_errors_name_the_key() {
+        let v = record();
+        let err = |key, problem| FieldError { key, problem };
+        assert_eq!(get_u64(&v, "nope"), Err(err("nope", FieldProblem::Missing)));
+        assert_eq!(
+            get_u64(&v, "name"),
+            Err(err("name", FieldProblem::NotA("an unsigned integer")))
+        );
+        assert_eq!(
+            get_str(&v, "now_ps"),
+            Err(err("now_ps", FieldProblem::NotA("a string")))
+        );
+        assert_eq!(
+            get_arr(&v, "now_ps").unwrap_err().to_string(),
+            "field \"now_ps\" is not an array"
+        );
+        assert!(get_bool(&v, "now_ps").is_err());
+        assert!(get_f64(&v, "name").is_err());
+        assert!(get_obj(&v, "deque").is_err());
+        assert_eq!(
+            get_uint::<u8>(&v, "now_ps").unwrap_err().to_string(),
+            "field \"now_ps\" is out of range for u8"
+        );
+        assert_eq!(
+            String::from(err("pe", FieldProblem::Missing)),
+            "missing field pe"
+        );
+        let bad = JsonValue::parse(r#"{"m":{"a":1,"b":"x"}}"#).unwrap();
+        assert_eq!(
+            get_u64_map(&bad, "m").unwrap_err().to_string(),
+            "member \"b\" of \"m\" is not a u64"
+        );
+    }
+
+    #[test]
+    fn narrowing_refuses_instead_of_truncating() {
+        let v = JsonValue::parse(r#"{"per_mille":65936,"max":4294967298}"#).unwrap();
+        assert_eq!(
+            get_uint::<u16>(&v, "per_mille"),
+            Err(FieldError {
+                key: "per_mille",
+                problem: FieldProblem::OutOfRange("u16")
+            })
+        );
+        assert!(get_uint::<u32>(&v, "max").is_err());
+        assert_eq!(get_uint::<u64>(&v, "max"), Ok(4_294_967_298));
+        let edge = num(u64::from(u32::MAX));
+        assert_eq!(uint_of::<u32>(&edge, "x"), Ok(u32::MAX));
+        assert!(uint_of::<u32>(&num(u64::from(u32::MAX) + 1), "x").is_err());
+    }
+
+    #[test]
+    fn u64_arrays_with_a_stray_item_are_refused_not_shortened() {
+        let words = JsonValue::parse(r#"[5,"x",7]"#).unwrap();
+        let err = u64s(&words, "events").unwrap_err();
+        assert_eq!(
+            err,
+            FieldError {
+                key: "events",
+                problem: FieldProblem::BadItem(1)
+            }
+        );
+        assert_eq!(
+            String::from(err),
+            "array \"events\" holds a non-u64 at index 1"
+        );
+        assert!(u64s(&num(5), "events")
+            .unwrap_err()
+            .to_string()
+            .contains("\"events\" is not an array"));
+        assert_eq!(
+            u64s(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
+            [5, u64::MAX, 7]
+        );
     }
 }

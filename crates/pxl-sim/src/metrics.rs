@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json;
+use crate::json::{self, FieldError, JsonValue};
 
 /// What a metric measures, which decides how [`Metrics::merge`] combines it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,40 +311,38 @@ impl Metrics {
         }
     }
 
-    /// Renders the registry as one deterministic JSON object:
+    /// The registry as one deterministic JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{"name":{...}}}`.
     ///
     /// Keys appear in name order so two identical runs export byte-identical
     /// JSON.
-    pub fn to_json(&self) -> String {
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histos = Vec::new();
+    pub fn to_json_value(&self) -> JsonValue {
+        let (mut counters, mut gauges, mut histos) = (Vec::new(), Vec::new(), Vec::new());
         for (name, kind, value, histo) in self.iter() {
-            match kind {
-                MetricKind::Counter => counters.push((name, value)),
-                MetricKind::Gauge => gauges.push((name, value)),
-                MetricKind::Histogram => histos.push((name, histo)),
-            }
+            let section = match kind {
+                MetricKind::Counter => &mut counters,
+                MetricKind::Gauge => &mut gauges,
+                MetricKind::Histogram => &mut histos,
+            };
+            let value = match kind {
+                MetricKind::Histogram => histo.to_json_value(),
+                _ => json::num(value),
+            };
+            section.push((name.to_owned(), value));
         }
-        let mut out = String::from("{\"counters\":{");
-        json::write_u64_fields(&mut out, &counters);
-        out.push_str("},\"gauges\":{");
-        json::write_u64_fields(&mut out, &gauges);
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in histos.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, name);
-            out.push(':');
-            out.push_str(&h.to_json());
-        }
-        out.push_str("}}");
-        out
+        json::obj(vec![
+            ("counters", JsonValue::Object(counters)),
+            ("gauges", JsonValue::Object(gauges)),
+            ("histograms", JsonValue::Object(histos)),
+        ])
     }
 
-    /// Rebuilds a registry from [`Metrics::to_json`] output.
+    /// [`Metrics::to_json_value`], rendered.
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_json()
+    }
+
+    /// Rebuilds a registry from [`Metrics::to_json_value`] output.
     ///
     /// The round trip is exact: counters and gauges recover their values,
     /// histograms their `(count, sum, min, max)` summary (an exported
@@ -355,43 +353,32 @@ impl Metrics {
     /// # Errors
     ///
     /// Returns a message naming the missing or malformed field.
-    pub fn from_json(text: &str) -> Result<Metrics, String> {
-        let value = json::JsonValue::parse(text).map_err(|e| format!("metrics: {e}"))?;
-        let section = |key: &str| {
-            value
-                .get(key)
-                .and_then(json::JsonValue::as_object)
-                .ok_or_else(|| format!("metrics: missing object {key:?}"))
-        };
+    pub fn from_json_value(value: &JsonValue) -> Result<Metrics, String> {
         let mut m = Metrics::new();
-        for (name, v) in section("counters")? {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("metrics: counter {name:?} is not a u64"))?;
+        for (name, v) in json::get_u64_map(value, "counters")? {
             m.add(name, v);
         }
-        for (name, v) in section("gauges")? {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("metrics: gauge {name:?} is not a u64"))?;
+        for (name, v) in json::get_u64_map(value, "gauges")? {
             m.max(name, v);
         }
-        for (name, h) in section("histograms")? {
-            let field = |key: &str| {
-                h.get(key)
-                    .and_then(json::JsonValue::as_u64)
-                    .ok_or_else(|| format!("metrics: histogram {name:?} missing {key}"))
-            };
-            let count = field("count")?;
+        for (name, h) in json::get_obj(value, "histograms")? {
+            let histo = Histogram::from_json_value(h)
+                .map_err(|e| format!("metrics: histogram {name:?} missing {}", e.key))?;
             let id = m.register(name, MetricKind::Histogram);
-            m.slots[id as usize].histo = Histogram {
-                count,
-                sum: field("sum")?,
-                min: (count > 0).then(|| field("min")).transpose()?,
-                max: (count > 0).then(|| field("max")).transpose()?,
-            };
+            m.slots[id as usize].histo = histo;
         }
         Ok(m)
+    }
+
+    /// Parses [`Metrics::to_json`] output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the syntax error or the missing or
+    /// malformed field.
+    pub fn from_json(text: &str) -> Result<Metrics, String> {
+        let value = JsonValue::parse(text).map_err(|e| format!("metrics: {e}"))?;
+        Metrics::from_json_value(&value)
     }
 }
 
@@ -499,15 +486,33 @@ impl Histogram {
         };
     }
 
-    /// Renders the summary as one deterministic JSON object.
+    /// The summary as one deterministic JSON object; an empty histogram
+    /// writes `min` and `max` as 0.
+    pub fn to_json_value(&self) -> JsonValue {
+        json::obj(vec![
+            ("count", json::num(self.count)),
+            ("sum", json::num(self.sum)),
+            ("min", json::num(self.min.unwrap_or(0))),
+            ("max", json::num(self.max.unwrap_or(0))),
+        ])
+    }
+
+    /// [`Histogram::to_json_value`], rendered.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-            self.count,
-            self.sum,
-            self.min.unwrap_or(0),
-            self.max.unwrap_or(0)
-        )
+        self.to_json_value().to_json()
+    }
+
+    /// Rebuilds a summary from [`Histogram::to_json_value`] output; a
+    /// zero-count summary comes back empty.
+    fn from_json_value(value: &JsonValue) -> Result<Histogram, FieldError> {
+        let count = json::get_u64(value, "count")?;
+        let extreme = |key| (count > 0).then(|| json::get_u64(value, key)).transpose();
+        Ok(Histogram {
+            count,
+            sum: json::get_u64(value, "sum")?,
+            min: extreme("min")?,
+            max: extreme("max")?,
+        })
     }
 }
 

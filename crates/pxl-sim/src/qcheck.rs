@@ -75,6 +75,26 @@ impl Gen {
         (0..len).map(|_| self.rng.next_in_range(max_val)).collect()
     }
 
+    /// An unsigned integer spread across `T`'s whole range: a random bit
+    /// width, then either a random value of that width or its all-ones
+    /// value, halving the width until `T` holds it. Zero, each type's `MAX`
+    /// and the values in between all turn up.
+    pub fn uint<T: TryFrom<u64>>(&mut self) -> T {
+        let mut width = self.range(0, 65);
+        loop {
+            let ones = if width == 0 {
+                0
+            } else {
+                u64::MAX >> (64 - width)
+            };
+            let value = if self.bool() { ones } else { self.u64() & ones };
+            if let Ok(v) = T::try_from(value) {
+                return v;
+            }
+            width /= 2;
+        }
+    }
+
     /// A uniformly chosen element of `items`.
     ///
     /// # Panics

@@ -24,16 +24,14 @@
 //! uninterrupted run — is the engines' job; this module guarantees they
 //! only ever restore bytes that round-tripped intact.
 //!
-//! The free functions ([`obj`], [`num`], [`get_u64`], [`u64s`], ...) are
-//! the small shared vocabulary engines use to build and pick apart payloads
-//! without repeating `JsonValue` plumbing. Every array reader checks every
-//! item, so a payload with a stray non-numeric word is refused rather than
-//! read as a shorter record.
+//! Engines build and pick apart payloads with the field vocabulary in
+//! [`crate::json`]; a reader's [`FieldError`] becomes
+//! [`SnapshotError::Malformed`] through `?`.
 
 use std::fmt;
 
 use crate::hash;
-use crate::json::{self, JsonValue};
+use crate::json::{self, FieldError, JsonValue};
 
 /// Version stamp written into every envelope. Bump when the payload
 /// schema of any engine changes incompatibly. Version 2 made cache arrays
@@ -90,15 +88,9 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The bare reason, for the restore paths that report `String` errors:
-/// engines wrap those in [`SnapshotError::Malformed`] again, so a bad field
-/// is named once rather than prefixed twice.
-impl From<SnapshotError> for String {
-    fn from(err: SnapshotError) -> String {
-        match err {
-            SnapshotError::Malformed(msg) => msg,
-            other => other.to_string(),
-        }
+impl From<FieldError> for SnapshotError {
+    fn from(err: FieldError) -> Self {
+        malformed(err)
     }
 }
 
@@ -161,12 +153,12 @@ impl Snapshot {
     /// anything that does not parse as an envelope.
     pub fn from_json(text: &str) -> Result<Snapshot, SnapshotError> {
         let value = JsonValue::parse(text).map_err(malformed)?;
-        let version = get_u64(&value, "snapshot_version")?;
+        let version = json::get_u64(&value, "snapshot_version")?;
         if version != SNAPSHOT_VERSION as u64 {
             return Err(SnapshotError::VersionMismatch { found: version });
         }
-        let engine = get_str(&value, "engine")?.to_owned();
-        let claimed = get_str(&value, "checksum")?.to_owned();
+        let engine = json::get_str(&value, "engine")?.to_owned();
+        let claimed = json::get_str(&value, "checksum")?.to_owned();
         let payload = match value {
             JsonValue::Object(members) => members
                 .into_iter()
@@ -204,101 +196,10 @@ fn checksum_of(payload: &str) -> String {
     hash::content_address(hash::fnv64(payload.as_bytes()))
 }
 
-/// An object from `(key, value)` pairs, in the given order.
-pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-/// A `u64` rendered exactly (raw decimal token, no f64 round trip).
-pub fn num(value: u64) -> JsonValue {
-    JsonValue::num_u64(value)
-}
-
-/// An array of exact `u64`s.
-pub fn arr_u64(values: impl IntoIterator<Item = u64>) -> JsonValue {
-    JsonValue::Array(values.into_iter().map(JsonValue::num_u64).collect())
-}
-
-/// Member `key` of `value`.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing key.
-pub fn get<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SnapshotError> {
-    value
-        .get(key)
-        .ok_or_else(|| malformed(format!("missing field {key:?}")))
-}
-
-/// Member `key` of `value` as an exact `u64`.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing or mistyped key.
-pub fn get_u64(value: &JsonValue, key: &str) -> Result<u64, SnapshotError> {
-    get(value, key)?
-        .as_u64()
-        .ok_or_else(|| malformed(format!("field {key:?} is not a u64")))
-}
-
-/// Member `key` of `value` as a string slice.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing or mistyped key.
-pub fn get_str<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, SnapshotError> {
-    get(value, key)?
-        .as_str()
-        .ok_or_else(|| malformed(format!("field {key:?} is not a string")))
-}
-
-/// Member `key` of `value` as an array slice.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing or mistyped key.
-pub fn get_arr<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SnapshotError> {
-    get(value, key)?
-        .as_array()
-        .ok_or_else(|| malformed(format!("field {key:?} is not an array")))
-}
-
-/// `value` as an array of exact `u64`s, every item checked.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming `field` when `value` is not an
-/// array or any item is not a `u64`.
-pub fn u64s(value: &JsonValue, field: &str) -> Result<Vec<u64>, SnapshotError> {
-    value
-        .as_array()
-        .ok_or_else(|| malformed(format!("field {field:?} is not an array")))?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.as_u64()
-                .ok_or_else(|| malformed(format!("array {field:?} holds a non-u64 at index {i}")))
-        })
-        .collect()
-}
-
-/// Member `key` of `value` as a vector of exact `u64`s.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing or mistyped key.
-pub fn get_u64s(value: &JsonValue, key: &str) -> Result<Vec<u64>, SnapshotError> {
-    u64s(get(value, key)?, key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{arr_u64, get_u64s, num, obj};
 
     fn payload() -> JsonValue {
         obj(vec![
@@ -398,38 +299,5 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("payload"));
-    }
-
-    #[test]
-    fn helper_errors_are_malformed() {
-        let v = payload();
-        assert!(get_u64(&v, "nope").is_err());
-        assert!(get_u64(&v, "name").is_err());
-        assert!(get_str(&v, "now_ps").is_err());
-        assert!(get_arr(&v, "now_ps").is_err());
-        let bad = obj(vec![("xs", JsonValue::Array(vec![JsonValue::Bool(true)]))]);
-        assert!(get_u64s(&bad, "xs").is_err());
-    }
-
-    #[test]
-    fn u64_arrays_with_a_stray_item_are_refused_not_shortened() {
-        let words = JsonValue::parse(r#"[5,"x",7]"#).unwrap();
-        let err = u64s(&words, "events").unwrap_err();
-        assert_eq!(
-            err,
-            malformed("array \"events\" holds a non-u64 at index 1")
-        );
-        assert_eq!(
-            String::from(err),
-            "array \"events\" holds a non-u64 at index 1"
-        );
-        assert!(u64s(&num(5), "events")
-            .unwrap_err()
-            .to_string()
-            .contains("\"events\" is not an array"));
-        assert_eq!(
-            u64s(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
-            [5, u64::MAX, 7]
-        );
     }
 }

@@ -38,7 +38,6 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
 use crate::metrics::{MetricKind, Metrics};
-use crate::snapshot;
 use crate::time::Time;
 
 /// One counter's movement over a sample window.
@@ -79,68 +78,48 @@ pub fn rate_per_sec(delta: u64, window_ps: u64) -> u64 {
 }
 
 impl TelemetrySample {
-    /// Renders the sample as one JSON object (one JSONL line, no newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::write_u64_fields(
-            &mut out,
-            &[
-                ("epoch", self.epoch),
-                ("t_ps", self.at.as_ps()),
-                ("window_ps", self.window.as_ps()),
-            ],
-        );
-        out.push_str(",\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, name);
-            out.push(':');
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"counters\":{");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, &c.name);
-            out.push_str(&format!(":[{},{}]", c.delta, c.rate));
-        }
-        out.push_str("}}");
-        out
+    /// The sample as one JSON object: `epoch`, `t_ps`, `window_ps`, the
+    /// `gauges` object and the `counters` object of `[delta,rate]` pairs.
+    pub fn to_json_value(&self) -> JsonValue {
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, value)| (name.clone(), json::num(*value)))
+            .collect();
+        let counters = self
+            .counters
+            .iter()
+            .map(|c| (c.name.clone(), json::arr_u64([c.delta, c.rate])))
+            .collect();
+        json::obj(vec![
+            ("epoch", json::num(self.epoch)),
+            ("t_ps", json::num(self.at.as_ps())),
+            ("window_ps", json::num(self.window.as_ps())),
+            ("gauges", JsonValue::Object(gauges)),
+            ("counters", JsonValue::Object(counters)),
+        ])
     }
 
-    /// Rebuilds a sample from a parsed [`TelemetrySample::to_json`] object.
+    /// Renders the sample as one JSON object (one JSONL line, no newline).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_json()
+    }
+
+    /// Rebuilds a sample from a [`TelemetrySample::to_json_value`] object.
     ///
     /// # Errors
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn from_json_value(value: &JsonValue) -> Result<TelemetrySample, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("telemetry sample: missing {key}"))
-        };
-        let gauges = value
-            .get("gauges")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry sample: missing gauges object")?
+        let gauges = json::get_u64_map(value, "gauges")?
+            .into_iter()
+            .map(|(name, n)| (name.to_owned(), n))
+            .collect();
+        let counters = json::get_obj(value, "counters")?
             .iter()
             .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("telemetry sample: gauge {k:?} is not a u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let counters = value
-            .get("counters")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry sample: missing counters object")?
-            .iter()
-            .map(|(k, v)| {
-                let pair = snapshot::u64s(v, &format!("telemetry counter {k}"))?;
+                let pair = json::u64s(v, "counters")
+                    .map_err(|e| format!("telemetry sample: counter {k:?}: {e}"))?;
                 match pair[..] {
                     [delta, rate] => Ok(CounterDelta {
                         name: k.clone(),
@@ -152,11 +131,11 @@ impl TelemetrySample {
                     )),
                 }
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(TelemetrySample {
-            epoch: num("epoch")?,
-            at: Time::from_ps(num("t_ps")?),
-            window: Time::from_ps(num("window_ps")?),
+            epoch: json::get_u64(value, "epoch")?,
+            at: Time::from_ps(json::get_u64(value, "t_ps")?),
+            window: Time::from_ps(json::get_u64(value, "window_ps")?),
             gauges,
             counters,
         })
@@ -319,29 +298,23 @@ impl TelemetrySampler {
         let last = self
             .last
             .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::num_u64(*v)))
+            .map(|(k, v)| (k.clone(), json::num(*v)))
             .collect();
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| JsonValue::parse(&s.to_json()).expect("samples emit valid JSON"))
-            .collect();
-        JsonValue::Object(vec![
+        json::obj(vec![
+            ("every_ps", json::num(self.every.as_ps())),
+            ("next_at_ps", json::num(self.next_at.as_ps())),
+            ("epoch", json::num(self.epoch)),
+            ("window_start_ps", json::num(self.window_start.as_ps())),
+            ("last", JsonValue::Object(last)),
             (
-                "every_ps".to_owned(),
-                JsonValue::num_u64(self.every.as_ps()),
+                "samples",
+                JsonValue::Array(
+                    self.samples
+                        .iter()
+                        .map(TelemetrySample::to_json_value)
+                        .collect(),
+                ),
             ),
-            (
-                "next_at_ps".to_owned(),
-                JsonValue::num_u64(self.next_at.as_ps()),
-            ),
-            ("epoch".to_owned(), JsonValue::num_u64(self.epoch)),
-            (
-                "window_start_ps".to_owned(),
-                JsonValue::num_u64(self.window_start.as_ps()),
-            ),
-            ("last".to_owned(), JsonValue::Object(last)),
-            ("samples".to_owned(), JsonValue::Array(samples)),
         ])
     }
 
@@ -353,39 +326,23 @@ impl TelemetrySampler {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn state_from_json_value(value: &JsonValue) -> Result<TelemetrySampler, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("telemetry state: missing {key}"))
-        };
-        let every = Time::from_ps(num("every_ps")?);
+        let every = Time::from_ps(json::get_u64(value, "every_ps")?);
         if every == Time::ZERO {
             return Err("telemetry state: zero epoch width".to_owned());
         }
-        let last = value
-            .get("last")
-            .and_then(JsonValue::as_object)
-            .ok_or("telemetry state: missing last object")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("telemetry state: last {k:?} is not a u64"))
-            })
-            .collect::<Result<BTreeMap<_, _>, _>>()?;
-        let samples = value
-            .get("samples")
-            .and_then(JsonValue::as_array)
-            .ok_or("telemetry state: missing samples array")?
+        let last = json::get_u64_map(value, "last")?
+            .into_iter()
+            .map(|(name, n)| (name.to_owned(), n))
+            .collect();
+        let samples = json::get_arr(value, "samples")?
             .iter()
             .map(TelemetrySample::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TelemetrySampler {
             every,
-            next_at: Time::from_ps(num("next_at_ps")?),
-            epoch: num("epoch")?,
-            window_start: Time::from_ps(num("window_start_ps")?),
+            next_at: Time::from_ps(json::get_u64(value, "next_at_ps")?),
+            epoch: json::get_u64(value, "epoch")?,
+            window_start: Time::from_ps(json::get_u64(value, "window_start_ps")?),
             last,
             samples,
         })

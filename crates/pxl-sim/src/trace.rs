@@ -37,296 +37,136 @@
 //! assert!(t.to_jsonl().starts_with("{\"t_ps\":100,\"seq\":0,"));
 //! ```
 
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::time::Time;
 
-/// One structured simulator event.
-///
-/// `unit` is a flat PE/core index across the whole accelerator or CPU;
-/// `ty` is the task-type id; `port` is the memory port of the issuing unit;
-/// `level` is the cache level (1 = L1, 2 = L2). `task`, `parent`, `child`
-/// and `from` are run-unique task instance ids stamped by the engine at
-/// spawn time; together they let a profiler reconstruct the causal
-/// spawn/join DAG from the event stream alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+/// The trace dialect: the one place each event's JSONL `kind` label and
+/// its fields, in JSONL order, are written down. It generates
+/// [`TraceEvent`], [`TraceEvent::kind`], the field writer behind
+/// [`TraceRecord::to_json_value`] and the checked decoder behind
+/// [`TraceRecord::from_json_value`]; the profiler reads traces through the
+/// same decoder. A decoded field its type cannot hold (a `thief` past
+/// `u32::MAX`, say) is refused, not truncated.
+macro_rules! trace_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $label:literal { $($field:ident: $ty:ty),* $(,)? }
+    )*) => {
+        /// One structured simulator event.
+        ///
+        /// `unit` is a flat PE/core index across the whole accelerator or
+        /// CPU; `ty` is the task-type id; `port` is the memory port of the
+        /// issuing unit; `level` is the cache level (1 = L1, 2 = L2).
+        /// `task`, `parent`, `child` and `from` are run-unique task instance
+        /// ids stamped by the engine at spawn time; together they let a
+        /// profiler reconstruct the causal spawn/join DAG from the event
+        /// stream alone.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $variant { $($field: $ty),* },)*
+        }
+
+        impl TraceEvent {
+            /// Short stable name used as the JSONL `"kind"` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $label,)*
+                }
+            }
+
+            /// Appends the event's fields, in JSONL order, to `members`.
+            fn write_fields(&self, members: &mut Vec<(String, JsonValue)>) {
+                match *self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $(members.push((
+                            stringify!($field).to_owned(),
+                            json::num(u64::from($field)),
+                        ));)*
+                    })*
+                }
+            }
+
+            /// Reads an event of JSONL kind `kind` from `value`'s members.
+            fn read_fields(kind: &str, value: &JsonValue) -> Result<TraceEvent, String> {
+                Ok(match kind {
+                    $($label => TraceEvent::$variant {
+                        $($field: json::get_uint(value, stringify!($field))?),*
+                    },)*
+                    other => return Err(format!("trace: unknown kind {other:?}")),
+                })
+            }
+        }
+
+        #[cfg(test)]
+        impl TraceEvent {
+            /// An event of a uniformly chosen kind, every field drawn
+            /// across its type's whole range.
+            fn arbitrary(g: &mut crate::qcheck::Gen) -> TraceEvent {
+                let kinds: &[fn(&mut crate::qcheck::Gen) -> TraceEvent] =
+                    &[$(|g| TraceEvent::$variant { $($field: g.uint()),* }),*];
+                g.pick(kinds)(g)
+            }
+
+            /// Each field's name and the largest value its type holds, in
+            /// JSONL order.
+            fn field_maxes(&self) -> Vec<(&'static str, u64)> {
+                match self {
+                    $(TraceEvent::$variant { .. } => {
+                        vec![$((stringify!($field), <$ty>::MAX as u64)),*]
+                    })*
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A task began executing on a processing element.
-    TaskDispatch { unit: u32, ty: u8, task: u64 },
+    TaskDispatch = "task_dispatch" { unit: u32, ty: u8, task: u64 }
     /// A task finished executing; `busy_ps` is its modeled run length.
-    TaskComplete {
-        unit: u32,
-        ty: u8,
-        busy_ps: u64,
-        task: u64,
-    },
+    TaskComplete = "task_complete" { unit: u32, ty: u8, busy_ps: u64, task: u64 }
     /// A task spawned a child task (`parent` → `child` edge of the DAG).
-    Spawn {
-        unit: u32,
-        ty: u8,
-        parent: u64,
-        child: u64,
-    },
+    Spawn = "spawn" { unit: u32, ty: u8, parent: u64, child: u64 }
     /// A task-management unit sent a steal request to a victim.
-    StealRequest { thief: u32, victim: u32 },
+    StealRequest = "steal_request" { thief: u32, victim: u32 }
     /// A steal request found work and the task migrated.
-    StealGrant { thief: u32, victim: u32 },
+    StealGrant = "steal_grant" { thief: u32, victim: u32 }
     /// A steal request found the victim's queue empty.
-    StealFail { thief: u32, victim: u32 },
+    StealFail = "steal_fail" { thief: u32, victim: u32 }
     /// A P-Store entry was allocated for a continuation.
-    PStoreAlloc { tile: u32, occupancy: u32 },
+    PStoreAlloc = "pstore_alloc" { tile: u32, occupancy: u32 }
     /// An argument joined a pending continuation in the P-Store; `task` is
     /// the joined successor's instance id, `from` the sender's (`from` →
     /// `task` edge of the DAG).
-    PStoreJoin {
-        tile: u32,
-        slot: u8,
-        task: u64,
-        from: u64,
-    },
+    PStoreJoin = "pstore_join" { tile: u32, slot: u8, task: u64, from: u64 }
     /// A continuation became ready and its P-Store entry was freed.
-    PStoreDealloc { tile: u32, occupancy: u32 },
+    PStoreDealloc = "pstore_dealloc" { tile: u32, occupancy: u32 }
     /// A memory access hit in the given cache level.
-    CacheHit { port: u32, level: u8 },
+    CacheHit = "cache_hit" { port: u32, level: u8 }
     /// A memory access missed in the given cache level.
-    CacheMiss { port: u32, level: u8 },
+    CacheMiss = "cache_miss" { port: u32, level: u8 }
     /// A cache line was evicted from the given level.
-    CacheEvict { port: u32, level: u8 },
+    CacheEvict = "cache_evict" { port: u32, level: u8 }
     /// A DRAM bandwidth epoch filled up and an access spilled to a later
     /// epoch.
-    DramSaturated { epoch: u64, committed_ps: u64 },
+    DramSaturated = "dram_saturated" { epoch: u64, committed_ps: u64 }
     /// A planned fault fired; `spec` indexes the fault plan, `unit` is the
     /// affected PE/tile/sender.
-    FaultInjected { spec: u32, unit: u32 },
+    FaultInjected = "fault.injected" { spec: u32, unit: u32 }
     /// A previously injected fault was fully masked by the recovery
     /// machinery (retry, rescue, repair, or stall expiry).
-    FaultRecovered { spec: u32, unit: u32 },
+    FaultRecovered = "fault.recovered" { spec: u32, unit: u32 }
     /// A fault exhausted its recovery budget and was given up on.
-    FaultUnrecovered { spec: u32, unit: u32 },
+    FaultUnrecovered = "fault.unrecovered" { spec: u32, unit: u32 }
     /// The quiescence watchdog declared the run stalled; `unit` is the
     /// unit that last made forward progress, `idle_ps` how long ago.
-    WatchdogStall { unit: u32, idle_ps: u64 },
+    WatchdogStall = "watchdog.stall" { unit: u32, idle_ps: u64 }
     /// A message crossed the inter-chip link of a multi-chip cluster.
     /// `class` tags the traffic type (0 = steal request, 1 = steal reply,
     /// 2 = argument, 3 = routed task); `wait_ps` is how long the message
     /// queued behind the directed link's bounded bandwidth before
     /// departing.
-    LinkXfer {
-        src_chip: u32,
-        dst_chip: u32,
-        class: u8,
-        wait_ps: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Short stable name used as the JSONL `"kind"` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::TaskDispatch { .. } => "task_dispatch",
-            TraceEvent::TaskComplete { .. } => "task_complete",
-            TraceEvent::Spawn { .. } => "spawn",
-            TraceEvent::StealRequest { .. } => "steal_request",
-            TraceEvent::StealGrant { .. } => "steal_grant",
-            TraceEvent::StealFail { .. } => "steal_fail",
-            TraceEvent::PStoreAlloc { .. } => "pstore_alloc",
-            TraceEvent::PStoreJoin { .. } => "pstore_join",
-            TraceEvent::PStoreDealloc { .. } => "pstore_dealloc",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::DramSaturated { .. } => "dram_saturated",
-            TraceEvent::FaultInjected { .. } => "fault.injected",
-            TraceEvent::FaultRecovered { .. } => "fault.recovered",
-            TraceEvent::FaultUnrecovered { .. } => "fault.unrecovered",
-            TraceEvent::WatchdogStall { .. } => "watchdog.stall",
-            TraceEvent::LinkXfer { .. } => "link_xfer",
-        }
-    }
-
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            TraceEvent::TaskDispatch { unit, ty, task } => {
-                vec![("unit", unit as u64), ("ty", ty as u64), ("task", task)]
-            }
-            TraceEvent::TaskComplete {
-                unit,
-                ty,
-                busy_ps,
-                task,
-            } => {
-                vec![
-                    ("unit", unit as u64),
-                    ("ty", ty as u64),
-                    ("busy_ps", busy_ps),
-                    ("task", task),
-                ]
-            }
-            TraceEvent::Spawn {
-                unit,
-                ty,
-                parent,
-                child,
-            } => {
-                vec![
-                    ("unit", unit as u64),
-                    ("ty", ty as u64),
-                    ("parent", parent),
-                    ("child", child),
-                ]
-            }
-            TraceEvent::StealRequest { thief, victim }
-            | TraceEvent::StealGrant { thief, victim }
-            | TraceEvent::StealFail { thief, victim } => {
-                vec![("thief", thief as u64), ("victim", victim as u64)]
-            }
-            TraceEvent::PStoreAlloc { tile, occupancy }
-            | TraceEvent::PStoreDealloc { tile, occupancy } => {
-                vec![("tile", tile as u64), ("occupancy", occupancy as u64)]
-            }
-            TraceEvent::PStoreJoin {
-                tile,
-                slot,
-                task,
-                from,
-            } => {
-                vec![
-                    ("tile", tile as u64),
-                    ("slot", slot as u64),
-                    ("task", task),
-                    ("from", from),
-                ]
-            }
-            TraceEvent::CacheHit { port, level }
-            | TraceEvent::CacheMiss { port, level }
-            | TraceEvent::CacheEvict { port, level } => {
-                vec![("port", port as u64), ("level", level as u64)]
-            }
-            TraceEvent::DramSaturated {
-                epoch,
-                committed_ps,
-            } => vec![("epoch", epoch), ("committed_ps", committed_ps)],
-            TraceEvent::FaultInjected { spec, unit }
-            | TraceEvent::FaultRecovered { spec, unit }
-            | TraceEvent::FaultUnrecovered { spec, unit } => {
-                vec![("spec", spec as u64), ("unit", unit as u64)]
-            }
-            TraceEvent::WatchdogStall { unit, idle_ps } => {
-                vec![("unit", unit as u64), ("idle_ps", idle_ps)]
-            }
-            TraceEvent::LinkXfer {
-                src_chip,
-                dst_chip,
-                class,
-                wait_ps,
-            } => {
-                vec![
-                    ("src_chip", src_chip as u64),
-                    ("dst_chip", dst_chip as u64),
-                    ("class", class as u64),
-                    ("wait_ps", wait_ps),
-                ]
-            }
-        }
-    }
-}
-
-impl TraceEvent {
-    /// Rebuilds an event from its JSONL `kind` and field map (the inverse
-    /// of [`TraceEvent::kind`] + `fields`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unknown kind or missing field.
-    pub fn from_kind_fields(
-        kind: &str,
-        field: &dyn Fn(&str) -> Option<u64>,
-    ) -> Result<TraceEvent, String> {
-        let get = |key: &str| field(key).ok_or_else(|| format!("trace {kind:?}: missing {key}"));
-        Ok(match kind {
-            "task_dispatch" => TraceEvent::TaskDispatch {
-                unit: get("unit")? as u32,
-                ty: get("ty")? as u8,
-                task: get("task")?,
-            },
-            "task_complete" => TraceEvent::TaskComplete {
-                unit: get("unit")? as u32,
-                ty: get("ty")? as u8,
-                busy_ps: get("busy_ps")?,
-                task: get("task")?,
-            },
-            "spawn" => TraceEvent::Spawn {
-                unit: get("unit")? as u32,
-                ty: get("ty")? as u8,
-                parent: get("parent")?,
-                child: get("child")?,
-            },
-            "steal_request" => TraceEvent::StealRequest {
-                thief: get("thief")? as u32,
-                victim: get("victim")? as u32,
-            },
-            "steal_grant" => TraceEvent::StealGrant {
-                thief: get("thief")? as u32,
-                victim: get("victim")? as u32,
-            },
-            "steal_fail" => TraceEvent::StealFail {
-                thief: get("thief")? as u32,
-                victim: get("victim")? as u32,
-            },
-            "pstore_alloc" => TraceEvent::PStoreAlloc {
-                tile: get("tile")? as u32,
-                occupancy: get("occupancy")? as u32,
-            },
-            "pstore_join" => TraceEvent::PStoreJoin {
-                tile: get("tile")? as u32,
-                slot: get("slot")? as u8,
-                task: get("task")?,
-                from: get("from")?,
-            },
-            "pstore_dealloc" => TraceEvent::PStoreDealloc {
-                tile: get("tile")? as u32,
-                occupancy: get("occupancy")? as u32,
-            },
-            "cache_hit" => TraceEvent::CacheHit {
-                port: get("port")? as u32,
-                level: get("level")? as u8,
-            },
-            "cache_miss" => TraceEvent::CacheMiss {
-                port: get("port")? as u32,
-                level: get("level")? as u8,
-            },
-            "cache_evict" => TraceEvent::CacheEvict {
-                port: get("port")? as u32,
-                level: get("level")? as u8,
-            },
-            "dram_saturated" => TraceEvent::DramSaturated {
-                epoch: get("epoch")?,
-                committed_ps: get("committed_ps")?,
-            },
-            "fault.injected" => TraceEvent::FaultInjected {
-                spec: get("spec")? as u32,
-                unit: get("unit")? as u32,
-            },
-            "fault.recovered" => TraceEvent::FaultRecovered {
-                spec: get("spec")? as u32,
-                unit: get("unit")? as u32,
-            },
-            "fault.unrecovered" => TraceEvent::FaultUnrecovered {
-                spec: get("spec")? as u32,
-                unit: get("unit")? as u32,
-            },
-            "watchdog.stall" => TraceEvent::WatchdogStall {
-                unit: get("unit")? as u32,
-                idle_ps: get("idle_ps")?,
-            },
-            "link_xfer" => TraceEvent::LinkXfer {
-                src_chip: get("src_chip")? as u32,
-                dst_chip: get("dst_chip")? as u32,
-                class: get("class")? as u8,
-                wait_ps: get("wait_ps")?,
-            },
-            other => return Err(format!("trace: unknown kind {other:?}")),
-        })
-    }
+    LinkXfer = "link_xfer" { src_chip: u32, dst_chip: u32, class: u8, wait_ps: u64 }
 }
 
 /// One recorded event with its timestamp and sequence number.
@@ -341,38 +181,37 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Renders the record as one JSON object (one JSONL line, no newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::write_u64_fields(&mut out, &[("t_ps", self.at.as_ps()), ("seq", self.seq)]);
-        out.push_str(",\"kind\":");
-        json::write_string(&mut out, self.event.kind());
-        let fields = self.event.fields();
-        if !fields.is_empty() {
-            out.push(',');
-            json::write_u64_fields(&mut out, &fields);
-        }
-        out.push('}');
-        out
+    /// The record as one JSON object: `t_ps`, `seq`, `kind`, then the
+    /// event's fields in the order the dialect table lists them.
+    pub fn to_json_value(&self) -> JsonValue {
+        let mut members = vec![
+            ("t_ps".to_owned(), json::num(self.at.as_ps())),
+            ("seq".to_owned(), json::num(self.seq)),
+            (
+                "kind".to_owned(),
+                JsonValue::Str(self.event.kind().to_owned()),
+            ),
+        ];
+        self.event.write_fields(&mut members);
+        JsonValue::Object(members)
     }
 
-    /// Rebuilds a record from a parsed [`TraceRecord::to_json`] object.
+    /// Renders the record as one JSON object (one JSONL line, no newline).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_json()
+    }
+
+    /// Rebuilds a record from a [`TraceRecord::to_json_value`] object.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json_value(value: &json::JsonValue) -> Result<TraceRecord, String> {
-        let num = |key: &str| value.get(key).and_then(json::JsonValue::as_u64);
-        let at = num("t_ps").ok_or("trace record: missing t_ps")?;
-        let seq = num("seq").ok_or("trace record: missing seq")?;
-        let kind = value
-            .get("kind")
-            .and_then(json::JsonValue::as_str)
-            .ok_or("trace record: missing kind")?;
-        let event = TraceEvent::from_kind_fields(kind, &num)?;
+    /// Returns a message naming the unknown kind or the missing, mistyped
+    /// or out-of-range field.
+    pub fn from_json_value(value: &JsonValue) -> Result<TraceRecord, String> {
+        let event = TraceEvent::read_fields(json::get_str(value, "kind")?, value)?;
         Ok(TraceRecord {
-            at: Time::from_ps(at),
-            seq,
+            at: Time::from_ps(json::get_u64(value, "t_ps")?),
+            seq: json::get_u64(value, "seq")?,
             event,
         })
     }
@@ -487,36 +326,20 @@ impl Tracer {
 
     /// Serializes the complete tracer state — capacity, drop count,
     /// sequence cursor and every buffered record — for snapshot/restore.
-    pub fn state_to_json_value(&self) -> json::JsonValue {
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                let mut members = vec![
-                    ("t_ps".to_owned(), json::JsonValue::num_u64(r.at.as_ps())),
-                    ("seq".to_owned(), json::JsonValue::num_u64(r.seq)),
-                    (
-                        "kind".to_owned(),
-                        json::JsonValue::Str(r.event.kind().to_owned()),
-                    ),
-                ];
-                for (k, v) in r.event.fields() {
-                    members.push((k.to_owned(), json::JsonValue::num_u64(v)));
-                }
-                json::JsonValue::Object(members)
-            })
-            .collect();
-        json::JsonValue::Object(vec![
+    pub fn state_to_json_value(&self) -> JsonValue {
+        json::obj(vec![
+            ("capacity", json::num(self.capacity as u64)),
+            ("dropped", json::num(self.dropped)),
+            ("next_seq", json::num(self.next_seq)),
             (
-                "capacity".to_owned(),
-                json::JsonValue::num_u64(self.capacity as u64),
+                "records",
+                JsonValue::Array(
+                    self.records
+                        .iter()
+                        .map(TraceRecord::to_json_value)
+                        .collect(),
+                ),
             ),
-            ("dropped".to_owned(), json::JsonValue::num_u64(self.dropped)),
-            (
-                "next_seq".to_owned(),
-                json::JsonValue::num_u64(self.next_seq),
-            ),
-            ("records".to_owned(), json::JsonValue::Array(records)),
         ])
     }
 
@@ -527,25 +350,16 @@ impl Tracer {
     /// # Errors
     ///
     /// Returns a message naming the missing or malformed field.
-    pub fn state_from_json_value(value: &json::JsonValue) -> Result<Tracer, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(json::JsonValue::as_u64)
-                .ok_or_else(|| format!("tracer state: missing {key}"))
-        };
-        let records = value
-            .get("records")
-            .and_then(json::JsonValue::as_array)
-            .ok_or("tracer state: missing records array")?
+    pub fn state_from_json_value(value: &JsonValue) -> Result<Tracer, String> {
+        let records = json::get_arr(value, "records")?
             .iter()
             .map(TraceRecord::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Tracer {
-            capacity: num("capacity")? as usize,
+            capacity: json::get_uint(value, "capacity")?,
             records,
-            dropped: num("dropped")?,
-            next_seq: num("next_seq")?,
+            dropped: json::get_u64(value, "dropped")?,
+            next_seq: json::get_u64(value, "next_seq")?,
         })
     }
 }
@@ -744,5 +558,33 @@ mod tests {
             lines[1],
             "{\"t_ps\":200,\"seq\":1,\"kind\":\"dram_saturated\",\"epoch\":3,\"committed_ps\":99000}"
         );
+    }
+
+    #[test]
+    fn every_kind_round_trips_across_the_full_field_ranges() {
+        crate::qcheck::check(512, "trace dialect round trip", |g| {
+            let mut t = Tracer::bounded(g.usize_in(1, 8));
+            for _ in 0..g.usize_in(0, 12) {
+                t.emit(Time::from_ps(g.uint()), TraceEvent::arbitrary(g));
+            }
+            let back = Tracer::state_from_json_value(&t.state_to_json_value()).unwrap();
+            assert_eq!(back, t);
+            for r in t.records() {
+                let value = r.to_json_value();
+                assert_eq!(TraceRecord::from_json_value(&value), Ok(*r));
+                assert_eq!(r.to_json(), value.to_json());
+                for (field, max) in r.event.field_maxes() {
+                    let Some(past) = max.checked_add(1) else {
+                        continue;
+                    };
+                    let mut wide = value.clone();
+                    if let JsonValue::Object(members) = &mut wide {
+                        members.iter_mut().find(|(k, _)| k == field).unwrap().1 = json::num(past);
+                    }
+                    let err = TraceRecord::from_json_value(&wide).unwrap_err();
+                    assert!(err.contains(field) && err.contains("out of range"), "{err}");
+                }
+            }
+        });
     }
 }

@@ -12,9 +12,10 @@
 //! Run with: `cargo run --release --example custom_policy`
 
 use parallelxl::arch::deque::TaskDeque;
+use parallelxl::sim::json;
 use parallelxl::{
     AccelConfig, ArchKind, Continuation, EngineKind, ExecProfile, FabricEngine, FlexEngine,
-    SchedulingPolicy, Task, TaskContext, TaskTypeId, Time, Worker,
+    JsonValue, SchedulingPolicy, Task, TaskContext, TaskTypeId, Time, Worker,
 };
 use std::collections::VecDeque;
 
@@ -121,80 +122,34 @@ impl SchedulingPolicy for RingPolicy {
     // Checkpoint/restore hooks. A demo policy keeps them minimal: the
     // engine still snapshots everything it owns; this policy serializes its
     // ring cursors and queue contents the same way FlexPolicy does.
-    fn state_to_json_value(&self) -> parallelxl::JsonValue {
-        use parallelxl::JsonValue;
-        JsonValue::Object(vec![
+    fn state_to_json_value(&self) -> JsonValue {
+        let deques = self.deques.iter().map(TaskDeque::state_to_json_value);
+        let host_queue = self.host_queue.iter().map(|t| json::arr_u64(t.to_words()));
+        json::obj(vec![
+            ("deques", JsonValue::Array(deques.collect())),
             (
-                "deques".to_owned(),
-                JsonValue::Array(
-                    self.deques
-                        .iter()
-                        .map(TaskDeque::state_to_json_value)
-                        .collect(),
-                ),
+                "cursor",
+                json::arr_u64(self.cursor.iter().map(|c| *c as u64)),
             ),
-            (
-                "cursor".to_owned(),
-                JsonValue::Array(
-                    self.cursor
-                        .iter()
-                        .map(|c| JsonValue::num_u64(*c as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "host_queue".to_owned(),
-                JsonValue::Array(
-                    self.host_queue
-                        .iter()
-                        .map(|t| {
-                            JsonValue::Array(
-                                t.to_words()
-                                    .iter()
-                                    .map(|w| JsonValue::num_u64(*w))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
+            ("host_queue", JsonValue::Array(host_queue.collect())),
         ])
     }
 
-    fn restore_state(&mut self, value: &parallelxl::JsonValue) -> Result<(), String> {
-        use parallelxl::JsonValue;
-        let deques = value
-            .get("deques")
-            .and_then(JsonValue::as_array)
-            .ok_or("ring state: missing deques")?;
+    fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
+        let deques = json::get_arr(value, "deques")?;
         if deques.len() != self.num_pes {
             return Err("ring state: deque count mismatch".to_owned());
         }
         for (deque, state) in self.deques.iter_mut().zip(deques) {
             deque.restore_state(state)?;
         }
-        self.cursor = value
-            .get("cursor")
-            .and_then(JsonValue::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_u64())
-                    .map(|v| v as usize)
-                    .collect()
-            })
-            .ok_or("ring state: missing cursor")?;
-        self.host_queue = value
-            .get("host_queue")
-            .and_then(JsonValue::as_array)
-            .ok_or("ring state: missing host_queue")?
+        self.cursor = json::get_u64s(value, "cursor")?
+            .into_iter()
+            .map(|c| c as usize)
+            .collect();
+        self.host_queue = json::get_arr(value, "host_queue")?
             .iter()
-            .map(|entry| {
-                let words: Vec<u64> = entry
-                    .as_array()
-                    .map(|a| a.iter().filter_map(|v| v.as_u64()).collect())
-                    .ok_or("ring state: bad host task")?;
-                Task::from_words(&words)
-            })
+            .map(|entry| Task::from_words(&json::u64s(entry, "host_queue")?))
             .collect::<Result<_, _>>()?;
         Ok(())
     }

@@ -34,7 +34,9 @@ cargo run --release --offline -p pxl-bench --bin perf -- --smoke > /dev/null
 echo "==> profile smoke incl. telemetry (pxl-bench --bin profile -- --smoke)"
 # Traced run + full pxl-profile analysis per (benchmark, engine); exits
 # nonzero if any profile violates the structural invariants (span <=
-# makespan, trace work == accel.task_ps, utilization in [0,1]) or is not
+# makespan, trace work == accel.task_ps, utilization in [0,1]), if a
+# trace's JSONL dump (link_xfer events of the hier cluster included) does
+# not parse back to the emitted records, or if a profile is not
 # byte-identical across two same-seed runs. Writes profile_report.md,
 # profile_results.jsonl and profile_traces/. Ends with the telemetry
 # smoke: a run sampled every 500 cycles must produce a non-empty

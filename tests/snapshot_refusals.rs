@@ -3,7 +3,7 @@
 //! restore time, never accepted and then panicking at the end of the run.
 
 use parallelxl::apps::Scale;
-use parallelxl::sim::snapshot;
+use parallelxl::sim::json;
 use parallelxl::{
     DesignPoint, JsonValue, PointArch, RunError, RunSpec, SessionStatus, SimSession, Snapshot,
     SnapshotError,
@@ -44,7 +44,7 @@ fn a_result_slot_past_the_host_slots_is_refused() {
             };
             for (key, value) in members.iter_mut() {
                 if key == "result_slot" {
-                    *value = snapshot::num(slot);
+                    *value = json::num(slot);
                 }
             }
             let text = Snapshot::new(snap.engine.clone(), payload).to_json();

@@ -8,7 +8,10 @@
 use parallelxl::apps::{suite, Scale};
 use parallelxl::arch::AccelConfig;
 use parallelxl::profile::{parse_jsonl, parse_line};
-use parallelxl::{FaultPlan, SimulationBuilder, Time, TraceRecord, Tracer, Workload};
+use parallelxl::{
+    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, SimulationBuilder, Time,
+    TraceEvent, TraceRecord, Tracer, Workload,
+};
 
 /// Runs one benchmark traced on the given builder and returns the trace.
 fn traced_run(mut builder: SimulationBuilder, bench: &dyn parallelxl::apps::Benchmark) -> Tracer {
@@ -128,4 +131,43 @@ fn malformed_lines_are_rejected_with_context() {
     let err = parse_jsonl("{\"t_ps\":1,\"seq\":0,\"kind\":\"spawn\",\"unit\":0,\"ty\":0,\"parent\":0,\"child\":1}\nnot json\n")
         .unwrap_err();
     assert!(err.starts_with("line 2:"), "got: {err}");
+}
+
+#[test]
+fn cluster_traces_with_link_transfers_round_trip() {
+    let point = DesignPoint::accel(PointArch::Flex, 4, 2).clustered(ClusterPoint::new(2));
+    let spec = RunSpec::new("uts", Scale::Tiny, point).with_trace(1 << 18);
+    let out = execute(&spec)
+        .expect("a 2-chip uts run succeeds")
+        .expect("uts maps onto flex");
+    assert!(
+        out.trace
+            .records()
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::LinkXfer { .. })),
+        "a 2-chip run sends messages over the link"
+    );
+    assert_eq!(
+        parse_jsonl(&out.trace.to_jsonl()).expect("the profiler reads cluster traces"),
+        out.trace.records()
+    );
+    assert_roundtrip("uts on a 2-chip cluster", &out.trace);
+}
+
+#[test]
+fn out_of_range_fields_are_refused_not_truncated() {
+    let line = "{\"t_ps\":5,\"seq\":0,\"kind\":\"steal_fail\",\"thief\":4294967297,\"victim\":0}";
+    let err = parse_line(line).unwrap_err();
+    assert!(
+        err.contains("thief") && err.contains("out of range"),
+        "{err}"
+    );
+    let fits = line.replace("4294967297", "4294967295");
+    assert!(matches!(
+        parse_line(&fits).unwrap().event,
+        TraceEvent::StealFail {
+            thief: u32::MAX,
+            victim: 0
+        }
+    ));
 }
