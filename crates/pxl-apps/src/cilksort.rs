@@ -302,6 +302,7 @@ fn lower_bound(ctx: &mut dyn TaskContext, base: u64, mut lo: u64, mut hi: u64, v
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_arch::{Engine, Workload};
     use pxl_model::SerialExecutor;
 
     #[test]
@@ -321,7 +322,9 @@ mod tests {
             pxl_arch::FlexEngine::new(pxl_arch::AccelConfig::flex(2, 2), bench.profile());
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
-        let out = engine.run(worker.as_mut(), inst.root).unwrap();
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
         // Parallel merging generates plenty of tasks.
         assert!(out.metrics.get("accel.tasks") > 4);

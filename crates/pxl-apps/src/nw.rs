@@ -435,6 +435,7 @@ impl pxl_arch::LiteDriver for NwLiteDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_arch::{Engine, Workload};
     use pxl_model::SerialExecutor;
 
     #[test]
@@ -454,7 +455,9 @@ mod tests {
             pxl_arch::FlexEngine::new(pxl_arch::AccelConfig::flex(2, 2), bench.profile());
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
-        let out = engine.run(worker.as_mut(), inst.root).unwrap();
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
         assert!(out.metrics.get("accel.tasks") >= 16, "one task per block");
     }
@@ -467,7 +470,9 @@ mod tests {
         let inst = bench.lite(engine.mem_mut()).unwrap();
         let mut worker = inst.worker;
         let mut driver = inst.driver;
-        let out = engine.run(worker.as_mut(), driver.as_mut()).unwrap();
+        let out = engine
+            .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
         // 4x4 grid of blocks -> 7 anti-diagonal rounds.
         assert_eq!(out.metrics.get("lite.rounds"), 7);

@@ -352,6 +352,7 @@ impl pxl_arch::LiteDriver for QueensLiteDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_arch::{Engine, Workload};
     use pxl_model::SerialExecutor;
 
     #[test]
@@ -372,7 +373,9 @@ mod tests {
             pxl_arch::FlexEngine::new(pxl_arch::AccelConfig::flex(2, 2), bench.profile());
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
-        let out = engine.run(worker.as_mut(), inst.root).unwrap();
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
     }
 
@@ -383,7 +386,9 @@ mod tests {
             pxl_arch::LiteEngine::new(pxl_arch::AccelConfig::lite(1, 4), bench.profile());
         let inst = bench.lite(engine.mem_mut()).unwrap();
         let (mut worker, mut driver) = (inst.worker, inst.driver);
-        let out = engine.run(worker.as_mut(), driver.as_mut()).unwrap();
+        let out = engine
+            .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
     }
 

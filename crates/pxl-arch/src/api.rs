@@ -1,10 +1,10 @@
 //! The unified engine API: one trait over FlexArch, LiteArch and the
 //! software baseline.
 //!
-//! Every execution engine in the framework — [`FlexEngine`], [`LiteEngine`]
-//! and `pxl_cpu::CpuEngine` — models the same contract: set up inputs in
-//! functional [`Memory`], run a workload, read back results and typed
-//! [`Metrics`]. The [`Engine`] trait captures that contract so harnesses
+//! Every execution engine in the framework — [`FlexEngine`](crate::FlexEngine),
+//! [`LiteEngine`](crate::LiteEngine) and `pxl_cpu::CpuEngine` — models the
+//! same contract: set up inputs in functional [`Memory`], run a workload,
+//! read back results and typed [`Metrics`]. The [`Engine`] trait captures that contract so harnesses
 //! (notably `pxl-bench`) can drive any engine through one generic code path
 //! instead of per-engine glue.
 //!
@@ -21,9 +21,8 @@ use pxl_sim::snapshot::{Snapshot, SnapshotError};
 use pxl_sim::{Clock, Metrics, Time};
 
 use crate::core::EmbedsCore;
-use crate::fabric::{AccelError, AccelResult, FabricEngine, RunStatus};
-use crate::lite::{LiteDriver, LiteEngine};
-use crate::policy::SchedulingPolicy;
+use crate::fabric::{AccelError, AccelResult, RunStatus};
+use crate::lite::LiteDriver;
 
 /// Which engine family an [`Engine`] implementation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,89 +214,12 @@ pub trait Engine: EmbedsCore + std::fmt::Debug {
     fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError>;
 }
 
-impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
-    fn kind(&self) -> EngineKind {
-        self.policy.kind()
-    }
-
-    fn units(&self) -> usize {
-        self.config().num_pes()
-    }
-
-    fn clock(&self) -> Clock {
-        self.config().clock.clone()
-    }
-
-    fn run_until(
-        &mut self,
-        workload: Workload<'_>,
-        pause_at: Option<Time>,
-    ) -> Result<RunStatus, AccelError> {
-        match workload {
-            Workload::Dynamic { worker, root } => {
-                FabricEngine::launch(self, root);
-                FabricEngine::run_until(self, worker, pause_at)
-            }
-            other => Err(AccelError::Unsupported(format!(
-                "{} runs dynamic task graphs, not {}",
-                self.policy.arch().name(),
-                other.shape()
-            ))),
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        FabricEngine::snapshot(self)
-    }
-
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        FabricEngine::restore(self, snap)
-    }
-}
-
-impl Engine for LiteEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lite
-    }
-
-    fn units(&self) -> usize {
-        self.config().num_pes()
-    }
-
-    fn clock(&self) -> Clock {
-        self.config().clock.clone()
-    }
-
-    fn run_until(
-        &mut self,
-        workload: Workload<'_>,
-        pause_at: Option<Time>,
-    ) -> Result<RunStatus, AccelError> {
-        match workload {
-            Workload::Rounds { worker, driver } => {
-                LiteEngine::run_until(self, worker, driver, pause_at)
-            }
-            other => Err(AccelError::Unsupported(format!(
-                "LiteArch runs host-driven rounds, not {}",
-                other.shape()
-            ))),
-        }
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        LiteEngine::snapshot(self)
-    }
-
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        LiteEngine::restore(self, snap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AccelConfig;
     use crate::fabric::{CentralEngine, FlexEngine};
+    use crate::lite::LiteEngine;
     use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId};
 
     const LEAF: TaskTypeId = TaskTypeId(0);

@@ -6,9 +6,7 @@
 //! greedy routing, the fault state machine and its recovery invariants,
 //! metric-handle registration, trace emission, and the PE-side
 //! [`TaskContext`], on top of the [`EngineCore`] services — parameterized
-//! by a
-//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy) that owns only
-//! task placement and acquisition:
+//! by a [`SchedulingPolicy`] that owns only task placement and acquisition:
 //!
 //! * [`FlexEngine`] = `FabricEngine<FlexPolicy>`: per-PE LIFO deques with
 //!   LFSR-victim work stealing (the published FlexArch).
@@ -40,10 +38,11 @@ use pxl_model::{
 use pxl_sim::json::{self, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{
-    CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId, Metrics,
-    NetClass, SendVerdict, Time, Timeline, TraceEvent, Tracer,
+    Clock, CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId,
+    Metrics, NetClass, SendVerdict, Time, Timeline, TraceEvent, Tracer,
 };
 
+use crate::api::{Engine, EngineKind, Workload};
 use crate::config::{AccelConfig, LinkTopology, MemBackendKind};
 use crate::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
@@ -642,12 +641,13 @@ impl LinkState {
 /// [`SchedulingPolicy`] that owns task placement and acquisition.
 ///
 /// Typical use: build with [`FabricEngine::new`], lay out inputs through
-/// [`FabricEngine::mem_mut`], then [`FabricEngine::run`] a root task.
+/// [`Engine::mem_mut`], then [`Engine::run`] a root task as a
+/// [`Workload::dynamic`].
 ///
 /// # Examples
 ///
 /// ```
-/// use pxl_arch::{AccelConfig, FlexEngine};
+/// use pxl_arch::{AccelConfig, Engine, FlexEngine, Workload};
 /// use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
 ///
 /// const FIB: TaskTypeId = TaskTypeId(0);
@@ -674,7 +674,7 @@ impl LinkState {
 ///
 /// let mut engine = FlexEngine::new(AccelConfig::flex(2, 4), ExecProfile::scalar());
 /// let root = Task::new(FIB, Continuation::host(0), &[12]);
-/// let out = engine.run(&mut Fib, root).unwrap();
+/// let out = engine.run(Workload::dynamic(&mut Fib, root)).unwrap();
 /// assert_eq!(out.result, 144);
 /// ```
 #[derive(Debug)]
@@ -709,7 +709,7 @@ pub struct FabricEngine<P: SchedulingPolicy> {
     error: Option<AccelError>,
 }
 
-/// Outcome of one [`FabricEngine::run_until`] leg.
+/// Outcome of one [`Engine::run_until`] leg.
 #[derive(Debug)]
 pub enum RunStatus {
     /// The computation drained; the result and aggregated statistics are
@@ -832,25 +832,9 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         })
     }
 
-    /// Mutable access to functional memory for input setup.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.core.mem
-    }
-
-    /// Shared access to functional memory for output checking.
-    pub fn memory(&self) -> &Memory {
-        &self.core.mem
-    }
-
     /// The configuration this engine was built with.
     pub fn config(&self) -> &AccelConfig {
         &self.cfg
-    }
-
-    /// The engine's metrics registry (fully aggregated only after
-    /// [`FabricEngine::run`] returns, which moves it into the result).
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
     }
 
     fn cycles(&self, n: u64) -> Time {
@@ -917,65 +901,50 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     fn can_run(&self, pe: usize, ty: TaskTypeId) -> bool {
         !self.is_dead(pe) && self.cfg.pe_supports(pe, ty)
     }
+}
 
-    /// Runs `root` to completion.
-    ///
-    /// The host writes the root task into the interface block; PEs acquire
-    /// it over the steal network, and the simulation proceeds until every
-    /// task has drained. Consumes the engine's launch state: call once per
-    /// engine. On an engine restored from a snapshot the launch is skipped
-    /// (the restored state is already mid-run) and the run resumes.
-    ///
-    /// # Errors
-    ///
-    /// See [`AccelError`].
-    pub fn run<W: Worker + ?Sized>(
-        &mut self,
-        worker: &mut W,
-        root: Task,
-    ) -> Result<AccelResult, AccelError> {
-        self.launch(root);
-        match self.run_until(worker, None)? {
-            RunStatus::Finished(result) => Ok(result),
-            RunStatus::Paused { .. } => unreachable!("run_until without a pause never pauses"),
-        }
+impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
+    fn kind(&self) -> EngineKind {
+        self.policy.kind()
     }
 
-    /// Seeds `root` at the host interface block and schedules the launch
-    /// events (PE wakes, timed faults). A no-op when the engine is already
-    /// launched — notably after [`FabricEngine::restore`].
-    pub fn launch(&mut self, root: Task) {
-        let Some(root) = self.root.launch(&mut self.core, root) else {
-            return;
-        };
-        self.policy.seed(root);
-        for pe in 0..self.cfg.num_pes() {
-            self.events.push(Time::ZERO, Event::PeWake { pe });
-        }
-        let timed = self
-            .faults
-            .as_ref()
-            .map(|f| f.sched.timed())
-            .unwrap_or_default();
-        for (at, spec) in timed {
-            self.events.push(at, Event::FaultFire { spec });
-        }
+    fn units(&self) -> usize {
+        self.cfg.num_pes()
     }
 
-    /// Advances the simulation until the computation drains or, when
-    /// `pause_at` is given, until the next pending event lies beyond that
-    /// boundary with work still outstanding. Call [`FabricEngine::launch`]
-    /// first (or restore a snapshot); legs compose — keep calling with the
-    /// same worker until [`RunStatus::Finished`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AccelError`].
-    pub fn run_until<W: Worker + ?Sized>(
+    fn clock(&self) -> Clock {
+        self.cfg.clock.clone()
+    }
+
+    fn run_until(
         &mut self,
-        worker: &mut W,
+        workload: Workload<'_>,
         pause_at: Option<Time>,
     ) -> Result<RunStatus, AccelError> {
+        let Workload::Dynamic { worker, root } = workload else {
+            return Err(AccelError::Unsupported(format!(
+                "{} runs dynamic task graphs, not {}",
+                self.policy.arch().name(),
+                workload.shape()
+            )));
+        };
+        // The host seeds `root` at the interface block and schedules the
+        // launch events (PE wakes, timed faults) — skipped on a restored,
+        // already-launched engine.
+        if let Some(root) = self.root.launch(&mut self.core, root) {
+            self.policy.seed(root);
+            for pe in 0..self.cfg.num_pes() {
+                self.events.push(Time::ZERO, Event::PeWake { pe });
+            }
+            let timed = self
+                .faults
+                .as_ref()
+                .map(|f| f.sched.timed())
+                .unwrap_or_default();
+            for (at, spec) in timed {
+                self.events.push(at, Event::FaultFire { spec });
+            }
+        }
         loop {
             if let Some(pause) = pause_at {
                 // Pause only between events and only while work remains; a
@@ -1034,16 +1003,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         )))
     }
 
-    /// Value delivered to a host result register, if any.
-    pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.core.host_result(slot)
-    }
-
-    /// Serializes the complete mutable simulation state into a versioned,
-    /// checksummed [`Snapshot`]. Capture at a [`RunStatus::Paused`] boundary;
-    /// a fresh engine built from the same configuration restores the
-    /// snapshot and continues byte-identically to an uninterrupted run.
-    pub fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let mut head = self.root.fields(&self.core);
         // Version 2 keeps `inflight_args` between `outstanding` and
         // `last_useful_ps`.
@@ -1122,19 +1082,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         )
     }
 
-    /// Overwrites this engine's mutable state with a [`Snapshot`] captured
-    /// by [`FabricEngine::snapshot`] on an engine built from the same
-    /// configuration. The engine must have been freshly constructed with
-    /// [`FabricEngine::try_new`] from the identical [`AccelConfig`] and
-    /// [`ExecProfile`]; structural mismatches (PE count, tile count, queue
-    /// capacities, memory backend) are rejected.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::EngineMismatch`] when the snapshot was taken by a
-    /// different engine family, [`SnapshotError::Malformed`] when the
-    /// payload does not describe this configuration.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.expect_engine(self.policy.kind().label())?;
         let p = &snap.payload;
         let num_pes = self.cfg.num_pes();
@@ -1251,8 +1199,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         self.error = None;
         Ok(())
     }
+}
 
-    fn handle<W: Worker + ?Sized>(&mut self, now: Time, event: Event, worker: &mut W) {
+impl<P: SchedulingPolicy> FabricEngine<P> {
+    fn handle(&mut self, now: Time, event: Event, worker: &mut dyn Worker) {
         match event {
             Event::PeWake { pe } => self.pe_wake(now, pe, worker),
             Event::StealArrive { thief, victim } => self.steal_arrive(now, thief, victim),
@@ -1292,7 +1242,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    fn pe_wake<W: Worker + ?Sized>(&mut self, now: Time, pe: usize, worker: &mut W) {
+    fn pe_wake(&mut self, now: Time, pe: usize, worker: &mut dyn Worker) {
         if self.is_dead(pe) || self.units.is_busy(pe, now) {
             return;
         }
@@ -1382,12 +1332,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         self.events.push(reply, Event::StealReply { thief, task });
     }
 
-    fn steal_reply<W: Worker + ?Sized>(
+    fn steal_reply(
         &mut self,
         now: Time,
         thief: usize,
         task: Option<Task>,
-        worker: &mut W,
+        worker: &mut dyn Worker,
     ) {
         match task {
             Some(t) => {
@@ -1833,13 +1783,13 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    fn task_run<W: Worker + ?Sized>(
+    fn task_run(
         &mut self,
         now: Time,
         pe: usize,
         task: Task,
         dup_of: Option<usize>,
-        worker: &mut W,
+        worker: &mut dyn Worker,
     ) {
         if let Some(spec) = dup_of {
             self.root.outstanding -= 1;
@@ -1882,13 +1832,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    fn execute_task<W: Worker + ?Sized>(
-        &mut self,
-        start: Time,
-        pe: usize,
-        task: Task,
-        worker: &mut W,
-    ) {
+    fn execute_task(&mut self, start: Time, pe: usize, task: Task, worker: &mut dyn Worker) {
         let tile = self.cfg.tile_of_pe(pe);
         let port = self.backend.port_of(&self.cfg, pe);
         self.core.trace.emit(
@@ -2225,7 +2169,10 @@ mod tests {
     fn run_fib(tiles: usize, pes: usize, n: u64) -> AccelResult {
         let mut engine = FlexEngine::new(AccelConfig::flex(tiles, pes), ExecProfile::scalar());
         engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[n]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[n]),
+            ))
             .expect("fib must complete")
     }
 
@@ -2293,7 +2240,10 @@ mod tests {
         let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
         // fib(16) needs more than 2 queue slots on one PE.
         let err = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[16]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[16]),
+            ))
             .unwrap_err();
         assert!(matches!(err, AccelError::QueueFull { .. }), "got {err}");
     }
@@ -2304,7 +2254,10 @@ mod tests {
         cfg.pstore_entries = 2;
         let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
         let err = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[18]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[18]),
+            ))
             .unwrap_err();
         assert!(matches!(err, AccelError::PStoreFull { .. }), "got {err}");
     }
@@ -2320,7 +2273,10 @@ mod tests {
     fn leaked_pending_is_reported() {
         let mut engine = FlexEngine::new(AccelConfig::flex(1, 1), ExecProfile::scalar());
         let err = engine
-            .run(&mut LeakyWorker, Task::new(FIB, Continuation::host(0), &[]))
+            .run(Workload::dynamic(
+                &mut LeakyWorker,
+                Task::new(FIB, Continuation::host(0), &[]),
+            ))
             .unwrap_err();
         assert_eq!(err, AccelError::LeakedPending { count: 1 });
     }
@@ -2342,7 +2298,10 @@ mod tests {
             engine.mem_mut().write_u32(0x1000 + 4 * i, i as u32);
         }
         let out = engine
-            .run(&mut MemWorker, Task::new(FIB, Continuation::host(0), &[]))
+            .run(Workload::dynamic(
+                &mut MemWorker,
+                Task::new(FIB, Continuation::host(0), &[]),
+            ))
             .unwrap();
         assert_eq!(out.result, (0..64).sum::<u64>());
         assert!(out.metrics.get("mem.l1_misses") >= 1);
@@ -2360,7 +2319,10 @@ mod tests {
         cfg.pe_task_types = Some(vec![0b01, 0b01, 0b01, 0b10]);
         let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
         let out = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[14]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[14]),
+            ))
             .unwrap();
         assert_eq!(out.result, fib(14));
         // SUM-only PEs (slots 3 and 7) must have executed all the SUM tasks
@@ -2392,7 +2354,10 @@ mod tests {
         cfg.pe_task_types = Some(vec![0b01, 0b01]);
         let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
         let err = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[6]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[6]),
+            ))
             .unwrap_err();
         assert!(matches!(err, AccelError::Unsupported(_)), "got {err}");
     }
@@ -2401,7 +2366,10 @@ mod tests {
     fn central_engine_computes_fib() {
         let mut engine = CentralEngine::new(AccelConfig::central(2, 4), ExecProfile::scalar());
         let out = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[14]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[14]),
+            ))
             .expect("central fib must complete");
         assert_eq!(out.result, fib(14));
         assert!(out.metrics.get("accel.tasks") > 100);
@@ -2418,7 +2386,10 @@ mod tests {
         let flex = run_fib(2, 4, 15);
         let mut engine = CentralEngine::new(AccelConfig::central(2, 4), ExecProfile::scalar());
         let central = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[15]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[15]),
+            ))
             .unwrap();
         assert_eq!(central.result, flex.result);
         assert!(
@@ -2445,7 +2416,10 @@ mod tests {
             let mut engine =
                 FlexEngine::new(AccelConfig::flex(1, 1), ExecProfile::new(accel_rate, 1.0));
             engine
-                .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[14]))
+                .run(Workload::dynamic(
+                    &mut FibWorker,
+                    Task::new(FIB, Continuation::host(0), &[14]),
+                ))
                 .unwrap()
                 .elapsed
         };
@@ -2461,13 +2435,17 @@ mod tests {
         let root = || Task::new(FIB, Continuation::host(0), &[n]);
         let reference = {
             let mut engine = FabricEngine::<P>::new(mk_cfg(), ExecProfile::scalar());
-            engine.run(&mut FibWorker, root()).expect("reference run")
+            engine
+                .run(Workload::dynamic(&mut FibWorker, root()))
+                .expect("reference run")
         };
         let pause = Time::from_ps(reference.elapsed.as_ps() / 2);
 
         let mut paused = FabricEngine::<P>::new(mk_cfg(), ExecProfile::scalar());
-        paused.launch(root());
-        match paused.run_until(&mut FibWorker, Some(pause)).unwrap() {
+        match paused
+            .run_until(Workload::dynamic(&mut FibWorker, root()), Some(pause))
+            .unwrap()
+        {
             RunStatus::Paused { at } => assert_eq!(at, pause),
             RunStatus::Finished(_) => panic!("fib must still be in flight at {pause}"),
         }
@@ -2479,7 +2457,9 @@ mod tests {
             .restore(&snap)
             .expect("restore into a fresh engine");
 
-        let finish = |engine: &mut FabricEngine<P>| match engine.run_until(&mut FibWorker, None) {
+        let finish = |engine: &mut FabricEngine<P>| match engine
+            .run_until(Workload::dynamic(&mut FibWorker, root()), None)
+        {
             Ok(RunStatus::Finished(out)) => out,
             Ok(RunStatus::Paused { .. }) => unreachable!("no pause requested"),
             Err(e) => panic!("resumed leg failed: {e}"),
@@ -2531,7 +2511,10 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_shape_and_engine() {
         let mut small = FlexEngine::new(AccelConfig::flex(1, 1), ExecProfile::scalar());
-        small.launch(Task::new(FIB, Continuation::host(0), &[8]));
+        let root = Task::new(FIB, Continuation::host(0), &[8]);
+        let _ = small
+            .run_until(Workload::dynamic(&mut FibWorker, root), Some(Time::ZERO))
+            .unwrap();
         let snap = small.snapshot();
 
         // Same family, different shape: the restore must fail loudly rather
@@ -2552,18 +2535,22 @@ mod tests {
     #[test]
     fn restore_refuses_stray_words_instead_of_skipping_them() {
         let mut engine = FlexEngine::new(AccelConfig::flex(2, 2), ExecProfile::scalar());
-        engine.launch(Task::new(FIB, Continuation::host(0), &[12]));
+        let root = Task::new(FIB, Continuation::host(0), &[12]);
         let _ = engine
-            .run_until(&mut FibWorker, Some(Time::from_ns(400)))
+            .run_until(
+                Workload::dynamic(&mut FibWorker, root),
+                Some(Time::from_ns(400)),
+            )
             .unwrap();
         let text = engine.snapshot().payload.to_json();
         // One list of words each from the event queue, a PE deque, a
-        // P-Store entry and the policy's per-PE LFSRs.
-        for needle in [
-            "\"events\":[[",
-            "\"items\":[[",
-            "\"entries\":[[",
-            "\"lfsrs\":[",
+        // P-Store entry and the policy's per-PE LFSRs (whose items are
+        // narrowed one by one, so the refusal names the field, not an index).
+        for (needle, refusal) in [
+            ("\"events\":[[", "non-u64"),
+            ("\"items\":[[", "non-u64"),
+            ("\"entries\":[[", "non-u64"),
+            ("\"lfsrs\":[", "\"lfsrs\" is not an unsigned integer"),
         ] {
             assert!(text.contains(needle), "{needle} missing from the snapshot");
             let tampered = text.replacen(needle, &format!("{needle}\"x\","), 1);
@@ -2571,7 +2558,7 @@ mod tests {
             let mut fresh = FlexEngine::new(AccelConfig::flex(2, 2), ExecProfile::scalar());
             let err = fresh.restore(&snap).expect_err(needle);
             assert!(
-                matches!(&err, SnapshotError::Malformed(m) if m.contains("non-u64")),
+                matches!(&err, SnapshotError::Malformed(m) if m.contains(refusal)),
                 "{needle}: {err}"
             );
         }
@@ -2587,7 +2574,10 @@ mod tests {
     fn hier_engine_computes_fib_across_chips() {
         let mut engine = HierEngine::new(cluster_cfg(4, 2, 2), ExecProfile::scalar());
         let out = engine
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[16]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[16]),
+            ))
             .expect("clustered fib must complete");
         assert_eq!(out.result, fib(16));
         // The cluster actually used the link: inter-chip traffic is
@@ -2609,7 +2599,10 @@ mod tests {
             cfg.trace_capacity = 1 << 14;
             let mut engine = HierEngine::new(cfg, ExecProfile::scalar());
             engine
-                .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[15]))
+                .run(Workload::dynamic(
+                    &mut FibWorker,
+                    Task::new(FIB, Continuation::host(0), &[15]),
+                ))
                 .unwrap()
         };
         let (a, b) = (run(), run());
@@ -2629,13 +2622,19 @@ mod tests {
             cfg.cluster = Some(ClusterConfig::new(2).flat());
             let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
             engine
-                .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[16]))
+                .run(Workload::dynamic(
+                    &mut FibWorker,
+                    Task::new(FIB, Continuation::host(0), &[16]),
+                ))
                 .unwrap()
         };
         let hier = {
             let mut engine = HierEngine::new(cluster_cfg(4, 2, 2), ExecProfile::scalar());
             engine
-                .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[16]))
+                .run(Workload::dynamic(
+                    &mut FibWorker,
+                    Task::new(FIB, Continuation::host(0), &[16]),
+                ))
                 .unwrap()
         };
         assert_eq!(flat.result, hier.result);
@@ -2654,7 +2653,10 @@ mod tests {
             cfg.cluster = Some(ClusterConfig::new(2).flat().with_link(64, occupancy_cycles));
             let mut engine = FlexEngine::new(cfg, ExecProfile::scalar());
             engine
-                .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[15]))
+                .run(Workload::dynamic(
+                    &mut FibWorker,
+                    Task::new(FIB, Continuation::host(0), &[15]),
+                ))
                 .unwrap()
         };
         let fast = run(1);
@@ -2690,9 +2692,12 @@ mod tests {
     #[test]
     fn cluster_snapshots_are_not_portable_to_single_chip_engines() {
         let mut clustered = HierEngine::new(cluster_cfg(2, 2, 2), ExecProfile::scalar());
-        clustered.launch(Task::new(FIB, Continuation::host(0), &[10]));
+        let root = Task::new(FIB, Continuation::host(0), &[10]);
         let _ = clustered
-            .run_until(&mut FibWorker, Some(Time::from_ns(50)))
+            .run_until(
+                Workload::dynamic(&mut FibWorker, root),
+                Some(Time::from_ns(50)),
+            )
             .unwrap();
         let snap = clustered.snapshot();
         // Same policy family, no cluster: the link payload must be refused.

@@ -18,11 +18,12 @@ use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
 use pxl_sim::json;
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
-use pxl_sim::{FaultKind, Metrics, Time, TraceEvent};
+use pxl_sim::{Clock, FaultKind, Time, TraceEvent};
 
+use crate::api::{Engine, EngineKind, Workload};
 use crate::config::{AccelConfig, ArchKind};
 use crate::core::{EmbedsCore, EngineCore};
-use crate::fabric::{timed_memory_path, AccelError, AccelResult, MemBackend, RunStatus};
+use crate::fabric::{timed_memory_path, AccelError, MemBackend, RunStatus};
 use crate::policy::StaticRoundPolicy;
 
 /// One round of statically distributed tasks.
@@ -61,7 +62,7 @@ where
 /// # Examples
 ///
 /// ```
-/// use pxl_arch::{AccelConfig, LiteEngine};
+/// use pxl_arch::{AccelConfig, Engine, LiteEngine, Workload};
 /// use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
 ///
 /// const LEAF: TaskTypeId = TaskTypeId(0);
@@ -75,14 +76,15 @@ where
 /// }
 ///
 /// let mut engine = LiteEngine::new(AccelConfig::lite(1, 4), ExecProfile::scalar());
-/// let out = engine
-///     .run(&mut SumWorker, &mut |_mem: &mut pxl_mem::Memory, round: usize| {
-///         (round == 0).then(|| {
-///             (0..4u64)
-///                 .map(|i| Task::new(LEAF, Continuation::host(0), &[i * 25, (i + 1) * 25]))
-///                 .collect()
-///         })
+/// let mut driver = |_mem: &mut pxl_mem::Memory, round: usize| {
+///     (round == 0).then(|| {
+///         (0..4u64)
+///             .map(|i| Task::new(LEAF, Continuation::host(0), &[i * 25, (i + 1) * 25]))
+///             .collect()
 ///     })
+/// };
+/// let out = engine
+///     .run(Workload::rounds(&mut SumWorker, &mut driver))
 ///     .unwrap();
 /// assert_eq!(out.result, (0..100).sum::<u64>());
 /// ```
@@ -142,44 +144,9 @@ impl LiteEngine {
         })
     }
 
-    /// Mutable access to functional memory for input setup.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.core.mem
-    }
-
-    /// Shared access to functional memory for output checking.
-    pub fn memory(&self) -> &Memory {
-        &self.core.mem
-    }
-
     /// The configuration this engine was built with.
     pub fn config(&self) -> &AccelConfig {
         &self.cfg
-    }
-
-    /// The engine's metrics registry (fully aggregated only after
-    /// [`LiteEngine::run`] returns, which moves it into the result).
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
-    }
-
-    /// Runs rounds from `driver` until it returns `None`.
-    ///
-    /// The result is the accumulated value of host slot 0.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::Unsupported`] if a task tries to spawn or create a
-    /// successor, [`AccelError::TimedOut`] past the configured limit.
-    pub fn run<W, D>(&mut self, worker: &mut W, driver: &mut D) -> Result<AccelResult, AccelError>
-    where
-        W: Worker + ?Sized,
-        D: LiteDriver + ?Sized,
-    {
-        match self.run_until(worker, driver, None)? {
-            RunStatus::Finished(result) => Ok(result),
-            RunStatus::Paused { .. } => unreachable!("run_until without a pause never pauses"),
-        }
     }
 
     /// The fault plan's static schedule (validated to hold only PE deaths
@@ -221,28 +188,39 @@ impl LiteEngine {
         }
         (deaths, stalls, all_deaths)
     }
+}
+
+impl Engine for LiteEngine {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Lite
+    }
+
+    fn units(&self) -> usize {
+        self.cfg.num_pes()
+    }
+
+    fn clock(&self) -> Clock {
+        self.cfg.clock.clone()
+    }
 
     /// Runs rounds until the driver returns `None` or, when `pause_at` is
     /// given, until the simulated clock passes that boundary at a round
     /// barrier. Rounds are atomic: the engine pauses *between* rounds, the
     /// natural checkpoint for a machine whose host synchronizes every round.
-    /// Legs compose — keep calling with the same worker and an equivalent
-    /// driver (LiteArch drivers must derive round `r` from `(mem, r)` alone)
-    /// until [`RunStatus::Finished`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiteEngine::run`].
-    pub fn run_until<W, D>(
+    /// LiteArch drivers must derive round `r` from `(mem, r)` alone, so an
+    /// equivalent driver resumes a paused or restored run. The result is
+    /// the accumulated value of host slot 0.
+    fn run_until(
         &mut self,
-        worker: &mut W,
-        driver: &mut D,
+        workload: Workload<'_>,
         pause_at: Option<Time>,
-    ) -> Result<RunStatus, AccelError>
-    where
-        W: Worker + ?Sized,
-        D: LiteDriver + ?Sized,
-    {
+    ) -> Result<RunStatus, AccelError> {
+        let Workload::Rounds { worker, driver } = workload else {
+            return Err(AccelError::Unsupported(format!(
+                "LiteArch runs host-driven rounds, not {}",
+                workload.shape()
+            )));
+        };
         let num_pes = self.cfg.num_pes();
         let (deaths, stalls, all_deaths) = self.fault_windows();
         let policy = StaticRoundPolicy::new(num_pes);
@@ -335,12 +313,7 @@ impl LiteEngine {
         )))
     }
 
-    /// Serializes the complete mutable state into a versioned, checksummed
-    /// [`Snapshot`]. Capture at a [`RunStatus::Paused`] round barrier; a
-    /// fresh engine built from the same configuration restores it and —
-    /// with an equivalent driver — continues byte-identically to an
-    /// uninterrupted run.
-    pub fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let host = &self.core.host;
         let head = vec![
             ("now_ps", json::num(self.now.as_ps())),
@@ -356,16 +329,7 @@ impl LiteEngine {
         self.core.snapshot("lite", head, backend, Vec::new())
     }
 
-    /// Overwrites this engine's mutable state with a [`Snapshot`] captured
-    /// by [`LiteEngine::snapshot`] on an engine built from the same
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::EngineMismatch`] when the snapshot was taken by a
-    /// different engine family, [`SnapshotError::Malformed`] when the
-    /// payload does not describe this configuration.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.expect_engine("lite")?;
         let p = &snap.payload;
         self.now = Time::from_ps(json::get_u64(p, "now_ps")?);
@@ -390,18 +354,15 @@ impl LiteEngine {
             .restore_state(json::get(p, "backend")?)
             .map_err(malformed)
     }
+}
 
-    /// Accumulated value of a host result slot (`None` if never written).
-    pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.core.host_result(slot)
-    }
-
-    fn execute_task<W: Worker + ?Sized>(
+impl LiteEngine {
+    fn execute_task(
         &mut self,
         start: Time,
         pe: usize,
         task: Task,
-        worker: &mut W,
+        worker: &mut dyn Worker,
     ) -> Result<Time, AccelError> {
         let start = start
             + self
@@ -562,7 +523,10 @@ mod tests {
     fn single_round_reduction() {
         let mut engine = LiteEngine::new(AccelConfig::lite(1, 4), ExecProfile::scalar());
         let out = engine
-            .run(&mut SumWorker, &mut one_round(chunk_tasks(1000, 8)))
+            .run(Workload::rounds(
+                &mut SumWorker,
+                &mut one_round(chunk_tasks(1000, 8)),
+            ))
             .unwrap();
         assert_eq!(out.result, (0..1000).sum::<u64>());
         assert_eq!(out.metrics.get("accel.tasks"), 8);
@@ -574,7 +538,10 @@ mod tests {
         let run = |tiles, pes| {
             let mut engine = LiteEngine::new(AccelConfig::lite(tiles, pes), ExecProfile::scalar());
             engine
-                .run(&mut SumWorker, &mut one_round(chunk_tasks(100_000, 64)))
+                .run(Workload::rounds(
+                    &mut SumWorker,
+                    &mut one_round(chunk_tasks(100_000, 64)),
+                ))
                 .unwrap()
                 .elapsed
         };
@@ -596,10 +563,11 @@ mod tests {
         }
         let mut engine = LiteEngine::new(AccelConfig::lite(1, 2), ExecProfile::scalar());
         engine.mem_mut().write_u32(0x100, 1);
+        let mut driver = |_mem: &mut Memory, round: usize| {
+            (round < 3).then(|| vec![Task::new(LEAF, Continuation::host(1), &[0x100])])
+        };
         let out = engine
-            .run(&mut DoubleWorker, &mut |_mem: &mut Memory, round: usize| {
-                (round < 3).then(|| vec![Task::new(LEAF, Continuation::host(1), &[0x100])])
-            })
+            .run(Workload::rounds(&mut DoubleWorker, &mut driver))
             .unwrap();
         assert_eq!(engine.memory().read_u32(0x100), 8, "three doubling rounds");
         assert_eq!(out.metrics.get("lite.rounds"), 3);
@@ -616,10 +584,10 @@ mod tests {
     fn spawning_is_rejected() {
         let mut engine = LiteEngine::new(AccelConfig::lite(1, 1), ExecProfile::scalar());
         let err = engine
-            .run(
+            .run(Workload::rounds(
                 &mut SpawnyWorker,
                 &mut one_round(vec![Task::new(LEAF, Continuation::host(0), &[])]),
-            )
+            ))
             .unwrap_err();
         assert!(matches!(err, AccelError::Unsupported(_)), "got {err}");
     }
@@ -635,10 +603,10 @@ mod tests {
     fn successors_are_rejected() {
         let mut engine = LiteEngine::new(AccelConfig::lite(1, 1), ExecProfile::scalar());
         let err = engine
-            .run(
+            .run(Workload::rounds(
                 &mut SuccessorWorker,
                 &mut one_round(vec![Task::new(LEAF, Continuation::host(0), &[])]),
-            )
+            ))
             .unwrap_err();
         assert!(matches!(err, AccelError::Unsupported(_)));
     }
@@ -673,12 +641,17 @@ mod tests {
             }
             engine
         };
-        let reference = mk().run(&mut DoubleWorker, &mut driver()).unwrap();
+        let reference = mk()
+            .run(Workload::rounds(&mut DoubleWorker, &mut driver()))
+            .unwrap();
         let pause = Time::from_ps(reference.elapsed.as_ps() / 2);
 
         let mut paused = mk();
         match paused
-            .run_until(&mut DoubleWorker, &mut driver(), Some(pause))
+            .run_until(
+                Workload::rounds(&mut DoubleWorker, &mut driver()),
+                Some(pause),
+            )
             .unwrap()
         {
             RunStatus::Paused { at } => assert_eq!(at, pause),
@@ -692,10 +665,11 @@ mod tests {
             .expect("restore into a fresh engine");
 
         for (label, engine) in [("paused", &mut paused), ("restored", &mut restored)] {
-            let out = match engine.run_until(&mut DoubleWorker, &mut driver(), None) {
-                Ok(RunStatus::Finished(out)) => out,
-                other => panic!("{label} leg: {other:?}"),
-            };
+            let out =
+                match engine.run_until(Workload::rounds(&mut DoubleWorker, &mut driver()), None) {
+                    Ok(RunStatus::Finished(out)) => out,
+                    other => panic!("{label} leg: {other:?}"),
+                };
             assert_eq!(out.result, reference.result, "{label} result");
             assert_eq!(out.elapsed, reference.elapsed, "{label} elapsed");
             assert_eq!(
@@ -742,7 +716,9 @@ mod tests {
         let tasks: RoundTasks = (0..4)
             .map(|i| Task::new(LEAF, Continuation::host(2), &[0, i + 1]))
             .collect();
-        let _ = engine.run(&mut SumWorker, &mut one_round(tasks)).unwrap();
+        let _ = engine
+            .run(Workload::rounds(&mut SumWorker, &mut one_round(tasks)))
+            .unwrap();
         // Sums of 0..1, 0..2, 0..3, 0..4 = 0 + 1 + 3 + 6.
         assert_eq!(engine.host_result(2), Some(10));
         assert_eq!(engine.host_result(3), None);

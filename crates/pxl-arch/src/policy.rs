@@ -142,6 +142,15 @@ fn tasks_from_json(value: &JsonValue, key: &'static str) -> Result<Vec<Task>, St
         .collect()
 }
 
+/// Array field `key` of `value`, every item narrowed to `T` — an item `T`
+/// cannot hold is refused, never truncated.
+fn get_uints<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<Vec<T>, String> {
+    json::get_arr(value, key)?
+        .iter()
+        .map(|item| json::uint_of(item, key).map_err(String::from))
+        .collect()
+}
+
 /// FlexArch's distributed work stealing (the paper's Fig. 3(b) TMU).
 ///
 /// Each PE owns a bounded task deque; idle PEs pop their configured local
@@ -304,17 +313,25 @@ impl SchedulingPolicy for FlexPolicy {
                 self.num_pes
             ));
         }
-        let lfsrs = json::get_u64s(value, "lfsrs")?;
-        let rr_victim = json::get_u64s(value, "rr_victim")?;
+        let lfsrs: Vec<u16> = get_uints(value, "lfsrs")?;
+        let rr_victim: Vec<usize> = get_uints(value, "rr_victim")?;
         if lfsrs.len() != self.num_pes || rr_victim.len() != self.num_pes {
             return Err("policy state: per-PE array length mismatch".to_owned());
+        }
+        // Round-robin victims cycle over the PEs and the host block
+        // (unit `num_pes`); nothing past it is reachable.
+        if let Some(v) = rr_victim.iter().find(|v| **v > self.num_pes) {
+            return Err(format!(
+                "policy state: rr_victim {v} is past unit {}",
+                self.num_pes
+            ));
         }
         let host_queue = tasks_from_json(value, "host_queue")?;
         for (deque, state) in self.deques.iter_mut().zip(deque_states) {
             deque.restore_state(state)?;
         }
-        self.lfsrs = lfsrs.iter().map(|s| Lfsr16::new(*s as u16)).collect();
-        self.rr_victim = rr_victim.into_iter().map(|v| v as usize).collect();
+        self.lfsrs = lfsrs.into_iter().map(Lfsr16::new).collect();
+        self.rr_victim = rr_victim;
         self.host_queue = host_queue.into_iter().collect();
         Ok(())
     }
@@ -596,11 +613,11 @@ impl SchedulingPolicy for HierPolicy {
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
         self.inner.restore_state(json::get(value, "flex")?)?;
-        let fails = json::get_u64s(value, "fails")?;
+        let fails = get_uints(value, "fails")?;
         if fails.len() != self.inner.num_pes {
             return Err("policy state: fails length mismatch".to_owned());
         }
-        self.fails = fails.into_iter().map(|f| f as u32).collect();
+        self.fails = fails;
         Ok(())
     }
 }

@@ -15,7 +15,8 @@
 
 use pxl_apps::{Benchmark, Scale};
 use pxl_arch::{
-    AccelConfig, FabricEngine, LocalOrder, SchedPolicy, SchedulingPolicy, StealEnd, VictimSelect,
+    AccelConfig, Engine, FabricEngine, LocalOrder, SchedPolicy, SchedulingPolicy, StealEnd,
+    VictimSelect, Workload,
 };
 use pxl_bench::{bench, render_table};
 use pxl_dse::pe_geometry;
@@ -37,7 +38,7 @@ fn try_run<P: SchedulingPolicy>(
     let mut engine = FabricEngine::<P>::new(cfg, b.profile());
     let inst = b.flex(engine.mem_mut());
     let mut worker = inst.worker;
-    match engine.run(worker.as_mut(), inst.root) {
+    match engine.run(Workload::dynamic(worker.as_mut(), inst.root)) {
         Ok(out) => {
             b.check(engine.memory(), out.result)?;
             Ok((out.elapsed, out.metrics))

@@ -7,11 +7,11 @@
 use std::collections::BTreeMap;
 
 use pxl_apps::{suite, Benchmark, Scale};
-use pxl_arch::{AccelConfig, ArchKind, MemBackendKind};
+use pxl_arch::{AccelConfig, ArchKind, Engine, FlexEngine, MemBackendKind};
 use pxl_cost::resources::{tile_resources, FpgaDevice};
 use pxl_cost::EnergyModel;
 use pxl_dse::{pe_geometry, DesignPoint, PointArch};
-use pxl_flow::{execute, run_checked, RunSpec, SimulationBuilder};
+use pxl_flow::{execute, run_checked, RunSpec};
 use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
 use pxl_sim::{Clock, PlatformConfig};
 
@@ -346,14 +346,14 @@ fn run_cpu_zedboard(bench: &dyn Benchmark) -> RunOutcome {
         steal_attempt_instrs: 400,
         ..pxl_cpu::SoftwareCosts::default()
     };
-    let builder = SimulationBuilder::cpu_with(
+    let mut engine = pxl_cpu::CpuEngine::with_params(
         2,
         a9_profile,
         zedboard_cpu_core(),
         zedboard_cpu_memory(),
         costs,
     );
-    run_zedboard(&builder, bench, "zedcpu")
+    run_zedboard(&mut engine, bench, "zedcpu")
 }
 
 /// Runs `bench` on the Zedboard prototype accelerator (stream buffers over
@@ -363,20 +363,14 @@ fn run_flex_zedboard(bench: &dyn Benchmark, pes: usize) -> RunOutcome {
     let mut cfg = AccelConfig::flex(tiles, per_tile);
     cfg.mem_backend = MemBackendKind::Zedboard;
     cfg.clock = Clock::new("zed_accel", 8_000);
-    run_zedboard(
-        &SimulationBuilder::from_config(cfg, bench.profile()),
-        bench,
-        "zedflex",
-    )
+    let mut engine = FlexEngine::try_new(cfg, bench.profile())
+        .unwrap_or_else(|e| panic!("{} on zedflex: {e}", bench.meta().name));
+    run_zedboard(&mut engine, bench, "zedflex")
 }
 
-/// Builds and runs one Zedboard engine, panicking on any failure.
-fn run_zedboard(builder: &SimulationBuilder, bench: &dyn Benchmark, label: &str) -> RunOutcome {
-    let name = bench.meta().name;
-    let mut engine = builder
-        .build()
-        .unwrap_or_else(|e| panic!("{name} on {label}: {e}"));
-    run_checked(engine.as_mut(), bench, label)
+/// Runs `bench` on one Zedboard engine, panicking on any failure.
+fn run_zedboard(engine: &mut dyn Engine, bench: &dyn Benchmark, label: &str) -> RunOutcome {
+    run_checked(engine, bench, label)
         .unwrap_or_else(|e| panic!("{e}"))
         .expect("the Zedboard engines run every benchmark")
 }

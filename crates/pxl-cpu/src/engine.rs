@@ -8,11 +8,11 @@ use pxl_model::{
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
 use pxl_sim::json::{self, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
-use pxl_sim::{EventQueue, Metrics, Time, TraceEvent, Tracer, XorShift64};
+use pxl_sim::{EventQueue, Time, TraceEvent, Tracer, XorShift64};
 
 use pxl_arch::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use pxl_arch::deque::TaskDeque;
-use pxl_arch::fabric::{AccelError, AccelResult};
+use pxl_arch::fabric::AccelError;
 use pxl_arch::{Engine, EngineKind, RunStatus, Workload};
 
 /// Core cycles without a task completion before the quiescence watchdog
@@ -68,9 +68,6 @@ impl Default for SoftwareCosts {
         }
     }
 }
-
-/// Result of a CPU run (same shape as the accelerator's).
-pub type CpuResult = AccelResult;
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -137,6 +134,7 @@ impl Event {
 /// # Examples
 ///
 /// ```
+/// use pxl_arch::{Engine, Workload};
 /// use pxl_cpu::CpuEngine;
 /// use pxl_model::{Continuation, ExecProfile, Task, TaskContext, TaskTypeId, Worker};
 ///
@@ -163,7 +161,8 @@ impl Event {
 /// }
 ///
 /// let mut cpu = CpuEngine::new(4, ExecProfile::scalar());
-/// let out = cpu.run(&mut Fib, Task::new(FIB, Continuation::host(0), &[12])).unwrap();
+/// let root = Task::new(FIB, Continuation::host(0), &[12]);
+/// let out = cpu.run(Workload::dynamic(&mut Fib, root)).unwrap();
 /// assert_eq!(out.result, 144);
 /// ```
 #[derive(Debug)]
@@ -238,31 +237,6 @@ impl CpuEngine {
         }
     }
 
-    /// Mutable access to functional memory for input setup.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.core.mem
-    }
-
-    /// Shared access to functional memory for output checking.
-    pub fn memory(&self) -> &Memory {
-        &self.core.mem
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The engine's metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
-    }
-
-    /// Value delivered to a host result register, if any.
-    pub fn host_result(&self, slot: u8) -> Option<u64> {
-        self.core.host_result(slot)
-    }
-
     /// Enables structured event tracing (runtime + memory hierarchy) with a
     /// bounded buffer of `capacity` records per source; zero disables.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
@@ -282,199 +256,7 @@ impl CpuEngine {
         self.core_params.clock.cycles_to_time(cycles)
     }
 
-    /// Runs `root` to completion on core 0 (the thread that called the
-    /// Cilk spawn root); other cores join by stealing.
-    ///
-    /// # Errors
-    ///
-    /// See [`AccelError`]; queue/P-Store overflow cannot occur (software
-    /// stores are heap-backed) but leaks and timeouts are detected.
-    pub fn run<W: Worker + ?Sized>(
-        &mut self,
-        worker: &mut W,
-        root: Task,
-    ) -> Result<CpuResult, AccelError> {
-        self.launch(root);
-        match self.run_until(worker, None)? {
-            RunStatus::Finished(result) => Ok(result),
-            RunStatus::Paused { .. } => unreachable!("run_until without a pause never pauses"),
-        }
-    }
-
-    /// Seeds `root` on core 0 and wakes the other cores. A no-op when the
-    /// engine is already launched — notably after [`CpuEngine::restore`].
-    pub fn launch(&mut self, root: Task) {
-        let Some(root) = self.root.launch(&mut self.core, root) else {
-            return;
-        };
-        self.events.push(
-            Time::ZERO,
-            Event::TaskRun {
-                core: 0,
-                task: root,
-            },
-        );
-        for core in 1..self.cores {
-            self.events.push(Time::ZERO, Event::CoreWake { core });
-        }
-    }
-
-    /// Advances the simulation until the computation drains or, when
-    /// `pause_at` is given, until the next pending event lies beyond that
-    /// boundary with work still outstanding. Call [`CpuEngine::launch`]
-    /// first (or restore a snapshot); legs compose — keep calling with the
-    /// same worker until [`RunStatus::Finished`].
-    ///
-    /// # Errors
-    ///
-    /// See [`CpuEngine::run`].
-    pub fn run_until<W: Worker + ?Sized>(
-        &mut self,
-        worker: &mut W,
-        pause_at: Option<Time>,
-    ) -> Result<RunStatus, AccelError> {
-        loop {
-            if let Some(pause) = pause_at {
-                // Pause only between events and only while work remains; a
-                // drained computation always runs to its finished result.
-                if self.root.outstanding > 0 {
-                    match self.events.peek_time() {
-                        Some(next) if next > pause => return Ok(RunStatus::Paused { at: pause }),
-                        _ => {}
-                    }
-                }
-            }
-            let Some((now, event)) = self.events.pop() else {
-                break;
-            };
-            if self.root.outstanding == 0 {
-                break;
-            }
-            self.check_step(now)?;
-            self.handle(now, event, worker);
-        }
-
-        let leaked = self.pending.iter().filter(|p| p.is_some()).count();
-        if leaked > 0 {
-            return Err(AccelError::LeakedPending { count: leaked });
-        }
-        let result = self.root.result(&self.core)?;
-        let elapsed = self.root.last_useful;
-        Ok(RunStatus::Finished(self.finish_run(
-            result,
-            elapsed,
-            |engine| {
-                let queue_peak: usize = engine.deques.iter().map(TaskDeque::peak).sum();
-                let metrics = &mut engine.core.metrics;
-                metrics.add("cpu.queue_peak_sum", queue_peak as u64);
-                metrics.merge(&engine.memsys.take_stats());
-                engine.memsys.take_trace()
-            },
-        )))
-    }
-
-    /// Serializes the complete mutable runtime state — deques, pending
-    /// frames, RNG streams, event queue, memory system — into a versioned,
-    /// checksummed [`Snapshot`]. Capture at a [`RunStatus::Paused`]
-    /// boundary; a fresh engine built with the same parameters restores it
-    /// and continues byte-identically to an uninterrupted run.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut head = self.root.fields(&self.core);
-        head.extend([
-            (
-                "deques",
-                JsonValue::Array(
-                    self.deques
-                        .iter()
-                        .map(TaskDeque::state_to_json_value)
-                        .collect(),
-                ),
-            ),
-            (
-                "rngs",
-                json::arr_u64(self.rngs.iter().map(XorShift64::state)),
-            ),
-        ]);
-        head.extend(self.units.fields());
-        head.extend([
-            (
-                "pending",
-                JsonValue::Array(
-                    self.pending
-                        .iter()
-                        .map(|cell| match cell {
-                            Some(p) => json::arr_u64(p.to_words()),
-                            None => json::arr_u64([]),
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "pending_free",
-                json::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
-            ),
-            ("host", self.core.host_cells()),
-            ("events", events_to_json(&self.events, Event::to_words)),
-        ]);
-        let memsys = ("memsys", self.memsys.state_to_json_value());
-        self.core.snapshot("cpu", head, memsys, Vec::new())
-    }
-
-    /// Overwrites this engine's mutable state with a [`Snapshot`] captured
-    /// by [`CpuEngine::snapshot`] on an engine built with the same
-    /// parameters.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::EngineMismatch`] when the snapshot was taken by a
-    /// different engine family, [`SnapshotError::Malformed`] when the
-    /// payload does not describe this configuration.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        snap.expect_engine("cpu")?;
-        let p = &snap.payload;
-        self.root = RootRun::read(p)?;
-
-        let deques = json::get_arr(p, "deques")?;
-        let rngs = json::get_u64s(p, "rngs")?;
-        if deques.len() != self.cores || rngs.len() != self.cores {
-            return Err(malformed(format!(
-                "snapshot describes {} cores, this engine has {}",
-                deques.len(),
-                self.cores
-            )));
-        }
-        for (deque, state) in self.deques.iter_mut().zip(deques) {
-            deque.restore_state(state).map_err(malformed)?;
-        }
-        // XorShift64 state is never zero, so new(state) restores it exactly.
-        self.rngs = rngs.iter().map(|s| XorShift64::new(*s)).collect();
-        self.units.read(p)?;
-
-        self.pending = json::get_arr(p, "pending")?
-            .iter()
-            .map(|cell| {
-                let words = json::u64s(cell, "pending")?;
-                match words.len() {
-                    0 => Ok(None),
-                    PENDING_WORDS => PendingTask::from_words(&words).map(Some).map_err(malformed),
-                    n => Err(malformed(format!("pending entry holds {n} words"))),
-                }
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        self.pending_free = json::get_u64s(p, "pending_free")?
-            .iter()
-            .map(|e| u32::try_from(*e).map_err(|_| malformed("pending_free overflows u32")))
-            .collect::<Result<_, _>>()?;
-
-        self.core.read_host_cells(p)?;
-        read_events(p, &mut self.events, Event::from_words)?;
-        self.core.restore(p, |_| {})?;
-        self.memsys
-            .restore_state(json::get(p, "memsys")?)
-            .map_err(malformed)
-    }
-
-    fn handle<W: Worker + ?Sized>(&mut self, now: Time, event: Event, worker: &mut W) {
+    fn handle(&mut self, now: Time, event: Event, worker: &mut dyn Worker) {
         match event {
             Event::CoreWake { core } => self.core_wake(now, core, worker),
             Event::StealTry { core } => self.steal_try(now, core, worker),
@@ -490,7 +272,7 @@ impl CpuEngine {
         }
     }
 
-    fn core_wake<W: Worker + ?Sized>(&mut self, now: Time, core: usize, worker: &mut W) {
+    fn core_wake(&mut self, now: Time, core: usize, worker: &mut dyn Worker) {
         if self.units.is_busy(core, now) {
             return;
         }
@@ -509,7 +291,7 @@ impl CpuEngine {
         // wakes it via TaskRun events.
     }
 
-    fn steal_try<W: Worker + ?Sized>(&mut self, now: Time, core: usize, worker: &mut W) {
+    fn steal_try(&mut self, now: Time, core: usize, worker: &mut dyn Worker) {
         if self.units.is_busy(core, now) {
             return;
         }
@@ -561,13 +343,7 @@ impl CpuEngine {
         }
     }
 
-    fn execute_task<W: Worker + ?Sized>(
-        &mut self,
-        start: Time,
-        core: usize,
-        task: Task,
-        worker: &mut W,
-    ) {
+    fn execute_task(&mut self, start: Time, core: usize, task: Task, worker: &mut dyn Worker) {
         self.core.trace.emit(
             start,
             TraceEvent::TaskDispatch {
@@ -832,29 +608,160 @@ impl Engine for CpuEngine {
         self.core_params.clock.clone()
     }
 
+    /// Runs `root` on core 0 (the thread that called the Cilk spawn
+    /// root); other cores join by stealing. Queue/P-Store overflow cannot
+    /// occur (software stores are heap-backed) but leaks and timeouts are
+    /// detected.
     fn run_until(
         &mut self,
         workload: Workload<'_>,
         pause_at: Option<Time>,
     ) -> Result<RunStatus, AccelError> {
-        match workload {
-            Workload::Dynamic { worker, root } => {
-                CpuEngine::launch(self, root);
-                CpuEngine::run_until(self, worker, pause_at)
-            }
-            other => Err(AccelError::Unsupported(format!(
+        let Workload::Dynamic { worker, root } = workload else {
+            return Err(AccelError::Unsupported(format!(
                 "the CPU baseline runs dynamic task graphs, not {}",
-                other.shape()
-            ))),
+                workload.shape()
+            )));
+        };
+        // Seeds `root` on core 0 and wakes the other cores, unless the
+        // engine is already launched (notably after a restore).
+        if let Some(root) = self.root.launch(&mut self.core, root) {
+            self.events.push(
+                Time::ZERO,
+                Event::TaskRun {
+                    core: 0,
+                    task: root,
+                },
+            );
+            for core in 1..self.cores {
+                self.events.push(Time::ZERO, Event::CoreWake { core });
+            }
         }
+        loop {
+            if let Some(pause) = pause_at {
+                // Pause only between events and only while work remains; a
+                // drained computation always runs to its finished result.
+                if self.root.outstanding > 0 {
+                    match self.events.peek_time() {
+                        Some(next) if next > pause => return Ok(RunStatus::Paused { at: pause }),
+                        _ => {}
+                    }
+                }
+            }
+            let Some((now, event)) = self.events.pop() else {
+                break;
+            };
+            if self.root.outstanding == 0 {
+                break;
+            }
+            self.check_step(now)?;
+            self.handle(now, event, worker);
+        }
+
+        let leaked = self.pending.iter().filter(|p| p.is_some()).count();
+        if leaked > 0 {
+            return Err(AccelError::LeakedPending { count: leaked });
+        }
+        let result = self.root.result(&self.core)?;
+        let elapsed = self.root.last_useful;
+        Ok(RunStatus::Finished(self.finish_run(
+            result,
+            elapsed,
+            |engine| {
+                let queue_peak: usize = engine.deques.iter().map(TaskDeque::peak).sum();
+                let metrics = &mut engine.core.metrics;
+                metrics.add("cpu.queue_peak_sum", queue_peak as u64);
+                metrics.merge(&engine.memsys.take_stats());
+                engine.memsys.take_trace()
+            },
+        )))
     }
 
     fn snapshot(&self) -> Snapshot {
-        CpuEngine::snapshot(self)
+        let mut head = self.root.fields(&self.core);
+        head.extend([
+            (
+                "deques",
+                JsonValue::Array(
+                    self.deques
+                        .iter()
+                        .map(TaskDeque::state_to_json_value)
+                        .collect(),
+                ),
+            ),
+            (
+                "rngs",
+                json::arr_u64(self.rngs.iter().map(XorShift64::state)),
+            ),
+        ]);
+        head.extend(self.units.fields());
+        head.extend([
+            (
+                "pending",
+                JsonValue::Array(
+                    self.pending
+                        .iter()
+                        .map(|cell| match cell {
+                            Some(p) => json::arr_u64(p.to_words()),
+                            None => json::arr_u64([]),
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "pending_free",
+                json::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
+            ),
+            ("host", self.core.host_cells()),
+            ("events", events_to_json(&self.events, Event::to_words)),
+        ]);
+        let memsys = ("memsys", self.memsys.state_to_json_value());
+        self.core.snapshot("cpu", head, memsys, Vec::new())
     }
 
     fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        CpuEngine::restore(self, snap)
+        snap.expect_engine("cpu")?;
+        let p = &snap.payload;
+        self.root = RootRun::read(p)?;
+
+        let deques = json::get_arr(p, "deques")?;
+        let rngs = json::get_u64s(p, "rngs")?;
+        if deques.len() != self.cores || rngs.len() != self.cores {
+            return Err(malformed(format!(
+                "snapshot describes {} cores, this engine has {}",
+                deques.len(),
+                self.cores
+            )));
+        }
+        for (deque, state) in self.deques.iter_mut().zip(deques) {
+            deque.restore_state(state).map_err(malformed)?;
+        }
+        // XorShift64 state is never zero, so new(state) restores it exactly.
+        self.rngs = rngs.iter().map(|s| XorShift64::new(*s)).collect();
+        self.units.read(p)?;
+
+        self.pending = json::get_arr(p, "pending")?
+            .iter()
+            .map(|cell| {
+                let words = json::u64s(cell, "pending")?;
+                match words.len() {
+                    0 => Ok(None),
+                    PENDING_WORDS => PendingTask::from_words(&words).map(Some).map_err(malformed),
+                    n => Err(malformed(format!("pending entry holds {n} words"))),
+                }
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        self.pending_free = json::get_u64s(p, "pending_free")?
+            .iter()
+            .map(|e| u32::try_from(*e).map_err(|_| malformed("pending_free overflows u32")))
+            .collect::<Result<_, _>>()?;
+
+        self.core.read_host_cells(p)?;
+        read_events(p, &mut self.events, Event::from_words)?;
+        self.core.restore(p, |_| {})?;
+        self.memsys
+            .restore_state(json::get(p, "memsys")?)
+            .map_err(malformed)
     }
 }
 
@@ -894,10 +801,13 @@ mod tests {
         }
     }
 
-    fn run_fib(cores: usize, n: u64) -> CpuResult {
+    fn run_fib(cores: usize, n: u64) -> pxl_arch::AccelResult {
         let mut cpu = CpuEngine::new(cores, ExecProfile::scalar());
-        cpu.run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[n]))
-            .expect("fib must complete")
+        cpu.run(Workload::dynamic(
+            &mut FibWorker,
+            Task::new(FIB, Continuation::host(0), &[n]),
+        ))
+        .expect("fib must complete")
     }
 
     #[test]
@@ -940,13 +850,16 @@ mod tests {
         };
         let reference = {
             let mut cpu = mk();
-            cpu.run(&mut FibWorker, root()).expect("reference run")
+            cpu.run(Workload::dynamic(&mut FibWorker, root()))
+                .expect("reference run")
         };
         let pause = Time::from_ps(reference.elapsed.as_ps() / 2);
 
         let mut paused = mk();
-        paused.launch(root());
-        match paused.run_until(&mut FibWorker, Some(pause)).unwrap() {
+        match paused
+            .run_until(Workload::dynamic(&mut FibWorker, root()), Some(pause))
+            .unwrap()
+        {
             RunStatus::Paused { at } => assert_eq!(at, pause),
             RunStatus::Finished(_) => panic!("fib must still be in flight at {pause}"),
         }
@@ -957,7 +870,9 @@ mod tests {
             .restore(&snap)
             .expect("restore into a fresh engine");
 
-        let finish = |cpu: &mut CpuEngine| match cpu.run_until(&mut FibWorker, None) {
+        let finish = |cpu: &mut CpuEngine| match cpu
+            .run_until(Workload::dynamic(&mut FibWorker, root()), None)
+        {
             Ok(RunStatus::Finished(out)) => out,
             other => panic!("resumed leg: {other:?}"),
         };
@@ -987,9 +902,12 @@ mod tests {
     #[test]
     fn restore_refuses_stray_words_instead_of_skipping_them() {
         let mut cpu = CpuEngine::new(2, ExecProfile::scalar());
-        cpu.launch(Task::new(FIB, Continuation::host(0), &[12]));
+        let root = Task::new(FIB, Continuation::host(0), &[12]);
         let _ = cpu
-            .run_until(&mut FibWorker, Some(Time::from_ns(2_000)))
+            .run_until(
+                Workload::dynamic(&mut FibWorker, root),
+                Some(Time::from_ns(2_000)),
+            )
             .unwrap();
         let text = cpu.snapshot().payload.to_json();
         for needle in ["\"events\":[[", "\"pending\":[["] {
@@ -1015,7 +933,10 @@ mod tests {
         let mut accel =
             pxl_arch::FlexEngine::new(pxl_arch::AccelConfig::flex(1, 1), ExecProfile::scalar());
         let out = accel
-            .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[12]))
+            .run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[12]),
+            ))
             .unwrap();
         let accel_ns_per_task = out.elapsed.as_ns_f64() / out.metrics.get("accel.tasks") as f64;
         // At 1/5 the clock rate, the accelerator should still be competitive
@@ -1045,7 +966,7 @@ mod tests {
             zedboard_cpu_memory(),
             SoftwareCosts::default(),
         );
-        let out = a9.run(&mut FibWorker, root).unwrap();
+        let out = a9.run(Workload::dynamic(&mut FibWorker, root)).unwrap();
         assert_eq!(out.result, fib(14));
         assert!(
             out.elapsed > big.elapsed,
@@ -1068,9 +989,12 @@ mod tests {
                     ..SoftwareCosts::default()
                 },
             );
-            cpu.run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[14]))
-                .unwrap()
-                .elapsed
+            cpu.run(Workload::dynamic(
+                &mut FibWorker,
+                Task::new(FIB, Continuation::host(0), &[14]),
+            ))
+            .unwrap()
+            .elapsed
         };
         assert!(run(1.0) > run(3.0), "denser runtime code must be faster");
     }
@@ -1086,7 +1010,10 @@ mod tests {
     fn leaks_are_detected() {
         let mut cpu = CpuEngine::new(2, ExecProfile::scalar());
         let err = cpu
-            .run(&mut LeakyWorker, Task::new(FIB, Continuation::host(0), &[]))
+            .run(Workload::dynamic(
+                &mut LeakyWorker,
+                Task::new(FIB, Continuation::host(0), &[]),
+            ))
             .unwrap_err();
         assert_eq!(err, AccelError::LeakedPending { count: 1 });
     }
@@ -1108,7 +1035,10 @@ mod tests {
             cpu.mem_mut().write_u32(0x2000 + 4 * i, 2 * i as u32);
         }
         let out = cpu
-            .run(&mut MemWorker, Task::new(FIB, Continuation::host(0), &[]))
+            .run(Workload::dynamic(
+                &mut MemWorker,
+                Task::new(FIB, Continuation::host(0), &[]),
+            ))
             .unwrap();
         assert_eq!(out.result, (0..64).map(|i| 2 * i).sum::<u64>());
         assert!(out.metrics.get("mem.l1_hits") > 0);

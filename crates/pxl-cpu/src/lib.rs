@@ -26,4 +26,4 @@
 
 pub mod engine;
 
-pub use engine::{CpuEngine, CpuResult, SoftwareCosts};
+pub use engine::{CpuEngine, SoftwareCosts};

@@ -15,15 +15,15 @@
 //! execute / measure / SimSession  ->  golden-checked RunOutcome
 //! ```
 //!
-//! A serializable [`RunSpec`] is the one way to name a run, and
-//! [`execute`]/[`measure`] (or the pausable [`SimSession`]) the one way to
-//! perform it: every experiment driver and the `pxl-serve` job server
-//! share it. "Design space exploration can be done easily by changing the
-//! parameters given to the framework, without rewriting any code"
-//! (Section IV-C) — that is a `pxl-dse` search space over design points.
-//! Custom workers and platforms a spec cannot name (the Zedboard
-//! prototype) use [`SimulationBuilder::from_config`] /
-//! [`SimulationBuilder::cpu_with`] and [`run_checked`] directly.
+//! A serializable [`RunSpec`] is the one way to name a run, and a
+//! [`SimSession`] the one way to perform it — [`execute`] starts and
+//! finishes one, [`measure`] adds the cost models: every experiment driver
+//! and the `pxl-serve` job server share it. "Design space exploration can
+//! be done easily by changing the parameters given to the framework,
+//! without rewriting any code" (Section IV-C) — that is a `pxl-dse` search
+//! space over design points. The Zedboard prototype, a platform a spec
+//! cannot name, builds its engines directly and runs benchmarks through
+//! [`run_checked`], which shares the session's run-and-check code.
 //!
 //! # Examples
 //!
@@ -53,10 +53,8 @@ use pxl_arch::{
     AccelConfig, ArchKind, CentralEngine, ConfigError, Engine, FlexEngine, HierEngine, LiteEngine,
     StealMode,
 };
-use pxl_cpu::{CpuEngine, SoftwareCosts};
+use pxl_cpu::CpuEngine;
 use pxl_model::ExecProfile;
-use pxl_sim::config::{CpuCoreParams, MemoryConfig};
-use pxl_sim::FaultPlan;
 
 /// Errors produced while elaborating a design into an engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,41 +90,36 @@ impl std::fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// What a [`SimulationBuilder`] instantiates.
+/// What a [`SimulationBuilder`] instantiates, with the spec's trace,
+/// telemetry and fault settings already written in.
 #[derive(Debug, Clone)]
 enum Target {
-    /// An accelerator (FlexArch or LiteArch) from a validated config.
-    Accel(AccelConfig),
-    /// The multicore software baseline.
+    /// An accelerator (FlexArch, LiteArch, the central ablation or a
+    /// cluster) from the point's elaborated configuration.
+    Accel(Box<AccelConfig>),
+    /// The Table III multicore software baseline.
     Cpu {
         cores: usize,
-        core: CpuCoreParams,
-        memory: MemoryConfig,
-        costs: SoftwareCosts,
+        trace_capacity: usize,
+        telemetry_every: u64,
     },
 }
 
-/// One entry point for constructing any execution engine behind the
-/// [`Engine`] trait: FlexArch, LiteArch, the centralized-queue ablation,
-/// or the CPU baseline.
-///
-/// This is the bridge from the design flow to the simulator. Benchmark
-/// runs come in through [`SimulationBuilder::from_run_spec`]; custom
-/// workers hand a raw [`AccelConfig`] (or CPU parameters) to
-/// [`SimulationBuilder::from_config`] (or [`SimulationBuilder::cpu`]) to
-/// get a boxed engine ready to run workloads.
+/// The bridge from the design flow to the simulator: elaborates a
+/// [`RunSpec`]'s design point into an engine behind the [`Engine`] trait —
+/// FlexArch, LiteArch, the centralized-queue ablation, a multi-chip
+/// cluster, or the CPU baseline.
 ///
 /// # Examples
 ///
 /// ```
-/// use pxl_arch::AccelConfig;
-/// use pxl_flow::SimulationBuilder;
-/// use pxl_model::ExecProfile;
+/// use pxl_apps::Scale;
+/// use pxl_dse::{DesignPoint, PointArch};
+/// use pxl_flow::{RunSpec, SimulationBuilder};
 ///
-/// let engine = SimulationBuilder::from_config(AccelConfig::flex(1, 4), ExecProfile::scalar())
-///     .trace(4096)
-///     .build()
-///     .unwrap();
+/// let spec = RunSpec::new("uts", Scale::Tiny, DesignPoint::accel(PointArch::Flex, 1, 4))
+///     .with_trace(4096);
+/// let engine = SimulationBuilder::from_run_spec(&spec).unwrap().build().unwrap();
 /// assert_eq!(engine.kind().label(), "flex");
 /// assert_eq!(engine.units(), 4);
 /// ```
@@ -134,101 +127,70 @@ enum Target {
 pub struct SimulationBuilder {
     target: Target,
     profile: ExecProfile,
-    trace_capacity: usize,
-    telemetry_every: u64,
-    faults: Option<FaultPlan>,
 }
 
 impl SimulationBuilder {
-    /// Targets an accelerator from a raw configuration (FlexArch or
-    /// LiteArch according to `config.arch`).
-    pub fn from_config(config: AccelConfig, profile: ExecProfile) -> Self {
-        SimulationBuilder {
-            target: Target::Accel(config),
-            profile,
-            trace_capacity: 0,
-            telemetry_every: 0,
-            faults: None,
-        }
-    }
-
-    /// Targets the software baseline with `cores` Table III cores.
-    pub fn cpu(cores: usize, profile: ExecProfile) -> Self {
-        SimulationBuilder::cpu_with(
-            cores,
-            profile,
-            CpuCoreParams::micro2018(),
-            MemoryConfig::micro2018(),
-            SoftwareCosts::default(),
-        )
-    }
-
-    /// Targets the software baseline with explicit core, memory and runtime
-    /// parameters (e.g. the Zedboard's Cortex-A9 configuration).
-    pub fn cpu_with(
-        cores: usize,
-        profile: ExecProfile,
-        core: CpuCoreParams,
-        memory: MemoryConfig,
-        costs: SoftwareCosts,
-    ) -> Self {
-        SimulationBuilder {
-            target: Target::Cpu {
-                cores,
-                core,
-                memory,
-                costs,
+    /// The single construction path from a serializable [`RunSpec`]:
+    /// resolves the benchmark's execution profile (unless the spec
+    /// overrides it), targets the spec's design point — FlexArch, LiteArch
+    /// or the central ablation from the point's elaborated configuration,
+    /// the Table III software baseline for CPU points — and writes trace
+    /// capacity, telemetry and the fault plan into that target.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::InvalidConfig`] when the spec needs the benchmark's own
+    /// profile but names an unknown benchmark, or arms a fault plan on the
+    /// CPU baseline, which has no modelled fault surface. (Design-point
+    /// validation happens later, at [`SimulationBuilder::build`].)
+    pub fn from_run_spec(spec: &RunSpec) -> Result<SimulationBuilder, FlowError> {
+        let profile = match spec.profile {
+            Some(p) => p,
+            None => pxl_apps::by_name(&spec.benchmark, spec.scale)
+                .ok_or_else(|| {
+                    FlowError::InvalidConfig(format!("unknown benchmark {:?}", spec.benchmark))
+                })?
+                .profile(),
+        };
+        let telemetry_every = spec.telemetry.as_ref().map_or(0, |tp| tp.every_cycles);
+        let target = match spec.point.accel_config() {
+            Some(mut config) => {
+                config.trace_capacity = spec.trace_capacity;
+                config.telemetry_every_cycles = telemetry_every;
+                config.fault_plan = spec.faults.clone();
+                Target::Accel(Box::new(config))
+            }
+            None if spec.faults.is_some() => {
+                return Err(FlowError::InvalidConfig(
+                    "fault injection requires an accelerator target; \
+                     the CPU baseline has no modelled fault surface"
+                        .into(),
+                ))
+            }
+            None => Target::Cpu {
+                cores: spec.point.units(),
+                trace_capacity: spec.trace_capacity,
+                telemetry_every,
             },
-            profile,
-            trace_capacity: 0,
-            telemetry_every: 0,
-            faults: None,
-        }
-    }
-
-    /// Enables structured event tracing with a bounded buffer of `capacity`
-    /// records per source (zero, the default, disables tracing).
-    pub fn trace(&mut self, capacity: usize) -> &mut Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables in-run telemetry sampling every `every_cycles` engine-clock
-    /// cycles (zero, the default, records no timeline). Telemetry is pure
-    /// observation: enabling it never changes results, metrics or traces.
-    pub fn telemetry(&mut self, every_cycles: u64) -> &mut Self {
-        self.telemetry_every = every_cycles;
-        self
-    }
-
-    /// Arms a deterministic fault-injection plan for the run. Only
-    /// accelerator targets accept one — the software baseline has no
-    /// modelled fault surface — and the plan is validated against the
-    /// configuration (PE and tile indices, LiteArch's restricted fault
-    /// vocabulary) at [`SimulationBuilder::build`].
-    pub fn with_faults(&mut self, plan: FaultPlan) -> &mut Self {
-        self.faults = Some(plan);
-        self
+        };
+        Ok(SimulationBuilder { target, profile })
     }
 
     /// Validates the target and constructs the engine.
     ///
     /// # Errors
     ///
-    /// [`FlowError::InvalidConfig`] when the accelerator configuration is
-    /// not realizable or the CPU has zero cores.
+    /// [`FlowError::Config`] with the violated constraint when the
+    /// accelerator configuration is not realizable (the fault plan is
+    /// validated against it here too), [`FlowError::InvalidConfig`] when
+    /// the CPU has zero cores.
     pub fn build(&self) -> Result<Box<dyn Engine>, FlowError> {
         match &self.target {
             Target::Accel(config) => {
-                let mut config = config.clone();
-                config.trace_capacity = self.trace_capacity;
-                config.telemetry_every_cycles = self.telemetry_every;
-                if let Some(plan) = &self.faults {
-                    config.fault_plan = Some(plan.clone());
-                }
                 // Validate up front so callers get the typed constraint
                 // (the engines re-validate, but only report strings).
                 config.validate().map_err(FlowError::Config)?;
+                let config = AccelConfig::clone(config);
                 // Unwrap AccelError::InvalidConfig so FlowError does not
                 // stack a second "invalid configuration:" prefix on it.
                 let lift = |e: pxl_arch::AccelError| match e {
@@ -257,36 +219,22 @@ impl SimulationBuilder {
                     }
                 })
             }
-            Target::Cpu {
+            &Target::Cpu {
                 cores,
-                core,
-                memory,
-                costs,
+                trace_capacity,
+                telemetry_every,
             } => {
-                if self.faults.is_some() {
-                    return Err(FlowError::InvalidConfig(
-                        "fault injection requires an accelerator target; \
-                         the CPU baseline has no modelled fault surface"
-                            .into(),
-                    ));
-                }
-                if *cores == 0 {
+                if cores == 0 {
                     return Err(FlowError::InvalidConfig(
                         "the CPU baseline needs at least one core".into(),
                     ));
                 }
-                let mut engine = CpuEngine::with_params(
-                    *cores,
-                    self.profile,
-                    core.clone(),
-                    memory.clone(),
-                    *costs,
-                );
-                if self.trace_capacity > 0 {
-                    engine.set_trace_capacity(self.trace_capacity);
+                let mut engine = CpuEngine::new(cores, self.profile);
+                if trace_capacity > 0 {
+                    engine.set_trace_capacity(trace_capacity);
                 }
-                if self.telemetry_every > 0 {
-                    engine.set_telemetry_every(self.telemetry_every);
+                if telemetry_every > 0 {
+                    engine.set_telemetry_every(telemetry_every);
                 }
                 Ok(Box::new(engine))
             }
@@ -342,50 +290,47 @@ mod tests {
 
     #[test]
     fn simulation_builder_constructs_all_three_engines() {
+        use pxl_apps::Scale;
         use pxl_arch::EngineKind;
-        let flex = SimulationBuilder::from_config(
-            pxl_arch::AccelConfig::flex(1, 4),
-            ExecProfile::scalar(),
-        )
-        .build()
-        .unwrap();
-        assert_eq!(flex.kind(), EngineKind::Flex);
-        assert_eq!(flex.units(), 4);
+        use pxl_dse::{DesignPoint, PointArch};
 
-        let lite = SimulationBuilder::from_config(
-            pxl_arch::AccelConfig::lite(1, 2),
-            ExecProfile::scalar(),
-        )
-        .build()
-        .unwrap();
-        assert_eq!(lite.kind(), EngineKind::Lite);
-
-        let cpu = SimulationBuilder::cpu(2, ExecProfile::scalar())
-            .build()
-            .unwrap();
-        assert_eq!(cpu.kind(), EngineKind::Cpu);
-        assert_eq!(cpu.units(), 2);
+        for (point, kind) in [
+            (DesignPoint::accel(PointArch::Flex, 1, 4), EngineKind::Flex),
+            (DesignPoint::accel(PointArch::Lite, 1, 4), EngineKind::Lite),
+            (DesignPoint::cpu(4), EngineKind::Cpu),
+        ] {
+            let engine = SimulationBuilder::from_run_spec(&RunSpec::new("uts", Scale::Tiny, point))
+                .unwrap()
+                .build()
+                .unwrap();
+            assert_eq!(engine.kind(), kind);
+            assert_eq!(engine.units(), 4);
+        }
     }
 
     #[test]
     fn simulation_builder_validates_before_constructing() {
-        let err = SimulationBuilder::from_config(
-            pxl_arch::AccelConfig::flex(0, 4),
-            ExecProfile::scalar(),
-        )
-        .build()
-        .unwrap_err();
+        use pxl_apps::Scale;
+        use pxl_dse::{DesignPoint, PointArch};
+
+        let build = |point: DesignPoint| {
+            SimulationBuilder::from_run_spec(&RunSpec::new("uts", Scale::Tiny, point))
+                .unwrap()
+                .build()
+                .unwrap_err()
+        };
+        let err = build(DesignPoint::accel(PointArch::Flex, 0, 4));
         assert_eq!(err, FlowError::Config(ConfigError::NoTiles));
 
-        let err = SimulationBuilder::cpu(0, ExecProfile::scalar())
-            .build()
-            .unwrap_err();
+        let err = build(DesignPoint::cpu(0));
         assert!(matches!(err, FlowError::InvalidConfig(_)));
     }
 
     #[test]
     fn simulation_builder_threads_trace_capacity() {
+        use pxl_apps::Scale;
         use pxl_arch::Workload;
+        use pxl_dse::{DesignPoint, PointArch};
         use pxl_model::{Continuation, Task, TaskContext, TaskTypeId, Worker};
 
         struct Doubler;
@@ -396,13 +341,16 @@ mod tests {
             }
         }
 
-        let mut engine = SimulationBuilder::from_config(
-            pxl_arch::AccelConfig::flex(1, 2),
-            ExecProfile::scalar(),
+        let spec = RunSpec::new(
+            "uts",
+            Scale::Tiny,
+            DesignPoint::accel(PointArch::Flex, 1, 2),
         )
-        .trace(1024)
-        .build()
-        .unwrap();
+        .with_trace(1024);
+        let mut engine = SimulationBuilder::from_run_spec(&spec)
+            .unwrap()
+            .build()
+            .unwrap();
         let mut worker = Doubler;
         let root = Task::new(TaskTypeId(0), Continuation::host(0), &[21]);
         let out = engine.run(Workload::dynamic(&mut worker, root)).unwrap();

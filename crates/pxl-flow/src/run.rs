@@ -9,19 +9,21 @@
 //! comparing whole program execution time, which include initialization
 //! and data transfers".
 //!
-//! The lower-level [`run_checked`] runs an already-instantiated benchmark
-//! on an already-built engine, for platforms a spec cannot name; every
-//! driver and the `pxl-serve` job server go through this module, so a
-//! spec means the same run everywhere.
+//! [`execute`] is a [`SimSession`] started and finished in one call; the
+//! lower-level [`run_checked`] runs a benchmark through the same code on
+//! an already-built engine, for platforms a spec cannot name. Every driver
+//! and the `pxl-serve` job server go through this module, so a spec means
+//! the same run everywhere.
 
-use pxl_apps::{by_name, Benchmark};
-use pxl_arch::{Engine, EngineKind, Workload};
+use pxl_apps::Benchmark;
+use pxl_arch::Engine;
 use pxl_cost::resources::TileResources;
 use pxl_cost::EnergyModel;
 use pxl_dse::{Measurement, PointArch};
 use pxl_sim::{Metrics, Time, Timeline, Tracer};
 
-use crate::{FlowError, RunSpec, SimulationBuilder};
+use crate::session::Instance;
+use crate::{FlowError, RunSpec, SimSession};
 
 /// Host memcpy bandwidth used to charge initialization time for the
 /// benchmark's data footprint (bytes/second). Charged identically to CPU
@@ -158,10 +160,12 @@ impl From<FlowError> for RunError {
     }
 }
 
-/// Runs `bench` on any engine behind the [`Engine`] trait with typed
-/// failures: sets up inputs, picks the workload shape the engine executes
-/// (rounds for LiteArch, a dynamic task graph otherwise), validates the
-/// output against the golden reference, and charges initialization time.
+/// Runs `bench` on an already-built engine with typed failures, for
+/// platforms a [`RunSpec`] cannot name (the Zedboard prototype): sets up
+/// inputs, picks the workload shape the engine executes (rounds for
+/// LiteArch, a dynamic task graph otherwise), validates the output against
+/// the golden reference, and charges initialization time — the same code
+/// a [`SimSession`] runs.
 ///
 /// Returns `Ok(None)` when the engine is LiteArch and the benchmark has no
 /// LiteArch mapping.
@@ -175,97 +179,15 @@ pub fn run_checked(
     bench: &dyn Benchmark,
     label: &str,
 ) -> Result<Option<RunOutcome>, RunError> {
-    let units = engine.units();
-    let name = bench.meta().name;
-    let (footprint, out) = match engine.kind() {
-        EngineKind::Lite => {
-            let Some(inst) = bench.lite(engine.mem_mut()) else {
-                return Ok(None);
-            };
-            let mut worker = inst.worker;
-            let mut driver = inst.driver;
-            let out = engine
-                .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
-                .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
-            (inst.footprint_bytes, out)
-        }
-        EngineKind::Flex | EngineKind::Hier | EngineKind::Central | EngineKind::Cpu => {
-            let inst = bench.flex(engine.mem_mut());
-            let mut worker = inst.worker;
-            let out = engine
-                .run(Workload::dynamic(worker.as_mut(), inst.root))
-                .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
-            (inst.footprint_bytes, out)
-        }
+    let Some(mut inst) = Instance::new(engine, bench) else {
+        return Ok(None);
     };
-    let check = bench.check(engine.memory(), out.result);
-    let outcome = RunOutcome {
-        bench: name.to_owned(),
-        engine: label.to_owned(),
-        units,
-        kernel: out.elapsed,
-        whole: out.elapsed + init_time(footprint),
-        metrics: out.metrics,
-        trace: out.trace,
-        timeline: out.timeline,
-    };
-    if let Err(e) = check {
-        return Err(RunError::WrongResult {
-            message: format!("{name} on {label}/{units}u wrong: {e}"),
-            outcome: Box::new(outcome),
-        });
-    }
-    let dropped = outcome.metrics.get("trace.dropped");
-    if dropped > 0 {
-        eprintln!(
-            "[trace] warning: {name} on {label}/{units}u dropped {dropped} trace \
-             event(s); the trace (and any profile built from it) is incomplete"
-        );
-    }
-    Ok(Some(outcome))
-}
-
-impl SimulationBuilder {
-    /// The single construction path from a serializable [`RunSpec`]:
-    /// resolves the benchmark's execution profile (unless the spec
-    /// overrides it), targets the spec's design point — FlexArch, LiteArch
-    /// or the central ablation from the point's elaborated configuration,
-    /// the Table III software baseline for CPU points — and threads trace
-    /// capacity, telemetry and the fault plan through.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::InvalidConfig`] when the spec needs the benchmark's own
-    /// profile but names an unknown benchmark. (Design-point validation
-    /// happens later, at [`SimulationBuilder::build`].)
-    pub fn from_run_spec(spec: &RunSpec) -> Result<SimulationBuilder, FlowError> {
-        let profile = match spec.profile {
-            Some(p) => p,
-            None => by_name(&spec.benchmark, spec.scale)
-                .ok_or_else(|| {
-                    FlowError::InvalidConfig(format!("unknown benchmark {:?}", spec.benchmark))
-                })?
-                .profile(),
-        };
-        let mut b = match spec.point.accel_config() {
-            Some(config) => SimulationBuilder::from_config(config, profile),
-            None => SimulationBuilder::cpu(spec.point.units(), profile),
-        };
-        if spec.trace_capacity > 0 {
-            b.trace(spec.trace_capacity);
-        }
-        if let Some(plan) = &spec.faults {
-            b.with_faults(plan.clone());
-        }
-        if let Some(tp) = &spec.telemetry {
-            b.telemetry(tp.every_cycles);
-        }
-        Ok(b)
-    }
+    inst.finish(engine, bench, label).map(warn_dropped)
 }
 
 /// Executes a [`RunSpec`] end to end: benchmark lookup, engine
-/// construction, simulation, golden validation.
+/// construction, simulation, golden validation — a [`SimSession`] started
+/// and finished in one call.
 ///
 /// Returns `Ok(None)` when the spec targets LiteArch and the benchmark has
 /// no LiteArch mapping.
@@ -274,12 +196,24 @@ impl SimulationBuilder {
 ///
 /// A typed [`RunError`] naming the failing stage.
 pub fn execute(spec: &RunSpec) -> Result<Option<RunOutcome>, RunError> {
-    let bench = by_name(&spec.benchmark, spec.scale)
-        .ok_or_else(|| RunError::UnknownBenchmark(spec.benchmark.clone()))?;
-    let mut engine = SimulationBuilder::from_run_spec(spec)?
-        .build()
-        .map_err(RunError::Build)?;
-    run_checked(engine.as_mut(), bench.as_ref(), spec.point.arch.label())
+    let Some(mut session) = SimSession::start(spec)? else {
+        return Ok(None);
+    };
+    session.finish().map(warn_dropped)
+}
+
+/// Warns on stderr when a finished one-shot run dropped trace events, so
+/// its trace (and any profile built from it) is known to be incomplete.
+fn warn_dropped(outcome: RunOutcome) -> Option<RunOutcome> {
+    let dropped = outcome.metrics.get("trace.dropped");
+    if dropped > 0 {
+        eprintln!(
+            "[trace] warning: {} on {}/{}u dropped {dropped} trace \
+             event(s); the trace (and any profile built from it) is incomplete",
+            outcome.bench, outcome.engine, outcome.units
+        );
+    }
+    Some(outcome)
 }
 
 /// Executes a [`RunSpec`] and folds in the energy and FPGA-resource

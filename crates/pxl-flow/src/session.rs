@@ -1,12 +1,12 @@
-//! A pausable, checkpointable simulation run: the stateful counterpart of
-//! [`execute`](crate::execute).
+//! A pausable, checkpointable simulation run: the code every run goes
+//! through.
 //!
-//! [`execute`](crate::execute) turns a [`RunSpec`] into a finished outcome
-//! in one shot. A [`SimSession`] instead *owns* the running simulation —
-//! the engine, the benchmark's worker (and LiteArch driver), and the root
-//! task — so a caller can advance it leg by leg, pause at deterministic
-//! cycle boundaries, serialize a [`Snapshot`] of the paused state, and
-//! later rebuild an identical session from that snapshot with
+//! [`execute`](crate::execute) starts a [`SimSession`] and finishes it in
+//! one shot. A caller holding the session itself owns the running
+//! simulation — the engine, the benchmark's worker (and LiteArch driver),
+//! and the root task — so it can advance it leg by leg, pause at
+//! deterministic cycle boundaries, serialize a [`Snapshot`] of the paused
+//! state, and later rebuild an identical session from that snapshot with
 //! [`SimSession::resume`].
 //!
 //! The determinism contract (see `docs/checkpoint.md`): a run paused at
@@ -51,7 +51,7 @@ pub enum SessionStatus {
     },
 }
 
-/// The workload shape the session re-presents to the engine each leg.
+/// The workload shape re-presented to the engine each leg.
 enum Shape {
     /// Dynamic task graph (FlexArch, the central ablation, CPU). The root
     /// is re-passed every leg; engines launch it exactly once.
@@ -61,14 +61,106 @@ enum Shape {
     Rounds { driver: Box<dyn LiteDriver> },
 }
 
+/// A benchmark instantiated on an engine: its worker, the workload shape
+/// the engine executes and the input footprint. Both [`SimSession`] and
+/// [`run_checked`](crate::run_checked) run through it, so a benchmark
+/// runs, fails and is checked the same way on every path.
+pub(crate) struct Instance {
+    worker: Box<dyn Worker>,
+    shape: Shape,
+    footprint_bytes: u64,
+}
+
+impl Instance {
+    /// Sets up `bench`'s inputs in `engine`'s memory in the shape the
+    /// engine runs: rounds for LiteArch, a dynamic task graph otherwise.
+    /// `None` when the engine is LiteArch and the benchmark has no
+    /// LiteArch mapping.
+    pub(crate) fn new(engine: &mut dyn Engine, bench: &dyn Benchmark) -> Option<Instance> {
+        Some(match engine.kind() {
+            EngineKind::Lite => {
+                let inst = bench.lite(engine.mem_mut())?;
+                Instance {
+                    worker: inst.worker,
+                    shape: Shape::Rounds {
+                        driver: inst.driver,
+                    },
+                    footprint_bytes: inst.footprint_bytes,
+                }
+            }
+            EngineKind::Flex | EngineKind::Hier | EngineKind::Central | EngineKind::Cpu => {
+                let inst = bench.flex(engine.mem_mut());
+                Instance {
+                    worker: inst.worker,
+                    shape: Shape::Dynamic { root: inst.root },
+                    footprint_bytes: inst.footprint_bytes,
+                }
+            }
+        })
+    }
+
+    /// Runs one leg on `engine` (see [`SimSession::advance`]); runs labelled
+    /// `label` in failure messages and in the finished [`RunOutcome`].
+    pub(crate) fn advance(
+        &mut self,
+        engine: &mut dyn Engine,
+        bench: &dyn Benchmark,
+        label: &str,
+        pause_at: Option<Time>,
+    ) -> Result<SessionStatus, RunError> {
+        let units = engine.units();
+        let name = bench.meta().name;
+        let workload = match &mut self.shape {
+            Shape::Dynamic { root } => Workload::dynamic(self.worker.as_mut(), *root),
+            Shape::Rounds { driver } => Workload::rounds(self.worker.as_mut(), driver.as_mut()),
+        };
+        let status = engine
+            .run_until(workload, pause_at)
+            .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
+        let out = match status {
+            RunStatus::Paused { at } => return Ok(SessionStatus::Paused { at }),
+            RunStatus::Finished(out) => out,
+        };
+        let check = bench.check(engine.memory(), out.result);
+        let outcome = RunOutcome {
+            bench: name.to_owned(),
+            engine: label.to_owned(),
+            units,
+            kernel: out.elapsed,
+            whole: out.elapsed + init_time(self.footprint_bytes),
+            metrics: out.metrics,
+            trace: out.trace,
+            timeline: out.timeline,
+        };
+        if let Err(e) = check {
+            return Err(RunError::WrongResult {
+                message: format!("{name} on {label}/{units}u wrong: {e}"),
+                outcome: Box::new(outcome),
+            });
+        }
+        Ok(SessionStatus::Finished(Box::new(outcome)))
+    }
+
+    /// Advances with no pause boundary: runs the rest of the computation.
+    pub(crate) fn finish(
+        &mut self,
+        engine: &mut dyn Engine,
+        bench: &dyn Benchmark,
+        label: &str,
+    ) -> Result<RunOutcome, RunError> {
+        match self.advance(engine, bench, label, None)? {
+            SessionStatus::Finished(out) => Ok(*out),
+            SessionStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
+        }
+    }
+}
+
 /// An owned, in-flight simulation of one [`RunSpec`].
 pub struct SimSession {
     spec: RunSpec,
     bench: Box<dyn Benchmark>,
     engine: Box<dyn Engine>,
-    worker: Box<dyn Worker>,
-    shape: Shape,
-    footprint_bytes: u64,
+    inst: Instance,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -117,27 +209,8 @@ impl SimSession {
         let mut engine = SimulationBuilder::from_run_spec(spec)?
             .build()
             .map_err(RunError::Build)?;
-        let (worker, shape, footprint_bytes) = match engine.kind() {
-            EngineKind::Lite => {
-                let Some(inst) = bench.lite(engine.mem_mut()) else {
-                    return Ok(None);
-                };
-                (
-                    inst.worker,
-                    Shape::Rounds {
-                        driver: inst.driver,
-                    },
-                    inst.footprint_bytes,
-                )
-            }
-            EngineKind::Flex | EngineKind::Hier | EngineKind::Central | EngineKind::Cpu => {
-                let inst = bench.flex(engine.mem_mut());
-                (
-                    inst.worker,
-                    Shape::Dynamic { root: inst.root },
-                    inst.footprint_bytes,
-                )
-            }
+        let Some(inst) = Instance::new(engine.as_mut(), bench.as_ref()) else {
+            return Ok(None);
         };
         if let Some(snap) = snap {
             engine.restore(snap).map_err(RunError::Snapshot)?;
@@ -146,9 +219,7 @@ impl SimSession {
             spec: spec.clone(),
             bench,
             engine,
-            worker,
-            shape,
-            footprint_bytes,
+            inst,
         }))
     }
 
@@ -180,8 +251,7 @@ impl SimSession {
     /// Runs one leg: to completion when `pause_at` is `None`, otherwise
     /// until the next schedulable step lies beyond `pause_at` (with work
     /// still outstanding). On completion the output is validated against
-    /// the benchmark's golden reference and initialization time is charged,
-    /// exactly as [`crate::execute`] does.
+    /// the benchmark's golden reference and initialization time is charged.
     ///
     /// # Errors
     ///
@@ -189,40 +259,8 @@ impl SimSession {
     /// when the finished run fails golden validation.
     pub fn advance(&mut self, pause_at: Option<Time>) -> Result<SessionStatus, RunError> {
         let label = self.spec.point.arch.label();
-        let units = self.engine.units();
-        let name = self.bench.meta().name;
-        let status = match &mut self.shape {
-            Shape::Dynamic { root } => self
-                .engine
-                .run_until(Workload::dynamic(self.worker.as_mut(), *root), pause_at),
-            Shape::Rounds { driver } => self.engine.run_until(
-                Workload::rounds(self.worker.as_mut(), driver.as_mut()),
-                pause_at,
-            ),
-        }
-        .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
-        let out = match status {
-            RunStatus::Paused { at } => return Ok(SessionStatus::Paused { at }),
-            RunStatus::Finished(out) => out,
-        };
-        let check = self.bench.check(self.engine.memory(), out.result);
-        let outcome = RunOutcome {
-            bench: name.to_owned(),
-            engine: label.to_owned(),
-            units,
-            kernel: out.elapsed,
-            whole: out.elapsed + init_time(self.footprint_bytes),
-            metrics: out.metrics,
-            trace: out.trace,
-            timeline: out.timeline,
-        };
-        if let Err(e) = check {
-            return Err(RunError::WrongResult {
-                message: format!("{name} on {label}/{units}u wrong: {e}"),
-                outcome: Box::new(outcome),
-            });
-        }
-        Ok(SessionStatus::Finished(Box::new(outcome)))
+        self.inst
+            .advance(self.engine.as_mut(), self.bench.as_ref(), label, pause_at)
     }
 
     /// Advances with no pause boundary: runs the rest of the computation.
@@ -231,10 +269,9 @@ impl SimSession {
     ///
     /// As [`SimSession::advance`].
     pub fn finish(&mut self) -> Result<RunOutcome, RunError> {
-        match self.advance(None)? {
-            SessionStatus::Finished(out) => Ok(*out),
-            SessionStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
-        }
+        let label = self.spec.point.arch.label();
+        self.inst
+            .finish(self.engine.as_mut(), self.bench.as_ref(), label)
     }
 }
 

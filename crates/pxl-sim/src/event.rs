@@ -14,7 +14,7 @@
 //! [`EventSlab`] and the queue orders only compact 24-byte
 //! `(time, seq, slot)` index entries. Two lanes hold those entries:
 //!
-//! * a **near-future bucket ring** — [`NUM_BUCKETS`] buckets of
+//! * a **near-future bucket ring** — `NUM_BUCKETS` buckets of
 //!   `1 << BUCKET_SHIFT` picoseconds each, covering the window
 //!   `[cursor, cursor + NUM_BUCKETS)` of absolute bucket indices. The
 //!   dominant short-latency events (PE wakes, steal hops, argument

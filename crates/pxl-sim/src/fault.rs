@@ -179,8 +179,8 @@ impl FaultSpec {
 /// A seeded, replayable schedule of faults.
 ///
 /// Construct with [`FaultPlan::new`] and the builder methods; hand the
-/// plan to an engine configuration (or `SimulationBuilder::with_faults`)
-/// to arm it.
+/// plan to an engine configuration (or `RunSpec::with_faults` in
+/// `pxl-flow`) to arm it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for the scheduler's probabilistic decisions.

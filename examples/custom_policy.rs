@@ -14,8 +14,8 @@
 use parallelxl::arch::deque::TaskDeque;
 use parallelxl::sim::json;
 use parallelxl::{
-    AccelConfig, ArchKind, Continuation, EngineKind, ExecProfile, FabricEngine, FlexEngine,
-    JsonValue, SchedulingPolicy, Task, TaskContext, TaskTypeId, Time, Worker,
+    AccelConfig, ArchKind, Continuation, Engine, EngineKind, ExecProfile, FabricEngine, FlexEngine,
+    JsonValue, SchedulingPolicy, Task, TaskContext, TaskTypeId, Time, Worker, Workload,
 };
 use std::collections::VecDeque;
 
@@ -188,11 +188,15 @@ fn main() {
     // The custom policy instantiates the same fabric the stock engines use.
     let mut ring = FabricEngine::<RingPolicy>::try_new(cfg(), ExecProfile::scalar())
         .expect("valid flex config");
-    let out = ring.run(&mut FibWorker, root()).expect("ring-sweep run");
+    let out = ring
+        .run(Workload::dynamic(&mut FibWorker, root()))
+        .expect("ring-sweep run");
 
     // Same workload on stock FlexArch for comparison.
     let mut flex = FlexEngine::try_new(cfg(), ExecProfile::scalar()).expect("valid flex config");
-    let reference = flex.run(&mut FibWorker, root()).expect("flex run");
+    let reference = flex
+        .run(Workload::dynamic(&mut FibWorker, root()))
+        .expect("flex run");
 
     assert_eq!(out.result, reference.result, "policies agree on the value");
     println!("fib({n}) = {} on both policies\n", out.result);

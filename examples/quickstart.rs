@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use parallelxl::{
-    AccelConfig, Continuation, ExecProfile, SerialExecutor, SimulationBuilder, Task, TaskContext,
-    TaskTypeId, Worker, Workload,
+    AccelConfig, Continuation, CpuEngine, Engine, ExecProfile, FlexEngine, SerialExecutor, Task,
+    TaskContext, TaskTypeId, Worker, Workload,
 };
 
 const FIB: TaskTypeId = TaskTypeId(0);
@@ -53,13 +53,11 @@ fn main() {
         serial.stats().s1()
     );
 
-    // FlexArch accelerators of growing size, built through the one entry
-    // point every engine shares.
+    // FlexArch accelerators of growing size, each driven through the
+    // `Engine` trait every engine shares.
     for (tiles, pes) in [(1, 1), (1, 4), (2, 4), (4, 4)] {
-        let mut engine =
-            SimulationBuilder::from_config(AccelConfig::flex(tiles, pes), ExecProfile::scalar())
-                .build()
-                .expect("valid flex config");
+        let mut engine = FlexEngine::try_new(AccelConfig::flex(tiles, pes), ExecProfile::scalar())
+            .expect("valid flex config");
         let out = engine
             .run(Workload::dynamic(&mut FibWorker, root()))
             .expect("flex run");
@@ -76,9 +74,7 @@ fn main() {
     // The software baseline: same worker, same workload shape, software
     // runtime costs.
     for cores in [1, 4, 8] {
-        let mut cpu = SimulationBuilder::cpu(cores, ExecProfile::scalar())
-            .build()
-            .expect("valid cpu config");
+        let mut cpu = CpuEngine::new(cores, ExecProfile::scalar());
         let out = cpu
             .run(Workload::dynamic(&mut FibWorker, root()))
             .expect("cpu run");

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example vector_add`
 
-use parallelxl::arch::{AccelConfig, FlexEngine};
+use parallelxl::arch::{AccelConfig, Engine, FlexEngine, Workload};
 use parallelxl::model::trace::TracingExecutor;
 use parallelxl::model::{
     Continuation, ExecProfile, ParallelFor, Task, TaskContext, TaskTypeId, Worker,
@@ -62,10 +62,10 @@ fn main() {
     let mut engine = FlexEngine::new(AccelConfig::flex(1, 4), ExecProfile::new(8.0, 4.0));
     fill_inputs(engine.mem_mut());
     let out = engine
-        .run(
+        .run(Workload::dynamic(
             &mut VvaddWorker { pf },
             pf.root_task(0, N, Continuation::host(0)),
-        )
+        ))
         .expect("vvadd runs");
     assert_eq!(out.result, N, "reduction counts every element");
     for i in 0..N {

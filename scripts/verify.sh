@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (deny rustdoc warnings)"
+# A dangling intra-doc link (say, to a method that was deleted) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release --offline"
 cargo build --release --workspace --offline
 

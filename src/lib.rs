@@ -35,13 +35,13 @@
 //! ## Quick start
 //!
 //! Express an algorithm as a [`Worker`] (the analogue of the paper's C++
-//! worker description), build an engine with [`SimulationBuilder`], and run
-//! it through the unified [`Engine`] trait:
+//! worker description), build an engine, and run it through the unified
+//! [`Engine`] trait:
 //!
 //! ```
 //! use parallelxl::{
-//!     AccelConfig, Continuation, ExecProfile, SimulationBuilder, Task, TaskContext,
-//!     TaskTypeId, Worker, Workload,
+//!     AccelConfig, Continuation, Engine, ExecProfile, FlexEngine, Task, TaskContext, TaskTypeId,
+//!     Worker, Workload,
 //! };
 //!
 //! const FIB: TaskTypeId = TaskTypeId(0);
@@ -68,9 +68,7 @@
 //!     }
 //! }
 //!
-//! let mut engine = SimulationBuilder::from_config(AccelConfig::flex(2, 4), ExecProfile::scalar())
-//!     .build()
-//!     .unwrap();
+//! let mut engine = FlexEngine::new(AccelConfig::flex(2, 4), ExecProfile::scalar());
 //! let root = Task::new(FIB, Continuation::host(0), &[15]);
 //! let out = engine.run(Workload::dynamic(&mut FibWorker, root)).unwrap();
 //! assert_eq!(out.result, 610);
@@ -123,7 +121,7 @@ pub use pxl_arch::{
     StealMode, Workload,
 };
 /// The software baseline engine and its runtime cost knobs.
-pub use pxl_cpu::{CpuEngine, CpuResult, SoftwareCosts};
+pub use pxl_cpu::{CpuEngine, SoftwareCosts};
 /// Design-space exploration: declare a space, explore it in parallel,
 /// read the Pareto front.
 pub use pxl_dse::{
@@ -154,7 +152,7 @@ pub use pxl_serve::{Client, JobEvent, JobId, JobKind, JobStatus, Server, ServerC
 /// checkpoint/restore.
 pub use pxl_sim::json::JsonValue;
 /// Deterministic fault injection: seeded plans armed via
-/// [`SimulationBuilder::with_faults`] or [`AccelConfig::fault_plan`].
+/// [`RunSpec::with_faults`] or [`AccelConfig::fault_plan`].
 pub use pxl_sim::{FaultKind, FaultPlan, FaultSpec, NetClass};
 /// Typed metrics, bounded event tracing, and simulated time.
 pub use pxl_sim::{Histogram, MetricKind, Metrics, Time, TraceEvent, TraceRecord, Tracer};

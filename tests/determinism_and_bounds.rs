@@ -4,7 +4,7 @@ use parallelxl::apps::{by_name, suite, Scale};
 use parallelxl::arch::{AccelConfig, FlexEngine};
 use parallelxl::dse::pe_geometry;
 use parallelxl::model::SerialExecutor;
-use parallelxl::{execute, DesignPoint, PointArch, RunOutcome, RunSpec};
+use parallelxl::{execute, DesignPoint, Engine, PointArch, RunOutcome, RunSpec, Workload};
 
 /// Runs `bench` on `point` through the canonical spec path (golden-checked).
 fn run(bench: &str, scale: Scale, point: DesignPoint) -> RunOutcome {
@@ -108,7 +108,9 @@ fn undersized_queues_fail_loudly() {
     let mut engine = FlexEngine::new(cfg, bench.profile());
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
-    let err = engine.run(worker.as_mut(), inst.root).unwrap_err();
+    let err = engine
+        .run(Workload::dynamic(worker.as_mut(), inst.root))
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -158,7 +160,9 @@ fn software_steal_cost_hurts_cpu_scaling() {
         );
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
-        let out = engine.run(worker.as_mut(), inst.root).unwrap();
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
         out.elapsed
     };

@@ -1,137 +1,28 @@
-//! The unified engine API is a pure refactor: driving an engine through
-//! [`SimulationBuilder`] + the [`Engine`] trait produces bit-identical
-//! results and cycle counts to calling the concrete engines' inherent run
-//! methods, for every benchmark. Tracing is deterministic: two runs of the
-//! same configuration serialize to byte-identical JSONL.
+//! Tracing through the unified [`Engine`] API is deterministic: two runs
+//! of the same spec serialize to byte-identical JSONL, with or without a
+//! seeded fault plan.
+//!
+//! [`Engine`]: parallelxl::Engine
 
-use parallelxl::apps::{suite, Scale};
-use parallelxl::arch::AccelConfig;
-use parallelxl::cpu::CpuEngine;
+use parallelxl::apps::{by_name, Scale};
+use parallelxl::dse::{DesignPoint, PointArch};
 use parallelxl::sim::qcheck::{check, Gen};
-use parallelxl::{FaultPlan, FlexEngine, LiteEngine, NetClass, SimulationBuilder, Time, Workload};
-
-/// All ten benchmarks: the old inherent FlexArch path and the new
-/// trait-object path agree on results and cycle counts at 4 PEs.
-#[test]
-fn flex_trait_path_matches_inherent_path() {
-    for bench in suite(Scale::Tiny) {
-        let name = bench.meta().name;
-
-        // Old path: concrete engine, inherent run.
-        let mut old = FlexEngine::new(AccelConfig::flex(1, 4), bench.profile());
-        let inst = bench.flex(old.mem_mut());
-        let mut worker = inst.worker;
-        let old_out = old.run(worker.as_mut(), inst.root).expect("inherent run");
-        bench
-            .check(old.memory(), old_out.result)
-            .expect("old path golden");
-
-        // New path: SimulationBuilder + Engine trait object.
-        let mut new = SimulationBuilder::from_config(AccelConfig::flex(1, 4), bench.profile())
-            .build()
-            .expect("valid config");
-        let inst = bench.flex(new.mem_mut());
-        let mut worker = inst.worker;
-        let new_out = new
-            .run(Workload::dynamic(worker.as_mut(), inst.root))
-            .expect("trait run");
-        bench
-            .check(new.memory(), new_out.result)
-            .expect("new path golden");
-
-        assert_eq!(old_out.result, new_out.result, "{name}: results diverge");
-        assert_eq!(
-            old_out.elapsed, new_out.elapsed,
-            "{name}: cycle counts diverge"
-        );
-        assert_eq!(
-            old_out.metrics, new_out.metrics,
-            "{name}: metrics diverge between paths"
-        );
-    }
-}
-
-/// Same equivalence for the CPU baseline at 4 cores.
-#[test]
-fn cpu_trait_path_matches_inherent_path() {
-    for bench in suite(Scale::Tiny) {
-        let name = bench.meta().name;
-
-        let mut old = CpuEngine::new(4, bench.profile());
-        let inst = bench.flex(old.mem_mut());
-        let mut worker = inst.worker;
-        let old_out = old.run(worker.as_mut(), inst.root).expect("inherent run");
-        bench
-            .check(old.memory(), old_out.result)
-            .expect("old path golden");
-
-        let mut new = SimulationBuilder::cpu(4, bench.profile())
-            .build()
-            .expect("valid config");
-        let inst = bench.flex(new.mem_mut());
-        let mut worker = inst.worker;
-        let new_out = new
-            .run(Workload::dynamic(worker.as_mut(), inst.root))
-            .expect("trait run");
-
-        assert_eq!(old_out.result, new_out.result, "{name}: results diverge");
-        assert_eq!(
-            old_out.elapsed, new_out.elapsed,
-            "{name}: cycle counts diverge"
-        );
-        assert_eq!(
-            old_out.metrics, new_out.metrics,
-            "{name}: metrics diverge between paths"
-        );
-    }
-}
-
-/// Same equivalence for every benchmark that has a LiteArch mapping.
-#[test]
-fn lite_trait_path_matches_inherent_path() {
-    for bench in suite(Scale::Tiny) {
-        let name = bench.meta().name;
-
-        let mut old = LiteEngine::new(AccelConfig::lite(1, 4), bench.profile());
-        let Some(inst) = bench.lite(old.mem_mut()) else {
-            continue;
-        };
-        let mut worker = inst.worker;
-        let mut driver = inst.driver;
-        let old_out = old
-            .run(worker.as_mut(), driver.as_mut())
-            .expect("inherent run");
-        bench
-            .check(old.memory(), old_out.result)
-            .expect("old path golden");
-
-        let mut new = SimulationBuilder::from_config(AccelConfig::lite(1, 4), bench.profile())
-            .build()
-            .expect("valid config");
-        let inst = bench.lite(new.mem_mut()).expect("lite variant");
-        let mut worker = inst.worker;
-        let mut driver = inst.driver;
-        let new_out = new
-            .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
-            .expect("trait run");
-
-        assert_eq!(old_out.result, new_out.result, "{name}: results diverge");
-        assert_eq!(
-            old_out.elapsed, new_out.elapsed,
-            "{name}: cycle counts diverge"
-        );
-    }
-}
+use parallelxl::{FaultPlan, NetClass, RunSpec, SimulationBuilder, Time, Workload};
 
 /// Two traced runs of the same seed/configuration serialize to
 /// byte-identical JSONL — the trace is deterministic, ordered, and stable.
 #[test]
 fn same_seed_traces_are_byte_identical() {
     let run_traced = |bench_name: &str| {
-        let bench = parallelxl::apps::by_name(bench_name, Scale::Tiny).expect("known benchmark");
-        let mut engine = SimulationBuilder::from_config(AccelConfig::flex(1, 4), bench.profile())
-            .trace(1 << 16)
-            .build()
+        let bench = by_name(bench_name, Scale::Tiny).expect("known benchmark");
+        let spec = RunSpec::new(
+            bench_name,
+            Scale::Tiny,
+            DesignPoint::accel(PointArch::Flex, 1, 4),
+        )
+        .with_trace(1 << 16);
+        let mut engine = SimulationBuilder::from_run_spec(&spec)
+            .and_then(|b| b.build())
             .expect("valid config");
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
@@ -205,13 +96,17 @@ fn any_seeded_fault_plan_replays_byte_identically() {
         let bench_name = *g.pick(&["queens", "uts"]);
 
         let run_traced = || {
-            let bench = parallelxl::apps::by_name(bench_name, Scale::Tiny).expect("known");
-            let mut engine =
-                SimulationBuilder::from_config(AccelConfig::flex(2, 4), bench.profile())
-                    .with_faults(plan.clone())
-                    .trace(1 << 16)
-                    .build()
-                    .expect("valid faulted config");
+            let bench = by_name(bench_name, Scale::Tiny).expect("known");
+            let spec = RunSpec::new(
+                bench_name,
+                Scale::Tiny,
+                DesignPoint::accel(PointArch::Flex, 2, 4),
+            )
+            .with_faults(plan.clone())
+            .with_trace(1 << 16);
+            let mut engine = SimulationBuilder::from_run_spec(&spec)
+                .and_then(|b| b.build())
+                .expect("valid faulted config");
             let inst = bench.flex(engine.mem_mut());
             let mut worker = inst.worker;
             let out = engine

@@ -5,17 +5,18 @@
 //! when recovery is impossible).
 
 use parallelxl::apps::{by_name, suite, Scale};
-use parallelxl::arch::{AccelConfig, FlexEngine};
-use parallelxl::{AccelError, FaultPlan, NetClass, SimulationBuilder, Time, Workload};
+use parallelxl::arch::{AccelConfig, FlexEngine, LiteEngine};
+use parallelxl::{
+    AccelError, DesignPoint, Engine, FaultPlan, NetClass, PointArch, RunSpec, SimulationBuilder,
+    Time, Workload,
+};
 
 /// Runs `bench` on FlexArch with `cfg`, returning the engine result.
 fn run_flex_cfg(
     cfg: AccelConfig,
     bench: &dyn parallelxl::apps::Benchmark,
 ) -> parallelxl::AccelResult {
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .expect("valid config");
+    let mut engine = FlexEngine::new(cfg, bench.profile());
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let out = engine
@@ -181,7 +182,7 @@ fn watchdog_diagnoses_an_unrecoverable_stall() {
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let err = engine
-        .run(worker.as_mut(), inst.root)
+        .run(Workload::dynamic(worker.as_mut(), inst.root))
         .expect_err("total argument loss cannot complete");
     match err {
         AccelError::Stalled { idle_us, .. } => {
@@ -213,9 +214,7 @@ fn lite_survives_pe_death_and_stalls() {
         Time::from_us(1),
         2_000,
     ));
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .expect("valid config");
+    let mut engine = LiteEngine::new(cfg, bench.profile());
     let inst = bench
         .lite(engine.mem_mut())
         .expect("uts has a Lite mapping");
@@ -248,9 +247,7 @@ fn lite_with_all_pes_dead_stalls_with_a_diagnosis() {
         plan = plan.kill_pe(pe, Time::ZERO);
     }
     cfg.fault_plan = Some(plan);
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .build()
-        .expect("valid config");
+    let mut engine = LiteEngine::new(cfg, bench.profile());
     let inst = bench
         .lite(engine.mem_mut())
         .expect("uts has a Lite mapping");
@@ -288,17 +285,22 @@ fn invalid_fault_plans_are_rejected_up_front() {
 
     // LiteArch rejects network and P-Store faults it cannot model.
     let lite_plan = FaultPlan::new(0).drop_messages(NetClass::Arg, Time::ZERO, Time::MAX, 10, 0);
-    let err = SimulationBuilder::from_config(AccelConfig::lite(1, 4), profile)
-        .with_faults(lite_plan)
-        .build()
+    let build = |point: DesignPoint, plan: FaultPlan| {
+        let spec = RunSpec::new("uts", Scale::Tiny, point)
+            .with_profile(profile)
+            .with_faults(plan);
+        SimulationBuilder::from_run_spec(&spec).and_then(|b| b.build())
+    };
+    let err = build(DesignPoint::accel(PointArch::Lite, 1, 4), lite_plan)
         .expect_err("LiteArch has no routed networks");
     assert!(err.to_string().contains("LiteArch"), "{err}");
 
     // The CPU baseline has no modelled fault surface at all.
-    let err = SimulationBuilder::cpu(2, profile)
-        .with_faults(FaultPlan::new(0).kill_pe(0, Time::ZERO))
-        .build()
-        .expect_err("CPU target rejects fault plans");
+    let err = build(
+        DesignPoint::cpu(2),
+        FaultPlan::new(0).kill_pe(0, Time::ZERO),
+    )
+    .expect_err("CPU target rejects fault plans");
     assert!(err.to_string().contains("accelerator"), "{err}");
 }
 
@@ -313,10 +315,8 @@ fn fault_trace_events_match_the_counters() {
             .kill_pe(3, Time::from_us(1))
             .drop_messages(NetClass::Arg, Time::ZERO, Time::MAX, 500, 4),
     );
-    let mut engine = SimulationBuilder::from_config(cfg, bench.profile())
-        .trace(1 << 16)
-        .build()
-        .expect("valid config");
+    cfg.trace_capacity = 1 << 16;
+    let mut engine = FlexEngine::new(cfg, bench.profile());
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let out = engine

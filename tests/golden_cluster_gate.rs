@@ -14,7 +14,7 @@ use parallelxl::arch::{
     AccelConfig, AccelResult, CentralEngine, ClusterConfig, FlexEngine, HierEngine,
 };
 use parallelxl::sim::metrics::MetricKind;
-use parallelxl::{FaultPlan, NetClass, Time};
+use parallelxl::{Engine, FaultPlan, NetClass, Time, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -64,7 +64,7 @@ fn run_flex(cfg: AccelConfig, bench_name: &str) -> AccelResult {
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let out = engine
-        .run(worker.as_mut(), inst.root)
+        .run(Workload::dynamic(worker.as_mut(), inst.root))
         .expect("run completes");
     bench
         .check(engine.memory(), out.result)
@@ -78,7 +78,7 @@ fn run_hier(cfg: AccelConfig, bench_name: &str) -> AccelResult {
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let out = engine
-        .run(worker.as_mut(), inst.root)
+        .run(Workload::dynamic(worker.as_mut(), inst.root))
         .expect("run completes");
     bench
         .check(engine.memory(), out.result)
@@ -182,7 +182,7 @@ fn run_central(cfg: AccelConfig, bench_name: &str) -> AccelResult {
     let inst = bench.flex(engine.mem_mut());
     let mut worker = inst.worker;
     let out = engine
-        .run(worker.as_mut(), inst.root)
+        .run(Workload::dynamic(worker.as_mut(), inst.root))
         .expect("run completes");
     bench
         .check(engine.memory(), out.result)

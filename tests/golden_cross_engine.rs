@@ -7,7 +7,9 @@ use parallelxl::apps::{suite, Scale};
 use parallelxl::dse::pe_geometry;
 use parallelxl::model::SerialExecutor;
 use parallelxl::sim::qcheck::{check, Gen};
-use parallelxl::{execute, DesignPoint, FaultPlan, PointArch, RunOutcome, RunSpec, Time};
+use parallelxl::{
+    execute, DesignPoint, Engine, FaultPlan, PointArch, RunOutcome, RunSpec, Time, Workload,
+};
 
 /// Runs `bench` on `point` through the canonical spec path, which checks
 /// the output against the golden reference and panics on any failure;
@@ -77,7 +79,10 @@ fn engines_agree_on_result_values() {
             );
             let inst = bench.flex(engine.mem_mut());
             let mut w = inst.worker;
-            engine.run(w.as_mut(), inst.root).unwrap().result
+            engine
+                .run(Workload::dynamic(w.as_mut(), inst.root))
+                .unwrap()
+                .result
         };
         assert_eq!(flex_result, want, "{name}: flex result differs from serial");
         let _ = cpu;
@@ -99,7 +104,9 @@ fn single_pe_death_preserves_the_golden_result() {
             let mut engine = parallelxl::arch::FlexEngine::new(cfg, bench.profile());
             let inst = bench.flex(engine.mem_mut());
             let mut w = inst.worker;
-            let out = engine.run(w.as_mut(), inst.root).expect("run completes");
+            let out = engine
+                .run(Workload::dynamic(w.as_mut(), inst.root))
+                .expect("run completes");
             bench
                 .check(engine.memory(), out.result)
                 .expect("run stays golden");
@@ -138,7 +145,7 @@ mod fixtures {
     };
     use parallelxl::sim::hash::fnv64;
     use parallelxl::sim::metrics::{MetricKind, Metrics};
-    use parallelxl::{FaultPlan, Memory, NetClass, Time};
+    use parallelxl::{Engine, FaultPlan, Memory, NetClass, Time, Workload};
     use std::fmt::Write as _;
     use std::path::PathBuf;
 
@@ -286,7 +293,7 @@ mod fixtures {
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
         let out = engine
-            .run(worker.as_mut(), inst.root)
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
             .expect("run completes");
         bench
             .check(engine.memory(), out.result)
@@ -309,7 +316,7 @@ mod fixtures {
         let mut worker = inst.worker;
         let mut driver = inst.driver;
         let out = engine
-            .run(worker.as_mut(), driver.as_mut())
+            .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
             .expect("run completes");
         bench
             .check(engine.memory(), out.result)
@@ -331,7 +338,7 @@ mod fixtures {
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
         let out = engine
-            .run(worker.as_mut(), inst.root)
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
             .expect("run completes");
         bench
             .check(engine.memory(), out.result)
@@ -355,7 +362,7 @@ mod fixtures {
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
         let out = engine
-            .run(worker.as_mut(), inst.root)
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
             .expect("run completes");
         bench
             .check(engine.memory(), out.result)

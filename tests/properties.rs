@@ -329,7 +329,7 @@ fn coherence_invariants_hold() {
 fn ablated_policies_stay_golden() {
     use parallelxl::apps::{by_name, Scale};
     use parallelxl::arch::{
-        AccelConfig, FlexEngine, LocalOrder, SchedPolicy, StealEnd, VictimSelect,
+        AccelConfig, Engine, FlexEngine, LocalOrder, SchedPolicy, StealEnd, VictimSelect, Workload,
     };
 
     check(16, "ablated policies stay golden", |g: &mut Gen| {
@@ -346,7 +346,9 @@ fn ablated_policies_stay_golden() {
         let mut engine = FlexEngine::new(cfg, bench.profile());
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
-        let out = engine.run(worker.as_mut(), inst.root).unwrap();
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .unwrap();
         assert!(bench.check(engine.memory(), out.result).is_ok());
     });
 }

@@ -5,8 +5,8 @@
 use parallelxl::apps::Scale;
 use parallelxl::sim::json;
 use parallelxl::{
-    DesignPoint, JsonValue, PointArch, RunError, RunSpec, SessionStatus, SimSession, Snapshot,
-    SnapshotError,
+    ClusterPoint, DesignPoint, JsonValue, PointArch, RunError, RunSpec, SessionStatus, SimSession,
+    Snapshot, SnapshotError,
 };
 
 /// The snapshot text of `spec` paused at cycle 1,000.
@@ -26,6 +26,91 @@ fn refusal(spec: &RunSpec, snap: &Snapshot) -> String {
         Err(RunError::Snapshot(SnapshotError::Malformed(message))) => message,
         other => panic!("{spec:?}: expected a malformed-snapshot refusal, got {other:?}"),
     }
+}
+
+/// `snap` with the first item of the payload array at `path` set to
+/// `value`, re-sealed so its checksum holds.
+fn with_first_item(snap: &Snapshot, path: &[&str], value: u64) -> Snapshot {
+    let mut payload = snap.payload.clone();
+    let mut node = &mut payload;
+    for key in path {
+        let JsonValue::Object(members) = node else {
+            panic!("{key}: parent is not an object");
+        };
+        node = &mut members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("{key} missing from the snapshot"))
+            .1;
+    }
+    let JsonValue::Array(items) = node else {
+        panic!("{path:?} is not an array");
+    };
+    items[0] = json::num(value);
+    let text = Snapshot::new(snap.engine.clone(), payload).to_json();
+    Snapshot::from_json(&text).expect("checksum holds")
+}
+
+/// A 4-PE FlexArch spec and a 2-chip hierarchical-stealing spec.
+fn flex_and_hier() -> [(RunSpec, Vec<&'static str>); 2] {
+    let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
+    let hier = DesignPoint::accel(PointArch::Flex, 2, 2).clustered(ClusterPoint::new(2));
+    [
+        (RunSpec::new("uts", Scale::Tiny, flex), vec!["policy"]),
+        (
+            RunSpec::new("uts", Scale::Tiny, hier),
+            vec!["policy", "flex"],
+        ),
+    ]
+}
+
+#[test]
+fn an_lfsr_state_past_16_bits_is_refused() {
+    for (spec, policy) in flex_and_hier() {
+        let snap = paused_at_cycle_1000(&spec);
+        let path = [policy.as_slice(), &["lfsrs"]].concat();
+        let message = refusal(&spec, &with_first_item(&snap, &path, 1 << 16));
+        assert!(
+            message.contains("\"lfsrs\" is out of range for u16"),
+            "{spec:?}: {message}"
+        );
+    }
+}
+
+#[test]
+fn a_round_robin_victim_past_the_host_block_is_refused() {
+    for (spec, policy) in flex_and_hier() {
+        let snap = paused_at_cycle_1000(&spec);
+        let path = [policy.as_slice(), &["rr_victim"]].concat();
+        // Unit 4 is the host block of a 4-PE fabric, the last victim a
+        // round-robin sweep reaches.
+        SimSession::resume(&spec, &with_first_item(&snap, &path, 4))
+            .unwrap()
+            .unwrap()
+            .finish()
+            .unwrap();
+        for victim in [5, u64::MAX] {
+            let message = refusal(&spec, &with_first_item(&snap, &path, victim));
+            assert!(
+                message.contains(&format!("rr_victim {victim} is past unit 4")),
+                "{spec:?}: {message}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_steal_failure_count_past_32_bits_is_refused() {
+    let [_, (hier, _)] = flex_and_hier();
+    let snap = paused_at_cycle_1000(&hier);
+    let message = refusal(
+        &hier,
+        &with_first_item(&snap, &["policy", "fails"], 1 << 32),
+    );
+    assert!(
+        message.contains("\"fails\" is out of range for u32"),
+        "{message}"
+    );
 }
 
 #[test]

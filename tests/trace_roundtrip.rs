@@ -6,23 +6,23 @@
 //! directions.
 
 use parallelxl::apps::{suite, Scale};
-use parallelxl::arch::AccelConfig;
 use parallelxl::profile::{parse_jsonl, parse_line};
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, SimulationBuilder, Time,
-    TraceEvent, TraceRecord, Tracer, Workload,
+    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, Time, TraceEvent,
+    TraceRecord, Tracer,
 };
 
-/// Runs one benchmark traced on the given builder and returns the trace.
-fn traced_run(mut builder: SimulationBuilder, bench: &dyn parallelxl::apps::Benchmark) -> Tracer {
-    builder.trace(1 << 18);
-    let mut engine = builder.build().expect("valid config");
-    let inst = bench.flex(engine.mem_mut());
-    let mut worker = inst.worker;
-    let out = engine
-        .run(Workload::dynamic(worker.as_mut(), inst.root))
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.meta().name));
-    out.trace
+/// Runs `spec` traced and returns the trace.
+fn traced_run(spec: RunSpec) -> Tracer {
+    let name = spec.benchmark.clone();
+    execute(&spec.with_trace(1 << 18))
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .expect("a dynamic engine runs every benchmark")
+        .trace
+}
+
+fn flex(tiles: usize, pes: usize) -> DesignPoint {
+    DesignPoint::accel(PointArch::Flex, tiles, pes)
 }
 
 fn assert_roundtrip(name: &str, trace: &Tracer) {
@@ -60,10 +60,7 @@ fn assert_roundtrip(name: &str, trace: &Tracer) {
 fn every_benchmark_trace_round_trips_on_flex() {
     for bench in suite(Scale::Tiny) {
         let name = bench.meta().name;
-        let trace = traced_run(
-            SimulationBuilder::from_config(AccelConfig::flex(2, 4), bench.profile()),
-            bench.as_ref(),
-        );
+        let trace = traced_run(RunSpec::new(name, Scale::Tiny, flex(2, 4)));
         assert!(!trace.is_empty(), "{name}: flex run produced no events");
         assert_roundtrip(name, &trace);
     }
@@ -71,22 +68,22 @@ fn every_benchmark_trace_round_trips_on_flex() {
 
 #[test]
 fn cpu_and_central_traces_round_trip() {
-    let bench = parallelxl::apps::by_name("uts", Scale::Tiny).unwrap();
-    let cpu = traced_run(SimulationBuilder::cpu(4, bench.profile()), bench.as_ref());
+    let cpu = traced_run(RunSpec::new("uts", Scale::Tiny, DesignPoint::cpu(4)));
     assert_roundtrip("uts/cpu", &cpu);
-    let central = traced_run(
-        SimulationBuilder::from_config(AccelConfig::central(2, 4), bench.profile()),
-        bench.as_ref(),
-    );
+    let central = traced_run(RunSpec::new(
+        "uts",
+        Scale::Tiny,
+        DesignPoint::accel(PointArch::Central, 2, 4),
+    ));
     assert_roundtrip("uts/central", &central);
 }
 
 #[test]
 fn faulted_trace_round_trips_including_fault_events() {
-    let bench = parallelxl::apps::by_name("queens", Scale::Tiny).unwrap();
-    let mut builder = SimulationBuilder::from_config(AccelConfig::flex(2, 4), bench.profile());
-    builder.with_faults(FaultPlan::new(0xD1E).kill_pe(3, Time::from_us(2)));
-    let trace = traced_run(builder, bench.as_ref());
+    let trace = traced_run(
+        RunSpec::new("queens", Scale::Tiny, flex(2, 4))
+            .with_faults(FaultPlan::new(0xD1E).kill_pe(3, Time::from_us(2))),
+    );
     assert!(
         trace
             .records()
@@ -100,11 +97,7 @@ fn faulted_trace_round_trips_including_fault_events() {
 #[test]
 fn task_ids_survive_the_round_trip() {
     use parallelxl::TraceEvent;
-    let bench = parallelxl::apps::by_name("queens", Scale::Tiny).unwrap();
-    let trace = traced_run(
-        SimulationBuilder::from_config(AccelConfig::flex(1, 4), bench.profile()),
-        bench.as_ref(),
-    );
+    let trace = traced_run(RunSpec::new("queens", Scale::Tiny, flex(1, 4)));
     let dump = trace.to_jsonl();
     let parsed = parse_jsonl(&dump).unwrap();
     let dispatched: Vec<u64> = parsed
