@@ -822,95 +822,138 @@ mod tests {
             bram18: 0,
         };
         let events = [
-            JobEvent::Accepted {
-                job: JobId(1),
-                tenant: "a".to_owned(),
-                key: "00baadf00dcafe99".to_owned(),
-            },
-            JobEvent::Queued {
-                job: JobId(1),
-                position: 3,
-            },
-            JobEvent::Running { job: JobId(1) },
-            JobEvent::Metrics {
-                job: JobId(1),
-                kernel_ps: 5,
-                steal_attempts: 6,
-                dram_bytes: 7,
-                trace_events: 0,
-            },
-            JobEvent::Done {
-                job: JobId(1),
-                cached: true,
-                result: m,
-                trace_events: None,
-                resumed_from_cycle: None,
-            },
-            JobEvent::Done {
-                job: JobId(2),
-                cached: false,
-                result: m,
-                trace_events: Some(42),
-                resumed_from_cycle: Some(200_000),
-            },
-            JobEvent::Preempted {
-                job: JobId(2),
-                cycle: 100_000,
-            },
-            JobEvent::Failed {
-                job: JobId(3),
-                error: "uts on flex/8u failed: watchdog".to_owned(),
-            },
-            JobEvent::Error {
-                code: ErrorCode::QuotaExceeded,
-                message: "tenant a has 64 queued jobs".to_owned(),
-            },
-            JobEvent::Status {
-                queued: 1,
-                running: 2,
-                completed: 3,
-                failed: 0,
-                paused: false,
-                draining: true,
-            },
-            JobEvent::Stats {
-                tenants: vec![("alice".to_owned(), 2), ("bob".to_owned(), 0)],
-                queued: 2,
-                running: 1,
-                completed: 5,
-                failed: 1,
-                recovered: 3,
-                resumed: 2,
-                preempted: 4,
-                journal_torn: 1,
-                journal: true,
-                paused: false,
-                draining: false,
-            },
-            JobEvent::Stats {
-                tenants: Vec::new(),
-                queued: 0,
-                running: 0,
-                completed: 0,
-                failed: 0,
-                recovered: 0,
-                resumed: 0,
-                preempted: 0,
-                journal_torn: 0,
-                journal: false,
-                paused: true,
-                draining: true,
-            },
-            JobEvent::Progress {
-                job: JobId(7),
-                cycle: 100_000,
-                tasks: 4_096,
-                tasks_per_sec: 8_192_000,
-            },
-            JobEvent::Drained { completed: 9 },
+            (
+                JobEvent::Accepted {
+                    job: JobId(1),
+                    tenant: "a".to_owned(),
+                    key: "00baadf00dcafe99".to_owned(),
+                },
+                r#"{"event":"accepted","job":1,"tenant":"a","key":"00baadf00dcafe99"}"#,
+            ),
+            (
+                JobEvent::Queued {
+                    job: JobId(1),
+                    position: 3,
+                },
+                r#"{"event":"queued","job":1,"position":3}"#,
+            ),
+            (
+                JobEvent::Running { job: JobId(1) },
+                r#"{"event":"running","job":1}"#,
+            ),
+            (
+                JobEvent::Metrics {
+                    job: JobId(1),
+                    kernel_ps: 5,
+                    steal_attempts: 6,
+                    dram_bytes: 7,
+                    trace_events: 0,
+                },
+                r#"{"event":"metrics","job":1,"kernel_ps":5,"steal_attempts":6,"dram_bytes":7,"trace_events":0}"#,
+            ),
+            (
+                JobEvent::Done {
+                    job: JobId(1),
+                    cached: true,
+                    result: m,
+                    trace_events: None,
+                    resumed_from_cycle: None,
+                },
+                r#"{"event":"done","job":1,"cached":true,"result":{"kernel_ps":123,"whole_ps":456,"energy_j":0.30000000000000004,"lut":7,"bram18":0}}"#,
+            ),
+            (
+                JobEvent::Done {
+                    job: JobId(2),
+                    cached: false,
+                    result: m,
+                    trace_events: Some(42),
+                    resumed_from_cycle: Some(200_000),
+                },
+                r#"{"event":"done","job":2,"cached":false,"result":{"kernel_ps":123,"whole_ps":456,"energy_j":0.30000000000000004,"lut":7,"bram18":0},"trace_events":42,"resumed_from_cycle":200000}"#,
+            ),
+            (
+                JobEvent::Preempted {
+                    job: JobId(2),
+                    cycle: 100_000,
+                },
+                r#"{"event":"preempted","job":2,"cycle":100000}"#,
+            ),
+            (
+                JobEvent::Failed {
+                    job: JobId(3),
+                    error: "uts on flex/8u failed: watchdog".to_owned(),
+                },
+                r#"{"event":"failed","job":3,"error":"uts on flex/8u failed: watchdog"}"#,
+            ),
+            (
+                JobEvent::Error {
+                    code: ErrorCode::QuotaExceeded,
+                    message: "tenant a has 64 queued jobs".to_owned(),
+                },
+                r#"{"event":"error","code":"quota_exceeded","message":"tenant a has 64 queued jobs"}"#,
+            ),
+            (
+                JobEvent::Status {
+                    queued: 1,
+                    running: 2,
+                    completed: 3,
+                    failed: 0,
+                    paused: false,
+                    draining: true,
+                },
+                r#"{"event":"status","queued":1,"running":2,"completed":3,"failed":0,"paused":false,"draining":true}"#,
+            ),
+            (
+                JobEvent::Stats {
+                    tenants: vec![("alice".to_owned(), 2), ("bob".to_owned(), 0)],
+                    queued: 2,
+                    running: 1,
+                    completed: 5,
+                    failed: 1,
+                    recovered: 3,
+                    resumed: 2,
+                    preempted: 4,
+                    journal_torn: 1,
+                    journal: true,
+                    paused: false,
+                    draining: false,
+                },
+                r#"{"event":"stats","tenants":{"alice":2,"bob":0},"queued":2,"running":1,"completed":5,"failed":1,"recovered":3,"resumed":2,"preempted":4,"journal_torn":1,"journal":true,"paused":false,"draining":false}"#,
+            ),
+            (
+                JobEvent::Stats {
+                    tenants: Vec::new(),
+                    queued: 0,
+                    running: 0,
+                    completed: 0,
+                    failed: 0,
+                    recovered: 0,
+                    resumed: 0,
+                    preempted: 0,
+                    journal_torn: 0,
+                    journal: false,
+                    paused: true,
+                    draining: true,
+                },
+                r#"{"event":"stats","tenants":{},"queued":0,"running":0,"completed":0,"failed":0,"recovered":0,"resumed":0,"preempted":0,"journal_torn":0,"journal":false,"paused":true,"draining":true}"#,
+            ),
+            (
+                JobEvent::Progress {
+                    job: JobId(7),
+                    cycle: 100_000,
+                    tasks: 4_096,
+                    tasks_per_sec: 8_192_000,
+                },
+                r#"{"event":"progress","job":7,"cycle":100000,"tasks":4096,"tasks_per_sec":8192000}"#,
+            ),
+            (
+                JobEvent::Drained { completed: 9 },
+                r#"{"event":"drained","completed":9}"#,
+            ),
         ];
-        for e in events {
+        for (e, pinned) in events {
             let line = e.to_json();
+            assert_eq!(line, pinned, "wire bytes are pinned");
             let back = JobEvent::from_json(&line).unwrap();
             assert_eq!(back, e);
             assert_eq!(back.to_json(), line, "canonical rendering is stable");
