@@ -51,7 +51,7 @@ pub mod server;
 pub use client::{Client, ClientConfig, ClientError, Progress, StatsSnapshot, StatusSnapshot};
 pub use protocol::{
     measurement_from_json_value, measurement_to_json_value, ErrorCode, JobEvent, JobId, JobKind,
-    JobStatus, Request, RequestError,
+    Request, RequestError,
 };
 pub use sched::{FairQueue, QuotaExceeded};
 pub use server::{cache_key, ServeSummary, Server, ServerConfig};

@@ -22,118 +22,72 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// What a submitted spec should produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// Simulate and report the runtime/energy measurement (no FPGA
-    /// resource model — `lut`/`bram18` are zero).
-    Sim,
-    /// Simulate as a design-space-exploration evaluation: the measurement
-    /// includes the elaborated design's LUT/BRAM footprint.
-    Dse,
-    /// Simulate with event tracing and report the measurement plus the
-    /// trace size. Profile jobs always execute (their artifact is the
-    /// trace, not the cached measurement).
-    Profile,
+/// Declares a fieldless wire enum together with its stable labels: each
+/// row is a variant and the one string that names it on the wire.
+macro_rules! wire_labels {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident = $label:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $name {
+            /// Stable wire label.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
+            }
+
+            /// Parses a [`Self::label`] string.
+            pub fn from_label(label: &str) -> Option<$name> {
+                match label {
+                    $($label => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl JobKind {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            JobKind::Sim => "sim",
-            JobKind::Dse => "dse",
-            JobKind::Profile => "profile",
-        }
-    }
-
-    /// Parses a [`JobKind::label`] string.
-    pub fn from_label(label: &str) -> Option<JobKind> {
-        match label {
-            "sim" => Some(JobKind::Sim),
-            "dse" => Some(JobKind::Dse),
-            "profile" => Some(JobKind::Profile),
-            _ => None,
-        }
-    }
-}
-
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Accepted, waiting in its tenant's queue.
-    Queued,
-    /// Executing on a pool worker.
-    Running,
-    /// Finished with a result payload.
-    Done,
-    /// Finished with an error.
-    Failed,
-}
-
-impl JobStatus {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-        }
+wire_labels! {
+    /// What a submitted spec should produce.
+    JobKind {
+        /// Simulate and report the runtime/energy measurement (no FPGA
+        /// resource model — `lut`/`bram18` are zero).
+        Sim = "sim",
+        /// Simulate as a design-space-exploration evaluation: the
+        /// measurement includes the elaborated design's LUT/BRAM footprint.
+        Dse = "dse",
+        /// Simulate with event tracing and report the measurement plus the
+        /// trace size. Profile jobs always execute (their artifact is the
+        /// trace, not the cached measurement).
+        Profile = "profile",
     }
 }
 
-/// Why the server rejected a request (typed, machine-checkable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The line is not well-formed JSON.
-    BadJson,
-    /// The line parses but is not a valid request shape.
-    BadRequest,
-    /// The request's `"op"` is not one the server knows.
-    UnknownOp,
-    /// The submitted spec failed [`RunSpec::from_json_value`].
-    BadSpec,
-    /// The tenant already has its quota of queued jobs.
-    QuotaExceeded,
-    /// The server is draining and accepts no new submissions.
-    Draining,
-    /// The line exceeds the server's line-length limit; the rest of it is
-    /// discarded and the connection stays open.
-    LineTooLong,
-    /// The server is at its connection cap; the connection is closed
-    /// right after this refusal.
-    Overloaded,
-}
-
-impl ErrorCode {
-    /// Stable wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ErrorCode::BadJson => "bad_json",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::UnknownOp => "unknown_op",
-            ErrorCode::BadSpec => "bad_spec",
-            ErrorCode::QuotaExceeded => "quota_exceeded",
-            ErrorCode::Draining => "draining",
-            ErrorCode::LineTooLong => "line_too_long",
-            ErrorCode::Overloaded => "overloaded",
-        }
-    }
-
-    /// Parses an [`ErrorCode::label`] string.
-    pub fn from_label(label: &str) -> Option<ErrorCode> {
-        match label {
-            "bad_json" => Some(ErrorCode::BadJson),
-            "bad_request" => Some(ErrorCode::BadRequest),
-            "unknown_op" => Some(ErrorCode::UnknownOp),
-            "bad_spec" => Some(ErrorCode::BadSpec),
-            "quota_exceeded" => Some(ErrorCode::QuotaExceeded),
-            "draining" => Some(ErrorCode::Draining),
-            "line_too_long" => Some(ErrorCode::LineTooLong),
-            "overloaded" => Some(ErrorCode::Overloaded),
-            _ => None,
-        }
+wire_labels! {
+    /// Why the server rejected a request (typed, machine-checkable).
+    ErrorCode {
+        /// The line is not well-formed JSON.
+        BadJson = "bad_json",
+        /// The line parses but is not a valid request shape.
+        BadRequest = "bad_request",
+        /// The request's `"op"` is not one the server knows.
+        UnknownOp = "unknown_op",
+        /// The submitted spec failed [`RunSpec::from_json_value`].
+        BadSpec = "bad_spec",
+        /// The tenant already has its quota of queued jobs.
+        QuotaExceeded = "quota_exceeded",
+        /// The server is draining and accepts no new submissions.
+        Draining = "draining",
+        /// The line exceeds the server's line-length limit; the rest of it
+        /// is discarded and the connection stays open.
+        LineTooLong = "line_too_long",
+        /// The server is at its connection cap; the connection is closed
+        /// right after this refusal.
+        Overloaded = "overloaded",
     }
 }
 
@@ -268,34 +222,175 @@ fn text(s: &str) -> JsonValue {
     JsonValue::Str(s.to_owned())
 }
 
-/// One server→client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobEvent {
+/// How one [`JobEvent`] field type is rendered as, and read back from, its
+/// wire member.
+trait WireField: Sized {
+    /// The member's value; `None` omits the member.
+    fn to_member(&self) -> Option<JsonValue>;
+
+    /// Reads the member `key` of `event`.
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError>;
+}
+
+impl WireField for u64 {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(json::num(*self))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        get_u64(event, key)
+    }
+}
+
+/// An optional count, omitted from the wire when `None`.
+impl WireField for Option<u64> {
+    fn to_member(&self) -> Option<JsonValue> {
+        self.map(json::num)
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        json::get_opt(event, key)
+            .map(|n| json::u64_of(n, key))
+            .transpose()
+    }
+}
+
+impl WireField for bool {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(JsonValue::Bool(*self))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        get_bool(event, key)
+    }
+}
+
+impl WireField for String {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(text(self))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        get_str(event, key).map(str::to_owned)
+    }
+}
+
+impl WireField for JobId {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(json::num(self.0))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        get_u64(event, key).map(JobId)
+    }
+}
+
+impl WireField for ErrorCode {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(text(self.label()))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        ErrorCode::from_label(get_str(event, key)?).ok_or(FieldError {
+            key,
+            problem: FieldProblem::NotA("a known error code"),
+        })
+    }
+}
+
+impl WireField for Measurement {
+    fn to_member(&self) -> Option<JsonValue> {
+        Some(measurement_to_json_value(self))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        measurement_from_json_value(json::get(event, key)?)
+    }
+}
+
+/// Per-tenant queue depths, rendered as one object in list order.
+impl WireField for Vec<(String, u64)> {
+    fn to_member(&self) -> Option<JsonValue> {
+        let depths = self.iter().map(|(name, d)| (name.clone(), json::num(*d)));
+        Some(JsonValue::Object(depths.collect()))
+    }
+
+    fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
+        Ok(json::get_u64_map(event, key)?
+            .into_iter()
+            .map(|(tenant, depth)| (tenant.to_owned(), depth))
+            .collect())
+    }
+}
+
+/// Declares [`JobEvent`] and its wire codec from one table: each row is a
+/// variant, its `"event"` label and its fields in wire order.
+macro_rules! job_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $label:literal { $($(#[$fdoc:meta])* $field:ident: $ty:ty,)* }
+    )*) => {
+        /// One server→client message.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum JobEvent {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl JobEvent {
+            /// The event as one canonical JSON object.
+            pub fn to_json_value(&self) -> JsonValue {
+                let mut members = Vec::new();
+                match self {
+                    $(JobEvent::$variant { $($field),* } => {
+                        members.push(("event", text($label)));
+                        $(if let Some(value) = $field.to_member() {
+                            members.push((stringify!($field), value));
+                        })*
+                    })*
+                }
+                json::obj(members)
+            }
+
+            /// The members of a `name` event; `None` for an unknown event
+            /// name.
+            fn from_fields(name: &str, v: &JsonValue) -> Result<Option<JobEvent>, FieldError> {
+                Ok(Some(match name {
+                    $($label => JobEvent::$variant {
+                        $($field: WireField::read(v, stringify!($field))?,)*
+                    },)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+job_events! {
     /// The submission was admitted; `key` is the 16-hex-digit content
     /// address of the spec's canonical identity (the dedup key).
-    Accepted {
+    Accepted = "accepted" {
         /// The assigned job.
         job: JobId,
         /// The tenant it was charged to.
         tenant: String,
         /// Content address of the canonical spec.
         key: String,
-    },
+    }
     /// The job entered its tenant's queue at `position` (0 = next).
-    Queued {
+    Queued = "queued" {
         /// The queued job.
         job: JobId,
         /// Depth in the tenant's queue at admission.
         position: u64,
-    },
+    }
     /// The job started executing on a pool worker.
-    Running {
+    Running = "running" {
         /// The running job.
         job: JobId,
-    },
+    }
     /// A headline-metrics snapshot from a freshly executed (non-cached)
     /// run, emitted between `running` and `done`.
-    Metrics {
+    Metrics = "metrics" {
         /// The job the snapshot belongs to.
         job: JobId,
         /// Kernel time (simulated picoseconds).
@@ -306,9 +401,9 @@ pub enum JobEvent {
         dram_bytes: u64,
         /// Captured trace events (0 unless tracing was on).
         trace_events: u64,
-    },
+    }
     /// The job finished; `result` is the measurement payload.
-    Done {
+    Done = "done" {
         /// The finished job.
         job: JobId,
         /// Whether the result came from the content-addressed cache
@@ -322,33 +417,33 @@ pub enum JobEvent {
         /// were preempted or recovered from a checkpoint (`None` for jobs
         /// that ran uninterrupted from cycle zero).
         resumed_from_cycle: Option<u64>,
-    },
+    }
     /// A checkpointed job cooperatively yielded its worker at a cycle
     /// boundary so queued work (e.g. a starved tenant) can run; it is back
     /// in its tenant's queue and will resume from the checkpoint.
-    Preempted {
+    Preempted = "preempted" {
         /// The preempted job.
         job: JobId,
         /// The simulated cycle it checkpointed and yielded at.
         cycle: u64,
-    },
+    }
     /// The job failed (unknown benchmark, infeasible point, simulation or
     /// golden-validation failure).
-    Failed {
+    Failed = "failed" {
         /// The failed job.
         job: JobId,
         /// The failure, in [`pxl_flow::RunError`] message format.
         error: String,
-    },
+    }
     /// A request was rejected before becoming a job.
-    Error {
+    Error = "error" {
         /// The typed rejection.
         code: ErrorCode,
         /// What was wrong.
         message: String,
-    },
+    }
     /// Answer to [`Request::Status`].
-    Status {
+    Status = "status" {
         /// Jobs waiting across all tenant queues.
         queued: u64,
         /// Jobs currently executing.
@@ -361,11 +456,11 @@ pub enum JobEvent {
         paused: bool,
         /// Whether the server is draining.
         draining: bool,
-    },
+    }
     /// Answer to [`Request::Stats`]: the full server-health picture.
     /// Rendering is canonical (tenants name-sorted by the server), so two
     /// identical states are byte-identical on the wire.
-    Stats {
+    Stats = "stats" {
         /// Per-tenant queue depths, sorted by tenant name. Tenants whose
         /// queues have drained still appear at depth 0.
         tenants: Vec<(String, u64)>,
@@ -391,11 +486,11 @@ pub enum JobEvent {
         paused: bool,
         /// Whether the server is draining.
         draining: bool,
-    },
+    }
     /// Periodic progress from a running checkpointed job, emitted each
     /// time it reaches a checkpoint boundary: how far the simulation has
     /// advanced and how fast it is spawning work.
-    Progress {
+    Progress = "progress" {
         /// The running job.
         job: JobId,
         /// Simulated cycles completed so far.
@@ -405,151 +500,15 @@ pub enum JobEvent {
         /// Task throughput over the simulated time so far, in tasks per
         /// simulated second.
         tasks_per_sec: u64,
-    },
+    }
     /// Graceful shutdown finished: every admitted job completed.
-    Drained {
+    Drained = "drained" {
         /// Jobs finished successfully over the server's lifetime.
         completed: u64,
-    },
+    }
 }
 
 impl JobEvent {
-    /// The event as one canonical JSON object.
-    pub fn to_json_value(&self) -> JsonValue {
-        let job = |job: &JobId| ("job", json::num(job.0));
-        let (name, mut rest) = match self {
-            JobEvent::Accepted {
-                job: j,
-                tenant,
-                key,
-            } => (
-                "accepted",
-                vec![job(j), ("tenant", text(tenant)), ("key", text(key))],
-            ),
-            JobEvent::Queued { job: j, position } => {
-                ("queued", vec![job(j), ("position", json::num(*position))])
-            }
-            JobEvent::Running { job: j } => ("running", vec![job(j)]),
-            JobEvent::Metrics {
-                job: j,
-                kernel_ps,
-                steal_attempts,
-                dram_bytes,
-                trace_events,
-            } => (
-                "metrics",
-                vec![
-                    job(j),
-                    ("kernel_ps", json::num(*kernel_ps)),
-                    ("steal_attempts", json::num(*steal_attempts)),
-                    ("dram_bytes", json::num(*dram_bytes)),
-                    ("trace_events", json::num(*trace_events)),
-                ],
-            ),
-            JobEvent::Done {
-                job: j,
-                cached,
-                result,
-                trace_events,
-                resumed_from_cycle,
-            } => {
-                let mut rest = vec![
-                    job(j),
-                    ("cached", JsonValue::Bool(*cached)),
-                    ("result", measurement_to_json_value(result)),
-                ];
-                if let Some(n) = trace_events {
-                    rest.push(("trace_events", json::num(*n)));
-                }
-                if let Some(c) = resumed_from_cycle {
-                    rest.push(("resumed_from_cycle", json::num(*c)));
-                }
-                ("done", rest)
-            }
-            JobEvent::Preempted { job: j, cycle } => {
-                ("preempted", vec![job(j), ("cycle", json::num(*cycle))])
-            }
-            JobEvent::Failed { job: j, error } => ("failed", vec![job(j), ("error", text(error))]),
-            JobEvent::Error { code, message } => (
-                "error",
-                vec![("code", text(code.label())), ("message", text(message))],
-            ),
-            JobEvent::Status {
-                queued,
-                running,
-                completed,
-                failed,
-                paused,
-                draining,
-            } => (
-                "status",
-                vec![
-                    ("queued", json::num(*queued)),
-                    ("running", json::num(*running)),
-                    ("completed", json::num(*completed)),
-                    ("failed", json::num(*failed)),
-                    ("paused", JsonValue::Bool(*paused)),
-                    ("draining", JsonValue::Bool(*draining)),
-                ],
-            ),
-            JobEvent::Stats {
-                tenants,
-                queued,
-                running,
-                completed,
-                failed,
-                recovered,
-                resumed,
-                preempted,
-                journal_torn,
-                journal,
-                paused,
-                draining,
-            } => {
-                let depths = tenants
-                    .iter()
-                    .map(|(name, d)| (name.clone(), json::num(*d)));
-                (
-                    "stats",
-                    vec![
-                        ("tenants", JsonValue::Object(depths.collect())),
-                        ("queued", json::num(*queued)),
-                        ("running", json::num(*running)),
-                        ("completed", json::num(*completed)),
-                        ("failed", json::num(*failed)),
-                        ("recovered", json::num(*recovered)),
-                        ("resumed", json::num(*resumed)),
-                        ("preempted", json::num(*preempted)),
-                        ("journal_torn", json::num(*journal_torn)),
-                        ("journal", JsonValue::Bool(*journal)),
-                        ("paused", JsonValue::Bool(*paused)),
-                        ("draining", JsonValue::Bool(*draining)),
-                    ],
-                )
-            }
-            JobEvent::Progress {
-                job: j,
-                cycle,
-                tasks,
-                tasks_per_sec,
-            } => (
-                "progress",
-                vec![
-                    job(j),
-                    ("cycle", json::num(*cycle)),
-                    ("tasks", json::num(*tasks)),
-                    ("tasks_per_sec", json::num(*tasks_per_sec)),
-                ],
-            ),
-            JobEvent::Drained { completed } => {
-                ("drained", vec![("completed", json::num(*completed))])
-            }
-        };
-        let mut members = vec![("event", text(name))];
-        members.append(&mut rest);
-        json::obj(members)
-    }
-
     /// One wire line (no trailing newline).
     pub fn to_json(&self) -> String {
         self.to_json_value().to_json()
@@ -563,7 +522,7 @@ impl JobEvent {
     pub fn from_json_value(value: &JsonValue) -> Result<JobEvent, String> {
         let name =
             get_str(value, "event").map_err(|_| "missing string field 'event'".to_owned())?;
-        event_from_fields(name, value)
+        JobEvent::from_fields(name, value)
             .map_err(|e| format!("{name}: {e}"))?
             .ok_or_else(|| format!("unknown event {name:?}"))
     }
@@ -577,92 +536,6 @@ impl JobEvent {
         let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
         JobEvent::from_json_value(&value)
     }
-}
-
-/// The members of a `name` event; `None` for an unknown event name.
-fn event_from_fields(name: &str, v: &JsonValue) -> Result<Option<JobEvent>, FieldError> {
-    Ok(Some(match name {
-        "accepted" => JobEvent::Accepted {
-            job: JobId(get_u64(v, "job")?),
-            tenant: get_str(v, "tenant")?.to_owned(),
-            key: get_str(v, "key")?.to_owned(),
-        },
-        "queued" => JobEvent::Queued {
-            job: JobId(get_u64(v, "job")?),
-            position: get_u64(v, "position")?,
-        },
-        "running" => JobEvent::Running {
-            job: JobId(get_u64(v, "job")?),
-        },
-        "metrics" => JobEvent::Metrics {
-            job: JobId(get_u64(v, "job")?),
-            kernel_ps: get_u64(v, "kernel_ps")?,
-            steal_attempts: get_u64(v, "steal_attempts")?,
-            dram_bytes: get_u64(v, "dram_bytes")?,
-            trace_events: get_u64(v, "trace_events")?,
-        },
-        "done" => JobEvent::Done {
-            job: JobId(get_u64(v, "job")?),
-            cached: get_bool(v, "cached")?,
-            result: measurement_from_json_value(json::get(v, "result")?)?,
-            trace_events: json::get_opt(v, "trace_events")
-                .map(|n| json::u64_of(n, "trace_events"))
-                .transpose()?,
-            resumed_from_cycle: json::get_opt(v, "resumed_from_cycle")
-                .map(|n| json::u64_of(n, "resumed_from_cycle"))
-                .transpose()?,
-        },
-        "preempted" => JobEvent::Preempted {
-            job: JobId(get_u64(v, "job")?),
-            cycle: get_u64(v, "cycle")?,
-        },
-        "failed" => JobEvent::Failed {
-            job: JobId(get_u64(v, "job")?),
-            error: get_str(v, "error")?.to_owned(),
-        },
-        "error" => JobEvent::Error {
-            code: ErrorCode::from_label(get_str(v, "code")?).ok_or(FieldError {
-                key: "code",
-                problem: FieldProblem::NotA("a known error code"),
-            })?,
-            message: get_str(v, "message")?.to_owned(),
-        },
-        "status" => JobEvent::Status {
-            queued: get_u64(v, "queued")?,
-            running: get_u64(v, "running")?,
-            completed: get_u64(v, "completed")?,
-            failed: get_u64(v, "failed")?,
-            paused: get_bool(v, "paused")?,
-            draining: get_bool(v, "draining")?,
-        },
-        "stats" => JobEvent::Stats {
-            tenants: json::get_u64_map(v, "tenants")?
-                .into_iter()
-                .map(|(tenant, depth)| (tenant.to_owned(), depth))
-                .collect(),
-            queued: get_u64(v, "queued")?,
-            running: get_u64(v, "running")?,
-            completed: get_u64(v, "completed")?,
-            failed: get_u64(v, "failed")?,
-            recovered: get_u64(v, "recovered")?,
-            resumed: get_u64(v, "resumed")?,
-            preempted: get_u64(v, "preempted")?,
-            journal_torn: get_u64(v, "journal_torn")?,
-            journal: get_bool(v, "journal")?,
-            paused: get_bool(v, "paused")?,
-            draining: get_bool(v, "draining")?,
-        },
-        "progress" => JobEvent::Progress {
-            job: JobId(get_u64(v, "job")?),
-            cycle: get_u64(v, "cycle")?,
-            tasks: get_u64(v, "tasks")?,
-            tasks_per_sec: get_u64(v, "tasks_per_sec")?,
-        },
-        "drained" => JobEvent::Drained {
-            completed: get_u64(v, "completed")?,
-        },
-        _ => return Ok(None),
-    }))
 }
 
 #[cfg(test)]

@@ -147,7 +147,7 @@ pub use pxl_model::{
 pub use pxl_profile::Profile;
 /// Simulation-as-a-service working set: start a [`Server`], connect a
 /// [`Client`], submit [`RunSpec`]s as jobs, stream [`JobEvent`]s.
-pub use pxl_serve::{Client, JobEvent, JobId, JobKind, JobStatus, Server, ServerConfig};
+pub use pxl_serve::{Client, JobEvent, JobId, JobKind, Server, ServerConfig};
 /// Deterministic JSON and versioned, checksummed snapshot envelopes for
 /// checkpoint/restore.
 pub use pxl_sim::json::JsonValue;
