@@ -12,6 +12,10 @@
 //!
 //! Each variant flips exactly one knob from the published design and
 //! reports the slowdown and the peak task-storage footprint.
+//!
+//! A last table splits the same 16 PEs across 2 and 4 chips and compares
+//! hierarchical stealing (intra-chip first) with flat stealing across the
+//! inter-chip link.
 
 use pxl_apps::{Benchmark, Scale};
 use pxl_arch::{
@@ -19,7 +23,8 @@ use pxl_arch::{
     VictimSelect, Workload,
 };
 use pxl_bench::{bench, render_table};
-use pxl_dse::pe_geometry;
+use pxl_dse::{pe_geometry, ClusterPoint, DesignPoint, PointArch};
+use pxl_flow::{execute, RunSpec};
 
 fn config(pes: usize, policy: SchedPolicy) -> AccelConfig {
     let (tiles, per_tile) = pe_geometry(pes);
@@ -136,4 +141,51 @@ fn main() {
             )
         );
     }
+    stealing_hierarchy();
+}
+
+/// Small uts and bfsqueue on a 16-PE FlexArch split across 2 and 4 chips,
+/// hierarchical vs. flat stealing. "Inter-chip steals" is
+/// `link.steal_hits / accel.steal_hits`: the fraction of successful steals
+/// that crossed a chip boundary.
+fn stealing_hierarchy() {
+    println!("## Stealing hierarchy (FlexArch, 16 PEs, Small)\n");
+    let mut rows = Vec::new();
+    for name in ["uts", "bfsqueue"] {
+        for chips in [2, 4] {
+            let hier = ClusterPoint::new(chips);
+            for (mode, cluster) in [("hier", hier), ("flat", hier.flat())] {
+                let point = DesignPoint::accel(PointArch::Flex, 4, 4).clustered(cluster);
+                let out = execute(&RunSpec::new(name, Scale::Small, point))
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .expect("flex clusters run uts and bfsqueue");
+                let steals = out.metrics.get("accel.steal_hits");
+                let inter_chip = if steals == 0 {
+                    0.0
+                } else {
+                    out.metrics.get("link.steal_hits") as f64 / steals as f64
+                };
+                rows.push(vec![
+                    name.to_owned(),
+                    format!("{mode}{chips}"),
+                    format!("{}", out.kernel),
+                    format!("{steals}"),
+                    format!("{:.1}%", inter_chip * 100.0),
+                ]);
+            }
+        }
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "Benchmark",
+                "Engine",
+                "Kernel time",
+                "Steals",
+                "Inter-chip steals"
+            ],
+            &rows
+        )
+    );
 }

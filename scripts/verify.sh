@@ -30,10 +30,12 @@ echo "==> fault smoke sweep (pxl-bench --bin faults -- --smoke)"
 # golden mismatch, or nondeterministic fault replay.
 cargo run --release --offline -p pxl-bench --bin faults -- --smoke > /dev/null
 
-echo "==> perf smoke (pxl-bench --bin perf -- --smoke)"
-# Host-throughput trajectory: simulated-cycles/sec and tasks/sec for every
-# engine (flex, lite, central, cpu); appends records to bench_results.jsonl.
-cargo run --release --offline -p pxl-bench --bin perf -- --smoke > /dev/null
+echo "==> flex host-speed floor (pxl-bench --test smoke_floor, release)"
+# Tiny uts, queens, spmvcrs and stencil2d on flex 4x4 must each sustain
+# more than 1e5 simulated cycles/s (best of 5 after one warm run). The
+# test is compiled only without debug assertions, so it runs here and not
+# in the debug `cargo test` above.
+cargo test --release --offline -p pxl-bench --test smoke_floor
 
 echo "==> profile smoke incl. telemetry (pxl-bench --bin profile -- --smoke)"
 # Traced run + full pxl-profile analysis per (benchmark, engine); exits
