@@ -1151,7 +1151,20 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
                     .iter()
                     .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
                     .collect::<Result<Vec<u32>, _>>()?;
+                // `load_state` refuses a budget list whose length is not the
+                // plan's spec count, so this bounds every pending spec index.
+                let num_specs = remaining.len();
                 faults.sched.load_state(rng, remaining).map_err(malformed)?;
+                let spec_index = |key: &str, spec: u64| {
+                    usize::try_from(spec)
+                        .ok()
+                        .filter(|i| *i < num_specs)
+                        .ok_or_else(|| {
+                            malformed(format!(
+                                "{key} names fault spec {spec}, past the plan's {num_specs}"
+                            ))
+                        })
+                };
                 let dead = json::get_u64s(saved, "dead")?;
                 let rescue = json::get_u64s(saved, "rescue_pending")?;
                 if dead.len() != num_pes || rescue.len() != num_pes {
@@ -1160,8 +1173,11 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
                 faults.dead = dead.iter().map(|d| *d != 0).collect();
                 faults.rescue_pending = rescue
                     .iter()
-                    .map(|r| if *r == 0 { None } else { Some(*r as usize - 1) })
-                    .collect();
+                    .map(|r| match r {
+                        0 => Ok(None),
+                        r => spec_index("rescue_pending", r - 1).map(Some),
+                    })
+                    .collect::<Result<_, _>>()?;
                 let corrupt = json::get_arr(saved, "corrupt_pending")?;
                 if corrupt.len() != faults.corrupt_pending.len() {
                     return Err(malformed("fault state tile count mismatch"));
@@ -1177,7 +1193,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
                             .map(|pair| {
                                 let entry = u32::try_from(pair[0])
                                     .map_err(|_| malformed("corrupt entry overflow"))?;
-                                Ok((entry, pair[1] as usize))
+                                Ok((entry, spec_index("corrupt_pending", pair[1])?))
                             })
                             .collect()
                     })

@@ -5,8 +5,8 @@
 use parallelxl::apps::Scale;
 use parallelxl::sim::json;
 use parallelxl::{
-    ClusterPoint, DesignPoint, JsonValue, PointArch, RunError, RunSpec, SessionStatus, SimSession,
-    Snapshot, SnapshotError,
+    ClusterPoint, DesignPoint, FaultPlan, JsonValue, PointArch, RunError, RunSpec, SessionStatus,
+    SimSession, Snapshot, SnapshotError, Time,
 };
 
 /// The snapshot text of `spec` paused at cycle 1,000.
@@ -30,7 +30,7 @@ fn refusal(spec: &RunSpec, snap: &Snapshot) -> String {
 
 /// `snap` with the first item of the payload array at `path` set to
 /// `value`, re-sealed so its checksum holds.
-fn with_first_item(snap: &Snapshot, path: &[&str], value: u64) -> Snapshot {
+fn with_first_item(snap: &Snapshot, path: &[&str], value: JsonValue) -> Snapshot {
     let mut payload = snap.payload.clone();
     let mut node = &mut payload;
     for key in path {
@@ -46,7 +46,7 @@ fn with_first_item(snap: &Snapshot, path: &[&str], value: u64) -> Snapshot {
     let JsonValue::Array(items) = node else {
         panic!("{path:?} is not an array");
     };
-    items[0] = json::num(value);
+    items[0] = value;
     let text = Snapshot::new(snap.engine.clone(), payload).to_json();
     Snapshot::from_json(&text).expect("checksum holds")
 }
@@ -69,7 +69,7 @@ fn an_lfsr_state_past_16_bits_is_refused() {
     for (spec, policy) in flex_and_hier() {
         let snap = paused_at_cycle_1000(&spec);
         let path = [policy.as_slice(), &["lfsrs"]].concat();
-        let message = refusal(&spec, &with_first_item(&snap, &path, 1 << 16));
+        let message = refusal(&spec, &with_first_item(&snap, &path, json::num(1 << 16)));
         assert!(
             message.contains("\"lfsrs\" is out of range for u16"),
             "{spec:?}: {message}"
@@ -84,13 +84,13 @@ fn a_round_robin_victim_past_the_host_block_is_refused() {
         let path = [policy.as_slice(), &["rr_victim"]].concat();
         // Unit 4 is the host block of a 4-PE fabric, the last victim a
         // round-robin sweep reaches.
-        SimSession::resume(&spec, &with_first_item(&snap, &path, 4))
+        SimSession::resume(&spec, &with_first_item(&snap, &path, json::num(4)))
             .unwrap()
             .unwrap()
             .finish()
             .unwrap();
         for victim in [5, u64::MAX] {
-            let message = refusal(&spec, &with_first_item(&snap, &path, victim));
+            let message = refusal(&spec, &with_first_item(&snap, &path, json::num(victim)));
             assert!(
                 message.contains(&format!("rr_victim {victim} is past unit 4")),
                 "{spec:?}: {message}"
@@ -105,12 +105,43 @@ fn a_steal_failure_count_past_32_bits_is_refused() {
     let snap = paused_at_cycle_1000(&hier);
     let message = refusal(
         &hier,
-        &with_first_item(&snap, &["policy", "fails"], 1 << 32),
+        &with_first_item(&snap, &["policy", "fails"], json::num(1 << 32)),
     );
     assert!(
         message.contains("\"fails\" is out of range for u32"),
         "{message}"
     );
+}
+
+#[test]
+fn a_fault_spec_index_past_the_plan_is_refused() {
+    let plan = FaultPlan::new(7)
+        .kill_pe(2, Time::from_us(1))
+        .corrupt_pstore(0, Time::from_us(2), 0xBEEF);
+    let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
+    let spec = RunSpec::new("uts", Scale::Tiny, flex).with_faults(plan);
+    let snap = paused_at_cycle_1000(&spec);
+    SimSession::resume(&spec, &snap)
+        .unwrap()
+        .unwrap()
+        .finish()
+        .unwrap();
+    // The plan has specs 0 and 1; `rescue_pending` stores a spec index
+    // plus one (0 is "none"), `corrupt_pending` a tile's (entry, spec)
+    // pairs.
+    for (key, value, spec_named) in [
+        ("rescue_pending", json::num(3), 2),
+        ("rescue_pending", json::num(u64::MAX), u64::MAX - 1),
+        ("corrupt_pending", json::arr_u64([0, 2]), 2),
+    ] {
+        let message = refusal(&spec, &with_first_item(&snap, &["faults", key], value));
+        assert!(
+            message.contains(&format!(
+                "{key} names fault spec {spec_named}, past the plan's 2"
+            )),
+            "{message}"
+        );
+    }
 }
 
 #[test]
