@@ -24,23 +24,32 @@ pub use pxl_flow::{write_jsonl, RunOutcome};
 /// A host/build identifier for stamping benchmark result rows, so
 /// longitudinal `bench_results.jsonl` files collected from different
 /// machines or builds can be told apart: `<host>/v<crate version>`. The
-/// host part comes from `PXL_HOST_ID` (explicit override), else
-/// `HOSTNAME`, else `unknown-host`, restricted to JSON-safe identifier
-/// characters.
+/// host part is the first of `PXL_HOST_ID` (explicit override),
+/// `HOSTNAME` and the kernel's hostname that is non-empty once restricted
+/// to JSON-safe identifier characters, else `unknown-host`. Shells such as
+/// bash set `HOSTNAME` without exporting it, so the kernel's name is what
+/// usually names the machine.
 pub fn host_build_id() -> String {
-    let raw = std::env::var("PXL_HOST_ID")
-        .or_else(|_| std::env::var("HOSTNAME"))
-        .unwrap_or_default();
-    let host: String = raw
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-        .collect();
-    let host = if host.is_empty() {
-        "unknown-host"
-    } else {
-        host.as_str()
-    };
+    let env = |key| std::env::var(key).ok();
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/hostname").ok();
+    let host = pick_host([env("PXL_HOST_ID"), env("HOSTNAME"), kernel]);
     format!("{host}/v{}", env!("CARGO_PKG_VERSION"))
+}
+
+/// The first candidate that keeps a character once restricted to JSON-safe
+/// identifier characters (`[A-Za-z0-9._-]`), so restricted; `unknown-host`
+/// when none does.
+fn pick_host(candidates: impl IntoIterator<Item = Option<String>>) -> String {
+    candidates
+        .into_iter()
+        .flatten()
+        .map(|raw| {
+            raw.chars()
+                .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+                .collect::<String>()
+        })
+        .find(|host| !host.is_empty())
+        .unwrap_or_else(|| "unknown-host".to_owned())
 }
 
 /// Prefixes one `{...}` JSONL record with a `"host"` member without
@@ -173,6 +182,15 @@ mod tests {
             stamp_host("{\"bench\":\"uts\"}", "ci-runner/v0.1.0"),
             "{\"host\":\"ci-runner/v0.1.0\",\"bench\":\"uts\"}"
         );
+    }
+
+    #[test]
+    fn host_is_the_first_candidate_that_survives_sanitising() {
+        let some = |s: &str| Some(s.to_owned());
+        assert_eq!(pick_host([some("ci-1"), some("box"), some("vm\n")]), "ci-1");
+        assert_eq!(pick_host([None, None, some("vm\n")]), "vm");
+        assert_eq!(pick_host([some("\"\\"), some("my host!"), None]), "myhost");
+        assert_eq!(pick_host([None, some(""), None]), "unknown-host");
     }
 
     #[test]
