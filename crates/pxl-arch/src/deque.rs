@@ -148,11 +148,6 @@ impl TaskDeque {
         }
     }
 
-    /// Peeks at the head task without removing it.
-    pub fn peek_head(&self) -> Option<&Task> {
-        self.items.front().map(|e| self.arena.get(e.slot))
-    }
-
     /// Serializes contents and counters for engine snapshots. Each queued
     /// item is the task's word encoding followed by its availability
     /// timestamp; capacity comes from configuration, not the snapshot.

@@ -175,11 +175,6 @@ impl MemorySystem {
         }
     }
 
-    /// Number of L1 ports.
-    pub fn num_ports(&self) -> usize {
-        self.l1s.len()
-    }
-
     /// Line size in bytes (uniform across the hierarchy).
     pub fn line_bytes(&self) -> usize {
         self.l2.line_bytes()
@@ -633,17 +628,6 @@ impl MemorySystem {
         }
         t
     }
-}
-
-/// Builds the port list for an accelerator with `tiles` tiles plus a CPU
-/// host port, all using Table III parameters.
-pub fn accel_ports(tiles: usize, config: &MemoryConfig) -> Vec<CacheParams> {
-    vec![config.accel_l1.clone(); tiles]
-}
-
-/// Builds the port list for a CPU with `cores` cores.
-pub fn cpu_ports(cores: usize, config: &MemoryConfig) -> Vec<CacheParams> {
-    vec![config.cpu_l1.clone(); cores]
 }
 
 #[cfg(test)]

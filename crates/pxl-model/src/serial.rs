@@ -105,14 +105,6 @@ impl SerialExecutor {
         SerialExecutor::default()
     }
 
-    /// Creates an executor over pre-initialized memory (benchmark inputs).
-    pub fn with_memory(mem: Memory) -> Self {
-        SerialExecutor {
-            mem,
-            ..SerialExecutor::default()
-        }
-    }
-
     /// Mutable access to functional memory, for input setup and output
     /// checking.
     pub fn mem_mut(&mut self) -> &mut Memory {
