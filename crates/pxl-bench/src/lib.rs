@@ -36,8 +36,8 @@ pub fn host_build_id() -> String {
     format!("{host}/v{}", env!("CARGO_PKG_VERSION"))
 }
 
-/// The first candidate that keeps a character once restricted to JSON-safe
-/// identifier characters (`[A-Za-z0-9._-]`), so restricted; `unknown-host`
+/// Restricts each candidate to JSON-safe identifier characters
+/// (`[A-Za-z0-9._-]`) and returns the first that keeps any; `unknown-host`
 /// when none does.
 fn pick_host(candidates: impl IntoIterator<Item = Option<String>>) -> String {
     candidates
