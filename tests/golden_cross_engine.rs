@@ -142,9 +142,13 @@ mod fixtures {
     use parallelxl::apps::{by_name, Scale};
     use parallelxl::arch::{
         AccelConfig, AccelResult, CentralEngine, ClusterConfig, FlexEngine, HierEngine, LiteEngine,
+        MemBackendKind,
     };
+    use parallelxl::cpu::{CpuEngine, SoftwareCosts};
+    use parallelxl::mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
     use parallelxl::sim::hash::fnv64;
     use parallelxl::sim::metrics::{MetricKind, Metrics};
+    use parallelxl::sim::Clock;
     use parallelxl::{Engine, FaultPlan, Memory, NetClass, Time, Workload};
     use std::fmt::Write as _;
     use std::path::PathBuf;
@@ -368,6 +372,56 @@ mod fixtures {
             .check(engine.memory(), out.result)
             .expect("run stays golden");
         out
+    }
+
+    /// Runs a dynamic-task benchmark on an already-built engine and
+    /// checks it against the golden reference.
+    fn run_dynamic_case(bench_name: &str, engine: &mut dyn Engine) -> AccelResult {
+        let bench = by_name(bench_name, Scale::Tiny).unwrap();
+        let inst = bench.flex(engine.mem_mut());
+        let mut worker = inst.worker;
+        let out = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .expect("run completes");
+        bench
+            .check(engine.memory(), out.result)
+            .expect("run stays golden");
+        out
+    }
+
+    /// The Zedboard prototype of Fig. 6: FlexArch over per-PE stream
+    /// buffers and one ACP port on a 125 MHz fabric, and the two-core
+    /// Cortex-A9 software baseline it is compared against.
+    #[test]
+    fn zedboard_fixtures_are_reproduced_byte_for_byte() {
+        let stencil = by_name("stencil2d", Scale::Tiny).unwrap();
+        let mut cfg = AccelConfig::flex(1, 4);
+        cfg.mem_backend = MemBackendKind::Zedboard;
+        cfg.clock = Clock::new("zed_accel", 8_000);
+        cfg.trace_capacity = TRACE_CAPACITY;
+        let mut flex = FlexEngine::try_new(cfg, stencil.profile()).unwrap();
+        check_case(
+            "stencil2d_zedflex_1x4",
+            &run_dynamic_case("stencil2d", &mut flex),
+        );
+
+        let big = by_name("uts", Scale::Tiny).unwrap().profile();
+        let a9_profile =
+            parallelxl::ExecProfile::new(big.accel_ops_per_cycle, big.cpu_ops_per_cycle * 0.6);
+        let costs = SoftwareCosts {
+            runtime_ipc: 1.2,
+            steal_attempt_instrs: 400,
+            ..SoftwareCosts::default()
+        };
+        let mut cpu = CpuEngine::with_params(
+            2,
+            a9_profile,
+            zedboard_cpu_core(),
+            zedboard_cpu_memory(),
+            costs,
+        );
+        cpu.set_trace_capacity(TRACE_CAPACITY);
+        check_case("uts_zedcpu_2", &run_dynamic_case("uts", &mut cpu));
     }
 
     #[test]
