@@ -6,6 +6,7 @@
 //! or LiteArch), the number of tiles and PEs, the number of entries of the
 //! task queue and P-Store, as well as the cache size."
 
+use pxl_mem::zedboard::zedboard_accel_clock;
 use pxl_sim::config::MemoryConfig;
 use pxl_sim::{Clock, FaultPlan};
 
@@ -278,15 +279,27 @@ impl ClusterConfig {
     }
 }
 
-/// Which memory path backs the accelerator's PEs.
+/// The platform a design runs on: which memory path backs the PEs, which
+/// clock drives the fabric and, for the software baseline, which cores run
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemBackendKind {
-    /// Coherent per-tile L1 caches over the shared L2 (the future SoC of
-    /// Table III).
+pub enum Platform {
+    /// The future SoC of Table III: coherent per-tile L1 caches over the
+    /// shared L2, a 200 MHz fabric and four-issue out-of-order cores.
     Coherent,
-    /// Per-PE stream buffers over a single ACP port (the Zedboard prototype
-    /// of Section V-B).
+    /// The Zedboard prototype of Section V-B: per-PE stream buffers over a
+    /// single ACP port, a 125 MHz fabric and two Cortex-A9 cores.
     Zedboard,
+}
+
+impl Platform {
+    /// The accelerator logic clock on this platform.
+    pub fn accel_clock(self) -> Clock {
+        match self {
+            Platform::Coherent => Clock::mhz200("accel"),
+            Platform::Zedboard => zedboard_accel_clock(),
+        }
+    }
 }
 
 /// Cycle costs of the hardware task-management operations, in accelerator
@@ -429,8 +442,8 @@ pub struct AccelConfig {
     pub clock: Clock,
     /// Memory system parameters (per-tile L1, shared L2, DRAM).
     pub memory: MemoryConfig,
-    /// Which memory path to instantiate.
-    pub mem_backend: MemBackendKind,
+    /// The platform whose memory path backs the PEs.
+    pub platform: Platform,
     /// Simulated-time safety limit; runs exceeding it abort with an error.
     pub max_sim_time_us: u64,
     /// Structured event-trace buffer capacity in records; zero (the
@@ -465,9 +478,9 @@ impl AccelConfig {
             costs: ArchCosts::default(),
             policy: SchedPolicy::default(),
             pe_task_types: None,
-            clock: Clock::mhz200("accel"),
+            clock: Platform::Coherent.accel_clock(),
             memory: MemoryConfig::micro2018(),
-            mem_backend: MemBackendKind::Coherent,
+            platform: Platform::Coherent,
             max_sim_time_us: 2_000_000,
             trace_capacity: 0,
             telemetry_every_cycles: 0,

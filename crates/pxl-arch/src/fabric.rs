@@ -43,7 +43,7 @@ use pxl_sim::{
 };
 
 use crate::api::{Engine, EngineKind, Workload};
-use crate::config::{AccelConfig, LinkTopology, MemBackendKind};
+use crate::config::{AccelConfig, LinkTopology, Platform};
 use crate::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
 use crate::pstore::{PStore, PStoreError};
@@ -177,12 +177,12 @@ pub(crate) enum MemBackend {
 
 impl MemBackend {
     pub(crate) fn for_config(cfg: &AccelConfig) -> Self {
-        let mut backend = match cfg.mem_backend {
-            MemBackendKind::Coherent => MemBackend::Coherent(Box::new(MemorySystem::new(
+        let mut backend = match cfg.platform {
+            Platform::Coherent => MemBackend::Coherent(Box::new(MemorySystem::new(
                 vec![cfg.memory.accel_l1.clone(); cfg.tiles],
                 &cfg.memory,
             ))),
-            MemBackendKind::Zedboard => MemBackend::Zedboard(Box::new(ZedboardMemory::new(
+            Platform::Zedboard => MemBackend::Zedboard(Box::new(ZedboardMemory::new(
                 cfg.num_pes(),
                 AcpParams::default(),
             ))),

@@ -53,7 +53,7 @@ pub use crate::core::{register_fault_metrics, EmbedsCore, EngineCore, Watchdog};
 pub use api::{Engine, EngineKind, Workload};
 pub use config::{
     AccelConfig, ArchCosts, ArchKind, ClusterConfig, ConfigError, LinkTopology, LocalOrder,
-    MemBackendKind, SchedPolicy, StealEnd, StealMode, VictimSelect,
+    Platform, SchedPolicy, StealEnd, StealMode, VictimSelect,
 };
 pub use deque::TaskDeque;
 pub use fabric::{

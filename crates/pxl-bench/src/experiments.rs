@@ -6,18 +6,15 @@
 
 use std::collections::BTreeMap;
 
-use pxl_apps::{suite, Benchmark, Scale};
-use pxl_arch::{AccelConfig, ArchKind, Engine, FlexEngine, MemBackendKind};
+use pxl_apps::{suite, Scale};
+use pxl_arch::{ArchKind, Platform};
 use pxl_cost::resources::{tile_resources, FpgaDevice};
 use pxl_cost::EnergyModel;
 use pxl_dse::{pe_geometry, DesignPoint, PointArch};
-use pxl_flow::{execute, run_checked, RunSpec};
-use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
-use pxl_sim::{Clock, PlatformConfig};
+use pxl_flow::{execute, RunSpec};
+use pxl_sim::PlatformConfig;
 
-use crate::{
-    bench, geomean, parallel_map, render_table, RunOutcome, ALL_BENCHES, ZEDBOARD_BENCHES,
-};
+use crate::{geomean, parallel_map, render_table, RunOutcome, ALL_BENCHES, ZEDBOARD_BENCHES};
 
 /// Core counts of the CPU sweep (Table IV columns).
 pub const CPU_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -331,61 +328,31 @@ pub fn fig8(results: &ScalingResults) -> String {
     )
 }
 
-/// Runs `bench` on the Zedboard's two-core Cortex-A9 CPU model. The
-/// Zedboard platform is not a [`DesignPoint`], so this builds its engine
-/// directly.
-fn run_cpu_zedboard(bench: &dyn Benchmark) -> RunOutcome {
-    // The Cortex-A9's narrow NEON and shallow OOO window retire kernel code
-    // at roughly 60% of the big core's per-clock rate, and its 32-bit Cilk
-    // runtime code is less dense than the 4-issue core's.
-    let big = bench.profile();
-    let a9_profile =
-        pxl_model::ExecProfile::new(big.accel_ops_per_cycle, big.cpu_ops_per_cycle * 0.6);
-    let costs = pxl_cpu::SoftwareCosts {
-        runtime_ipc: 1.2,
-        steal_attempt_instrs: 400,
-        ..pxl_cpu::SoftwareCosts::default()
-    };
-    let mut engine = pxl_cpu::CpuEngine::with_params(
-        2,
-        a9_profile,
-        zedboard_cpu_core(),
-        zedboard_cpu_memory(),
-        costs,
-    );
-    run_zedboard(&mut engine, bench, "zedcpu")
-}
-
-/// Runs `bench` on the Zedboard prototype accelerator (stream buffers over
-/// a single ACP port, 100 MHz fabric).
-fn run_flex_zedboard(bench: &dyn Benchmark, pes: usize) -> RunOutcome {
-    let (tiles, per_tile) = pe_geometry(pes);
-    let mut cfg = AccelConfig::flex(tiles, per_tile);
-    cfg.mem_backend = MemBackendKind::Zedboard;
-    cfg.clock = Clock::new("zed_accel", 8_000);
-    let mut engine = FlexEngine::try_new(cfg, bench.profile())
-        .unwrap_or_else(|e| panic!("{} on zedflex: {e}", bench.meta().name));
-    run_zedboard(&mut engine, bench, "zedflex")
-}
-
-/// Runs `bench` on one Zedboard engine, panicking on any failure.
-fn run_zedboard(engine: &mut dyn Engine, bench: &dyn Benchmark, label: &str) -> RunOutcome {
-    run_checked(engine, bench, label)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .expect("the Zedboard engines run every benchmark")
-}
-
 /// Fig. 6: Zedboard prototype — accelerators vs two-core parallel software.
 pub fn fig6(scale: Scale) -> String {
-    let jobs: Vec<_> = ZEDBOARD_BENCHES
+    let zedflex = |pes| {
+        let (tiles, per_tile) = pe_geometry(pes);
+        DesignPoint::accel(PointArch::Flex, tiles, per_tile).on_platform(Platform::Zedboard)
+    };
+    let specs: Vec<RunSpec> = ZEDBOARD_BENCHES
         .iter()
         .flat_map(|&name| {
             [
-                Box::new(move || run_cpu_zedboard(bench(name, scale).as_ref()))
-                    as Box<dyn FnOnce() -> RunOutcome + Send>,
-                Box::new(move || run_flex_zedboard(bench(name, scale).as_ref(), 4)),
-                Box::new(move || run_flex_zedboard(bench(name, scale).as_ref(), 8)),
+                DesignPoint::cpu(2).on_platform(Platform::Zedboard),
+                zedflex(4),
+                zedflex(8),
             ]
+            .map(|point| RunSpec::new(name, scale, point))
+        })
+        .collect();
+    let jobs: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            move || {
+                execute(spec)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .expect("the Zedboard engines run every benchmark")
+            }
         })
         .collect();
     let outs = parallel_map(jobs);
@@ -565,11 +532,20 @@ mod tests {
 
     #[test]
     fn zedboard_paths_run() {
-        let b = bench("stencil2d", Scale::Tiny);
-        let accel = run_flex_zedboard(b.as_ref(), 4);
-        let cpu = run_cpu_zedboard(b.as_ref());
-        assert!(accel.kernel > pxl_sim::Time::ZERO);
-        assert!(cpu.kernel > pxl_sim::Time::ZERO);
+        for point in [
+            DesignPoint::accel(PointArch::Flex, 1, 4),
+            DesignPoint::cpu(2),
+        ] {
+            let spec = RunSpec::new(
+                "stencil2d",
+                Scale::Tiny,
+                point.on_platform(Platform::Zedboard),
+            );
+            let out = execute(&spec)
+                .unwrap()
+                .expect("the Zedboard engines run stencil2d");
+            assert!(out.kernel > pxl_sim::Time::ZERO);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Event-driven multicore CPU engine with a software work-stealing runtime.
 
+use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
 use pxl_mem::{AccessKind, Memory, MemorySystem, PortId};
 use pxl_model::{
     Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, PENDING_WORDS,
@@ -197,8 +198,34 @@ impl CpuEngine {
         )
     }
 
-    /// Creates an engine with explicit core, memory and runtime parameters
-    /// (used for the Zedboard's Cortex-A9 configuration).
+    /// Creates the Zedboard prototype's software baseline: `cores`
+    /// Cortex-A9 cores over the Zynq processing system's memory, running
+    /// `profile`'s benchmark. The A9's narrow NEON and shallow OOO window
+    /// retire kernel code at roughly 60% of the big core's per-clock rate,
+    /// and its 32-bit Cilk runtime code is less dense than the 4-issue
+    /// core's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
+    pub fn zedboard(cores: usize, profile: ExecProfile) -> Self {
+        let a9_profile =
+            ExecProfile::new(profile.accel_ops_per_cycle, profile.cpu_ops_per_cycle * 0.6);
+        let a9_costs = SoftwareCosts {
+            runtime_ipc: 1.2,
+            steal_attempt_instrs: 400,
+            ..SoftwareCosts::default()
+        };
+        CpuEngine::with_params(
+            cores,
+            a9_profile,
+            zedboard_cpu_core(),
+            zedboard_cpu_memory(),
+            a9_costs,
+        )
+    }
+
+    /// Creates an engine with explicit core, memory and runtime parameters.
     ///
     /// # Panics
     ///
@@ -956,16 +983,9 @@ mod tests {
 
     #[test]
     fn zedboard_a9_configuration_runs_and_is_slower() {
-        use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
         let root = Task::new(FIB, Continuation::host(0), &[14]);
         let big = run_fib(2, 14);
-        let mut a9 = CpuEngine::with_params(
-            2,
-            ExecProfile::scalar(),
-            zedboard_cpu_core(),
-            zedboard_cpu_memory(),
-            SoftwareCosts::default(),
-        );
+        let mut a9 = CpuEngine::zedboard(2, ExecProfile::scalar());
         let out = a9.run(Workload::dynamic(&mut FibWorker, root)).unwrap();
         assert_eq!(out.result, fib(14));
         assert!(

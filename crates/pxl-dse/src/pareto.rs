@@ -175,6 +175,7 @@ mod tests {
             task_queue_entries: 1024,
             pstore_entries: 4096,
             cluster: None,
+            platform: pxl_arch::Platform::Coherent,
         }
     }
 

@@ -16,7 +16,7 @@
 //!   rejects points whose tiles do not fit
 //!   ([`PruneReason::DoesNotFit`]).
 
-use pxl_arch::{AccelConfig, ArchKind, ClusterConfig, ConfigError, StealMode};
+use pxl_arch::{AccelConfig, ArchKind, ClusterConfig, ConfigError, Platform, StealMode};
 use pxl_cost::resources::{tile_resources, FpgaDevice, TileResources};
 
 /// The values one architectural knob ranges over.
@@ -194,11 +194,17 @@ impl ClusterPoint {
     }
 }
 
-/// One assignment of the template's knobs.
+/// One assignment of the template's knobs, on one platform.
 ///
 /// CPU points carry only a core count (`tiles == 1`,
 /// `pes_per_tile == cores`); their accelerator-only knobs are normalized to
 /// zero so equivalent baseline points collapse to one spec.
+///
+/// [`DesignPoint::platform`] is [`Platform::Coherent`] (the simulated SoC)
+/// unless a point is moved onto the Zedboard prototype with
+/// [`DesignPoint::on_platform`]. The coherent platform is left out of
+/// [`DesignPoint::spec`] and of the spec JSON, so only Zedboard points
+/// carry a platform term.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignPoint {
     /// Execution target.
@@ -215,6 +221,10 @@ pub struct DesignPoint {
     pub pstore_entries: usize,
     /// Multi-chip cluster shape; `None` is the classic single-chip point.
     pub cluster: Option<ClusterPoint>,
+    /// The platform the point is built on: the coherent SoC or the Zedboard
+    /// prototype, which has only single-chip FlexArch and CPU points (see
+    /// [`DesignPoint::check_platform`]).
+    pub platform: Platform,
 }
 
 impl DesignPoint {
@@ -240,6 +250,7 @@ impl DesignPoint {
             task_queue_entries: 1024,
             pstore_entries: 8192,
             cluster: None,
+            platform: Platform::Coherent,
         }
     }
 
@@ -253,6 +264,7 @@ impl DesignPoint {
             task_queue_entries: 0,
             pstore_entries: 0,
             cluster: None,
+            platform: Platform::Coherent,
         }
     }
 
@@ -260,6 +272,34 @@ impl DesignPoint {
     pub fn clustered(mut self, cluster: ClusterPoint) -> Self {
         self.cluster = Some(cluster);
         self
+    }
+
+    /// Moves the point onto `platform`.
+    pub fn on_platform(mut self, platform: Platform) -> Self {
+        self.platform = platform;
+        self
+    }
+
+    /// Checks that the point exists on its platform: the Zedboard prototype
+    /// had no LiteArch, no central ablation and no multi-chip cluster.
+    ///
+    /// # Errors
+    ///
+    /// What the prototype lacks, as a message.
+    pub fn check_platform(&self) -> Result<(), String> {
+        if self.platform != Platform::Zedboard {
+            return Ok(());
+        }
+        if matches!(self.arch, PointArch::Lite | PointArch::Central) {
+            return Err(format!(
+                "the Zedboard prototype has no {} accelerator (flex|cpu)",
+                self.arch
+            ));
+        }
+        if self.cluster.is_some() {
+            return Err("the Zedboard prototype has no multi-chip cluster".to_owned());
+        }
+        Ok(())
     }
 
     /// Total execution units: PEs for accelerators, cores for the CPU.
@@ -281,6 +321,8 @@ impl DesignPoint {
         cfg.pstore_entries = self.pstore_entries;
         cfg.memory.accel_l1 = cfg.memory.accel_l1.clone().with_size(self.cache_kb * 1024);
         cfg.cluster = self.cluster.map(|c| c.cluster_config());
+        cfg.platform = self.platform;
+        cfg.clock = self.platform.accel_clock();
         Some(cfg)
     }
 
@@ -300,11 +342,13 @@ impl DesignPoint {
     }
 
     /// The canonical spec string — the point's identity in cache keys,
-    /// Pareto reports and JSONL output.
+    /// Pareto reports and JSONL output. A Zedboard point ends in
+    /// ` platform=zedboard`; a coherent one has no platform term.
     ///
     /// # Examples
     ///
     /// ```
+    /// use pxl_arch::Platform;
     /// use pxl_dse::{DesignPoint, PointArch};
     ///
     /// let p = DesignPoint {
@@ -315,6 +359,7 @@ impl DesignPoint {
     ///     task_queue_entries: 1024,
     ///     pstore_entries: 4096,
     ///     cluster: None,
+    ///     platform: Platform::Coherent,
     /// };
     /// assert_eq!(
     ///     p.spec(),
@@ -327,35 +372,41 @@ impl DesignPoint {
     ///     "arch=flex tiles=4 pes=4 cache_kb=32 queue=1024 pstore=4096 \
     ///      chips=2 link_lat=32 link_occ=8 steal=hier:2"
     /// );
+    /// assert_eq!(
+    ///     DesignPoint::cpu(2).on_platform(Platform::Zedboard).spec(),
+    ///     "arch=cpu cores=2 platform=zedboard"
+    /// );
     /// ```
     pub fn spec(&self) -> String {
-        match self.arch {
+        let mut out = match self.arch {
             PointArch::Cpu => format!("arch=cpu cores={}", self.units()),
-            _ => {
-                let mut out = format!(
-                    "arch={} tiles={} pes={} cache_kb={} queue={} pstore={}",
-                    self.arch.label(),
-                    self.tiles,
-                    self.pes_per_tile,
-                    self.cache_kb,
-                    self.task_queue_entries,
-                    self.pstore_entries
-                );
-                // Cluster terms append only when set, so every single-chip
-                // spec string (and the cache keys derived from it) is
-                // byte-identical to the pre-cluster format.
-                if let Some(c) = &self.cluster {
-                    out.push_str(&format!(
-                        " chips={} link_lat={} link_occ={} steal={}",
-                        c.chips,
-                        c.link_latency_cycles,
-                        c.link_occupancy_cycles,
-                        c.steal_label()
-                    ));
-                }
-                out
-            }
+            _ => format!(
+                "arch={} tiles={} pes={} cache_kb={} queue={} pstore={}",
+                self.arch.label(),
+                self.tiles,
+                self.pes_per_tile,
+                self.cache_kb,
+                self.task_queue_entries,
+                self.pstore_entries
+            ),
+        };
+        // Cluster and platform terms append only when set, so every
+        // single-chip coherent spec string (and the cache keys derived from
+        // it) is byte-identical to the format from before either existed.
+        // The CPU baseline has no chips to split, so it has no cluster terms.
+        if let Some(c) = self.cluster.filter(|_| self.arch != PointArch::Cpu) {
+            out.push_str(&format!(
+                " chips={} link_lat={} link_occ={} steal={}",
+                c.chips,
+                c.link_latency_cycles,
+                c.link_occupancy_cycles,
+                c.steal_label()
+            ));
         }
+        if self.platform == Platform::Zedboard {
+            out.push_str(" platform=zedboard");
+        }
+        out
     }
 }
 
@@ -638,6 +689,7 @@ impl SearchSpace {
                                     task_queue_entries,
                                     pstore_entries,
                                     cluster,
+                                    platform: Platform::Coherent,
                                 });
                             }
                         }
@@ -792,6 +844,7 @@ mod tests {
                 task_queue_entries: 1024,
                 pstore_entries: 4096,
                 cluster: None,
+                platform: Platform::Coherent,
             }
             .spec()
         );

@@ -21,9 +21,9 @@
 //! and the `pxl-serve` job server share it. "Design space exploration can
 //! be done easily by changing the parameters given to the framework,
 //! without rewriting any code" (Section IV-C) — that is a `pxl-dse` search
-//! space over design points. The Zedboard prototype, a platform a spec
-//! cannot name, builds its engines directly and runs benchmarks through
-//! [`run_checked`], which shares the session's run-and-check code.
+//! space over design points. The same template runs on the simulated SoC
+//! and on the Zedboard prototype (Fig. 6): the platform is one more member
+//! of the design point, so a prototype run is a spec like any other.
 //!
 //! # Examples
 //!
@@ -45,13 +45,13 @@ pub mod run;
 pub mod session;
 pub mod spec;
 
-pub use run::{execute, measure, measurement_of, run_checked, write_jsonl, RunError, RunOutcome};
+pub use run::{execute, measure, measurement_of, write_jsonl, RunError, RunOutcome};
 pub use session::{SessionStatus, SimSession};
 pub use spec::{CheckpointPolicy, RunSpec, SpecError, TelemetryPolicy};
 
 use pxl_arch::{
     AccelConfig, ArchKind, CentralEngine, ConfigError, Engine, FlexEngine, HierEngine, LiteEngine,
-    StealMode,
+    Platform, StealMode,
 };
 use pxl_cpu::CpuEngine;
 use pxl_model::ExecProfile;
@@ -97,9 +97,11 @@ enum Target {
     /// An accelerator (FlexArch, LiteArch, the central ablation or a
     /// cluster) from the point's elaborated configuration.
     Accel(Box<AccelConfig>),
-    /// The Table III multicore software baseline.
+    /// The multicore software baseline: the Table III cores, or the
+    /// Zedboard's Cortex-A9s.
     Cpu {
         cores: usize,
+        platform: Platform,
         trace_capacity: usize,
         telemetry_every: u64,
     },
@@ -108,7 +110,8 @@ enum Target {
 /// The bridge from the design flow to the simulator: elaborates a
 /// [`RunSpec`]'s design point into an engine behind the [`Engine`] trait —
 /// FlexArch, LiteArch, the centralized-queue ablation, a multi-chip
-/// cluster, or the CPU baseline.
+/// cluster, or the CPU baseline, on the simulated SoC or the Zedboard
+/// prototype.
 ///
 /// # Examples
 ///
@@ -134,16 +137,22 @@ impl SimulationBuilder {
     /// resolves the benchmark's execution profile (unless the spec
     /// overrides it), targets the spec's design point — FlexArch, LiteArch
     /// or the central ablation from the point's elaborated configuration,
-    /// the Table III software baseline for CPU points — and writes trace
-    /// capacity, telemetry and the fault plan into that target.
+    /// the software baseline for CPU points (Table III cores, or the
+    /// Zedboard's Cortex-A9s) — and writes trace capacity, telemetry and
+    /// the fault plan into that target.
     ///
     /// # Errors
     ///
-    /// [`FlowError::InvalidConfig`] when the spec needs the benchmark's own
-    /// profile but names an unknown benchmark, or arms a fault plan on the
-    /// CPU baseline, which has no modelled fault surface. (Design-point
-    /// validation happens later, at [`SimulationBuilder::build`].)
+    /// [`FlowError::InvalidConfig`] when the point does not exist on its
+    /// platform ([`DesignPoint::check_platform`](pxl_dse::DesignPoint::check_platform)),
+    /// when the spec needs the benchmark's own profile but names an unknown
+    /// benchmark, or when it arms a fault plan on the CPU baseline, which
+    /// has no modelled fault surface. (Design-point validation happens
+    /// later, at [`SimulationBuilder::build`].)
     pub fn from_run_spec(spec: &RunSpec) -> Result<SimulationBuilder, FlowError> {
+        spec.point
+            .check_platform()
+            .map_err(FlowError::InvalidConfig)?;
         let profile = match spec.profile {
             Some(p) => p,
             None => pxl_apps::by_name(&spec.benchmark, spec.scale)
@@ -169,6 +178,7 @@ impl SimulationBuilder {
             }
             None => Target::Cpu {
                 cores: spec.point.units(),
+                platform: spec.point.platform,
                 trace_capacity: spec.trace_capacity,
                 telemetry_every,
             },
@@ -221,6 +231,7 @@ impl SimulationBuilder {
             }
             &Target::Cpu {
                 cores,
+                platform,
                 trace_capacity,
                 telemetry_every,
             } => {
@@ -229,7 +240,10 @@ impl SimulationBuilder {
                         "the CPU baseline needs at least one core".into(),
                     ));
                 }
-                let mut engine = CpuEngine::new(cores, self.profile);
+                let mut engine = match platform {
+                    Platform::Coherent => CpuEngine::new(cores, self.profile),
+                    Platform::Zedboard => CpuEngine::zedboard(cores, self.profile),
+                };
                 if trace_capacity > 0 {
                     engine.set_trace_capacity(trace_capacity);
                 }
@@ -260,6 +274,7 @@ mod tests {
             task_queue_entries: 64,
             pstore_entries: 512,
             cluster: None,
+            platform: Platform::Coherent,
         };
         let build = |point: &DesignPoint| {
             SimulationBuilder::from_run_spec(&RunSpec::new("uts", Scale::Tiny, point.clone()))
@@ -324,6 +339,18 @@ mod tests {
 
         let err = build(DesignPoint::cpu(0));
         assert!(matches!(err, FlowError::InvalidConfig(_)));
+
+        // A point the Zedboard prototype never had, built in code rather
+        // than decoded from JSON, is refused before any engine is built.
+        let zed_lite = DesignPoint::accel(PointArch::Lite, 1, 4).on_platform(Platform::Zedboard);
+        let err = SimulationBuilder::from_run_spec(&RunSpec::new("uts", Scale::Tiny, zed_lite))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::InvalidConfig(
+                "the Zedboard prototype has no lite accelerator (flex|cpu)".into()
+            )
+        );
     }
 
     #[test]

@@ -9,20 +9,16 @@
 //! comparing whole program execution time, which include initialization
 //! and data transfers".
 //!
-//! [`execute`] is a [`SimSession`] started and finished in one call; the
-//! lower-level [`run_checked`] runs a benchmark through the same code on
-//! an already-built engine, for platforms a spec cannot name. Every driver
-//! and the `pxl-serve` job server go through this module, so a spec means
-//! the same run everywhere.
+//! [`execute`] is a [`SimSession`] started and finished in one call.
+//! Every driver, the Zedboard prototype's Fig. 6 rows included, and the
+//! `pxl-serve` job server go through this module, so a spec means the same
+//! run everywhere.
 
-use pxl_apps::Benchmark;
-use pxl_arch::Engine;
 use pxl_cost::resources::TileResources;
 use pxl_cost::EnergyModel;
 use pxl_dse::{Measurement, PointArch};
 use pxl_sim::{Metrics, Time, Timeline, Tracer};
 
-use crate::session::Instance;
 use crate::{FlowError, RunSpec, SimSession};
 
 /// Host memcpy bandwidth used to charge initialization time for the
@@ -40,8 +36,8 @@ pub(crate) fn init_time(footprint_bytes: u64) -> Time {
 pub struct RunOutcome {
     /// Benchmark name.
     pub bench: String,
-    /// Engine label ("flex", "lite", "central", "cpu", "zedflex",
-    /// "zedcpu").
+    /// The point's architecture label ("flex", "lite", "central", "cpu"),
+    /// on either platform.
     pub engine: String,
     /// PEs or cores used.
     pub units: usize,
@@ -133,7 +129,7 @@ pub enum RunError {
     /// finished outcome rides along so fault-injection harnesses can still
     /// report the corrupted run's timing, metrics and trace.
     WrongResult {
-        /// The validation failure, in [`run_checked`]'s message format.
+        /// The validation failure: `"{bench} on {arch}/{units}u wrong: ..."`.
         message: String,
         /// The (invalid) completed run.
         outcome: Box<RunOutcome>,
@@ -158,31 +154,6 @@ impl From<FlowError> for RunError {
     fn from(e: FlowError) -> Self {
         RunError::Build(e)
     }
-}
-
-/// Runs `bench` on an already-built engine with typed failures, for
-/// platforms a [`RunSpec`] cannot name (the Zedboard prototype): sets up
-/// inputs, picks the workload shape the engine executes (rounds for
-/// LiteArch, a dynamic task graph otherwise), validates the output against
-/// the golden reference, and charges initialization time — the same code
-/// a [`SimSession`] runs.
-///
-/// Returns `Ok(None)` when the engine is LiteArch and the benchmark has no
-/// LiteArch mapping.
-///
-/// # Errors
-///
-/// [`RunError::Sim`] if the simulation fails; [`RunError::WrongResult`] —
-/// carrying the completed outcome — if the output fails golden validation.
-pub fn run_checked(
-    engine: &mut dyn Engine,
-    bench: &dyn Benchmark,
-    label: &str,
-) -> Result<Option<RunOutcome>, RunError> {
-    let Some(mut inst) = Instance::new(engine, bench) else {
-        return Ok(None);
-    };
-    inst.finish(engine, bench, label).map(warn_dropped)
 }
 
 /// Executes a [`RunSpec`] end to end: benchmark lookup, engine

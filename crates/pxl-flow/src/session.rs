@@ -61,106 +61,16 @@ enum Shape {
     Rounds { driver: Box<dyn LiteDriver> },
 }
 
-/// A benchmark instantiated on an engine: its worker, the workload shape
-/// the engine executes and the input footprint. Both [`SimSession`] and
-/// [`run_checked`](crate::run_checked) run through it, so a benchmark
-/// runs, fails and is checked the same way on every path.
-pub(crate) struct Instance {
-    worker: Box<dyn Worker>,
-    shape: Shape,
-    footprint_bytes: u64,
-}
-
-impl Instance {
-    /// Sets up `bench`'s inputs in `engine`'s memory in the shape the
-    /// engine runs: rounds for LiteArch, a dynamic task graph otherwise.
-    /// `None` when the engine is LiteArch and the benchmark has no
-    /// LiteArch mapping.
-    pub(crate) fn new(engine: &mut dyn Engine, bench: &dyn Benchmark) -> Option<Instance> {
-        Some(match engine.kind() {
-            EngineKind::Lite => {
-                let inst = bench.lite(engine.mem_mut())?;
-                Instance {
-                    worker: inst.worker,
-                    shape: Shape::Rounds {
-                        driver: inst.driver,
-                    },
-                    footprint_bytes: inst.footprint_bytes,
-                }
-            }
-            EngineKind::Flex | EngineKind::Hier | EngineKind::Central | EngineKind::Cpu => {
-                let inst = bench.flex(engine.mem_mut());
-                Instance {
-                    worker: inst.worker,
-                    shape: Shape::Dynamic { root: inst.root },
-                    footprint_bytes: inst.footprint_bytes,
-                }
-            }
-        })
-    }
-
-    /// Runs one leg on `engine` (see [`SimSession::advance`]); runs labelled
-    /// `label` in failure messages and in the finished [`RunOutcome`].
-    pub(crate) fn advance(
-        &mut self,
-        engine: &mut dyn Engine,
-        bench: &dyn Benchmark,
-        label: &str,
-        pause_at: Option<Time>,
-    ) -> Result<SessionStatus, RunError> {
-        let units = engine.units();
-        let name = bench.meta().name;
-        let workload = match &mut self.shape {
-            Shape::Dynamic { root } => Workload::dynamic(self.worker.as_mut(), *root),
-            Shape::Rounds { driver } => Workload::rounds(self.worker.as_mut(), driver.as_mut()),
-        };
-        let status = engine
-            .run_until(workload, pause_at)
-            .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
-        let out = match status {
-            RunStatus::Paused { at } => return Ok(SessionStatus::Paused { at }),
-            RunStatus::Finished(out) => out,
-        };
-        let check = bench.check(engine.memory(), out.result);
-        let outcome = RunOutcome {
-            bench: name.to_owned(),
-            engine: label.to_owned(),
-            units,
-            kernel: out.elapsed,
-            whole: out.elapsed + init_time(self.footprint_bytes),
-            metrics: out.metrics,
-            trace: out.trace,
-            timeline: out.timeline,
-        };
-        if let Err(e) = check {
-            return Err(RunError::WrongResult {
-                message: format!("{name} on {label}/{units}u wrong: {e}"),
-                outcome: Box::new(outcome),
-            });
-        }
-        Ok(SessionStatus::Finished(Box::new(outcome)))
-    }
-
-    /// Advances with no pause boundary: runs the rest of the computation.
-    pub(crate) fn finish(
-        &mut self,
-        engine: &mut dyn Engine,
-        bench: &dyn Benchmark,
-        label: &str,
-    ) -> Result<RunOutcome, RunError> {
-        match self.advance(engine, bench, label, None)? {
-            SessionStatus::Finished(out) => Ok(*out),
-            SessionStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
-        }
-    }
-}
-
-/// An owned, in-flight simulation of one [`RunSpec`].
+/// An owned, in-flight simulation of one [`RunSpec`]: the engine, the
+/// benchmark's worker, the workload shape the engine executes and the
+/// input footprint.
 pub struct SimSession {
     spec: RunSpec,
     bench: Box<dyn Benchmark>,
     engine: Box<dyn Engine>,
-    inst: Instance,
+    worker: Box<dyn Worker>,
+    shape: Shape,
+    footprint_bytes: u64,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -203,14 +113,28 @@ impl SimSession {
         SimSession::build(spec, Some(snap))
     }
 
+    /// Builds the engine and sets up the benchmark's inputs in its memory
+    /// in the shape the engine runs: rounds for LiteArch, a dynamic task
+    /// graph otherwise.
     fn build(spec: &RunSpec, snap: Option<&Snapshot>) -> Result<Option<SimSession>, RunError> {
         let bench = by_name(&spec.benchmark, spec.scale)
             .ok_or_else(|| RunError::UnknownBenchmark(spec.benchmark.clone()))?;
         let mut engine = SimulationBuilder::from_run_spec(spec)?
             .build()
             .map_err(RunError::Build)?;
-        let Some(inst) = Instance::new(engine.as_mut(), bench.as_ref()) else {
-            return Ok(None);
+        let (worker, shape, footprint_bytes) = match engine.kind() {
+            EngineKind::Lite => {
+                let Some(inst) = bench.lite(engine.mem_mut()) else {
+                    return Ok(None);
+                };
+                let driver = inst.driver;
+                (inst.worker, Shape::Rounds { driver }, inst.footprint_bytes)
+            }
+            EngineKind::Flex | EngineKind::Hier | EngineKind::Central | EngineKind::Cpu => {
+                let inst = bench.flex(engine.mem_mut());
+                let root = inst.root;
+                (inst.worker, Shape::Dynamic { root }, inst.footprint_bytes)
+            }
         };
         if let Some(snap) = snap {
             engine.restore(snap).map_err(RunError::Snapshot)?;
@@ -219,7 +143,9 @@ impl SimSession {
             spec: spec.clone(),
             bench,
             engine,
-            inst,
+            worker,
+            shape,
+            footprint_bytes,
         }))
     }
 
@@ -252,6 +178,8 @@ impl SimSession {
     /// until the next schedulable step lies beyond `pause_at` (with work
     /// still outstanding). On completion the output is validated against
     /// the benchmark's golden reference and initialization time is charged.
+    /// Failure messages and the finished [`RunOutcome`] carry the spec's
+    /// architecture label.
     ///
     /// # Errors
     ///
@@ -259,8 +187,38 @@ impl SimSession {
     /// when the finished run fails golden validation.
     pub fn advance(&mut self, pause_at: Option<Time>) -> Result<SessionStatus, RunError> {
         let label = self.spec.point.arch.label();
-        self.inst
-            .advance(self.engine.as_mut(), self.bench.as_ref(), label, pause_at)
+        let units = self.engine.units();
+        let name = self.bench.meta().name;
+        let workload = match &mut self.shape {
+            Shape::Dynamic { root } => Workload::dynamic(self.worker.as_mut(), *root),
+            Shape::Rounds { driver } => Workload::rounds(self.worker.as_mut(), driver.as_mut()),
+        };
+        let status = self
+            .engine
+            .run_until(workload, pause_at)
+            .map_err(|e| RunError::Sim(format!("{name} on {label}/{units}u failed: {e}")))?;
+        let out = match status {
+            RunStatus::Paused { at } => return Ok(SessionStatus::Paused { at }),
+            RunStatus::Finished(out) => out,
+        };
+        let check = self.bench.check(self.engine.memory(), out.result);
+        let outcome = RunOutcome {
+            bench: name.to_owned(),
+            engine: label.to_owned(),
+            units,
+            kernel: out.elapsed,
+            whole: out.elapsed + init_time(self.footprint_bytes),
+            metrics: out.metrics,
+            trace: out.trace,
+            timeline: out.timeline,
+        };
+        if let Err(e) = check {
+            return Err(RunError::WrongResult {
+                message: format!("{name} on {label}/{units}u wrong: {e}"),
+                outcome: Box::new(outcome),
+            });
+        }
+        Ok(SessionStatus::Finished(Box::new(outcome)))
     }
 
     /// Advances with no pause boundary: runs the rest of the computation.
@@ -269,9 +227,10 @@ impl SimSession {
     ///
     /// As [`SimSession::advance`].
     pub fn finish(&mut self) -> Result<RunOutcome, RunError> {
-        let label = self.spec.point.arch.label();
-        self.inst
-            .finish(self.engine.as_mut(), self.bench.as_ref(), label)
+        match self.advance(None)? {
+            SessionStatus::Finished(out) => Ok(*out),
+            SessionStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
+        }
     }
 }
 

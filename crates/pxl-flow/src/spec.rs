@@ -27,7 +27,7 @@
 //! ```
 
 use pxl_apps::Scale;
-use pxl_arch::StealMode;
+use pxl_arch::{Platform, StealMode};
 use pxl_dse::{ClusterPoint, DesignPoint, PointArch};
 use pxl_model::ExecProfile;
 use pxl_sim::json::{self, FieldError, FieldProblem, JsonValue};
@@ -239,11 +239,11 @@ impl RunSpec {
         let text = |s: &str| JsonValue::Str(s.to_owned());
         let every = |cycles| json::obj(vec![("every_cycles", json::num(cycles))]);
         let p = &self.point;
-        let point = match p.arch {
-            PointArch::Cpu => json::obj(vec![
+        let mut point = match p.arch {
+            PointArch::Cpu => vec![
                 ("arch", text("cpu")),
                 ("cores", json::num(p.units() as u64)),
-            ]),
+            ],
             arch => {
                 let mut members = vec![
                     ("arch", text(arch.label())),
@@ -273,13 +273,18 @@ impl RunSpec {
                         ]),
                     ));
                 }
-                json::obj(members)
+                members
             }
         };
+        // Omitted on the coherent SoC, so every spec from before the
+        // platform member existed renders byte-unchanged.
+        if p.platform == Platform::Zedboard {
+            point.push(("platform", text("zedboard")));
+        }
         let mut members = vec![
             ("benchmark", text(&self.benchmark)),
             ("scale", text(self.scale.label())),
-            ("point", point),
+            ("point", json::obj(point)),
         ];
         if let Some(p) = &self.profile {
             members.push((
@@ -424,8 +429,21 @@ fn every_cycles(
 }
 
 fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
+    let invalid = |message: String| SpecError::Invalid {
+        field: "point.platform",
+        message,
+    };
+    let platform = match json::get_opt(value, "platform") {
+        None => Platform::Coherent,
+        Some(p) if p.as_str() == Some("zedboard") => Platform::Zedboard,
+        Some(_) => {
+            return Err(invalid(
+                "expected \"zedboard\" (omit the member for the coherent SoC)".to_owned(),
+            ))
+        }
+    };
     let arch = match json::get_str(value, "arch")? {
-        "cpu" => return Ok(DesignPoint::cpu(json::get_uint(value, "cores")?)),
+        "cpu" => PointArch::Cpu,
         "flex" => PointArch::Flex,
         "lite" => PointArch::Lite,
         "central" => PointArch::Central,
@@ -436,17 +454,23 @@ fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
             })
         }
     };
-    Ok(DesignPoint {
-        arch,
-        tiles: json::get_uint(value, "tiles")?,
-        pes_per_tile: json::get_uint(value, "pes_per_tile")?,
-        cache_kb: json::get_uint(value, "cache_kb")?,
-        task_queue_entries: json::get_uint(value, "task_queue_entries")?,
-        pstore_entries: json::get_uint(value, "pstore_entries")?,
-        cluster: json::get_opt(value, "cluster")
-            .map(parse_cluster)
-            .transpose()?,
-    })
+    let point = match arch {
+        PointArch::Cpu => DesignPoint::cpu(json::get_uint(value, "cores")?).on_platform(platform),
+        arch => DesignPoint {
+            arch,
+            tiles: json::get_uint(value, "tiles")?,
+            pes_per_tile: json::get_uint(value, "pes_per_tile")?,
+            cache_kb: json::get_uint(value, "cache_kb")?,
+            task_queue_entries: json::get_uint(value, "task_queue_entries")?,
+            pstore_entries: json::get_uint(value, "pstore_entries")?,
+            cluster: json::get_opt(value, "cluster")
+                .map(parse_cluster)
+                .transpose()?,
+            platform,
+        },
+    };
+    point.check_platform().map_err(invalid)?;
+    Ok(point)
 }
 
 fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
@@ -509,6 +533,17 @@ mod tests {
                 DesignPoint::accel(PointArch::Lite, 1, 4),
             ),
             full_spec(),
+            RunSpec::new(
+                "stencil2d",
+                Scale::Small,
+                DesignPoint::accel(PointArch::Flex, 2, 4).on_platform(Platform::Zedboard),
+            )
+            .with_trace(1 << 12),
+            RunSpec::new(
+                "uts",
+                Scale::Tiny,
+                DesignPoint::cpu(2).on_platform(Platform::Zedboard),
+            ),
         ] {
             let json = spec.to_json();
             let back = RunSpec::from_json(&json).unwrap();
@@ -531,6 +566,16 @@ mod tests {
         assert_eq!(
             RunSpec::new("uts", Scale::Tiny, DesignPoint::cpu(8)).canonical(),
             "bench=uts scale=tiny arch=cpu cores=8"
+        );
+        assert_eq!(
+            RunSpec::new(
+                "uts",
+                Scale::Tiny,
+                base.point.clone().on_platform(Platform::Zedboard)
+            )
+            .canonical(),
+            "bench=uts scale=tiny arch=flex tiles=2 pes=4 cache_kb=32 queue=1024 pstore=8192 \
+             platform=zedboard"
         );
         // Every knob that changes the run changes the key.
         let variants = [
@@ -603,6 +648,28 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("faults"));
+        // The Zedboard prototype had only single-chip FlexArch and the CPU.
+        let zed = |point: DesignPoint| {
+            RunSpec::new("uts", Scale::Tiny, point.on_platform(Platform::Zedboard)).to_json()
+        };
+        for json in [
+            zed(DesignPoint::accel(PointArch::Lite, 1, 4)),
+            zed(DesignPoint::accel(PointArch::Central, 1, 4)),
+            zed(DesignPoint::accel(PointArch::Flex, 2, 4).clustered(ClusterPoint::new(2))),
+            zed(DesignPoint::cpu(2)).replace("zedboard", "fpga"),
+        ] {
+            let err = RunSpec::from_json(&json).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SpecError::Invalid {
+                        field: "point.platform",
+                        ..
+                    }
+                ),
+                "{json}: {err}"
+            );
+        }
     }
 
     #[test]

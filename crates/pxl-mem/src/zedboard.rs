@@ -115,7 +115,7 @@ impl ZedboardMemory {
             stats,
             ids,
             trace: Tracer::disabled(),
-            accel_clock: Clock::new("zed_accel", 8_000), // 125 MHz fabric
+            accel_clock: zedboard_accel_clock(),
         }
     }
 
@@ -325,6 +325,12 @@ impl ZedboardMemory {
         }
         t
     }
+}
+
+/// The Zedboard prototype's 125 MHz fabric clock, which drives its PEs and
+/// stream buffers.
+pub fn zedboard_accel_clock() -> Clock {
+    Clock::new("zed_accel", 8_000)
 }
 
 /// Memory configuration of the Zedboard's ARM processing system (two

@@ -142,14 +142,13 @@ mod fixtures {
     use parallelxl::apps::{by_name, Scale};
     use parallelxl::arch::{
         AccelConfig, AccelResult, CentralEngine, ClusterConfig, FlexEngine, HierEngine, LiteEngine,
-        MemBackendKind,
     };
-    use parallelxl::cpu::{CpuEngine, SoftwareCosts};
-    use parallelxl::mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
     use parallelxl::sim::hash::fnv64;
     use parallelxl::sim::metrics::{MetricKind, Metrics};
-    use parallelxl::sim::Clock;
-    use parallelxl::{Engine, FaultPlan, Memory, NetClass, Time, Workload};
+    use parallelxl::{
+        DesignPoint, Engine, FaultPlan, Memory, NetClass, Platform, PointArch, RunSpec,
+        SimulationBuilder, Time, Workload,
+    };
     use std::fmt::Write as _;
     use std::path::PathBuf;
 
@@ -374,9 +373,14 @@ mod fixtures {
         out
     }
 
-    /// Runs a dynamic-task benchmark on an already-built engine and
-    /// checks it against the golden reference.
-    fn run_dynamic_case(bench_name: &str, engine: &mut dyn Engine) -> AccelResult {
+    /// Runs a dynamic-task benchmark on `point`, with the engine built from
+    /// its spec, and checks it against the golden reference.
+    fn run_spec_case(bench_name: &str, point: DesignPoint) -> AccelResult {
+        let spec = RunSpec::new(bench_name, Scale::Tiny, point).with_trace(TRACE_CAPACITY);
+        let mut engine = SimulationBuilder::from_run_spec(&spec)
+            .unwrap()
+            .build()
+            .unwrap();
         let bench = by_name(bench_name, Scale::Tiny).unwrap();
         let inst = bench.flex(engine.mem_mut());
         let mut worker = inst.worker;
@@ -394,34 +398,15 @@ mod fixtures {
     /// Cortex-A9 software baseline it is compared against.
     #[test]
     fn zedboard_fixtures_are_reproduced_byte_for_byte() {
-        let stencil = by_name("stencil2d", Scale::Tiny).unwrap();
-        let mut cfg = AccelConfig::flex(1, 4);
-        cfg.mem_backend = MemBackendKind::Zedboard;
-        cfg.clock = Clock::new("zed_accel", 8_000);
-        cfg.trace_capacity = TRACE_CAPACITY;
-        let mut flex = FlexEngine::try_new(cfg, stencil.profile()).unwrap();
+        let zed = |point: DesignPoint| point.on_platform(Platform::Zedboard);
         check_case(
             "stencil2d_zedflex_1x4",
-            &run_dynamic_case("stencil2d", &mut flex),
+            &run_spec_case("stencil2d", zed(DesignPoint::accel(PointArch::Flex, 1, 4))),
         );
-
-        let big = by_name("uts", Scale::Tiny).unwrap().profile();
-        let a9_profile =
-            parallelxl::ExecProfile::new(big.accel_ops_per_cycle, big.cpu_ops_per_cycle * 0.6);
-        let costs = SoftwareCosts {
-            runtime_ipc: 1.2,
-            steal_attempt_instrs: 400,
-            ..SoftwareCosts::default()
-        };
-        let mut cpu = CpuEngine::with_params(
-            2,
-            a9_profile,
-            zedboard_cpu_core(),
-            zedboard_cpu_memory(),
-            costs,
+        check_case(
+            "uts_zedcpu_2",
+            &run_spec_case("uts", zed(DesignPoint::cpu(2))),
         );
-        cpu.set_trace_capacity(TRACE_CAPACITY);
-        check_case("uts_zedcpu_2", &run_dynamic_case("uts", &mut cpu));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use parallelxl::sim::json::JsonValue;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::sim::Snapshot;
 use parallelxl::sim::{FaultPlan, NetClass, Time};
-use parallelxl::{DesignPoint, ExecProfile, PointArch, RunSpec};
+use parallelxl::{DesignPoint, ExecProfile, Platform, PointArch, RunSpec};
 
 fn arb_point(g: &mut Gen) -> DesignPoint {
     if g.ratio(1, 4) {
@@ -36,6 +36,7 @@ fn arb_point(g: &mut Gen) -> DesignPoint {
         task_queue_entries: g.usize_in(1, 4096),
         pstore_entries: g.usize_in(1, 16384),
         cluster: None,
+        platform: Platform::Coherent,
     }
 }
 
@@ -225,6 +226,16 @@ fn malformed_requests_are_rejected_with_typed_codes() {
         ("{\"op\":\"submit\",\"kind\":\"sim\"}", ErrorCode::BadRequest),
         (
             "{\"op\":\"submit\",\"tenant\":\"t\",\"kind\":\"sim\",\"spec\":{\"benchmark\":\"uts\"}}",
+            ErrorCode::BadSpec,
+        ),
+        // The Zedboard prototype had no LiteArch.
+        (
+            concat!(
+                "{\"op\":\"submit\",\"tenant\":\"t\",\"kind\":\"sim\",\"spec\":",
+                "{\"benchmark\":\"uts\",\"scale\":\"tiny\",\"point\":{\"arch\":\"lite\",",
+                "\"tiles\":1,\"pes_per_tile\":4,\"cache_kb\":32,\"task_queue_entries\":1024,",
+                "\"pstore_entries\":8192,\"platform\":\"zedboard\"}}}"
+            ),
             ErrorCode::BadSpec,
         ),
     ];
