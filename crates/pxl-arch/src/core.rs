@@ -370,9 +370,23 @@ pub fn read_events<E>(
         let (when, body) = words
             .split_first()
             .ok_or_else(|| malformed("empty event entry"))?;
-        events.push(Time::from_ps(*when), decode(body).map_err(malformed)?);
+        let event = decode(body).map_err(|e| malformed(format!("events: {e}")))?;
+        events.push(Time::from_ps(*when), event);
     }
     Ok(())
+}
+
+/// Reads an index word of a snapshot's event: the `what` named by `word`
+/// must lie in `0..bound`.
+///
+/// # Errors
+///
+/// Names `what`, the word and the range when it does not.
+pub fn index_in(word: u64, bound: usize, what: &str) -> Result<usize, String> {
+    usize::try_from(word)
+        .ok()
+        .filter(|&i| i < bound)
+        .ok_or_else(|| format!("{what} {word} is out of range 0..{bound}"))
 }
 
 /// Launch and drain state of a run from one root task: the fabric's and the

@@ -44,7 +44,9 @@ use pxl_sim::{
 
 use crate::api::{Engine, EngineKind, Workload};
 use crate::config::{AccelConfig, LinkTopology, Platform};
-use crate::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
+use crate::core::{
+    events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun, UnitState,
+};
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
 use crate::pstore::{PStore, PStoreError};
 
@@ -384,8 +386,16 @@ impl Event {
     }
 
     /// Inverse of [`Event::to_words`]: inline task words are re-homed into
-    /// `slab` and the rebuilt event carries the fresh slot.
-    fn from_words(words: &[u64], slab: &mut EventSlab<Task>) -> Result<Event, String> {
+    /// `slab` and the rebuilt event carries the fresh slot. Unit indices
+    /// must name one of `num_pes` PEs (a steal victim may also name the
+    /// host block, unit `num_pes`), fault-spec indices one of the plan's
+    /// `num_specs` specs, and retry attempts must fit a `u8`.
+    fn from_words(
+        words: &[u64],
+        slab: &mut EventSlab<Task>,
+        num_pes: usize,
+        num_specs: usize,
+    ) -> Result<Event, String> {
         let tag = *words.first().ok_or("event encoding is empty")?;
         let expect = |n: usize| -> Result<(), String> {
             if words.len() == n {
@@ -397,54 +407,54 @@ impl Event {
                 ))
             }
         };
-        let opt = |w: u64| if w == 0 { None } else { Some(w as usize - 1) };
+        let pe = |w: u64| index_in(w, num_pes, "unit");
+        let spec = |w: u64| index_in(w, num_specs, "fault spec");
+        let opt = |w: u64| (w != 0).then(|| spec(w - 1)).transpose();
+        let attempt =
+            |w: u64| u8::try_from(w).map_err(|_| format!("attempt {w} is out of range for u8"));
         match tag {
             0 => {
                 expect(2)?;
-                Ok(Event::PeWake {
-                    pe: words[1] as usize,
-                })
+                Ok(Event::PeWake { pe: pe(words[1])? })
             }
             1 => {
                 expect(3)?;
                 Ok(Event::StealArrive {
-                    thief: words[1] as usize,
-                    victim: words[2] as usize,
+                    thief: pe(words[1])?,
+                    victim: index_in(words[2], num_pes + 1, "steal victim")?,
                 })
             }
             2 => {
+                let thief = pe(words[1])?;
                 let task = match words.len() {
                     2 => None,
                     n if n == 2 + TASK_WORDS => Some(slab.insert(Task::from_words(&words[2..])?)),
                     n => return Err(format!("event tag 2 holds {n} words")),
                 };
-                Ok(Event::StealReply {
-                    thief: words[1] as usize,
-                    task,
-                })
+                Ok(Event::StealReply { thief, task })
             }
             3 => {
                 expect(6)?;
                 Ok(Event::ArgArrive {
                     k: Continuation::decode(words[1]),
                     value: words[2],
-                    from_pe: words[3] as usize,
+                    from_pe: pe(words[3])?,
                     from_task: words[4],
-                    dup_of: opt(words[5]),
+                    dup_of: opt(words[5])?,
                 })
             }
             4 => {
                 expect(3 + TASK_WORDS)?;
                 Ok(Event::TaskRun {
-                    pe: words[1] as usize,
-                    dup_of: opt(words[2]),
+                    pe: pe(words[1])?,
+                    dup_of: opt(words[2])?,
                     task: slab.insert(Task::from_words(&words[3..])?),
                 })
             }
             5 => {
                 expect(2)?;
                 Ok(Event::FaultFire {
-                    spec: words[1] as usize,
+                    spec: spec(words[1])?,
                 })
             }
             6 => {
@@ -452,18 +462,18 @@ impl Event {
                 Ok(Event::ArgResend {
                     k: Continuation::decode(words[1]),
                     value: words[2],
-                    from_pe: words[3] as usize,
+                    from_pe: pe(words[3])?,
                     from_task: words[4],
-                    attempt: words[5] as u8,
-                    spec: words[6] as usize,
+                    attempt: attempt(words[5])?,
+                    spec: spec(words[6])?,
                 })
             }
             7 => {
                 expect(4 + TASK_WORDS)?;
                 Ok(Event::TaskResend {
-                    pe: words[1] as usize,
-                    attempt: words[2] as u8,
-                    spec: words[3] as usize,
+                    pe: pe(words[1])?,
+                    attempt: attempt(words[2])?,
+                    spec: spec(words[3])?,
                     task: slab.insert(Task::from_words(&words[4..])?),
                 })
             }
@@ -1094,8 +1104,13 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         self.units.read(p)?;
         self.core.read_host_cells(p)?;
         self.task_slab.clear();
+        let num_specs = self
+            .cfg
+            .fault_plan
+            .as_ref()
+            .map_or(0, |plan| plan.specs().len());
         read_events(p, &mut self.events, |body| {
-            Event::from_words(body, &mut self.task_slab)
+            Event::from_words(body, &mut self.task_slab, num_pes, num_specs)
         })?;
 
         self.policy

@@ -11,7 +11,9 @@ use pxl_sim::json::{self, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{EventQueue, Time, TraceEvent, Tracer, XorShift64};
 
-use pxl_arch::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
+use pxl_arch::core::{
+    events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun, UnitState,
+};
 use pxl_arch::deque::TaskDeque;
 use pxl_arch::fabric::AccelError;
 use pxl_arch::{Engine, EngineKind, RunStatus, Workload};
@@ -92,8 +94,9 @@ impl Event {
         }
     }
 
-    /// Inverse of [`Event::to_words`].
-    fn from_words(words: &[u64]) -> Result<Event, String> {
+    /// Inverse of [`Event::to_words`]; every event must name one of
+    /// `cores` cores.
+    fn from_words(words: &[u64], cores: usize) -> Result<Event, String> {
         let expect = |n: usize| {
             if words.len() == n {
                 Ok(())
@@ -104,23 +107,20 @@ impl Event {
                 ))
             }
         };
+        let core = || index_in(words[1], cores, "unit");
         match words.first() {
             Some(0) => {
                 expect(2)?;
-                Ok(Event::CoreWake {
-                    core: words[1] as usize,
-                })
+                Ok(Event::CoreWake { core: core()? })
             }
             Some(1) => {
                 expect(2)?;
-                Ok(Event::StealTry {
-                    core: words[1] as usize,
-                })
+                Ok(Event::StealTry { core: core()? })
             }
             Some(2) => {
                 expect(2 + TASK_WORDS)?;
                 Ok(Event::TaskRun {
-                    core: words[1] as usize,
+                    core: core()?,
                     task: Task::from_words(&words[2..])?,
                 })
             }
@@ -784,7 +784,8 @@ impl Engine for CpuEngine {
             .collect::<Result<_, _>>()?;
 
         self.core.read_host_cells(p)?;
-        read_events(p, &mut self.events, Event::from_words)?;
+        let cores = self.cores;
+        read_events(p, &mut self.events, |body| Event::from_words(body, cores))?;
         self.core.restore(p, |_| {})?;
         self.memsys
             .restore_state(json::get(p, "memsys")?)

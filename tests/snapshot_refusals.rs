@@ -5,8 +5,8 @@
 use parallelxl::apps::Scale;
 use parallelxl::sim::json;
 use parallelxl::{
-    ClusterPoint, DesignPoint, FaultPlan, JsonValue, PointArch, RunError, RunSpec, SessionStatus,
-    SimSession, Snapshot, SnapshotError, Time,
+    ClusterPoint, Continuation, DesignPoint, FaultPlan, JsonValue, PointArch, RunError, RunSpec,
+    SessionStatus, SimSession, Snapshot, SnapshotError, Time,
 };
 
 /// The snapshot text of `spec` paused at cycle 1,000.
@@ -49,6 +49,15 @@ fn with_first_item(snap: &Snapshot, path: &[&str], value: JsonValue) -> Snapshot
     items[0] = value;
     let text = Snapshot::new(snap.engine.clone(), payload).to_json();
     Snapshot::from_json(&text).expect("checksum holds")
+}
+
+/// `snap` with its first pending event replaced by the event `words` (tag
+/// first) at the same time, re-sealed so its checksum holds.
+fn with_first_event(snap: &Snapshot, words: &[u64]) -> Snapshot {
+    let events = json::get_arr(&snap.payload, "events").unwrap();
+    let when = json::u64s(&events[0], "events").unwrap()[0];
+    let entry = json::arr_u64([when].into_iter().chain(words.iter().copied()));
+    with_first_item(snap, &["events"], entry)
 }
 
 /// A 4-PE FlexArch spec and a 2-chip hierarchical-stealing spec.
@@ -141,6 +150,64 @@ fn a_fault_spec_index_past_the_plan_is_refused() {
             )),
             "{message}"
         );
+    }
+}
+
+#[test]
+fn an_event_naming_a_unit_past_the_engine_is_refused() {
+    let flex = RunSpec::new(
+        "uts",
+        Scale::Tiny,
+        DesignPoint::accel(PointArch::Flex, 1, 4),
+    );
+    let cpu = RunSpec::new("uts", Scale::Tiny, DesignPoint::cpu(4));
+    for spec in [&cpu, &flex] {
+        let snap = paused_at_cycle_1000(spec);
+        // Tag 0 wakes a unit: a core, or a PE.
+        let message = refusal(spec, &with_first_event(&snap, &[0, 99]));
+        assert!(
+            message.contains("events: unit 99 is out of range 0..4"),
+            "{spec:?}: {message}"
+        );
+    }
+    // A steal request may target the host block, unit 4 of a 4-PE fabric,
+    // but no unit past it.
+    let snap = paused_at_cycle_1000(&flex);
+    let message = refusal(&flex, &with_first_event(&snap, &[1, 0, 5]));
+    assert!(
+        message.contains("events: steal victim 5 is out of range 0..5"),
+        "{message}"
+    );
+}
+
+#[test]
+fn an_event_naming_a_fault_spec_past_the_plan_or_a_wide_attempt_is_refused() {
+    let plan = FaultPlan::new(7)
+        .kill_pe(2, Time::from_us(1))
+        .corrupt_pstore(0, Time::from_us(2), 0xBEEF);
+    let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
+    let spec = RunSpec::new("uts", Scale::Tiny, flex).with_faults(plan);
+    let snap = paused_at_cycle_1000(&spec);
+    let host = Continuation::host(0).encode();
+    // The plan has specs 0 and 1. An argument message's `dup_of` word
+    // stores a spec index plus one (0 is "none").
+    for (words, needle) in [
+        (vec![5, 2], "events: fault spec 2 is out of range 0..2"),
+        (
+            vec![3, host, 0, 0, 0, 3],
+            "events: fault spec 2 is out of range 0..2",
+        ),
+        (
+            vec![6, host, 0, 0, 0, 0, 2],
+            "events: fault spec 2 is out of range 0..2",
+        ),
+        (
+            vec![6, host, 0, 0, 0, 256, 0],
+            "events: attempt 256 is out of range for u8",
+        ),
+    ] {
+        let message = refusal(&spec, &with_first_event(&snap, &words));
+        assert!(message.contains(needle), "{words:?}: {message}");
     }
 }
 
