@@ -4,13 +4,14 @@
 //! restored run's results, metrics, trace and telemetry timeline are
 //! byte-identical to an uninterrupted run of the same spec. Driven by the
 //! vendored `pxl_sim::qcheck` harness over random benchmarks, scales,
-//! engines, fault plans, telemetry epochs and checkpoint epochs.
+//! engines (on the simulated SoC and the Zedboard prototype), fault plans,
+//! telemetry epochs and checkpoint epochs.
 
 use parallelxl::apps::Scale;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunError, RunOutcome, RunSpec,
-    SessionStatus, SimSession, Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
+    execute, ClusterPoint, DesignPoint, FaultPlan, Platform, PointArch, RunError, RunOutcome,
+    RunSpec, SessionStatus, SimSession, Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
 };
 
 /// A random design point: any of the engines at small shapes, including
@@ -74,6 +75,21 @@ fn any_checkpoint_epoch_restores_byte_identically() {
             (*g.pick(&["spmvcrs", "stencil2d"]), Scale::Tiny)
         } else {
             (bench, scale)
+        };
+        // A third of the runs move onto the Zedboard prototype, whose
+        // stream buffers and Cortex-A9 memory restore through their own
+        // state. This draw comes after all the others, so every other case
+        // keeps its spec; the fault plan drawn for the replaced point is
+        // dropped.
+        let (point, faults) = if g.ratio(1, 3) {
+            let zed = if g.bool() {
+                DesignPoint::accel(PointArch::Flex, 1, g.usize_in(2, 4))
+            } else {
+                DesignPoint::cpu(2)
+            };
+            (zed.on_platform(Platform::Zedboard), None)
+        } else {
+            (point, faults)
         };
         let mut spec = RunSpec::new(bench, scale, point).with_trace(1 << 10);
         if let Some(plan) = faults {
