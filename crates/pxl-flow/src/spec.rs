@@ -1,8 +1,9 @@
 //! The canonical, serializable description of one simulation run.
 //!
 //! A [`RunSpec`] names everything a run needs — benchmark and input scale,
-//! the architectural [`DesignPoint`], an optional execution-profile
-//! override, trace capacity, and an optional fault plan — as plain data
+//! the architectural [`DesignPoint`] on its platform (the simulated SoC or
+//! the Zedboard prototype), an optional execution-profile override, trace
+//! capacity, and an optional fault plan — as plain data
 //! with an exact JSON round trip. It is the one request type every driver
 //! (`pxl-bench --bin all/dse/faults/profile`) and the `pxl-serve` job
 //! server build runs from, and its [`RunSpec::canonical`] string is the
@@ -128,7 +129,11 @@ pub struct RunSpec {
     pub benchmark: String,
     /// Input scale.
     pub scale: Scale,
-    /// The architectural point to run on (accelerator or CPU baseline).
+    /// The architectural point to run on (accelerator or CPU baseline), on
+    /// the simulated SoC or the Zedboard prototype. The JSON `point`
+    /// object carries `"platform":"zedboard"` for a Zedboard point and
+    /// omits the member for the SoC; the canonical string likewise ends in
+    /// `platform=zedboard` only for Zedboard points.
     pub point: DesignPoint,
     /// Execution-profile override; `None` uses the benchmark's own profile.
     pub profile: Option<ExecProfile>,
@@ -322,7 +327,9 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// A typed [`SpecError`] naming the missing or malformed field.
+    /// A typed [`SpecError`] naming the missing or malformed field; a
+    /// point the Zedboard prototype never had (lite, central, a cluster) is
+    /// [`SpecError::Invalid`] on `point.platform`.
     pub fn from_json_value(value: &JsonValue) -> Result<RunSpec, SpecError> {
         let benchmark = json::get_str(value, "benchmark")?.to_owned();
         let scale_label = json::get_str(value, "scale")?;
