@@ -60,13 +60,8 @@ pub fn run_scaling(scale: Scale) -> ScalingResults {
             }
         }
     }
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|spec| move || execute(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.canonical())))
-        .collect();
-    let outcomes = parallel_map(jobs);
     let mut results: ScalingResults = ScalingResults::new();
-    for (spec, outcome) in specs.iter().zip(outcomes) {
+    for (spec, outcome) in specs.iter().zip(execute_all(&specs)) {
         let entry = results
             .entry(spec.benchmark.clone())
             .or_insert_with(|| BenchScaling {
@@ -83,6 +78,29 @@ pub fn run_scaling(scale: Scale) -> ScalingResults {
         }
     }
     results
+}
+
+/// Executes `specs` on the host worker pool, outcomes in spec order (`None`
+/// where a LiteArch point meets a benchmark without a LiteArch mapping).
+///
+/// # Panics
+///
+/// Panics if any run fails or does not validate — experiment results must
+/// never silently ship wrong data.
+fn execute_all(specs: &[RunSpec]) -> Vec<Option<RunOutcome>> {
+    let jobs: Vec<_> = specs
+        .iter()
+        .map(|spec| move || execute(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.canonical())))
+        .collect();
+    parallel_map(jobs)
+}
+
+/// [`execute_all`] over FlexArch and CPU points, which run every benchmark.
+fn execute_all_present(specs: &[RunSpec]) -> Vec<RunOutcome> {
+    execute_all(specs)
+        .into_iter()
+        .map(|out| out.expect("FlexArch and the CPU run every benchmark"))
+        .collect()
 }
 
 /// Flattens sweep results into one outcome list in Table II benchmark
@@ -345,17 +363,7 @@ pub fn fig6(scale: Scale) -> String {
             .map(|point| RunSpec::new(name, scale, point))
         })
         .collect();
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            move || {
-                execute(spec)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .expect("the Zedboard engines run every benchmark")
-            }
-        })
-        .collect();
-    let outs = parallel_map(jobs);
+    let outs = execute_all_present(&specs);
     let mut rows = Vec::new();
     let (mut s4all, mut s8all) = (Vec::new(), Vec::new());
     for (i, &name) in ZEDBOARD_BENCHES.iter().enumerate() {
@@ -462,21 +470,16 @@ pub fn table5() -> String {
 /// 4 KB to 32 KB, normalized to the 32 KB configuration.
 pub fn fig9(scale: Scale) -> String {
     const SIZES: [usize; 4] = [4, 8, 16, 32];
-    let jobs: Vec<_> = ALL_BENCHES
+    let specs: Vec<RunSpec> = ALL_BENCHES
         .iter()
         .flat_map(|&name| {
-            SIZES.map(|kb| {
-                move || {
-                    let mut point = DesignPoint::accel(PointArch::Flex, 4, 4);
-                    point.cache_kb = kb;
-                    execute(&RunSpec::new(name, scale, point))
-                        .unwrap_or_else(|e| panic!("{e}"))
-                        .expect("FlexArch runs every benchmark")
-                }
+            SIZES.map(|cache_kb| {
+                let point = DesignPoint::accel(PointArch::Flex, 4, 4);
+                RunSpec::new(name, scale, DesignPoint { cache_kb, ..point })
             })
         })
         .collect();
-    let outs = parallel_map(jobs);
+    let outs = execute_all_present(&specs);
     let mut rows = Vec::new();
     for (i, &name) in ALL_BENCHES.iter().enumerate() {
         let base = outs[4 * i + 3].seconds(); // 32 KB

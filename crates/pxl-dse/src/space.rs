@@ -122,16 +122,6 @@ impl std::fmt::Display for PointArch {
     }
 }
 
-impl From<ArchKind> for PointArch {
-    fn from(kind: ArchKind) -> Self {
-        match kind {
-            ArchKind::Flex => PointArch::Flex,
-            ArchKind::Lite => PointArch::Lite,
-            ArchKind::Central => PointArch::Central,
-        }
-    }
-}
-
 /// The multi-chip shape of a clustered design point: how many chips the
 /// tiles split across, the inter-chip link's timing, and which stealing
 /// discipline spans the chip boundary. Single-chip points spell this as
@@ -287,19 +277,14 @@ impl DesignPoint {
     ///
     /// What the prototype lacks, as a message.
     pub fn check_platform(&self) -> Result<(), String> {
-        if self.platform != Platform::Zedboard {
-            return Ok(());
+        match (self.platform, self.arch) {
+            (Platform::Coherent, _) | (_, PointArch::Cpu) => Ok(()),
+            (_, PointArch::Flex) if self.cluster.is_none() => Ok(()),
+            (_, PointArch::Flex) => Err("the Zedboard prototype has no multi-chip cluster".into()),
+            (_, arch) => Err(format!(
+                "the Zedboard prototype has no {arch} accelerator (flex|cpu)"
+            )),
         }
-        if matches!(self.arch, PointArch::Lite | PointArch::Central) {
-            return Err(format!(
-                "the Zedboard prototype has no {} accelerator (flex|cpu)",
-                self.arch
-            ));
-        }
-        if self.cluster.is_some() {
-            return Err("the Zedboard prototype has no multi-chip cluster".to_owned());
-        }
-        Ok(())
     }
 
     /// Total execution units: PEs for accelerators, cores for the CPU.

@@ -50,10 +50,11 @@ pub use session::{SessionStatus, SimSession};
 pub use spec::{CheckpointPolicy, RunSpec, SpecError, TelemetryPolicy};
 
 use pxl_arch::{
-    AccelConfig, ArchKind, CentralEngine, ConfigError, Engine, FlexEngine, HierEngine, LiteEngine,
-    Platform, StealMode,
+    ArchKind, CentralEngine, ConfigError, Engine, FlexEngine, HierEngine, LiteEngine, Platform,
+    StealMode,
 };
 use pxl_cpu::CpuEngine;
+use pxl_dse::PointArch;
 use pxl_model::ExecProfile;
 
 /// Errors produced while elaborating a design into an engine.
@@ -90,23 +91,6 @@ impl std::fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// What a [`SimulationBuilder`] instantiates, with the spec's trace,
-/// telemetry and fault settings already written in.
-#[derive(Debug, Clone)]
-enum Target {
-    /// An accelerator (FlexArch, LiteArch, the central ablation or a
-    /// cluster) from the point's elaborated configuration.
-    Accel(Box<AccelConfig>),
-    /// The multicore software baseline: the Table III cores, or the
-    /// Zedboard's Cortex-A9s.
-    Cpu {
-        cores: usize,
-        platform: Platform,
-        trace_capacity: usize,
-        telemetry_every: u64,
-    },
-}
-
 /// The bridge from the design flow to the simulator: elaborates a
 /// [`RunSpec`]'s design point into an engine behind the [`Engine`] trait —
 /// FlexArch, LiteArch, the centralized-queue ablation, a multi-chip
@@ -128,18 +112,15 @@ enum Target {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
-    target: Target,
+    spec: RunSpec,
     profile: ExecProfile,
 }
 
 impl SimulationBuilder {
     /// The single construction path from a serializable [`RunSpec`]:
     /// resolves the benchmark's execution profile (unless the spec
-    /// overrides it), targets the spec's design point — FlexArch, LiteArch
-    /// or the central ablation from the point's elaborated configuration,
-    /// the software baseline for CPU points (Table III cores, or the
-    /// Zedboard's Cortex-A9s) — and writes trace capacity, telemetry and
-    /// the fault plan into that target.
+    /// overrides it) and checks that the spec's design point can carry the
+    /// rest of the spec.
     ///
     /// # Errors
     ///
@@ -150,9 +131,6 @@ impl SimulationBuilder {
     /// has no modelled fault surface. (Design-point validation happens
     /// later, at [`SimulationBuilder::build`].)
     pub fn from_run_spec(spec: &RunSpec) -> Result<SimulationBuilder, FlowError> {
-        spec.point
-            .check_platform()
-            .map_err(FlowError::InvalidConfig)?;
         let profile = match spec.profile {
             Some(p) => p,
             None => pxl_apps::by_name(&spec.benchmark, spec.scale)
@@ -161,32 +139,27 @@ impl SimulationBuilder {
                 })?
                 .profile(),
         };
-        let telemetry_every = spec.telemetry.as_ref().map_or(0, |tp| tp.every_cycles);
-        let target = match spec.point.accel_config() {
-            Some(mut config) => {
-                config.trace_capacity = spec.trace_capacity;
-                config.telemetry_every_cycles = telemetry_every;
-                config.fault_plan = spec.faults.clone();
-                Target::Accel(Box::new(config))
-            }
-            None if spec.faults.is_some() => {
-                return Err(FlowError::InvalidConfig(
-                    "fault injection requires an accelerator target; \
-                     the CPU baseline has no modelled fault surface"
-                        .into(),
-                ))
-            }
-            None => Target::Cpu {
-                cores: spec.point.units(),
-                platform: spec.point.platform,
-                trace_capacity: spec.trace_capacity,
-                telemetry_every,
-            },
-        };
-        Ok(SimulationBuilder { target, profile })
+        spec.point
+            .check_platform()
+            .map_err(FlowError::InvalidConfig)?;
+        if spec.faults.is_some() && spec.point.arch == PointArch::Cpu {
+            return Err(FlowError::InvalidConfig(
+                "fault injection requires an accelerator target; \
+                 the CPU baseline has no modelled fault surface"
+                    .into(),
+            ));
+        }
+        Ok(SimulationBuilder {
+            spec: spec.clone(),
+            profile,
+        })
     }
 
-    /// Validates the target and constructs the engine.
+    /// Validates the target and constructs the engine: FlexArch, LiteArch
+    /// or the central ablation from the point's elaborated configuration,
+    /// or the software baseline for CPU points (Table III cores, or the
+    /// Zedboard's Cortex-A9s), with the spec's trace capacity, telemetry
+    /// and fault plan written in.
     ///
     /// # Errors
     ///
@@ -195,64 +168,56 @@ impl SimulationBuilder {
     /// validated against it here too), [`FlowError::InvalidConfig`] when
     /// the CPU has zero cores.
     pub fn build(&self) -> Result<Box<dyn Engine>, FlowError> {
-        match &self.target {
-            Target::Accel(config) => {
-                // Validate up front so callers get the typed constraint
-                // (the engines re-validate, but only report strings).
-                config.validate().map_err(FlowError::Config)?;
-                let config = AccelConfig::clone(config);
-                // Unwrap AccelError::InvalidConfig so FlowError does not
-                // stack a second "invalid configuration:" prefix on it.
-                let lift = |e: pxl_arch::AccelError| match e {
-                    pxl_arch::AccelError::InvalidConfig(msg) => FlowError::InvalidConfig(msg),
-                    other => FlowError::InvalidConfig(other.to_string()),
-                };
-                // A multi-chip cluster with hierarchical stealing swaps in
-                // the HierPolicy engine; flat-stealing clusters and all
-                // single-chip configs run the stock engines (the link tier
-                // lives in the shared fabric, so flat clusters still pay it).
-                let hierarchical = config.cluster.is_some_and(|c| {
-                    c.chips > 1 && matches!(c.stealing, StealMode::Hierarchical { .. })
-                });
-                Ok(match config.arch {
-                    ArchKind::Flex if hierarchical => {
-                        Box::new(HierEngine::try_new(config, self.profile).map_err(lift)?)
-                    }
-                    ArchKind::Flex => {
-                        Box::new(FlexEngine::try_new(config, self.profile).map_err(lift)?)
-                    }
-                    ArchKind::Lite => {
-                        Box::new(LiteEngine::try_new(config, self.profile).map_err(lift)?)
-                    }
-                    ArchKind::Central => {
-                        Box::new(CentralEngine::try_new(config, self.profile).map_err(lift)?)
-                    }
-                })
+        let spec = &self.spec;
+        let telemetry_every = spec.telemetry.as_ref().map_or(0, |tp| tp.every_cycles);
+        let Some(mut config) = spec.point.accel_config() else {
+            let cores = spec.point.units();
+            if cores == 0 {
+                return Err(FlowError::InvalidConfig(
+                    "the CPU baseline needs at least one core".into(),
+                ));
             }
-            &Target::Cpu {
-                cores,
-                platform,
-                trace_capacity,
-                telemetry_every,
-            } => {
-                if cores == 0 {
-                    return Err(FlowError::InvalidConfig(
-                        "the CPU baseline needs at least one core".into(),
-                    ));
-                }
-                let mut engine = match platform {
-                    Platform::Coherent => CpuEngine::new(cores, self.profile),
-                    Platform::Zedboard => CpuEngine::zedboard(cores, self.profile),
-                };
-                if trace_capacity > 0 {
-                    engine.set_trace_capacity(trace_capacity);
-                }
-                if telemetry_every > 0 {
-                    engine.set_telemetry_every(telemetry_every);
-                }
-                Ok(Box::new(engine))
+            let mut engine = match spec.point.platform {
+                Platform::Coherent => CpuEngine::new(cores, self.profile),
+                Platform::Zedboard => CpuEngine::zedboard(cores, self.profile),
+            };
+            if spec.trace_capacity > 0 {
+                engine.set_trace_capacity(spec.trace_capacity);
             }
-        }
+            if telemetry_every > 0 {
+                engine.set_telemetry_every(telemetry_every);
+            }
+            return Ok(Box::new(engine));
+        };
+        config.trace_capacity = spec.trace_capacity;
+        config.telemetry_every_cycles = telemetry_every;
+        config.fault_plan = spec.faults.clone();
+        // Validate up front so callers get the typed constraint (the
+        // engines re-validate, but only report strings).
+        config.validate().map_err(FlowError::Config)?;
+        // Unwrap AccelError::InvalidConfig so FlowError does not stack a
+        // second "invalid configuration:" prefix on it.
+        let lift = |e: pxl_arch::AccelError| match e {
+            pxl_arch::AccelError::InvalidConfig(msg) => FlowError::InvalidConfig(msg),
+            other => FlowError::InvalidConfig(other.to_string()),
+        };
+        // A multi-chip cluster with hierarchical stealing swaps in the
+        // HierPolicy engine; flat-stealing clusters and all single-chip
+        // configs run the stock engines (the link tier lives in the shared
+        // fabric, so flat clusters still pay it).
+        let hierarchical = config
+            .cluster
+            .is_some_and(|c| c.chips > 1 && matches!(c.stealing, StealMode::Hierarchical { .. }));
+        Ok(match config.arch {
+            ArchKind::Flex if hierarchical => {
+                Box::new(HierEngine::try_new(config, self.profile).map_err(lift)?)
+            }
+            ArchKind::Flex => Box::new(FlexEngine::try_new(config, self.profile).map_err(lift)?),
+            ArchKind::Lite => Box::new(LiteEngine::try_new(config, self.profile).map_err(lift)?),
+            ArchKind::Central => {
+                Box::new(CentralEngine::try_new(config, self.profile).map_err(lift)?)
+            }
+        })
     }
 }
 

@@ -436,35 +436,20 @@ fn every_cycles(
 }
 
 fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
-    let invalid = |message: String| SpecError::Invalid {
-        field: "point.platform",
-        message,
-    };
-    let platform = match json::get_opt(value, "platform") {
-        None => Platform::Coherent,
-        Some(p) if p.as_str() == Some("zedboard") => Platform::Zedboard,
-        Some(_) => {
-            return Err(invalid(
-                "expected \"zedboard\" (omit the member for the coherent SoC)".to_owned(),
-            ))
-        }
-    };
-    let arch = match json::get_str(value, "arch")? {
-        "cpu" => PointArch::Cpu,
-        "flex" => PointArch::Flex,
-        "lite" => PointArch::Lite,
-        "central" => PointArch::Central,
-        other => {
-            return Err(SpecError::Invalid {
-                field: "point.arch",
-                message: format!("unknown arch {other:?} (flex|lite|central|cpu)"),
-            })
-        }
-    };
-    let point = match arch {
-        PointArch::Cpu => DesignPoint::cpu(json::get_uint(value, "cores")?).on_platform(platform),
+    let point = match json::get_str(value, "arch")? {
+        "cpu" => DesignPoint::cpu(json::get_uint(value, "cores")?),
         arch => DesignPoint {
-            arch,
+            arch: match arch {
+                "flex" => PointArch::Flex,
+                "lite" => PointArch::Lite,
+                "central" => PointArch::Central,
+                other => {
+                    return Err(SpecError::Invalid {
+                        field: "point.arch",
+                        message: format!("unknown arch {other:?} (flex|lite|central|cpu)"),
+                    })
+                }
+            },
             tiles: json::get_uint(value, "tiles")?,
             pes_per_tile: json::get_uint(value, "pes_per_tile")?,
             cache_kb: json::get_uint(value, "cache_kb")?,
@@ -473,8 +458,20 @@ fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
             cluster: json::get_opt(value, "cluster")
                 .map(parse_cluster)
                 .transpose()?,
-            platform,
+            platform: Platform::Coherent,
         },
+    };
+    let invalid = |message: String| SpecError::Invalid {
+        field: "point.platform",
+        message,
+    };
+    let point = match json::get_opt(value, "platform").map(JsonValue::as_str) {
+        None => point,
+        Some(Some("zedboard")) => point.on_platform(Platform::Zedboard),
+        Some(_) => {
+            let expected = "expected \"zedboard\" (omit the member for the coherent SoC)";
+            return Err(invalid(expected.to_owned()));
+        }
     };
     point.check_platform().map_err(invalid)?;
     Ok(point)
