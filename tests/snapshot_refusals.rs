@@ -151,6 +151,31 @@ fn a_fault_spec_index_past_the_plan_is_refused() {
             "{message}"
         );
     }
+    // Pending events name specs too: a fault firing, a duplicate argument
+    // message (`dup_of` stores the index plus one) and a retransmission,
+    // whose attempt count must also fit its byte.
+    let host = Continuation::host(0).encode();
+    for (words, needle) in [
+        (vec![5, 2], "fault spec 2 is out of range 0..2"),
+        (
+            vec![3, host, 0, 0, 0, 3],
+            "fault spec 2 is out of range 0..2",
+        ),
+        (
+            vec![6, host, 0, 0, 0, 0, 2],
+            "fault spec 2 is out of range 0..2",
+        ),
+        (
+            vec![6, host, 0, 0, 0, 256, 0],
+            "attempt 256 is out of range for u8",
+        ),
+    ] {
+        let message = refusal(&spec, &with_first_event(&snap, &words));
+        assert!(
+            message.contains(&format!("events: {needle}")),
+            "{words:?}: {message}"
+        );
+    }
 }
 
 #[test]
@@ -178,37 +203,6 @@ fn an_event_naming_a_unit_past_the_engine_is_refused() {
         message.contains("events: steal victim 5 is out of range 0..5"),
         "{message}"
     );
-}
-
-#[test]
-fn an_event_naming_a_fault_spec_past_the_plan_or_a_wide_attempt_is_refused() {
-    let plan = FaultPlan::new(7)
-        .kill_pe(2, Time::from_us(1))
-        .corrupt_pstore(0, Time::from_us(2), 0xBEEF);
-    let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
-    let spec = RunSpec::new("uts", Scale::Tiny, flex).with_faults(plan);
-    let snap = paused_at_cycle_1000(&spec);
-    let host = Continuation::host(0).encode();
-    // The plan has specs 0 and 1. An argument message's `dup_of` word
-    // stores a spec index plus one (0 is "none").
-    for (words, needle) in [
-        (vec![5, 2], "events: fault spec 2 is out of range 0..2"),
-        (
-            vec![3, host, 0, 0, 0, 3],
-            "events: fault spec 2 is out of range 0..2",
-        ),
-        (
-            vec![6, host, 0, 0, 0, 0, 2],
-            "events: fault spec 2 is out of range 0..2",
-        ),
-        (
-            vec![6, host, 0, 0, 0, 256, 0],
-            "events: attempt 256 is out of range for u8",
-        ),
-    ] {
-        let message = refusal(&spec, &with_first_event(&snap, &words));
-        assert!(message.contains(needle), "{words:?}: {message}");
-    }
 }
 
 #[test]
