@@ -425,12 +425,13 @@ impl Event {
                 })
             }
             2 => {
-                let thief = pe(words[1])?;
+                // Sized before the thief word is read.
                 let task = match words.len() {
                     2 => None,
                     n if n == 2 + TASK_WORDS => Some(slab.insert(Task::from_words(&words[2..])?)),
                     n => return Err(format!("event tag 2 holds {n} words")),
                 };
+                let thief = pe(words[1])?;
                 Ok(Event::StealReply { thief, task })
             }
             3 => {

@@ -203,6 +203,18 @@ fn an_event_naming_a_unit_past_the_engine_is_refused() {
         message.contains("events: steal victim 5 is out of range 0..5"),
         "{message}"
     );
+    // A steal reply is sized before its thief is read: one with no thief
+    // word is refused, not indexed past its end.
+    let message = refusal(&flex, &with_first_event(&snap, &[2]));
+    assert!(
+        message.contains("events: event tag 2 holds 1 words"),
+        "{message}"
+    );
+    let message = refusal(&flex, &with_first_event(&snap, &[2, 99]));
+    assert!(
+        message.contains("events: unit 99 is out of range 0..4"),
+        "{message}"
+    );
 }
 
 #[test]
