@@ -76,21 +76,6 @@ fn any_checkpoint_epoch_restores_byte_identically() {
         } else {
             (bench, scale)
         };
-        // A third of the runs move onto the Zedboard prototype, whose
-        // stream buffers and Cortex-A9 memory restore through their own
-        // state. This draw comes after all the others, so every other case
-        // keeps its spec; the fault plan drawn for the replaced point is
-        // dropped.
-        let (point, faults) = if g.ratio(1, 3) {
-            let zed = if g.bool() {
-                DesignPoint::accel(PointArch::Flex, 1, g.usize_in(2, 4))
-            } else {
-                DesignPoint::cpu(2)
-            };
-            (zed.on_platform(Platform::Zedboard), None)
-        } else {
-            (point, faults)
-        };
         let mut spec = RunSpec::new(bench, scale, point).with_trace(1 << 10);
         if let Some(plan) = faults {
             spec = spec.with_faults(plan);
@@ -101,6 +86,35 @@ fn any_checkpoint_epoch_restores_byte_identically() {
 
         assert_checkpoint_invisible(&spec, |total| g.range(1, total + total / 4 + 2));
     });
+}
+
+/// The same gate on the Zedboard prototype, whose stream buffers and
+/// Cortex-A9 memory restore through their own state: every case checks a
+/// flex point (with a fault plan in some cases) and the 2-core A9.
+#[test]
+fn zedboard_checkpoint_epochs_restore_byte_identically() {
+    check(
+        10,
+        "zedboard pause/snapshot/restore is invisible",
+        |g: &mut Gen| {
+            let bench = *g.pick(&["uts", "queens", "nw", "spmvcrs", "stencil2d"]);
+            let flex = DesignPoint::accel(PointArch::Flex, 1, g.usize_in(2, 4));
+            for point in [flex, DesignPoint::cpu(2)] {
+                let point = point.on_platform(Platform::Zedboard);
+                let mut spec = RunSpec::new(bench, Scale::Tiny, point.clone()).with_trace(1 << 10);
+                if let Some(plan) = random_faults(g, &point) {
+                    spec = spec.with_faults(plan);
+                }
+                if let Some(every) = g.bool().then(|| g.range(100, 5_000)) {
+                    spec = spec.with_telemetry(every);
+                }
+                // Every pause falls inside the run, so the prototype's state
+                // is live when it is saved; the check above covers epochs
+                // past the end.
+                assert_checkpoint_invisible(&spec, |total| g.range(1, total));
+            }
+        },
+    );
 }
 
 /// A failed reference run has no kernel time to draw its checkpoint epoch
