@@ -312,12 +312,14 @@ impl DesignPoint {
     }
 
     /// The per-PE and per-tile FPGA resource estimate of this point for
-    /// `bench` (`None` for CPU points and for workers the `pxl-cost` model
-    /// does not know). The central ablation keeps FlexArch's tile hardware
-    /// (P-Store, full task model) and only swaps the queue organization, so
-    /// it costs flex-tile resources.
+    /// `bench` (`None` for CPU points, for Zedboard points, whose stream
+    /// buffers the model does not price, and for workers the `pxl-cost`
+    /// model does not know). The central ablation keeps FlexArch's tile
+    /// hardware (P-Store, full task model) and only swaps the queue
+    /// organization, so it costs flex-tile resources.
     pub fn resources(&self, bench: &str) -> Option<TileResources> {
-        let kind = self.arch.arch_kind()?;
+        let coherent = self.platform == Platform::Coherent;
+        let kind = self.arch.arch_kind().filter(|_| coherent)?;
         tile_resources(
             bench,
             kind != ArchKind::Lite,
@@ -935,6 +937,8 @@ mod tests {
             "central keeps flex tiles"
         );
         assert_eq!(DesignPoint::cpu(4).resources("stencil2d"), None);
+        let zed = DesignPoint::accel(PointArch::Flex, 1, 4).on_platform(Platform::Zedboard);
+        assert_eq!(zed.resources("stencil2d"), None, "zedboard is unpriced");
         assert_eq!(
             DesignPoint::accel(PointArch::Flex, 4, 4).resources("my-custom-kernel"),
             None,

@@ -23,7 +23,9 @@
 //! without rewriting any code" (Section IV-C) — that is a `pxl-dse` search
 //! space over design points. The same template runs on the simulated SoC
 //! and on the Zedboard prototype (Fig. 6): the platform is one more member
-//! of the design point, so a prototype run is a spec like any other.
+//! of the design point, so a prototype run is a spec like any other. The
+//! cost models price only the simulated SoC, so [`measure`] and the job
+//! server refuse a Zedboard spec ([`RunSpec::check_priced`]).
 //!
 //! # Examples
 //!

@@ -197,8 +197,10 @@ fn warn_dropped(outcome: RunOutcome) -> Option<RunOutcome> {
 ///
 /// Any [`execute`] failure; a spec whose benchmark has no LiteArch
 /// mapping fails as [`FlowError::NoLiteVariant`] (a measurement, unlike a
-/// run, cannot represent "not applicable").
+/// run, cannot represent "not applicable"), and a Zedboard spec fails
+/// [`RunSpec::check_priced`] before it is simulated.
 pub fn measure(spec: &RunSpec, resources: Option<&TileResources>) -> Result<Measurement, RunError> {
+    spec.check_priced().map_err(RunError::Build)?;
     let out = execute(spec)?
         .ok_or_else(|| RunError::Build(FlowError::NoLiteVariant(spec.benchmark.clone())))?;
     Ok(measurement_of(spec, resources, &out))
@@ -207,7 +209,9 @@ pub fn measure(spec: &RunSpec, resources: Option<&TileResources>) -> Result<Meas
 /// Folds the energy and FPGA-resource models into an already-completed
 /// outcome of `spec` — the deterministic mapping [`measure`] applies, split
 /// out for callers (the `pxl-serve` job server) that need the outcome's
-/// metrics *and* the measurement from one simulation.
+/// metrics *and* the measurement from one simulation. The models price
+/// the simulated SoC only: callers refuse a spec
+/// [`RunSpec::check_priced`] refuses.
 pub fn measurement_of(
     spec: &RunSpec,
     resources: Option<&TileResources>,
@@ -290,6 +294,19 @@ mod tests {
         let err = measure(&spec, None).unwrap_err();
         assert!(
             matches!(&err, RunError::Build(FlowError::NoLiteVariant(n)) if n == "cilksort"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zedboard_specs_run_but_are_not_measured() {
+        let point =
+            DesignPoint::accel(PointArch::Flex, 1, 4).on_platform(pxl_arch::Platform::Zedboard);
+        let spec = RunSpec::new("uts", Scale::Tiny, point);
+        assert!(execute(&spec).unwrap().is_some());
+        let err = measure(&spec, None).unwrap_err();
+        assert!(
+            matches!(&err, RunError::Build(FlowError::InvalidConfig(m)) if m.contains("Zedboard")),
             "{err}"
         );
     }

@@ -202,6 +202,24 @@ impl RunSpec {
         self
     }
 
+    /// Refuses a spec the energy and FPGA-resource models cannot price.
+    /// They describe the simulated SoC; the Zedboard prototype's Cortex-A9
+    /// cores and stream buffers have no model, so a Zedboard spec is
+    /// refused wherever a [`Measurement`](pxl_dse::Measurement) would be
+    /// made.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::InvalidConfig`](crate::FlowError::InvalidConfig) for a
+    /// Zedboard spec.
+    pub fn check_priced(&self) -> Result<(), crate::FlowError> {
+        if self.point.platform == Platform::Zedboard {
+            let why = "the energy and resource models do not price the Zedboard prototype";
+            return Err(crate::FlowError::InvalidConfig(why.to_owned()));
+        }
+        Ok(())
+    }
+
     /// The canonical one-line identity string: benchmark, scale and the
     /// point's spec, plus trace/profile/fault terms only when they differ
     /// from the defaults. Two specs are the same run if and only if their

@@ -76,7 +76,8 @@ wire_labels! {
         BadRequest = "bad_request",
         /// The request's `"op"` is not one the server knows.
         UnknownOp = "unknown_op",
-        /// The submitted spec failed [`RunSpec::from_json_value`].
+        /// The submitted spec failed [`RunSpec::from_json_value`] or
+        /// [`RunSpec::check_priced`].
         BadSpec = "bad_spec",
         /// The tenant already has its quota of queued jobs.
         QuotaExceeded = "quota_exceeded",
@@ -190,10 +191,14 @@ impl Request {
                     .ok_or_else(|| bad(format!("unknown kind {kind_label:?} (sim|dse|profile)")))?;
                 let spec_value = json::get(&value, "spec")
                     .map_err(|_| bad("submit needs a 'spec' object".to_owned()))?;
-                let spec =
-                    RunSpec::from_json_value(spec_value).map_err(|e: SpecError| RequestError {
+                // Every job reports a measurement, so a spec the cost
+                // models cannot price is refused with the malformed ones.
+                let spec = RunSpec::from_json_value(spec_value)
+                    .map_err(|e: SpecError| e.to_string())
+                    .and_then(|s| s.check_priced().map_err(|e| e.to_string()).map(|()| s))
+                    .map_err(|message| RequestError {
                         code: ErrorCode::BadSpec,
-                        message: e.to_string(),
+                        message,
                     })?;
                 Ok(Request::Submit {
                     tenant: tenant.to_owned(),

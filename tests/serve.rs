@@ -238,6 +238,17 @@ fn malformed_requests_are_rejected_with_typed_codes() {
             ),
             ErrorCode::BadSpec,
         ),
+        // A Zedboard flex point runs, but every job reports a measurement
+        // and the cost models do not price the prototype.
+        (
+            concat!(
+                "{\"op\":\"submit\",\"tenant\":\"t\",\"kind\":\"dse\",\"spec\":",
+                "{\"benchmark\":\"uts\",\"scale\":\"tiny\",\"point\":{\"arch\":\"flex\",",
+                "\"tiles\":1,\"pes_per_tile\":4,\"cache_kb\":32,\"task_queue_entries\":1024,",
+                "\"pstore_entries\":8192,\"platform\":\"zedboard\"}}}"
+            ),
+            ErrorCode::BadSpec,
+        ),
     ];
     for (line, expected) in cases {
         writeln!(writer, "{line}").unwrap();
