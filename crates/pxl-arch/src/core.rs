@@ -17,7 +17,9 @@ use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, Task};
 use pxl_sim::json::{self, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
-use pxl_sim::{Clock, EventQueue, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer};
+use pxl_sim::{
+    Clock, CounterId, EventQueue, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
+};
 
 use crate::fabric::{AccelError, AccelResult};
 
@@ -80,13 +82,39 @@ fn sampler(clock: &Clock, every_cycles: u64) -> Option<TelemetrySampler> {
     (every_cycles > 0).then(|| TelemetrySampler::new(clock.cycles_to_time(every_cycles)))
 }
 
+/// Counter handles resolved on first use, for the engines that register a
+/// name only once something counts under it: LiteArch and the CPU baseline
+/// (an idle core reports no `core{n}.*`, a single core no `cpu.steal_*`).
+/// The fabric registers every name up front instead (`FabricIds`), so its
+/// idle PEs report zero. The handles index the registry they were resolved
+/// in; [`EngineCore`] forgets them whenever it replaces that registry.
+#[derive(Debug, Default)]
+struct LazyCounters {
+    /// Engine-wide names; `names[i]` is counter `i` of [`EngineCore::count`].
+    names: &'static [&'static str],
+    /// Prefix of the per-unit pair: unit `u` counts under
+    /// `{prefix}{u}.tasks` and `{prefix}{u}.busy_ps`.
+    unit_prefix: &'static str,
+    named: Vec<Option<CounterId>>,
+    units: Vec<Option<[CounterId; 2]>>,
+}
+
+impl LazyCounters {
+    fn forget(&mut self) {
+        self.named.fill(None);
+        self.units.fill(None);
+    }
+}
+
 /// The runtime services every engine embeds. See the module docs.
 #[derive(Debug)]
 pub struct EngineCore {
     /// Functional memory the workers read and write.
     pub mem: Memory,
     /// The metrics registry; the fault/watchdog families and
-    /// `trace.dropped` are registered from construction on.
+    /// `trace.dropped` are registered from construction on. The lazy
+    /// counter handles index it, so it is replaced only by
+    /// [`EngineCore::restore`] and the end-of-run rollup.
     pub metrics: Metrics,
     /// The engine's structured event trace.
     pub trace: Tracer,
@@ -104,6 +132,7 @@ pub struct EngineCore {
     pub next_task_id: u64,
     /// The host result registers.
     pub host: [Option<u64>; HOST_SLOTS],
+    lazy: LazyCounters,
 }
 
 impl EngineCore {
@@ -127,7 +156,79 @@ impl EngineCore {
             telemetry: sampler(clock, telemetry_every_cycles),
             next_task_id: 1,
             host: [None; HOST_SLOTS],
+            lazy: LazyCounters::default(),
         }
+    }
+
+    /// Names the counters [`EngineCore::count`] and
+    /// [`EngineCore::count_task`] register on first use: `names[i]` is
+    /// engine-wide counter `i`, and each of `units` units `u` counts its
+    /// tasks and busy time under `{unit_prefix}{u}.tasks` and
+    /// `{unit_prefix}{u}.busy_ps`. A name enters the registry, and so the
+    /// snapshot and the report, only once something counts under it.
+    pub fn with_lazy_counters(
+        mut self,
+        names: &'static [&'static str],
+        unit_prefix: &'static str,
+        units: usize,
+    ) -> Self {
+        self.lazy = LazyCounters {
+            names,
+            unit_prefix,
+            named: vec![None; names.len()],
+            units: vec![None; units],
+        };
+        self
+    }
+
+    /// Adds `delta` to engine-wide lazy counter `i`, registering its name
+    /// on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` names no counter of [`EngineCore::with_lazy_counters`].
+    #[inline]
+    pub fn count(&mut self, i: usize, delta: u64) {
+        let id = match self.lazy.named[i] {
+            Some(id) => id,
+            None => *self.lazy.named[i].insert(self.metrics.register_counter(self.lazy.names[i])),
+        };
+        self.metrics.add_to(id, delta);
+    }
+
+    /// Counts one task of `busy_ps` on `unit`, registering the unit's
+    /// `tasks`/`busy_ps` pair on its first task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is past the units of
+    /// [`EngineCore::with_lazy_counters`].
+    #[inline]
+    pub fn count_task(&mut self, unit: usize, busy_ps: u64) {
+        let [tasks, busy] = match self.lazy.units[unit] {
+            Some(ids) => ids,
+            None => self.resolve_unit(unit),
+        };
+        self.metrics.inc(tasks);
+        self.metrics.add_to(busy, busy_ps);
+    }
+
+    #[cold]
+    fn resolve_unit(&mut self, unit: usize) -> [CounterId; 2] {
+        let prefix = self.lazy.unit_prefix;
+        *self.lazy.units[unit].insert([
+            self.metrics
+                .register_counter(&format!("{prefix}{unit}.tasks")),
+            self.metrics
+                .register_counter(&format!("{prefix}{unit}.busy_ps")),
+        ])
+    }
+
+    /// Installs `metrics` as the registry and returns the old one. Every
+    /// lazy handle indexes the old registry, so all are forgotten here.
+    fn replace_metrics(&mut self, metrics: Metrics) -> Metrics {
+        self.lazy.forget();
+        std::mem::replace(&mut self.metrics, metrics)
     }
 
     fn fresh_metrics() -> Metrics {
@@ -268,7 +369,7 @@ impl EngineCore {
         let mut metrics = EngineCore::fresh_metrics();
         register(&mut metrics);
         metrics.merge(&saved);
-        self.metrics = metrics;
+        self.replace_metrics(metrics);
         self.mem
             .restore_state(json::get(p, "mem")?)
             .map_err(malformed)?;
@@ -387,6 +488,35 @@ pub fn index_in(word: u64, bound: usize, what: &str) -> Result<usize, String> {
         .ok()
         .filter(|&i| i < bound)
         .ok_or_else(|| format!("{what} {word} is out of range 0..{bound}"))
+}
+
+/// Reads a continuation word of a snapshot's event: a host slot must lie
+/// in `0..HOST_SLOTS`, a P-Store target in `0..tiles` tiles and
+/// `0..pstore_entries` entries, and the word must be the encoding of the
+/// continuation it decodes to (no stray bits).
+///
+/// # Errors
+///
+/// Names the word and what is wrong with it.
+pub fn continuation_in(
+    word: u64,
+    tiles: usize,
+    pstore_entries: usize,
+) -> Result<Continuation, String> {
+    let k = Continuation::decode(word);
+    if k.encode() != word {
+        return Err(format!(
+            "continuation word {word:#x} does not re-encode to itself"
+        ));
+    }
+    match k {
+        Continuation::Host { slot } => index_in(slot.into(), HOST_SLOTS, "host slot")?,
+        Continuation::PStore { tile, entry, .. } => {
+            index_in(tile.into(), tiles, "continuation tile")?;
+            index_in(entry.into(), pstore_entries, "P-Store entry")?
+        }
+    };
+    Ok(k)
 }
 
 /// Launch and drain state of a run from one root task: the fabric's and the
@@ -631,7 +761,7 @@ pub trait EmbedsCore {
         AccelResult {
             result,
             elapsed,
-            metrics: std::mem::take(&mut core.metrics),
+            metrics: core.replace_metrics(Metrics::new()),
             trace,
             timeline,
         }

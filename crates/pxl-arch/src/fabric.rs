@@ -45,7 +45,8 @@ use pxl_sim::{
 use crate::api::{Engine, EngineKind, Workload};
 use crate::config::{AccelConfig, LinkTopology, Platform};
 use crate::core::{
-    events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun, UnitState,
+    continuation_in, events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun,
+    UnitState,
 };
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
 use crate::pstore::{PStore, PStoreError};
@@ -389,12 +390,15 @@ impl Event {
     /// `slab` and the rebuilt event carries the fresh slot. Unit indices
     /// must name one of `num_pes` PEs (a steal victim may also name the
     /// host block, unit `num_pes`), fault-spec indices one of the plan's
-    /// `num_specs` specs, and retry attempts must fit a `u8`.
+    /// `num_specs` specs, retry attempts must fit a `u8`, and an argument's
+    /// continuation must name a host slot or an entry of one of `tiles`
+    /// P-Stores of `pstore_entries` entries.
     fn from_words(
         words: &[u64],
         slab: &mut EventSlab<Task>,
         num_pes: usize,
         num_specs: usize,
+        (tiles, pstore_entries): (usize, usize),
     ) -> Result<Event, String> {
         let tag = *words.first().ok_or("event encoding is empty")?;
         let expect = |n: usize| -> Result<(), String> {
@@ -408,6 +412,7 @@ impl Event {
             }
         };
         let pe = |w: u64| index_in(w, num_pes, "unit");
+        let k = |w: u64| continuation_in(w, tiles, pstore_entries);
         let spec = |w: u64| index_in(w, num_specs, "fault spec");
         let opt = |w: u64| (w != 0).then(|| spec(w - 1)).transpose();
         let attempt =
@@ -437,7 +442,7 @@ impl Event {
             3 => {
                 expect(6)?;
                 Ok(Event::ArgArrive {
-                    k: Continuation::decode(words[1]),
+                    k: k(words[1])?,
                     value: words[2],
                     from_pe: pe(words[3])?,
                     from_task: words[4],
@@ -461,7 +466,7 @@ impl Event {
             6 => {
                 expect(7)?;
                 Ok(Event::ArgResend {
-                    k: Continuation::decode(words[1]),
+                    k: k(words[1])?,
                     value: words[2],
                     from_pe: pe(words[3])?,
                     from_task: words[4],
@@ -1110,8 +1115,9 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
             .fault_plan
             .as_ref()
             .map_or(0, |plan| plan.specs().len());
+        let pstore_shape = (self.pstores.len(), self.cfg.pstore_entries);
         read_events(p, &mut self.events, |body| {
-            Event::from_words(body, &mut self.task_slab, num_pes, num_specs)
+            Event::from_words(body, &mut self.task_slab, num_pes, num_specs, pstore_shape)
         })?;
 
         self.policy

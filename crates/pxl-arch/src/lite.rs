@@ -26,6 +26,14 @@ use crate::core::{EmbedsCore, EngineCore};
 use crate::fabric::{timed_memory_path, AccelError, MemBackend, RunStatus};
 use crate::policy::StaticRoundPolicy;
 
+/// The engine-wide counters, registered on first use
+/// ([`EngineCore::count`]).
+const COUNTERS: &[&str] = &["accel.tasks", "accel.ops", "lite.rounds", "lite.tasks"];
+const TASKS: usize = 0;
+const OPS: usize = 1;
+const ROUNDS: usize = 2;
+const ROUND_TASKS: usize = 3;
+
 /// One round of statically distributed tasks.
 pub type RoundTasks = Vec<Task>;
 
@@ -136,7 +144,8 @@ impl LiteEngine {
                 cfg.watchdog_quiescence_cycles,
                 cfg.trace_capacity,
                 cfg.telemetry_every_cycles,
-            ),
+            )
+            .with_lazy_counters(COUNTERS, "pe", cfg.num_pes()),
             backend: MemBackend::for_config(&cfg),
             now: Time::ZERO,
             round: 0,
@@ -234,8 +243,8 @@ impl Engine for LiteEngine {
             let Some(tasks) = driver.next_round(&mut self.core.mem, round) else {
                 break;
             };
-            self.core.metrics.incr("lite.rounds");
-            self.core.metrics.add("lite.tasks", tasks.len() as u64);
+            self.core.count(ROUNDS, 1);
+            self.core.count(ROUND_TASKS, tasks.len() as u64);
             let mut now = self.now
                 + self
                     .cfg
@@ -388,10 +397,9 @@ impl LiteEngine {
             return Err(e);
         }
         let busy_ps = (end - start).as_ps();
-        self.core.metrics.incr("accel.tasks");
-        self.core.metrics.incr(&format!("pe{pe}.tasks"));
-        self.core.metrics.add("accel.ops", ops);
-        self.core.metrics.add(&format!("pe{pe}.busy_ps"), busy_ps);
+        self.core.count(TASKS, 1);
+        self.core.count(OPS, ops);
+        self.core.count_task(pe, busy_ps);
         self.core.trace.emit(
             start,
             TraceEvent::TaskDispatch {

@@ -35,6 +35,14 @@ const JOIN_FRAME_BASE: u64 = 0x4000_0000_0000;
 /// head/tail words); thieves and victims contend on these lines.
 const DEQUE_META_BASE: u64 = 0x4100_0000_0000;
 
+/// The engine-wide counters, registered on first use
+/// ([`EngineCore::count`]): a single core never steals, so it reports no
+/// `cpu.steal_*`.
+const COUNTERS: &[&str] = &["cpu.tasks", "cpu.steal_attempts", "cpu.steal_hits"];
+const TASKS: usize = 0;
+const STEAL_ATTEMPTS: usize = 1;
+const STEAL_HITS: usize = 2;
+
 /// Instruction costs of the software runtime's primitives.
 ///
 /// Derived from published Cilk-5/Cilk Plus overhead analyses: a spawn is a
@@ -183,6 +191,9 @@ pub struct CpuEngine {
     pending: Vec<Option<PendingTask>>,
     pending_free: Vec<u32>,
     events: EventQueue<Event>,
+    /// Reusable buffer for the tasks a task's joins make ready, recycled
+    /// across task executions so a join costs no allocation.
+    scratch_ready: Vec<Task>,
 }
 
 impl CpuEngine {
@@ -247,7 +258,8 @@ impl CpuEngine {
                 WATCHDOG_QUIESCENCE_CYCLES,
                 0,
                 0,
-            ),
+            )
+            .with_lazy_counters(COUNTERS, "core", cores),
             root: RootRun::default(),
             core_params,
             costs,
@@ -261,6 +273,7 @@ impl CpuEngine {
             pending: Vec::new(),
             pending_free: Vec::new(),
             events: EventQueue::new(),
+            scratch_ready: Vec::new(),
         }
     }
 
@@ -312,7 +325,7 @@ impl CpuEngine {
                 now + self.runtime_cycles(self.costs.steal_attempt_instrs),
                 Event::StealTry { core },
             );
-            self.core.metrics.incr("cpu.steal_attempts");
+            self.core.count(STEAL_ATTEMPTS, 1);
         }
         // A single core with an empty deque parks; outstanding bookkeeping
         // wakes it via TaskRun events.
@@ -343,7 +356,7 @@ impl CpuEngine {
         );
         match self.deques[victim].steal_head(t) {
             Some(task) => {
-                self.core.metrics.incr("cpu.steal_hits");
+                self.core.count(STEAL_HITS, 1);
                 self.core.trace.emit(
                     t,
                     TraceEvent::StealGrant {
@@ -380,26 +393,24 @@ impl CpuEngine {
             },
         );
         let mut deque = std::mem::replace(&mut self.deques[core], TaskDeque::new(0));
+        let ready = std::mem::take(&mut self.scratch_ready);
         let mut ctx = CpuCtx {
             now: start,
             core,
             cur_task: task.id,
             engine: self,
             deque: &mut deque,
-            ready: Vec::new(),
+            ready,
             spawned: 0,
         };
         worker.execute(&task, &mut ctx);
         let end = ctx.now;
-        let ready = std::mem::take(&mut ctx.ready);
+        let mut ready = std::mem::take(&mut ctx.ready);
         let spawned = ctx.spawned;
         self.deques[core] = deque;
         self.root.outstanding += spawned + ready.len() as u64;
-        self.core.metrics.incr("cpu.tasks");
-        self.core.metrics.incr(&format!("core{core}.tasks"));
-        self.core
-            .metrics
-            .add(&format!("core{core}.busy_ps"), (end - start).as_ps());
+        self.core.count(TASKS, 1);
+        self.core.count_task(core, (end - start).as_ps());
         self.core.trace.emit(
             end,
             TraceEvent::TaskComplete {
@@ -412,11 +423,12 @@ impl CpuEngine {
         // Greedy continuation: tasks made ready by this core run on this
         // core next (they were pushed LIFO inside the context); nothing else
         // to do beyond waking up.
-        for task in ready {
+        for task in ready.drain(..) {
             self.deques[core]
                 .push_tail(task, end)
                 .expect("software deque is unbounded");
         }
+        self.scratch_ready = ready;
         self.root.last_useful = self.root.last_useful.max(end);
         self.core.watchdog.progress(end, core);
         self.root.outstanding -= 1;

@@ -40,6 +40,8 @@ use pxl_sim::Time;
 pub struct BandwidthMeter {
     epoch_ps: u64,
     used: HashMap<u64, u64, Mix64Build>,
+    /// The sum of `used`, kept as it changes so reading it costs nothing.
+    committed_ps: u64,
 }
 
 impl BandwidthMeter {
@@ -53,6 +55,7 @@ impl BandwidthMeter {
         BandwidthMeter {
             epoch_ps,
             used: HashMap::default(),
+            committed_ps: 0,
         }
     }
 
@@ -86,6 +89,7 @@ impl BandwidthMeter {
             }
             let take = remaining.min(self.epoch_ps - *used);
             *used += take;
+            self.committed_ps += take;
             remaining -= take;
             if remaining == 0 {
                 return start.expect("start set on first reservation");
@@ -96,7 +100,7 @@ impl BandwidthMeter {
 
     /// Total committed service time (for tests/stats).
     pub fn total_committed_ps(&self) -> u64 {
-        self.used.values().sum()
+        self.committed_ps
     }
 
     /// Epoch length in picoseconds.
@@ -128,7 +132,8 @@ impl BandwidthMeter {
     /// # Errors
     ///
     /// Returns a message for anything that is not an array of
-    /// `[epoch, used]` pairs.
+    /// `[epoch, used]` pairs, or pairs whose committed time overflows
+    /// `u64`.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
         let pairs = value
             .as_array()
@@ -141,6 +146,10 @@ impl BandwidthMeter {
             };
             used.insert(epoch, committed);
         }
+        self.committed_ps = used
+            .values()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c))
+            .ok_or("bandwidth state: committed time overflows u64")?;
         self.used = used;
         Ok(())
     }
@@ -192,12 +201,24 @@ mod tests {
         assert!(next >= Time::from_ps(2_000));
     }
 
+    /// The sum of the `[epoch, used_ps]` pairs the meter serializes.
+    fn sum_of_pairs(m: &BandwidthMeter) -> u64 {
+        let state = m.state_to_json_value();
+        let pairs = state.as_array().unwrap();
+        pairs
+            .iter()
+            .map(|p| json::u64s(p, "pair").unwrap()[1])
+            .sum()
+    }
+
     #[test]
     fn state_round_trip_resumes_identically() {
         let mut a = BandwidthMeter::new(1_000);
         for i in 0..10 {
             let _ = a.acquire(Time::from_ps(i * 300), 400);
         }
+        assert_eq!(a.total_committed_ps(), sum_of_pairs(&a));
+        assert_eq!(a.total_committed_ps(), 4_000);
         let state = a.state_to_json_value();
         let mut b = BandwidthMeter::new(1_000);
         b.restore_state(&state).unwrap();
@@ -209,8 +230,27 @@ mod tests {
                 b.acquire(Time::from_ps(i * 150), 250)
             );
         }
+        for m in [&a, &b] {
+            assert_eq!(m.total_committed_ps(), sum_of_pairs(m));
+        }
+        assert_eq!(b.total_committed_ps(), 9_000);
+        // A restore replaces the running total along with the epochs.
+        let mut c = BandwidthMeter::new(1_000);
+        let _ = c.acquire(Time::ZERO, 700);
+        c.restore_state(&state).unwrap();
+        assert_eq!(c.total_committed_ps(), 4_000);
         let bad = JsonValue::parse("[[1]]").unwrap();
         assert!(b.restore_state(&bad).is_err());
+        let overflow = JsonValue::parse(&format!("[[0,{}],[1,1]]", u64::MAX)).unwrap();
+        assert!(b
+            .restore_state(&overflow)
+            .unwrap_err()
+            .contains("overflows"));
+        assert_eq!(
+            b.total_committed_ps(),
+            9_000,
+            "a refused state changes nothing"
+        );
     }
 
     #[test]

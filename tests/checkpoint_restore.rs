@@ -7,11 +7,13 @@
 //! engines (on the simulated SoC and the Zedboard prototype), fault plans,
 //! telemetry epochs and checkpoint epochs.
 
-use parallelxl::apps::Scale;
+use parallelxl::apps::{by_name, Scale};
+use parallelxl::arch::RunStatus;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, Platform, PointArch, RunError, RunOutcome,
-    RunSpec, SessionStatus, SimSession, Snapshot, SnapshotError, Time, SNAPSHOT_VERSION,
+    execute, AccelResult, ClusterPoint, DesignPoint, Engine, EngineKind, FaultPlan, LiteDriver,
+    Platform, PointArch, RunError, RunOutcome, RunSpec, SessionStatus, SimSession,
+    SimulationBuilder, Snapshot, SnapshotError, Task, Time, Worker, Workload, SNAPSHOT_VERSION,
 };
 
 /// A random design point: any of the engines at small shapes, including
@@ -181,6 +183,97 @@ fn a_failing_run_fails_the_same_way_after_a_restore() {
     assert!(execute(&spec).is_err(), "the reference must fail");
     for epoch in [1_000, 30_000, 60_000] {
         assert_checkpoint_invisible(&spec, |_| epoch);
+    }
+}
+
+/// An engine built from `spec` with the benchmark's inputs in its memory,
+/// driven leg by leg through `Engine::run_until`.
+struct Driven {
+    engine: Box<dyn Engine>,
+    worker: Box<dyn Worker>,
+    shape: Result<Task, Box<dyn LiteDriver>>,
+}
+
+impl Driven {
+    fn new(spec: &RunSpec) -> Driven {
+        let bench = by_name(&spec.benchmark, spec.scale).expect("known benchmark");
+        let mut engine = SimulationBuilder::from_run_spec(spec)
+            .and_then(|b| b.build())
+            .expect("valid point");
+        let (worker, shape) = if engine.kind() == EngineKind::Lite {
+            let inst = bench.lite(engine.mem_mut()).expect("lite mapping");
+            (inst.worker, Err(inst.driver))
+        } else {
+            let inst = bench.flex(engine.mem_mut());
+            (inst.worker, Ok(inst.root))
+        };
+        Driven {
+            engine,
+            worker,
+            shape,
+        }
+    }
+
+    fn run_until(&mut self, pause_at: Option<Time>) -> RunStatus {
+        let workload = match &mut self.shape {
+            Ok(root) => Workload::dynamic(self.worker.as_mut(), *root),
+            Err(driver) => Workload::rounds(self.worker.as_mut(), driver.as_mut()),
+        };
+        self.engine.run_until(workload, pause_at).expect("run leg")
+    }
+
+    fn finish(&mut self) -> AccelResult {
+        match self.run_until(None) {
+            RunStatus::Finished(out) => out,
+            RunStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
+        }
+    }
+}
+
+/// The CPU baseline and LiteArch resolve their counter handles on a unit's
+/// first task, and a restore rebuilds the registry those handles index. An
+/// engine that has already run part of another leg, so its handles are
+/// resolved, must forget them when it restores: the finished run's result,
+/// metrics and trace equal the uninterrupted run's.
+#[test]
+fn a_restore_into_a_used_engine_forgets_its_counter_handles() {
+    for point in [
+        DesignPoint::cpu(4),
+        DesignPoint::accel(PointArch::Lite, 1, 4),
+    ] {
+        let spec = RunSpec::new("uts", Scale::Tiny, point)
+            .with_trace(1 << 14)
+            .with_telemetry(500);
+        let reference = Driven::new(&spec).finish();
+        let at = |num: u64| Time::from_ps(reference.elapsed.as_ps() * num / 4);
+        let mut source = Driven::new(&spec);
+        assert!(matches!(
+            source.run_until(Some(at(2))),
+            RunStatus::Paused { .. }
+        ));
+        let snap = Snapshot::from_json(&source.engine.snapshot().to_json()).unwrap();
+        let mut used = Driven::new(&spec);
+        assert!(matches!(
+            used.run_until(Some(at(3))),
+            RunStatus::Paused { .. }
+        ));
+        used.engine
+            .restore(&snap)
+            .expect("restore into a used engine");
+        let out = used.finish();
+        assert_eq!(out.result, reference.result, "{spec:?}");
+        assert_eq!(out.elapsed, reference.elapsed, "{spec:?}");
+        assert_eq!(
+            out.metrics.to_json(),
+            reference.metrics.to_json(),
+            "{spec:?}"
+        );
+        assert_eq!(out.trace.to_jsonl(), reference.trace.to_jsonl(), "{spec:?}");
+        assert_eq!(
+            out.timeline.to_jsonl(),
+            reference.timeline.to_jsonl(),
+            "{spec:?}"
+        );
     }
 }
 

@@ -116,3 +116,52 @@ fn dynamic_engines_share_the_steal_vocabulary() {
         );
     }
 }
+
+/// The CPU baseline and LiteArch register a name only once something
+/// counts under it: a core or Lite PE that ran no task reports no
+/// `core{n}.*` or `pe{n}.*`, and a single core, which never steals, no
+/// `cpu.steal_*`. (The fabric registers every name up front, so its idle
+/// PEs report zero.) These lists pin Tiny uts exactly.
+#[test]
+fn lazily_registered_names_appear_only_once_counted() {
+    const MEM: &str = "mem.bus_txns mem.c2c_transfers mem.dirty_transfers mem.dram_bytes \
+        mem.dram_lines mem.dram_sat_events mem.l1_hits mem.l1_misses mem.l1_writebacks \
+        mem.l2_evictions mem.l2_hits mem.l2_misses mem.l2_writebacks mem.prefetches \
+        mem.remote_invalidations mem.upgrades";
+    const FAULT: &str = "fault.injected fault.recovered fault.skipped fault.unrecovered";
+    let cores = |ids: &[u32]| -> String {
+        ids.iter()
+            .map(|c| format!("core{c}.busy_ps core{c}.tasks"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    // Sixteen cores, nine of which ever ran a task; ids sort as text.
+    let cpu16 = format!(
+        "{} cpu.queue_peak_sum cpu.steal_attempts cpu.steal_hits cpu.tasks {FAULT} {MEM} \
+         trace.dropped watchdog.stalls",
+        cores(&[0, 12, 13, 14, 15, 2, 5, 6, 8])
+    );
+    let cpu1 = format!(
+        "{} cpu.queue_peak_sum cpu.tasks {FAULT} {MEM} trace.dropped watchdog.stalls",
+        cores(&[0])
+    );
+    let pes: Vec<String> = [0, 1, 10, 11, 12, 13, 14, 15, 2, 3, 4, 5, 6, 7, 8, 9]
+        .iter()
+        .map(|p| format!("pe{p}.busy_ps pe{p}.tasks"))
+        .collect();
+    let lite = format!(
+        "accel.ops accel.tasks {FAULT} lite.rounds lite.tasks {MEM} {} trace.dropped \
+         watchdog.stalls",
+        pes.join(" ")
+    );
+    for (point, expected) in [
+        (DesignPoint::cpu(16), cpu16),
+        (DesignPoint::cpu(1), cpu1),
+        (DesignPoint::accel(PointArch::Lite, 4, 4), lite),
+    ] {
+        let out = run("uts", point.clone());
+        let names: Vec<&str> = out.metrics.iter().map(|(name, ..)| name).collect();
+        let expected: Vec<&str> = expected.split_whitespace().collect();
+        assert_eq!(names, expected, "{point:?}");
+    }
+}

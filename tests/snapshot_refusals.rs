@@ -218,6 +218,45 @@ fn an_event_naming_a_unit_past_the_engine_is_refused() {
 }
 
 #[test]
+fn an_argument_to_a_continuation_past_the_engine_is_refused() {
+    // One tile of four PEs, with the default 8192-entry P-Store.
+    let flex = RunSpec::new(
+        "uts",
+        Scale::Tiny,
+        DesignPoint::accel(PointArch::Flex, 1, 4),
+    );
+    let snap = paused_at_cycle_1000(&flex);
+    let stray = Continuation::pstore(0, 0, 1).encode() | 1 << 60;
+    for (k, needle) in [
+        (
+            Continuation::host(200).encode(),
+            "host slot 200 is out of range 0..8".to_owned(),
+        ),
+        (
+            Continuation::pstore(99, 0, 0).encode(),
+            "continuation tile 99 is out of range 0..1".to_owned(),
+        ),
+        (
+            Continuation::pstore(0, 8192, 0).encode(),
+            "P-Store entry 8192 is out of range 0..8192".to_owned(),
+        ),
+        (
+            stray,
+            format!("continuation word {stray:#x} does not re-encode to itself"),
+        ),
+    ] {
+        // An argument arriving (tag 3) and one being retransmitted (tag 6).
+        for words in [vec![3, k, 0, 0, 0, 0], vec![6, k, 0, 0, 0, 0, 0]] {
+            let message = refusal(&flex, &with_first_event(&snap, &words));
+            assert!(
+                message.contains(&format!("events: {needle}")),
+                "{words:?}: {message}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_result_slot_past_the_host_slots_is_refused() {
     for point in [
         DesignPoint::accel(PointArch::Flex, 1, 4),
