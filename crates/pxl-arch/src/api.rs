@@ -165,10 +165,12 @@ pub trait Engine: EmbedsCore + std::fmt::Debug {
         self.core().host_result(slot)
     }
 
-    /// Runs `workload` to completion. Call once per engine.
+    /// Runs `workload` to completion. Call once per engine (or once per
+    /// [`Engine::restore`]).
     ///
     /// # Errors
     ///
+    /// [`AccelError::Finished`] when the engine already finished a run,
     /// [`AccelError::Unsupported`] when the workload shape does not match
     /// the engine (e.g. rounds on FlexArch), plus every error the concrete
     /// engine's own run path can produce.
@@ -191,6 +193,21 @@ pub trait Engine: EmbedsCore + std::fmt::Debug {
     ///
     /// As [`Engine::run`].
     fn run_until(
+        &mut self,
+        workload: Workload<'_>,
+        pause_at: Option<Time>,
+    ) -> Result<RunStatus, AccelError> {
+        self.core().check_runnable()?;
+        self.advance(workload, pause_at)
+    }
+
+    /// The engine's own leg of [`Engine::run_until`], which calls it only
+    /// on an engine that has not finished its run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`].
+    fn advance(
         &mut self,
         workload: Workload<'_>,
         pause_at: Option<Time>,

@@ -74,6 +74,12 @@ pub enum ConfigError {
         /// The rejected tile count.
         tiles: usize,
     },
+    /// More tiles than the coherent memory system has L1 ports (one per
+    /// tile, at most [`pxl_mem::MAX_L1_PORTS`]).
+    TooManyPorts {
+        /// The rejected tile count.
+        tiles: usize,
+    },
     /// The quiescence watchdog window is zero.
     ZeroWatchdogWindow,
     /// The tile cache capacity does not form an integral, power-of-two
@@ -125,6 +131,11 @@ impl std::fmt::Display for ConfigError {
                     "tile index must fit the continuation encoding ({tiles} tiles)"
                 )
             }
+            ConfigError::TooManyPorts { tiles } => write!(
+                f,
+                "{tiles} tiles need {tiles} L1 ports; the coherent memory system has at most {}",
+                pxl_mem::MAX_L1_PORTS
+            ),
             ConfigError::ZeroWatchdogWindow => {
                 write!(f, "the quiescence watchdog needs a nonzero window")
             }
@@ -572,6 +583,9 @@ impl AccelConfig {
         if self.tiles > u16::MAX as usize {
             return Err(ConfigError::TooManyTiles { tiles: self.tiles });
         }
+        if self.platform == Platform::Coherent && self.tiles > pxl_mem::MAX_L1_PORTS {
+            return Err(ConfigError::TooManyPorts { tiles: self.tiles });
+        }
         if self.watchdog_quiescence_cycles == 0 {
             return Err(ConfigError::ZeroWatchdogWindow);
         }
@@ -679,6 +693,10 @@ mod tests {
         let mut c = AccelConfig::lite(1, 1);
         c.pstore_entries = 0;
         assert!(c.validate().is_ok(), "LiteArch has no P-Store");
+        assert!(AccelConfig::flex(64, 1).validate().is_ok());
+        let err = AccelConfig::lite(65, 1).validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyPorts { tiles: 65 });
+        assert!(err.to_string().contains("at most 64"), "{err}");
     }
 
     #[test]

@@ -133,6 +133,9 @@ pub struct EngineCore {
     /// The host result registers.
     pub host: [Option<u64>; HOST_SLOTS],
     lazy: LazyCounters,
+    /// Set by the end-of-run rollup, which hands the registry to the
+    /// result; cleared by [`EngineCore::restore`].
+    finished: bool,
 }
 
 impl EngineCore {
@@ -157,7 +160,22 @@ impl EngineCore {
             next_task_id: 1,
             host: [None; HOST_SLOTS],
             lazy: LazyCounters::default(),
+            finished: false,
         }
+    }
+
+    /// Refuses a run leg on an engine whose run has finished: the rollup
+    /// moved its metrics into the result, so nothing is left to run on
+    /// until a snapshot is restored.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::Finished`] once [`EmbedsCore::finish_run`] has run.
+    pub fn check_runnable(&self) -> Result<(), AccelError> {
+        if self.finished {
+            return Err(AccelError::Finished);
+        }
+        Ok(())
     }
 
     /// Names the counters [`EngineCore::count`] and
@@ -345,7 +363,8 @@ impl EngineCore {
     /// wrote: `next_task_id`, the watchdog, metrics, memory, trace and
     /// telemetry. The metrics registry is rebuilt: `register` re-registers
     /// the engine's typed handles in construction order, then the saved
-    /// values merge into the fresh slots.
+    /// values merge into the fresh slots. A finished engine becomes
+    /// runnable again.
     ///
     /// # Errors
     ///
@@ -357,6 +376,7 @@ impl EngineCore {
         p: &JsonValue,
         register: impl FnOnce(&mut Metrics),
     ) -> Result<(), SnapshotError> {
+        self.finished = false;
         self.next_task_id = json::get_u64(p, "next_task_id")?;
         let watchdog = json::get(p, "watchdog")?;
         self.watchdog.last_progress = Time::from_ps(json::get_u64(watchdog, "last_progress_ps")?);
@@ -758,6 +778,7 @@ pub trait EmbedsCore {
         trace.absorb(mem_trace);
         trace.finish();
         core.metrics.add("trace.dropped", trace.dropped());
+        core.finished = true;
         AccelResult {
             result,
             elapsed,

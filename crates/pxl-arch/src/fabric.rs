@@ -113,6 +113,9 @@ pub enum AccelError {
     /// The configuration is invalid or the operation is unsupported by the
     /// selected architecture (e.g. spawning on LiteArch).
     Unsupported(String),
+    /// The engine already finished its run; restore a snapshot into it (or
+    /// build a new engine) to run again.
+    Finished,
 }
 
 impl std::fmt::Display for AccelError {
@@ -147,6 +150,10 @@ impl std::fmt::Display for AccelError {
             }
             AccelError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             AccelError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
+            AccelError::Finished => write!(
+                f,
+                "the engine already finished its run; restore a snapshot or build a new engine"
+            ),
         }
     }
 }
@@ -932,7 +939,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         self.cfg.clock.clone()
     }
 
-    fn run_until(
+    fn advance(
         &mut self,
         workload: Workload<'_>,
         pause_at: Option<Time>,

@@ -219,7 +219,7 @@ impl Engine for LiteEngine {
     /// LiteArch drivers must derive round `r` from `(mem, r)` alone, so an
     /// equivalent driver resumes a paused or restored run. The result is
     /// the accumulated value of host slot 0.
-    fn run_until(
+    fn advance(
         &mut self,
         workload: Workload<'_>,
         pause_at: Option<Time>,

@@ -651,7 +651,7 @@ impl Engine for CpuEngine {
     /// root); other cores join by stealing. Queue/P-Store overflow cannot
     /// occur (software stores are heap-backed) but leaks and timeouts are
     /// detected.
-    fn run_until(
+    fn advance(
         &mut self,
         workload: Workload<'_>,
         pause_at: Option<Time>,

@@ -168,7 +168,8 @@ impl SimulationBuilder {
     /// [`FlowError::Config`] with the violated constraint when the
     /// accelerator configuration is not realizable (the fault plan is
     /// validated against it here too), [`FlowError::InvalidConfig`] when
-    /// the CPU has zero cores.
+    /// the CPU has zero cores or more cores than the memory system has L1
+    /// ports ([`pxl_mem::MAX_L1_PORTS`]).
     pub fn build(&self) -> Result<Box<dyn Engine>, FlowError> {
         let spec = &self.spec;
         let telemetry_every = spec.telemetry.as_ref().map_or(0, |tp| tp.every_cycles);
@@ -178,6 +179,12 @@ impl SimulationBuilder {
                 return Err(FlowError::InvalidConfig(
                     "the CPU baseline needs at least one core".into(),
                 ));
+            }
+            if cores > pxl_mem::MAX_L1_PORTS {
+                return Err(FlowError::InvalidConfig(format!(
+                    "{cores} cores need {cores} L1 ports; the memory system has at most {}",
+                    pxl_mem::MAX_L1_PORTS
+                )));
             }
             let mut engine = match spec.point.platform {
                 Platform::Coherent => CpuEngine::new(cores, self.profile),
@@ -306,6 +313,18 @@ mod tests {
 
         let err = build(DesignPoint::cpu(0));
         assert!(matches!(err, FlowError::InvalidConfig(_)));
+
+        // One L1 port per tile or core, at most 64 of them.
+        let err = build(DesignPoint::accel(PointArch::Flex, 65, 1));
+        assert_eq!(
+            err,
+            FlowError::Config(ConfigError::TooManyPorts { tiles: 65 })
+        );
+        let err = build(DesignPoint::cpu(65));
+        assert!(
+            matches!(&err, FlowError::InvalidConfig(m) if m.contains("at most 64")),
+            "{err}"
+        );
 
         // A point the Zedboard prototype never had, built in code rather
         // than decoded from JSON, is refused before any engine is built.

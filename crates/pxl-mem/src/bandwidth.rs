@@ -14,9 +14,6 @@
 //! epoch granularity (default 100 ns), far finer than the phenomena being
 //! modelled (DRAM saturation over microseconds).
 
-use std::collections::HashMap;
-
-use pxl_sim::hash::Mix64Build;
 use pxl_sim::json::{self, JsonValue};
 use pxl_sim::Time;
 
@@ -39,10 +36,20 @@ use pxl_sim::Time;
 #[derive(Debug, Clone)]
 pub struct BandwidthMeter {
     epoch_ps: u64,
-    used: HashMap<u64, u64, Mix64Build>,
-    /// The sum of `used`, kept as it changes so reading it costs nothing.
+    /// Committed service time per epoch, in pages of [`PAGE_EPOCHS`]
+    /// consecutive epochs keyed by page index (`epoch / PAGE_EPOCHS`) and
+    /// sorted by it. Accesses cluster in time, so most land in the page
+    /// `hint` names and cost no search.
+    pages: Vec<(u64, Box<[u64; PAGE_EPOCHS]>)>,
+    /// Index into `pages` of the page the last reservation used.
+    hint: usize,
+    /// The sum of every epoch's use, kept as it changes so reading it costs
+    /// nothing.
     committed_ps: u64,
 }
+
+/// Epochs per page of a [`BandwidthMeter`].
+const PAGE_EPOCHS: usize = 256;
 
 impl BandwidthMeter {
     /// Creates a meter with the given epoch length in picoseconds.
@@ -54,7 +61,8 @@ impl BandwidthMeter {
         assert!(epoch_ps > 0, "epoch must be nonzero");
         BandwidthMeter {
             epoch_ps,
-            used: HashMap::default(),
+            pages: Vec::new(),
+            hint: 0,
             committed_ps: 0,
         }
     }
@@ -62,6 +70,23 @@ impl BandwidthMeter {
     /// A meter with the default 100 ns epoch.
     pub fn default_epoch() -> Self {
         BandwidthMeter::new(100_000)
+    }
+
+    /// The committed service time of `epoch`, allocating its page on first
+    /// use.
+    #[inline]
+    fn used_mut(&mut self, epoch: u64) -> &mut u64 {
+        let page = epoch / PAGE_EPOCHS as u64;
+        if self.pages.get(self.hint).is_none_or(|(p, _)| *p != page) {
+            self.hint = match self.pages.binary_search_by_key(&page, |(p, _)| *p) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.pages.insert(i, (page, Box::new([0; PAGE_EPOCHS])));
+                    i
+                }
+            };
+        }
+        &mut self.pages[self.hint].1[(epoch % PAGE_EPOCHS as u64) as usize]
     }
 
     /// Reserves `occupancy_ps` of service time at or after `at`, returning
@@ -75,19 +100,20 @@ impl BandwidthMeter {
         let mut epoch = at.as_ps() / self.epoch_ps;
         let mut remaining = occupancy_ps;
         let mut start: Option<Time> = None;
+        let epoch_ps = self.epoch_ps;
         loop {
-            let used = self.used.entry(epoch).or_insert(0);
-            if *used >= self.epoch_ps {
+            let used = self.used_mut(epoch);
+            if *used >= epoch_ps {
                 epoch += 1;
                 continue;
             }
             if start.is_none() {
                 // Service begins in this epoch, after the work already
                 // committed here (but never before the request itself).
-                let begin = Time::from_ps(epoch * self.epoch_ps + *used).max(at);
+                let begin = Time::from_ps(epoch * epoch_ps + *used).max(at);
                 start = Some(begin);
             }
-            let take = remaining.min(self.epoch_ps - *used);
+            let take = remaining.min(epoch_ps - *used);
             *used += take;
             self.committed_ps += take;
             remaining -= take;
@@ -113,44 +139,68 @@ impl BandwidthMeter {
         t.as_ps() / self.epoch_ps
     }
 
-    /// Serializes the committed-usage map for snapshot/restore, as
-    /// `[epoch, used_ps]` pairs in epoch order.
+    /// Serializes the committed usage for snapshot/restore, as
+    /// `[epoch, used_ps]` pairs in ascending epoch order, one per epoch
+    /// with committed time (every epoch a reservation touches commits some).
     pub fn state_to_json_value(&self) -> JsonValue {
-        let mut epochs: Vec<u64> = self.used.keys().copied().collect();
-        epochs.sort_unstable();
         JsonValue::Array(
-            epochs
-                .into_iter()
-                .map(|e| json::arr_u64([e, self.used[&e]]))
+            self.pages
+                .iter()
+                .flat_map(|(page, used)| {
+                    let first = page * PAGE_EPOCHS as u64;
+                    used.iter()
+                        .enumerate()
+                        .filter(|(_, &u)| u != 0)
+                        .map(move |(i, &u)| (first + i as u64, u))
+                })
+                .map(|(epoch, used)| json::arr_u64([epoch, used]))
                 .collect(),
         )
     }
 
-    /// Replaces the committed-usage map with a state captured by
-    /// [`BandwidthMeter::state_to_json_value`].
+    /// Replaces the committed usage with a state captured by
+    /// [`BandwidthMeter::state_to_json_value`]. On error the meter is left
+    /// unchanged.
     ///
     /// # Errors
     ///
     /// Returns a message for anything that is not an array of
-    /// `[epoch, used]` pairs, or pairs whose committed time overflows
-    /// `u64`.
+    /// `[epoch, used]` pairs, for pairs the meter never writes (zero use,
+    /// or epochs that repeat or descend), and for pairs whose committed
+    /// time overflows `u64`.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
         let pairs = value
             .as_array()
             .ok_or("bandwidth state: not an array of pairs")?;
-        let mut used: HashMap<_, _, Mix64Build> =
-            HashMap::with_capacity_and_hasher(pairs.len(), Mix64Build::default());
+        let mut pages: Vec<(u64, Box<[u64; PAGE_EPOCHS]>)> = Vec::new();
+        let mut committed_ps = 0u64;
+        let mut previous = None;
         for pair in pairs {
-            let [epoch, committed] = json::u64s(pair, "epochs")?[..] else {
+            let [epoch, used] = json::u64s(pair, "epochs")?[..] else {
                 return Err("bandwidth state: entry is not an [epoch, used] pair".to_owned());
             };
-            used.insert(epoch, committed);
+            if let Some(previous) = previous.filter(|&p| p >= epoch) {
+                return Err(format!(
+                    "bandwidth state: epoch {epoch} listed after epoch {previous}; epochs must ascend"
+                ));
+            }
+            if used == 0 {
+                return Err(format!("bandwidth state: epoch {epoch} commits no time"));
+            }
+            previous = Some(epoch);
+            committed_ps = committed_ps
+                .checked_add(used)
+                .ok_or("bandwidth state: committed time overflows u64")?;
+            let page = epoch / PAGE_EPOCHS as u64;
+            if pages.last().is_none_or(|(p, _)| *p != page) {
+                pages.push((page, Box::new([0; PAGE_EPOCHS])));
+            }
+            let (_, last) = pages.last_mut().expect("pushed above");
+            last[(epoch % PAGE_EPOCHS as u64) as usize] = used;
         }
-        self.committed_ps = used
-            .values()
-            .try_fold(0u64, |sum, &c| sum.checked_add(c))
-            .ok_or("bandwidth state: committed time overflows u64")?;
-        self.used = used;
+        self.pages = pages;
+        self.hint = 0;
+        self.committed_ps = committed_ps;
         Ok(())
     }
 }
@@ -246,10 +296,55 @@ mod tests {
             .restore_state(&overflow)
             .unwrap_err()
             .contains("overflows"));
+        // Pairs the meter never writes: zero use, a repeated or descending
+        // epoch.
+        let state_after = b.state_to_json_value();
+        let refused = |text: &str| {
+            let mut m = b.clone();
+            let err = m
+                .restore_state(&JsonValue::parse(text).unwrap())
+                .unwrap_err();
+            assert_eq!(m.state_to_json_value().to_json(), state_after.to_json());
+            err
+        };
+        assert!(refused("[[0,5],[3,0]]").contains("epoch 3 commits no time"));
+        assert!(refused("[[0,5],[700,5],[700,1]]").contains("epoch 700 listed after epoch 700"));
+        assert!(refused("[[0,5],[700,5],[2,1]]").contains("epoch 2 listed after epoch 700"));
         assert_eq!(
             b.total_committed_ps(),
             9_000,
             "a refused state changes nothing"
+        );
+    }
+
+    #[test]
+    fn epochs_across_pages_round_trip_in_order() {
+        let mut m = BandwidthMeter::new(1_000);
+        // Out of time order and across several pages, with one reservation
+        // spilling over a page boundary.
+        for (at, ps) in [
+            (900_000, 700),
+            (3_000, 700),
+            (255_500, 1_200),
+            (70_000_000, 700),
+            (3_000, 700),
+        ] {
+            let _ = m.acquire(Time::from_ps(at), ps);
+        }
+        assert_eq!(
+            m.state_to_json_value().to_json(),
+            "[[3,1000],[4,400],[255,1000],[256,200],[900,700],[70000,700]]"
+        );
+        let mut back = BandwidthMeter::new(1_000);
+        back.restore_state(&m.state_to_json_value()).unwrap();
+        assert_eq!(back.total_committed_ps(), m.total_committed_ps());
+        assert_eq!(
+            back.acquire(Time::from_ps(255_000), 600),
+            m.acquire(Time::from_ps(255_000), 600)
+        );
+        assert_eq!(
+            back.state_to_json_value().to_json(),
+            m.state_to_json_value().to_json()
         );
     }
 

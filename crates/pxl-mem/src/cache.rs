@@ -34,6 +34,12 @@ impl LineState {
     pub fn can_write_silently(self) -> bool {
         matches!(self, LineState::Modified | LineState::Exclusive)
     }
+
+    /// Whether this cache owns the line (M, O or E): it supplies data on a
+    /// snoop, and at most one cache may own a line.
+    pub fn owns(self) -> bool {
+        !matches!(self, LineState::Shared)
+    }
 }
 
 /// The tag/state array of one set-associative cache with true-LRU
@@ -168,6 +174,23 @@ impl CacheArray {
             .map(|w| dec_state(self.states[w]))
     }
 
+    /// The flat way index (`set * assoc + way`) holding a byte address's
+    /// line, if resident, without touching LRU. A line keeps its way until
+    /// it is evicted or invalidated, so the index names it until then.
+    #[inline]
+    pub fn way_of(&self, addr: u64) -> Option<usize> {
+        self.find(self.line_of(addr))
+    }
+
+    /// Every resident line as `(byte address, state)`, in way order.
+    pub fn resident(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
+        self.lines
+            .iter()
+            .zip(&self.states)
+            .filter(|(&l, _)| l != 0)
+            .map(|(&l, &s)| ((l - 1) << self.line_shift, dec_state(s)))
+    }
+
     /// Sets the state of a resident line.
     ///
     /// # Panics
@@ -183,6 +206,16 @@ impl CacheArray {
     /// Installs a line (choosing an LRU victim) and returns the evicted
     /// line's byte address and state, if a valid line was displaced.
     pub fn install(&mut self, addr: u64, state: LineState) -> Option<(u64, LineState)> {
+        self.install_way(addr, state).1
+    }
+
+    /// [`CacheArray::install`], also returning the flat way index (see
+    /// [`CacheArray::way_of`]) the line now occupies.
+    pub fn install_way(
+        &mut self,
+        addr: u64,
+        state: LineState,
+    ) -> (usize, Option<(u64, LineState)>) {
         let line = self.line_of(addr);
         self.use_counter += 1;
         let tick = self.use_counter;
@@ -190,7 +223,7 @@ impl CacheArray {
         if let Some(w) = self.find(line) {
             self.states[w] = enc_state(state);
             self.last_use[w] = tick;
-            return None;
+            return (w, None);
         }
         let base = self.base(line);
         let victim = (base..base + self.assoc)
@@ -209,7 +242,7 @@ impl CacheArray {
         self.lines[victim] = line + 1;
         self.states[victim] = enc_state(state);
         self.last_use[victim] = tick;
-        evicted
+        (victim, evicted)
     }
 
     /// Removes a line if resident, returning its state.
@@ -263,7 +296,8 @@ impl CacheArray {
     /// # Errors
     ///
     /// [`CacheStateError`] on a geometry mismatch, a way index out of
-    /// range or out of order, an unknown line state, or a malformed field.
+    /// range or out of order, an unknown line state, a line outside its
+    /// way's set or held twice by one set, or a malformed field.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), CacheStateError> {
         let use_counter = json::get_u64(value, "use_counter")?;
         let slots = json::get_u64(value, "slots")?;
@@ -292,6 +326,30 @@ impl CacheArray {
                 return Err(CacheStateError::UnknownState { way, state });
             }
             previous = Some(way);
+        }
+        // An array only ever places a line in its own set, once, and a line
+        // address must convert back to a byte address. Ways ascend, so one
+        // set's ways are listed together.
+        let mut set_lines: Vec<(u64, u64)> = Vec::new();
+        for quad in live.chunks_exact(4) {
+            let (way, tag) = (quad[0], quad[1]);
+            let Some(line) = tag.checked_sub(1) else {
+                continue;
+            };
+            let set = way / self.assoc as u64;
+            if self.set_index(line) as u64 != set
+                || line
+                    .checked_shl(self.line_shift)
+                    .map(|a| a >> self.line_shift)
+                    != Some(line)
+            {
+                return Err(CacheStateError::MisplacedLine { way, line });
+            }
+            set_lines.retain(|&(s, _)| s == set);
+            if set_lines.contains(&(set, line)) {
+                return Err(CacheStateError::DuplicateLine { way, line });
+            }
+            set_lines.push((set, line));
         }
         // Fresh zeroed vectors rather than an in-place fill: the allocator
         // hands back untouched zero pages, so restoring a sparse state
@@ -335,6 +393,21 @@ pub enum CacheStateError {
         /// The way listed before it.
         previous: u64,
     },
+    /// A live way holds a line outside the way's set, or one whose byte
+    /// address does not fit a `u64`.
+    MisplacedLine {
+        /// The offending way index.
+        way: u64,
+        /// The line address it holds.
+        line: u64,
+    },
+    /// A set holds the same line in two ways.
+    DuplicateLine {
+        /// The later of the two ways.
+        way: u64,
+        /// The line address both hold.
+        line: u64,
+    },
     /// A line state outside the wire encoding `0..=3`.
     UnknownState {
         /// The way carrying it.
@@ -361,6 +434,13 @@ impl std::fmt::Display for CacheStateError {
             CacheStateError::WaysNotAscending { way, previous } => write!(
                 f,
                 "cache state: way {way} listed after way {previous}; live ways must ascend"
+            ),
+            CacheStateError::MisplacedLine { way, line } => {
+                write!(f, "cache state: way {way} cannot hold line {line:#x}")
+            }
+            CacheStateError::DuplicateLine { way, line } => write!(
+                f,
+                "cache state: way {way} holds line {line:#x}, which its set already holds"
             ),
             CacheStateError::UnknownState { way, state } => {
                 write!(f, "cache state: way {way} has unknown line state {state}")
@@ -563,6 +643,33 @@ mod tests {
             restore("[0,1,4,1]"),
             CacheStateError::UnknownState { way: 0, state: 4 }
         );
+        // Line 1 belongs to set 1 (ways 2 and 3), not to way 0.
+        assert_eq!(
+            restore("[0,2,0,1]"),
+            CacheStateError::MisplacedLine { way: 0, line: 1 }
+        );
+        let beyond = 1u64 << 60;
+        assert_eq!(
+            restore(&format!("[0,{},0,1]", beyond + 1)),
+            CacheStateError::MisplacedLine {
+                way: 0,
+                line: beyond
+            }
+        );
+        assert_eq!(
+            restore("[2,2,0,1,3,2,0,2]"),
+            CacheStateError::DuplicateLine { way: 3, line: 1 }
+        );
+        // An invalidated way (tag 0) and the same line in the next set's
+        // first way are fine.
+        assert!(tiny()
+            .restore_state(
+                &JsonValue::parse(
+                    r#"{"use_counter":9,"slots":4,"live":[0,3,0,1,1,0,3,2,2,2,0,3]}"#
+                )
+                .unwrap()
+            )
+            .is_ok());
         assert!(matches!(restore("[0,1,0]"), CacheStateError::Malformed(_)));
         let err = restore(r#"[0,1,"x",0,1]"#);
         assert!(
@@ -581,6 +688,10 @@ mod tests {
         assert!(LineState::Exclusive.can_write_silently());
         assert!(!LineState::Owned.can_write_silently());
         assert!(!LineState::Shared.can_write_silently());
+        assert!(LineState::Modified.owns());
+        assert!(LineState::Owned.owns());
+        assert!(LineState::Exclusive.owns());
+        assert!(!LineState::Shared.owns());
     }
 
     #[test]

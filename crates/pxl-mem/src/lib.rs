@@ -13,7 +13,10 @@
 //! * **Timing hierarchy** ([`system::MemorySystem`]) — a latency/bandwidth
 //!   oracle that tracks per-line MOESI state in every L1 and the L2, models
 //!   LRU replacement, next-line prefetching, bus and DRAM contention, and
-//!   answers "when does this access complete?".
+//!   answers "when does this access complete?". Snoops consult a
+//!   [`directory`] of sharers and owner per L2 way instead of scanning
+//!   every L1; it is derived state, never serialized, and a restore
+//!   rebuilds it and enforces the inclusion it relies on.
 //!
 //! A third module, [`zedboard`], models the constrained Zynq-7000 prototype
 //! platform of Section V-B (stream buffers instead of coherent L1s, a single
@@ -21,12 +24,14 @@
 
 pub mod bandwidth;
 pub mod cache;
+pub mod directory;
 pub mod func;
 pub mod system;
 pub mod zedboard;
 
 pub use bandwidth::BandwidthMeter;
 pub use cache::{CacheArray, CacheStateError, LineState};
+pub use directory::MAX_L1_PORTS;
 pub use func::{Allocator, Memory};
-pub use system::{AccessKind, MemorySystem, PortId};
+pub use system::{AccessKind, CoherenceError, MemorySystem, PortId};
 pub use zedboard::ZedboardMemory;

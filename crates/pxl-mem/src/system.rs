@@ -8,6 +8,14 @@
 //! a bandwidth-limited DDR3 channel — updating tag/state arrays and
 //! contention trackers as it goes.
 //!
+//! Snoops are answered by a coherence directory kept per L2 way
+//! ([`crate::directory`]): which L1 ports hold the line and which one owns
+//! it. The directory is derived state, never serialized; a restore
+//! rebuilds it from the L1 arrays and refuses any state the protocol
+//! cannot reach (an L1 line missing from the inclusive L2, two owners of
+//! one line, or M/E beside another copy). Inclusion is therefore an
+//! invariant, not a hope.
+//!
 //! Contention is modelled with epoch-bucketed bandwidth metering
 //! ([`crate::bandwidth::BandwidthMeter`]): the snoop bus, the L2 port and
 //! the DRAM channel each commit service time into fixed epochs, so
@@ -23,6 +31,7 @@ use pxl_sim::{CounterId, Metrics, Time, TraceEvent, Tracer};
 
 use crate::bandwidth::BandwidthMeter;
 use crate::cache::{CacheArray, LineState};
+use crate::directory::{self, Directory, MAX_L1_PORTS};
 
 /// Identifies one L1 port on the memory system (one accelerator tile or one
 /// CPU core).
@@ -93,6 +102,8 @@ pub struct MemorySystem {
     l1_params: Vec<CacheParams>,
     l2: CacheArray,
     l2_params: CacheParams,
+    /// Sharers and owner of every L2-resident line, per L2 way.
+    dir: Directory,
     dram: DramParams,
     bus: BusParams,
     bus_meter: BandwidthMeter,
@@ -152,10 +163,97 @@ impl MemIds {
     }
 }
 
+/// A cache state the coherence protocol never produces, refused by
+/// [`MemorySystem::restore_state`] and reported by
+/// [`MemorySystem::check_coherence`]. Every variant names the line by its
+/// byte address.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CoherenceError {
+    /// An L1 holds a line the inclusive L2 does not.
+    NotInclusive {
+        /// The line's byte address.
+        line: u64,
+        /// An L1 port holding it.
+        port: usize,
+    },
+    /// Two L1s hold one line in owning states (M, O or E).
+    TwoOwners {
+        /// The line's byte address.
+        line: u64,
+        /// The lower-numbered owning port.
+        first: usize,
+        /// The other owning port.
+        second: usize,
+    },
+    /// An L1 holds a line in M or E while another L1 holds a copy.
+    ExclusiveShared {
+        /// The line's byte address.
+        line: u64,
+        /// The port holding it in M or E.
+        port: usize,
+        /// Every port holding it, one bit per port.
+        sharers: u64,
+    },
+    /// The directory entry disagrees with the L1 arrays (a model bug; a
+    /// restore rebuilds the directory, so only a check can see this).
+    StaleDirectory {
+        /// The line's byte address.
+        line: u64,
+        /// The entry's sharer mask and owner.
+        recorded: (u64, Option<usize>),
+        /// The sharer mask and owner a scan of the L1 arrays finds.
+        scanned: (u64, Option<usize>),
+    },
+}
+
+impl std::fmt::Display for CoherenceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CoherenceError::NotInclusive { line, port } => write!(
+                f,
+                "line {line:#x}: L1 copy in port {port} without an inclusive L2 entry"
+            ),
+            CoherenceError::TwoOwners {
+                line,
+                first,
+                second,
+            } => write!(f, "line {line:#x}: owned by ports {first} and {second}"),
+            CoherenceError::ExclusiveShared {
+                line,
+                port,
+                sharers,
+            } => write!(
+                f,
+                "line {line:#x}: M/E in port {port} coexists with other copies (sharers {sharers:#x})"
+            ),
+            CoherenceError::StaleDirectory {
+                line,
+                recorded,
+                scanned,
+            } => write!(
+                f,
+                "line {line:#x}: directory records (sharers, owner) {recorded:?}, the L1s hold {scanned:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CoherenceError {}
+
 impl MemorySystem {
     /// Builds a hierarchy with one private L1 per entry of `l1_params`, all
     /// sharing the L2/DRAM described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_L1_PORTS`] L1s: the coherence
+    /// directory's sharer masks have one bit per port.
     pub fn new(l1_params: Vec<CacheParams>, config: &MemoryConfig) -> Self {
+        assert!(
+            l1_params.len() <= MAX_L1_PORTS,
+            "{} L1 ports exceed the directory's {MAX_L1_PORTS}",
+            l1_params.len()
+        );
         let l1s = l1_params.iter().map(CacheArray::new).collect();
         let mut stats = Metrics::new();
         let ids = MemIds::register(&mut stats);
@@ -164,6 +262,7 @@ impl MemorySystem {
             l1_params,
             l2: CacheArray::new(&config.l2),
             l2_params: config.l2.clone(),
+            dir: Directory::new(config.l2.num_sets() * config.l2.ways),
             dram: config.dram.clone(),
             bus: BusParams::default(),
             bus_meter: BandwidthMeter::default_epoch(),
@@ -221,13 +320,30 @@ impl MemorySystem {
     }
 
     /// Restores the state captured by [`MemorySystem::state_to_json_value`]
-    /// into a system built with the same configuration.
+    /// into a system built with the same configuration, then rebuilds the
+    /// coherence directory from the restored L1 arrays. A refused state
+    /// leaves every L1 empty, so the system stays coherent.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first malformed field or geometry
-    /// mismatch (e.g. a different L1 port count).
+    /// mismatch (e.g. a different L1 port count), or the first line whose
+    /// cache states the protocol never produces (see [`CoherenceError`]).
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
+        let restored = self.restore_fields(value).and_then(|()| {
+            self.rebuild_directory()
+                .map_err(|e| format!("memory state: {e}"))
+        });
+        if restored.is_err() {
+            for cache in &mut self.l1s {
+                cache.flush_all();
+            }
+            self.dir.clear();
+        }
+        restored
+    }
+
+    fn restore_fields(&mut self, value: &JsonValue) -> Result<(), String> {
         let l1s = json::get_arr(value, "l1s")?;
         if l1s.len() != self.l1s.len() {
             return Err(format!(
@@ -250,6 +366,43 @@ impl MemorySystem {
         self.stats = Metrics::from_json_value(json::get(value, "stats")?)?;
         self.ids = MemIds::register(&mut self.stats);
         self.trace = Tracer::state_from_json_value(json::get(value, "trace")?)?;
+        Ok(())
+    }
+
+    /// Rebuilds the directory from the L1 and L2 arrays, refusing the
+    /// states no access sequence reaches.
+    fn rebuild_directory(&mut self) -> Result<(), CoherenceError> {
+        self.dir.clear();
+        for (port, cache) in self.l1s.iter().enumerate() {
+            for (line, state) in cache.resident() {
+                let way = self
+                    .l2
+                    .way_of(line)
+                    .ok_or(CoherenceError::NotInclusive { line, port })?;
+                if let Some(first) = self.dir.owner(way).filter(|_| state.owns()) {
+                    return Err(CoherenceError::TwoOwners {
+                        line,
+                        first,
+                        second: port,
+                    });
+                }
+                self.dir.add(way, port, state.owns());
+            }
+        }
+        for (port, cache) in self.l1s.iter().enumerate() {
+            for (line, state) in cache.resident() {
+                let sharers = self
+                    .dir
+                    .sharers(self.l2.way_of(line).expect("checked above"));
+                if state.can_write_silently() && sharers != 1 << port {
+                    return Err(CoherenceError::ExclusiveShared {
+                        line,
+                        port,
+                        sharers,
+                    });
+                }
+            }
+        }
         Ok(())
     }
 
@@ -305,67 +458,39 @@ impl MemorySystem {
         self.stats.add_to(self.ids.dram_bytes, line_bytes);
     }
 
-    /// Finds a remote L1 (not `port`) holding the line in an owning state
-    /// (M, O or E) — the cache that would supply data on a snoop.
-    fn snoop_owner(&self, port: usize, addr: u64) -> Option<usize> {
-        self.l1s.iter().enumerate().find_map(|(i, c)| {
-            if i == port {
-                return None;
-            }
-            match c.peek(addr) {
-                Some(LineState::Modified) | Some(LineState::Owned) | Some(LineState::Exclusive) => {
-                    Some(i)
-                }
-                _ => None,
-            }
-        })
-    }
-
-    /// Whether any remote L1 holds the line in any state.
-    fn any_remote_copy(&self, port: usize, addr: u64) -> bool {
-        self.l1s
-            .iter()
-            .enumerate()
-            .any(|(i, c)| i != port && c.peek(addr).is_some())
-    }
-
-    /// Invalidates the line in every remote L1; writebacks of dirty copies
-    /// consume DRAM bandwidth in the background (they actually merge into the
-    /// L2, but the occupancy cost is what matters for the model).
-    fn invalidate_remotes(&mut self, port: usize, addr: u64) {
-        for i in 0..self.l1s.len() {
-            if i == port {
-                continue;
-            }
+    /// Invalidates the line in L2 way `way` in every L1 but `port` and
+    /// empties its directory entry. Dirty copies move to the requester with
+    /// the transfer (MOESI), so they cost no DRAM traffic.
+    fn invalidate_sharers(&mut self, way: usize, port: usize, addr: u64) {
+        for i in directory::ports(self.dir.take(way) & !(1 << port)) {
             if let Some(state) = self.l1s[i].invalidate(addr) {
                 self.stats.inc(self.ids.remote_invalidations);
                 if state.is_dirty() {
-                    // Dirty data moves to the requester with the transfer;
-                    // no extra DRAM traffic needed under MOESI.
                     self.stats.inc(self.ids.dirty_transfers);
                 }
             }
         }
     }
 
-    /// Downgrades remote copies for a read: M -> O, E -> S.
-    fn downgrade_remotes(&mut self, port: usize, addr: u64) {
-        for i in 0..self.l1s.len() {
-            if i == port {
-                continue;
+    /// Downgrades the owner's copy for a remote read: M -> O, E -> S. Only
+    /// the owner can hold M or E.
+    fn downgrade(&mut self, way: usize, owner: usize, addr: u64) {
+        match self.l1s[owner].peek(addr) {
+            Some(LineState::Modified) => self.l1s[owner].set_state(addr, LineState::Owned),
+            Some(LineState::Exclusive) => {
+                self.l1s[owner].set_state(addr, LineState::Shared);
+                self.dir.disown(way);
             }
-            match self.l1s[i].peek(addr) {
-                Some(LineState::Modified) => self.l1s[i].set_state(addr, LineState::Owned),
-                Some(LineState::Exclusive) => self.l1s[i].set_state(addr, LineState::Shared),
-                _ => {}
-            }
+            _ => {}
         }
     }
 
     /// Installs a line into the L2 (inclusive), handling victim
-    /// back-invalidation of L1 copies and dirty writebacks.
-    fn install_l2(&mut self, port: usize, addr: u64, state: LineState, at: Time) {
-        if let Some((victim_addr, victim_state)) = self.l2.install(addr, state) {
+    /// back-invalidation of L1 copies and dirty writebacks. Returns the L2
+    /// way the line now occupies.
+    fn install_l2(&mut self, port: usize, addr: u64, state: LineState, at: Time) -> usize {
+        let (way, victim) = self.l2.install_way(addr, state);
+        if let Some((victim_addr, victim_state)) = victim {
             self.stats.inc(self.ids.l2_evictions);
             self.trace.emit(
                 at,
@@ -374,10 +499,12 @@ impl MemorySystem {
                     level: 2,
                 },
             );
-            // Inclusive L2: evicting a line must remove all L1 copies.
+            // Inclusive L2: evicting a line must remove all L1 copies. The
+            // victim's entry is emptied here, so the new line starts with
+            // no sharers.
             let mut dirty = victim_state.is_dirty();
-            for c in &mut self.l1s {
-                if let Some(s) = c.invalidate(victim_addr) {
+            for i in directory::ports(self.dir.take(way)) {
+                if let Some(s) = self.l1s[i].invalidate(victim_addr) {
                     dirty |= s.is_dirty();
                 }
             }
@@ -386,10 +513,12 @@ impl MemorySystem {
                 self.dram_background(at);
             }
         }
+        way
     }
 
-    /// Installs a line into an L1, handling dirty-victim writeback to L2.
-    fn install_l1(&mut self, port: usize, addr: u64, state: LineState, at: Time) {
+    /// Installs a line held in L2 way `way` into an L1, handling
+    /// dirty-victim writeback to L2.
+    fn install_l1(&mut self, port: usize, addr: u64, state: LineState, at: Time, way: usize) {
         if let Some((victim_addr, victim_state)) = self.l1s[port].install(addr, state) {
             self.trace.emit(
                 at,
@@ -398,17 +527,19 @@ impl MemorySystem {
                     level: 1,
                 },
             );
+            let victim_way = self
+                .l2
+                .way_of(victim_addr)
+                .expect("the inclusive L2 holds every L1 line");
+            self.dir.remove(victim_way, port);
             if victim_state.is_dirty() {
                 self.stats.inc(self.ids.l1_writebacks);
                 // Write back into L2 (data plane is functional memory; here
                 // we only ensure the L2 still tracks the line as dirty).
-                if self.l2.peek(victim_addr).is_some() {
-                    self.l2.set_state(victim_addr, LineState::Modified);
-                } else {
-                    self.install_l2(port, victim_addr, LineState::Modified, at);
-                }
+                self.l2.set_state(victim_addr, LineState::Modified);
             }
         }
+        self.dir.add(way, port, state.owns());
     }
 
     /// Fetches a line into `port`'s L1 after an L1 miss, returning the
@@ -419,57 +550,60 @@ impl MemorySystem {
             // AMOs pay a second bus serialization for the locked phase.
             t = self.acquire_bus(t);
         }
-        let install_state;
-        if let Some(_owner) = self.snoop_owner(port, addr) {
-            // Cache-to-cache transfer from the owning L1.
-            self.stats.inc(self.ids.c2c_transfers);
-            t += self.bus.cache_to_cache;
-            if kind.is_write() {
-                self.invalidate_remotes(port, addr);
-                install_state = LineState::Modified;
-            } else {
-                self.downgrade_remotes(port, addr);
-                install_state = LineState::Shared;
+        // `port` missed, so any owner of the line is remote.
+        let way = self.l2.way_of(addr);
+        let (way, install_state) = match way.and_then(|w| Some((w, self.dir.owner(w)?))) {
+            Some((way, owner)) => {
+                // Cache-to-cache transfer from the owning L1.
+                self.stats.inc(self.ids.c2c_transfers);
+                t += self.bus.cache_to_cache;
+                if kind.is_write() {
+                    self.invalidate_sharers(way, port, addr);
+                    (way, LineState::Modified)
+                } else {
+                    self.downgrade(way, owner, addr);
+                    (way, LineState::Shared)
+                }
             }
-            // Inclusive: line is already tracked in L2. Mark dirty ownership
-            // transfer conservatively.
-            if self.l2.peek(addr).is_none() {
-                self.install_l2(port, addr, LineState::Modified, t);
+            None => {
+                t = self.acquire_l2(t);
+                let l2_hit = self.l2.lookup(addr).is_some();
+                let way = match way {
+                    Some(way) if l2_hit => {
+                        self.stats.inc(self.ids.l2_hits);
+                        self.trace.emit(
+                            t,
+                            TraceEvent::CacheHit {
+                                port: port as u32,
+                                level: 2,
+                            },
+                        );
+                        way
+                    }
+                    _ => {
+                        self.stats.inc(self.ids.l2_misses);
+                        self.trace.emit(
+                            t,
+                            TraceEvent::CacheMiss {
+                                port: port as u32,
+                                level: 2,
+                            },
+                        );
+                        t = self.acquire_dram(t);
+                        self.install_l2(port, addr, LineState::Shared, t)
+                    }
+                };
+                if kind.is_write() {
+                    self.invalidate_sharers(way, port, addr);
+                    (way, LineState::Modified)
+                } else if self.dir.sharers(way) != 0 {
+                    (way, LineState::Shared)
+                } else {
+                    (way, LineState::Exclusive)
+                }
             }
-        } else {
-            t = self.acquire_l2(t);
-            let l2_hit = self.l2.lookup(addr).is_some();
-            if l2_hit {
-                self.stats.inc(self.ids.l2_hits);
-                self.trace.emit(
-                    t,
-                    TraceEvent::CacheHit {
-                        port: port as u32,
-                        level: 2,
-                    },
-                );
-            } else {
-                self.stats.inc(self.ids.l2_misses);
-                self.trace.emit(
-                    t,
-                    TraceEvent::CacheMiss {
-                        port: port as u32,
-                        level: 2,
-                    },
-                );
-                t = self.acquire_dram(t);
-                self.install_l2(port, addr, LineState::Shared, t);
-            }
-            if kind.is_write() {
-                self.invalidate_remotes(port, addr);
-                install_state = LineState::Modified;
-            } else if self.any_remote_copy(port, addr) {
-                install_state = LineState::Shared;
-            } else {
-                install_state = LineState::Exclusive;
-            }
-        }
-        self.install_l1(port, addr, install_state, t);
+        };
+        self.install_l1(port, addr, install_state, t, way);
         t
     }
 
@@ -483,21 +617,26 @@ impl MemorySystem {
             return;
         }
         // A prefetch must not steal ownership from a remote dirty copy —
-        // skip if any remote cache owns the line.
-        if self.snoop_owner(port, next).is_some() {
+        // skip if any remote cache owns the line (`port` holds no copy).
+        let way = self.l2.way_of(next);
+        if way.is_some_and(|w| self.dir.owner(w).is_some()) {
             return;
         }
         self.stats.inc(self.ids.prefetches);
-        if self.l2.lookup(next).is_none() {
-            self.dram_background(at);
-            self.install_l2(port, next, LineState::Shared, at);
-        }
-        let state = if self.any_remote_copy(port, next) {
+        let l2_hit = self.l2.lookup(next).is_some();
+        let way = match way {
+            Some(way) if l2_hit => way,
+            _ => {
+                self.dram_background(at);
+                self.install_l2(port, next, LineState::Shared, at)
+            }
+        };
+        let state = if self.dir.sharers(way) != 0 {
             LineState::Shared
         } else {
             LineState::Exclusive
         };
-        self.install_l1(port, next, state, at);
+        self.install_l1(port, next, state, at, way);
     }
 
     /// Performs one access of up to a cache line and returns its completion
@@ -532,7 +671,12 @@ impl MemorySystem {
                         // S or O: upgrade via bus invalidation.
                         self.stats.inc(self.ids.upgrades);
                         let t = self.acquire_bus(t);
-                        self.invalidate_remotes(p, addr);
+                        let way = self
+                            .l2
+                            .way_of(addr)
+                            .expect("the inclusive L2 holds every L1 line");
+                        self.invalidate_sharers(way, p, addr);
+                        self.dir.add(way, p, true);
                         self.l1s[p].set_state(addr, LineState::Modified);
                         t
                     }
@@ -558,43 +702,58 @@ impl MemorySystem {
 
     /// Checks the MOESI invariants over a set of line addresses (testing
     /// hook): at most one owner (M/O/E) per line; M and E imply no other
-    /// copies; every L1-resident line is also in the inclusive L2.
+    /// copies; every L1-resident line is also in the inclusive L2; and the
+    /// line's directory entry equals a full scan of the L1 arrays.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant.
-    pub fn check_coherence(&self, addrs: &[u64]) -> Result<(), String> {
+    /// The first violated invariant.
+    pub fn check_coherence(&self, addrs: &[u64]) -> Result<(), CoherenceError> {
         for &addr in addrs {
-            let states: Vec<(usize, LineState)> = self
-                .l1s
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| c.peek(addr).map(|s| (i, s)))
-                .collect();
-            let owners = states
-                .iter()
-                .filter(|(_, s)| {
-                    matches!(
-                        s,
-                        LineState::Modified | LineState::Owned | LineState::Exclusive
-                    )
-                })
-                .count();
-            if owners > 1 {
-                return Err(format!("line {addr:#x}: {owners} owners ({states:?})"));
+            let line = addr & !(self.line_bytes() as u64 - 1);
+            let (mut sharers, mut owner) = (0u64, None);
+            for (port, cache) in self.l1s.iter().enumerate() {
+                let Some(state) = cache.peek(addr) else {
+                    continue;
+                };
+                sharers |= 1 << port;
+                if state.owns() {
+                    if let Some(first) = owner {
+                        return Err(CoherenceError::TwoOwners {
+                            line,
+                            first,
+                            second: port,
+                        });
+                    }
+                    owner = Some(port);
+                }
             }
-            let exclusive = states
-                .iter()
-                .any(|(_, s)| matches!(s, LineState::Modified | LineState::Exclusive));
-            if exclusive && states.len() > 1 {
-                return Err(format!(
-                    "line {addr:#x}: M/E coexists with other copies ({states:?})"
-                ));
+            for port in directory::ports(sharers) {
+                if self.l1s[port]
+                    .peek(addr)
+                    .is_some_and(LineState::can_write_silently)
+                    && sharers != 1 << port
+                {
+                    return Err(CoherenceError::ExclusiveShared {
+                        line,
+                        port,
+                        sharers,
+                    });
+                }
             }
-            if !states.is_empty() && self.l2.peek(addr).is_none() {
-                return Err(format!(
-                    "line {addr:#x}: L1 copy without inclusive L2 entry"
-                ));
+            let Some(way) = self.l2.way_of(addr) else {
+                match directory::ports(sharers).next() {
+                    Some(port) => return Err(CoherenceError::NotInclusive { line, port }),
+                    None => continue,
+                }
+            };
+            let recorded = (self.dir.sharers(way), self.dir.owner(way));
+            if recorded != (sharers, owner) {
+                return Err(CoherenceError::StaleDirectory {
+                    line,
+                    recorded,
+                    scanned: (sharers, owner),
+                });
             }
         }
         Ok(())
@@ -640,6 +799,14 @@ mod tests {
         MemorySystem::new(vec![cfg.accel_l1.clone(); ports], &cfg)
     }
 
+    impl MemorySystem {
+        /// Empties one L1 and keeps the directory in step with it.
+        fn flush_l1(&mut self, port: usize) {
+            self.l1s[port].flush_all();
+            self.rebuild_directory().unwrap();
+        }
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut m = sys(1);
@@ -661,7 +828,7 @@ mod tests {
         let dram_miss = t2 - t1;
         // Invalidate port 0's copy so port 1's access to 0x80 is an L2 hit,
         // not a c2c transfer.
-        m.l1s[0].flush_all();
+        m.flush_l1(0);
         let t3 = m.access(PortId(1), 0x80, AccessKind::Read, t2);
         assert!(t3 - t2 < dram_miss, "L2 hit must beat DRAM access");
         assert!(m.stats().get("mem.l2_hits") >= 1);
@@ -890,6 +1057,68 @@ mod tests {
         // Geometry mismatch is refused.
         let mut wrong = sys(3);
         assert!(wrong.restore_state(&state).unwrap_err().contains("ports"));
+    }
+
+    /// Restores `a`'s state into a fresh two-port system, which must refuse
+    /// it and be left with empty, coherent L1s.
+    fn refuse(a: &MemorySystem) -> String {
+        let mut b = sys(2);
+        let _ = b.access(PortId(1), 0x4000, AccessKind::Write, Time::ZERO);
+        let err = b.restore_state(&a.state_to_json_value()).unwrap_err();
+        assert!(b.l1s.iter().all(|c| c.occupancy() == 0), "{err}");
+        assert_eq!(b.check_coherence(&[0x40, 0x4000]), Ok(()));
+        err
+    }
+
+    #[test]
+    fn unreachable_cache_states_are_refused_at_restore() {
+        let mut a = sys(2);
+        let t = a.access(PortId(0), 0x40, AccessKind::Read, Time::ZERO);
+        let _ = a.access(PortId(1), 0x40, AccessKind::Read, t);
+        // Both hold S: reachable, and the rebuilt directory agrees.
+        let mut b = sys(2);
+        b.restore_state(&a.state_to_json_value()).unwrap();
+        assert_eq!(b.check_coherence(&[0x40, 0x80]), Ok(()));
+
+        let mut two_owners = a.clone();
+        two_owners.l1s[0].set_state(0x40, LineState::Owned);
+        two_owners.l1s[1].set_state(0x40, LineState::Owned);
+        let err = refuse(&two_owners);
+        assert!(err.contains("line 0x40: owned by ports 0 and 1"), "{err}");
+
+        let mut exclusive_shared = a.clone();
+        exclusive_shared.l1s[1].set_state(0x40, LineState::Exclusive);
+        let err = refuse(&exclusive_shared);
+        assert!(err.contains("line 0x40: M/E in port 1 coexists"), "{err}");
+
+        let mut not_inclusive = a.clone();
+        not_inclusive.l2.invalidate(0x40);
+        let err = refuse(&not_inclusive);
+        assert!(
+            err.contains("line 0x40: L1 copy in port 0 without an inclusive L2 entry"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_coherence_sees_a_stale_directory() {
+        let mut m = sys(2);
+        let _ = m.access(PortId(0), 0x40, AccessKind::Write, Time::ZERO);
+        m.l1s[0].invalidate(0x40);
+        assert_eq!(
+            m.check_coherence(&[0x40]),
+            Err(CoherenceError::StaleDirectory {
+                line: 0x40,
+                recorded: (1, Some(0)),
+                scanned: (0, None),
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "65 L1 ports exceed the directory's 64")]
+    fn too_many_ports_panics() {
+        let _ = sys(MAX_L1_PORTS + 1);
     }
 
     #[test]

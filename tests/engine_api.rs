@@ -131,3 +131,61 @@ fn any_seeded_fault_plan_replays_byte_identically() {
         );
     });
 }
+
+/// A finished engine has handed its metrics to the result, so a second run
+/// on it is refused with a typed error on every engine, and a restore makes
+/// it runnable again: the rerun repeats the first run exactly.
+#[test]
+fn a_finished_engine_refuses_to_run_until_restored() {
+    use parallelxl::arch::{LiteDriver, RunStatus};
+    use parallelxl::{AccelError, AccelResult, Engine, EngineKind, Memory, Task, Worker};
+
+    type Instance = (Box<dyn Worker>, Result<Task, Box<dyn LiteDriver>>);
+
+    fn run(engine: &mut dyn Engine, inst: &mut Instance) -> Result<AccelResult, AccelError> {
+        let (worker, shape) = inst;
+        let workload = match shape {
+            Ok(root) => Workload::dynamic(worker.as_mut(), *root),
+            Err(driver) => Workload::rounds(worker.as_mut(), driver.as_mut()),
+        };
+        match engine.run_until(workload, None)? {
+            RunStatus::Finished(out) => Ok(out),
+            RunStatus::Paused { .. } => unreachable!("no pause boundary was requested"),
+        }
+    }
+
+    for point in [
+        DesignPoint::accel(PointArch::Flex, 2, 2),
+        DesignPoint::accel(PointArch::Lite, 2, 2),
+        DesignPoint::cpu(4),
+    ] {
+        let spec = RunSpec::new("uts", Scale::Tiny, point);
+        let bench = by_name("uts", Scale::Tiny).unwrap();
+        let mut engine = SimulationBuilder::from_run_spec(&spec)
+            .and_then(|b| b.build())
+            .unwrap();
+        let lite = engine.kind() == EngineKind::Lite;
+        // The worker and driver for inputs written to `mem`; a rerun takes
+        // fresh ones, since a LiteArch driver may consume its rounds.
+        let instance = |mem: &mut Memory| -> Instance {
+            if lite {
+                let inst = bench.lite(mem).unwrap();
+                (inst.worker, Err(inst.driver))
+            } else {
+                let inst = bench.flex(mem);
+                (inst.worker, Ok(inst.root))
+            }
+        };
+        let mut inst = instance(engine.mem_mut());
+        let fresh = engine.snapshot();
+        let first = run(engine.as_mut(), &mut inst).unwrap();
+        let err = run(engine.as_mut(), &mut inst).unwrap_err();
+        assert!(matches!(err, AccelError::Finished), "{spec:?}: {err}");
+        assert!(err.to_string().contains("already finished"), "{err}");
+        engine.restore(&fresh).unwrap();
+        let again = run(engine.as_mut(), &mut instance(&mut Memory::new())).unwrap();
+        assert_eq!(again.result, first.result, "{spec:?}");
+        assert_eq!(again.elapsed, first.elapsed, "{spec:?}");
+        assert_eq!(again.metrics.to_json(), first.metrics.to_json(), "{spec:?}");
+    }
+}

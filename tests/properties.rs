@@ -323,6 +323,92 @@ fn coherence_invariants_hold() {
     );
 }
 
+/// With L1s and an L2 small enough that every protocol path runs (L1
+/// victims, L2 back-invalidation, cache-to-cache transfers, upgrades and
+/// prefetches), the coherence directory equals a full scan of the L1 arrays
+/// after every access, and a snapshot restored mid-stream resumes exactly
+/// like the uninterrupted run.
+#[test]
+fn coherence_directory_matches_a_full_scan() {
+    use parallelxl::mem::{AccessKind, MemorySystem, PortId};
+    use parallelxl::sim::config::MemoryConfig;
+    use parallelxl::sim::json::JsonValue;
+
+    const PATHS: [&str; 7] = [
+        "mem.l1_writebacks",
+        "mem.l2_evictions",
+        "mem.l2_writebacks",
+        "mem.c2c_transfers",
+        "mem.upgrades",
+        "mem.remote_invalidations",
+        "mem.prefetches",
+    ];
+    let mut seen = [0u64; PATHS.len()];
+    check(48, "directory matches a scan of the L1s", |g: &mut Gen| {
+        let ports = g.usize_in(2, 17);
+        let mut cfg = MemoryConfig::micro2018();
+        // 2 sets x 2 ways of L1 over 4 sets x 2 ways of L2.
+        let mut l1 = cfg.accel_l1.clone().with_size(256);
+        l1.ways = 2;
+        l1.next_line_prefetch = g.bool();
+        cfg.l2 = cfg.l2.clone().with_size(512);
+        cfg.l2.ways = 2;
+        let build = || MemorySystem::new(vec![l1.clone(); ports], &cfg);
+        let lines = g.range(4, 24);
+        let addrs: Vec<u64> = (0..=lines).map(|l| l * 64).collect();
+        let stream: Vec<(usize, u64, AccessKind)> = (0..g.usize_in(1, 400))
+            .map(|_| {
+                let kind = match g.range(0, 4) {
+                    0 | 1 => AccessKind::Read,
+                    2 => AccessKind::Write,
+                    _ => AccessKind::Amo,
+                };
+                (
+                    g.usize_in(0, ports),
+                    g.range(0, lines) * 64 + g.range(0, 64),
+                    kind,
+                )
+            })
+            .collect();
+        let pause = g.usize_in(0, stream.len());
+        let mut a = build();
+        let mut b = build();
+        let mut t = vec![Time::ZERO; ports];
+        for (i, &(port, addr, kind)) in stream.iter().enumerate() {
+            if i == pause {
+                let saved = JsonValue::parse(&a.state_to_json_value().to_json()).unwrap();
+                b.restore_state(&saved).unwrap();
+            }
+            let done = a.access(PortId(port), addr, kind, t[port]);
+            if let Err(e) = a.check_coherence(&addrs) {
+                panic!("access {i}: {e}");
+            }
+            if i >= pause {
+                assert_eq!(
+                    b.access(PortId(port), addr, kind, t[port]),
+                    done,
+                    "access {i} diverged after a restore at {pause}"
+                );
+                if let Err(e) = b.check_coherence(&addrs) {
+                    panic!("access {i} after a restore at {pause}: {e}");
+                }
+            }
+            t[port] = done;
+        }
+        assert_eq!(b.stats().to_json(), a.stats().to_json());
+        assert_eq!(
+            b.state_to_json_value().to_json(),
+            a.state_to_json_value().to_json()
+        );
+        for (count, path) in seen.iter_mut().zip(PATHS) {
+            *count += a.stats().get(path);
+        }
+    });
+    for (count, path) in seen.iter().zip(PATHS) {
+        assert!(*count > 0, "{path} never ran");
+    }
+}
+
 /// Every scheduling-policy ablation still produces golden-correct results:
 /// policies change timing, never functional behaviour.
 #[test]
