@@ -181,7 +181,7 @@ impl Benchmark for Uts {
             }),
             driver: Box::new(UtsLiteDriver {
                 layout,
-                frontier: vec![(self.root_state, 0)],
+                root_state: self.root_state,
                 cutoff: self.cutoff,
             }),
             footprint_bytes: 4096,
@@ -315,28 +315,31 @@ impl Worker for UtsWorker {
 #[derive(Debug)]
 struct UtsLiteDriver {
     layout: Layout,
-    frontier: Vec<(u64, u64)>,
+    root_state: u64,
     cutoff: u64,
 }
 
 impl pxl_arch::LiteDriver for UtsLiteDriver {
     fn next_round(&mut self, mem: &mut Memory, round: usize) -> Option<RoundTasks> {
-        if round > 0 {
+        let frontier: Vec<(u64, u64)> = if round == 0 {
+            vec![(self.root_state, 0)]
+        } else {
             let list = self.layout.next_list;
             let count = mem.read_u64(list);
-            self.frontier = (0..count)
+            let frontier = (0..count)
                 .map(|i| {
                     let rec = list + 8 + 16 * i;
                     (mem.read_u64(rec), mem.read_u64(rec + 8))
                 })
                 .collect();
             mem.write_u64(list, 0);
-        }
-        if self.frontier.is_empty() || round as u64 > self.cutoff {
+            frontier
+        };
+        if frontier.is_empty() || round as u64 > self.cutoff {
             return None;
         }
         Some(
-            self.frontier
+            frontier
                 .iter()
                 .map(|&(state, depth)| Task::new(UTS_LITE, Continuation::host(0), &[state, depth]))
                 .collect(),
@@ -415,5 +418,29 @@ mod tests {
             .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
             .unwrap();
         bench.check(engine.memory(), out.result).unwrap();
+    }
+
+    #[test]
+    fn a_reused_lite_driver_finishes_a_restored_run_like_a_fresh_one() {
+        let bench = Uts::new(Scale::Tiny);
+        let mut engine =
+            pxl_arch::LiteEngine::new(pxl_arch::AccelConfig::lite(2, 2), bench.profile());
+        let inst = bench.lite(engine.mem_mut()).unwrap();
+        let (mut worker, mut driver) = (inst.worker, inst.driver);
+        let start = engine.snapshot();
+        engine
+            .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
+            .unwrap();
+        let mut finish = |driver: &mut dyn pxl_arch::LiteDriver| {
+            engine.restore(&start).unwrap();
+            let out = engine
+                .run(Workload::rounds(worker.as_mut(), driver))
+                .unwrap();
+            (out.result, out.elapsed, out.metrics.to_json())
+        };
+        let reused = finish(driver.as_mut());
+        let fresh = finish(bench.lite(&mut Memory::new()).unwrap().driver.as_mut());
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.0, bench.golden());
     }
 }

@@ -25,7 +25,7 @@
 //! queueing delay and bandwidth saturation — the effects that shape the
 //! paper's memory-bound results (spmvcrs, bfsqueue, stencil2d).
 
-use pxl_sim::config::{CacheParams, DramParams, MemoryConfig};
+use pxl_sim::config::{CacheParams, MemoryConfig};
 use pxl_sim::json::{self, JsonValue};
 use pxl_sim::{CounterId, Metrics, Time, TraceEvent, Tracer};
 
@@ -104,7 +104,10 @@ pub struct MemorySystem {
     l2_params: CacheParams,
     /// Sharers and owner of every L2-resident line, per L2 way.
     dir: Directory,
-    dram: DramParams,
+    /// DRAM access latency, then the time one line streams at peak
+    /// bandwidth; both fixed by the configuration.
+    dram_latency: Time,
+    dram_line_ps: u64,
     bus: BusParams,
     bus_meter: BandwidthMeter,
     l2_meter: BandwidthMeter,
@@ -263,7 +266,8 @@ impl MemorySystem {
             l2: CacheArray::new(&config.l2),
             l2_params: config.l2.clone(),
             dir: Directory::new(config.l2.num_sets() * config.l2.ways),
-            dram: config.dram.clone(),
+            dram_latency: Time::from_ns(config.dram.access_latency_ns),
+            dram_line_ps: config.dram.line_transfer_ps(config.l2.line_bytes),
             bus: BusParams::default(),
             bus_meter: BandwidthMeter::default_epoch(),
             l2_meter: BandwidthMeter::default_epoch(),
@@ -430,8 +434,7 @@ impl MemorySystem {
 
     fn acquire_dram(&mut self, t: Time) -> Time {
         let line_bytes = self.line_bytes() as u64;
-        let transfer_ps = self.dram.line_transfer_ps(self.line_bytes());
-        let start = self.dram_meter.acquire(t, transfer_ps);
+        let start = self.dram_meter.acquire(t, self.dram_line_ps);
         self.stats.inc(self.ids.dram_lines);
         self.stats.add_to(self.ids.dram_bytes, line_bytes);
         // Starting in a later epoch than requested means the natural epoch
@@ -446,15 +449,14 @@ impl MemorySystem {
                 },
             );
         }
-        start + Time::from_ns(self.dram.access_latency_ns) + Time::from_ps(transfer_ps)
+        start + self.dram_latency + Time::from_ps(self.dram_line_ps)
     }
 
     /// Consumes DRAM bandwidth for a background transfer (writeback or
     /// prefetch) without delaying the requester.
     fn dram_background(&mut self, at: Time) {
         let line_bytes = self.line_bytes() as u64;
-        let transfer_ps = self.dram.line_transfer_ps(self.line_bytes());
-        let _ = self.dram_meter.acquire(at, transfer_ps);
+        let _ = self.dram_meter.acquire(at, self.dram_line_ps);
         self.stats.add_to(self.ids.dram_bytes, line_bytes);
     }
 

@@ -286,7 +286,7 @@ impl Tracer {
     /// (emission order breaks ties) and renumbers `seq` from zero. Engines
     /// call this once before returning a result.
     pub fn finish(&mut self) {
-        self.records.sort_by_key(|r| r.at);
+        order_by_time(&mut self.records);
         for (i, r) in self.records.iter_mut().enumerate() {
             r.seq = i as u64;
         }
@@ -349,19 +349,67 @@ impl Tracer {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing or malformed field, or the
+    /// field of a state [`Tracer::emit`] and [`Tracer::absorb`] never
+    /// produce: more records than `capacity`, a record whose `seq` is not
+    /// its position, or a `next_seq` other than the record count.
     pub fn state_from_json_value(value: &JsonValue) -> Result<Tracer, String> {
         let records = json::get_arr(value, "records")?
             .iter()
             .map(TraceRecord::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
+        let capacity = json::get_uint(value, "capacity")?;
+        let next_seq = json::get_u64(value, "next_seq")?;
+        if records.len() > capacity {
+            return Err(format!(
+                "trace: records holds {} records, past capacity {capacity}",
+                records.len()
+            ));
+        }
+        if let Some(i) = (0..records.len()).find(|&i| records[i].seq != i as u64) {
+            return Err(format!(
+                "trace: records[{i}] has seq {}, want {i}",
+                records[i].seq
+            ));
+        }
+        if next_seq != records.len() as u64 {
+            return Err(format!(
+                "trace: next_seq {next_seq} is not the record count {}",
+                records.len()
+            ));
+        }
         Ok(Tracer {
-            capacity: json::get_uint(value, "capacity")?,
+            capacity,
             records,
             dropped: json::get_u64(value, "dropped")?,
-            next_seq: json::get_u64(value, "next_seq")?,
+            next_seq,
         })
     }
+}
+
+/// Stably sorts `records` by time. Engines emit close to time order, so one
+/// insertion pass places most records a few slots back; once its moves
+/// outgrow four per placed record plus a fixed allowance (an absorbed
+/// memory trace is a long run behind the engine's records), the slice goes
+/// to a stable sort, which still sees equal-time records in emission order.
+/// Returns whether the insertion pass placed every record itself.
+fn order_by_time(records: &mut [TraceRecord]) -> bool {
+    let mut moves = 0;
+    for i in 1..records.len() {
+        let r = records[i];
+        let mut j = i;
+        while j > 0 && records[j - 1].at > r.at {
+            records[j] = records[j - 1];
+            j -= 1;
+        }
+        records[j] = r;
+        moves += i - j;
+        if moves > 4 * i + 4096 {
+            records.sort_by_key(|r| r.at);
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -527,6 +575,96 @@ mod tests {
         assert!(Tracer::state_from_json_value(&v)
             .unwrap_err()
             .contains("unknown kind"));
+        // States `emit` and `absorb` never produce are refused by field.
+        let record = |seq| {
+            format!("{{\"t_ps\":1,\"seq\":{seq},\"kind\":\"spawn\",\"unit\":0,\"ty\":0,\"parent\":0,\"child\":0}}")
+        };
+        for (capacity, next_seq, seqs, refusal) in [
+            (1, 2, [0, 1], Some("past capacity 1")),
+            (4, 3, [0, 1], Some("next_seq 3")),
+            (4, 2, [1, 0], Some("records[0] has seq 1")),
+            (4, 2, [0, 1], None),
+        ] {
+            let text = format!(
+                "{{\"capacity\":{capacity},\"dropped\":0,\"next_seq\":{next_seq},\"records\":[{},{}]}}",
+                record(seqs[0]),
+                record(seqs[1])
+            );
+            let restored = Tracer::state_from_json_value(&JsonValue::parse(&text).unwrap());
+            match refusal {
+                Some(field) => assert!(restored.unwrap_err().contains(field)),
+                None => assert_eq!(restored.unwrap().len(), 2),
+            }
+        }
+    }
+
+    /// Record times in one of the shapes `finish` has to order: near-sorted
+    /// with many equal times, sorted with a few far-displaced records,
+    /// concatenated sorted runs, reversed, or all equal.
+    fn arbitrary_times(g: &mut crate::qcheck::Gen, n: usize) -> Vec<u64> {
+        let mut base = 0;
+        match g.usize_in(0, 5) {
+            0 => (0..n)
+                .map(|_| {
+                    base += g.range(0, 3);
+                    base.saturating_sub(g.range(0, 12))
+                })
+                .collect(),
+            1 => {
+                let mut times: Vec<u64> = (0..n as u64).collect();
+                for _ in 0..g.usize_in(1, 4).min(n) {
+                    let i = g.usize_in(0, n);
+                    times[i] = g.range(0, n as u64 + 1);
+                }
+                times
+            }
+            2 => {
+                let runs = g.usize_in(1, 6);
+                let mut times = Vec::new();
+                for k in 0..runs {
+                    let len = (n - times.len()) / (runs - k);
+                    let mut t = g.range(0, 64);
+                    times.extend((0..len).map(|_| {
+                        t += g.range(0, 4);
+                        t
+                    }));
+                }
+                times
+            }
+            3 => (0..n as u64).rev().map(|t| t / 2).collect(),
+            _ => vec![7; n],
+        }
+    }
+
+    #[test]
+    fn finish_equals_a_stable_sort_by_time() {
+        // [fell back to the stable sort, placed every record by insertion]
+        let mut paths = [0; 2];
+        crate::qcheck::check(192, "finish is a stable sort by time", |g| {
+            let n = g.usize_in(0, 3000);
+            let times = arbitrary_times(g, n);
+            let mut t = Tracer::bounded(n.max(1));
+            // Some traces take their tail through `absorb`, as an engine
+            // takes in its memory system's trace.
+            let split = if g.bool() { g.usize_in(0, n + 1) } else { n };
+            for (i, &at) in times[..split].iter().enumerate() {
+                t.emit(Time::from_ps(at), spawn(i as u32));
+            }
+            let mut tail = Tracer::bounded(n.max(1));
+            for (i, &at) in times.iter().enumerate().skip(split) {
+                tail.emit(Time::from_ps(at), spawn(i as u32));
+            }
+            t.absorb(tail);
+            let mut want = t.records().to_vec();
+            want.sort_by_key(|r| r.at);
+            for (i, r) in want.iter_mut().enumerate() {
+                r.seq = i as u64;
+            }
+            paths[usize::from(order_by_time(&mut t.records().to_vec()))] += 1;
+            t.finish();
+            assert_eq!(t.records(), want);
+        });
+        assert!(paths.iter().all(|&p| p > 0), "paths taken: {paths:?}");
     }
 
     #[test]

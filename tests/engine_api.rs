@@ -138,7 +138,7 @@ fn any_seeded_fault_plan_replays_byte_identically() {
 #[test]
 fn a_finished_engine_refuses_to_run_until_restored() {
     use parallelxl::arch::{LiteDriver, RunStatus};
-    use parallelxl::{AccelError, AccelResult, Engine, EngineKind, Memory, Task, Worker};
+    use parallelxl::{AccelError, AccelResult, Engine, EngineKind, Task, Worker};
 
     type Instance = (Box<dyn Worker>, Result<Task, Box<dyn LiteDriver>>);
 
@@ -164,26 +164,22 @@ fn a_finished_engine_refuses_to_run_until_restored() {
         let mut engine = SimulationBuilder::from_run_spec(&spec)
             .and_then(|b| b.build())
             .unwrap();
-        let lite = engine.kind() == EngineKind::Lite;
-        // The worker and driver for inputs written to `mem`; a rerun takes
-        // fresh ones, since a LiteArch driver may consume its rounds.
-        let instance = |mem: &mut Memory| -> Instance {
-            if lite {
-                let inst = bench.lite(mem).unwrap();
-                (inst.worker, Err(inst.driver))
-            } else {
-                let inst = bench.flex(mem);
-                (inst.worker, Ok(inst.root))
-            }
+        // A LiteArch driver is a pure function of `(mem, round)`, so the
+        // restored run reuses the first run's driver as well as its worker.
+        let mut inst: Instance = if engine.kind() == EngineKind::Lite {
+            let inst = bench.lite(engine.mem_mut()).unwrap();
+            (inst.worker, Err(inst.driver))
+        } else {
+            let inst = bench.flex(engine.mem_mut());
+            (inst.worker, Ok(inst.root))
         };
-        let mut inst = instance(engine.mem_mut());
         let fresh = engine.snapshot();
         let first = run(engine.as_mut(), &mut inst).unwrap();
         let err = run(engine.as_mut(), &mut inst).unwrap_err();
         assert!(matches!(err, AccelError::Finished), "{spec:?}: {err}");
         assert!(err.to_string().contains("already finished"), "{err}");
         engine.restore(&fresh).unwrap();
-        let again = run(engine.as_mut(), &mut instance(&mut Memory::new())).unwrap();
+        let again = run(engine.as_mut(), &mut inst).unwrap();
         assert_eq!(again.result, first.result, "{spec:?}");
         assert_eq!(again.elapsed, first.elapsed, "{spec:?}");
         assert_eq!(again.metrics.to_json(), first.metrics.to_json(), "{spec:?}");
