@@ -173,33 +173,45 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
 /// quiescence watchdog diagnoses the stall in bounded time, naming units.
 #[test]
 fn watchdog_diagnoses_an_unrecoverable_stall() {
-    let bench = by_name("queens", Scale::Tiny).unwrap();
-    let mut cfg = AccelConfig::flex(1, 4);
-    cfg.watchdog_quiescence_cycles = 50_000;
-    cfg.fault_plan =
-        Some(FaultPlan::new(1).drop_messages(NetClass::Arg, Time::ZERO, Time::MAX, 1000, 0));
-    let mut engine = FlexEngine::new(cfg, bench.profile());
-    let inst = bench.flex(engine.mem_mut());
-    let mut worker = inst.worker;
-    let err = engine
-        .run(Workload::dynamic(worker.as_mut(), inst.root))
-        .expect_err("total argument loss cannot complete");
-    match err {
-        AccelError::Stalled { idle_us, .. } => {
-            let msg = err.to_string();
-            assert!(
-                msg.contains("watchdog"),
-                "diagnosis names the watchdog: {msg}"
-            );
-            assert!(msg.contains("unit"), "diagnosis names a unit: {msg}");
-            // 50k cycles at 200 MHz is 250 us; the watchdog must not wait
-            // for the multi-second hard time limit.
-            assert!(
-                idle_us <= 1_000,
-                "stall flagged in bounded time: {idle_us} us"
-            );
+    // Total loss on either network: arguments on one tile, ready tasks
+    // routed between two tiles.
+    let cases = [
+        (NetClass::Arg, AccelConfig::flex(1, 4), "fault.dropped_args"),
+        (NetClass::Task, AccelConfig::flex(2, 2), "fault.dropped_tasks"),
+    ];
+    for (net, mut cfg, dropped) in cases {
+        let bench = by_name("queens", Scale::Tiny).unwrap();
+        cfg.watchdog_quiescence_cycles = 50_000;
+        cfg.fault_plan = Some(FaultPlan::new(1).drop_messages(net, Time::ZERO, Time::MAX, 1000, 0));
+        let mut engine = FlexEngine::new(cfg, bench.profile());
+        let inst = bench.flex(engine.mem_mut());
+        let mut worker = inst.worker;
+        let err = engine
+            .run(Workload::dynamic(worker.as_mut(), inst.root))
+            .expect_err("total message loss cannot complete");
+        match err {
+            AccelError::Stalled { idle_us, .. } => {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("watchdog"),
+                    "diagnosis names the watchdog: {msg}"
+                );
+                assert!(msg.contains("unit"), "diagnosis names a unit: {msg}");
+                // 50k cycles at 200 MHz is 250 us; the watchdog must not wait
+                // for the multi-second hard time limit.
+                assert!(
+                    idle_us <= 1_000,
+                    "stall flagged in bounded time: {idle_us} us"
+                );
+            }
+            other => panic!("{net:?}: expected a watchdog stall, got: {other}"),
         }
-        other => panic!("expected a watchdog stall, got: {other}"),
+        // Every lost message was sent once and retried to exhaustion.
+        let m = engine.metrics();
+        let unrecovered = m.get("fault.unrecovered");
+        assert!(unrecovered >= 1, "{net:?}: a message must be lost");
+        assert_eq!(m.get(dropped), 9 * unrecovered, "{net:?}: {dropped}");
+        assert_eq!(m.get("fault.retries"), 8 * unrecovered, "{net:?}: retries");
     }
 }
 
@@ -233,6 +245,41 @@ fn lite_survives_pe_death_and_stalls() {
         m.get("fault.rescued_tasks") > 0,
         "chunks must be reassigned"
     );
+    assert_eq!(m.get("fault.recovered"), m.get("fault.injected"));
+}
+
+/// Lite accounts its static schedule against the finished run: a PE's
+/// earliest death wins, and a later death of the same PE or any fault past
+/// the run's end is skipped.
+#[test]
+fn lite_skips_shadowed_and_late_faults() {
+    let bench = by_name("uts", Scale::Tiny).unwrap();
+    let late = Time::from_us(100_000);
+    let mut cfg = AccelConfig::lite(1, 4);
+    cfg.fault_plan = Some(
+        FaultPlan::new(5)
+            .kill_pe(1, Time::from_us(2))
+            .kill_pe(1, Time::ZERO)
+            .kill_pe(3, late)
+            .stall_pe(2, late, 2_000),
+    );
+    let mut engine = LiteEngine::new(cfg, bench.profile());
+    let inst = bench
+        .lite(engine.mem_mut())
+        .expect("uts has a Lite mapping");
+    let mut worker = inst.worker;
+    let mut driver = inst.driver;
+    let out = engine
+        .run(Workload::rounds(worker.as_mut(), driver.as_mut()))
+        .expect("Lite survives the plan");
+    bench
+        .check(engine.memory(), out.result)
+        .expect("Lite result stays golden");
+    assert!(out.elapsed < late, "the run ends before {late}");
+    let m = &out.metrics;
+    assert_eq!(m.get("fault.pe_deaths"), 1);
+    assert_eq!(m.get("fault.pe_stalls"), 0);
+    assert_eq!(m.get("fault.skipped"), 3);
     assert_eq!(m.get("fault.recovered"), m.get("fault.injected"));
 }
 
