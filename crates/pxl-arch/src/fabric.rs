@@ -495,6 +495,81 @@ impl Event {
     }
 }
 
+/// A message on one of the fabric's two routed networks, as
+/// [`FabricEngine::send_msg`] delivers, drops, retries or duplicates it. The
+/// PE named in fault records travels beside it: an argument's sender, a
+/// ready task's destination.
+#[derive(Debug, Clone, Copy)]
+enum Msg {
+    /// An argument bound for a P-Store entry or a host register.
+    Arg {
+        k: Continuation,
+        value: u64,
+        from_task: u64,
+    },
+    /// A ready task, greedy-routed to a PE.
+    Task { task: Task },
+}
+
+impl Msg {
+    /// The message's network, its `fault.dropped_*` and `fault.dup_*`
+    /// counters, and the crossbar hops between send and arrival (an
+    /// argument's send time already includes its network latency).
+    fn net(&self) -> (NetClass, &'static str, &'static str, u64) {
+        match self {
+            Msg::Arg { .. } => (NetClass::Arg, "fault.dropped_args", "fault.dup_args", 0),
+            Msg::Task { .. } => (NetClass::Task, "fault.dropped_tasks", "fault.dup_tasks", 1),
+        }
+    }
+
+    /// The event that delivers the message; `dup_of` flags an injected
+    /// duplicate copy.
+    fn arrive(self, unit: usize, dup_of: Option<usize>, slab: &mut EventSlab<Task>) -> Event {
+        match self {
+            Msg::Arg {
+                k,
+                value,
+                from_task,
+            } => Event::ArgArrive {
+                k,
+                value,
+                from_pe: unit,
+                from_task,
+                dup_of,
+            },
+            Msg::Task { task } => Event::TaskRun {
+                pe: unit,
+                task: slab.insert(task),
+                dup_of,
+            },
+        }
+    }
+
+    /// The event that retransmits the message after a drop.
+    fn resend(self, unit: usize, attempt: u8, spec: usize, slab: &mut EventSlab<Task>) -> Event {
+        match self {
+            Msg::Arg {
+                k,
+                value,
+                from_task,
+            } => Event::ArgResend {
+                k,
+                value,
+                from_pe: unit,
+                from_task,
+                attempt,
+                spec,
+            },
+            Msg::Task { task } => Event::TaskResend {
+                pe: unit,
+                task: slab.insert(task),
+                attempt,
+                spec,
+            },
+        }
+    }
+}
+
 /// Engine-side fault-injection state, present only when the configuration
 /// carries a [`FaultPlan`].
 #[derive(Debug)]
@@ -519,6 +594,114 @@ impl FaultState {
             rescue_pending: vec![None; num_pes],
             corrupt_pending: vec![Vec::new(); tiles],
         }
+    }
+
+    /// Resolves every corruption pending on `entry` of `tile`, recording
+    /// their recoveries at `now` in the order they were injected.
+    fn resolve_corrupt(&mut self, core: &mut EngineCore, now: Time, tile: usize, entry: u32) {
+        let queue = &mut self.corrupt_pending[tile];
+        for &(_, spec) in queue.iter().filter(|(e, _)| *e == entry) {
+            core.record_recovered(now, spec, tile);
+        }
+        queue.retain(|(e, _)| *e != entry);
+    }
+
+    /// The snapshot's `faults` object. Spec indices in `rescue_pending`
+    /// are stored plus one (zero is none); each tile's `corrupt_pending`
+    /// flattens to `entry, spec` word pairs.
+    fn fields(&self) -> JsonValue {
+        let (rng, remaining) = self.sched.save_state();
+        json::obj(vec![
+            ("rng", json::num(rng)),
+            (
+                "remaining",
+                json::arr_u64(remaining.iter().map(|r| u64::from(*r))),
+            ),
+            (
+                "dead",
+                json::arr_u64(self.dead.iter().map(|d| u64::from(*d))),
+            ),
+            (
+                "rescue_pending",
+                json::arr_u64(
+                    self.rescue_pending
+                        .iter()
+                        .map(|r| r.map_or(0, |s| s as u64 + 1)),
+                ),
+            ),
+            (
+                "corrupt_pending",
+                JsonValue::Array(
+                    self.corrupt_pending
+                        .iter()
+                        .map(|tile| {
+                            json::arr_u64(
+                                tile.iter()
+                                    .flat_map(|(entry, spec)| [u64::from(*entry), *spec as u64]),
+                            )
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// Inverse of [`FaultState::fields`]: refuses a PE or tile count other
+    /// than this engine's and a spec index past the plan.
+    fn read(&mut self, saved: &JsonValue) -> Result<(), SnapshotError> {
+        let rng = json::get_u64(saved, "rng")?;
+        let remaining = json::get_u64s(saved, "remaining")?
+            .iter()
+            .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
+            .collect::<Result<Vec<u32>, _>>()?;
+        // `load_state` refuses a budget list whose length is not the plan's
+        // spec count, so this bounds every pending spec index.
+        let num_specs = remaining.len();
+        self.sched.load_state(rng, remaining).map_err(malformed)?;
+        let spec_index = |key: &str, spec: u64| {
+            usize::try_from(spec)
+                .ok()
+                .filter(|i| *i < num_specs)
+                .ok_or_else(|| {
+                    malformed(format!(
+                        "{key} names fault spec {spec}, past the plan's {num_specs}"
+                    ))
+                })
+        };
+        let dead = json::get_u64s(saved, "dead")?;
+        let rescue = json::get_u64s(saved, "rescue_pending")?;
+        if dead.len() != self.dead.len() || rescue.len() != self.dead.len() {
+            return Err(malformed("fault state PE count mismatch"));
+        }
+        self.dead = dead.iter().map(|d| *d != 0).collect();
+        self.rescue_pending = rescue
+            .iter()
+            .map(|r| match r {
+                0 => Ok(None),
+                r => spec_index("rescue_pending", r - 1).map(Some),
+            })
+            .collect::<Result<_, _>>()?;
+        let corrupt = json::get_arr(saved, "corrupt_pending")?;
+        if corrupt.len() != self.corrupt_pending.len() {
+            return Err(malformed("fault state tile count mismatch"));
+        }
+        self.corrupt_pending = corrupt
+            .iter()
+            .map(|tile| {
+                let flat = json::u64s(tile, "corrupt_pending")?;
+                if !flat.len().is_multiple_of(2) {
+                    return Err(malformed("corrupt_pending holds an odd word count"));
+                }
+                flat.chunks(2)
+                    .map(|pair| {
+                        let entry = u32::try_from(pair[0])
+                            .map_err(|_| malformed("corrupt entry overflow"))?;
+                        Ok((entry, spec_index("corrupt_pending", pair[1])?))
+                    })
+                    .collect()
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        Ok(())
     }
 }
 
@@ -1058,44 +1241,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
             ));
         }
         if let Some(faults) = &self.faults {
-            let (rng, remaining) = faults.sched.save_state();
-            tail.push((
-                "faults",
-                json::obj(vec![
-                    ("rng", json::num(rng)),
-                    (
-                        "remaining",
-                        json::arr_u64(remaining.iter().map(|r| u64::from(*r))),
-                    ),
-                    (
-                        "dead",
-                        json::arr_u64(faults.dead.iter().map(|d| u64::from(*d))),
-                    ),
-                    (
-                        "rescue_pending",
-                        json::arr_u64(
-                            faults
-                                .rescue_pending
-                                .iter()
-                                .map(|r| r.map_or(0, |s| s as u64 + 1)),
-                        ),
-                    ),
-                    (
-                        "corrupt_pending",
-                        JsonValue::Array(
-                            faults
-                                .corrupt_pending
-                                .iter()
-                                .map(|tile| {
-                                    json::arr_u64(tile.iter().flat_map(|(entry, spec)| {
-                                        [u64::from(*entry), *spec as u64]
-                                    }))
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
+            tail.push(("faults", faults.fields()));
         }
         self.core.snapshot(
             self.policy.kind().label(),
@@ -1174,60 +1320,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         }
 
         match (&mut self.faults, p.get("faults")) {
-            (Some(faults), Some(saved)) => {
-                let rng = json::get_u64(saved, "rng")?;
-                let remaining = json::get_u64s(saved, "remaining")?
-                    .iter()
-                    .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
-                    .collect::<Result<Vec<u32>, _>>()?;
-                // `load_state` refuses a budget list whose length is not the
-                // plan's spec count, so this bounds every pending spec index.
-                let num_specs = remaining.len();
-                faults.sched.load_state(rng, remaining).map_err(malformed)?;
-                let spec_index = |key: &str, spec: u64| {
-                    usize::try_from(spec)
-                        .ok()
-                        .filter(|i| *i < num_specs)
-                        .ok_or_else(|| {
-                            malformed(format!(
-                                "{key} names fault spec {spec}, past the plan's {num_specs}"
-                            ))
-                        })
-                };
-                let dead = json::get_u64s(saved, "dead")?;
-                let rescue = json::get_u64s(saved, "rescue_pending")?;
-                if dead.len() != num_pes || rescue.len() != num_pes {
-                    return Err(malformed("fault state PE count mismatch"));
-                }
-                faults.dead = dead.iter().map(|d| *d != 0).collect();
-                faults.rescue_pending = rescue
-                    .iter()
-                    .map(|r| match r {
-                        0 => Ok(None),
-                        r => spec_index("rescue_pending", r - 1).map(Some),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let corrupt = json::get_arr(saved, "corrupt_pending")?;
-                if corrupt.len() != faults.corrupt_pending.len() {
-                    return Err(malformed("fault state tile count mismatch"));
-                }
-                faults.corrupt_pending = corrupt
-                    .iter()
-                    .map(|tile| {
-                        let flat = json::u64s(tile, "corrupt_pending")?;
-                        if !flat.len().is_multiple_of(2) {
-                            return Err(malformed("corrupt_pending holds an odd word count"));
-                        }
-                        flat.chunks(2)
-                            .map(|pair| {
-                                let entry = u32::try_from(pair[0])
-                                    .map_err(|_| malformed("corrupt entry overflow"))?;
-                                Ok((entry, spec_index("corrupt_pending", pair[1])?))
-                            })
-                            .collect()
-                    })
-                    .collect::<Result<_, SnapshotError>>()?;
-            }
+            (Some(faults), Some(saved)) => faults.read(saved)?,
             (None, None) => {}
             (Some(_), None) => {
                 return Err(malformed(
@@ -1274,7 +1367,17 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 from_task,
                 attempt,
                 spec,
-            } => self.send_arg_msg(now, k, value, from_pe, from_task, attempt, spec),
+            } => self.send_msg(
+                now,
+                from_pe,
+                Msg::Arg {
+                    k,
+                    value,
+                    from_task,
+                },
+                attempt,
+                spec,
+            ),
             Event::TaskResend {
                 pe,
                 task,
@@ -1282,7 +1385,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 spec,
             } => {
                 let task = self.task_slab.take(task);
-                self.send_task_msg(now, pe, task, attempt, spec)
+                self.send_msg(now, pe, Msg::Task { task }, attempt, spec)
             }
         }
     }
@@ -1389,11 +1492,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 if self.is_dead(thief) {
                     // The thief died with the reply in flight; forward the
                     // task to a live supporter instead of losing it.
-                    let Some(dest) = self.supporter_for(thief, t.ty) else {
-                        self.error = Some(AccelError::Unsupported(format!(
-                            "no live PE supports task type {}",
-                            t.ty
-                        )));
+                    let Some(dest) = self.supporter_for(thief, t.ty, true) else {
                         return;
                     };
                     self.core.metrics.incr("fault.rescued_tasks");
@@ -1482,19 +1581,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                             // same entry: the stored words are back to their
                             // true values, so every pending corruption of the
                             // entry is resolved, this one included.
-                            let cancelled: Vec<usize> = {
-                                let queue =
-                                    &mut self.faults.as_mut().unwrap().corrupt_pending[tile];
-                                let hits = queue
-                                    .iter()
-                                    .filter(|(e, _)| *e == entry)
-                                    .map(|(_, s)| *s)
-                                    .collect();
-                                queue.retain(|(e, _)| *e != entry);
-                                hits
-                            };
-                            for s in cancelled {
-                                self.core.record_recovered(now, s, tile);
+                            if let Some(fs) = self.faults.as_mut() {
+                                fs.resolve_corrupt(&mut self.core, now, tile, entry);
                             }
                             self.core.record_recovered(now, spec, tile);
                         }
@@ -1508,178 +1596,68 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         }
     }
 
-    /// Sends an argument message through the (possibly faulty) argument
-    /// network. `at` is the delivery time computed by the sender; `attempt`
-    /// counts prior drops of this message and `spec` is the spec that caused
-    /// the most recent drop.
-    #[allow(clippy::too_many_arguments)]
-    fn send_arg_msg(
-        &mut self,
-        at: Time,
-        k: Continuation,
-        value: u64,
-        from_pe: usize,
-        from_task: u64,
-        attempt: u8,
-        spec: usize,
-    ) {
+    /// Sends `msg` across its (possibly faulty) network. `unit` is the PE
+    /// named in fault records: an argument's sender, a task's destination.
+    /// `at` is the send time computed by the sender; `attempt` counts prior
+    /// drops of this message and `spec` is the spec that caused the most
+    /// recent drop.
+    fn send_msg(&mut self, at: Time, unit: usize, msg: Msg, attempt: u8, spec: usize) {
+        let (net, dropped, duplicated, hops) = msg.net();
+        let arrive = at + self.cycles(self.cfg.costs.net_hop_cycles * hops);
         let verdict = match self.faults.as_mut() {
-            Some(fs) => fs.sched.on_send(NetClass::Arg, at),
+            Some(fs) => fs.sched.on_send(net, at),
             None => SendVerdict::Deliver,
         };
-        match verdict {
-            SendVerdict::Deliver => {
-                // Every prior drop of this message is now masked: one
-                // recovery per injected drop keeps traces and counters equal.
-                for _ in 0..attempt {
-                    self.core.record_recovered(at, spec, from_pe);
-                }
-                self.events.push(
-                    at,
-                    Event::ArgArrive {
-                        k,
-                        value,
-                        from_pe,
-                        from_task,
-                        dup_of: None,
-                    },
-                );
-            }
+        let dup_of = match verdict {
+            SendVerdict::Deliver => None,
             SendVerdict::Drop { spec: drop_spec } => {
-                self.core.record_injected(at, drop_spec, from_pe);
-                self.core.metrics.incr("fault.dropped_args");
+                self.core.record_injected(at, drop_spec, unit);
+                self.core.metrics.incr(dropped);
                 if attempt >= MAX_SEND_RETRIES {
                     self.core.metrics.incr("fault.unrecovered");
                     self.core.trace.emit(
                         at,
                         TraceEvent::FaultUnrecovered {
                             spec: drop_spec as u32,
-                            unit: from_pe as u32,
+                            unit: unit as u32,
                         },
                     );
-                    // The argument is lost for good; `inflight_args` stays
-                    // elevated so the watchdog diagnoses the stall.
+                    // The message is lost for good; `inflight_args` or
+                    // `outstanding` stays elevated so the watchdog diagnoses
+                    // the stall.
                 } else {
                     self.core.metrics.incr("fault.retries");
                     let backoff = self.cfg.costs.steal_backoff_cycles << attempt.min(6);
-                    self.events.push(
-                        at + self.cycles(backoff),
-                        Event::ArgResend {
-                            k,
-                            value,
-                            from_pe,
-                            from_task,
-                            attempt: attempt + 1,
-                            spec: drop_spec,
-                        },
-                    );
+                    let event = msg.resend(unit, attempt + 1, drop_spec, &mut self.task_slab);
+                    self.events.push(at + self.cycles(backoff), event);
                 }
+                return;
             }
             SendVerdict::Duplicate { spec: dup_spec } => {
-                self.core.record_injected(at, dup_spec, from_pe);
-                self.core.metrics.incr("fault.dup_args");
-                for _ in 0..attempt {
-                    self.core.record_recovered(at, spec, from_pe);
-                }
-                // Both copies are delivered; the receiver discards the
-                // flagged duplicate one hop later (sequence-number dedup).
-                self.inflight_args += 1;
-                self.events.push(
-                    at,
-                    Event::ArgArrive {
-                        k,
-                        value,
-                        from_pe,
-                        from_task,
-                        dup_of: None,
-                    },
-                );
-                self.events.push(
-                    at + self.cycles(self.cfg.costs.net_hop_cycles),
-                    Event::ArgArrive {
-                        k,
-                        value,
-                        from_pe,
-                        from_task,
-                        dup_of: Some(dup_spec),
-                    },
-                );
+                self.core.record_injected(at, dup_spec, unit);
+                self.core.metrics.incr(duplicated);
+                Some(dup_spec)
+            }
+        };
+        // Every prior drop of this message is now masked: one recovery per
+        // injected drop keeps traces and counters equal.
+        for _ in 0..attempt {
+            self.core.record_recovered(at, spec, unit);
+        }
+        if dup_of.is_some() {
+            match msg {
+                Msg::Arg { .. } => self.inflight_args += 1,
+                Msg::Task { .. } => self.root.outstanding += 1,
             }
         }
-    }
-
-    /// Sends a ready task across the (possibly faulty) task network toward
-    /// `dest`; delivery pays one crossbar hop past `at`.
-    fn send_task_msg(&mut self, at: Time, dest: usize, task: Task, attempt: u8, spec: usize) {
-        let hop = self.cycles(self.cfg.costs.net_hop_cycles);
-        let verdict = match self.faults.as_mut() {
-            Some(fs) => fs.sched.on_send(NetClass::Task, at),
-            None => SendVerdict::Deliver,
-        };
-        match verdict {
-            SendVerdict::Deliver => {
-                for _ in 0..attempt {
-                    self.core.record_recovered(at, spec, dest);
-                }
-                self.events.push(
-                    at + hop,
-                    Event::TaskRun {
-                        pe: dest,
-                        task: self.task_slab.insert(task),
-                        dup_of: None,
-                    },
-                );
-            }
-            SendVerdict::Drop { spec: drop_spec } => {
-                self.core.record_injected(at, drop_spec, dest);
-                self.core.metrics.incr("fault.dropped_tasks");
-                if attempt >= MAX_SEND_RETRIES {
-                    self.core.metrics.incr("fault.unrecovered");
-                    self.core.trace.emit(
-                        at,
-                        TraceEvent::FaultUnrecovered {
-                            spec: drop_spec as u32,
-                            unit: dest as u32,
-                        },
-                    );
-                } else {
-                    self.core.metrics.incr("fault.retries");
-                    let backoff = self.cfg.costs.steal_backoff_cycles << attempt.min(6);
-                    self.events.push(
-                        at + self.cycles(backoff),
-                        Event::TaskResend {
-                            pe: dest,
-                            task: self.task_slab.insert(task),
-                            attempt: attempt + 1,
-                            spec: drop_spec,
-                        },
-                    );
-                }
-            }
-            SendVerdict::Duplicate { spec: dup_spec } => {
-                self.core.record_injected(at, dup_spec, dest);
-                self.core.metrics.incr("fault.dup_tasks");
-                for _ in 0..attempt {
-                    self.core.record_recovered(at, spec, dest);
-                }
-                self.root.outstanding += 1;
-                self.events.push(
-                    at + hop,
-                    Event::TaskRun {
-                        pe: dest,
-                        task: self.task_slab.insert(task),
-                        dup_of: None,
-                    },
-                );
-                self.events.push(
-                    at + hop + hop,
-                    Event::TaskRun {
-                        pe: dest,
-                        task: self.task_slab.insert(task),
-                        dup_of: Some(dup_spec),
-                    },
-                );
-            }
+        let event = msg.arrive(unit, None, &mut self.task_slab);
+        self.events.push(arrive, event);
+        if let Some(dup_spec) = dup_of {
+            // Both copies are delivered; the receiver discards the flagged
+            // duplicate one hop later (sequence-number dedup).
+            let event = msg.arrive(unit, Some(dup_spec), &mut self.task_slab);
+            let hop = self.cycles(self.cfg.costs.net_hop_cycles);
+            self.events.push(arrive + hop, event);
         }
     }
 
@@ -1698,8 +1676,10 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
 
     /// Picks a live PE that can process `ty`, preferring `preferred` and
     /// then its tile (round-robin among the tile's supporters), falling back
-    /// to any live supporter in the accelerator.
-    fn supporter_for(&mut self, preferred: usize, ty: TaskTypeId) -> Option<usize> {
+    /// to any live supporter in the accelerator. Without one it records an
+    /// [`AccelError::Unsupported`], worded for a task rescued from a dead
+    /// PE when `rescue` is set.
+    fn supporter_for(&mut self, preferred: usize, ty: TaskTypeId, rescue: bool) -> Option<usize> {
         if self.can_run(preferred, ty) {
             return Some(preferred);
         }
@@ -1712,7 +1692,14 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 return Some(pe);
             }
         }
-        (0..self.cfg.num_pes()).find(|&pe| self.can_run(pe, ty))
+        let found = (0..self.cfg.num_pes()).find(|&pe| self.can_run(pe, ty));
+        if found.is_none() {
+            let live = if rescue { "live " } else { "" };
+            self.error = Some(AccelError::Unsupported(format!(
+                "no {live}PE supports task type {ty}"
+            )));
+        }
+        found
     }
 
     fn arg_arrive(
@@ -1762,21 +1749,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 if outcome.repaired {
                     // The entry's ECC scrubbed injected taint on this fill.
                     self.core.metrics.incr("fault.pstore_repairs");
-                    let specs: Vec<usize> = match self.faults.as_mut() {
-                        Some(fs) => {
-                            let queue = &mut fs.corrupt_pending[tile as usize];
-                            let hits = queue
-                                .iter()
-                                .filter(|(e, _)| *e == entry)
-                                .map(|(_, s)| *s)
-                                .collect();
-                            queue.retain(|(e, _)| *e != entry);
-                            hits
-                        }
-                        None => Vec::new(),
-                    };
-                    for spec in specs {
-                        self.core.record_recovered(now, spec, tile as usize);
+                    if let Some(fs) = self.faults.as_mut() {
+                        fs.resolve_corrupt(&mut self.core, now, tile as usize, entry);
                     }
                 }
                 if let Some(ready) = outcome.ready {
@@ -1797,11 +1771,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                         tile as usize * self.cfg.pes_per_tile
                             + entry as usize % self.cfg.pes_per_tile
                     };
-                    let Some(dest) = self.supporter_for(preferred, ready.ty) else {
-                        self.error = Some(AccelError::Unsupported(format!(
-                            "no PE supports task type {}",
-                            ready.ty
-                        )));
+                    let Some(dest) = self.supporter_for(preferred, ready.ty, false) else {
                         return;
                     };
                     if self.cfg.tile_of_pe(dest) == tile as usize {
@@ -1821,7 +1791,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                             self.chip_of_unit(dest),
                             LINK_TASK,
                         );
-                        self.send_task_msg(at, dest, ready, 0, 0);
+                        self.send_msg(at, dest, Msg::Task { task: ready }, 0, 0);
                     }
                 }
             }
@@ -1846,11 +1816,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             // The destination died while the task was in flight: reroute to
             // a live supporter over one more crossbar hop. The reroute is
             // not subject to further injection so recovery always converges.
-            let Some(dest) = self.supporter_for(pe, task.ty) else {
-                self.error = Some(AccelError::Unsupported(format!(
-                    "no live PE supports task type {}",
-                    task.ty
-                )));
+            let Some(dest) = self.supporter_for(pe, task.ty, true) else {
                 return;
             };
             self.core.metrics.incr("fault.rescued_tasks");
@@ -1936,11 +1902,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             return;
         }
         for &(at, task) in &out_spawns {
-            let Some(dest) = self.supporter_for(pe, task.ty) else {
-                self.error = Some(AccelError::Unsupported(format!(
-                    "no PE supports task type {}",
-                    task.ty
-                )));
+            let Some(dest) = self.supporter_for(pe, task.ty, false) else {
                 return;
             };
             let at = self.link_transit(
@@ -1980,7 +1942,12 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
             };
             let at = self.link_transit(at, self.chip_of_unit(pe), dst_chip, LINK_ARG);
             self.inflight_args += 1;
-            self.send_arg_msg(at, k, value, pe, task.id, 0, 0);
+            let msg = Msg::Arg {
+                k,
+                value,
+                from_task: task.id,
+            };
+            self.send_msg(at, pe, msg, 0, 0);
         }
         self.root.last_useful = self.root.last_useful.max(end);
         self.core.watchdog.progress(end, pe);

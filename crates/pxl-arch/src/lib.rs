@@ -31,7 +31,7 @@
 //!   of the fabric.
 //! * [`LiteEngine`] — the lightweight data-parallel machine: no P-Store, no
 //!   steal network; the host statically distributes range chunks round-robin
-//!   (the [`policy::StaticRoundPolicy`]) and synchronizes between rounds.
+//!   and synchronizes between rounds.
 //! * [`CentralEngine`] — the centralized strawman: FlexArch's task model
 //!   over one global ready queue whose single port serializes every
 //!   acquisition. A [`policy::CentralPolicy`] instantiation, kept for the
@@ -60,7 +60,5 @@ pub use fabric::{
     AccelError, AccelResult, CentralEngine, FabricEngine, FlexEngine, HierEngine, RunStatus,
 };
 pub use lite::{LiteDriver, LiteEngine, RoundTasks};
-pub use policy::{
-    CentralPolicy, FlexPolicy, HierPolicy, RoundSlot, SchedulingPolicy, StaticRoundPolicy,
-};
+pub use policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
 pub use pstore::{FillOutcome, PStore, PStoreError, PStoreStateError};

@@ -24,7 +24,6 @@ use crate::api::{Engine, EngineKind, Workload};
 use crate::config::{AccelConfig, ArchKind};
 use crate::core::{EmbedsCore, EngineCore};
 use crate::fabric::{timed_memory_path, AccelError, MemBackend, RunStatus};
-use crate::policy::StaticRoundPolicy;
 
 /// The engine-wide counters, registered on first use
 /// ([`EngineCore::count`]).
@@ -157,45 +156,104 @@ impl LiteEngine {
     pub fn config(&self) -> &AccelConfig {
         &self.cfg
     }
+}
 
-    /// The fault plan's static schedule (validated to hold only PE deaths
-    /// and stalls on Lite): per-PE earliest death, sorted busy windows for
-    /// transient stalls, and every death spec for end-of-run accounting.
-    /// A pure function of the configuration, recomputed on each `run_until`
-    /// leg so it never needs to be checkpointed.
-    #[allow(clippy::type_complexity)]
-    fn fault_windows(
-        &self,
-    ) -> (
-        Vec<Option<(Time, usize)>>,
-        Vec<Vec<(Time, Time, usize)>>,
-        Vec<(usize, Time, usize)>,
-    ) {
-        let num_pes = self.cfg.num_pes();
-        let mut deaths: Vec<Option<(Time, usize)>> = vec![None; num_pes];
-        let mut stalls: Vec<Vec<(Time, Time, usize)>> = vec![Vec::new(); num_pes];
-        let mut all_deaths: Vec<(usize, Time, usize)> = Vec::new();
-        if let Some(plan) = &self.cfg.fault_plan {
-            for (idx, spec) in plan.specs().iter().enumerate() {
-                match spec.kind {
-                    FaultKind::PeDeath { pe } => {
-                        all_deaths.push((pe, spec.from, idx));
-                        if deaths[pe].is_none_or(|(t, _)| spec.from < t) {
-                            deaths[pe] = Some((spec.from, idx));
-                        }
+/// LiteArch's static fault schedule: the fault plan (validated to hold only
+/// PE deaths and stalls on Lite) as the interface block applies it when it
+/// places a round, and as the finished run accounts it. Lite has no event
+/// loop to fire faults from (docs/fabric.md says why), so the schedule is a
+/// pure function of the configuration, built on each `advance` leg and
+/// never checkpointed.
+#[derive(Debug)]
+struct StaticSchedule {
+    /// Each PE's earliest death `(at, spec)`; a later one is skipped.
+    death: Vec<Option<(Time, usize)>>,
+    /// Each PE's stall windows `(from, to, spec)`, sorted.
+    stalls: Vec<Vec<(Time, Time, usize)>>,
+    /// Every death `(pe, at, spec)` in plan order.
+    deaths: Vec<(usize, Time, usize)>,
+}
+
+impl StaticSchedule {
+    fn new(cfg: &AccelConfig) -> Self {
+        let num_pes = cfg.num_pes();
+        let mut schedule = StaticSchedule {
+            death: vec![None; num_pes],
+            stalls: vec![Vec::new(); num_pes],
+            deaths: Vec::new(),
+        };
+        let specs = cfg.fault_plan.as_ref().map_or(&[][..], |plan| plan.specs());
+        for (idx, spec) in specs.iter().enumerate() {
+            match spec.kind {
+                FaultKind::PeDeath { pe } => {
+                    schedule.deaths.push((pe, spec.from, idx));
+                    if schedule.death[pe].is_none_or(|(t, _)| spec.from < t) {
+                        schedule.death[pe] = Some((spec.from, idx));
                     }
-                    FaultKind::PeStall { pe, cycles } => {
-                        let dur = self.cfg.clock.cycles_to_time(cycles);
-                        stalls[pe].push((spec.from, spec.from + dur, idx));
-                    }
-                    _ => {}
                 }
-            }
-            for windows in &mut stalls {
-                windows.sort();
+                FaultKind::PeStall { pe, cycles } => {
+                    let to = spec.from + cfg.clock.cycles_to_time(cycles);
+                    schedule.stalls[pe].push((spec.from, to, idx));
+                }
+                _ => {}
             }
         }
-        (deaths, stalls, all_deaths)
+        for windows in &mut schedule.stalls {
+            windows.sort();
+        }
+        schedule
+    }
+
+    /// Places task `i` of a round, given each PE's busy-until horizon
+    /// `pe_time` and the task's serial dispatch slot `dispatched`. Chunk `i`
+    /// belongs to PE `i mod P`; the interface block's scoreboard reassigns
+    /// a dead PE's chunks to the next live PE in rotation, and a stall only
+    /// pushes the start past its window. Returns the PE, its start and
+    /// whether the task was reassigned (a rescue), or `None` when every PE
+    /// is dead.
+    fn place(&self, i: usize, dispatched: Time, pe_time: &[Time]) -> Option<(usize, Time, bool)> {
+        let num_pes = pe_time.len();
+        (0..num_pes).find_map(|off| {
+            let pe = (i + off) % num_pes;
+            let mut start = pe_time[pe].max(dispatched);
+            for &(s, e, _) in &self.stalls[pe] {
+                if start >= s && start < e {
+                    start = e;
+                }
+            }
+            // A PE that begins a task before its death commits it
+            // (fail-stop at dispatch granularity).
+            let alive = self.death[pe].is_none_or(|(d, _)| start < d);
+            alive.then_some((pe, start, off > 0))
+        })
+    }
+
+    /// Accounts the plan against a run that finished at `now`: everything
+    /// that fired inside the simulated interval was absorbed by static
+    /// reassignment (deaths) or by waiting out the window (stalls); the
+    /// rest, and every death but a PE's earliest, is skipped. Deaths are
+    /// recorded in plan order, then each PE's stalls in time order.
+    fn account(&self, core: &mut EngineCore, now: Time) {
+        for &(pe, at, idx) in &self.deaths {
+            if self.death[pe] == Some((at, idx)) && at <= now {
+                core.metrics.incr("fault.pe_deaths");
+                core.record_injected(at, idx, pe);
+                core.record_recovered(now, idx, pe);
+            } else {
+                core.metrics.incr("fault.skipped");
+            }
+        }
+        for (pe, windows) in self.stalls.iter().enumerate() {
+            for &(s, e, idx) in windows {
+                if s <= now {
+                    core.metrics.incr("fault.pe_stalls");
+                    core.record_injected(s, idx, pe);
+                    core.record_recovered(e, idx, pe);
+                } else {
+                    core.metrics.incr("fault.skipped");
+                }
+            }
+        }
     }
 }
 
@@ -231,8 +289,7 @@ impl Engine for LiteEngine {
             )));
         };
         let num_pes = self.cfg.num_pes();
-        let (deaths, stalls, all_deaths) = self.fault_windows();
-        let policy = StaticRoundPolicy::new(num_pes);
+        let schedule = StaticSchedule::new(&self.cfg);
         loop {
             if let Some(pause) = pause_at {
                 if self.now > pause {
@@ -260,18 +317,18 @@ impl Engine for LiteEngine {
             let mut pe_time = vec![now; num_pes];
             for (i, task) in tasks.into_iter().enumerate() {
                 let dispatched = now + Time::from_ps(dispatch.as_ps() * (i as u64 + 1));
-                let Some(slot) = policy.place(i, dispatched, &pe_time, &deaths, &stalls) else {
+                let Some((pe, start, reassigned)) = schedule.place(i, dispatched, &pe_time) else {
                     // Every PE is dead: the IF can never dispatch this task
                     // (the IF, unit `num_pes`, holds the undispatchable work).
                     return Err(self.core.stall(dispatched, Some(num_pes)));
                 };
-                if slot.reassigned {
+                if reassigned {
                     self.core.metrics.incr("fault.rescued_tasks");
                 }
                 let task = task.with_id(self.core.alloc_task_id());
-                let end = self.execute_task(slot.start, slot.pe, task, worker)?;
-                pe_time[slot.pe] = end;
-                self.core.watchdog.progress(end, slot.pe);
+                let end = self.execute_task(start, pe, task, worker)?;
+                pe_time[pe] = end;
+                self.core.watchdog.progress(end, pe);
                 if end > self.core.limit {
                     return Err(AccelError::TimedOut);
                 }
@@ -291,32 +348,8 @@ impl Engine for LiteEngine {
             result,
             now,
             |engine| {
-                // Account the plan's faults against the finished run: everything
-                // that fired inside the simulated interval was absorbed by static
-                // reassignment (deaths) or waiting out the window (stalls).
-                let core = &mut engine.core;
-                for &(pe, at, idx) in &all_deaths {
-                    let effective = deaths[pe] == Some((at, idx)) && at <= now;
-                    if effective {
-                        core.metrics.incr("fault.pe_deaths");
-                        core.record_injected(at, idx, pe);
-                        core.record_recovered(now.max(at), idx, pe);
-                    } else {
-                        core.metrics.incr("fault.skipped");
-                    }
-                }
-                for (pe, windows) in stalls.iter().enumerate() {
-                    for &(s, e, idx) in windows {
-                        if s <= now {
-                            core.metrics.incr("fault.pe_stalls");
-                            core.record_injected(s, idx, pe);
-                            core.record_recovered(e, idx, pe);
-                        } else {
-                            core.metrics.incr("fault.skipped");
-                        }
-                    }
-                }
-                core.metrics.merge(&engine.backend.take_stats());
+                schedule.account(&mut engine.core, now);
+                engine.core.metrics.merge(&engine.backend.take_stats());
                 engine.backend.take_trace()
             },
         )))
@@ -503,6 +536,7 @@ impl EmbedsCore for LiteEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxl_sim::FaultPlan;
 
     const LEAF: TaskTypeId = TaskTypeId(0);
 
@@ -715,6 +749,36 @@ mod tests {
         assert!(
             matches!(&err, SnapshotError::Malformed(m) if m.contains("unwritten host slot")),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn static_schedule_skips_dead_pes_and_waits_out_stalls() {
+        let schedule = |plan: FaultPlan| {
+            let mut cfg = AccelConfig::lite(1, 2);
+            cfg.fault_plan = Some(plan);
+            StaticSchedule::new(&cfg)
+        };
+        let pe_time = [Time::ZERO, Time::ZERO];
+        let dispatched = Time::from_ps(10);
+        let one_dead = schedule(FaultPlan::new(1).kill_pe(0, Time::ZERO));
+        assert_eq!(
+            one_dead.place(0, dispatched, &pe_time),
+            Some((1, dispatched, true)),
+            "PE 1 is alive"
+        );
+        let all_dead = schedule(
+            FaultPlan::new(1)
+                .kill_pe(0, Time::ZERO)
+                .kill_pe(1, Time::ZERO),
+        );
+        assert_eq!(all_dead.place(0, dispatched, &pe_time), None);
+        // A stall covering the dispatch slot pushes the start to its end.
+        let stalled = schedule(FaultPlan::new(1).stall_pe(0, Time::from_ps(5), 3));
+        let end = Time::from_ps(5) + AccelConfig::lite(1, 2).clock.cycles_to_time(3);
+        assert_eq!(
+            stalled.place(0, dispatched, &pe_time),
+            Some((0, end, false))
         );
     }
 

@@ -15,8 +15,8 @@
 //!   hardware stealing buys.
 //!
 //! LiteArch's placement rule is not event-driven (the interface block
-//! assigns a whole round up front), so it is expressed separately as
-//! [`StaticRoundPolicy`] and consumed by [`crate::lite::LiteEngine`].
+//! assigns a whole round up front), so it is not a policy: it lives in
+//! [`crate::lite`], next to the static fault schedule it applies.
 //!
 //! See `docs/fabric.md` for how to add a policy; `examples/custom_policy.rs`
 //! runs a user-defined one end to end.
@@ -622,76 +622,6 @@ impl SchedulingPolicy for HierPolicy {
     }
 }
 
-/// Where LiteArch's interface block placed one task of a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundSlot {
-    /// The PE that executes the task.
-    pub pe: usize,
-    /// When the PE begins (past its queue, the dispatch slot, and any
-    /// stall window).
-    pub start: Time,
-    /// Whether the task was reassigned away from its round-robin home
-    /// because that PE (or a successor) was dead — counted as a rescue.
-    pub reassigned: bool,
-}
-
-/// LiteArch's static placement rule, separated from the engine so the
-/// distribution decision lives with the other scheduling policies.
-///
-/// Chunk `i` of a round belongs to PE `i mod P`; the interface block's
-/// scoreboard statically reassigns a dead PE's slots to the next live PE in
-/// rotation, and transient stalls only push the start time past the stall
-/// window. Returns `None` when every PE is dead (the round can never
-/// dispatch — the engine raises the watchdog).
-#[derive(Debug)]
-pub struct StaticRoundPolicy {
-    num_pes: usize,
-}
-
-impl StaticRoundPolicy {
-    /// A placement rule for `num_pes` PEs.
-    pub fn new(num_pes: usize) -> Self {
-        StaticRoundPolicy { num_pes }
-    }
-
-    /// Places task `i` of the current round. `pe_time` is each PE's
-    /// busy-until horizon, `dispatched` the task's serial dispatch slot,
-    /// `deaths` each PE's earliest death (if any) and `stalls` each PE's
-    /// sorted `(from, to, spec)` stall windows.
-    pub fn place(
-        &self,
-        i: usize,
-        dispatched: Time,
-        pe_time: &[Time],
-        deaths: &[Option<(Time, usize)>],
-        stalls: &[Vec<(Time, Time, usize)>],
-    ) -> Option<RoundSlot> {
-        for off in 0..self.num_pes {
-            let pe = (i + off) % self.num_pes;
-            let mut start = pe_time[pe].max(dispatched);
-            for &(s, e, _) in &stalls[pe] {
-                if start >= s && start < e {
-                    start = e;
-                }
-            }
-            // A PE that begins a task before its death commits it
-            // (fail-stop at dispatch granularity).
-            let alive = match deaths[pe] {
-                Some((d, _)) => start < d,
-                None => true,
-            };
-            if alive {
-                return Some(RoundSlot {
-                    pe,
-                    start,
-                    reassigned: off > 0,
-                });
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,22 +726,5 @@ mod tests {
             let v = hier.acquire_target(12);
             assert!((8..16).contains(&v) || v == num_pes);
         }
-    }
-
-    #[test]
-    fn static_round_policy_skips_dead_pes() {
-        let policy = StaticRoundPolicy::new(2);
-        let pe_time = [Time::ZERO, Time::ZERO];
-        let deaths = [Some((Time::ZERO, 0)), None];
-        let stalls = [Vec::new(), Vec::new()];
-        let slot = policy
-            .place(0, Time::from_ps(10), &pe_time, &deaths, &stalls)
-            .expect("PE 1 is alive");
-        assert_eq!(slot.pe, 1);
-        assert!(slot.reassigned);
-        let all_dead = [Some((Time::ZERO, 0)), Some((Time::ZERO, 1))];
-        assert!(policy
-            .place(0, Time::from_ps(10), &pe_time, &all_dead, &stalls)
-            .is_none());
     }
 }

@@ -1,16 +1,15 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Section V).
 //!
-//! Each experiment has a binary (`tables`, `fig6`, `table4`, `fig7`,
-//! `table5`, `fig8`, `fig9`) plus `all`, which runs everything and emits
-//! `EXPERIMENTS.md`-ready output. Every run is named by a
-//! [`pxl_flow::RunSpec`] and performed by [`pxl_flow::execute`], which
-//! validates the output against the golden reference and reports
-//! *whole-program* time (host initialization plus kernel), matching the
-//! paper's methodology: "performance numbers are obtained by comparing
-//! whole program execution time, which include initialization and data
-//! transfers". The shared machinery here is reporting: benchmark lookup,
-//! host stamps, geometric means and markdown tables.
+//! The `all` binary runs every experiment and emits `EXPERIMENTS.md`-ready
+//! output. Every run is named by a [`pxl_flow::RunSpec`] and performed by
+//! [`pxl_flow::execute`], which validates the output against the golden
+//! reference and reports *whole-program* time (host initialization plus
+//! kernel), matching the paper's methodology: "performance numbers are
+//! obtained by comparing whole program execution time, which include
+//! initialization and data transfers". The shared machinery here is
+//! reporting: benchmark lookup, host stamps, geometric means and markdown
+//! tables.
 
 pub mod dse;
 pub mod experiments;

@@ -117,8 +117,7 @@ pub use pxl_sim as sim;
 pub use pxl_arch::{
     AccelConfig, AccelError, AccelResult, ArchKind, CentralEngine, CentralPolicy, ClusterConfig,
     Engine, EngineKind, FabricEngine, FlexEngine, FlexPolicy, HierEngine, HierPolicy, LinkTopology,
-    LiteDriver, LiteEngine, PStoreError, Platform, SchedulingPolicy, StaticRoundPolicy, StealMode,
-    Workload,
+    LiteDriver, LiteEngine, PStoreError, Platform, SchedulingPolicy, StealMode, Workload,
 };
 /// The software baseline engine and its runtime cost knobs.
 pub use pxl_cpu::{CpuEngine, SoftwareCosts};

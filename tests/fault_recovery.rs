@@ -177,7 +177,11 @@ fn watchdog_diagnoses_an_unrecoverable_stall() {
     // routed between two tiles.
     let cases = [
         (NetClass::Arg, AccelConfig::flex(1, 4), "fault.dropped_args"),
-        (NetClass::Task, AccelConfig::flex(2, 2), "fault.dropped_tasks"),
+        (
+            NetClass::Task,
+            AccelConfig::flex(2, 2),
+            "fault.dropped_tasks",
+        ),
     ];
     for (net, mut cfg, dropped) in cases {
         let bench = by_name("queens", Scale::Tiny).unwrap();
