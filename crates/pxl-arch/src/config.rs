@@ -170,33 +170,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Shape of the inter-chip network joining the chips of a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkTopology {
-    /// Every chip pair is one serdes hop apart (a full crossbar or switch).
-    AllToAll,
-    /// Chips form a bidirectional ring; messages pay one link latency per
-    /// ring hop along the shorter direction.
-    Ring,
-}
-
-impl LinkTopology {
-    /// Number of inter-chip link hops between `src` and `dst` on a cluster
-    /// of `chips` chips (zero when they are the same chip).
-    pub fn hops(self, src: usize, dst: usize, chips: usize) -> u64 {
-        if src == dst {
-            return 0;
-        }
-        match self {
-            LinkTopology::AllToAll => 1,
-            LinkTopology::Ring => {
-                let d = src.abs_diff(dst);
-                d.min(chips - d) as u64
-            }
-        }
-    }
-}
-
 /// How thieves treat the chip boundary when picking steal victims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealMode {
@@ -219,29 +192,28 @@ pub enum StealMode {
 /// blocks (the partitioning pass — see [`ClusterConfig::partition`]). Tiles
 /// within a chip keep the single-chip crossbar costs; any message between
 /// chips (steal requests/replies, argument sends, routed tasks) additionally
-/// pays `link_latency_cycles` per topology hop and serializes on the
+/// pays `link_latency_cycles` for its one link hop and serializes on the
 /// directed link's bounded bandwidth (`link_occupancy_cycles` per message).
 /// A 1-chip cluster is exactly the stock single-chip accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of chips; the accelerator's tiles split evenly across them.
     pub chips: usize,
-    /// One-way latency of one inter-chip link hop, in accelerator cycles.
+    /// One-way latency of the link between two chips, in accelerator
+    /// cycles.
     pub link_latency_cycles: u64,
     /// Serialization occupancy of one message on a directed link — the
     /// inverse of link bandwidth. Messages queued behind a busy link wait;
     /// zero models an infinitely wide link.
     pub link_occupancy_cycles: u64,
-    /// Inter-chip network shape.
-    pub topology: LinkTopology,
     /// Victim-selection strategy across the chip boundary.
     pub stealing: StealMode,
 }
 
 impl ClusterConfig {
-    /// A cluster of `chips` chips with the default link model: an
-    /// all-to-all topology, a 32-cycle hop (a serdes crossing is an order
-    /// of magnitude above the 4-cycle on-chip crossbar hop), an 8-cycle
+    /// A cluster of `chips` chips with the default link model: every chip
+    /// pair one 32-cycle hop apart (a serdes crossing is an order of
+    /// magnitude above the 4-cycle on-chip crossbar hop), an 8-cycle
     /// per-message serialization window, and hierarchical stealing that
     /// spills after two failed intra-chip attempts.
     pub fn new(chips: usize) -> Self {
@@ -249,7 +221,6 @@ impl ClusterConfig {
             chips,
             link_latency_cycles: 32,
             link_occupancy_cycles: 8,
-            topology: LinkTopology::AllToAll,
             stealing: StealMode::Hierarchical { spill_threshold: 2 },
         }
     }
@@ -271,12 +242,6 @@ impl ClusterConfig {
     pub fn with_link(mut self, latency_cycles: u64, occupancy_cycles: u64) -> Self {
         self.link_latency_cycles = latency_cycles;
         self.link_occupancy_cycles = occupancy_cycles;
-        self
-    }
-
-    /// Switches the inter-chip network to a bidirectional ring.
-    pub fn ring(mut self) -> Self {
-        self.topology = LinkTopology::Ring;
         self
     }
 
@@ -760,16 +725,6 @@ mod tests {
         for tile in 0..cfg.tiles {
             assert_eq!(cfg.chip_of_tile(tile), cluster.partition(cfg.tiles)[tile]);
         }
-    }
-
-    #[test]
-    fn link_topology_hop_counts() {
-        assert_eq!(LinkTopology::AllToAll.hops(0, 3, 4), 1);
-        assert_eq!(LinkTopology::AllToAll.hops(2, 2, 4), 0);
-        assert_eq!(LinkTopology::Ring.hops(0, 1, 4), 1);
-        assert_eq!(LinkTopology::Ring.hops(0, 3, 4), 1, "ring wraps");
-        assert_eq!(LinkTopology::Ring.hops(0, 2, 4), 2);
-        assert_eq!(LinkTopology::Ring.hops(1, 5, 8), 4);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use pxl_mem::Memory;
 use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{Continuation, Task};
-use pxl_sim::json::{self, JsonValue};
+use pxl_sim::json::{self, EventWords, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{
     Clock, CounterId, EventQueue, Metrics, TelemetrySampler, Time, Timeline, TraceEvent, Tracer,
@@ -336,14 +336,8 @@ impl EngineCore {
         tail: Vec<Field>,
     ) -> Snapshot {
         let watchdog = json::obj(vec![
-            (
-                "last_progress_ps",
-                json::num(self.watchdog.last_progress.as_ps()),
-            ),
-            (
-                "last_unit",
-                json::num(self.watchdog.last_unit.map_or(0, |u| u as u64 + 1)),
-            ),
+            ("last_progress_ps", json::word(&self.watchdog.last_progress)),
+            ("last_unit", json::word(&self.watchdog.last_unit)),
         ]);
         head.extend([
             ("watchdog", watchdog),
@@ -379,11 +373,8 @@ impl EngineCore {
         self.finished = false;
         self.next_task_id = json::get_u64(p, "next_task_id")?;
         let watchdog = json::get(p, "watchdog")?;
-        self.watchdog.last_progress = Time::from_ps(json::get_u64(watchdog, "last_progress_ps")?);
-        self.watchdog.last_unit = match json::get_u64(watchdog, "last_unit")? {
-            0 => None,
-            u => Some(u as usize - 1),
-        };
+        self.watchdog.last_progress = json::get_word(watchdog, "last_progress_ps")?;
+        self.watchdog.last_unit = json::get_word(watchdog, "last_unit")?;
         let saved = Metrics::from_json_value(json::get(p, "metrics")?)
             .map_err(|e| malformed(format!("metrics: {e}")))?;
         let mut metrics = EngineCore::fresh_metrics();
@@ -394,25 +385,18 @@ impl EngineCore {
             .restore_state(json::get(p, "mem")?)
             .map_err(malformed)?;
         self.trace = Tracer::state_from_json_value(json::get(p, "trace")?).map_err(malformed)?;
-        match (&mut self.telemetry, p.get("telemetry")) {
-            (Some(telemetry), Some(saved)) => {
-                let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
-                if restored.every() != telemetry.every() {
-                    return Err(malformed("telemetry epoch width mismatch"));
-                }
-                *telemetry = restored;
+        let telemetry = paired(
+            self.telemetry.as_mut(),
+            p.get("telemetry"),
+            "this engine samples telemetry, the snapshot does not",
+            "the snapshot carries telemetry state, this engine has telemetry off",
+        )?;
+        if let Some((telemetry, saved)) = telemetry {
+            let restored = TelemetrySampler::state_from_json_value(saved).map_err(malformed)?;
+            if restored.every() != telemetry.every() {
+                return Err(malformed("telemetry epoch width mismatch"));
             }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine samples telemetry, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries telemetry state, this engine has telemetry off",
-                ));
-            }
+            *telemetry = restored;
         }
         Ok(())
     }
@@ -420,12 +404,7 @@ impl EngineCore {
     /// The `host` field of the single-root engines: one array per slot,
     /// `[]` when unwritten and `[value]` otherwise.
     pub fn host_cells(&self) -> JsonValue {
-        JsonValue::Array(
-            self.host
-                .iter()
-                .map(|slot| json::arr_u64(slot.iter().copied()))
-                .collect(),
-        )
+        JsonValue::Array(self.host.iter().map(json::words).collect())
     }
 
     /// Restores the slots [`EngineCore::host_cells`] wrote.
@@ -435,21 +414,35 @@ impl EngineCore {
     /// [`SnapshotError::Malformed`] unless `host` holds exactly
     /// [`HOST_SLOTS`] cells of zero or one `u64`.
     pub fn read_host_cells(&mut self, p: &JsonValue) -> Result<(), SnapshotError> {
-        let host = json::get_arr(p, "host")?;
-        if host.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
-        for (slot, value) in self.host.iter_mut().zip(host) {
-            *slot = match json::u64s(value, "host")?[..] {
-                [] => None,
-                [v] => Some(v),
-                _ => return Err(malformed("host slot holds more than one value")),
-            };
+        for (slot, cell) in self
+            .host
+            .iter_mut()
+            .zip(json::get_arr_n(p, "host", HOST_SLOTS)?)
+        {
+            *slot = json::cell_of::<u64, 1>(cell, "host")?.map(|[v]| v);
         }
         Ok(())
+    }
+}
+
+/// Pairs an optional part of an engine with the payload member that saves
+/// it: both present, or neither.
+///
+/// # Errors
+///
+/// [`SnapshotError::Malformed`] with `only_engine` when the engine has the
+/// part and the snapshot lacks it, or `only_snapshot` the other way round.
+pub(crate) fn paired<'a, T>(
+    part: Option<T>,
+    saved: Option<&'a JsonValue>,
+    only_engine: &str,
+    only_snapshot: &str,
+) -> Result<Option<(T, &'a JsonValue)>, SnapshotError> {
+    match (part, saved) {
+        (Some(part), Some(saved)) => Ok(Some((part, saved))),
+        (None, None) => Ok(None),
+        (Some(_), None) => Err(malformed(only_engine)),
+        (None, Some(_)) => Err(malformed(only_snapshot)),
     }
 }
 
@@ -473,41 +466,31 @@ pub fn events_to_json<E>(
 }
 
 /// Refills `events` from the field [`events_to_json`] wrote, decoding each
-/// event body with `decode`. Re-pushing in pop order reproduces every
-/// tie-break.
+/// event body from its tag on with `decode`, which must read every word.
+/// Re-pushing in pop order reproduces every tie-break.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] for a non-`u64` word, an empty entry or a
-/// body `decode` refuses.
+/// [`SnapshotError::Malformed`] for a non-`u64` word, an entry without a
+/// time and a tag, a body `decode` refuses or one with words left over.
 pub fn read_events<E>(
     p: &JsonValue,
     events: &mut EventQueue<E>,
-    mut decode: impl FnMut(&[u64]) -> Result<E, String>,
+    mut decode: impl FnMut(&mut EventWords) -> Result<E, String>,
 ) -> Result<(), SnapshotError> {
     events.clear();
     for entry in json::get_arr(p, "events")? {
         let words = json::u64s(entry, "events")?;
-        let (when, body) = words
-            .split_first()
-            .ok_or_else(|| malformed("empty event entry"))?;
-        let event = decode(body).map_err(|e| malformed(format!("events: {e}")))?;
-        events.push(Time::from_ps(*when), event);
+        let [when, tag, ref fields @ ..] = words[..] else {
+            return Err(malformed("events: an entry holds no time and tag"));
+        };
+        let mut body = EventWords::new(tag, fields);
+        let event = decode(&mut body)
+            .and_then(|event| body.end().map(|()| event))
+            .map_err(|e| malformed(format!("events: {e}")))?;
+        events.push(Time::from_ps(when), event);
     }
     Ok(())
-}
-
-/// Reads an index word of a snapshot's event: the `what` named by `word`
-/// must lie in `0..bound`.
-///
-/// # Errors
-///
-/// Names `what`, the word and the range when it does not.
-pub fn index_in(word: u64, bound: usize, what: &str) -> Result<usize, String> {
-    usize::try_from(word)
-        .ok()
-        .filter(|&i| i < bound)
-        .ok_or_else(|| format!("{what} {word} is out of range 0..{bound}"))
 }
 
 /// Reads a continuation word of a snapshot's event: a host slot must lie
@@ -530,10 +513,10 @@ pub fn continuation_in(
         ));
     }
     match k {
-        Continuation::Host { slot } => index_in(slot.into(), HOST_SLOTS, "host slot")?,
+        Continuation::Host { slot } => json::index_in(slot.into(), HOST_SLOTS, "host slot")?,
         Continuation::PStore { tile, entry, .. } => {
-            index_in(tile.into(), tiles, "continuation tile")?;
-            index_in(entry.into(), pstore_entries, "P-Store entry")?
+            json::index_in(tile.into(), tiles, "continuation tile")?;
+            json::index_in(entry.into(), pstore_entries, "P-Store entry")?
         }
     };
     Ok(k)
@@ -588,14 +571,14 @@ impl RootRun {
     /// `next_task_id`, `outstanding` and `last_useful_ps`.
     pub fn fields(&self, core: &EngineCore) -> Vec<Field> {
         vec![
-            ("launched", json::num(u64::from(self.launched))),
+            ("launched", json::word(&self.launched)),
             (
                 "result_slot",
-                json::num(self.result_slot.map_or(0, |s| u64::from(s) + 1)),
+                json::word(&self.result_slot.map(usize::from)),
             ),
             ("next_task_id", json::num(core.next_task_id)),
             ("outstanding", json::num(self.outstanding)),
-            ("last_useful_ps", json::num(self.last_useful.as_ps())),
+            ("last_useful_ps", json::word(&self.last_useful)),
         ]
     }
 
@@ -604,23 +587,21 @@ impl RootRun {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Malformed`] for a missing field or a `result_slot`
-    /// naming no host slot.
+    /// [`SnapshotError::Malformed`] for a missing field, a `launched` word
+    /// other than 0 or 1, or a `result_slot` naming no host slot.
     pub fn read(p: &JsonValue) -> Result<RootRun, SnapshotError> {
-        let result_slot = match json::get_u64(p, "result_slot")? {
-            0 => None,
-            s if s <= HOST_SLOTS as u64 => Some(s as u8 - 1),
-            s => {
-                return Err(malformed(format!(
-                    "result_slot {s} names no host slot (1..={HOST_SLOTS}, or 0 for none)"
-                )))
-            }
-        };
+        let result_slot = json::get_word::<Option<usize>>(p, "result_slot")?;
+        if let Some(slot) = result_slot.filter(|&s| s >= HOST_SLOTS) {
+            return Err(malformed(format!(
+                "result_slot {} names no host slot (1..={HOST_SLOTS}, or 0 for none)",
+                slot as u64 + 1
+            )));
+        }
         Ok(RootRun {
-            launched: json::get_u64(p, "launched")? != 0,
-            result_slot,
+            launched: json::get_word(p, "launched")?,
+            result_slot: result_slot.map(|s| s as u8),
             outstanding: json::get_u64(p, "outstanding")?,
-            last_useful: Time::from_ps(json::get_u64(p, "last_useful_ps")?),
+            last_useful: json::get_word(p, "last_useful_ps")?,
         })
     }
 }
@@ -661,14 +642,8 @@ impl UnitState {
     /// The `steal_fails` and `busy_until_ps` payload fields.
     pub fn fields(&self) -> [Field; 2] {
         [
-            (
-                "steal_fails",
-                json::arr_u64(self.steal_fails.iter().map(|f| u64::from(*f))),
-            ),
-            (
-                "busy_until_ps",
-                json::arr_u64(self.busy_until.iter().map(|t| t.as_ps())),
-            ),
+            ("steal_fails", json::words(&self.steal_fails)),
+            ("busy_until_ps", json::words(&self.busy_until)),
         ]
     }
 
@@ -679,20 +654,9 @@ impl UnitState {
     /// [`SnapshotError::Malformed`] when the snapshot describes a different
     /// unit count or a fail count past `u32`.
     pub fn read(&mut self, p: &JsonValue) -> Result<(), SnapshotError> {
-        let steal_fails = json::get_u64s(p, "steal_fails")?;
-        let busy_until = json::get_u64s(p, "busy_until_ps")?;
         let units = self.busy_until.len();
-        if steal_fails.len() != units || busy_until.len() != units {
-            return Err(malformed(format!(
-                "snapshot describes {} units, this engine has {units}",
-                steal_fails.len()
-            )));
-        }
-        self.steal_fails = steal_fails
-            .iter()
-            .map(|f| u32::try_from(*f).map_err(|_| malformed("steal_fails overflows u32")))
-            .collect::<Result<_, _>>()?;
-        self.busy_until = busy_until.iter().map(|ps| Time::from_ps(*ps)).collect();
+        self.steal_fails = json::get_words_n(p, "steal_fails", units)?;
+        self.busy_until = json::get_words_n(p, "busy_until_ps", units)?;
         Ok(())
     }
 }

@@ -187,21 +187,14 @@ impl TaskDeque {
         let mut items = VecDeque::with_capacity(entries.len());
         let mut arena = EventSlab::new();
         for entry in entries {
-            let words = json::u64s(entry, "items")?;
-            if words.len() != TASK_WORDS + 1 {
-                return Err(format!(
-                    "deque state: item holds {} words, expected {}",
-                    words.len(),
-                    TASK_WORDS + 1
-                ));
-            }
+            let words = json::record_of::<u64, { TASK_WORDS + 1 }>(entry, "items")?;
             let task = Task::from_words(&words[..TASK_WORDS])?;
             items.push_back(DequeEntry {
                 slot: arena.insert(task),
                 avail: Time::from_ps(words[TASK_WORDS]),
             });
         }
-        let peak = json::get_uint(value, "peak")?;
+        let peak = json::get_word(value, "peak")?;
         let total_pushed = json::get_u64(value, "total_pushed")?;
         self.items = items;
         self.arena = arena;

@@ -35,7 +35,7 @@ use pxl_model::serial::HOST_SLOTS;
 use pxl_model::{
     Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, TASK_WORDS,
 };
-use pxl_sim::json::{self, JsonValue};
+use pxl_sim::json::{self, EventWords, JsonValue, Word};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{
     Clock, CounterId, EventQueue, EventSlab, FaultKind, FaultPlan, FaultScheduler, HistogramId,
@@ -43,9 +43,9 @@ use pxl_sim::{
 };
 
 use crate::api::{Engine, EngineKind, Workload};
-use crate::config::{AccelConfig, LinkTopology, Platform};
+use crate::config::{AccelConfig, Platform};
 use crate::core::{
-    continuation_in, events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun,
+    continuation_in, events_to_json, paired, read_events, EmbedsCore, EngineCore, RootRun,
     UnitState,
 };
 use crate::policy::{CentralPolicy, FlexPolicy, HierPolicy, SchedulingPolicy};
@@ -340,29 +340,25 @@ impl Event {
     /// by-value event layout; `Option` indices encode as the value plus
     /// one, with zero meaning `None`.
     fn to_words(self, slab: &EventSlab<Task>) -> Vec<u64> {
-        let opt = |o: Option<usize>| o.map_or(0, |s| s as u64 + 1);
-        match self {
+        let mut w = match self {
             Event::PeWake { pe } => vec![0, pe as u64],
             Event::StealArrive { thief, victim } => vec![1, thief as u64, victim as u64],
-            Event::StealReply { thief, task } => {
-                let mut w = vec![2, thief as u64];
-                if let Some(slot) = task {
-                    w.extend_from_slice(&slab.get(slot).to_words());
-                }
-                w
-            }
+            Event::StealReply { thief, .. } => vec![2, thief as u64],
             Event::ArgArrive {
                 k,
                 value,
                 from_pe,
                 from_task,
                 dup_of,
-            } => vec![3, k.encode(), value, from_pe as u64, from_task, opt(dup_of)],
-            Event::TaskRun { pe, task, dup_of } => {
-                let mut w = vec![4, pe as u64, opt(dup_of)];
-                w.extend_from_slice(&slab.get(task).to_words());
-                w
-            }
+            } => vec![
+                3,
+                k.encode(),
+                value,
+                from_pe as u64,
+                from_task,
+                dup_of.to_word(),
+            ],
+            Event::TaskRun { pe, dup_of, .. } => vec![4, pe as u64, dup_of.to_word()],
             Event::FaultFire { spec } => vec![5, spec as u64],
             Event::ArgResend {
                 k,
@@ -381,16 +377,18 @@ impl Event {
                 spec as u64,
             ],
             Event::TaskResend {
-                pe,
-                task,
-                attempt,
-                spec,
-            } => {
-                let mut w = vec![7, pe as u64, attempt as u64, spec as u64];
-                w.extend_from_slice(&slab.get(task).to_words());
-                w
-            }
+                pe, attempt, spec, ..
+            } => vec![7, pe as u64, attempt as u64, spec as u64],
+        };
+        if let Event::StealReply {
+            task: Some(task), ..
         }
+        | Event::TaskRun { task, .. }
+        | Event::TaskResend { task, .. } = self
+        {
+            w.extend_from_slice(&slab.get(task).to_words());
+        }
+        w
     }
 
     /// Inverse of [`Event::to_words`]: inline task words are re-homed into
@@ -401,97 +399,63 @@ impl Event {
     /// continuation must name a host slot or an entry of one of `tiles`
     /// P-Stores of `pstore_entries` entries.
     fn from_words(
-        words: &[u64],
+        body: &mut EventWords,
         slab: &mut EventSlab<Task>,
         num_pes: usize,
         num_specs: usize,
         (tiles, pstore_entries): (usize, usize),
     ) -> Result<Event, String> {
-        let tag = *words.first().ok_or("event encoding is empty")?;
-        let expect = |n: usize| -> Result<(), String> {
-            if words.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "event tag {tag} holds {} words, expected {n}",
-                    words.len()
-                ))
-            }
+        let k = |body: &mut EventWords| continuation_in(body.next()?, tiles, pstore_entries);
+        let mut task = |body: &mut EventWords| -> Result<u32, String> {
+            Ok(slab.insert(Task::from_words(body.take(TASK_WORDS)?)?))
         };
-        let pe = |w: u64| index_in(w, num_pes, "unit");
-        let k = |w: u64| continuation_in(w, tiles, pstore_entries);
-        let spec = |w: u64| index_in(w, num_specs, "fault spec");
-        let opt = |w: u64| (w != 0).then(|| spec(w - 1)).transpose();
-        let attempt =
-            |w: u64| u8::try_from(w).map_err(|_| format!("attempt {w} is out of range for u8"));
-        match tag {
-            0 => {
-                expect(2)?;
-                Ok(Event::PeWake { pe: pe(words[1])? })
-            }
-            1 => {
-                expect(3)?;
-                Ok(Event::StealArrive {
-                    thief: pe(words[1])?,
-                    victim: index_in(words[2], num_pes + 1, "steal victim")?,
-                })
-            }
-            2 => {
-                // Sized before the thief word is read.
-                let task = match words.len() {
-                    2 => None,
-                    n if n == 2 + TASK_WORDS => Some(slab.insert(Task::from_words(&words[2..])?)),
-                    n => return Err(format!("event tag 2 holds {n} words")),
-                };
-                let thief = pe(words[1])?;
-                Ok(Event::StealReply { thief, task })
-            }
-            3 => {
-                expect(6)?;
-                Ok(Event::ArgArrive {
-                    k: k(words[1])?,
-                    value: words[2],
-                    from_pe: pe(words[3])?,
-                    from_task: words[4],
-                    dup_of: opt(words[5])?,
-                })
-            }
-            4 => {
-                expect(3 + TASK_WORDS)?;
-                Ok(Event::TaskRun {
-                    pe: pe(words[1])?,
-                    dup_of: opt(words[2])?,
-                    task: slab.insert(Task::from_words(&words[3..])?),
-                })
-            }
-            5 => {
-                expect(2)?;
-                Ok(Event::FaultFire {
-                    spec: spec(words[1])?,
-                })
-            }
-            6 => {
-                expect(7)?;
-                Ok(Event::ArgResend {
-                    k: k(words[1])?,
-                    value: words[2],
-                    from_pe: pe(words[3])?,
-                    from_task: words[4],
-                    attempt: attempt(words[5])?,
-                    spec: spec(words[6])?,
-                })
-            }
-            7 => {
-                expect(4 + TASK_WORDS)?;
-                Ok(Event::TaskResend {
-                    pe: pe(words[1])?,
-                    attempt: attempt(words[2])?,
-                    spec: spec(words[3])?,
-                    task: slab.insert(Task::from_words(&words[4..])?),
-                })
-            }
-            t => Err(format!("unknown event tag {t}")),
-        }
+        Ok(match body.tag() {
+            0 => Event::PeWake {
+                pe: body.index(num_pes, "unit")?,
+            },
+            1 => Event::StealArrive {
+                thief: body.index(num_pes, "unit")?,
+                victim: body.index(num_pes + 1, "steal victim")?,
+            },
+            2 => Event::StealReply {
+                thief: body.index(num_pes, "unit")?,
+                task: if body.is_done() {
+                    None
+                } else {
+                    Some(task(body)?)
+                },
+            },
+            3 => Event::ArgArrive {
+                k: k(body)?,
+                value: body.next()?,
+                from_pe: body.index(num_pes, "unit")?,
+                from_task: body.next()?,
+                dup_of: body.opt_index(num_specs, "fault spec")?,
+            },
+            4 => Event::TaskRun {
+                pe: body.index(num_pes, "unit")?,
+                dup_of: body.opt_index(num_specs, "fault spec")?,
+                task: task(body)?,
+            },
+            5 => Event::FaultFire {
+                spec: body.index(num_specs, "fault spec")?,
+            },
+            6 => Event::ArgResend {
+                k: k(body)?,
+                value: body.next()?,
+                from_pe: body.index(num_pes, "unit")?,
+                from_task: body.next()?,
+                attempt: body.word("attempt")?,
+                spec: body.index(num_specs, "fault spec")?,
+            },
+            7 => Event::TaskResend {
+                pe: body.index(num_pes, "unit")?,
+                attempt: body.word("attempt")?,
+                spec: body.index(num_specs, "fault spec")?,
+                task: task(body)?,
+            },
+            t => return Err(format!("unknown event tag {t}")),
+        })
     }
 }
 
@@ -611,93 +575,53 @@ impl FaultState {
     /// flattens to `entry, spec` word pairs.
     fn fields(&self) -> JsonValue {
         let (rng, remaining) = self.sched.save_state();
+        let corrupt = self.corrupt_pending.iter().map(|tile| {
+            json::arr_u64(
+                tile.iter()
+                    .flat_map(|&(entry, spec)| [u64::from(entry), spec as u64]),
+            )
+        });
         json::obj(vec![
             ("rng", json::num(rng)),
-            (
-                "remaining",
-                json::arr_u64(remaining.iter().map(|r| u64::from(*r))),
-            ),
-            (
-                "dead",
-                json::arr_u64(self.dead.iter().map(|d| u64::from(*d))),
-            ),
-            (
-                "rescue_pending",
-                json::arr_u64(
-                    self.rescue_pending
-                        .iter()
-                        .map(|r| r.map_or(0, |s| s as u64 + 1)),
-                ),
-            ),
-            (
-                "corrupt_pending",
-                JsonValue::Array(
-                    self.corrupt_pending
-                        .iter()
-                        .map(|tile| {
-                            json::arr_u64(
-                                tile.iter()
-                                    .flat_map(|(entry, spec)| [u64::from(*entry), *spec as u64]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
+            ("remaining", json::words(&remaining)),
+            ("dead", json::words(&self.dead)),
+            ("rescue_pending", json::words(&self.rescue_pending)),
+            ("corrupt_pending", JsonValue::Array(corrupt.collect())),
         ])
     }
 
     /// Inverse of [`FaultState::fields`]: refuses a PE or tile count other
-    /// than this engine's and a spec index past the plan.
+    /// than this engine's, a `dead` word other than 0 or 1, and a spec
+    /// index past the plan.
     fn read(&mut self, saved: &JsonValue) -> Result<(), SnapshotError> {
         let rng = json::get_u64(saved, "rng")?;
-        let remaining = json::get_u64s(saved, "remaining")?
-            .iter()
-            .map(|r| u32::try_from(*r).map_err(|_| malformed("fault budget overflow")))
-            .collect::<Result<Vec<u32>, _>>()?;
+        let remaining: Vec<u32> = json::get_words(saved, "remaining")?;
         // `load_state` refuses a budget list whose length is not the plan's
         // spec count, so this bounds every pending spec index.
         let num_specs = remaining.len();
         self.sched.load_state(rng, remaining).map_err(malformed)?;
-        let spec_index = |key: &str, spec: u64| {
-            usize::try_from(spec)
-                .ok()
-                .filter(|i| *i < num_specs)
-                .ok_or_else(|| {
-                    malformed(format!(
-                        "{key} names fault spec {spec}, past the plan's {num_specs}"
-                    ))
-                })
+        let spec_index = |key: &str, spec: usize| {
+            if spec < num_specs {
+                Ok(spec)
+            } else {
+                Err(malformed(format!(
+                    "{key} names fault spec {spec}, past the plan's {num_specs}"
+                )))
+            }
         };
-        let dead = json::get_u64s(saved, "dead")?;
-        let rescue = json::get_u64s(saved, "rescue_pending")?;
-        if dead.len() != self.dead.len() || rescue.len() != self.dead.len() {
-            return Err(malformed("fault state PE count mismatch"));
+        let pes = self.dead.len();
+        self.dead = json::get_words_n(saved, "dead", pes)?;
+        self.rescue_pending = json::get_words_n(saved, "rescue_pending", pes)?;
+        for spec in self.rescue_pending.iter().flatten() {
+            spec_index("rescue_pending", *spec)?;
         }
-        self.dead = dead.iter().map(|d| *d != 0).collect();
-        self.rescue_pending = rescue
-            .iter()
-            .map(|r| match r {
-                0 => Ok(None),
-                r => spec_index("rescue_pending", r - 1).map(Some),
-            })
-            .collect::<Result<_, _>>()?;
-        let corrupt = json::get_arr(saved, "corrupt_pending")?;
-        if corrupt.len() != self.corrupt_pending.len() {
-            return Err(malformed("fault state tile count mismatch"));
-        }
-        self.corrupt_pending = corrupt
+        let tiles = json::get_arr_n(saved, "corrupt_pending", self.corrupt_pending.len())?;
+        self.corrupt_pending = tiles
             .iter()
             .map(|tile| {
-                let flat = json::u64s(tile, "corrupt_pending")?;
-                if !flat.len().is_multiple_of(2) {
-                    return Err(malformed("corrupt_pending holds an odd word count"));
-                }
-                flat.chunks(2)
-                    .map(|pair| {
-                        let entry = u32::try_from(pair[0])
-                            .map_err(|_| malformed("corrupt entry overflow"))?;
-                        Ok((entry, spec_index("corrupt_pending", pair[1])?))
-                    })
+                json::records_of::<u32, 2>(tile, "corrupt_pending")?
+                    .into_iter()
+                    .map(|[entry, spec]| Ok((entry, spec_index("corrupt_pending", spec as usize)?)))
                     .collect()
             })
             .collect::<Result<_, SnapshotError>>()?;
@@ -799,18 +723,17 @@ struct LinkIds {
 ///
 /// Each directed chip pair owns a bounded-bandwidth link: a message
 /// departing at `t` waits until the pair's `next_free`, occupies the link
-/// for `occupancy`, and arrives after `latency` per topology hop. The
+/// for `occupancy`, and arrives after `latency`. The
 /// `next_free` horizon is the link's only mutable state and is carried
 /// through snapshots so a restored run replays in-flight serialization
 /// byte-identically.
 #[derive(Debug)]
 struct LinkState {
     chips: usize,
-    /// One-way latency per topology hop.
+    /// One-way latency between two chips.
     latency: Time,
     /// Serialization window one message holds a directed link for.
     occupancy: Time,
-    topology: LinkTopology,
     /// When each directed pair's link frees up (row-major `src * chips +
     /// dst`).
     next_free: Vec<Time>,
@@ -829,7 +752,6 @@ impl LinkState {
             chips: cluster.chips,
             latency: cfg.clock.cycles_to_time(cluster.link_latency_cycles),
             occupancy: cfg.clock.cycles_to_time(cluster.link_occupancy_cycles),
-            topology: cluster.topology,
             next_free: vec![Time::ZERO; cluster.chips * cluster.chips],
             ids: LinkIds {
                 msgs: metrics.register_counter("link.msgs"),
@@ -1064,8 +986,8 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
     /// bandwidth: a message departs no earlier than the pair's `next_free`
     /// horizon (the wait is counted in `link.stall_ps` and stamped into the
     /// [`TraceEvent::LinkXfer`] record), occupies the link for the
-    /// occupancy window, and pays one link latency per topology hop. A
-    /// no-op on single-chip configurations or intra-chip traffic.
+    /// occupancy window, and pays the link latency. A no-op on single-chip
+    /// configurations or intra-chip traffic.
     fn link_transit(&mut self, at: Time, src: usize, dst: usize, class: u8) -> Time {
         let Some(link) = self.link.as_mut() else {
             return at;
@@ -1073,7 +995,6 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
         if src == dst {
             return at;
         }
-        let hops = link.topology.hops(src, dst, link.chips);
         let pair = src * link.chips + dst;
         let depart = at.max(link.next_free[pair]);
         link.next_free[pair] = depart + link.occupancy;
@@ -1095,7 +1016,7 @@ impl<P: SchedulingPolicy> FabricEngine<P> {
                 wait_ps,
             },
         );
-        depart + Time::from_ps(latency.as_ps() * hops)
+        depart + latency
     }
 
     fn is_dead(&self, pe: usize) -> bool {
@@ -1235,10 +1156,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         ]);
         let mut tail = Vec::new();
         if let Some(link) = &self.link {
-            tail.push((
-                "link",
-                json::arr_u64(link.next_free.iter().map(|t| t.as_ps())),
-            ));
+            tail.push(("link", json::words(&link.next_free)));
         }
         if let Some(faults) = &self.faults {
             tail.push(("faults", faults.fields()));
@@ -1258,7 +1176,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
 
         self.root = RootRun::read(p)?;
         self.inflight_args = json::get_u64(p, "inflight_args")?;
-        self.hetero_rr = json::get_uint(p, "hetero_rr")?;
+        self.hetero_rr = json::get_word(p, "hetero_rr")?;
 
         self.units.read(p)?;
         self.core.read_host_cells(p)?;
@@ -1277,14 +1195,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
             .restore_state(json::get(p, "policy")?)
             .map_err(malformed)?;
 
-        let pstores = json::get_arr(p, "pstores")?;
-        if pstores.len() != self.pstores.len() {
-            return Err(malformed(format!(
-                "snapshot holds {} P-Store tiles, this engine has {}",
-                pstores.len(),
-                self.pstores.len()
-            )));
-        }
+        let pstores = json::get_arr_n(p, "pstores", self.pstores.len())?;
         for (pstore, state) in self.pstores.iter_mut().zip(pstores) {
             pstore.restore_state(state).map_err(malformed)?;
         }
@@ -1298,40 +1209,23 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
             .restore_state(json::get(p, "backend")?)
             .map_err(malformed)?;
 
-        match (&mut self.link, p.get("link")) {
-            (Some(link), Some(_)) => {
-                let next_free = json::get_u64s(p, "link")?;
-                if next_free.len() != link.chips * link.chips {
-                    return Err(malformed("link state chip count mismatch"));
-                }
-                link.next_free = next_free.iter().map(|ps| Time::from_ps(*ps)).collect();
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine models an inter-chip link, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries link state, this engine has no cluster",
-                ));
-            }
+        let link = paired(
+            self.link.as_mut(),
+            p.get("link"),
+            "this engine models an inter-chip link, the snapshot does not",
+            "the snapshot carries link state, this engine has no cluster",
+        )?;
+        if let Some((link, _)) = link {
+            link.next_free = json::get_words_n(p, "link", link.chips * link.chips)?;
         }
-
-        match (&mut self.faults, p.get("faults")) {
-            (Some(faults), Some(saved)) => faults.read(saved)?,
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(malformed(
-                    "this engine carries a fault plan, the snapshot does not",
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(malformed(
-                    "the snapshot carries fault state, this engine has no fault plan",
-                ));
-            }
+        let faults = paired(
+            self.faults.as_mut(),
+            p.get("faults"),
+            "this engine carries a fault plan, the snapshot does not",
+            "the snapshot carries fault state, this engine has no fault plan",
+        )?;
+        if let Some((faults, saved)) = faults {
+            faults.read(saved)?;
         }
 
         self.error = None;
@@ -2556,13 +2450,12 @@ mod tests {
             .unwrap();
         let text = engine.snapshot().payload.to_json();
         // One list of words each from the event queue, a PE deque, a
-        // P-Store entry and the policy's per-PE LFSRs (whose items are
-        // narrowed one by one, so the refusal names the field, not an index).
+        // P-Store entry and the policy's per-PE LFSRs.
         for (needle, refusal) in [
             ("\"events\":[[", "non-u64"),
             ("\"items\":[[", "non-u64"),
             ("\"entries\":[[", "non-u64"),
-            ("\"lfsrs\":[", "\"lfsrs\" is not an unsigned integer"),
+            ("\"lfsrs\":[", "array \"lfsrs\" holds a non-u64 at index 0"),
         ] {
             assert!(text.contains(needle), "{needle} missing from the snapshot");
             let tampered = text.replacen(needle, &format!("{needle}\"x\","), 1);

@@ -52,8 +52,8 @@ pub mod pstore;
 pub use crate::core::{register_fault_metrics, EmbedsCore, EngineCore, Watchdog};
 pub use api::{Engine, EngineKind, Workload};
 pub use config::{
-    AccelConfig, ArchCosts, ArchKind, ClusterConfig, ConfigError, LinkTopology, LocalOrder,
-    Platform, SchedPolicy, StealEnd, StealMode, VictimSelect,
+    AccelConfig, ArchCosts, ArchKind, ClusterConfig, ConfigError, LocalOrder, Platform,
+    SchedPolicy, StealEnd, StealMode, VictimSelect,
 };
 pub use deque::TaskDeque;
 pub use fabric::{

@@ -358,14 +358,11 @@ impl Engine for LiteEngine {
     fn snapshot(&self) -> Snapshot {
         let host = &self.core.host;
         let head = vec![
-            ("now_ps", json::num(self.now.as_ps())),
-            ("round", json::num(self.round as u64)),
+            ("now_ps", json::word(&self.now)),
+            ("round", json::word(&self.round)),
             ("next_task_id", json::num(self.core.next_task_id)),
             ("host", json::arr_u64(host.iter().map(|h| h.unwrap_or(0)))),
-            (
-                "host_written",
-                json::arr_u64(host.iter().map(|h| u64::from(h.is_some()))),
-            ),
+            ("host_written", json::words(&host.map(|h| h.is_some()))),
         ];
         let backend = ("backend", self.backend.state_to_json_value());
         self.core.snapshot("lite", head, backend, Vec::new())
@@ -374,16 +371,10 @@ impl Engine for LiteEngine {
     fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.expect_engine("lite")?;
         let p = &snap.payload;
-        self.now = Time::from_ps(json::get_u64(p, "now_ps")?);
-        self.round = json::get_uint(p, "round")?;
-        let host = json::get_u64s(p, "host")?;
-        let written = json::get_u64s(p, "host_written")?;
-        if host.len() != HOST_SLOTS || written.len() != HOST_SLOTS {
-            return Err(malformed(format!(
-                "snapshot holds {} host slots, expected {HOST_SLOTS}",
-                host.len()
-            )));
-        }
+        self.now = json::get_word(p, "now_ps")?;
+        self.round = json::get_word(p, "round")?;
+        let host: Vec<u64> = json::get_words_n(p, "host", HOST_SLOTS)?;
+        let written: Vec<u64> = json::get_words_n(p, "host_written", HOST_SLOTS)?;
         for (slot, (&value, &w)) in self.core.host.iter_mut().zip(host.iter().zip(&written)) {
             *slot = match (w, value) {
                 (0, 0) => None,

@@ -115,42 +115,6 @@ pub trait SchedulingPolicy: std::fmt::Debug {
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String>;
 }
 
-/// Word-encodes a task FIFO (the host queue) for snapshots.
-fn tasks_to_json(tasks: impl IntoIterator<Item = Task>) -> JsonValue {
-    JsonValue::Array(
-        tasks
-            .into_iter()
-            .map(|t| json::arr_u64(t.to_words()))
-            .collect(),
-    )
-}
-
-/// Inverse of [`tasks_to_json`].
-fn tasks_from_json(value: &JsonValue, key: &'static str) -> Result<Vec<Task>, String> {
-    json::get_arr(value, key)?
-        .iter()
-        .map(|entry| {
-            let words = json::u64s(entry, key)?;
-            if words.len() != TASK_WORDS {
-                return Err(format!(
-                    "policy state: {key:?} entry holds {} words",
-                    words.len()
-                ));
-            }
-            Task::from_words(&words)
-        })
-        .collect()
-}
-
-/// Array field `key` of `value`, every item narrowed to `T` — an item `T`
-/// cannot hold is refused, never truncated.
-fn get_uints<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<Vec<T>, String> {
-    json::get_arr(value, key)?
-        .iter()
-        .map(|item| json::uint_of(item, key).map_err(String::from))
-        .collect()
-}
-
 /// FlexArch's distributed work stealing (the paper's Fig. 3(b) TMU).
 ///
 /// Each PE owns a bounded task deque; idle PEs pop their configured local
@@ -290,34 +254,22 @@ impl SchedulingPolicy for FlexPolicy {
 
     fn state_to_json_value(&self) -> JsonValue {
         let deques = self.deques.iter().map(TaskDeque::state_to_json_value);
+        let host_queue = self.host_queue.iter().map(|t| json::arr_u64(t.to_words()));
         json::obj(vec![
             ("deques", JsonValue::Array(deques.collect())),
             (
                 "lfsrs",
                 json::arr_u64(self.lfsrs.iter().map(|l| u64::from(l.state()))),
             ),
-            (
-                "rr_victim",
-                json::arr_u64(self.rr_victim.iter().map(|v| *v as u64)),
-            ),
-            ("host_queue", tasks_to_json(self.host_queue.iter().copied())),
+            ("rr_victim", json::words(&self.rr_victim)),
+            ("host_queue", JsonValue::Array(host_queue.collect())),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let deque_states = json::get_arr(value, "deques")?;
-        if deque_states.len() != self.num_pes {
-            return Err(format!(
-                "policy state has {} deques, this fabric has {} PEs",
-                deque_states.len(),
-                self.num_pes
-            ));
-        }
-        let lfsrs: Vec<u16> = get_uints(value, "lfsrs")?;
-        let rr_victim: Vec<usize> = get_uints(value, "rr_victim")?;
-        if lfsrs.len() != self.num_pes || rr_victim.len() != self.num_pes {
-            return Err("policy state: per-PE array length mismatch".to_owned());
-        }
+        let deque_states = json::get_arr_n(value, "deques", self.num_pes)?;
+        let lfsrs: Vec<u16> = json::get_words_n(value, "lfsrs", self.num_pes)?;
+        let rr_victim: Vec<usize> = json::get_words_n(value, "rr_victim", self.num_pes)?;
         // Round-robin victims cycle over the PEs and the host block
         // (unit `num_pes`); nothing past it is reachable.
         if let Some(v) = rr_victim.iter().find(|v| **v > self.num_pes) {
@@ -326,13 +278,18 @@ impl SchedulingPolicy for FlexPolicy {
                 self.num_pes
             ));
         }
-        let host_queue = tasks_from_json(value, "host_queue")?;
+        let host_queue = json::get_arr(value, "host_queue")?
+            .iter()
+            .map(|entry| {
+                Task::from_words(&json::record_of::<u64, TASK_WORDS>(entry, "host_queue")?)
+            })
+            .collect::<Result<_, String>>()?;
         for (deque, state) in self.deques.iter_mut().zip(deque_states) {
             deque.restore_state(state)?;
         }
         self.lfsrs = lfsrs.into_iter().map(Lfsr16::new).collect();
         self.rr_victim = rr_victim;
-        self.host_queue = host_queue.into_iter().collect();
+        self.host_queue = host_queue;
         Ok(())
     }
 }
@@ -604,20 +561,13 @@ impl SchedulingPolicy for HierPolicy {
     fn state_to_json_value(&self) -> JsonValue {
         json::obj(vec![
             ("flex", self.inner.state_to_json_value()),
-            (
-                "fails",
-                json::arr_u64(self.fails.iter().map(|f| u64::from(*f))),
-            ),
+            ("fails", json::words(&self.fails)),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
         self.inner.restore_state(json::get(value, "flex")?)?;
-        let fails = get_uints(value, "fails")?;
-        if fails.len() != self.inner.num_pes {
-            return Err("policy state: fails length mismatch".to_owned());
-        }
-        self.fails = fails;
+        self.fails = json::get_words_n(value, "fails", self.inner.num_pes)?;
         Ok(())
     }
 }

@@ -282,10 +282,7 @@ impl PStore {
         let entries = self
             .entries
             .iter()
-            .map(|cell| match cell {
-                Some(p) => json::arr_u64(p.to_words()),
-                None => JsonValue::Array(Vec::new()),
-            })
+            .map(|cell| json::arr_u64(cell.iter().flat_map(PendingTask::to_words)))
             .collect();
         let taint = self
             .taint
@@ -338,28 +335,15 @@ impl PStore {
         let entries = cells
             .iter()
             .map(|cell| {
-                let words = json::u64s(cell, "entries")?;
-                match words.len() {
-                    0 => Ok(None),
-                    PENDING_WORDS => PendingTask::from_words(&words)
-                        .map(Some)
-                        .map_err(PStoreStateError::Malformed),
-                    n => Err(PStoreStateError::Malformed(format!(
-                        "entry holds {n} words"
-                    ))),
-                }
+                json::cell_of::<u64, PENDING_WORDS>(cell, "entries")?
+                    .map(|words| PendingTask::from_words(&words))
+                    .transpose()
+                    .map_err(PStoreStateError::Malformed)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let high_water = entries.len();
-        let pairs = json::get_u64s(value, "taint")?;
-        if !pairs.len().is_multiple_of(2) {
-            return Err(PStoreStateError::Malformed(
-                "\"taint\" is not a list of [entry, mask] pairs".to_owned(),
-            ));
-        }
         let mut taint = vec![0; high_water];
-        for pair in pairs.chunks_exact(2) {
-            let (entry, mask) = (pair[0], pair[1]);
+        for [entry, mask] in json::records_of::<u64, 2>(json::get(value, "taint")?, "taint")? {
             if entry >= high_water as u64 {
                 return Err(PStoreStateError::TaintPastHighWater { entry, high_water });
             }
@@ -389,7 +373,7 @@ impl PStore {
                 recycled: recycled.len(),
             });
         }
-        let peak = json::get_uint(value, "peak")?;
+        let peak = json::get_word(value, "peak")?;
         let total_allocs = json::get_u64(value, "total_allocs")?;
         let full_events = json::get_u64(value, "full_events")?;
         let repairs = json::get_u64(value, "repairs")?;

@@ -19,11 +19,11 @@
 
 use pxl_apps::{Benchmark, Scale};
 use pxl_arch::{
-    AccelConfig, Engine, FabricEngine, LocalOrder, SchedPolicy, SchedulingPolicy, StealEnd,
-    VictimSelect, Workload,
+    AccelConfig, ClusterConfig, Engine, FabricEngine, LocalOrder, SchedPolicy, SchedulingPolicy,
+    StealEnd, VictimSelect, Workload,
 };
 use pxl_bench::{bench, render_table};
-use pxl_dse::{pe_geometry, ClusterPoint, DesignPoint, PointArch};
+use pxl_dse::{pe_geometry, DesignPoint, PointArch};
 use pxl_flow::{execute, RunSpec};
 
 fn config(pes: usize, policy: SchedPolicy) -> AccelConfig {
@@ -153,7 +153,7 @@ fn stealing_hierarchy() {
     let mut rows = Vec::new();
     for name in ["uts", "bfsqueue"] {
         for chips in [2, 4] {
-            let hier = ClusterPoint::new(chips);
+            let hier = ClusterConfig::new(chips);
             for (mode, cluster) in [("hier", hier), ("flat", hier.flat())] {
                 let point = DesignPoint::accel(PointArch::Flex, 4, 4).clustered(cluster);
                 let out = execute(&RunSpec::new(name, Scale::Small, point))

@@ -26,8 +26,9 @@
 //! Pass `--smoke` to run at `Scale::Tiny` (the CI configuration).
 
 use pxl_apps::Scale;
+use pxl_arch::ClusterConfig;
 use pxl_bench::{render_table, RunOutcome, ALL_BENCHES};
-use pxl_dse::{ClusterPoint, DesignPoint, PointArch};
+use pxl_dse::{DesignPoint, PointArch};
 use pxl_flow::RunSpec;
 use pxl_profile::{to_perfetto_json, to_perfetto_json_with_timeline, Layout, Profile};
 
@@ -57,7 +58,7 @@ fn run_traced(name: &str, scale: Scale, label: &str) -> Option<RunOutcome> {
         "central" => DesignPoint::accel(PointArch::Central, 2, 4),
         "lite" => DesignPoint::accel(PointArch::Lite, 2, 4),
         "cpu" => DesignPoint::cpu(4),
-        "hier" => DesignPoint::accel(PointArch::Flex, 4, 2).clustered(ClusterPoint::new(2)),
+        "hier" => DesignPoint::accel(PointArch::Flex, 4, 2).clustered(ClusterConfig::new(2)),
         other => panic!("unknown engine label {other}"),
     };
     let spec = RunSpec::new(name, scale, point).with_trace(TRACE_CAPACITY);

@@ -7,13 +7,11 @@ use pxl_model::{
     TASK_WORDS,
 };
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
-use pxl_sim::json::{self, JsonValue};
+use pxl_sim::json::{self, EventWords, JsonValue};
 use pxl_sim::snapshot::{malformed, Snapshot, SnapshotError};
 use pxl_sim::{EventQueue, Time, TraceEvent, Tracer, XorShift64};
 
-use pxl_arch::core::{
-    events_to_json, index_in, read_events, EmbedsCore, EngineCore, RootRun, UnitState,
-};
+use pxl_arch::core::{events_to_json, read_events, EmbedsCore, EngineCore, RootRun, UnitState};
 use pxl_arch::deque::TaskDeque;
 use pxl_arch::fabric::AccelError;
 use pxl_arch::{Engine, EngineKind, RunStatus, Workload};
@@ -104,37 +102,18 @@ impl Event {
 
     /// Inverse of [`Event::to_words`]; every event must name one of
     /// `cores` cores.
-    fn from_words(words: &[u64], cores: usize) -> Result<Event, String> {
-        let expect = |n: usize| {
-            if words.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "event encoding holds {} words, expected {n}",
-                    words.len()
-                ))
-            }
-        };
-        let core = || index_in(words[1], cores, "unit");
-        match words.first() {
-            Some(0) => {
-                expect(2)?;
-                Ok(Event::CoreWake { core: core()? })
-            }
-            Some(1) => {
-                expect(2)?;
-                Ok(Event::StealTry { core: core()? })
-            }
-            Some(2) => {
-                expect(2 + TASK_WORDS)?;
-                Ok(Event::TaskRun {
-                    core: core()?,
-                    task: Task::from_words(&words[2..])?,
-                })
-            }
-            Some(tag) => Err(format!("unknown cpu event tag {tag}")),
-            None => Err("empty event encoding".to_owned()),
-        }
+    fn from_words(body: &mut EventWords, cores: usize) -> Result<Event, String> {
+        let tag = body.tag();
+        let core = body.index(cores, "unit")?;
+        Ok(match tag {
+            0 => Event::CoreWake { core },
+            1 => Event::StealTry { core },
+            2 => Event::TaskRun {
+                core,
+                task: Task::from_words(body.take(TASK_WORDS)?)?,
+            },
+            tag => return Err(format!("unknown cpu event tag {tag}")),
+        })
     }
 }
 
@@ -740,17 +719,11 @@ impl Engine for CpuEngine {
                 JsonValue::Array(
                     self.pending
                         .iter()
-                        .map(|cell| match cell {
-                            Some(p) => json::arr_u64(p.to_words()),
-                            None => json::arr_u64([]),
-                        })
+                        .map(|cell| json::arr_u64(cell.iter().flat_map(PendingTask::to_words)))
                         .collect(),
                 ),
             ),
-            (
-                "pending_free",
-                json::arr_u64(self.pending_free.iter().map(|e| u64::from(*e))),
-            ),
+            ("pending_free", json::words(&self.pending_free)),
             ("host", self.core.host_cells()),
             ("events", events_to_json(&self.events, Event::to_words)),
         ]);
@@ -763,15 +736,8 @@ impl Engine for CpuEngine {
         let p = &snap.payload;
         self.root = RootRun::read(p)?;
 
-        let deques = json::get_arr(p, "deques")?;
-        let rngs = json::get_u64s(p, "rngs")?;
-        if deques.len() != self.cores || rngs.len() != self.cores {
-            return Err(malformed(format!(
-                "snapshot describes {} cores, this engine has {}",
-                deques.len(),
-                self.cores
-            )));
-        }
+        let deques = json::get_arr_n(p, "deques", self.cores)?;
+        let rngs: Vec<u64> = json::get_words_n(p, "rngs", self.cores)?;
         for (deque, state) in self.deques.iter_mut().zip(deques) {
             deque.restore_state(state).map_err(malformed)?;
         }
@@ -782,18 +748,13 @@ impl Engine for CpuEngine {
         self.pending = json::get_arr(p, "pending")?
             .iter()
             .map(|cell| {
-                let words = json::u64s(cell, "pending")?;
-                match words.len() {
-                    0 => Ok(None),
-                    PENDING_WORDS => PendingTask::from_words(&words).map(Some).map_err(malformed),
-                    n => Err(malformed(format!("pending entry holds {n} words"))),
-                }
+                json::cell_of::<u64, PENDING_WORDS>(cell, "pending")?
+                    .map(|words| PendingTask::from_words(&words))
+                    .transpose()
+                    .map_err(malformed)
             })
-            .collect::<Result<_, SnapshotError>>()?;
-        self.pending_free = json::get_u64s(p, "pending_free")?
-            .iter()
-            .map(|e| u32::try_from(*e).map_err(|_| malformed("pending_free overflows u32")))
             .collect::<Result<_, _>>()?;
+        self.pending_free = json::get_words(p, "pending_free")?;
 
         self.core.read_host_cells(p)?;
         let cores = self.cores;

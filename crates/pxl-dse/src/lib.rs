@@ -76,6 +76,6 @@ pub use cache::{measurement_from_json_value, measurement_to_json_value, Measurem
 pub use explore::{Evaluate, Evaluated, Exploration, Explorer, FailedPoint, Fidelity, Strategy};
 pub use pareto::{dominates, FrontPoint, ParetoFront};
 pub use space::{
-    pe_geometry, Axis, Candidate, ClusterPoint, DesignPoint, Partition, PointArch, PruneReason,
-    PrunedCandidate, SearchSpace,
+    pe_geometry, Axis, Candidate, DesignPoint, Partition, PointArch, PruneReason, PrunedCandidate,
+    SearchSpace,
 };

@@ -122,65 +122,12 @@ impl std::fmt::Display for PointArch {
     }
 }
 
-/// The multi-chip shape of a clustered design point: how many chips the
-/// tiles split across, the inter-chip link's timing, and which stealing
-/// discipline spans the chip boundary. Single-chip points spell this as
-/// `None` on [`DesignPoint::cluster`] so their spec strings and cache keys
-/// are unchanged from before clusters existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterPoint {
-    /// Number of chips the tiles partition across (≥ 2; one chip is `None`).
-    pub chips: usize,
-    /// Inter-chip link latency per hop, in engine cycles.
-    pub link_latency_cycles: u64,
-    /// Link serialization (occupancy) per message, in engine cycles —
-    /// the inverse-bandwidth knob.
-    pub link_occupancy_cycles: u64,
-    /// Stealing discipline across the chip boundary.
-    pub stealing: StealMode,
-}
-
-impl ClusterPoint {
-    /// A `chips`-chip cluster with [`ClusterConfig::new`]'s default link
-    /// timing and hierarchical stealing.
-    pub fn new(chips: usize) -> Self {
-        let defaults = ClusterConfig::new(chips);
-        ClusterPoint {
-            chips,
-            link_latency_cycles: defaults.link_latency_cycles,
-            link_occupancy_cycles: defaults.link_occupancy_cycles,
-            stealing: defaults.stealing,
-        }
-    }
-
-    /// Switches the cross-chip stealing discipline to flat (the naive
-    /// baseline that ignores chip boundaries).
-    pub fn flat(mut self) -> Self {
-        self.stealing = StealMode::Flat;
-        self
-    }
-
-    /// Sets the link latency and occupancy, in engine cycles.
-    pub fn with_link(mut self, latency_cycles: u64, occupancy_cycles: u64) -> Self {
-        self.link_latency_cycles = latency_cycles;
-        self.link_occupancy_cycles = occupancy_cycles;
-        self
-    }
-
-    /// The `steal=` term of the spec string (`hier:<threshold>` / `flat`).
-    pub fn steal_label(&self) -> String {
-        match self.stealing {
-            StealMode::Hierarchical { spill_threshold } => format!("hier:{spill_threshold}"),
-            StealMode::Flat => "flat".to_owned(),
-        }
-    }
-
-    /// The [`ClusterConfig`] this point elaborates to (all-to-all topology).
-    pub fn cluster_config(&self) -> ClusterConfig {
-        let mut cfg = ClusterConfig::new(self.chips)
-            .with_link(self.link_latency_cycles, self.link_occupancy_cycles);
-        cfg.stealing = self.stealing;
-        cfg
+/// The `steal=` term of a clustered point's spec string
+/// (`hier:<threshold>` / `flat`).
+fn steal_label(stealing: StealMode) -> String {
+    match stealing {
+        StealMode::Hierarchical { spill_threshold } => format!("hier:{spill_threshold}"),
+        StealMode::Flat => "flat".to_owned(),
     }
 }
 
@@ -209,8 +156,10 @@ pub struct DesignPoint {
     pub task_queue_entries: usize,
     /// Per-tile P-Store entries (0 for CPU points).
     pub pstore_entries: usize,
-    /// Multi-chip cluster shape; `None` is the classic single-chip point.
-    pub cluster: Option<ClusterPoint>,
+    /// Multi-chip cluster shape; `None` is the classic single-chip point,
+    /// so single-chip spec strings and cache keys are unchanged from before
+    /// clusters existed.
+    pub cluster: Option<ClusterConfig>,
     /// The platform the point is built on: the coherent SoC or the Zedboard
     /// prototype, which has only single-chip FlexArch and CPU points (see
     /// [`DesignPoint::check_platform`]).
@@ -259,7 +208,7 @@ impl DesignPoint {
     }
 
     /// Splits the point's tiles across a multi-chip cluster.
-    pub fn clustered(mut self, cluster: ClusterPoint) -> Self {
+    pub fn clustered(mut self, cluster: ClusterConfig) -> Self {
         self.cluster = Some(cluster);
         self
     }
@@ -305,7 +254,7 @@ impl DesignPoint {
         cfg.task_queue_entries = self.task_queue_entries;
         cfg.pstore_entries = self.pstore_entries;
         cfg.memory.accel_l1 = cfg.memory.accel_l1.clone().with_size(self.cache_kb * 1024);
-        cfg.cluster = self.cluster.map(|c| c.cluster_config());
+        cfg.cluster = self.cluster;
         cfg.platform = self.platform;
         cfg.clock = self.platform.accel_clock();
         Some(cfg)
@@ -353,9 +302,9 @@ impl DesignPoint {
     ///     "arch=flex tiles=4 pes=4 cache_kb=32 queue=1024 pstore=4096"
     /// );
     /// assert_eq!(DesignPoint::cpu(8).spec(), "arch=cpu cores=8");
-    /// use pxl_dse::ClusterPoint;
+    /// use pxl_arch::ClusterConfig;
     /// assert_eq!(
-    ///     p.clustered(ClusterPoint::new(2)).spec(),
+    ///     p.clustered(ClusterConfig::new(2)).spec(),
     ///     "arch=flex tiles=4 pes=4 cache_kb=32 queue=1024 pstore=4096 \
     ///      chips=2 link_lat=32 link_occ=8 steal=hier:2"
     /// );
@@ -387,7 +336,7 @@ impl DesignPoint {
                 c.chips,
                 c.link_latency_cycles,
                 c.link_occupancy_cycles,
-                c.steal_label()
+                steal_label(c.stealing)
             ));
         }
         if self.platform == Platform::Zedboard {
@@ -692,8 +641,8 @@ impl SearchSpace {
     /// Only FlexArch points cluster (the link tier needs work stealing);
     /// with the default single-chip axes this is just `[None]`, so spaces
     /// that never mention chips enumerate exactly as before.
-    fn cluster_variants(&self, arch: PointArch) -> Vec<Option<ClusterPoint>> {
-        let mut out: Vec<Option<ClusterPoint>> = Vec::new();
+    fn cluster_variants(&self, arch: PointArch) -> Vec<Option<ClusterConfig>> {
+        let mut out: Vec<Option<ClusterConfig>> = Vec::new();
         if arch != PointArch::Flex {
             return vec![None];
         }
@@ -707,7 +656,7 @@ impl SearchSpace {
             for &lat in self.link_latency_cycles.values() {
                 for &occ in self.link_occupancy_cycles.values() {
                     for &stealing in &self.steal_modes {
-                        let c = Some(ClusterPoint {
+                        let c = Some(ClusterConfig {
                             chips,
                             link_latency_cycles: lat as u64,
                             link_occupancy_cycles: occ as u64,

@@ -28,8 +28,8 @@
 //! ```
 
 use pxl_apps::Scale;
-use pxl_arch::{Platform, StealMode};
-use pxl_dse::{ClusterPoint, DesignPoint, PointArch};
+use pxl_arch::{ClusterConfig, Platform, StealMode};
+use pxl_dse::{DesignPoint, PointArch};
 use pxl_model::ExecProfile;
 use pxl_sim::json::{self, FieldError, FieldProblem, JsonValue};
 use pxl_sim::{fnv64, FaultPlan};
@@ -372,7 +372,7 @@ impl RunSpec {
         };
         let trace_capacity = match json::get_opt(value, "trace_capacity") {
             None => 0,
-            Some(t) => json::uint_of(t, "trace_capacity")?,
+            Some(t) => json::word_of(t, "trace_capacity")?,
         };
         let faults = json::get_opt(value, "faults")
             .map(FaultPlan::from_json_value)
@@ -455,7 +455,7 @@ fn every_cycles(
 
 fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
     let point = match json::get_str(value, "arch")? {
-        "cpu" => DesignPoint::cpu(json::get_uint(value, "cores")?),
+        "cpu" => DesignPoint::cpu(json::get_word(value, "cores")?),
         arch => DesignPoint {
             arch: match arch {
                 "flex" => PointArch::Flex,
@@ -468,11 +468,11 @@ fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
                     })
                 }
             },
-            tiles: json::get_uint(value, "tiles")?,
-            pes_per_tile: json::get_uint(value, "pes_per_tile")?,
-            cache_kb: json::get_uint(value, "cache_kb")?,
-            task_queue_entries: json::get_uint(value, "task_queue_entries")?,
-            pstore_entries: json::get_uint(value, "pstore_entries")?,
+            tiles: json::get_word(value, "tiles")?,
+            pes_per_tile: json::get_word(value, "pes_per_tile")?,
+            cache_kb: json::get_word(value, "cache_kb")?,
+            task_queue_entries: json::get_word(value, "task_queue_entries")?,
+            pstore_entries: json::get_word(value, "pstore_entries")?,
             cluster: json::get_opt(value, "cluster")
                 .map(parse_cluster)
                 .transpose()?,
@@ -495,8 +495,8 @@ fn parse_point(value: &JsonValue) -> Result<DesignPoint, SpecError> {
     Ok(point)
 }
 
-fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
-    let chips = json::get_uint(value, "chips")?;
+fn parse_cluster(value: &JsonValue) -> Result<ClusterConfig, SpecError> {
+    let chips = json::get_word(value, "chips")?;
     if chips < 2 {
         return Err(SpecError::Invalid {
             field: "cluster",
@@ -506,7 +506,7 @@ fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
     let stealing = match json::get_str(value, "stealing")? {
         "flat" => StealMode::Flat,
         "hierarchical" => StealMode::Hierarchical {
-            spill_threshold: json::get_uint(value, "spill_threshold")?,
+            spill_threshold: json::get_word(value, "spill_threshold")?,
         },
         other => {
             return Err(SpecError::Invalid {
@@ -515,7 +515,7 @@ fn parse_cluster(value: &JsonValue) -> Result<ClusterPoint, SpecError> {
             });
         }
     };
-    Ok(ClusterPoint {
+    Ok(ClusterConfig {
         chips,
         link_latency_cycles: json::get_u64(value, "link_latency_cycles")?,
         link_occupancy_cycles: json::get_u64(value, "link_occupancy_cycles")?,
@@ -677,7 +677,7 @@ mod tests {
         for json in [
             zed(DesignPoint::accel(PointArch::Lite, 1, 4)),
             zed(DesignPoint::accel(PointArch::Central, 1, 4)),
-            zed(DesignPoint::accel(PointArch::Flex, 2, 4).clustered(ClusterPoint::new(2))),
+            zed(DesignPoint::accel(PointArch::Flex, 2, 4).clustered(ClusterConfig::new(2))),
             zed(DesignPoint::cpu(2)).replace("zedboard", "fpga"),
         ] {
             let err = RunSpec::from_json(&json).unwrap_err();

@@ -176,9 +176,7 @@ impl BandwidthMeter {
         let mut committed_ps = 0u64;
         let mut previous = None;
         for pair in pairs {
-            let [epoch, used] = json::u64s(pair, "epochs")?[..] else {
-                return Err("bandwidth state: entry is not an [epoch, used] pair".to_owned());
-            };
+            let [epoch, used] = json::record_of::<u64, 2>(pair, "epochs")?;
             if let Some(previous) = previous.filter(|&p| p >= epoch) {
                 return Err(format!(
                     "bandwidth state: epoch {epoch} listed after epoch {previous}; epochs must ascend"

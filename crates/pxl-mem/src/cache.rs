@@ -307,15 +307,9 @@ impl CacheArray {
                 expected: self.lines.len(),
             });
         }
-        let live = json::get_u64s(value, "live")?;
-        if !live.len().is_multiple_of(4) {
-            return Err(CacheStateError::Malformed(
-                "\"live\" is not a list of [way, line+1, state, last_use] quads".to_owned(),
-            ));
-        }
+        let live = json::records_of::<u64, 4>(json::get(value, "live")?, "live")?;
         let mut previous = None;
-        for quad in live.chunks_exact(4) {
-            let (way, state) = (quad[0], quad[2]);
+        for &[way, _, state, _] in &live {
             if way >= slots {
                 return Err(CacheStateError::WayOutOfRange { way, slots });
             }
@@ -331,8 +325,7 @@ impl CacheArray {
         // address must convert back to a byte address. Ways ascend, so one
         // set's ways are listed together.
         let mut set_lines: Vec<(u64, u64)> = Vec::new();
-        for quad in live.chunks_exact(4) {
-            let (way, tag) = (quad[0], quad[1]);
+        for &[way, tag, ..] in &live {
             let Some(line) = tag.checked_sub(1) else {
                 continue;
             };
@@ -358,11 +351,11 @@ impl CacheArray {
         self.lines = vec![0; n];
         self.states = vec![0; n];
         self.last_use = vec![0; n];
-        for quad in live.chunks_exact(4) {
-            let w = quad[0] as usize;
-            self.lines[w] = quad[1];
-            self.states[w] = 3 - quad[2] as u8;
-            self.last_use[w] = quad[3];
+        for [way, line, state, last_use] in live {
+            let w = way as usize;
+            self.lines[w] = line;
+            self.states[w] = 3 - state as u8;
+            self.last_use[w] = last_use;
         }
         self.use_counter = use_counter;
         Ok(())

@@ -348,14 +348,7 @@ impl MemorySystem {
     }
 
     fn restore_fields(&mut self, value: &JsonValue) -> Result<(), String> {
-        let l1s = json::get_arr(value, "l1s")?;
-        if l1s.len() != self.l1s.len() {
-            return Err(format!(
-                "memory state: {} L1 ports, this system has {}",
-                l1s.len(),
-                self.l1s.len()
-            ));
-        }
+        let l1s = json::get_arr_n(value, "l1s", self.l1s.len())?;
         for (cache, state) in self.l1s.iter_mut().zip(l1s) {
             cache.restore_state(state).map_err(|e| e.to_string())?;
         }
@@ -1058,7 +1051,8 @@ mod tests {
         );
         // Geometry mismatch is refused.
         let mut wrong = sys(3);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("ports"));
+        let err = wrong.restore_state(&state).unwrap_err();
+        assert!(err.contains("\"l1s\" holds 2 items, expected 3"), "{err}");
     }
 
     /// Restores `a`'s state into a fresh two-port system, which must refuse

@@ -171,14 +171,7 @@ impl ZedboardMemory {
     /// Returns a message naming the first malformed field or geometry
     /// mismatch (wrong port count, too many streams for a port).
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let ports = json::get_arr(value, "streams")?;
-        if ports.len() != self.streams.len() {
-            return Err(format!(
-                "zedboard state: {} ports, this path has {}",
-                ports.len(),
-                self.streams.len()
-            ));
-        }
+        let ports = json::get_arr_n(value, "streams", self.streams.len())?;
         let mut streams = Vec::with_capacity(ports.len());
         for port in ports {
             let entries = port
@@ -193,9 +186,7 @@ impl ZedboardMemory {
             }
             let mut list = Vec::with_capacity(self.params.streams_per_port);
             for entry in entries {
-                let [last_line, last_use] = json::u64s(entry, "streams")?[..] else {
-                    return Err("zedboard state: stream is not a [last_line, last_use] pair".into());
-                };
+                let [last_line, last_use] = json::record_of::<u64, 2>(entry, "streams")?;
                 list.push(Stream {
                     last_line,
                     last_use,
@@ -476,7 +467,11 @@ mod tests {
         assert_eq!(b.take_trace().to_jsonl(), a.take_trace().to_jsonl());
         // Wrong port count is refused.
         let mut wrong = ZedboardMemory::new(3, p);
-        assert!(wrong.restore_state(&state).unwrap_err().contains("ports"));
+        let err = wrong.restore_state(&state).unwrap_err();
+        assert!(
+            err.contains("\"streams\" holds 2 items, expected 3"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -146,24 +146,24 @@ impl FaultSpec {
         };
         let kind = match json::get_str(value, "kind").ok() {
             Some("pe_stall") => FaultKind::PeStall {
-                pe: json::get_uint(value, "pe")?,
+                pe: json::get_word(value, "pe")?,
                 cycles: json::get_u64(value, "cycles")?,
             },
             Some("pe_death") => FaultKind::PeDeath {
-                pe: json::get_uint(value, "pe")?,
+                pe: json::get_word(value, "pe")?,
             },
             Some("net_drop") => FaultKind::NetDrop {
                 net: net()?,
-                per_mille: json::get_uint(value, "per_mille")?,
-                max: json::get_uint(value, "max")?,
+                per_mille: json::get_word(value, "per_mille")?,
+                max: json::get_word(value, "max")?,
             },
             Some("net_dup") => FaultKind::NetDup {
                 net: net()?,
-                per_mille: json::get_uint(value, "per_mille")?,
-                max: json::get_uint(value, "max")?,
+                per_mille: json::get_word(value, "per_mille")?,
+                max: json::get_word(value, "max")?,
             },
             Some("pstore_corrupt") => FaultKind::PStoreCorrupt {
-                tile: json::get_uint(value, "tile")?,
+                tile: json::get_word(value, "tile")?,
                 mask: json::get_u64(value, "mask")?,
             },
             other => return Err(format!("unknown kind {other:?}")),

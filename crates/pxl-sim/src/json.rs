@@ -16,14 +16,25 @@
 //!   rely on for byte-identical round trips.
 //! * **The field vocabulary** — every record codec in the workspace builds
 //!   its tree with [`obj`], [`num`] and [`arr_u64`] and picks it apart with
-//!   the checked readers ([`get_u64`], [`get_uint`], [`get_str`],
+//!   the checked readers ([`get_u64`], [`get_word`], [`get_str`],
 //!   [`get_bool`], [`get_f64`], [`get_arr`], [`get_obj`], [`get_u64s`],
 //!   [`get_u64_map`], [`get_opt`] and the value-level [`u64_of`],
-//!   [`uint_of`], [`u64s`]). A reader fails with one [`FieldError`] naming
+//!   [`word_of`], [`u64s`]). A reader fails with one [`FieldError`] naming
 //!   the key; each caller maps it into its own typed error. Every array
 //!   reader checks every item, so a record with a stray non-numeric word is
-//!   refused rather than read as a shorter one, and [`get_uint`] refuses a
-//!   value its target type cannot hold instead of truncating it.
+//!   refused rather than read as a shorter one, and [`get_word`] refuses a
+//!   value its [`Word`] kind cannot hold instead of truncating it.
+//! * **Snapshot words** — engine and memory state is kept as `u64` words.
+//!   A [`Word`] kind says how one typed value maps to its word (`u64`,
+//!   `u32`, `u16`, `u8`, `usize`, `bool` as 0 or 1, [`Time`] in
+//!   picoseconds, and an index stored plus one with zero for none).
+//!   [`word`] and [`words`] write them; [`word_of`], [`get_word`],
+//!   [`words_of`] and [`get_words`] read them straight into the typed
+//!   value, refusing a word the kind cannot hold. [`get_words_n`] and
+//!   [`get_arr_n`] also check the item count ("one per unit"), and
+//!   [`records_of`], [`record_of`] and [`cell_of`] read fixed-width records
+//!   (flat pairs or quads, one task's words, a `[]`-or-full cell). Event
+//!   bodies are read through an [`EventWords`] cursor.
 //!
 //! # Examples
 //!
@@ -34,9 +45,9 @@
 //! assert_eq!(json::get_str(&v, "name"), Ok("uts"));
 //! assert_eq!(json::get_u64s(&v, "pes"), Ok(vec![4, 8]));
 //! assert_eq!(json::get_bool(&v, "ok"), Ok(true));
-//! assert_eq!(json::get_uint::<u32>(&v, "big"), Ok(70_000));
+//! assert_eq!(json::get_word::<u32>(&v, "big"), Ok(70_000));
 //! assert_eq!(
-//!     json::get_uint::<u16>(&v, "big"),
+//!     json::get_word::<u16>(&v, "big"),
 //!     Err(FieldError { key: "big", problem: FieldProblem::OutOfRange("u16") })
 //! );
 //! assert_eq!(json::get_u64(&v, "gone").unwrap_err().to_string(), "missing field gone");
@@ -46,6 +57,8 @@
 //! ```
 
 use std::fmt;
+
+use crate::time::Time;
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn write_string(out: &mut String, s: &str) {
@@ -271,6 +284,21 @@ pub enum FieldProblem {
     BadItem(usize),
     /// The object holds a non-`u64` value under this member name.
     BadMember(String),
+    /// The array holds `found` items where `expected` were due.
+    Length {
+        /// Items the array holds.
+        found: usize,
+        /// Items the reader expected.
+        expected: usize,
+    },
+    /// A flat array of fixed-width records holds a word count that is not
+    /// a whole number of records.
+    Width {
+        /// Words the array holds.
+        found: usize,
+        /// Words per record.
+        width: usize,
+    },
 }
 
 impl FieldError {
@@ -290,6 +318,13 @@ impl fmt::Display for FieldError {
             FieldProblem::BadMember(name) => {
                 write!(f, "member {name:?} of {key:?} is not a u64")
             }
+            FieldProblem::Length { found, expected } => {
+                write!(f, "array {key:?} holds {found} items, expected {expected}")
+            }
+            FieldProblem::Width { found, width } => write!(
+                f,
+                "array {key:?} holds {found} words, not a list of {width}-word records"
+            ),
         }
     }
 }
@@ -357,17 +392,6 @@ pub fn u64_of(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
     read_as(value, key, "an unsigned integer", JsonValue::as_u64)
 }
 
-/// `value` (the field `key`) as an unsigned integer narrowed to `T`.
-///
-/// # Errors
-///
-/// [`FieldProblem::NotA`] unless `value` is an unsigned integer,
-/// [`FieldProblem::OutOfRange`] when `T` cannot hold it.
-pub fn uint_of<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
-    T::try_from(u64_of(value, key)?)
-        .map_err(|_| FieldError::new(key, FieldProblem::OutOfRange(std::any::type_name::<T>())))
-}
-
 /// `value` (the array field `key`) as exact `u64`s, every item checked.
 ///
 /// # Errors
@@ -375,14 +399,7 @@ pub fn uint_of<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<
 /// [`FieldProblem::NotA`] when `value` is not an array,
 /// [`FieldProblem::BadItem`] naming the first item that is not a `u64`.
 pub fn u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError> {
-    read_as(value, key, "an array", JsonValue::as_array)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.as_u64()
-                .ok_or(FieldError::new(key, FieldProblem::BadItem(i)))
-        })
-        .collect()
+    words_of(value, key)
 }
 
 /// Member `key` of `value` as an exact `u64`.
@@ -392,16 +409,6 @@ pub fn u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError
 /// A [`FieldError`] naming the missing or mistyped key.
 pub fn get_u64(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
     u64_of(get(value, key)?, key)
-}
-
-/// Member `key` of `value` as an unsigned integer narrowed to `T`; a
-/// value `T` cannot hold is refused, never truncated.
-///
-/// # Errors
-///
-/// A [`FieldError`] naming the missing, mistyped or out-of-range key.
-pub fn get_uint<T: TryFrom<u64>>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
-    uint_of(get(value, key)?, key)
 }
 
 /// Member `key` of `value` as a string slice.
@@ -482,6 +489,370 @@ pub fn get_u64_map<'a>(
                 .ok_or_else(|| FieldError::new(key, FieldProblem::BadMember(name.clone())))
         })
         .collect()
+}
+
+/// How one typed value of a snapshot is kept as a `u64` word.
+pub trait Word: Sized {
+    /// The kind's name in an out-of-range refusal.
+    const KIND: &'static str;
+
+    /// The value's word.
+    fn to_word(&self) -> u64;
+
+    /// The value `word` holds, or `None` when the kind cannot hold it.
+    fn from_word(word: u64) -> Option<Self>;
+}
+
+macro_rules! uint_words {
+    ($($ty:ty),*) => {$(
+        impl Word for $ty {
+            const KIND: &'static str = stringify!($ty);
+
+            #[allow(clippy::unnecessary_cast)]
+            fn to_word(&self) -> u64 {
+                *self as u64
+            }
+
+            fn from_word(word: u64) -> Option<Self> {
+                <$ty>::try_from(word).ok()
+            }
+        }
+    )*};
+}
+uint_words!(u64, u32, u16, u8, usize);
+
+/// A flag: 0 or 1, nothing else.
+impl Word for bool {
+    const KIND: &'static str = "bool";
+
+    fn to_word(&self) -> u64 {
+        u64::from(*self)
+    }
+
+    fn from_word(word: u64) -> Option<Self> {
+        match word {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+/// A point in simulated time, in picoseconds.
+impl Word for Time {
+    const KIND: &'static str = "Time";
+
+    fn to_word(&self) -> u64 {
+        self.as_ps()
+    }
+
+    fn from_word(word: u64) -> Option<Self> {
+        Some(Time::from_ps(word))
+    }
+}
+
+/// An index stored plus one; zero is none.
+impl Word for Option<usize> {
+    const KIND: &'static str = "an index plus one";
+
+    fn to_word(&self) -> u64 {
+        self.map_or(0, |i| i as u64 + 1)
+    }
+
+    fn from_word(word: u64) -> Option<Self> {
+        match word.checked_sub(1) {
+            None => Some(None),
+            Some(i) => usize::try_from(i).ok().map(Some),
+        }
+    }
+}
+
+/// One word.
+pub fn word<T: Word>(value: &T) -> JsonValue {
+    num(value.to_word())
+}
+
+/// An array of words.
+pub fn words<'a, T: Word + 'a>(values: impl IntoIterator<Item = &'a T>) -> JsonValue {
+    arr_u64(values.into_iter().map(Word::to_word))
+}
+
+fn out_of_range<T: Word>(key: &'static str) -> FieldError {
+    FieldError::new(key, FieldProblem::OutOfRange(T::KIND))
+}
+
+/// `value` (the field `key`) as a word of kind `T`.
+///
+/// # Errors
+///
+/// [`FieldProblem::NotA`] unless `value` is an unsigned integer,
+/// [`FieldProblem::OutOfRange`] when `T` cannot hold it.
+pub fn word_of<T: Word>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
+    T::from_word(u64_of(value, key)?).ok_or_else(|| out_of_range::<T>(key))
+}
+
+/// Member `key` of `value` as a word of kind `T`.
+///
+/// # Errors
+///
+/// A [`FieldError`] naming the missing, mistyped or out-of-range key.
+pub fn get_word<T: Word>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
+    word_of(get(value, key)?, key)
+}
+
+/// `value` (the array field `key`) as words of kind `T`, every item
+/// checked.
+///
+/// # Errors
+///
+/// [`FieldProblem::NotA`] when `value` is not an array,
+/// [`FieldProblem::BadItem`] naming the first item that is not a `u64` and
+/// [`FieldProblem::OutOfRange`] when `T` cannot hold an item.
+pub fn words_of<T: Word>(value: &JsonValue, key: &'static str) -> Result<Vec<T>, FieldError> {
+    read_as(value, key, "an array", JsonValue::as_array)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let word = v
+                .as_u64()
+                .ok_or(FieldError::new(key, FieldProblem::BadItem(i)))?;
+            T::from_word(word).ok_or_else(|| out_of_range::<T>(key))
+        })
+        .collect()
+}
+
+/// Member `key` of `value` as words of kind `T`.
+///
+/// # Errors
+///
+/// As [`words_of`], or [`FieldProblem::Missing`].
+pub fn get_words<T: Word>(value: &JsonValue, key: &'static str) -> Result<Vec<T>, FieldError> {
+    words_of(get(value, key)?, key)
+}
+
+fn check_len(key: &'static str, found: usize, expected: usize) -> Result<(), FieldError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(FieldError::new(
+            key,
+            FieldProblem::Length { found, expected },
+        ))
+    }
+}
+
+/// Member `key` of `value` as exactly `n` words of kind `T`: one per unit,
+/// per tile or per slot.
+///
+/// # Errors
+///
+/// As [`get_words`], or [`FieldProblem::Length`] for any other count.
+pub fn get_words_n<T: Word>(
+    value: &JsonValue,
+    key: &'static str,
+    n: usize,
+) -> Result<Vec<T>, FieldError> {
+    let words = get_words(value, key)?;
+    check_len(key, words.len(), n).map(|()| words)
+}
+
+/// Member `key` of `value` as an array of exactly `n` items.
+///
+/// # Errors
+///
+/// As [`get_arr`], or [`FieldProblem::Length`] for any other count.
+pub fn get_arr_n<'a>(
+    value: &'a JsonValue,
+    key: &'static str,
+    n: usize,
+) -> Result<&'a [JsonValue], FieldError> {
+    let items = get_arr(value, key)?;
+    check_len(key, items.len(), n).map(|()| items)
+}
+
+/// `value` (the array field `key`) as a flat list of `W`-word records of
+/// kind `T`: `[a, b, a, b, ...]` for pairs.
+///
+/// # Errors
+///
+/// As [`words_of`], or [`FieldProblem::Width`] when the word count is not
+/// a multiple of `W`.
+pub fn records_of<T: Word + Copy, const W: usize>(
+    value: &JsonValue,
+    key: &'static str,
+) -> Result<Vec<[T; W]>, FieldError> {
+    let words = words_of::<T>(value, key)?;
+    if words.len() % W != 0 {
+        let problem = FieldProblem::Width {
+            found: words.len(),
+            width: W,
+        };
+        return Err(FieldError::new(key, problem));
+    }
+    Ok(words
+        .chunks_exact(W)
+        .map(|record| record.try_into().expect("chunks are W words"))
+        .collect())
+}
+
+/// `value` (an item of the array field `key`) as one record of exactly
+/// `W` words of kind `T`.
+///
+/// # Errors
+///
+/// As [`words_of`], or [`FieldProblem::Length`] for any other word count.
+pub fn record_of<T: Word + Copy, const W: usize>(
+    value: &JsonValue,
+    key: &'static str,
+) -> Result<[T; W], FieldError> {
+    let words = words_of::<T>(value, key)?;
+    check_len(key, words.len(), W)?;
+    Ok(words.try_into().ok().expect("length checked"))
+}
+
+/// `value` (an item of the array field `key`) as a cell: `[]` for none,
+/// or one record of exactly `W` words of kind `T`.
+///
+/// # Errors
+///
+/// As [`record_of`], for a cell that is neither empty nor full.
+pub fn cell_of<T: Word + Copy, const W: usize>(
+    value: &JsonValue,
+    key: &'static str,
+) -> Result<Option<[T; W]>, FieldError> {
+    match value.as_array() {
+        Some([]) => Ok(None),
+        _ => record_of(value, key).map(Some),
+    }
+}
+
+/// `index`, which must lie in `0..bound`: the check every index word of a
+/// snapshot makes.
+///
+/// # Errors
+///
+/// Names `what`, the index and the range when it does not.
+pub fn index_in(index: u64, bound: usize, what: &str) -> Result<usize, String> {
+    usize::try_from(index)
+        .ok()
+        .filter(|&i| i < bound)
+        .ok_or_else(|| format!("{what} {index} is out of range 0..{bound}"))
+}
+
+/// A cursor over one snapshot event body: a tag word, then the variant's
+/// fields, read in order. Reading past the end and [`EventWords::end`]
+/// with words left both refuse the body by its tag and length, so a
+/// decoder states each field once and never indexes.
+///
+/// ```
+/// use pxl_sim::json::EventWords;
+///
+/// let mut body = EventWords::new(1, &[3, 200]);
+/// assert_eq!(body.tag(), 1);
+/// assert_eq!(body.index(4, "unit"), Ok(3));
+/// assert_eq!(body.word::<u8>("attempt"), Ok(200));
+/// assert!(body.end().is_ok());
+///
+/// let mut short = EventWords::new(2, &[]);
+/// assert_eq!(short.next(), Err("event tag 2 holds 1 words".to_owned()));
+/// ```
+#[derive(Debug)]
+pub struct EventWords<'a> {
+    tag: u64,
+    words: &'a [u64],
+    pos: usize,
+}
+
+impl<'a> EventWords<'a> {
+    /// A cursor over the fields `words` of an event tagged `tag`.
+    pub fn new(tag: u64, words: &'a [u64]) -> Self {
+        EventWords { tag, words, pos: 0 }
+    }
+
+    /// The tag word.
+    pub fn tag(&self) -> u64 {
+        self.tag
+    }
+
+    /// The refusal of a body of the wrong length, which counts the tag.
+    fn wrong_length(&self) -> String {
+        let (tag, len) = (self.tag, self.words.len() + 1);
+        format!("event tag {tag} holds {len} words")
+    }
+
+    /// The next `n` words.
+    ///
+    /// # Errors
+    ///
+    /// When fewer than `n` are left.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u64], String> {
+        let words = self
+            .words
+            .get(self.pos..self.pos + n)
+            .ok_or_else(|| self.wrong_length())?;
+        self.pos += n;
+        Ok(words)
+    }
+
+    /// The next word.
+    ///
+    /// # Errors
+    ///
+    /// When none is left.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<u64, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next word as kind `T`; `what` names it in a refusal.
+    ///
+    /// # Errors
+    ///
+    /// When none is left or `T` cannot hold it.
+    pub fn word<T: Word>(&mut self, what: &str) -> Result<T, String> {
+        let word = self.next()?;
+        T::from_word(word).ok_or_else(|| format!("{what} {word} is out of range for {}", T::KIND))
+    }
+
+    /// The next word as an index in `0..bound` (see [`index_in`]).
+    ///
+    /// # Errors
+    ///
+    /// When none is left or it is out of range.
+    pub fn index(&mut self, bound: usize, what: &str) -> Result<usize, String> {
+        index_in(self.next()?, bound, what)
+    }
+
+    /// The next word as an index in `0..bound` stored plus one, zero for
+    /// none.
+    ///
+    /// # Errors
+    ///
+    /// When none is left or the index is out of range.
+    pub fn opt_index(&mut self, bound: usize, what: &str) -> Result<Option<usize>, String> {
+        match self.next()? {
+            0 => Ok(None),
+            w => index_in(w - 1, bound, what).map(Some),
+        }
+    }
+
+    /// Whether every word has been read.
+    pub fn is_done(&self) -> bool {
+        self.pos == self.words.len()
+    }
+
+    /// Ends the body.
+    ///
+    /// # Errors
+    ///
+    /// When words are left unread.
+    pub fn end(self) -> Result<(), String> {
+        if self.is_done() {
+            Ok(())
+        } else {
+            Err(self.wrong_length())
+        }
+    }
 }
 
 /// How deeply arrays and objects may nest. The parser recurses once per
@@ -841,7 +1212,7 @@ mod tests {
     fn readers_return_typed_values() {
         let v = record();
         assert_eq!(get_u64(&v, "now_ps"), Ok(12_345));
-        assert_eq!(get_uint::<u16>(&v, "now_ps"), Ok(12_345u16));
+        assert_eq!(get_word::<u16>(&v, "now_ps"), Ok(12_345u16));
         assert_eq!(get_u64s(&v, "deque"), Ok(vec![1, u64::MAX, 3]));
         assert_eq!(get_str(&v, "name"), Ok("pe0"));
         assert_eq!(get_bool(&v, "on"), Ok(true));
@@ -875,7 +1246,7 @@ mod tests {
         assert!(get_f64(&v, "name").is_err());
         assert!(get_obj(&v, "deque").is_err());
         assert_eq!(
-            get_uint::<u8>(&v, "now_ps").unwrap_err().to_string(),
+            get_word::<u8>(&v, "now_ps").unwrap_err().to_string(),
             "field \"now_ps\" is out of range for u8"
         );
         assert_eq!(
@@ -893,17 +1264,17 @@ mod tests {
     fn narrowing_refuses_instead_of_truncating() {
         let v = JsonValue::parse(r#"{"per_mille":65936,"max":4294967298}"#).unwrap();
         assert_eq!(
-            get_uint::<u16>(&v, "per_mille"),
+            get_word::<u16>(&v, "per_mille"),
             Err(FieldError {
                 key: "per_mille",
                 problem: FieldProblem::OutOfRange("u16")
             })
         );
-        assert!(get_uint::<u32>(&v, "max").is_err());
-        assert_eq!(get_uint::<u64>(&v, "max"), Ok(4_294_967_298));
+        assert!(get_word::<u32>(&v, "max").is_err());
+        assert_eq!(get_word::<u64>(&v, "max"), Ok(4_294_967_298));
         let edge = num(u64::from(u32::MAX));
-        assert_eq!(uint_of::<u32>(&edge, "x"), Ok(u32::MAX));
-        assert!(uint_of::<u32>(&num(u64::from(u32::MAX) + 1), "x").is_err());
+        assert_eq!(word_of::<u32>(&edge, "x"), Ok(u32::MAX));
+        assert!(word_of::<u32>(&num(u64::from(u32::MAX) + 1), "x").is_err());
     }
 
     #[test]
@@ -929,5 +1300,150 @@ mod tests {
             u64s(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
             [5, u64::MAX, 7]
         );
+    }
+
+    /// Each kind at its largest accepted word and one past it.
+    #[test]
+    fn word_kinds_accept_their_range_and_refuse_one_past_it() {
+        fn edge<T: Word + PartialEq + std::fmt::Debug>(max: u64, want: T) {
+            assert_eq!(word_of::<T>(&num(max), "w"), Ok(want), "{}", T::KIND);
+            if let Some(past) = max.checked_add(1) {
+                assert_eq!(
+                    word_of::<T>(&num(past), "w").unwrap_err().to_string(),
+                    format!("field \"w\" is out of range for {}", T::KIND)
+                );
+            }
+        }
+        edge(u64::from(u8::MAX), u8::MAX);
+        edge(u64::from(u16::MAX), u16::MAX);
+        edge(u64::from(u32::MAX), u32::MAX);
+        edge(u64::MAX, u64::MAX);
+        edge(u64::MAX, usize::MAX);
+        edge(1, true);
+        edge(u64::MAX, Time::from_ps(u64::MAX));
+        edge(u64::MAX, Some(usize::MAX - 1));
+        assert_eq!(word_of::<bool>(&num(0), "w"), Ok(false));
+        assert_eq!(word_of::<Option<usize>>(&num(0), "w"), Ok(None));
+        // A u64 word one past u64::MAX is no u64 at all.
+        let past = JsonValue::parse("18446744073709551616").unwrap();
+        assert_eq!(
+            word_of::<u64>(&past, "w"),
+            Err(FieldError::new(
+                "w",
+                FieldProblem::NotA("an unsigned integer")
+            ))
+        );
+        // Writers are the readers' inverse.
+        for value in [None, Some(0), Some(7)] {
+            assert_eq!(word_of::<Option<usize>>(&word(&value), "w"), Ok(value));
+        }
+        let flags = words(&[true, false]);
+        assert_eq!(flags.to_json(), "[1,0]");
+        assert_eq!(words_of::<bool>(&flags, "f"), Ok(vec![true, false]));
+    }
+
+    #[test]
+    fn word_arrays_refuse_by_key() {
+        let v = JsonValue::parse(r#"{"a":[1,2,70000],"b":[1,"x"],"c":[1,2,3]}"#).unwrap();
+        assert_eq!(get_words::<u32>(&v, "a"), Ok(vec![1, 2, 70_000]));
+        assert_eq!(
+            get_words::<u16>(&v, "a").unwrap_err().to_string(),
+            "field \"a\" is out of range for u16"
+        );
+        assert_eq!(
+            get_words::<u64>(&v, "b"),
+            Err(FieldError::new("b", FieldProblem::BadItem(1)))
+        );
+        assert_eq!(get_words_n::<u64>(&v, "c", 3), Ok(vec![1, 2, 3]));
+        assert_eq!(
+            get_words_n::<u64>(&v, "c", 4).unwrap_err().to_string(),
+            "array \"c\" holds 3 items, expected 4"
+        );
+        assert_eq!(get_arr_n(&v, "c", 3).map(<[_]>::len), Ok(3));
+        assert!(get_arr_n(&v, "c", 2)
+            .unwrap_err()
+            .to_string()
+            .starts_with("array \"c\""));
+    }
+
+    #[test]
+    fn records_refuse_a_partial_record_by_key() {
+        let flat = arr_u64([1, 2, 3, 4]);
+        assert_eq!(
+            records_of::<u64, 2>(&flat, "pairs"),
+            Ok(vec![[1, 2], [3, 4]])
+        );
+        assert_eq!(records_of::<u64, 4>(&flat, "quads"), Ok(vec![[1, 2, 3, 4]]));
+        assert_eq!(
+            records_of::<u64, 3>(&flat, "triples")
+                .unwrap_err()
+                .to_string(),
+            "array \"triples\" holds 4 words, not a list of 3-word records"
+        );
+        assert_eq!(record_of::<u64, 4>(&flat, "task"), Ok([1, 2, 3, 4]));
+        assert_eq!(
+            record_of::<u64, 2>(&flat, "task"),
+            Err(FieldError::new(
+                "task",
+                FieldProblem::Length {
+                    found: 4,
+                    expected: 2
+                }
+            ))
+        );
+        assert_eq!(cell_of::<u64, 4>(&arr_u64([]), "cell"), Ok(None));
+        assert_eq!(cell_of::<u64, 4>(&flat, "cell"), Ok(Some([1, 2, 3, 4])));
+        assert!(cell_of::<u64, 3>(&flat, "cell")
+            .unwrap_err()
+            .to_string()
+            .contains("\"cell\""));
+        assert_eq!(records_of::<u8, 2>(&arr_u64([5, 6]), "r"), Ok(vec![[5, 6]]));
+    }
+
+    #[test]
+    fn the_event_cursor_refuses_short_long_and_out_of_range_bodies() {
+        // In range: an index, an index plus one, a byte, a task's words.
+        let mut c = EventWords::new(7, &[3, 0, 2, 255, 8, 9]);
+        assert_eq!(c.tag(), 7);
+        assert_eq!(c.index(4, "unit"), Ok(3));
+        assert_eq!(c.opt_index(2, "fault spec"), Ok(None));
+        assert_eq!(c.opt_index(2, "fault spec"), Ok(Some(1)));
+        assert_eq!(c.word::<u8>("attempt"), Ok(255));
+        assert!(!c.is_done());
+        assert_eq!(c.take(2), Ok(&[8, 9][..]));
+        assert!(c.is_done());
+        assert_eq!(c.end(), Ok(()));
+        // Out of range.
+        let refuse = |words: &[u64], read: &dyn Fn(&mut EventWords) -> Result<usize, String>| {
+            read(&mut EventWords::new(words[0], &words[1..])).unwrap_err()
+        };
+        assert_eq!(
+            refuse(&[0, 4], &|c| c.index(4, "unit")),
+            "unit 4 is out of range 0..4"
+        );
+        assert_eq!(
+            refuse(&[0, 3], &|c| c.opt_index(2, "fault spec").map(|_| 0)),
+            "fault spec 2 is out of range 0..2"
+        );
+        assert_eq!(
+            refuse(&[6, 256], &|c| c.word::<u8>("attempt").map(usize::from)),
+            "attempt 256 is out of range for u8"
+        );
+        assert_eq!(
+            refuse(&[0, u64::MAX], &|c| c.index(usize::MAX, "unit")),
+            format!("unit {} is out of range 0..{}", u64::MAX, usize::MAX)
+        );
+        // Short and long.
+        assert_eq!(
+            refuse(&[2], &|c| c.index(4, "unit")),
+            "event tag 2 holds 1 words"
+        );
+        assert_eq!(
+            refuse(&[4, 1, 2], &|c| c.take(3).map(<[u64]>::len)),
+            "event tag 4 holds 3 words"
+        );
+        let mut long = EventWords::new(5, &[0, 0]);
+        long.index(2, "fault spec").unwrap();
+        assert_eq!(long.end(), Err("event tag 5 holds 3 words".to_owned()));
     }
 }

@@ -90,7 +90,7 @@ macro_rules! trace_events {
             fn read_fields(kind: &str, value: &JsonValue) -> Result<TraceEvent, String> {
                 Ok(match kind {
                     $($label => TraceEvent::$variant {
-                        $($field: json::get_uint(value, stringify!($field))?),*
+                        $($field: json::get_word(value, stringify!($field))?),*
                     },)*
                     other => return Err(format!("trace: unknown kind {other:?}")),
                 })
@@ -358,7 +358,7 @@ impl Tracer {
             .iter()
             .map(TraceRecord::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
-        let capacity = json::get_uint(value, "capacity")?;
+        let capacity = json::get_word(value, "capacity")?;
         let next_seq = json::get_u64(value, "next_seq")?;
         if records.len() > capacity {
             return Err(format!(

@@ -127,26 +127,17 @@ impl SchedulingPolicy for RingPolicy {
         let host_queue = self.host_queue.iter().map(|t| json::arr_u64(t.to_words()));
         json::obj(vec![
             ("deques", JsonValue::Array(deques.collect())),
-            (
-                "cursor",
-                json::arr_u64(self.cursor.iter().map(|c| *c as u64)),
-            ),
+            ("cursor", json::words(&self.cursor)),
             ("host_queue", JsonValue::Array(host_queue.collect())),
         ])
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let deques = json::get_arr(value, "deques")?;
-        if deques.len() != self.num_pes {
-            return Err("ring state: deque count mismatch".to_owned());
-        }
+        let deques = json::get_arr_n(value, "deques", self.num_pes)?;
         for (deque, state) in self.deques.iter_mut().zip(deques) {
             deque.restore_state(state)?;
         }
-        self.cursor = json::get_u64s(value, "cursor")?
-            .into_iter()
-            .map(|c| c as usize)
-            .collect();
+        self.cursor = json::get_words(value, "cursor")?;
         self.host_queue = json::get_arr(value, "host_queue")?
             .iter()
             .map(|entry| Task::from_words(&json::u64s(entry, "host_queue")?))

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Byte-identity check against another revision. Builds REV from a clean
-# export, runs `--bin all -- --smoke` and `--bin faults -- --smoke` with
-# REV's binaries and with the working tree's, each side in its own scratch
-# directory, and compares stdout, bench_results.jsonl and
-# fault_results.jsonl. Exits nonzero on the first difference.
+# export, runs `--bin all -- --smoke`, `--bin faults -- --smoke` and
+# `--bin dse -- --smoke` with REV's binaries and with the working tree's,
+# each side in its own scratch directory, and compares their stdout,
+# bench_results.jsonl, fault_results.jsonl and the DSE smoke's fronts
+# (dse_pareto.jsonl, cluster_pareto.jsonl) and result cache
+# (dse_cache.jsonl), whose keys hash every spec string. Exits nonzero on
+# the first difference.
 #
 # Usage: scripts/smoke_identity.sh REV     (a hash, a tag, HEAD~1, ...)
 #
@@ -25,7 +28,7 @@ trap 'rm -rf "$scratch"' EXIT
 # Every bench_results.jsonl row leads with a host stamp; fix it so only
 # simulated bytes can differ.
 export PXL_HOST_ID=smoke-identity
-bins=(-p pxl-bench --bin all --bin faults)
+bins=(-p pxl-bench --bin all --bin faults --bin dse)
 
 echo "==> building $rev"
 mkdir "$scratch/rev-src"
@@ -37,13 +40,15 @@ cargo build --release --offline --quiet "${bins[@]}"
 tree_bin="${CARGO_TARGET_DIR:-target}/release"
 case $tree_bin in /*) ;; *) tree_bin="$PWD/$tree_bin" ;; esac
 
-# run_side NAME BINDIR: both smokes, with their outputs in $scratch/NAME.
+# run_side NAME BINDIR: the three smokes, with their outputs in
+# $scratch/NAME.
 run_side() {
     mkdir "$scratch/$1"
     (
         cd "$scratch/$1"
         "$2/all" --smoke > all.stdout
         "$2/faults" --smoke > faults.stdout
+        "$2/dse" --smoke > dse.stdout
     )
 }
 echo "==> running the smokes on $rev"
@@ -51,7 +56,8 @@ run_side rev "$scratch/rev-target/release"
 echo "==> running the smokes on the working tree"
 run_side tree "$tree_bin"
 
-for file in all.stdout bench_results.jsonl faults.stdout fault_results.jsonl; do
+for file in all.stdout bench_results.jsonl faults.stdout fault_results.jsonl \
+    dse.stdout dse_pareto.jsonl cluster_pareto.jsonl dse_cache.jsonl; do
     if ! cmp "$scratch/rev/$file" "$scratch/tree/$file"; then
         echo "FAIL: $file differs from $rev" >&2
         exit 1

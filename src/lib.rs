@@ -116,16 +116,15 @@ pub use pxl_sim as sim;
 /// LiteArch, and the centralized-queue ablation).
 pub use pxl_arch::{
     AccelConfig, AccelError, AccelResult, ArchKind, CentralEngine, CentralPolicy, ClusterConfig,
-    Engine, EngineKind, FabricEngine, FlexEngine, FlexPolicy, HierEngine, HierPolicy, LinkTopology,
-    LiteDriver, LiteEngine, PStoreError, Platform, SchedulingPolicy, StealMode, Workload,
+    Engine, EngineKind, FabricEngine, FlexEngine, FlexPolicy, HierEngine, HierPolicy, LiteDriver,
+    LiteEngine, PStoreError, Platform, SchedulingPolicy, StealMode, Workload,
 };
 /// The software baseline engine and its runtime cost knobs.
 pub use pxl_cpu::{CpuEngine, SoftwareCosts};
 /// Design-space exploration: declare a space, explore it in parallel,
 /// read the Pareto front.
 pub use pxl_dse::{
-    Axis, ClusterPoint, DesignPoint, Explorer, ParetoFront, PointArch, ResultCache, SearchSpace,
-    Strategy,
+    Axis, DesignPoint, Explorer, ParetoFront, PointArch, ResultCache, SearchSpace, Strategy,
 };
 /// The canonical serializable run API and its structured errors: a
 /// [`RunSpec`] names a run exactly (JSON round-trip, canonical string),

@@ -11,7 +11,7 @@ use parallelxl::apps::{by_name, Scale};
 use parallelxl::arch::RunStatus;
 use parallelxl::sim::qcheck::{check, Gen};
 use parallelxl::{
-    execute, AccelResult, ClusterPoint, DesignPoint, Engine, EngineKind, FaultPlan, LiteDriver,
+    execute, AccelResult, ClusterConfig, DesignPoint, Engine, EngineKind, FaultPlan, LiteDriver,
     Platform, PointArch, RunError, RunOutcome, RunSpec, SessionStatus, SimSession,
     SimulationBuilder, Snapshot, SnapshotError, Task, Time, Worker, Workload, SNAPSHOT_VERSION,
 };
@@ -27,7 +27,7 @@ fn random_point(g: &mut Gen) -> DesignPoint {
         3 => {
             // A 2-chip cluster: chips must divide tiles, so 2 or 4 tiles.
             let tiles = 2 * g.usize_in(1, 2);
-            let mut cluster = ClusterPoint::new(2).with_link(g.range(4, 64), g.range(1, 16));
+            let mut cluster = ClusterConfig::new(2).with_link(g.range(4, 64), g.range(1, 16));
             if g.bool() {
                 cluster = cluster.flat();
             }

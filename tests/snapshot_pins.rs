@@ -17,7 +17,7 @@ use parallelxl::apps::Scale;
 use parallelxl::sim::json::{self, JsonValue};
 use parallelxl::sim::NetClass;
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, Platform, PointArch, RunSpec, SessionStatus,
+    execute, ClusterConfig, DesignPoint, FaultPlan, Platform, PointArch, RunSpec, SessionStatus,
     SimSession, Snapshot, Time,
 };
 use std::path::PathBuf;
@@ -55,7 +55,7 @@ fn pins() -> Vec<Pin> {
         ("uts_cpu_4", spec("uts", DesignPoint::cpu(4)), half),
         (
             "uts_hier_2x2_2chips_stall",
-            spec("uts", flex(2, 2).clustered(ClusterPoint::new(2)))
+            spec("uts", flex(2, 2).clustered(ClusterConfig::new(2)))
                 .with_faults(FaultPlan::new(7).stall_pe(1, Time::from_ns(500), 200)),
             half,
         ),

@@ -5,7 +5,7 @@
 use parallelxl::apps::Scale;
 use parallelxl::sim::json;
 use parallelxl::{
-    ClusterPoint, Continuation, DesignPoint, FaultPlan, JsonValue, PointArch, RunError, RunSpec,
+    ClusterConfig, Continuation, DesignPoint, FaultPlan, JsonValue, PointArch, RunError, RunSpec,
     SessionStatus, SimSession, Snapshot, SnapshotError, Time,
 };
 
@@ -63,7 +63,7 @@ fn with_first_event(snap: &Snapshot, words: &[u64]) -> Snapshot {
 /// A 4-PE FlexArch spec and a 2-chip hierarchical-stealing spec.
 fn flex_and_hier() -> [(RunSpec, Vec<&'static str>); 2] {
     let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
-    let hier = DesignPoint::accel(PointArch::Flex, 2, 2).clustered(ClusterPoint::new(2));
+    let hier = DesignPoint::accel(PointArch::Flex, 2, 2).clustered(ClusterConfig::new(2));
     [
         (RunSpec::new("uts", Scale::Tiny, flex), vec!["policy"]),
         (
@@ -316,4 +316,46 @@ fn telemetry_disagreements_are_refused_on_every_engine() {
             assert_eq!(refusal(resumed, &snap), expected, "{resumed:?}");
         }
     }
+}
+
+/// `snap` with its top-level payload member `key` set to `value`,
+/// re-sealed so its checksum holds.
+fn with_member(snap: &Snapshot, key: &str, value: JsonValue) -> Snapshot {
+    let mut payload = snap.payload.clone();
+    let JsonValue::Object(members) = &mut payload else {
+        panic!("payload is an object");
+    };
+    members
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("{key} missing from the snapshot"))
+        .1 = value;
+    let text = Snapshot::new(snap.engine.clone(), payload).to_json();
+    Snapshot::from_json(&text).expect("checksum holds")
+}
+
+/// A flag word is 0 or 1; any other value is refused rather than read as
+/// set.
+#[test]
+fn a_flag_word_other_than_0_or_1_is_refused() {
+    let flex = DesignPoint::accel(PointArch::Flex, 1, 4);
+    let spec = RunSpec::new("uts", Scale::Tiny, flex.clone());
+    let snap = paused_at_cycle_1000(&spec);
+    let message = refusal(&spec, &with_member(&snap, "launched", json::num(2)));
+    assert!(
+        message.contains("\"launched\" is out of range for bool"),
+        "{message}"
+    );
+
+    let plan = FaultPlan::new(7).kill_pe(2, Time::from_us(1));
+    let faulted = RunSpec::new("uts", Scale::Tiny, flex).with_faults(plan);
+    let snap = paused_at_cycle_1000(&faulted);
+    let message = refusal(
+        &faulted,
+        &with_first_item(&snap, &["faults", "dead"], json::num(2)),
+    );
+    assert!(
+        message.contains("\"dead\" is out of range for bool"),
+        "{message}"
+    );
 }

@@ -8,7 +8,7 @@
 use parallelxl::apps::{suite, Scale};
 use parallelxl::profile::{parse_jsonl, parse_line};
 use parallelxl::{
-    execute, ClusterPoint, DesignPoint, FaultPlan, PointArch, RunSpec, Time, TraceEvent,
+    execute, ClusterConfig, DesignPoint, FaultPlan, PointArch, RunSpec, Time, TraceEvent,
     TraceRecord, Tracer,
 };
 
@@ -128,7 +128,7 @@ fn malformed_lines_are_rejected_with_context() {
 
 #[test]
 fn cluster_traces_with_link_transfers_round_trip() {
-    let point = DesignPoint::accel(PointArch::Flex, 4, 2).clustered(ClusterPoint::new(2));
+    let point = DesignPoint::accel(PointArch::Flex, 4, 2).clustered(ClusterConfig::new(2));
     let spec = RunSpec::new("uts", Scale::Tiny, point).with_trace(1 << 18);
     let out = execute(&spec)
         .expect("a 2-chip uts run succeeds")
