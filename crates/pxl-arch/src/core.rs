@@ -371,7 +371,7 @@ impl EngineCore {
         register: impl FnOnce(&mut Metrics),
     ) -> Result<(), SnapshotError> {
         self.finished = false;
-        self.next_task_id = json::get_u64(p, "next_task_id")?;
+        self.next_task_id = json::get_word(p, "next_task_id")?;
         let watchdog = json::get(p, "watchdog")?;
         self.watchdog.last_progress = json::get_word(watchdog, "last_progress_ps")?;
         self.watchdog.last_unit = json::get_word(watchdog, "last_unit")?;
@@ -480,7 +480,7 @@ pub fn read_events<E>(
 ) -> Result<(), SnapshotError> {
     events.clear();
     for entry in json::get_arr(p, "events")? {
-        let words = json::u64s(entry, "events")?;
+        let words = json::words_of(entry, "events")?;
         let [when, tag, ref fields @ ..] = words[..] else {
             return Err(malformed("events: an entry holds no time and tag"));
         };
@@ -600,7 +600,7 @@ impl RootRun {
         Ok(RootRun {
             launched: json::get_word(p, "launched")?,
             result_slot: result_slot.map(|s| s as u8),
-            outstanding: json::get_u64(p, "outstanding")?,
+            outstanding: json::get_word(p, "outstanding")?,
             last_useful: json::get_word(p, "last_useful_ps")?,
         })
     }

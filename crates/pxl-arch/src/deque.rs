@@ -195,7 +195,7 @@ impl TaskDeque {
             });
         }
         let peak = json::get_word(value, "peak")?;
-        let total_pushed = json::get_u64(value, "total_pushed")?;
+        let total_pushed = json::get_word(value, "total_pushed")?;
         self.items = items;
         self.arena = arena;
         self.peak = peak;

@@ -594,7 +594,7 @@ impl FaultState {
     /// than this engine's, a `dead` word other than 0 or 1, and a spec
     /// index past the plan.
     fn read(&mut self, saved: &JsonValue) -> Result<(), SnapshotError> {
-        let rng = json::get_u64(saved, "rng")?;
+        let rng = json::get_word(saved, "rng")?;
         let remaining: Vec<u32> = json::get_words(saved, "remaining")?;
         // `load_state` refuses a budget list whose length is not the plan's
         // spec count, so this bounds every pending spec index.
@@ -1175,7 +1175,7 @@ impl<P: SchedulingPolicy> Engine for FabricEngine<P> {
         let num_pes = self.cfg.num_pes();
 
         self.root = RootRun::read(p)?;
-        self.inflight_args = json::get_u64(p, "inflight_args")?;
+        self.inflight_args = json::get_word(p, "inflight_args")?;
         self.hetero_rr = json::get_word(p, "hetero_rr")?;
 
         self.units.read(p)?;

@@ -374,12 +374,12 @@ impl Engine for LiteEngine {
         self.now = json::get_word(p, "now_ps")?;
         self.round = json::get_word(p, "round")?;
         let host: Vec<u64> = json::get_words_n(p, "host", HOST_SLOTS)?;
-        let written: Vec<u64> = json::get_words_n(p, "host_written", HOST_SLOTS)?;
+        let written: Vec<bool> = json::get_words_n(p, "host_written", HOST_SLOTS)?;
         for (slot, (&value, &w)) in self.core.host.iter_mut().zip(host.iter().zip(&written)) {
             *slot = match (w, value) {
-                (0, 0) => None,
-                (0, _) => return Err(malformed("an unwritten host slot holds a value")),
-                _ => Some(value),
+                (true, _) => Some(value),
+                (false, 0) => None,
+                (false, _) => return Err(malformed("an unwritten host slot holds a value")),
             };
         }
         self.core.restore(p, |_| {})?;

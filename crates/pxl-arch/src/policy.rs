@@ -397,7 +397,7 @@ impl SchedulingPolicy for CentralPolicy {
     }
 
     fn restore_state(&mut self, value: &JsonValue) -> Result<(), String> {
-        let next_free = json::get_u64(value, "next_free_ps")?;
+        let next_free = json::get_word(value, "next_free_ps")?;
         self.queue.restore_state(json::get(value, "queue")?)?;
         self.next_free = Time::from_ps(next_free);
         Ok(())

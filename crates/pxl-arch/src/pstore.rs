@@ -16,7 +16,7 @@
 //! argument words, and the next [`PStore::fill`] touching that entry
 //! detects and repairs the damage before applying the new argument.
 
-use pxl_model::{PendingTask, Task, MAX_ARGS, PENDING_WORDS};
+use pxl_model::{PendingTable, PendingTableError, PendingTask, Task, MAX_ARGS};
 use pxl_sim::json::{self, FieldError, JsonValue};
 
 /// A protocol violation detected by the P-Store.
@@ -94,24 +94,21 @@ pub struct FillOutcome {
 /// // Filling the freed entry again is an error, not a panic.
 /// assert!(ps.fill(entry, 0, 0).is_err());
 /// ```
-/// Storage is *lazy*: `entries`/`taint` only cover the high-water mark of
-/// slots ever allocated, so an engine with the default 8192-entry stores
-/// pays for the handful of slots a run actually touches, not megabytes of
-/// zeroed arrays at construction. The eager equivalent's free list is
-/// always `[capacity-1, ..., high_water]` (virgin slots, descending)
-/// followed by the recycled LIFO stack, so `recycled` plus the high-water
-/// mark represent it exactly and allocation order is identical to the
-/// eager layout. Snapshots follow the same rule and cover only the slots
-/// below the high-water mark.
+/// Storage is *lazy*: the entries (a [`PendingTable`]) and `taint` only
+/// cover the high-water mark of slots ever allocated, so an engine with the
+/// default 8192-entry stores pays for the handful of slots a run actually
+/// touches, not megabytes of zeroed arrays at construction. The eager
+/// equivalent's free list is always `[capacity-1, ..., high_water]` (virgin
+/// slots, descending) followed by the table's LIFO free stack, so that
+/// stack plus the high-water mark represent it exactly and allocation order
+/// is identical to the eager layout. Snapshots follow the same rule and
+/// cover only the slots below the high-water mark.
 #[derive(Debug, Clone)]
 pub struct PStore {
-    entries: Vec<Option<PendingTask>>,
+    entries: PendingTable,
     /// Outstanding corruption per entry: the XOR mask the scrubber must
     /// undo on next access (0 = clean).
     taint: Vec<u64>,
-    /// Freed slots below the high-water mark, in dealloc order; allocation
-    /// pops its tail before touching a virgin slot.
-    recycled: Vec<u32>,
     capacity: usize,
     peak: usize,
     total_allocs: u64,
@@ -123,9 +120,8 @@ impl PStore {
     /// Creates a P-Store with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         PStore {
-            entries: Vec::new(),
+            entries: PendingTable::new(),
             taint: Vec::new(),
-            recycled: Vec::new(),
             capacity,
             peak: 0,
             total_allocs: 0,
@@ -136,7 +132,7 @@ impl PStore {
 
     /// Number of live pending tasks.
     pub fn occupancy(&self) -> usize {
-        self.entries.len() - self.recycled.len()
+        self.entries.live()
     }
 
     /// Peak number of simultaneously pending tasks.
@@ -171,30 +167,16 @@ impl PStore {
         if pending.join == 0 || pending.join as usize > MAX_ARGS {
             return Err(PStoreError::BadJoin { join: pending.join });
         }
-        let slot = match self.recycled.pop() {
-            Some(e) => {
-                self.entries[e as usize] = Some(pending);
-                self.taint[e as usize] = 0;
-                Some(e)
-            }
-            None if self.entries.len() < self.capacity => {
-                self.entries.push(Some(pending));
-                self.taint.push(0);
-                Some((self.entries.len() - 1) as u32)
-            }
-            None => None,
-        };
-        match slot {
-            Some(e) => {
-                self.total_allocs += 1;
-                self.peak = self.peak.max(self.occupancy());
-                Ok(Some(e))
-            }
-            None => {
-                self.full_events += 1;
-                Ok(None)
-            }
+        if self.occupancy() >= self.capacity {
+            self.full_events += 1;
+            return Ok(None);
         }
+        let e = self.entries.alloc(pending);
+        self.taint.resize(self.entries.high_water(), 0);
+        self.taint[e as usize] = 0;
+        self.total_allocs += 1;
+        self.peak = self.peak.max(self.occupancy());
+        Ok(Some(e))
     }
 
     /// Delivers an argument to `slot` of `entry`, repairing any injected
@@ -218,9 +200,8 @@ impl PStore {
             Some(t) => std::mem::take(t),
             None => return Err(PStoreError::DeadEntry { entry }),
         };
-        let cell = self.entries[entry as usize]
-            .as_mut()
-            .ok_or(PStoreError::DeadEntry { entry })?;
+        let dead = PStoreError::DeadEntry { entry };
+        let cell = self.entries.get_mut(entry).ok_or(dead)?;
         let repaired = taint != 0;
         if repaired {
             // The ECC scrubber detects the upset on access and restores the
@@ -230,11 +211,7 @@ impl PStore {
             }
             self.repairs += 1;
         }
-        let ready = cell.fill(slot, value);
-        if ready.is_some() {
-            self.entries[entry as usize] = None;
-            self.recycled.push(entry);
-        }
+        let ready = self.entries.fill(entry, slot, value).ok_or(dead)?;
         Ok(FillOutcome { ready, repaired })
     }
 
@@ -243,16 +220,12 @@ impl PStore {
     /// store holds no live entry (nothing to corrupt). The damage is
     /// repaired by the scrubber on the entry's next [`PStore::fill`].
     pub fn corrupt(&mut self, mask: u64) -> Option<u32> {
-        let (entry, cell) = self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .find_map(|(i, c)| c.as_mut().map(|c| (i, c)))?;
+        let (entry, cell) = self.entries.first_live_mut()?;
         for arg in cell.args.iter_mut() {
             *arg ^= mask;
         }
-        self.taint[entry] ^= mask;
-        Some(entry as u32)
+        self.taint[entry as usize] ^= mask;
+        Some(entry)
     }
 
     /// Whether `entry` currently carries unrepaired injected corruption.
@@ -264,10 +237,7 @@ impl PStore {
     /// the entry is out of bounds or dead. Used by the tracer to label join
     /// events with the successor they feed.
     pub fn pending_id(&self, entry: u32) -> Option<u64> {
-        self.entries
-            .get(entry as usize)
-            .and_then(|c| c.as_ref())
-            .map(|c| c.id)
+        self.entries.id(entry)
     }
 
     /// Serializes the store for engine snapshots, covering only the slots
@@ -279,11 +249,6 @@ impl PStore {
     /// `[entry, mask]` pairs for the entries carrying a non-zero mask, and
     /// `recycled` the free stack in order (allocation pops its tail).
     pub fn state_to_json_value(&self) -> JsonValue {
-        let entries = self
-            .entries
-            .iter()
-            .map(|cell| json::arr_u64(cell.iter().flat_map(PendingTask::to_words)))
-            .collect();
         let taint = self
             .taint
             .iter()
@@ -292,12 +257,9 @@ impl PStore {
             .flat_map(|(entry, mask)| [entry as u64, *mask]);
         json::obj(vec![
             ("capacity", json::num(self.capacity as u64)),
-            ("entries", JsonValue::Array(entries)),
+            ("entries", self.entries.cells_to_json()),
             ("taint", json::arr_u64(taint)),
-            (
-                "recycled",
-                json::arr_u64(self.recycled.iter().map(|e| u64::from(*e))),
-            ),
+            ("recycled", self.entries.free_to_json()),
             ("peak", json::num(self.peak as u64)),
             ("total_allocs", json::num(self.total_allocs)),
             ("full_events", json::num(self.full_events)),
@@ -318,30 +280,22 @@ impl PStore {
     /// slot that is not free, or a free-slot count that disagrees with the
     /// recycled stack.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), PStoreStateError> {
-        let capacity = json::get_u64(value, "capacity")?;
+        let capacity = json::get_word::<u64>(value, "capacity")?;
         if capacity != self.capacity as u64 {
             return Err(PStoreStateError::CapacityMismatch {
                 found: capacity,
                 expected: self.capacity,
             });
         }
-        let cells = json::get_arr(value, "entries")?;
-        if cells.len() > self.capacity {
+        let found = json::get_arr(value, "entries")?.len();
+        if found > self.capacity {
             return Err(PStoreStateError::TooManyEntries {
-                found: cells.len(),
+                found,
                 capacity: self.capacity,
             });
         }
-        let entries = cells
-            .iter()
-            .map(|cell| {
-                json::cell_of::<u64, PENDING_WORDS>(cell, "entries")?
-                    .map(|words| PendingTask::from_words(&words))
-                    .transpose()
-                    .map_err(PStoreStateError::Malformed)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let high_water = entries.len();
+        let entries = PendingTable::read(value, "entries", "recycled")?;
+        let high_water = entries.high_water();
         let mut taint = vec![0; high_water];
         for [entry, mask] in json::records_of::<u64, 2>(json::get(value, "taint")?, "taint")? {
             if entry >= high_water as u64 {
@@ -349,37 +303,12 @@ impl PStore {
             }
             taint[entry as usize] = mask;
         }
-        // Each recycled slot must be free and listed once: a slot popped
-        // twice would hand one entry to two pending tasks.
-        let mut claimed = vec![false; high_water];
-        let recycled = json::get_u64s(value, "recycled")?
-            .into_iter()
-            .map(|entry| {
-                let slot = usize::try_from(entry).ok().filter(|&e| {
-                    e < high_water
-                        && entries[e].is_none()
-                        && !std::mem::replace(&mut claimed[e], true)
-                });
-                match slot {
-                    Some(e) => Ok(e as u32),
-                    None => Err(PStoreStateError::RecycledNotFree { entry }),
-                }
-            })
-            .collect::<Result<Vec<u32>, _>>()?;
-        let free = entries.iter().filter(|cell| cell.is_none()).count();
-        if free != recycled.len() {
-            return Err(PStoreStateError::FreeCountMismatch {
-                free,
-                recycled: recycled.len(),
-            });
-        }
         let peak = json::get_word(value, "peak")?;
-        let total_allocs = json::get_u64(value, "total_allocs")?;
-        let full_events = json::get_u64(value, "full_events")?;
-        let repairs = json::get_u64(value, "repairs")?;
+        let total_allocs = json::get_word(value, "total_allocs")?;
+        let full_events = json::get_word(value, "full_events")?;
+        let repairs = json::get_word(value, "repairs")?;
         self.entries = entries;
         self.taint = taint;
-        self.recycled = recycled;
         self.peak = peak;
         self.total_allocs = total_allocs;
         self.full_events = full_events;
@@ -461,6 +390,22 @@ impl std::error::Error for PStoreStateError {}
 impl From<FieldError> for PStoreStateError {
     fn from(err: FieldError) -> Self {
         PStoreStateError::Malformed(err.to_string())
+    }
+}
+
+/// The table's free-list refusals, in the P-Store's terms.
+impl From<PendingTableError> for PStoreStateError {
+    fn from(err: PendingTableError) -> Self {
+        match err {
+            PendingTableError::NotFree { entry, .. } => PStoreStateError::RecycledNotFree { entry },
+            PendingTableError::FreeCount { empty, listed, .. } => {
+                PStoreStateError::FreeCountMismatch {
+                    free: empty,
+                    recycled: listed,
+                }
+            }
+            PendingTableError::Malformed(msg) => PStoreStateError::Malformed(msg),
+        }
     }
 }
 
@@ -618,8 +563,8 @@ mod tests {
         }
         let state = ps.state_to_json_value();
         assert_eq!(json::get_arr(&state, "entries").unwrap().len(), 3);
-        assert_eq!(json::get_u64s(&state, "taint").unwrap(), [] as [u64; 0]);
-        assert_eq!(json::get_u64(&state, "capacity").unwrap(), 8192);
+        assert_eq!(json::get_words::<u64>(&state, "taint").unwrap(), []);
+        assert_eq!(json::get_word::<u64>(&state, "capacity").unwrap(), 8192);
         assert_eq!(
             PStore::new(8192).state_to_json_value().to_json(),
             "{\"capacity\":8192,\"entries\":[],\"taint\":[],\"recycled\":[],\
@@ -630,8 +575,8 @@ mod tests {
         let _ = ps.fill(1, 1, 0).unwrap();
         ps.corrupt(0x30);
         let state = ps.state_to_json_value();
-        assert_eq!(json::get_u64s(&state, "recycled").unwrap(), [1]);
-        assert_eq!(json::get_u64s(&state, "taint").unwrap(), [0, 0x30]);
+        assert_eq!(json::get_words::<u64>(&state, "recycled").unwrap(), [1]);
+        assert_eq!(json::get_words::<u64>(&state, "taint").unwrap(), [0, 0x30]);
         let mut back = PStore::new(8192);
         back.restore_state(&state).unwrap();
         assert_eq!(back.state_to_json_value().to_json(), state.to_json());
@@ -676,24 +621,25 @@ mod tests {
                 high_water: 2
             }
         );
+        // The table's free-list refusals (each case is tested there) keep
+        // the P-Store's variants and messages.
+        let err = refuse("\"recycled\":[1]", "\"recycled\":[0]");
+        assert_eq!(err, PStoreStateError::RecycledNotFree { entry: 0 });
         assert_eq!(
-            refuse("\"recycled\":[1]", "\"recycled\":[0]"),
-            PStoreStateError::RecycledNotFree { entry: 0 }
+            err.to_string(),
+            "pstore state: recycled entry 0 is not a free slot"
         );
+        let err = refuse("\"recycled\":[1]", "\"recycled\":[]");
         assert_eq!(
-            refuse("\"recycled\":[1]", "\"recycled\":[2]"),
-            PStoreStateError::RecycledNotFree { entry: 2 }
-        );
-        assert_eq!(
-            refuse("\"recycled\":[1]", "\"recycled\":[1,1]"),
-            PStoreStateError::RecycledNotFree { entry: 1 }
-        );
-        assert_eq!(
-            refuse("\"recycled\":[1]", "\"recycled\":[]"),
+            err,
             PStoreStateError::FreeCountMismatch {
                 free: 1,
                 recycled: 0
             }
+        );
+        assert_eq!(
+            err.to_string(),
+            "pstore state: 1 free slots but 0 recycled entries"
         );
         assert!(matches!(
             refuse("\"taint\":[]", "\"taint\":[0]"),

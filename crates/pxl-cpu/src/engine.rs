@@ -3,7 +3,7 @@
 use pxl_mem::zedboard::{zedboard_cpu_core, zedboard_cpu_memory};
 use pxl_mem::{AccessKind, Memory, MemorySystem, PortId};
 use pxl_model::{
-    Continuation, ExecProfile, PendingTask, Task, TaskContext, TaskTypeId, Worker, PENDING_WORDS,
+    Continuation, ExecProfile, PendingTable, PendingTask, Task, TaskContext, TaskTypeId, Worker,
     TASK_WORDS,
 };
 use pxl_sim::config::{CpuCoreParams, MemoryConfig};
@@ -167,8 +167,9 @@ pub struct CpuEngine {
     deques: Vec<TaskDeque>,
     rngs: Vec<XorShift64>,
     units: UnitState,
-    pending: Vec<Option<PendingTask>>,
-    pending_free: Vec<u32>,
+    /// Join frames; an entry number names the frame's counter line at
+    /// [`JOIN_FRAME_BASE`].
+    pending: PendingTable,
     events: EventQueue<Event>,
     /// Reusable buffer for the tasks a task's joins make ready, recycled
     /// across task executions so a join costs no allocation.
@@ -249,8 +250,7 @@ impl CpuEngine {
                 .map(|i| XorShift64::new(0xC0FE + 77 * i as u64))
                 .collect(),
             units: UnitState::new(cores),
-            pending: Vec::new(),
-            pending_free: Vec::new(),
+            pending: PendingTable::new(),
             events: EventQueue::new(),
             scratch_ready: Vec::new(),
         }
@@ -501,10 +501,7 @@ impl TaskContext for CpuCtx<'_> {
             Continuation::PStore { entry, slot, .. } => {
                 // Atomic decrement of the join counter in shared memory.
                 self.mem_access(JOIN_FRAME_BASE + 64 * entry as u64, AccessKind::Amo);
-                let join_target = self.engine.pending[entry as usize]
-                    .as_ref()
-                    .map(|c| c.id)
-                    .unwrap_or(0);
+                let join_target = self.engine.pending.id(entry).unwrap_or(0);
                 self.engine.core.trace.emit(
                     self.now,
                     TraceEvent::PStoreJoin {
@@ -514,12 +511,8 @@ impl TaskContext for CpuCtx<'_> {
                         from: self.cur_task,
                     },
                 );
-                let cell = self.engine.pending[entry as usize]
-                    .as_mut()
-                    .expect("argument sent to a freed runtime frame");
-                if let Some(task) = cell.fill(slot, value) {
-                    self.engine.pending[entry as usize] = None;
-                    self.engine.pending_free.push(entry);
+                let ready = self.engine.pending.fill(entry, slot, value);
+                if let Some(task) = ready.expect("argument sent to a freed runtime frame") {
                     self.ready.push(task);
                 }
             }
@@ -541,16 +534,7 @@ impl TaskContext for CpuCtx<'_> {
         for &(slot, value) in preset {
             pending = pending.preset(slot, value);
         }
-        let entry = match self.engine.pending_free.pop() {
-            Some(e) => {
-                self.engine.pending[e as usize] = Some(pending);
-                e
-            }
-            None => {
-                self.engine.pending.push(Some(pending));
-                (self.engine.pending.len() - 1) as u32
-            }
-        };
+        let entry = self.engine.pending.alloc(pending);
         // Initialize the frame's join-counter line.
         self.mem_access(JOIN_FRAME_BASE + 64 * entry as u64, AccessKind::Write);
         Continuation::pstore(0, entry, 0)
@@ -599,11 +583,10 @@ impl EmbedsCore for CpuEngine {
     /// software runtime's equivalents of the fabric's queue-depth gauges.
     fn gauges(&self, _now: Time) -> Vec<(&'static str, u64)> {
         let ready: usize = self.deques.iter().map(TaskDeque::len).sum();
-        let pending = self.pending.iter().filter(|p| p.is_some()).count();
         vec![
             ("events", self.events.len() as u64),
             ("ready_tasks", ready as u64),
-            ("pending_joins", pending as u64),
+            ("pending_joins", self.pending.live() as u64),
         ]
     }
 
@@ -676,7 +659,7 @@ impl Engine for CpuEngine {
             self.handle(now, event, worker);
         }
 
-        let leaked = self.pending.iter().filter(|p| p.is_some()).count();
+        let leaked = self.pending.live();
         if leaked > 0 {
             return Err(AccelError::LeakedPending { count: leaked });
         }
@@ -714,16 +697,8 @@ impl Engine for CpuEngine {
         ]);
         head.extend(self.units.fields());
         head.extend([
-            (
-                "pending",
-                JsonValue::Array(
-                    self.pending
-                        .iter()
-                        .map(|cell| json::arr_u64(cell.iter().flat_map(PendingTask::to_words)))
-                        .collect(),
-                ),
-            ),
-            ("pending_free", json::words(&self.pending_free)),
+            ("pending", self.pending.cells_to_json()),
+            ("pending_free", self.pending.free_to_json()),
             ("host", self.core.host_cells()),
             ("events", events_to_json(&self.events, Event::to_words)),
         ]);
@@ -745,16 +720,7 @@ impl Engine for CpuEngine {
         self.rngs = rngs.iter().map(|s| XorShift64::new(*s)).collect();
         self.units.read(p)?;
 
-        self.pending = json::get_arr(p, "pending")?
-            .iter()
-            .map(|cell| {
-                json::cell_of::<u64, PENDING_WORDS>(cell, "pending")?
-                    .map(|words| PendingTask::from_words(&words))
-                    .transpose()
-                    .map_err(malformed)
-            })
-            .collect::<Result<_, _>>()?;
-        self.pending_free = json::get_words(p, "pending_free")?;
+        self.pending = PendingTable::read(p, "pending", "pending_free").map_err(malformed)?;
 
         self.core.read_host_cells(p)?;
         let cores = self.cores;

@@ -65,11 +65,11 @@ pub fn measurement_to_json_value(m: &Measurement) -> JsonValue {
 /// A [`FieldError`] naming the missing or malformed member.
 pub fn measurement_from_json_value(value: &JsonValue) -> Result<Measurement, FieldError> {
     Ok(Measurement {
-        kernel_ps: json::get_u64(value, "kernel_ps")?,
-        whole_ps: json::get_u64(value, "whole_ps")?,
+        kernel_ps: json::get_word(value, "kernel_ps")?,
+        whole_ps: json::get_word(value, "whole_ps")?,
         energy_j: json::get_f64(value, "energy_j")?,
-        lut: json::get_u64(value, "lut")?,
-        bram18: json::get_u64(value, "bram18")?,
+        lut: json::get_word(value, "lut")?,
+        bram18: json::get_word(value, "bram18")?,
     })
 }
 

@@ -446,7 +446,7 @@ fn every_cycles(
         field: key,
         message: message.to_owned(),
     };
-    match json::get_u64(policy, "every_cycles") {
+    match json::get_word(policy, "every_cycles") {
         Ok(0) => Err(invalid(zero)),
         Ok(n) => Ok(Some(n)),
         Err(_) => Err(invalid("expected {\"every_cycles\": <unsigned integer>}")),
@@ -517,8 +517,8 @@ fn parse_cluster(value: &JsonValue) -> Result<ClusterConfig, SpecError> {
     };
     Ok(ClusterConfig {
         chips,
-        link_latency_cycles: json::get_u64(value, "link_latency_cycles")?,
-        link_occupancy_cycles: json::get_u64(value, "link_occupancy_cycles")?,
+        link_latency_cycles: json::get_word(value, "link_latency_cycles")?,
+        link_occupancy_cycles: json::get_word(value, "link_occupancy_cycles")?,
         stealing,
     })
 }

@@ -255,7 +255,7 @@ mod tests {
         let pairs = state.as_array().unwrap();
         pairs
             .iter()
-            .map(|p| json::u64s(p, "pair").unwrap()[1])
+            .map(|p| json::words_of::<u64>(p, "pair").unwrap()[1])
             .sum()
     }
 

@@ -299,8 +299,8 @@ impl CacheArray {
     /// range or out of order, an unknown line state, a line outside its
     /// way's set or held twice by one set, or a malformed field.
     pub fn restore_state(&mut self, value: &JsonValue) -> Result<(), CacheStateError> {
-        let use_counter = json::get_u64(value, "use_counter")?;
-        let slots = json::get_u64(value, "slots")?;
+        let use_counter = json::get_word(value, "use_counter")?;
+        let slots = json::get_word(value, "slots")?;
         if slots != self.lines.len() as u64 {
             return Err(CacheStateError::SlotsMismatch {
                 found: slots,

@@ -196,7 +196,7 @@ impl ZedboardMemory {
         }
         self.acp_meter
             .restore_state(json::get(value, "acp_meter")?)?;
-        let tick = json::get_u64(value, "tick")?;
+        let tick = json::get_word(value, "tick")?;
         self.stats = Metrics::from_json_value(json::get(value, "stats")?)?;
         self.ids = ZedIds::register(&mut self.stats);
         self.trace = Tracer::state_from_json_value(json::get(value, "trace")?)?;

@@ -21,10 +21,12 @@
 //! `make_successor`, plus memory and compute accounting).
 //!
 //! The crate also provides [`patterns::ParallelFor`] (the paper's
-//! `parallel_for` helper with `blocked_range` semantics) and a
-//! [`serial::SerialExecutor`] — the single-PE reference scheduler used for
-//! golden checks and for measuring the serial space bound *S₁* that sizes
-//! hardware queues (Section II-C).
+//! `parallel_for` helper with `blocked_range` semantics), the
+//! [`pending::PendingTable`] every engine keeps its waiting successors in,
+//! and a [`serial::SerialExecutor`] — the single-PE reference scheduler used
+//! for golden checks, for measuring the serial space bound *S₁* that sizes
+//! hardware queues (Section II-C) and for recording task graphs
+//! ([`trace::TaskGraph`]).
 //!
 //! # Examples
 //!
@@ -63,15 +65,17 @@
 //! ```
 
 pub mod patterns;
+pub mod pending;
 pub mod serial;
 pub mod task;
 pub mod trace;
 pub mod worker;
 
 pub use patterns::{BlockedRange, ParallelFor};
+pub use pending::{PendingTable, PendingTableError};
 pub use serial::SerialExecutor;
 pub use task::{
     Argument, Continuation, PendingTask, Task, TaskTypeId, MAX_ARGS, PENDING_WORDS, TASK_WORDS,
 };
-pub use trace::{TaskGraph, TracingExecutor};
+pub use trace::TaskGraph;
 pub use worker::{ExecProfile, TaskContext, Worker};

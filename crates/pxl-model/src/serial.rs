@@ -11,10 +11,15 @@
 //!   execution's space by `S_P ≤ S₁·P`, which is what lets hardware task
 //!   queues be finitely sized; integration tests check the simulated
 //!   accelerator against this bound.
+//! * **Task graph** — it records the dynamic task graph the run unfolds
+//!   ([`SerialExecutor::graph`]), for structural checks and DOT rendering
+//!   (the paper's Fig. 2). Each task's instance id is its graph node.
 
 use pxl_mem::Memory;
 
-use crate::task::{Argument, Continuation, PendingTask, Task, TaskTypeId};
+use crate::pending::PendingTable;
+use crate::task::{Continuation, PendingTask, Task, TaskTypeId};
+use crate::trace::{EdgeKind, NodeId, TaskGraph};
 use crate::worker::{TaskContext, Worker};
 
 /// Number of host-interface result registers.
@@ -92,11 +97,12 @@ impl SerialStats {
 pub struct SerialExecutor {
     mem: Memory,
     stack: Vec<Task>,
-    pstore: Vec<Option<PendingTask>>,
-    free: Vec<u32>,
-    live_pending: usize,
+    pending: PendingTable,
     host: [Option<u64>; HOST_SLOTS],
     stats: SerialStats,
+    graph: TaskGraph,
+    /// The graph node of the task executing now.
+    current: NodeId,
 }
 
 impl SerialExecutor {
@@ -126,24 +132,14 @@ impl SerialExecutor {
         self.host.get(slot as usize).copied().flatten()
     }
 
-    fn deliver(&mut self, arg: Argument) {
-        match arg.k {
-            Continuation::Host { slot } => {
-                self.host[slot as usize] = Some(arg.value);
-            }
-            Continuation::PStore { entry, slot, .. } => {
-                let cell = self.pstore[entry as usize]
-                    .as_mut()
-                    .expect("argument sent to a freed P-Store entry");
-                if let Some(ready) = cell.fill(slot, arg.value) {
-                    self.pstore[entry as usize] = None;
-                    self.free.push(entry);
-                    self.live_pending -= 1;
-                    self.stack.push(ready);
-                    self.stats.max_stack = self.stats.max_stack.max(self.stack.len());
-                }
-            }
-        }
+    /// The task graph recorded by every run so far.
+    pub fn graph(&self) -> &TaskGraph {
+        &self.graph
+    }
+
+    fn push(&mut self, task: Task) {
+        self.stack.push(task);
+        self.stats.max_stack = self.stats.max_stack.max(self.stack.len());
     }
 
     /// Runs `root` to completion and returns the value delivered to the
@@ -164,16 +160,16 @@ impl SerialExecutor {
             Continuation::Host { slot } => Some(slot),
             _ => None,
         };
-        self.stack.push(root);
-        self.stats.max_stack = self.stats.max_stack.max(self.stack.len());
+        let node = self.graph.add_node(root.ty, false, root.args[0]);
+        self.push(root.with_id(node.0 as u64));
         while let Some(task) = self.stack.pop() {
             self.stats.tasks_executed += 1;
+            self.current = NodeId(task.id as usize);
             worker.execute(&task, self);
         }
-        if self.live_pending > 0 {
-            return Err(ExecError::LeakedPending {
-                count: self.live_pending,
-            });
+        let count = self.pending.live();
+        if count > 0 {
+            return Err(ExecError::LeakedPending { count });
         }
         match result_slot {
             Some(slot) => self.host_result(slot).ok_or(ExecError::NoResult { slot }),
@@ -185,13 +181,30 @@ impl SerialExecutor {
 impl TaskContext for SerialExecutor {
     fn spawn(&mut self, task: Task) {
         self.stats.spawns += 1;
-        self.stack.push(task);
-        self.stats.max_stack = self.stats.max_stack.max(self.stack.len());
+        let node = self.graph.add_node(task.ty, false, task.args[0]);
+        self.graph.add_edge(self.current, node, EdgeKind::Spawn);
+        self.push(task.with_id(node.0 as u64));
     }
 
     fn send_arg(&mut self, k: Continuation, value: u64) {
         self.stats.args_sent += 1;
-        self.deliver(Argument::new(k, value));
+        match k {
+            Continuation::Host { slot } => {
+                self.host[slot as usize] = Some(value);
+            }
+            Continuation::PStore { entry, slot, .. } => {
+                let target = self
+                    .pending
+                    .id(entry)
+                    .expect("argument sent to a freed P-Store entry");
+                let target = NodeId(target as usize);
+                self.graph.add_edge(self.current, target, EdgeKind::Arg);
+                if let Some(ready) = self.pending.fill(entry, slot, value).flatten() {
+                    self.graph.set_label(target, ready.args[0]);
+                    self.push(ready);
+                }
+            }
+        }
     }
 
     fn make_successor_with(
@@ -202,22 +215,14 @@ impl TaskContext for SerialExecutor {
         preset: &[(u8, u64)],
     ) -> Continuation {
         self.stats.successors += 1;
-        let mut pending = PendingTask::new(ty, k, join);
+        let node = self.graph.add_node(ty, true, 0);
+        self.graph.add_edge(self.current, node, EdgeKind::Successor);
+        let mut pending = PendingTask::new(ty, k, join).with_id(node.0 as u64);
         for &(slot, value) in preset {
             pending = pending.preset(slot, value);
         }
-        let entry = match self.free.pop() {
-            Some(e) => {
-                self.pstore[e as usize] = Some(pending);
-                e
-            }
-            None => {
-                self.pstore.push(Some(pending));
-                (self.pstore.len() - 1) as u32
-            }
-        };
-        self.live_pending += 1;
-        self.stats.max_pending = self.stats.max_pending.max(self.live_pending);
+        let entry = self.pending.alloc(pending);
+        self.stats.max_pending = self.stats.max_pending.max(self.pending.live());
         Continuation::pstore(0, entry, 0)
     }
 
@@ -321,7 +326,7 @@ mod tests {
             .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[12]))
             .unwrap();
         // Every entry was freed; peak live is far below total successors.
-        assert!(exec.live_pending == 0);
+        assert_eq!(exec.pending.live(), 0);
         assert!((exec.stats.max_pending as u64) < exec.stats.successors);
     }
 

@@ -1,20 +1,18 @@
-//! Task-graph tracing: record the dynamic task graph a worker unfolds and
-//! export it for inspection.
+//! Task graphs: the dynamic task graph a worker unfolds, for inspection.
 //!
 //! The paper's Fig. 2 illustrates the graphs that continuation passing
 //! builds at run time — the regular tree of a data-parallel vector add, the
 //! unbalanced fork-join tree of Fibonacci, the wavefront lattice of dynamic
-//! programming. [`TracingExecutor`] runs a worker with the serial reference
-//! semantics while recording every node (executed task or pending
-//! successor) and every edge (spawn, successor creation, argument return),
-//! producing a [`TaskGraph`] that can be checked structurally or rendered
-//! to Graphviz DOT.
+//! programming. [`crate::SerialExecutor`] records every node (executed task
+//! or pending successor) and every edge (spawn, successor creation, argument
+//! return) of its runs in a [`TaskGraph`], which can be checked structurally
+//! or rendered to Graphviz DOT.
 //!
 //! # Examples
 //!
 //! ```
-//! use pxl_model::trace::{EdgeKind, TracingExecutor};
-//! use pxl_model::{Continuation, Task, TaskContext, TaskTypeId, Worker};
+//! use pxl_model::trace::EdgeKind;
+//! use pxl_model::{Continuation, SerialExecutor, Task, TaskContext, TaskTypeId, Worker};
 //!
 //! const FIB: TaskTypeId = TaskTypeId(0);
 //! const SUM: TaskTypeId = TaskTypeId(1);
@@ -37,25 +35,22 @@
 //!     }
 //! }
 //!
-//! let mut tracer = TracingExecutor::new();
-//! let (result, graph) = tracer
+//! let mut exec = SerialExecutor::new();
+//! let result = exec
 //!     .run(&mut Fib, Task::new(FIB, Continuation::host(0), &[4]))
 //!     .unwrap();
 //! assert_eq!(result, 3);
+//! let graph = exec.graph();
 //! // fib(4): 9 FIB tasks + 4 SUM successors (the paper's Fig. 2b).
 //! assert_eq!(graph.node_count(), 13);
 //! assert!(graph.is_acyclic());
 //! assert_eq!(graph.edges_of_kind(EdgeKind::Successor).count(), 4);
 //! ```
 
-use pxl_mem::Memory;
-
-use crate::serial::{ExecError, HOST_SLOTS};
-use crate::task::{Continuation, PendingTask, Task, TaskTypeId};
-use crate::worker::{TaskContext, Worker};
+use crate::task::TaskTypeId;
 
 /// Identifies one node of a recorded task graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct NodeId(pub usize);
 
 /// Why an edge exists.
@@ -123,26 +118,7 @@ impl TaskGraph {
     /// can only reference already-created tasks, so a cycle indicates a
     /// protocol violation.
     pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm.
-        let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b, _) in &self.edges {
-            out[a.0].push(b.0);
-            indeg[b.0] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0;
-        while let Some(v) = queue.pop() {
-            seen += 1;
-            for &w in &out[v] {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push(w);
-                }
-            }
-        }
-        seen == n
+        self.depths().is_some()
     }
 
     /// Length (in nodes) of the longest dependence chain through the graph
@@ -152,6 +128,14 @@ impl TaskGraph {
     ///
     /// Panics if the graph is cyclic.
     pub fn critical_path_len(&self) -> usize {
+        let depths = self.depths().expect("critical path of a cyclic graph");
+        depths.into_iter().max().unwrap_or(0)
+    }
+
+    /// Each node's depth (nodes on the longest chain ending at it), from
+    /// one topological pass (Kahn's algorithm); `None` when a cycle leaves
+    /// nodes unvisited.
+    fn depths(&self) -> Option<Vec<usize>> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
         let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -162,10 +146,8 @@ impl TaskGraph {
         let mut depth = vec![1usize; n];
         let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0;
-        let mut best = if n == 0 { 0 } else { 1 };
         while let Some(v) = queue.pop() {
             seen += 1;
-            best = best.max(depth[v]);
             for &w in &out[v] {
                 depth[w] = depth[w].max(depth[v] + 1);
                 indeg[w] -= 1;
@@ -174,8 +156,7 @@ impl TaskGraph {
                 }
             }
         }
-        assert!(seen == n, "critical path of a cyclic graph");
-        best
+        (seen == n).then_some(depth)
     }
 
     /// Renders the graph as Graphviz DOT. `name_of` labels task types
@@ -203,164 +184,30 @@ impl TaskGraph {
         s.push_str("}\n");
         s
     }
-}
 
-/// A serial executor that records the task graph while running.
-///
-/// Semantics match [`crate::SerialExecutor`] (LIFO stack, unbounded pending
-/// storage, greedy readiness); intended for debugging, visualization and
-/// structural tests rather than timing.
-#[derive(Debug, Default)]
-pub struct TracingExecutor {
-    mem: Memory,
-    stack: Vec<(Task, NodeId)>,
-    pstore: Vec<Option<(PendingTask, NodeId)>>,
-    free: Vec<u32>,
-    live_pending: usize,
-    host: [Option<u64>; HOST_SLOTS],
-    graph: TaskGraph,
-}
-
-impl TracingExecutor {
-    /// Creates a tracer with empty memory.
-    pub fn new() -> Self {
-        TracingExecutor::default()
-    }
-
-    /// Mutable access to functional memory for input setup.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// Runs `root` to completion, returning its result and the recorded
-    /// graph.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`crate::SerialExecutor::run`].
-    pub fn run<W: Worker + ?Sized>(
-        &mut self,
-        worker: &mut W,
-        root: Task,
-    ) -> Result<(u64, TaskGraph), ExecError> {
-        let result_slot = match root.k {
-            Continuation::Host { slot } => Some(slot),
-            _ => None,
-        };
-        let root_node = self.add_node(root.ty, false, root.args[0]);
-        self.stack.push((root, root_node));
-        while let Some((task, node)) = self.stack.pop() {
-            let mut ctx = TraceCtx {
-                exec: self,
-                current: node,
-            };
-            worker.execute(&task, &mut ctx);
-        }
-        if self.live_pending > 0 {
-            return Err(ExecError::LeakedPending {
-                count: self.live_pending,
-            });
-        }
-        let result = match result_slot {
-            Some(slot) => self.host[slot as usize].ok_or(ExecError::NoResult { slot })?,
-            None => 0,
-        };
-        Ok((result, std::mem::take(&mut self.graph)))
-    }
-
-    fn add_node(&mut self, ty: TaskTypeId, pending: bool, label_arg: u64) -> NodeId {
-        self.graph.nodes.push(Node {
+    pub(crate) fn add_node(&mut self, ty: TaskTypeId, pending: bool, label_arg: u64) -> NodeId {
+        self.nodes.push(Node {
             ty,
             pending,
             label_arg,
         });
-        NodeId(self.graph.nodes.len() - 1)
+        NodeId(self.nodes.len() - 1)
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
-        self.graph.edges.push((from, to, kind));
-    }
-}
-
-struct TraceCtx<'e> {
-    exec: &'e mut TracingExecutor,
-    current: NodeId,
-}
-
-impl TaskContext for TraceCtx<'_> {
-    fn spawn(&mut self, task: Task) {
-        let node = self.exec.add_node(task.ty, false, task.args[0]);
-        self.exec.add_edge(self.current, node, EdgeKind::Spawn);
-        self.exec.stack.push((task, node));
+    pub(crate) fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
+        self.edges.push((from, to, kind));
     }
 
-    fn send_arg(&mut self, k: Continuation, value: u64) {
-        match k {
-            Continuation::Host { slot } => {
-                self.exec.host[slot as usize] = Some(value);
-            }
-            Continuation::PStore { entry, slot, .. } => {
-                let (ready, target) = {
-                    let (cell, node) = self.exec.pstore[entry as usize]
-                        .as_mut()
-                        .map(|(c, n)| (c, *n))
-                        .expect("argument sent to a freed P-Store entry");
-                    (cell.fill(slot, value), node)
-                };
-                self.exec.add_edge(self.current, target, EdgeKind::Arg);
-                if let Some(ready) = ready {
-                    self.exec.pstore[entry as usize] = None;
-                    self.exec.free.push(entry);
-                    self.exec.live_pending -= 1;
-                    self.exec.graph.nodes[target.0].label_arg = ready.args[0];
-                    self.exec.stack.push((ready, target));
-                }
-            }
-        }
-    }
-
-    fn make_successor_with(
-        &mut self,
-        ty: TaskTypeId,
-        k: Continuation,
-        join: u8,
-        preset: &[(u8, u64)],
-    ) -> Continuation {
-        let mut pending = PendingTask::new(ty, k, join);
-        for &(slot, value) in preset {
-            pending = pending.preset(slot, value);
-        }
-        let node = self.exec.add_node(ty, true, 0);
-        self.exec.add_edge(self.current, node, EdgeKind::Successor);
-        let entry = match self.exec.free.pop() {
-            Some(e) => {
-                self.exec.pstore[e as usize] = Some((pending, node));
-                e
-            }
-            None => {
-                self.exec.pstore.push(Some((pending, node)));
-                (self.exec.pstore.len() - 1) as u32
-            }
-        };
-        self.exec.live_pending += 1;
-        Continuation::pstore(0, entry, 0)
-    }
-
-    fn compute(&mut self, _ops: u64) {}
-    fn load(&mut self, _addr: u64, _bytes: u32) {}
-    fn store(&mut self, _addr: u64, _bytes: u32) {}
-    fn amo(&mut self, _addr: u64) {}
-    fn dma_read(&mut self, _addr: u64, _bytes: u64) {}
-    fn dma_write(&mut self, _addr: u64, _bytes: u64) {}
-
-    fn mem(&mut self) -> &mut Memory {
-        &mut self.exec.mem
+    /// Relabels a successor with its first argument once its join completes.
+    pub(crate) fn set_label(&mut self, node: NodeId, label_arg: u64) {
+        self.nodes[node.0].label_arg = label_arg;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Continuation, SerialExecutor, Task, TaskContext, Worker};
 
     const FIB: TaskTypeId = TaskTypeId(0);
     const SUM: TaskTypeId = TaskTypeId(1);
@@ -385,10 +232,11 @@ mod tests {
     }
 
     fn fib_graph(n: u64) -> (u64, TaskGraph) {
-        let mut tracer = TracingExecutor::new();
-        tracer
+        let mut exec = SerialExecutor::new();
+        let result = exec
             .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[n]))
-            .unwrap()
+            .unwrap();
+        (result, exec.graph().clone())
     }
 
     #[test]
@@ -443,17 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn leak_detection_matches_serial_executor() {
-        struct Leaky;
-        impl Worker for Leaky {
-            fn execute(&mut self, task: &Task, ctx: &mut dyn TaskContext) {
-                let _ = ctx.make_successor(SUM, task.k, 2);
-            }
-        }
-        let mut tracer = TracingExecutor::new();
-        let err = tracer
-            .run(&mut Leaky, Task::new(FIB, Continuation::host(0), &[1]))
-            .unwrap_err();
-        assert_eq!(err, ExecError::LeakedPending { count: 1 });
+    fn a_cycle_is_reported_and_has_no_critical_path() {
+        let mut g = TaskGraph::default();
+        assert_eq!(g.critical_path_len(), 0);
+        let (a, b) = (g.add_node(FIB, false, 0), g.add_node(SUM, true, 0));
+        g.add_edge(a, b, EdgeKind::Successor);
+        assert!(g.is_acyclic());
+        assert_eq!(g.critical_path_len(), 2);
+        g.add_edge(b, a, EdgeKind::Arg);
+        assert!(!g.is_acyclic());
+        assert!(std::panic::catch_unwind(|| g.critical_path_len()).is_err());
     }
 }

@@ -188,7 +188,7 @@ enum Line {
 fn parse_line(line: &str) -> Option<Line> {
     let value = JsonValue::parse(line).ok()?;
     if let Some(record) = json::get_opt(&value, "journal") {
-        let job = json::get_u64(&value, "job").ok()?;
+        let job = json::get_word(&value, "job").ok()?;
         return match record.as_str()? {
             "submit" => Some(Line::Submit(Box::new(RecoveredJob {
                 job,
@@ -199,7 +199,7 @@ fn parse_line(line: &str) -> Option<Line> {
             }))),
             "checkpoint" => Some(Line::Checkpoint {
                 job,
-                cycle: json::get_u64(&value, "cycle").ok()?,
+                cycle: json::get_word(&value, "cycle").ok()?,
                 file: json::get_str(&value, "file").ok()?.to_owned(),
             }),
             _ => None,

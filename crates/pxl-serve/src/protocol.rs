@@ -10,7 +10,7 @@
 use pxl_dse::Measurement;
 pub use pxl_dse::{measurement_from_json_value, measurement_to_json_value};
 use pxl_flow::{RunSpec, SpecError};
-use pxl_sim::json::{self, get_bool, get_str, get_u64, FieldError, FieldProblem, JsonValue};
+use pxl_sim::json::{self, get_bool, get_str, get_word, FieldError, FieldProblem, JsonValue};
 
 /// A server-assigned job identity, unique within one server lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -243,7 +243,7 @@ impl WireField for u64 {
     }
 
     fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
-        get_u64(event, key)
+        get_word(event, key)
     }
 }
 
@@ -255,7 +255,7 @@ impl WireField for Option<u64> {
 
     fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
         json::get_opt(event, key)
-            .map(|n| json::u64_of(n, key))
+            .map(|n| json::word_of(n, key))
             .transpose()
     }
 }
@@ -286,7 +286,7 @@ impl WireField for JobId {
     }
 
     fn read(event: &JsonValue, key: &'static str) -> Result<Self, FieldError> {
-        get_u64(event, key).map(JobId)
+        get_word(event, key).map(JobId)
     }
 }
 

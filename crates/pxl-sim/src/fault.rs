@@ -147,7 +147,7 @@ impl FaultSpec {
         let kind = match json::get_str(value, "kind").ok() {
             Some("pe_stall") => FaultKind::PeStall {
                 pe: json::get_word(value, "pe")?,
-                cycles: json::get_u64(value, "cycles")?,
+                cycles: json::get_word(value, "cycles")?,
             },
             Some("pe_death") => FaultKind::PeDeath {
                 pe: json::get_word(value, "pe")?,
@@ -164,14 +164,14 @@ impl FaultSpec {
             },
             Some("pstore_corrupt") => FaultKind::PStoreCorrupt {
                 tile: json::get_word(value, "tile")?,
-                mask: json::get_u64(value, "mask")?,
+                mask: json::get_word(value, "mask")?,
             },
             other => return Err(format!("unknown kind {other:?}")),
         };
         Ok(FaultSpec {
             kind,
-            from: Time::from_ps(json::get_u64(value, "from_ps")?),
-            until: Time::from_ps(json::get_u64(value, "until_ps")?),
+            from: Time::from_ps(json::get_word(value, "from_ps")?),
+            until: Time::from_ps(json::get_word(value, "until_ps")?),
         })
     }
 }
@@ -348,7 +348,7 @@ impl FaultPlan {
     /// Returns a message naming the missing, malformed or out-of-range
     /// field.
     pub fn from_json_value(value: &JsonValue) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new(json::get_u64(value, "seed")?);
+        let mut plan = FaultPlan::new(json::get_word(value, "seed")?);
         for (i, spec) in json::get_arr(value, "specs")?.iter().enumerate() {
             let spec =
                 FaultSpec::from_json_value(spec).map_err(|e| format!("fault spec {i}: {e}"))?;

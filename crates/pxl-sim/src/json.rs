@@ -16,14 +16,15 @@
 //!   rely on for byte-identical round trips.
 //! * **The field vocabulary** — every record codec in the workspace builds
 //!   its tree with [`obj`], [`num`] and [`arr_u64`] and picks it apart with
-//!   the checked readers ([`get_u64`], [`get_word`], [`get_str`],
-//!   [`get_bool`], [`get_f64`], [`get_arr`], [`get_obj`], [`get_u64s`],
-//!   [`get_u64_map`], [`get_opt`] and the value-level [`u64_of`],
-//!   [`word_of`], [`u64s`]). A reader fails with one [`FieldError`] naming
-//!   the key; each caller maps it into its own typed error. Every array
-//!   reader checks every item, so a record with a stray non-numeric word is
-//!   refused rather than read as a shorter one, and [`get_word`] refuses a
-//!   value its [`Word`] kind cannot hold instead of truncating it.
+//!   the checked readers ([`get_word`], [`get_words`], [`get_str`],
+//!   [`get_bool`], [`get_f64`], [`get_arr`], [`get_obj`], [`get_u64_map`],
+//!   [`get_opt`] and the value-level [`word_of`] and [`words_of`]; a plain
+//!   `u64` is the word kind `u64`). A reader fails with one [`FieldError`]
+//!   naming the key; each caller maps it into its own typed error. Every
+//!   array reader checks every item, so a record with a stray non-numeric
+//!   word is refused rather than read as a shorter one, and [`get_word`]
+//!   refuses a value its [`Word`] kind cannot hold instead of truncating
+//!   it.
 //! * **Snapshot words** — engine and memory state is kept as `u64` words.
 //!   A [`Word`] kind says how one typed value maps to its word (`u64`,
 //!   `u32`, `u16`, `u8`, `usize`, `bool` as 0 or 1, [`Time`] in
@@ -43,14 +44,14 @@
 //!
 //! let v = JsonValue::parse(r#"{"name":"uts","pes":[4,8],"ok":true,"big":70000}"#).unwrap();
 //! assert_eq!(json::get_str(&v, "name"), Ok("uts"));
-//! assert_eq!(json::get_u64s(&v, "pes"), Ok(vec![4, 8]));
+//! assert_eq!(json::get_words::<u64>(&v, "pes"), Ok(vec![4, 8]));
 //! assert_eq!(json::get_bool(&v, "ok"), Ok(true));
 //! assert_eq!(json::get_word::<u32>(&v, "big"), Ok(70_000));
 //! assert_eq!(
 //!     json::get_word::<u16>(&v, "big"),
 //!     Err(FieldError { key: "big", problem: FieldProblem::OutOfRange("u16") })
 //! );
-//! assert_eq!(json::get_u64(&v, "gone").unwrap_err().to_string(), "missing field gone");
+//! assert_eq!(json::get_word::<u64>(&v, "gone").unwrap_err().to_string(), "missing field gone");
 //! // Rendering is deterministic and round-trips byte-identically.
 //! let text = v.to_json();
 //! assert_eq!(JsonValue::parse(&text).unwrap(), v);
@@ -383,34 +384,6 @@ fn read_as<'a, T>(
     read(value).ok_or(FieldError::new(key, FieldProblem::NotA(what)))
 }
 
-/// `value` (the field `key`) as an exact `u64`.
-///
-/// # Errors
-///
-/// [`FieldProblem::NotA`] unless `value` is an unsigned integer.
-pub fn u64_of(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
-    read_as(value, key, "an unsigned integer", JsonValue::as_u64)
-}
-
-/// `value` (the array field `key`) as exact `u64`s, every item checked.
-///
-/// # Errors
-///
-/// [`FieldProblem::NotA`] when `value` is not an array,
-/// [`FieldProblem::BadItem`] naming the first item that is not a `u64`.
-pub fn u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError> {
-    words_of(value, key)
-}
-
-/// Member `key` of `value` as an exact `u64`.
-///
-/// # Errors
-///
-/// A [`FieldError`] naming the missing or mistyped key.
-pub fn get_u64(value: &JsonValue, key: &'static str) -> Result<u64, FieldError> {
-    u64_of(get(value, key)?, key)
-}
-
 /// Member `key` of `value` as a string slice.
 ///
 /// # Errors
@@ -458,16 +431,6 @@ pub fn get_obj<'a>(
     key: &'static str,
 ) -> Result<&'a [(String, JsonValue)], FieldError> {
     read_as(get(value, key)?, key, "an object", JsonValue::as_object)
-}
-
-/// Member `key` of `value` as a vector of exact `u64`s.
-///
-/// # Errors
-///
-/// A [`FieldError`] naming the missing or mistyped key or the first
-/// non-`u64` item.
-pub fn get_u64s(value: &JsonValue, key: &'static str) -> Result<Vec<u64>, FieldError> {
-    u64s(get(value, key)?, key)
 }
 
 /// Member `key` of `value`, an object of `name: u64` members, as pairs in
@@ -588,7 +551,8 @@ fn out_of_range<T: Word>(key: &'static str) -> FieldError {
 /// [`FieldProblem::NotA`] unless `value` is an unsigned integer,
 /// [`FieldProblem::OutOfRange`] when `T` cannot hold it.
 pub fn word_of<T: Word>(value: &JsonValue, key: &'static str) -> Result<T, FieldError> {
-    T::from_word(u64_of(value, key)?).ok_or_else(|| out_of_range::<T>(key))
+    let word = read_as(value, key, "an unsigned integer", JsonValue::as_u64)?;
+    T::from_word(word).ok_or_else(|| out_of_range::<T>(key))
 }
 
 /// Member `key` of `value` as a word of kind `T`.
@@ -1211,9 +1175,9 @@ mod tests {
     #[test]
     fn readers_return_typed_values() {
         let v = record();
-        assert_eq!(get_u64(&v, "now_ps"), Ok(12_345));
+        assert_eq!(get_word::<u64>(&v, "now_ps"), Ok(12_345));
         assert_eq!(get_word::<u16>(&v, "now_ps"), Ok(12_345u16));
-        assert_eq!(get_u64s(&v, "deque"), Ok(vec![1, u64::MAX, 3]));
+        assert_eq!(get_words::<u64>(&v, "deque"), Ok(vec![1, u64::MAX, 3]));
         assert_eq!(get_str(&v, "name"), Ok("pe0"));
         assert_eq!(get_bool(&v, "on"), Ok(true));
         assert_eq!(get_f64(&v, "rate"), Ok(0.1));
@@ -1229,9 +1193,12 @@ mod tests {
     fn reader_errors_name_the_key() {
         let v = record();
         let err = |key, problem| FieldError { key, problem };
-        assert_eq!(get_u64(&v, "nope"), Err(err("nope", FieldProblem::Missing)));
         assert_eq!(
-            get_u64(&v, "name"),
+            get_word::<u64>(&v, "nope"),
+            Err(err("nope", FieldProblem::Missing))
+        );
+        assert_eq!(
+            get_word::<u64>(&v, "name"),
             Err(err("name", FieldProblem::NotA("an unsigned integer")))
         );
         assert_eq!(
@@ -1280,7 +1247,7 @@ mod tests {
     #[test]
     fn u64_arrays_with_a_stray_item_are_refused_not_shortened() {
         let words = JsonValue::parse(r#"[5,"x",7]"#).unwrap();
-        let err = u64s(&words, "events").unwrap_err();
+        let err = words_of::<u64>(&words, "events").unwrap_err();
         assert_eq!(
             err,
             FieldError {
@@ -1292,12 +1259,12 @@ mod tests {
             String::from(err),
             "array \"events\" holds a non-u64 at index 1"
         );
-        assert!(u64s(&num(5), "events")
+        assert!(words_of::<u64>(&num(5), "events")
             .unwrap_err()
             .to_string()
             .contains("\"events\" is not an array"));
         assert_eq!(
-            u64s(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
+            words_of::<u64>(&arr_u64([5, u64::MAX, 7]), "events").unwrap(),
             [5, u64::MAX, 7]
         );
     }

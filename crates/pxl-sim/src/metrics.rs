@@ -505,11 +505,11 @@ impl Histogram {
     /// Rebuilds a summary from [`Histogram::to_json_value`] output; a
     /// zero-count summary comes back empty.
     fn from_json_value(value: &JsonValue) -> Result<Histogram, FieldError> {
-        let count = json::get_u64(value, "count")?;
-        let extreme = |key| (count > 0).then(|| json::get_u64(value, key)).transpose();
+        let count = json::get_word(value, "count")?;
+        let extreme = |key| (count > 0).then(|| json::get_word(value, key)).transpose();
         Ok(Histogram {
             count,
-            sum: json::get_u64(value, "sum")?,
+            sum: json::get_word(value, "sum")?,
             min: extreme("min")?,
             max: extreme("max")?,
         })

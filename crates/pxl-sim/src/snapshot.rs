@@ -153,7 +153,7 @@ impl Snapshot {
     /// anything that does not parse as an envelope.
     pub fn from_json(text: &str) -> Result<Snapshot, SnapshotError> {
         let value = JsonValue::parse(text).map_err(malformed)?;
-        let version = json::get_u64(&value, "snapshot_version")?;
+        let version = json::get_word(&value, "snapshot_version")?;
         if version != SNAPSHOT_VERSION as u64 {
             return Err(SnapshotError::VersionMismatch { found: version });
         }
@@ -199,7 +199,7 @@ fn checksum_of(payload: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{arr_u64, get_u64s, num, obj};
+    use crate::json::{arr_u64, get_words, num, obj};
 
     fn payload() -> JsonValue {
         obj(vec![
@@ -225,7 +225,10 @@ mod tests {
             })
         );
         // u64::MAX (beyond f64 precision) survives the round trip exactly.
-        assert_eq!(get_u64s(&back.payload, "deque").unwrap()[1], u64::MAX);
+        assert_eq!(
+            get_words::<u64>(&back.payload, "deque").unwrap()[1],
+            u64::MAX
+        );
     }
 
     fn with_version(text: &str, version: u64) -> String {

@@ -118,7 +118,7 @@ impl TelemetrySample {
         let counters = json::get_obj(value, "counters")?
             .iter()
             .map(|(k, v)| {
-                let pair = json::u64s(v, "counters")
+                let pair = json::words_of(v, "counters")
                     .map_err(|e| format!("telemetry sample: counter {k:?}: {e}"))?;
                 match pair[..] {
                     [delta, rate] => Ok(CounterDelta {
@@ -133,9 +133,9 @@ impl TelemetrySample {
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(TelemetrySample {
-            epoch: json::get_u64(value, "epoch")?,
-            at: Time::from_ps(json::get_u64(value, "t_ps")?),
-            window: Time::from_ps(json::get_u64(value, "window_ps")?),
+            epoch: json::get_word(value, "epoch")?,
+            at: Time::from_ps(json::get_word(value, "t_ps")?),
+            window: Time::from_ps(json::get_word(value, "window_ps")?),
             gauges,
             counters,
         })
@@ -326,7 +326,7 @@ impl TelemetrySampler {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn state_from_json_value(value: &JsonValue) -> Result<TelemetrySampler, String> {
-        let every = Time::from_ps(json::get_u64(value, "every_ps")?);
+        let every = Time::from_ps(json::get_word(value, "every_ps")?);
         if every == Time::ZERO {
             return Err("telemetry state: zero epoch width".to_owned());
         }
@@ -340,9 +340,9 @@ impl TelemetrySampler {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TelemetrySampler {
             every,
-            next_at: Time::from_ps(json::get_u64(value, "next_at_ps")?),
-            epoch: json::get_u64(value, "epoch")?,
-            window_start: Time::from_ps(json::get_u64(value, "window_start_ps")?),
+            next_at: Time::from_ps(json::get_word(value, "next_at_ps")?),
+            epoch: json::get_word(value, "epoch")?,
+            window_start: Time::from_ps(json::get_word(value, "window_start_ps")?),
             last,
             samples,
         })

@@ -210,8 +210,8 @@ impl TraceRecord {
     pub fn from_json_value(value: &JsonValue) -> Result<TraceRecord, String> {
         let event = TraceEvent::read_fields(json::get_str(value, "kind")?, value)?;
         Ok(TraceRecord {
-            at: Time::from_ps(json::get_u64(value, "t_ps")?),
-            seq: json::get_u64(value, "seq")?,
+            at: Time::from_ps(json::get_word(value, "t_ps")?),
+            seq: json::get_word(value, "seq")?,
             event,
         })
     }
@@ -359,7 +359,7 @@ impl Tracer {
             .map(TraceRecord::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
         let capacity = json::get_word(value, "capacity")?;
-        let next_seq = json::get_u64(value, "next_seq")?;
+        let next_seq = json::get_word(value, "next_seq")?;
         if records.len() > capacity {
             return Err(format!(
                 "trace: records holds {} records, past capacity {capacity}",
@@ -381,7 +381,7 @@ impl Tracer {
         Ok(Tracer {
             capacity,
             records,
-            dropped: json::get_u64(value, "dropped")?,
+            dropped: json::get_word(value, "dropped")?,
             next_seq,
         })
     }

@@ -140,7 +140,7 @@ impl SchedulingPolicy for RingPolicy {
         self.cursor = json::get_words(value, "cursor")?;
         self.host_queue = json::get_arr(value, "host_queue")?
             .iter()
-            .map(|entry| Task::from_words(&json::u64s(entry, "host_queue")?))
+            .map(|entry| Task::from_words(&json::words_of(entry, "host_queue")?))
             .collect::<Result<_, _>>()?;
         Ok(())
     }

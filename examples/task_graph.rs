@@ -7,8 +7,7 @@
 //! then: `dot -Tpng fib.dot -o fib.png`
 
 use parallelxl::apps::{by_name, Scale};
-use parallelxl::model::trace::TracingExecutor;
-use parallelxl::model::{Continuation, Task, TaskContext, TaskTypeId, Worker};
+use parallelxl::model::{Continuation, SerialExecutor, Task, TaskContext, TaskTypeId, Worker};
 
 const FIB: TaskTypeId = TaskTypeId(0);
 const SUM: TaskTypeId = TaskTypeId(1);
@@ -34,10 +33,11 @@ impl Worker for FibWorker {
 
 fn main() {
     // The paper's Fig. 2(b): fib(4) as a dynamic task graph.
-    let mut tracer = TracingExecutor::new();
-    let (result, graph) = tracer
+    let mut exec = SerialExecutor::new();
+    let result = exec
         .run(&mut FibWorker, Task::new(FIB, Continuation::host(0), &[4]))
         .expect("fib(4) runs");
+    let graph = exec.graph();
     eprintln!(
         "fib(4) = {result}: {} nodes, {} edges, critical path {}",
         graph.node_count(),
@@ -53,10 +53,11 @@ fn main() {
     eprintln!("\nbenchmark    nodes  critical-path  parallelism");
     for name in ["nw", "quicksort", "queens", "uts"] {
         let bench = by_name(name, Scale::Tiny).expect("registered");
-        let mut tracer = TracingExecutor::new();
-        let inst = bench.flex(tracer.mem_mut());
+        let mut exec = SerialExecutor::new();
+        let inst = bench.flex(exec.mem_mut());
         let mut worker = inst.worker;
-        let (_, g) = tracer.run(worker.as_mut(), inst.root).expect("runs");
+        exec.run(worker.as_mut(), inst.root).expect("runs");
+        let g = exec.graph();
         let cp = g.critical_path_len();
         eprintln!(
             "{name:12} {:>5}  {:>13}  {:>10.1}",

@@ -10,9 +10,8 @@
 //! Run with: `cargo run --release --example vector_add`
 
 use parallelxl::arch::{AccelConfig, Engine, FlexEngine, Workload};
-use parallelxl::model::trace::TracingExecutor;
 use parallelxl::model::{
-    Continuation, ExecProfile, ParallelFor, Task, TaskContext, TaskTypeId, Worker,
+    Continuation, ExecProfile, ParallelFor, SerialExecutor, Task, TaskContext, TaskTypeId, Worker,
 };
 
 const SPLIT: TaskTypeId = TaskTypeId(0);
@@ -83,14 +82,14 @@ fn main() {
     );
 
     // Show the Fig. 2(a) task graph: chunks under a recursive split tree.
-    let mut tracer = TracingExecutor::new();
-    fill_inputs(tracer.mem_mut());
-    let (_, graph) = tracer
-        .run(
-            &mut VvaddWorker { pf },
-            pf.root_task(0, N, Continuation::host(0)),
-        )
-        .expect("trace runs");
+    let mut exec = SerialExecutor::new();
+    fill_inputs(exec.mem_mut());
+    exec.run(
+        &mut VvaddWorker { pf },
+        pf.root_task(0, N, Continuation::host(0)),
+    )
+    .expect("trace runs");
+    let graph = exec.graph();
     println!(
         "task graph: {} nodes, critical path {} (vs {} chunk tasks)",
         graph.node_count(),

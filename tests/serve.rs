@@ -743,9 +743,10 @@ fn a_stalled_client_does_not_hold_up_dispatch() {
 }
 
 /// A simulation that panics — here, resuming from a checkpoint whose
-/// checksum holds but whose CPU free list points past its pending table —
-/// fails its job with a typed `failed` event instead of killing the pool
-/// worker, and the drain still completes.
+/// checksum holds but whose CPU deque holds a task continuing to host slot
+/// 200, past the eight result registers — fails its job with a typed
+/// `failed` event instead of killing the pool worker, and the drain still
+/// completes.
 #[test]
 fn a_panicking_job_fails_and_the_server_still_drains() {
     let dir = scratch_dir("panic");
@@ -764,11 +765,32 @@ fn a_panicking_job_fails_and_the_server_still_drains() {
     let JsonValue::Object(members) = &mut payload else {
         panic!("a snapshot payload is an object");
     };
-    let (_, free) = members
+    let (_, deques) = members
         .iter_mut()
-        .find(|(k, _)| k == "pending_free")
-        .expect("the CPU engine snapshots its pending free list");
-    *free = JsonValue::Array(vec![JsonValue::num_u64(u64::from(u32::MAX))]);
+        .find(|(k, _)| k == "deques")
+        .expect("the CPU engine snapshots its deques");
+    // A queued task is its words `[ty, k, id, args..]` plus a timestamp;
+    // restore decodes `k` unchecked, and the task's result then indexes
+    // past the host registers.
+    let JsonValue::Array(deques) = deques else {
+        panic!("deques is an array");
+    };
+    let task = deques
+        .iter_mut()
+        .find_map(|deque| match deque {
+            JsonValue::Object(fields) => {
+                match &mut fields.iter_mut().find(|(k, _)| k == "items")?.1 {
+                    JsonValue::Array(items) => items.first_mut(),
+                    _ => None,
+                }
+            }
+            _ => None,
+        })
+        .expect("a queued task at cycle 2000");
+    let JsonValue::Array(words) = task else {
+        panic!("a queued task is an array of words");
+    };
+    words[1] = JsonValue::num_u64(parallelxl::Continuation::host(200).encode());
     let engine = envelope.get("engine").unwrap().as_str().unwrap();
     let crafted = Snapshot::new(engine, payload);
     std::fs::write(dir.join("job-1.ckpt.json"), crafted.to_json()).unwrap();

@@ -169,19 +169,19 @@ fn the_pins_hold_the_state_they_were_added_for() {
     // a dead PE still awaiting rescue and a tainted P-Store entry.
     let quicksort = pinned_payload("quicksort_flex_1x4");
     for l1 in json::get_arr(at_path(&quicksort, &coherent), "l1s").unwrap() {
-        assert!(!json::get_u64s(l1, "live").unwrap().is_empty());
+        assert!(!json::get_words::<u64>(l1, "live").unwrap().is_empty());
     }
     let queens = pinned_payload("queens_flex_2x4_mixed_faults");
     let faults = json::get(&queens, "faults").unwrap();
-    assert!(json::get_u64s(faults, "dead").unwrap().contains(&1));
-    assert!(json::get_u64s(faults, "rescue_pending")
+    assert!(json::get_words::<u64>(faults, "dead").unwrap().contains(&1));
+    assert!(json::get_words::<u64>(faults, "rescue_pending")
         .unwrap()
         .iter()
         .any(|&r| r != 0));
     let tainted = json::get_arr(&queens, "pstores").unwrap();
     assert!(tainted
         .iter()
-        .any(|tile| !json::get_u64s(tile, "taint").unwrap().is_empty()));
+        .any(|tile| !json::get_words::<u64>(tile, "taint").unwrap().is_empty()));
 }
 
 #[test]

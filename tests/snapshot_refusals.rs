@@ -55,7 +55,7 @@ fn with_first_item(snap: &Snapshot, path: &[&str], value: JsonValue) -> Snapshot
 /// first) at the same time, re-sealed so its checksum holds.
 fn with_first_event(snap: &Snapshot, words: &[u64]) -> Snapshot {
     let events = json::get_arr(&snap.payload, "events").unwrap();
-    let when = json::u64s(&events[0], "events").unwrap()[0];
+    let when = json::words_of(&events[0], "events").unwrap()[0];
     let entry = json::arr_u64([when].into_iter().chain(words.iter().copied()));
     with_first_item(snap, &["events"], entry)
 }
@@ -358,4 +358,47 @@ fn a_flag_word_other_than_0_or_1_is_refused() {
         message.contains("\"dead\" is out of range for bool"),
         "{message}"
     );
+
+    let lite = RunSpec::new(
+        "uts",
+        Scale::Tiny,
+        DesignPoint::accel(PointArch::Lite, 1, 4),
+    );
+    let snap = paused_at_cycle_1000(&lite);
+    let message = refusal(
+        &lite,
+        &with_first_item(&snap, &["host_written"], json::num(2)),
+    );
+    assert!(
+        message.contains("\"host_written\" is out of range for bool"),
+        "{message}"
+    );
+}
+
+/// The CPU runtime's free join frames must be empty frames below the
+/// table's high-water mark, each listed once: a resumed run pops them to
+/// place new successors.
+#[test]
+fn a_free_join_frame_that_is_not_free_is_refused() {
+    let spec = RunSpec::new("uts", Scale::Tiny, DesignPoint::cpu(4));
+    let snap = paused_at_cycle_1000(&spec);
+    let frames = json::get_arr(&snap.payload, "pending").unwrap();
+    let live = frames
+        .iter()
+        .position(|frame| frame.as_array().is_some_and(|words| !words.is_empty()))
+        .expect("a live join frame at cycle 1000") as u64;
+    let free: Vec<u64> = json::get_words(&snap.payload, "pending_free").unwrap();
+    let freed = *free.last().expect("a freed join frame at cycle 1000");
+    for bad in [vec![u64::from(u32::MAX)], vec![live], vec![freed, freed]] {
+        let message = refusal(
+            &spec,
+            &with_member(&snap, "pending_free", json::arr_u64(bad.clone())),
+        );
+        assert!(message.contains("\"pending_free\""), "{bad:?}: {message}");
+    }
+    SimSession::resume(&spec, &snap)
+        .unwrap()
+        .unwrap()
+        .finish()
+        .unwrap();
 }
